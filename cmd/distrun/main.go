@@ -2,13 +2,11 @@
 // message-passing runtime and reports the outcome, optionally against the
 // sequential simulator on the same graph, horizon and seed.
 //
-// Two runtimes drive the same protocol machine: the goroutine-per-node
-// Cluster (default) and the sharded actor runtime (-runtime=shard), which
-// multiplexes all nodes over -shards event loops with per-shard timer
-// wheels and batched mailboxes — the configuration that reaches 10^6
-// nodes on one box. The torusdumbbell graph family is its natural
-// companion: the dumbbell bottleneck at constant degree, so the worst
-// case materialises at millions of nodes.
+// The runtime multiplexes all nodes over -shards event loops with
+// per-shard timer wheels and batched mailboxes, which reaches 10^6 nodes
+// on one box. The torusdumbbell graph family is its natural companion:
+// the dumbbell bottleneck at constant degree, so the worst case
+// materialises at millions of nodes.
 //
 // Usage:
 //
@@ -16,7 +14,7 @@
 //	distrun -graph dumbbell -n 16 -rule A -drop 0.05    -until 40 -compare
 //	distrun -graph planted  -n 60 -rule vanilla -delay 2ms -until 20
 //	distrun -graph sensor   -n 64 -cut 2 -rule A -tcp   -until 30
-//	distrun -runtime shard -shards 8 -graph torusdumbbell -n 1000000 \
+//	distrun -shards 8 -graph torusdumbbell -n 1000000 \
 //	        -cut 8 -rule vanilla -drop 0.05 -until 0.5 -scale 4s -assert
 //
 // -assert verifies the run's invariants afterwards — exact sum
@@ -24,11 +22,13 @@
 // applied == committed) — and exits non-zero on any violation.
 //
 // -drop injects i.i.d. message loss, -delay random per-message latency, and
-// -tcp carries every protocol message over loopback TCP sockets. -scale
-// sets the wall-clock length of one simulated time unit: smaller runs
-// faster but leaves less headroom over transport latency.
+// -tcp carries every cross-shard protocol message over loopback TCP
+// sockets, one listener per shard; without any of the three, shards
+// exchange messages through in-process mailboxes. -scale sets the
+// wall-clock length of one simulated time unit: smaller runs faster but
+// leaves less headroom over transport latency.
 //
-// -http serves the runtime's live telemetry while the cluster runs:
+// -http serves the runtime's live telemetry while it runs:
 // exchange/abort/message counters, the exchange-latency histogram and the
 // convergence-progress gauges under expvar at /debug/vars (key
 // "sparsecut"), plus the standard net/http/pprof profiling endpoints —
@@ -78,8 +78,7 @@ func main() {
 		drop      = flag.Float64("drop", 0, "message loss probability in [0,1)")
 		delay     = flag.Duration("delay", 0, "max random per-message latency (0 = none)")
 		useTCP    = flag.Bool("tcp", false, "carry messages over loopback TCP instead of in-memory channels")
-		runtimeK  = flag.String("runtime", "goroutine", "runtime: goroutine (one per node) | shard (event loops + timer wheels)")
-		shards    = flag.Int("shards", 0, "shard event loops for -runtime=shard (0 = GOMAXPROCS)")
+		shards    = flag.Int("shards", 0, "shard event loops (0 = GOMAXPROCS)")
 		assert    = flag.Bool("assert", false, "verify sum conservation and the exchange ledger after the run; exit non-zero on violation")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		compare   = flag.Bool("compare", false, "also run the sequential simulator on the same workload")
@@ -90,15 +89,6 @@ func main() {
 	)
 	flag.Parse()
 
-	useShard := false
-	switch *runtimeK {
-	case "goroutine":
-	case "shard":
-		useShard = true
-	default:
-		fatal(fmt.Errorf("unknown runtime %q (want goroutine or shard)", *runtimeK))
-	}
-
 	g, part, err := buildGraph(*graphKind, *n, *cutEdges, *seed)
 	if err != nil {
 		fatal(err)
@@ -108,8 +98,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// The sharded runtime's transport mailboxes are per shard, not per
-	// node; with no fault injection it uses its internal direct path.
+	// The runtime's transport mailboxes are per shard, not per node; with
+	// no fault injection it uses its internal direct path.
 	nShards := *shards
 	if nShards <= 0 {
 		nShards = runtime.GOMAXPROCS(0)
@@ -117,11 +107,7 @@ func main() {
 	if nShards > g.NumNodes() {
 		nShards = g.NumNodes()
 	}
-	addrs := g.NumNodes()
-	if useShard {
-		addrs = nShards
-	}
-	tr, desc, err := buildTransport(addrs, g.NumNodes(), useShard, *useTCP, *drop, *delay, *seed)
+	tr, desc, err := buildTransport(nShards, g.NumNodes(), *useTCP, *drop, *delay, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -147,14 +133,9 @@ func main() {
 		// stale and nothing commits.
 		cfg.LockTimeout = 4 * *delay
 	}
-	var cl distRuntime
-	if useShard {
-		cl, err = sparsecut.NewShardRuntime(g, x0, rule, sparsecut.ShardRuntimeConfig{
-			ClusterConfig: cfg, Shards: nShards,
-		})
-	} else {
-		cl, err = sparsecut.NewCluster(g, x0, rule, cfg)
-	}
+	cl, err := sparsecut.NewShardRuntime(g, x0, rule, sparsecut.ShardRuntimeConfig{
+		ClusterConfig: cfg, Shards: nShards,
+	})
 	if err != nil {
 		fatal(err)
 	}
@@ -180,13 +161,8 @@ func main() {
 	fmt.Printf("partition:  %s\n", part)
 	fmt.Printf("rule:       %s\n", rule.Name())
 	fmt.Printf("transport:  %s\n", desc)
-	if useShard {
-		fmt.Printf("running:    %d nodes on %d shard loops for t=%g (~%v wall)...\n",
-			g.NumNodes(), nShards, *until, (time.Duration(*until * float64(*scale))).Round(time.Millisecond))
-	} else {
-		fmt.Printf("running:    %d node goroutines for t=%g (~%v wall)...\n",
-			g.NumNodes(), *until, (time.Duration(*until * float64(*scale))).Round(time.Millisecond))
-	}
+	fmt.Printf("running:    %d nodes on %d shard loops for t=%g (~%v wall)...\n",
+		g.NumNodes(), cl.Shards(), *until, (time.Duration(*until * float64(*scale))).Round(time.Millisecond))
 	start := time.Now()
 	if err := cl.Run(context.Background(), *until); err != nil {
 		fatal(err)
@@ -305,10 +281,9 @@ func buildSimAlgorithm(kind string, g *sparsecut.Graph, part *sparsecut.Partitio
 }
 
 // buildTransport assembles the transport stack for addrs mailbox
-// addresses (one per node on the goroutine runtime, one per shard on the
-// sharded one). A sharded run with no fault injection returns a nil
+// addresses, one per shard. A run with no fault injection returns a nil
 // transport: the runtime's internal direct path.
-func buildTransport(addrs, nodes int, sharded, useTCP bool, drop float64, delay time.Duration, seed uint64) (sparsecut.Transport, string, error) {
+func buildTransport(addrs, nodes int, useTCP bool, drop float64, delay time.Duration, seed uint64) (sparsecut.Transport, string, error) {
 	var tr sparsecut.Transport
 	desc := ""
 	switch {
@@ -320,11 +295,11 @@ func buildTransport(addrs, nodes int, sharded, useTCP bool, drop float64, delay 
 		port, _ := tcp.Port(0)
 		tr = tcp
 		desc = fmt.Sprintf("loopback TCP (%d listeners, addr 0 on port %d)", addrs, port)
-	case sharded && drop == 0 && delay == 0:
+	case drop == 0 && delay == 0:
 		return nil, "in-process direct shard mailboxes", nil
 	default:
 		buf := 4 * nodes
-		if sharded && buf > 1<<18 {
+		if buf > 1<<18 {
 			buf = 1 << 18 // a few mailboxes serve all nodes; cap the buffers
 		}
 		tr = sparsecut.NewChanTransport(buf)
@@ -366,18 +341,6 @@ func newHTTPListener(addr string) (net.Listener, error) {
 		return nil, fmt.Errorf("telemetry listener on %q: %w", addr, err)
 	}
 	return ln, nil
-}
-
-// distRuntime is the surface shared by both runtimes that this CLI needs.
-type distRuntime interface {
-	Run(ctx context.Context, duration float64) error
-	Values() []float64
-	Mean() float64
-	Variance() float64
-	Exchanges() int64
-	Aborted() int64
-	Proposed() int64
-	Applied() int64
 }
 
 func sumOf(xs []float64) float64 {

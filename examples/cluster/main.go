@@ -1,12 +1,13 @@
-// Cluster: run Algorithm A as a *real* decentralized protocol — one
-// goroutine per node, each driven by its private Poisson clock,
-// coordinating through explicit messages (try-lock exchanges with leases
-// and grant retransmission) instead of a shared-memory simulator.
+// Cluster: run Algorithm A as a *real* decentralized protocol — every
+// node driven by its private Poisson clock, coordinating through explicit
+// messages (try-lock exchanges with leases and grant retransmission)
+// instead of a shared-memory simulator. The nodes are spread over -shards
+// event loops; messages between loops cross the transport.
 //
-// By default the transport is in-memory channels; pass -tcp to carry every
-// protocol message over loopback TCP sockets. Pass -drop 0.05 to inject
-// 5% i.i.d. message loss and watch the protocol degrade gracefully
-// (aborted exchanges are skipped ticks, not corruption).
+// By default the transport is in-memory channels; pass -tcp to carry those
+// messages over loopback TCP sockets, one listener per shard. Pass -drop
+// 0.05 to inject 5% i.i.d. message loss and watch the protocol degrade
+// gracefully (aborted exchanges are skipped ticks, not corruption).
 package main
 
 import (
@@ -25,6 +26,7 @@ func main() {
 		duration = flag.Float64("t", 40, "simulated duration in time units")
 		drop     = flag.Float64("drop", 0, "message loss probability in [0,1)")
 		useTCP   = flag.Bool("tcp", false, "use loopback TCP instead of in-memory channels")
+		shards   = flag.Int("shards", 4, "shard event loops (at most n)")
 		seed     = flag.Uint64("seed", 1, "random seed")
 	)
 	flag.Parse()
@@ -41,14 +43,15 @@ func main() {
 		log.Fatal(err)
 	}
 
+	nShards := min(max(*shards, 1), g.NumNodes())
 	var tr sparsecut.Transport
 	if *useTCP {
-		tcp, err := sparsecut.NewTCPTransport(g.NumNodes())
+		tcp, err := sparsecut.NewTCPTransport(nShards)
 		if err != nil {
 			log.Fatal(err)
 		}
 		port, _ := tcp.Port(0)
-		fmt.Printf("transport: loopback TCP (%d listeners, node 0 on port %d)\n", g.NumNodes(), port)
+		fmt.Printf("transport: loopback TCP (%d listeners, shard 0 on port %d)\n", nShards, port)
 		tr = tcp
 	} else {
 		buf := 4 * g.NumNodes()
@@ -64,10 +67,13 @@ func main() {
 	}
 
 	const scale = 8 * time.Millisecond
-	cl, err := sparsecut.NewCluster(g, x0, rule, sparsecut.ClusterConfig{
-		TimeScale: scale,
-		Seed:      *seed,
-		Transport: tr,
+	cl, err := sparsecut.NewShardRuntime(g, x0, rule, sparsecut.ShardRuntimeConfig{
+		ClusterConfig: sparsecut.ClusterConfig{
+			TimeScale: scale,
+			Seed:      *seed,
+			Transport: tr,
+		},
+		Shards: nShards,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -75,8 +81,8 @@ func main() {
 
 	fmt.Printf("graph:     %s\n", g)
 	fmt.Printf("rule:      %s\n", rule.Name())
-	fmt.Printf("running:   %d node goroutines (private Poisson clocks) for t=%g (~%v wall)...\n",
-		g.NumNodes(), *duration, time.Duration(*duration*float64(scale)).Round(time.Millisecond))
+	fmt.Printf("running:   %d nodes (private Poisson clocks) on %d shard loops for t=%g (~%v wall)...\n",
+		g.NumNodes(), cl.Shards(), *duration, time.Duration(*duration*float64(scale)).Round(time.Millisecond))
 	start := time.Now()
 	if err := cl.Run(context.Background(), *duration); err != nil {
 		log.Fatal(err)

@@ -9,7 +9,6 @@ import (
 
 	"sparsecut/internal/gossip"
 	"sparsecut/internal/graph"
-	"sparsecut/internal/leakcheck"
 	"sparsecut/internal/rng"
 	"sparsecut/internal/sim"
 )
@@ -33,6 +32,19 @@ func sum(xs []float64) float64 {
 	return s
 }
 
+// newTestRuntime builds a ShardRuntime with the given shard count or fails
+// the test. A configured transport needs one address per shard.
+func newTestRuntime(t *testing.T, g *graph.Graph, x0 []float64, rule Rule, shards int, cfg ClusterConfig) *ShardRuntime {
+	t.Helper()
+	rt, err := NewShardRuntime(g, x0, rule, ShardRuntimeConfig{ClusterConfig: cfg, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
+// TestSumConservedAcrossAbortsAndDrops runs one node per shard, so every
+// protocol message crosses the hostile transport.
 func TestSumConservedAcrossAbortsAndDrops(t *testing.T) {
 	g, part, x0 := dumbbellCase(t)
 	rule, err := NewSparseCutRule(part, part.CutEdges()[0], 2, 3)
@@ -52,13 +64,10 @@ func TestSumConservedAcrossAbortsAndDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewCluster(g, x0, rule, ClusterConfig{
+	cl := newTestRuntime(t, g, x0, rule, perNode, ClusterConfig{
 		TimeScale: 4 * time.Millisecond, Seed: 1, Transport: tr,
 		LockTimeout: 10 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := cl.Run(context.Background(), 20); err != nil {
 		t.Fatal(err)
 	}
@@ -108,16 +117,13 @@ func TestConvergenceMatchesSimulator(t *testing.T) {
 	simRatio := math.Exp(simLog / simTrials)
 
 	// Runtime: geometric mean over 6 seeds at the same horizon. The large
-	// TimeScale keeps the lock windows (scheduler wake latency) small
+	// TimeScale keeps the lock windows (cross-shard latency) small
 	// relative to the mean clock gap, so the effective exchange rate stays
 	// close to the simulator's nominal rate-1 edge clocks.
 	distLog := 0.0
 	const distTrials = 6
 	for s := uint64(1); s <= distTrials; s++ {
-		cl, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{TimeScale: 24 * time.Millisecond, Seed: s})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cl := newTestRuntime(t, g, x0, NewVanillaRule(), 3, ClusterConfig{TimeScale: 24 * time.Millisecond, Seed: s})
 		if err := cl.Run(context.Background(), horizon); err != nil {
 			t.Fatal(err)
 		}
@@ -133,69 +139,13 @@ func TestConvergenceMatchesSimulator(t *testing.T) {
 		horizon, distRatio, simRatio, distRatio/simRatio)
 }
 
-func TestCleanShutdownOnContextCancel(t *testing.T) {
-	g, part, x0 := dumbbellCase(t)
-	rule, err := NewSparseCutRule(part, part.CutEdges()[0], 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := leakcheck.Snapshot()
-	cl, err := NewCluster(g, x0, rule, ClusterConfig{TimeScale: 4 * time.Millisecond, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	err = cl.Run(ctx, 1e6) // nominally ~4000s of wall time; the cancel cuts it short
-	// Run's documented typed-error contract: a caller-cancelled run
-	// surfaces ctx.Err() itself (matchable with errors.Is), after the
-	// same full drain a horizon shutdown performs.
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("Run under cancel returned %v, want errors.Is(err, context.Canceled)", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("cancelled Run took %v to shut down", elapsed)
-	}
-	base.Check(t)
-	if drift := math.Abs(sum(cl.Values()) - sum(x0)); drift > 1e-9 {
-		t.Errorf("sum drifted by %g across a cancelled run", drift)
-	}
-	// The cluster is still usable after a cancelled run.
-	if err := cl.Run(context.Background(), 1); err != nil {
-		t.Errorf("Run after cancelled run: %v", err)
-	}
-	base.Check(t)
-}
-
-func TestNoGoroutineLeakAfterRun(t *testing.T) {
-	g, _, x0 := dumbbellCase(t)
-	base := leakcheck.Snapshot()
-	cl, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{TimeScale: 2 * time.Millisecond, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ { // repeated runs reuse nothing leaky
-		if err := cl.Run(context.Background(), 3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	base.Check(t)
-}
-
 func TestRepeatedRunsContinue(t *testing.T) {
 	g, _, _ := dumbbellCase(t)
 	// Random initial values: every committed internal exchange strictly
 	// reduces the variance, so progress does not hinge on the (slow,
 	// Poisson-rare) single cut edge.
 	x0 := gossip.UniformRandom(rng.New(9), g.NumNodes())
-	cl, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{TimeScale: 4 * time.Millisecond, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := newTestRuntime(t, g, x0, NewVanillaRule(), 3, ClusterConfig{TimeScale: 4 * time.Millisecond, Seed: 5})
 	var0 := cl.Variance()
 	if err := cl.Run(context.Background(), 8); err != nil {
 		t.Fatal(err)
@@ -218,31 +168,6 @@ func TestRepeatedRunsContinue(t *testing.T) {
 	}
 }
 
-func TestClusterOverTCP(t *testing.T) {
-	g, _, x0 := dumbbellCase(t)
-	tr, err := NewTCPTransport(g.NumNodes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	cl, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{TimeScale: 8 * time.Millisecond, Seed: 2, Transport: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Run(context.Background(), 8); err != nil {
-		t.Fatal(err)
-	}
-	// The assertions target transport plumbing (delivery, framing, clean
-	// reuse of cached connections), not convergence speed: on a loaded
-	// machine the socket round-trips shrink the effective exchange rate.
-	if cl.Exchanges() == 0 {
-		t.Fatal("no exchanges committed over TCP")
-	}
-	if drift := math.Abs(cl.Mean()); drift > 1e-9 {
-		t.Errorf("mean drifted to %g over TCP", cl.Mean())
-	}
-}
-
 func TestIsolatedNodeDoesNotPanic(t *testing.T) {
 	// A graph with an isolated node: its clock must simply never fire
 	// (rate 0), not panic the process.
@@ -251,10 +176,7 @@ func TestIsolatedNodeDoesNotPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	x0 := []float64{1, -1, 7}
-	cl, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{TimeScale: 2 * time.Millisecond, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := newTestRuntime(t, g, x0, NewVanillaRule(), 3, ClusterConfig{TimeScale: 2 * time.Millisecond, Seed: 1})
 	if err := cl.Run(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
@@ -269,16 +191,13 @@ func TestIsolatedNodeDoesNotPanic(t *testing.T) {
 func TestRunSurvivesTransportDeath(t *testing.T) {
 	g, _, x0 := dumbbellCase(t)
 	tr := NewChanTransport(4 * g.NumNodes())
-	cl, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{TimeScale: 4 * time.Millisecond, Seed: 2, Transport: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := newTestRuntime(t, g, x0, NewVanillaRule(), 3, ClusterConfig{TimeScale: 4 * time.Millisecond, Seed: 2, Transport: tr})
 	go func() {
 		time.Sleep(20 * time.Millisecond)
-		tr.Close() // kill the transport under a running cluster
+		tr.Close() // kill the transport under a running runtime
 	}()
 	start := time.Now()
-	err = cl.Run(context.Background(), 1e6) // would be hours of wall time
+	err := cl.Run(context.Background(), 1e6) // would be hours of wall time
 	var se *SendError
 	if !errors.As(err, &se) || !errors.Is(err, ErrClosed) {
 		t.Errorf("Run on a dying transport returned %v, want a *SendError wrapping ErrClosed", err)
@@ -303,10 +222,7 @@ func TestRunSurvivesInnerTransportDeathUnderDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{TimeScale: 4 * time.Millisecond, Seed: 2, Transport: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := newTestRuntime(t, g, x0, NewVanillaRule(), 3, ClusterConfig{TimeScale: 4 * time.Millisecond, Seed: 2, Transport: tr})
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		inner.Close() // kill only the inner transport; the delay layer stays up
@@ -417,43 +333,5 @@ func TestVanillaRuleDelta(t *testing.T) {
 	}
 	if r.Name() == "" {
 		t.Error("empty rule name")
-	}
-}
-
-func TestClusterValidation(t *testing.T) {
-	g, _, x0 := dumbbellCase(t)
-	edgeless, err := graph.NewBuilder(2).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewCluster(nil, nil, NewVanillaRule(), ClusterConfig{}); err == nil {
-		t.Error("nil graph: no error")
-	}
-	if _, err := NewCluster(edgeless, []float64{1, 2}, NewVanillaRule(), ClusterConfig{}); err == nil {
-		t.Error("edgeless graph: no error")
-	}
-	if _, err := NewCluster(g, x0[:3], NewVanillaRule(), ClusterConfig{}); err == nil {
-		t.Error("short x0: no error")
-	}
-	if _, err := NewCluster(g, x0, nil, ClusterConfig{}); err == nil {
-		t.Error("nil rule: no error")
-	}
-	if _, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{TimeScale: -time.Second}); err == nil {
-		t.Error("negative time scale: no error")
-	}
-	cl, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{TimeScale: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if err := cl.Run(context.Background(), d); err == nil {
-			t.Errorf("duration %v: no error", d)
-		}
-	}
-	if got := cl.Values(); len(got) != g.NumNodes() {
-		t.Errorf("Values() length %d, want %d", len(got), g.NumNodes())
-	}
-	if v := cl.Variance(); math.Abs(v-1) > 1e-12 {
-		t.Errorf("pre-run variance %g, want 1", v)
 	}
 }

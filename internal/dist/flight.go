@@ -8,10 +8,10 @@ import (
 
 // This file is the runtime's side of the causal flight recorder. The
 // translation from protocol steps to flight.Records lives in
-// FlightEmitter, shared by both drivers of the Machine — the live
-// goroutine runtime (node.go, wall-clock time) and the model checker's
-// replayer (internal/check, virtual ticks) — so a production capture and
-// a counterexample replay stitch into identical span structures.
+// FlightEmitter, shared by both drivers of the Machine — the live runtime
+// (shard.go, wall-clock time) and the model checker's replayer
+// (internal/check, virtual ticks) — so a production capture and a
+// counterexample replay stitch into identical span structures.
 // Everything is behind the nil-recorder contract: with
 // ClusterConfig.Flight unset the only cost is one pointer test per step.
 
@@ -227,10 +227,10 @@ func (fe FlightEmitter) NetDup(m Message, nowNs int64) {
 	fe.Rec.Record(r)
 }
 
-// emitStepRec is the live runtimes' dispatch into the shared emitter. Both
-// the goroutine runtime and the sharded runtime route every protocol step
-// through this one function, which is what makes their flight captures
-// structurally identical (the lockstep-equivalence test pins this).
+// emitStepRec is the live runtime's dispatch into the shared emitter: every
+// protocol step a shard takes goes through this one function, and the
+// lockstep-equivalence test re-emits the replayed steps through it too, so
+// live and replayed captures are structurally identical.
 func emitStepRec(rec *flight.Recorder, id int, kind stepKind, m Message, out StepOut, pre FlightPre, nowNs int64) {
 	fe := FlightEmitter{Rec: rec}
 	switch kind {
@@ -247,8 +247,4 @@ func emitStepRec(rec *flight.Recorder, id int, kind stepKind, m Message, out Ste
 	case stepRecover:
 		fe.Recover(id, nowNs)
 	}
-}
-
-func (n *node) emitStep(kind stepKind, m Message, out StepOut, pre FlightPre, nowNs int64) {
-	emitStepRec(n.cl.rec, n.id, kind, m, out, pre, nowNs)
 }

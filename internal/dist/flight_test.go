@@ -56,20 +56,17 @@ func TestMessageInitiator(t *testing.T) {
 
 // TestFlightInstrumentedRun is the flight plane's acceptance check: on a
 // healthy run, stitching the capture must reconstruct exactly the
-// cluster's own ledger — one committed span per committed exchange, one
+// runtime's own ledger — one committed span per committed exchange, one
 // aborted span per abort — with the full LOCK→PROPOSE→COMMIT phase
 // structure on every committed span, while preserving the sum invariant.
-// Under -race this also proves the node goroutines and a concurrent
-// snapshot reader do not race on the rings.
+// Under -race this also proves the shard loops and a concurrent snapshot
+// reader do not race on the rings.
 func TestFlightInstrumentedRun(t *testing.T) {
 	g, _, x0 := dumbbellCase(t)
 	rec := flight.New(g.NumNodes(), 1<<14)
-	cl, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{
+	cl := newTestRuntime(t, g, x0, NewVanillaRule(), 3, ClusterConfig{
 		TimeScale: 4 * time.Millisecond, Seed: 3, Flight: rec,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -134,10 +131,10 @@ func TestFlightInstrumentedRun(t *testing.T) {
 		}
 	}
 	if int64(committed) != cl.Exchanges() {
-		t.Errorf("stitched %d committed spans, cluster counted %d", committed, cl.Exchanges())
+		t.Errorf("stitched %d committed spans, runtime counted %d", committed, cl.Exchanges())
 	}
 	if int64(aborted) != cl.Aborted() {
-		t.Errorf("stitched %d aborted spans, cluster counted %d", aborted, cl.Aborted())
+		t.Errorf("stitched %d aborted spans, runtime counted %d", aborted, cl.Aborted())
 	}
 	if drift := math.Abs(sum(cl.Values()) - sum(x0)); drift > 1e-9 {
 		t.Errorf("sum drifted by %g with the flight recorder attached", drift)
@@ -148,7 +145,7 @@ func TestFlightInstrumentedRun(t *testing.T) {
 // transport loss, congestion-free delays, crashes, recoveries, timeouts,
 // resends — and asserts the capture names them: net-drop records with the
 // loss reason, crash/recover records outside any span, and a ledger that
-// still matches the cluster's counters.
+// still matches the runtime's counters.
 func TestFlightLossyCrashRun(t *testing.T) {
 	g, _, x0 := dumbbellCase(t)
 	delay, err := NewDelayTransport(NewChanTransport(8*g.NumNodes()), 2*time.Millisecond, rng.New(7))
@@ -160,7 +157,7 @@ func TestFlightLossyCrashRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := flight.New(g.NumNodes(), 1<<15)
-	cl, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{
+	cl := newTestRuntime(t, g, x0, NewVanillaRule(), 4, ClusterConfig{
 		TimeScale: 8 * time.Millisecond, Seed: 5, Transport: tr,
 		LockTimeout: 20 * time.Millisecond,
 		Flight:      rec,
@@ -169,9 +166,6 @@ func TestFlightLossyCrashRun(t *testing.T) {
 			{Node: 9, At: 2, Recover: 4},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Loss and scheduling decide what a single leg exercises; keep adding
 	// bounded legs until an exchange commits and a drop was captured.
 	for leg := 0; leg < 10; leg++ {
@@ -204,7 +198,7 @@ func TestFlightLossyCrashRun(t *testing.T) {
 		t.Errorf("captured %d loss drops, transport counted %d", drops, tr.Dropped())
 	}
 	if d.Overwritten == 0 && crashes != cl.Crashes() {
-		t.Errorf("captured %d crash records, cluster counted %d", crashes, cl.Crashes())
+		t.Errorf("captured %d crash records, runtime counted %d", crashes, cl.Crashes())
 	}
 	if recovers == 0 {
 		t.Error("no recover records captured despite scheduled recoveries")
@@ -219,7 +213,7 @@ func TestFlightLossyCrashRun(t *testing.T) {
 			}
 		}
 		if committed != cl.Exchanges() {
-			t.Errorf("stitched %d committed spans, cluster counted %d", committed, cl.Exchanges())
+			t.Errorf("stitched %d committed spans, runtime counted %d", committed, cl.Exchanges())
 		}
 	}
 	if drift := math.Abs(sum(cl.Values()) - sum(x0)); drift > 1e-9 {
@@ -232,12 +226,9 @@ func TestFlightLossyCrashRun(t *testing.T) {
 // metrics registry.
 func TestDisabledFlightIsNilSafe(t *testing.T) {
 	g, _, x0 := dumbbellCase(t)
-	cl, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{
+	cl := newTestRuntime(t, g, x0, NewVanillaRule(), 3, ClusterConfig{
 		TimeScale: 2 * time.Millisecond, Seed: 1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := cl.Run(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}

@@ -4,20 +4,21 @@ import (
 	"sparsecut/internal/graph"
 )
 
-// This file is the exchange protocol itself, factored out of the goroutine
-// actor (node.go) into a pure, synchronously-steppable state machine so
-// that two very different drivers can run the *same* code:
+// This file is the exchange protocol itself: a pure, synchronously-steppable
+// state machine, so that two very different drivers can run the *same*
+// code:
 //
-//   - the live runtime: one goroutine per node, wall-clock timers, a real
-//     Transport (node.go wraps a NodeState and routes StepOut effects into
-//     the cluster's counters and the transport);
+//   - the live runtime (shard.go): shard event loops with wall-clock timer
+//     wheels and real mailboxes or a Transport; each shard steps the
+//     NodeStates it owns and routes StepOut effects into the runtime's
+//     counters and the network;
 //   - the model checker (internal/check): a single-threaded scheduler that
 //     owns every NodeState plus a virtual network, and explores message
 //     and timer interleavings systematically.
 //
-// The two drivers are proven equivalent by the lockstep divergence test in
-// machine_test.go: the live runtime records every protocol event it feeds
-// the machine, and replaying that event sequence through fresh NodeStates
+// The live driver is pinned to the machine by the lockstep divergence test
+// in shard_test.go: the runtime records every protocol event it feeds the
+// machine, and replaying that event sequence through fresh NodeStates
 // must reproduce byte-identical StepOuts and final values.
 //
 // # Exchange protocol (lock / propose / commit)
@@ -62,7 +63,7 @@ import (
 // it applied, NACK otherwise) and the value sum survives any crash
 // schedule. internal/check explores exactly this fault model.
 type Machine struct {
-	// G is the cluster's graph; Rule the exchange rule.
+	// G is the graph; Rule the exchange rule.
 	G    *graph.Graph
 	Rule Rule
 	// Epoch stamps outgoing messages and drops stale incoming ones (see
@@ -259,7 +260,7 @@ type StepOut struct {
 	// exchange and unlocked.
 	Applied bool
 	// Committed: the responder applied its half (-delta); the exchange is
-	// committed (Cluster.Exchanges counts these).
+	// committed (ShardRuntime.Exchanges counts these).
 	Committed bool
 	// Aborted: an outstanding initiation resolved without applying
 	// anything (NACK, lock timeout, or crash).

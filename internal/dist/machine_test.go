@@ -3,99 +3,11 @@ package dist
 import (
 	"context"
 	"math"
-	"reflect"
-	"sync"
 	"testing"
 	"time"
 
 	"sparsecut/internal/graph"
 )
-
-// TestLockstepMachineEquivalence is the divergence test that licenses both
-// drivers of the protocol: the goroutine runtime records every protocol
-// event it feeds the pure machine (via the cluster tap), and replaying
-// that event stream through fresh NodeStates must reproduce byte-identical
-// StepOuts and exactly the runtime's final values. Any state the actor
-// wrapper mutated outside the machine, or any hidden input the machine
-// read, would diverge here.
-func TestLockstepMachineEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		crashes []CrashEvent
-	}{
-		{"healthy", nil},
-		{"with crash schedule", []CrashEvent{{Node: 0, At: 2, Recover: 5}, {Node: 7, At: 1}}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			g, _, x0 := dumbbellCase(t)
-			// Vanilla rule: stateless, so the replay is insensitive to the
-			// order in which concurrent nodes ticked the shared rule.
-			cl, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{
-				TimeScale: 4 * time.Millisecond, Seed: 11, Crashes: tc.crashes,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var mu sync.Mutex
-			var events []nodeEvent
-			cl.tap = func(ev nodeEvent) {
-				mu.Lock()
-				events = append(events, ev)
-				mu.Unlock()
-			}
-			if err := cl.Run(context.Background(), 10); err != nil {
-				t.Fatal(err)
-			}
-			if cl.Exchanges() == 0 {
-				t.Fatal("no exchanges committed; lockstep test needs traffic")
-			}
-
-			// Replay: fresh states, same machine parameters, recorded inputs.
-			mc := Machine{
-				G:             g,
-				Rule:          NewVanillaRule(),
-				Epoch:         cl.epoch,
-				LockTimeoutNs: cl.lockTimeout.Nanoseconds(),
-				ResendEveryNs: cl.resendEvery.Nanoseconds(),
-			}
-			states := make([]*NodeState, g.NumNodes())
-			for i := range states {
-				states[i] = NewNodeState(i, x0[i])
-			}
-			for k, ev := range events {
-				st := states[ev.node]
-				var out StepOut
-				switch ev.kind {
-				case stepDeliver:
-					out = mc.Deliver(st, ev.msg, ev.nowNs, ev.draining)
-				case stepInitiate:
-					out = mc.Initiate(st, ev.he, ev.nowNs)
-				case stepTimeout:
-					out = mc.TimeoutAwait(st)
-				case stepResend:
-					out = mc.Resend(st, ev.nowNs)
-				case stepCrash:
-					out = mc.Crash(st)
-				case stepRecover:
-					out = mc.Recover(st, ev.nowNs)
-				}
-				if !reflect.DeepEqual(out, ev.out) {
-					t.Fatalf("event %d (node %d, kind %d): replayed StepOut %+v diverged from live %+v",
-						k, ev.node, ev.kind, out, ev.out)
-				}
-			}
-			// The settle loop only acts on a dead transport; on this healthy
-			// run the replayed machine values must equal Values() exactly.
-			got := cl.Values()
-			for i, st := range states {
-				if st.X != got[i] {
-					t.Errorf("node %d: replayed value %v != runtime value %v", i, st.X, got[i])
-				}
-			}
-			t.Logf("replayed %d events across %d nodes, %d exchanges", len(events), g.NumNodes(), cl.Exchanges())
-		})
-	}
-}
 
 // TestCrashRecoverySumConserved injects a hostile crash schedule on top of
 // a lossy transport and asserts the protocol's core promise: the value sum
@@ -110,12 +22,9 @@ func TestCrashRecoverySumConserved(t *testing.T) {
 		{Node: 9, At: 3}, // down until drain
 		{Node: 0, At: 7, Recover: 9},
 	}
-	cl, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{
+	cl := newTestRuntime(t, g, x0, NewVanillaRule(), 3, ClusterConfig{
 		TimeScale: 4 * time.Millisecond, Seed: 3, Crashes: crashes,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := cl.Run(context.Background(), 12); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +64,8 @@ func TestCrashScheduleValidation(t *testing.T) {
 		{"second window after down-until-drain", []CrashEvent{{Node: 0, At: 1}, {Node: 0, At: 3, Recover: 4}}},
 	}
 	for _, c := range cases {
-		if _, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{Crashes: c.ev}); err == nil {
+		cfg := ShardRuntimeConfig{ClusterConfig: ClusterConfig{Crashes: c.ev}, Shards: 3}
+		if _, err := NewShardRuntime(g, x0, NewVanillaRule(), cfg); err == nil {
 			t.Errorf("%s: no error", c.name)
 		}
 	}

@@ -9,28 +9,27 @@ import (
 	"sparsecut/internal/metrics"
 )
 
-// clusterMetrics is the cluster's telemetry plane, populated only when
+// clusterMetrics is the runtime's telemetry plane, populated only when
 // ClusterConfig.Metrics is set. Disabled (the zero value) every field is
-// nil, so the hot-path hooks in node.go reduce to nil-receiver no-ops —
+// nil, so the hot-path hooks in shard.go reduce to nil-receiver no-ops —
 // the runtime's behaviour and random streams are identical with telemetry
 // on or off; only wall-clock observation is added.
 //
-// The per-node/per-cluster split the instrumentation follows: counters are
-// sharded by node ID (each node goroutine writes its own cache line) and
-// aggregated per cluster at snapshot time; already-counted state (commit
-// and abort totals, rule tick counters, transport loss counters) is
-// exported through snapshot-time reader funcs at zero hot-path cost.
+// The per-shard/per-runtime split the instrumentation follows: counters
+// are sharded by shard loop (each loop writes its own cache line) and
+// aggregated at snapshot time; already-counted state (commit and abort
+// totals, rule tick counters, transport loss counters) is exported
+// through snapshot-time reader funcs at zero hot-path cost.
 type clusterMetrics struct {
-	// proposed counts initiations (LOCK sent), sharded by initiator.
+	// proposed counts initiations (LOCK sent), sharded by shard loop.
 	proposed *metrics.Counter
-	// sent counts protocol messages handed to the transport, per kind,
-	// sharded by sender. Indexed by MsgKind (1..4; slot 0 unused).
+	// sent counts protocol messages sent, per kind, sharded by shard loop. Indexed by MsgKind (1..4; slot 0 unused).
 	sent [5]*metrics.Counter
 	// latency is the committed-exchange round trip observed at the
 	// initiator: LOCK sent → PROPOSE applied, in nanoseconds.
 	latency *metrics.Histogram
 	// live mirrors every node's current value (float64 bits), written by
-	// the owning node after each applied delta, so the convergence gauges
+	// the owning shard after each applied delta, so the convergence gauges
 	// can be computed while the run is in flight. It is a monitoring view:
 	// reads are atomic per node but not a consistent cut across nodes.
 	live []atomic.Uint64
@@ -45,50 +44,13 @@ func (m *clusterMetrics) publish(id int, x float64) {
 	m.live[id].Store(math.Float64bits(x))
 }
 
-// instrument registers the cluster's instruments on reg. One registry per
-// cluster: re-instrumenting a second cluster on the same registry
-// accumulates counters and rebinds the reader funcs to the newest cluster.
-func (c *Cluster) instrument(reg *metrics.Registry) {
-	c.met.proposed = reg.Counter("dist.exchange.proposed")
-	reg.CounterFunc("dist.exchange.committed", c.Exchanges)
-	reg.CounterFunc("dist.exchange.aborted", c.Aborted)
-	reg.CounterFunc("dist.node.crashes", c.Crashes)
-	reg.CounterFunc("dist.node.crash_lost", c.CrashLost)
-	for _, k := range []MsgKind{MsgLock, MsgPropose, MsgNack, MsgCommit} {
-		c.met.sent[k] = reg.Counter("dist.msg.sent." + strings.ToLower(k.String()))
-	}
-	c.met.latency = reg.Histogram("dist.exchange.latency_ns")
-
-	c.met.live = make([]atomic.Uint64, len(c.values))
-	for i, v := range c.values {
-		c.met.live[i].Store(math.Float64bits(v))
-	}
-	// The convergence-progress gauges: current variance of the live value
-	// mirror, normalised by the variance at instrumentation time. The
-	// ratio starts at 1 and decays toward 0 as the exchange rule averages
-	// the network — the live "how converged are we" signal cmd/distrun
-	// serves over -http.
-	var0 := liveVariance(c.met.live)
-	reg.GaugeFunc("dist.progress.var_ratio", func() float64 {
-		if var0 == 0 {
-			return 0
-		}
-		return liveVariance(c.met.live) / var0
-	})
-	reg.GaugeFunc("dist.progress.mean", func() float64 { return liveMean(c.met.live) })
-
-	if r, ok := c.rule.(*SparseCutRule); ok {
-		reg.CounterFunc("dist.rule.ticks", r.Ticks)
-		reg.CounterFunc("dist.rule.swaps", r.Swaps)
-	}
-	InstrumentTransport(reg, c.tr)
-}
-
-// instrument registers the sharded runtime's instruments on reg: the same
-// cluster-level series as Cluster.instrument (so dashboards work against
-// either runtime unchanged), plus the per-shard plane ISSUE'd for 10^6-node
-// runs — throughput and abort rate per shard loop (reading the shards'
-// single-writer counters at snapshot time) and mailbox depth per shard.
+// instrument registers the runtime's instruments on reg: the
+// runtime-level exchange, message, latency and progress series, plus the
+// per-shard plane — throughput and abort rate per shard loop (reading the
+// shards' single-writer counters at snapshot time) and mailbox depth per
+// shard. One registry per runtime: re-instrumenting a second runtime on
+// the same registry accumulates counters and rebinds the reader funcs to
+// the newest runtime.
 func (rt *ShardRuntime) instrument(reg *metrics.Registry) {
 	rt.met.proposed = reg.Counter("dist.exchange.proposed")
 	reg.CounterFunc("dist.exchange.committed", rt.Exchanges)
@@ -104,6 +66,11 @@ func (rt *ShardRuntime) instrument(reg *metrics.Registry) {
 	for i, v := range rt.values {
 		rt.met.live[i].Store(math.Float64bits(v))
 	}
+	// The convergence-progress gauges: current variance of the live value
+	// mirror, normalised by the variance at instrumentation time. The
+	// ratio starts at 1 and decays toward 0 as the exchange rule averages
+	// the network — the live "how converged are we" signal cmd/distrun
+	// serves over -http.
 	var0 := liveVariance(rt.met.live)
 	reg.GaugeFunc("dist.progress.var_ratio", func() float64 {
 		if var0 == 0 {

@@ -10,14 +10,13 @@ import (
 	"sparsecut/internal/rng"
 )
 
-// TestInstrumentedLossyRun is the telemetry acceptance check: a cluster on
+// TestInstrumentedLossyRun is the telemetry acceptance check: a runtime on
 // a lossy, delayed transport with ClusterConfig.Metrics set must export
 // nonzero exchange, abort, message and transport-loss counters, a
 // populated latency histogram, and convergence gauges consistent with the
-// cluster's own accessors — while preserving the sum invariant exactly as
+// runtime's own accessors — while preserving the sum invariant exactly as
 // the uninstrumented runtime does. Run under -race this also proves the
-// node goroutines and the snapshot reader do not race on the telemetry
-// plane.
+// shard loops and the snapshot reader do not race on the telemetry plane.
 func TestInstrumentedLossyRun(t *testing.T) {
 	g, part, x0 := dumbbellCase(t)
 	rule, err := NewSparseCutRule(part, part.CutEdges()[0], 2, 3)
@@ -33,14 +32,11 @@ func TestInstrumentedLossyRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	cl, err := NewCluster(g, x0, rule, ClusterConfig{
+	cl := newTestRuntime(t, g, x0, rule, 4, ClusterConfig{
 		TimeScale: 8 * time.Millisecond, Seed: 1, Transport: tr,
 		LockTimeout: 20 * time.Millisecond,
 		Metrics:     reg,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Snapshot concurrently with the run — the live-monitoring use case.
 	done := make(chan struct{})
@@ -116,7 +112,7 @@ func TestInstrumentedLossyRun(t *testing.T) {
 		t.Error("latency histogram sum not positive")
 	}
 
-	// The live gauges must agree with the cluster's own post-run view.
+	// The live gauges must agree with the runtime's own post-run view.
 	if got, want := snap.Gauges["dist.progress.mean"], cl.Mean(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("live mean gauge %v != Mean() %v", got, want)
 	}
@@ -139,7 +135,7 @@ func TestInstrumentedLossyRun(t *testing.T) {
 func TestConservationUnderCrashes(t *testing.T) {
 	g, _, x0 := dumbbellCase(t)
 	reg := metrics.NewRegistry()
-	cl, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{
+	cl := newTestRuntime(t, g, x0, NewVanillaRule(), 3, ClusterConfig{
 		TimeScale: 4 * time.Millisecond, Seed: 11, Metrics: reg,
 		Crashes: []CrashEvent{
 			{Node: 0, At: 1, Recover: 3},
@@ -147,9 +143,6 @@ func TestConservationUnderCrashes(t *testing.T) {
 			{Node: 3, At: 4}, // down until the drain force-recovers it
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := cl.Run(context.Background(), 8); err != nil {
 		t.Fatal(err)
 	}
@@ -178,21 +171,19 @@ func TestConservationUnderCrashes(t *testing.T) {
 }
 
 // TestInstrumentedTCPBytes checks the TCP transport's wire-byte counters
-// flow into the registry.
+// flow into the registry (one listener per shard).
 func TestInstrumentedTCPBytes(t *testing.T) {
 	g, _, x0 := dumbbellCase(t)
-	tr, err := NewTCPTransport(g.NumNodes())
+	const shards = 3
+	tr, err := NewTCPTransport(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
 	reg := metrics.NewRegistry()
-	cl, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{
+	cl := newTestRuntime(t, g, x0, NewVanillaRule(), shards, ClusterConfig{
 		TimeScale: 4 * time.Millisecond, Seed: 1, Transport: tr, Metrics: reg,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := cl.Run(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
@@ -213,12 +204,9 @@ func TestInstrumentedTCPBytes(t *testing.T) {
 // must degrade to no-ops.
 func TestDisabledMetricsIsNilSafe(t *testing.T) {
 	g, _, x0 := dumbbellCase(t)
-	cl, err := NewCluster(g, x0, NewVanillaRule(), ClusterConfig{
+	cl := newTestRuntime(t, g, x0, NewVanillaRule(), 3, ClusterConfig{
 		TimeScale: 2 * time.Millisecond, Seed: 1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := cl.Run(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,8 @@ import (
 // float roundings of x±d (~1 ulp each; no systematic drift), whatever the
 // transport drops or delays in between — and an abort perturbs nothing.
 //
-// Rules are shared by all node goroutines of a cluster; implementations
-// must be safe for concurrent use (SparseCutRule uses atomics for its tick
+// Rules are shared by all shard loops of a runtime; implementations must
+// be safe for concurrent use (SparseCutRule uses atomics for its tick
 // counter).
 type Rule interface {
 	// Name identifies the rule in logs and tables.

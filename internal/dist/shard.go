@@ -1,3 +1,30 @@
+// Package dist is the decentralized counterpart of internal/sim: instead of
+// an event loop mutating shared state, every graph node owns its value,
+// drives itself with a private exponential clock, and negotiates pairwise
+// exchanges with its neighbours by message passing, optionally over an
+// explicit, pluggable (and deliberately unreliable) Transport.
+//
+// The runtime exists to back the paper's Section 1 claim that Algorithm A
+// is *decentralized*: the same local rules the simulator applies centrally
+// (vanilla averaging plus the rare non-convex cut swap) run here as a
+// message-passing protocol whose per-pair atomicity is enforced by a
+// lock/propose-commit/ack handshake (machine.go), not by a global event
+// queue. cmd/distrun drives the runtime from the command line.
+//
+// The protocol is a pure state machine (Machine, NodeState) with two
+// drivers: ShardRuntime, the live runtime in this file, and the model
+// checker in internal/check. The lockstep test in shard_test.go replays
+// the live runtime's recorded steps through fresh NodeStates and proves
+// the runtime adds no hidden state.
+//
+// The timing model matches internal/sim exactly in distribution: node u
+// initiates at Poisson rate deg(u)/2 over a uniform incident edge, which
+// superposes to an independent rate-1 clock per edge — the paper's model.
+// One simulated time unit is ClusterConfig.TimeScale of wall-clock time.
+//
+// Key types: ShardRuntime, Rule (VanillaRule, SparseCutRule), the
+// Transport stack (Chan/Drop/Delay/TCP). The protocol is DESIGN.md §5, the
+// runtime §14.
 package dist
 
 import (
@@ -15,20 +42,134 @@ import (
 
 	"sparsecut/internal/flight"
 	"sparsecut/internal/graph"
+	"sparsecut/internal/metrics"
 	"sparsecut/internal/rng"
 )
 
-// ShardRuntime is the M:N runtime: N nodes multiplexed over S shard event
-// loops. It drives the exact same pure Machine as the goroutine-per-node
-// Cluster — the protocol, its invariants, the model checker and the flight
-// recorder carry over unchanged — but replaces the per-node costs that cap
-// the Cluster near 10^4 nodes:
+// ClusterConfig holds the protocol, fault-injection and instrumentation
+// settings of a ShardRuntime (embedded in ShardRuntimeConfig). TimeScale,
+// Seed and Transport are the knobs experiments use; the remaining fields
+// tune the protocol and default sensibly from TimeScale.
+type ClusterConfig struct {
+	// TimeScale is the wall-clock duration of one simulated time unit
+	// (default 4ms). Smaller is faster but leaves less headroom between
+	// the mean clock gap and transport latency.
+	TimeScale time.Duration
+	// Seed drives every clock and edge choice.
+	Seed uint64
+	// Transport carries cross-shard protocol messages. nil selects the
+	// runtime's internal direct path (shard-to-shard mailboxes, the fast
+	// default for single-process runs). Configure a transport only to
+	// inject loss/delay or to cross sockets; its address space must cover
+	// one address per SHARD (see ShardRuntime).
+	Transport Transport
+	// LockTimeout bounds how long an initiator waits for a proposal
+	// before aborting (default TimeScale/4, at least 1ms and four wheel
+	// ticks). It must comfortably exceed the transport's worst-case round
+	// trip — a proposal arriving after the timeout is refused as stale,
+	// so with LockTimeout below the typical latency (e.g. a
+	// DelayTransport's range) essentially no exchange commits.
+	LockTimeout time.Duration
+	// ResendEvery is the proposal retransmission lease period (default
+	// LockTimeout/2).
+	ResendEvery time.Duration
+	// Metrics, when non-nil, receives the runtime's telemetry: exchange
+	// counters (proposed/committed/aborted), per-kind message counters, a
+	// committed-exchange latency histogram, live convergence-progress
+	// gauges, per-shard throughput, the rule's tick/swap counters and the
+	// transport stack's loss/latency/byte counters (see metrics.go for the
+	// full name list). nil disables telemetry at near-zero hot-path cost.
+	// Use one registry per runtime.
+	Metrics *metrics.Registry
+	// Crashes schedules fail-stop crash/recovery fault injection; the
+	// schedule is interpreted relative to the start of each Run. See
+	// CrashEvent and the crash-path notes on Machine.
+	Crashes []CrashEvent
+	// Flight, when non-nil, receives the runtime's causal flight records:
+	// every protocol step, message send/receive, transport drop, timer
+	// fire and crash, ready for flight.Stitch to reconstruct per-exchange
+	// span trees (see internal/flight and cmd/tracez). nil disables the
+	// recorder at one pointer test per step. Like Metrics, use one
+	// recorder per runtime, sized with at least NumNodes rings.
+	Flight *flight.Recorder
+}
+
+// CrashEvent fail-stops one node at a simulated time. While down the node
+// loses every message addressed to it and neither initiates nor answers;
+// its value, seq counter, applied-watermarks and held proposal survive the
+// crash (stable storage), only its outstanding initiation aborts. A node
+// whose Recover time is 0 stays down until the run's drain phase, which
+// force-recovers it so every exchange still resolves and the value sum is
+// preserved exactly across any crash schedule.
+type CrashEvent struct {
+	// Node is the node to crash.
+	Node int
+	// At is the crash time in simulated time units from the run's start.
+	At float64
+	// Recover is the recovery time in simulated time units from the run's
+	// start (must exceed At), or 0 to stay down until the drain phase.
+	Recover float64
+}
+
+// crashWindow is one CrashEvent rendered in wall-clock time at Run start.
+type crashWindow struct {
+	at    time.Time
+	until time.Time // zero = until drain
+}
+
+// SendError is the typed error Run returns when the transport failed
+// permanently mid-run (the run is cut short, in-flight exchanges are
+// settled in-process, and the value sum stays exact). It unwraps to the
+// transport's own error, so errors.Is(err, ErrClosed) matches a transport
+// closed underneath a running runtime.
+type SendError struct {
+	Err error
+}
+
+// Error implements error.
+func (e *SendError) Error() string { return "dist: transport send failed: " + e.Err.Error() }
+
+// Unwrap exposes the transport's underlying error to errors.Is/As.
+func (e *SendError) Unwrap() error { return e.Err }
+
+// stepKind discriminates the protocol events a shard feeds the machine;
+// the lockstep tap records them for replay.
+type stepKind uint8
+
+const (
+	stepDeliver stepKind = iota + 1
+	stepInitiate
+	stepTimeout
+	stepResend
+	stepCrash
+	stepRecover
+)
+
+// nodeEvent is one recorded protocol event (lockstep test plumbing; see
+// ShardRuntime.tap).
+type nodeEvent struct {
+	node     int
+	kind     stepKind
+	msg      Message // stepDeliver
+	he       graph.HalfEdge
+	nowNs    int64
+	draining bool
+	out      StepOut
+}
+
+// ShardRuntime runs a Rule as a real concurrent message-passing system on a
+// graph: N nodes multiplexed over S shard event loops, each stepping the
+// pure Machine for its nodes. Construct with NewShardRuntime, drive with
+// Run. The observable accessors (Mean, Variance, Values, Exchanges,
+// Aborted, ...) must not be called while a Run is in progress.
 //
-//   - one goroutine per SHARD instead of per node;
-//   - one hierarchical timer wheel per shard (wheel.go) instead of one
-//     runtime timer per node;
-//   - one batched mailbox per shard, drained a batch per loop iteration,
-//     instead of one channel per node.
+// The per-node costs are amortised per shard, which is what lets one box
+// run 10^6 nodes:
+//
+//   - one goroutine per SHARD;
+//   - one hierarchical timer wheel per shard (wheel.go) for every node's
+//     clock, protocol deadline and crash window;
+//   - one batched mailbox per shard, drained a batch per loop iteration.
 //
 // Each shard owns the contiguous node range [lo, hi): their NodeStates,
 // their clock/protocol timers, and one RNG stream. Within a shard, steps
@@ -47,12 +188,34 @@ import (
 //
 // # Timing model
 //
-// Identical to Cluster's (see node.go): node u initiates at Poisson rate
-// deg(u)/2 in simulated time, scaled by TimeScale; edge {u,v} ticks at
-// rate 1. Timer deadlines are quantised to the wheel tick
+// Node u initiates at Poisson rate deg(u)/2 in simulated time, scaled by
+// TimeScale, over a uniformly random incident edge, so edge {u,v} is
+// initiated at total rate deg(u)/2·1/deg(u) + deg(v)/2·1/deg(v) = 1 —
+// exactly the rate-1 independent edge clocks of internal/sim, so
+// simulator horizons and runtime durations are directly comparable. A
+// clock fire while the node is locked is skipped, like a simulator tick
+// on a busy pair; the clock keeps running.
+//
+// Timer deadlines are quantised to the wheel tick
 // (ShardRuntimeConfig.TimerTick), which is chosen (and floored) to be much
 // finer than the lock timeout, so quantisation shifts deadlines by at most
-// one tick without reordering the protocol's coarse time constants.
+// one tick without reordering the protocol's coarse time constants. Each
+// clock gap is drawn from the previous deadline, not from the (quantised)
+// fire time, so quantisation delays fires without slowing the clock; a
+// fire more than a tick late means the shard is overloaded, and only that
+// excess is dropped. The messages a fire sends are delivered before the
+// next fire in the same tick: a same-shard exchange resolves at once
+// instead of colliding with the other initiations due in that tick.
+//
+// # Crash schedule
+//
+// ClusterConfig.Crashes assigns each node fail-stop windows relative to
+// the run's start. While down the node discards what is delivered to it
+// (a message to a dead node is lost) and fires no timers; recovery
+// re-arms the clock and retransmits any held proposal (see
+// Machine.Crash/Recover for what state survives). A node still down when
+// the drain phase begins is force-recovered so every exchange resolves
+// before Run returns.
 type ShardRuntime struct {
 	g      *graph.Graph
 	rule   Rule
@@ -66,22 +229,33 @@ type ShardRuntime struct {
 	shardSize   int // nodes per shard (last shard may be smaller)
 	shards      []*shard
 
+	// epoch numbers the Runs; messages carry it so leftovers stranded in
+	// mailboxes across a run boundary are recognised and dropped. Written
+	// only by Run before the shard goroutines start, into mc.Epoch.
 	epoch uint64
 	mc    Machine
-	// tap mirrors Cluster.tap: when non-nil it observes every protocol
-	// event of every node (the shard lockstep-equivalence test sets it).
-	// Must be safe for concurrent use.
+	// tap, when non-nil, observes every protocol event of every node (the
+	// lockstep equivalence test sets it). Must be safe for concurrent use.
 	tap func(nodeEvent)
 
 	exchanges atomic.Int64
 	aborted   atomic.Int64
+	// proposed and applied are the other two legs of the exchange ledger:
+	// at quiescence proposed == applied + aborted (every initiation
+	// resolved exactly one way) and applied == exchanges (every applied
+	// initiator half has a committed responder half, the no-half-exchange
+	// guarantee the settle pass enforces). cmd/distrun -assert checks
+	// both.
 	proposed  atomic.Int64
 	applied   atomic.Int64
 	crashes   atomic.Int64
 	crashLost atomic.Int64
 	congested atomic.Int64 // direct-path mailbox overflows
-	awaiting  atomic.Int64
-	pending   atomic.Int64
+	// awaiting and pending count outstanding initiations and held
+	// proposals; the drain phase of Run waits for both to hit zero, which
+	// guarantees every exchange has fully committed or fully aborted.
+	awaiting atomic.Int64
+	pending  atomic.Int64
 
 	running atomic.Bool
 	wg      sync.WaitGroup
@@ -90,16 +264,15 @@ type ShardRuntime struct {
 	sendErr   error
 	runCancel context.CancelFunc
 
+	// met is the telemetry plane; all fields nil (every hook a no-op)
+	// unless ClusterConfig.Metrics was set.
 	met clusterMetrics
+	// rec is the flight recorder (nil = disabled); see flight.go.
 	rec *flight.Recorder
 }
 
-// ShardRuntimeConfig configures a ShardRuntime. The embedded ClusterConfig
-// fields keep their Cluster meanings, with one deliberate difference: a
-// nil Transport selects the runtime's internal direct path (shard-to-shard
-// mailboxes, the fast default for single-process runs) rather than a
-// ChanTransport. Configure a transport only to inject loss/delay or to
-// cross sockets; its address space must cover one address per SHARD.
+// ShardRuntimeConfig configures a ShardRuntime: the protocol settings of
+// the embedded ClusterConfig plus the shard layout.
 type ShardRuntimeConfig struct {
 	ClusterConfig
 
@@ -340,8 +513,9 @@ func (rt *ShardRuntime) stateOf(abs int) *NodeState {
 	return &s.states[abs-s.lo]
 }
 
-// assignCrashes validates the crash schedule (same rules as Cluster) and
-// distributes each node's events to its owning shard.
+// assignCrashes validates the crash schedule and distributes each node's
+// events to its owning shard, sorted by crash time with non-overlapping
+// windows.
 func (rt *ShardRuntime) assignCrashes(events []CrashEvent) error {
 	n := rt.g.NumNodes()
 	for _, ev := range events {
@@ -376,15 +550,28 @@ func (rt *ShardRuntime) assignCrashes(events []CrashEvent) error {
 	return nil
 }
 
-// Run executes the protocol for duration simulated time units, with the
-// same contract as Cluster.Run: drain to quiescence after the horizon (or
-// on ctx cancellation), settle stranded proposals on transport death, sum
-// preserved exactly, reusable afterwards.
+// Run executes the protocol for the given duration in simulated time units
+// (wall time duration·TimeScale), or until ctx is cancelled, whichever is
+// first. Shutdown is deterministic and loss-proof: after the horizon the
+// shards drain — no new initiations or proposals, but retransmission
+// continues — until every in-flight exchange has resolved, so the value sum
+// is preserved exactly across the run boundary. Run may be called again to
+// continue from the current values.
+//
+// Errors are typed: a Run the caller cut short returns ctx.Err()
+// (context.Canceled or context.DeadlineExceeded) after the same full
+// drain, so the values remain consistent and the runtime stays usable; a
+// transport that fails permanently mid-run surfaces as a *SendError
+// wrapping the transport's error (errors.Is(err, ErrClosed) matches a
+// transport closed underneath a running runtime). A nil return means the
+// horizon was reached and every exchange resolved.
 func (rt *ShardRuntime) Run(ctx context.Context, duration float64) error {
 	if !(duration > 0) || math.IsInf(duration, 0) {
 		return fmt.Errorf("dist: duration %v must be positive and finite", duration)
 	}
 	if duration*float64(rt.cfg.TimeScale) >= float64(math.MaxInt64) {
+		// Would overflow time.Duration and silently become an instant
+		// no-op run via a negative context deadline.
 		return fmt.Errorf("dist: duration %v at time scale %v exceeds the representable wall time", duration, rt.cfg.TimeScale)
 	}
 	if !rt.running.CompareAndSwap(false, true) {
@@ -395,6 +582,9 @@ func (rt *ShardRuntime) Run(ctx context.Context, duration float64) error {
 	wall := time.Duration(duration * float64(rt.cfg.TimeScale))
 	runCtx, cancel := context.WithTimeout(ctx, wall)
 	defer cancel()
+	// A transport that fails permanently mid-run (e.g. closed underneath
+	// us) would otherwise leave the horizon wait and the drain loop with
+	// nothing to wait for; the first send error cuts the run short.
 	rt.errMu.Lock()
 	rt.sendErr = nil
 	rt.runCancel = cancel
@@ -414,6 +604,8 @@ func (rt *ShardRuntime) Run(ctx context.Context, duration float64) error {
 	for _, s := range rt.shards {
 		rt.wg.Add(1)
 		drainWG.Add(1)
+		// The pprof label makes -http profiles attribute work by shard, the
+		// same way sweep workers carry sweep_family/sweep_algo.
 		go func(s *shard) {
 			pprof.Do(context.Background(), pprof.Labels("dist_shard", strconv.Itoa(s.id)), func(context.Context) {
 				s.loop(drainC, stopC, &drainWG)
@@ -423,23 +615,28 @@ func (rt *ShardRuntime) Run(ctx context.Context, duration float64) error {
 
 	<-runCtx.Done()
 
-	// Drain: same stable-quiescence argument as Cluster.Run — once every
-	// shard acknowledged the drain signal nothing initiates or proposes
-	// again, so awaiting+pending is monotone and zero is final.
+	// Drain. Once every shard has acknowledged the drain signal (drainWG),
+	// no node will initiate or propose again, so awaiting and pending are
+	// monotone non-increasing and their joint zero is a stable global
+	// quiescence point: every exchange has fully resolved.
 	close(drainC)
 	drainWG.Wait()
 	for rt.awaiting.Load() != 0 || rt.pending.Load() != 0 {
 		if rt.sendFailed() {
-			break
+			break // the transport is gone; retransmission cannot succeed
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
 	close(stopC)
 	rt.wg.Wait()
 
-	// Settle proposals stranded by a failed transport, the same way the
-	// initiator already decided (see Cluster.Run). All shard loops have
-	// exited, so cross-shard state reads are safe.
+	// Settle any proposals stranded by a failed transport. All shard loops
+	// have exited, so cross-shard state reads are safe: each held proposal
+	// is resolved the way its initiator already decided — if the initiator
+	// applied (+delta committed but the COMMIT message was lost), land the
+	// responder's half; otherwise nothing was applied anywhere and the
+	// proposal is simply discarded. The sum stays exact even across a
+	// transport death. On a healthy shutdown this loop finds nothing.
 	for _, s := range rt.shards {
 		for li := range s.states {
 			st := &s.states[li]
@@ -465,7 +662,7 @@ func (rt *ShardRuntime) Run(ctx context.Context, duration float64) error {
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return err // the caller cut the run short; state is still consistent
 	}
 	rt.errMu.Lock()
 	defer rt.errMu.Unlock()
@@ -502,7 +699,7 @@ func (s *shard) resetForRun(start time.Time) {
 		st.Await, st.Pend = nil, nil
 		s.clocks[li] = wheelTimer{node: int32(s.lo + li), kind: tkClock}
 		s.protos[li] = wheelTimer{node: int32(s.lo + li), kind: tkProto}
-		s.scheduleClock(li, start)
+		s.scheduleClock(li, start.UnixNano())
 	}
 	for abs, cs := range s.crash {
 		cs.idx = 0
@@ -523,17 +720,17 @@ func (s *shard) resetForRun(start time.Time) {
 	}
 }
 
-// scheduleClock draws node lo+li's next Poisson fire, exactly as
-// node.scheduleNext: an Exp(deg/2) gap in simulated time, scaled to wall
-// time. (The draw comes from the shard's stream rather than a per-node
-// one; the gap distribution is identical.)
-func (s *shard) scheduleClock(li int, now time.Time) {
+// scheduleClock draws node lo+li's next Poisson fire: an Exp(deg/2) gap in
+// simulated time, scaled to wall time and added to fromNs. An isolated
+// node has no edges to tick and its clock never fires (its value simply
+// never changes, as in the simulator).
+func (s *shard) scheduleClock(li int, fromNs int64) {
 	deg := s.rt.g.Degree(graph.NodeID(s.lo + li))
 	if deg == 0 {
 		return
 	}
 	gap := s.r.ExpFloat64(float64(deg)/2) * float64(s.rt.cfg.TimeScale)
-	s.w.schedule(&s.clocks[li], now.Add(time.Duration(gap)).UnixNano())
+	s.w.schedule(&s.clocks[li], fromNs+int64(gap))
 }
 
 // loop is the shard body: drain a batch of messages, advance the wheel,
@@ -568,7 +765,10 @@ func (s *shard) loop(drainC, stopC <-chan struct{}, drainWG *sync.WaitGroup) {
 			default:
 			}
 		}
-		tick.Reset(s.rt.timerTick)
+		// Sleep to the next slot boundary, not a whole tick from now, so
+		// a clock fires at most a tick (plus wake latency) off its
+		// deadline.
+		tick.Reset(s.w.untilNextSlot(time.Now().UnixNano()))
 		select {
 		case <-stopC:
 			return
@@ -650,9 +850,23 @@ func (s *shard) fireClock(abs int, now time.Time) {
 		adj := s.rt.g.Neighbors(graph.NodeID(abs))
 		s.step(abs, stepInitiate, Message{}, adj[s.r.Intn(len(adj))], now)
 	}
-	// A fire while locked is skipped but the clock keeps running, exactly
-	// like node.onTimer.
-	s.scheduleClock(li, now)
+	// A fire while locked is skipped but the clock keeps running. The gap
+	// counts from the deadline, not from now: the wheel fires up to a
+	// tick off, and counting from now would stretch every gap by that.
+	// A fire later than one tick is overload, not quantisation; its
+	// excess delay is dropped rather than caught up, so an overloaded
+	// shard sheds initiations instead of building a backlog.
+	from := s.clocks[li].when
+	if floor := now.UnixNano() - s.rt.timerTick.Nanoseconds(); from < floor {
+		from = floor
+	}
+	s.scheduleClock(li, from)
+	// Deliver what this fire set in motion before the next clock due in
+	// the same wheel tick fires: a same-shard exchange then resolves
+	// LOCK→PROPOSE→COMMIT here, instead of every node due in the tick
+	// locking itself as an initiator first and NACKing its peers' LOCKs.
+	for s.drainMessages() > 0 {
+	}
 }
 
 // fireProto services a node's protocol deadline. Await and Pend are
@@ -721,16 +935,16 @@ func (s *shard) recoverNode(abs int, cs *shardCrash, now time.Time) {
 	cs.recoverAt = time.Time{}
 	s.step(abs, stepRecover, Message{}, graph.HalfEdge{}, now)
 	if !s.draining {
-		s.scheduleClock(li, now)
+		s.scheduleClock(li, now.UnixNano())
 		if cs.idx < len(cs.wins) {
 			s.w.schedule(&cs.timer, cs.wins[cs.idx].at.UnixNano())
 		}
 	}
 }
 
-// enterDrain mirrors the node loop's drain transition: stop initiating,
-// cancel remaining crash windows, force-recover down nodes so every held
-// proposal can resolve.
+// enterDrain is the shard's drain transition: stop initiating, cancel the
+// remaining crash windows, and force-recover down nodes so every held
+// proposal can resolve (the drain phase needs all nodes answering).
 func (s *shard) enterDrain(now time.Time) {
 	s.draining = true
 	for li := range s.clocks {
@@ -746,8 +960,8 @@ func (s *shard) enterDrain(now time.Time) {
 }
 
 // step feeds one protocol event to the pure machine and routes its effects
-// — the same sequence as node.step, so the lockstep tap and the flight
-// emitter observe identical streams from either runtime.
+// into the runtime's accounting, the lockstep tap, the flight recorder and
+// the transport.
 func (s *shard) step(abs int, kind stepKind, m Message, he graph.HalfEdge, now time.Time) {
 	rt := s.rt
 	li := abs - s.lo
@@ -755,6 +969,8 @@ func (s *shard) step(abs int, kind stepKind, m Message, he graph.HalfEdge, now t
 	nowNs := now.UnixNano()
 	var pre FlightPre
 	if rt.rec != nil {
+		// Snapshot the Await/Pend identity the step may clear; the emitter
+		// needs it to name the exchange an abort or rollback resolved.
 		pre = FlightPreOf(st)
 	}
 	var out StepOut
@@ -802,8 +1018,8 @@ func (s *shard) armProto(li int) {
 	}
 }
 
-// applyOut folds a StepOut into the runtime's counters and telemetry and
-// sends its messages (node.applyOut, with per-shard breakdowns added).
+// applyOut folds a StepOut into the runtime's counters (with per-shard
+// breakdowns) and telemetry, and sends its messages.
 func (s *shard) applyOut(st *NodeState, out StepOut, nowNs int64) {
 	rt := s.rt
 	if out.Proposed {
@@ -886,8 +1102,8 @@ func (rt *ShardRuntime) Values() []float64 {
 	return append([]float64(nil), rt.values...)
 }
 
-// Mean returns the current average value (invariant up to float rounding,
-// as for Cluster).
+// Mean returns the current average value. Committed exchanges apply exact
+// antisymmetric deltas, so the mean is invariant up to float rounding.
 func (rt *ShardRuntime) Mean() float64 {
 	if len(rt.values) == 0 {
 		return math.NaN()
@@ -914,18 +1130,27 @@ func (rt *ShardRuntime) Variance() float64 {
 	return s / n
 }
 
-// Exchanges returns the number of committed exchanges.
+// Exchanges returns the number of committed exchanges (counted at the
+// responder's commit point).
 func (rt *ShardRuntime) Exchanges() int64 { return rt.exchanges.Load() }
 
-// Aborted returns the number of aborted initiation attempts.
+// Aborted returns the number of aborted initiation attempts: NACKed by a
+// busy or draining peer, timed out waiting for a proposal (lost LOCK, or
+// a proposal so late that the initiator gave up and refused it — such an
+// exchange commits nowhere), or dropped by the initiator's own crash.
 func (rt *ShardRuntime) Aborted() int64 { return rt.aborted.Load() }
 
-// Proposed returns the number of initiation attempts; see Cluster.Proposed
-// for the ledger this anchors.
+// Proposed returns the number of initiation attempts (LOCKs sent with a
+// fresh seq). After a healthy run Proposed() == Applied() + Aborted() — the
+// exchange ledger cmd/distrun -assert checks. A run cut short by transport
+// death can leave initiations resolved as neither (their state is discarded
+// by the settle pass), so the ledger only balances when Run returned nil or
+// a context error.
 func (rt *ShardRuntime) Proposed() int64 { return rt.proposed.Load() }
 
-// Applied returns the number of initiator-half applies; equals Exchanges()
-// after a settled run.
+// Applied returns the number of exchanges whose initiator applied its half.
+// After the settle pass this equals Exchanges(): no exchange ends
+// half-applied, even across a transport death.
 func (rt *ShardRuntime) Applied() int64 { return rt.applied.Load() }
 
 // Crashes returns the number of crash events fired so far.

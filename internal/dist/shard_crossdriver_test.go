@@ -2,8 +2,8 @@ package dist_test
 
 // This file is an external test (package dist_test) on purpose: it pulls
 // in internal/check, which itself imports internal/dist, so the
-// comparison across all three drivers of the protocol machine can only
-// live outside the dist package proper.
+// comparison across both drivers of the protocol machine can only live
+// outside the dist package proper.
 
 import (
 	"context"
@@ -39,15 +39,14 @@ func cleanCommitSignatures(d *flight.Dump) map[string]int {
 	return sigs
 }
 
-// TestFlightEquivalenceAcrossDrivers is the cross-driver flight proof the
-// sharded runtime's ISSUE asks for: all three drivers of the protocol
-// machine — the goroutine Cluster, the sharded runtime, and the model
+// TestFlightEquivalenceAcrossDrivers is the cross-driver flight proof:
+// both drivers of the protocol machine — the sharded runtime and the model
 // checker's trace replayer — must emit the same span structure for an
 // undisturbed committed exchange. The checker side uses a handcrafted
 // four-action trace (initiate, deliver LOCK, deliver PROPOSE, deliver
 // COMMIT) whose ten span events are totally causally ordered, so its
 // single span is the canonical committed-exchange signature; every clean
-// committed span captured live from either runtime must match it exactly.
+// committed span captured live from the runtime must match it exactly.
 func TestFlightEquivalenceAcrossDrivers(t *testing.T) {
 	// Canonical signature: the checker's deterministic virtual-time replay.
 	tr := &check.Trace{
@@ -88,17 +87,6 @@ func TestFlightEquivalenceAcrossDrivers(t *testing.T) {
 		x0[i] = float64(i)
 	}
 
-	recCl := flight.New(g.NumNodes(), 1<<14)
-	cl, err := dist.NewCluster(g, x0, dist.NewVanillaRule(), dist.ClusterConfig{
-		TimeScale: 4 * time.Millisecond, Seed: 21, Flight: recCl,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Run(context.Background(), 8); err != nil {
-		t.Fatal(err)
-	}
-
 	recSh := flight.New(g.NumNodes(), 1<<14)
 	rt, err := dist.NewShardRuntime(g, x0, dist.NewVanillaRule(), dist.ShardRuntimeConfig{
 		ClusterConfig: dist.ClusterConfig{TimeScale: 4 * time.Millisecond, Seed: 21, Flight: recSh},
@@ -111,29 +99,18 @@ func TestFlightEquivalenceAcrossDrivers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, src := range []struct {
-		name string
-		sigs map[string]int
-	}{
-		{"cluster", cleanCommitSignatures(recCl.Snapshot())},
-		{"shard runtime", cleanCommitSignatures(recSh.Snapshot())},
-	} {
-		if len(src.sigs) == 0 {
-			t.Errorf("%s capture has no clean committed spans; cross-driver comparison needs traffic", src.name)
-			continue
-		}
-		for sig, n := range src.sigs {
-			if sig != canonical {
-				t.Errorf("%s emitted %d clean committed spans with signature %s, want the checker's %s",
-					src.name, n, sig, canonical)
-			}
+	sigs := cleanCommitSignatures(recSh.Snapshot())
+	if len(sigs) == 0 {
+		t.Error("shard runtime capture has no clean committed spans; cross-driver comparison needs traffic")
+	}
+	for sig, n := range sigs {
+		if sig != canonical {
+			t.Errorf("shard runtime emitted %d clean committed spans with signature %s, want the checker's %s",
+				n, sig, canonical)
 		}
 	}
 
-	// The runtimes' sums are as exactly conserved as the checker's replay.
-	if drift := math.Abs(sumOf(cl.Values()) - sumOf(x0)); drift > 1e-9 {
-		t.Errorf("cluster sum drifted by %g", drift)
-	}
+	// The runtime's sum is as exactly conserved as the checker's replay.
 	if drift := math.Abs(sumOf(rt.Values()) - sumOf(x0)); drift > 1e-9 {
 		t.Errorf("shard runtime sum drifted by %g", drift)
 	}

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -17,12 +16,10 @@ import (
 // stack (examples/cluster -tcp) rather than only over in-process channels;
 // it is not a wide-area-network transport.
 //
-// Each outbound connection opens with a version byte, and the accepting
-// side picks its decoder per connection from that byte, so binary-codec and
-// legacy gob-codec processes interoperate: the codec choice only governs
-// what this transport's own dials speak.
+// Each outbound connection opens with a version byte; the accepting side
+// drops a connection whose first byte is not wireVersionBinary instead of
+// guessing at the stream format.
 type TCPTransport struct {
-	codec     WireCodec
 	listeners []net.Listener
 	ports     []int
 	boxes     []chan Message
@@ -40,8 +37,8 @@ type TCPTransport struct {
 	rec       atomic.Pointer[flight.Recorder]
 }
 
-// countWriter and countReader tally wire bytes as the gob streams move
-// through them, so telemetry sees real serialized volume, not Message
+// countWriter and countReader tally wire bytes as the frames move through
+// them, so telemetry sees real serialized volume, not Message
 // struct sizes.
 type countWriter struct {
 	w io.Writer
@@ -68,32 +65,20 @@ func (cr *countReader) Read(p []byte) (int, error) {
 type tcpConn struct {
 	mu  sync.Mutex
 	c   net.Conn
-	w   io.Writer    // byte-counted connection writer
-	enc *gob.Encoder // WireGob only
-	buf []byte       // WireBinary frame scratch, reused under mu
+	w   io.Writer // byte-counted connection writer
+	buf []byte    // frame scratch, reused under mu
 }
 
 var _ Transport = (*TCPTransport)(nil)
 
 // NewTCPTransport opens addrs loopback listeners on ephemeral ports, one
 // per address 0..addrs-1, and returns a transport routing Send(m) to the
-// listener of its mailbox address over a cached connection. Outbound
-// connections speak the binary codec; use NewTCPTransportCodec for gob.
+// listener of its mailbox address over a cached connection.
 func NewTCPTransport(addrs int) (*TCPTransport, error) {
-	return NewTCPTransportCodec(addrs, WireBinary)
-}
-
-// NewTCPTransportCodec is NewTCPTransport with an explicit outbound wire
-// codec (the accept side always auto-detects per connection).
-func NewTCPTransportCodec(addrs int, codec WireCodec) (*TCPTransport, error) {
 	if addrs <= 0 {
 		return nil, fmt.Errorf("dist: TCP transport needs a positive address count, got %d", addrs)
 	}
-	if codec != WireBinary && codec != WireGob {
-		return nil, fmt.Errorf("dist: unknown wire codec %v", codec)
-	}
 	t := &TCPTransport{
-		codec:     codec,
 		listeners: make([]net.Listener, addrs),
 		ports:     make([]int, addrs),
 		boxes:     make([]chan Message, addrs),
@@ -145,30 +130,16 @@ func (t *TCPTransport) serve(addr int, c net.Conn) {
 		_ = c.Close()
 	}()
 	cr := &countReader{r: c, n: &t.bytesIn}
-	// The dialer's first byte picks this connection's decoder; an unknown
-	// version byte (including a legacy peer that skips it) kills the
-	// connection rather than guessing at the stream format.
+	// The bytes come from outside the process: an unknown version byte
+	// (another protocol, or a peer that skips it) kills the connection
+	// rather than decoding garbage.
 	var version [1]byte
-	if _, err := io.ReadFull(cr, version[:]); err != nil {
+	if _, err := io.ReadFull(cr, version[:]); err != nil || version[0] != wireVersionBinary {
 		return
 	}
-	var next func() (Message, error)
-	switch version[0] {
-	case wireVersionBinary:
-		wr := newWireReader(cr)
-		next = wr.readMessage
-	case wireVersionGob:
-		dec := gob.NewDecoder(cr)
-		next = func() (Message, error) {
-			var m Message
-			err := dec.Decode(&m)
-			return m, err
-		}
-	default:
-		return
-	}
+	wr := newWireReader(cr)
 	for {
-		m, err := next()
+		m, err := wr.readMessage()
 		if err != nil {
 			return
 		}
@@ -245,18 +216,9 @@ func (t *TCPTransport) conn(to int) (*tcpConn, error) {
 	// The version byte is the first thing on the wire; writing it here,
 	// before the connection is published in t.outbound, means no Send can
 	// race ahead of it.
-	switch t.codec {
-	case WireGob:
-		if _, err := cw.Write([]byte{wireVersionGob}); err != nil {
-			_ = c.Close()
-			return nil, fmt.Errorf("dist: handshaking address %d: %w", to, err)
-		}
-		oc.enc = gob.NewEncoder(cw)
-	default:
-		if _, err := cw.Write([]byte{wireVersionBinary}); err != nil {
-			_ = c.Close()
-			return nil, fmt.Errorf("dist: handshaking address %d: %w", to, err)
-		}
+	if _, err := cw.Write([]byte{wireVersionBinary}); err != nil {
+		_ = c.Close()
+		return nil, fmt.Errorf("dist: handshaking address %d: %w", to, err)
 	}
 	t.outbound[to] = oc
 	return oc, nil
@@ -270,12 +232,8 @@ func (t *TCPTransport) Send(m Message) error {
 		return err
 	}
 	oc.mu.Lock()
-	if oc.enc != nil {
-		err = oc.enc.Encode(m)
-	} else {
-		oc.buf = appendMessage(oc.buf[:0], m)
-		_, err = oc.w.Write(oc.buf)
-	}
+	oc.buf = appendMessage(oc.buf[:0], m)
+	_, err = oc.w.Write(oc.buf)
 	oc.mu.Unlock()
 	if err != nil {
 		// Drop the broken connection so a later Send re-dials.

@@ -12,7 +12,7 @@ import (
 	"sparsecut/internal/rng"
 )
 
-// MsgKind discriminates protocol messages. See node.go for the exchange
+// MsgKind discriminates protocol messages. See machine.go for the exchange
 // protocol that produces them.
 type MsgKind uint8
 
@@ -52,21 +52,20 @@ func (k MsgKind) String() string {
 }
 
 // Message is one protocol message. All fields are exported so transports
-// may serialise messages (the TCP transport uses encoding/gob).
+// may serialise messages (the TCP transport's codec is in wire.go).
 type Message struct {
 	Kind MsgKind
-	// From and To are protocol endpoints; the cluster uses node IDs.
+	// From and To are protocol endpoints: node IDs.
 	From, To int
 	// Via, when non-zero, overrides the transport mailbox the message is
 	// delivered to: mailbox Via-1 instead of mailbox To. The sharded
 	// runtime sets it so that S shard mailboxes can serve N >> S nodes
 	// over unmodified transports — the shard that owns node To drains
-	// mailbox Via-1 and dispatches on To itself. Zero (the goroutine
-	// runtime, and all pre-existing traffic) keeps the one-mailbox-per-
-	// node routing. The offset-by-one encoding keeps the zero value
+	// mailbox Via-1 and dispatches on To itself. Zero keeps the
+	// one-mailbox-per-node routing. The offset-by-one encoding keeps the zero value
 	// meaningful and mailbox 0 addressable.
 	Via int
-	// Epoch is the cluster run that produced the message. Receivers drop
+	// Epoch is the runtime's Run that produced the message. Receivers drop
 	// messages from older runs: a stale LOCK must not start an exchange
 	// against a previous run's value snapshot, and every exchange of a
 	// finished run is already resolved (runs end at quiescence, or settle
@@ -126,8 +125,8 @@ type Transport interface {
 }
 
 // ChanTransport is the in-memory transport: one buffered Go channel per
-// address, created lazily. It is the zero-configuration default and the
-// reference semantics every other transport layers on.
+// address, created lazily. It is the reference semantics every other
+// transport layers on.
 type ChanTransport struct {
 	buf       int
 	mu        sync.Mutex
@@ -276,8 +275,8 @@ type DelayTransport struct {
 	// transport. Because the real Send happens asynchronously in a timer
 	// callback, its error cannot be returned to the original caller;
 	// surfacing it on the *next* Send keeps a permanently failed inner
-	// transport visible (Cluster.Run relies on send errors to cut a run
-	// short instead of retransmitting forever).
+	// transport visible (ShardRuntime.Run relies on send errors to cut a
+	// run short instead of retransmitting forever).
 	innerErr error
 }
 

@@ -75,7 +75,7 @@ func TestSendAfterCloseFailsEverywhere(t *testing.T) {
 // TestDelayTransportCloseCancelsDeliveries: messages in the delay layer's
 // timer wheel at Close time must never reach the inner transport — Close
 // semantics say "cancelling all in-flight deliveries", and a late delivery
-// would resurrect protocol messages after a Cluster.Run has already
+// would resurrect protocol messages after a ShardRuntime.Run has already
 // settled its stranded proposals.
 func TestDelayTransportCloseCancelsDeliveries(t *testing.T) {
 	base := leakcheck.Snapshot()

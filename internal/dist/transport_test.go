@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -269,5 +271,38 @@ func TestTCPTransportValidation(t *testing.T) {
 	}
 	if _, err := tr.Recv(-1); err == nil {
 		t.Error("recv on negative address: no error")
+	}
+
+	// The accept side reads bytes from outside the process: a stream whose
+	// first byte is not the binary version byte is dropped, even when a
+	// valid frame follows. The same frame behind the right byte arrives.
+	port, err := tr.Port(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	box, err := tr.Recv(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := appendMessage(nil, Message{Kind: MsgCommit, From: 1, To: 0, Seq: 7})
+	for _, version := range []byte{'G', wireVersionBinary} {
+		c, err := net.Dial("tcp", fmt.Sprintf("127.0.0.1:%d", port))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Write(append([]byte{version}, frame...)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case m := <-box:
+			if version != wireVersionBinary {
+				t.Errorf("stream with version byte %q delivered %+v", version, m)
+			}
+		case <-time.After(200 * time.Millisecond):
+			if version == wireVersionBinary {
+				t.Error("valid stream not delivered within 200ms")
+			}
+		}
+		c.Close()
 	}
 }

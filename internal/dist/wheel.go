@@ -1,13 +1,14 @@
 package dist
 
+import "time"
+
 // wheel.go: a hierarchical timing wheel for the sharded runtime.
 //
-// The goroutine runtime spends one time.Timer (plus a goroutine parked in a
-// select) per node; at 10^6 nodes that is 10^6 runtime timers fighting over
-// the runtime's timer heaps. A shard instead owns ONE wheel and schedules
-// all of its nodes' deadlines (gossip clocks, Await/Pend protocol deadlines,
-// crash windows) as intrusive list entries in O(1), paying one coarse
-// time.Timer per shard loop to pace wheel advancement.
+// One time.Timer per node would put 10^6 timers on the Go runtime's timer
+// heaps at 10^6 nodes. A shard instead owns ONE wheel and schedules all of
+// its nodes' deadlines (gossip clocks, Await/Pend protocol deadlines, crash
+// windows) as intrusive list entries in O(1), paying one coarse time.Timer
+// per shard loop to pace wheel advancement.
 //
 // Design (classic hashed hierarchical wheel, Varghese & Lauck):
 //
@@ -178,6 +179,12 @@ func (w *wheel) advance(nowNs int64, fire func(*wheelTimer)) {
 			fire(t)
 		}
 	}
+}
+
+// untilNextSlot returns the wall time from nowNs to the start of the first
+// slot advance has not fired yet.
+func (w *wheel) untilNextSlot(nowNs int64) time.Duration {
+	return time.Duration((w.cur+1)*w.tick - nowNs)
 }
 
 // cascade re-places every timer hashed into the given upper-level slot; all

@@ -3,7 +3,6 @@ package dist
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 
@@ -12,9 +11,9 @@ import (
 
 // wire.go: the compact binary codec for Message on the TCP transport.
 //
-// gob spends ~10x the bytes and far more CPU than the protocol needs: every
-// gob stream re-transmits type metadata, and every Encode walks reflection.
-// The binary codec instead writes one length-prefixed frame per message:
+// A reflection-driven encoding (encoding/gob) spends several times the
+// bytes and far more CPU than the protocol needs. The codec instead writes
+// one length-prefixed frame per message:
 //
 //	uvarint  frame length (bytes following the prefix)
 //	byte     Kind
@@ -27,49 +26,21 @@ import (
 //	uvarint  Seq
 //	8 bytes  X      (IEEE 754 bits, little endian)
 //
-// Typical protocol frames are 15–25 bytes versus gob's ~90. The codec is
-// structural only: it round-trips ANY Message value, including ones the
-// protocol would never produce (negative addresses, unknown kinds) —
-// semantic validation belongs to Machine.Deliver, and a codec that rejects
-// nothing but malformed bytes is the property the fuzzer can pin down.
+// Typical protocol frames are 15–25 bytes. The codec is structural only:
+// it round-trips ANY Message value, including ones the protocol would
+// never produce (negative addresses, unknown kinds) — semantic validation
+// belongs to Machine.Deliver, and a codec that rejects nothing but
+// malformed bytes is the property the fuzzer can pin down.
 //
-// Codec negotiation is per connection: the dialer's first byte is a version
-// byte — wireVersionBinary for this codec, wireVersionGob for the legacy
-// gob stream — and the accepting side switches decoders on it. See tcp.go.
+// Every TCP connection opens with the version byte wireVersionBinary; the
+// accepting side drops a connection that starts with anything else. See
+// tcp.go.
 
-// WireCodec selects the on-the-wire encoding of a TCP transport.
-type WireCodec uint8
-
-const (
-	// WireBinary is the compact length-prefixed binary codec (default).
-	WireBinary WireCodec = iota
-	// WireGob is the legacy encoding/gob stream, kept so old and new
-	// processes can interoperate during a rolling upgrade: a binary-codec
-	// process accepts gob connections (and vice versa) because the
-	// version byte is negotiated per accepted connection.
-	WireGob
-)
-
-// String names the codec.
-func (c WireCodec) String() string {
-	switch c {
-	case WireBinary:
-		return "binary"
-	case WireGob:
-		return "gob"
-	default:
-		return fmt.Sprintf("codec(%d)", uint8(c))
-	}
-}
-
-// Connection version bytes. 'S' and 'G' are printable and outside gob's
-// plausible first bytes (a gob stream opens with a small type-descriptor
-// length), so a stray legacy dialer that skips the version byte fails fast
-// rather than decoding garbage.
-const (
-	wireVersionBinary = 'S'
-	wireVersionGob    = 'G'
-)
+// wireVersionBinary is the first byte of every connection. 'S' is
+// printable and outside the plausible first bytes of other streams, so a
+// stray dialer that speaks something else fails fast rather than decoding
+// garbage.
+const wireVersionBinary = 'S'
 
 // maxWireFrame bounds a frame's declared payload length. The largest
 // encodable Message is well under 100 bytes; anything bigger is garbage

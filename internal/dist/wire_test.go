@@ -57,7 +57,7 @@ func TestWireCompactness(t *testing.T) {
 	m := Message{Kind: MsgPropose, Re: MsgLock, From: 512, To: 513, Epoch: 3, Seq: 1000, Edge: 2048, X: 0.5}
 	frame := appendMessage(nil, m)
 	if len(frame) > 32 {
-		t.Fatalf("typical frame is %d bytes; the point of the codec is to beat gob's ~90", len(frame))
+		t.Fatalf("typical frame is %d bytes, want at most 32", len(frame))
 	}
 }
 

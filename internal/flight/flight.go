@@ -7,7 +7,7 @@
 // nothing about internal/dist: records carry plain integers, and the
 // message-kind byte values mirror dist.MsgKind one-for-one (asserted by a
 // cross-check test in internal/dist). Both drivers of the exchange
-// protocol emit into the same recorder — the live goroutine runtime
+// protocol emit into the same recorder — the live shard runtime
 // (wall-clock timestamps, scheduling-ordered) and the model checker's
 // deterministic replayer (virtual-tick timestamps, fully reproducible) —
 // so a production incident and a model-checker counterexample render
@@ -219,7 +219,7 @@ type Record struct {
 
 // ring is one node's bounded event buffer: fixed-capacity, overwrite-
 // oldest. A mutex (not atomics) keeps concurrent writers race-clean; in
-// the live runtime each ring has a single writer (its node goroutine)
+// the live runtime each ring has a single writer (its node's shard loop)
 // plus occasional transport-layer writers, so the lock is essentially
 // uncontended.
 type ring struct {

@@ -441,7 +441,7 @@ func runE11(p Params) (Section, error) {
 // exchange rule (internal/dist) and Algorithm A (internal/core) are driven
 // in lockstep over the identical tick sequence and must agree to float
 // tolerance, and the rule's own trajectory must converge. The wall-clock
-// cluster (goroutine-per-node, lossy transports) is inherently
+// runtime (shard event loops, lossy transports) is inherently
 // scheduling-dependent and therefore lives in `go test ./internal/dist`
 // rather than in this byte-deterministic document.
 func runE12(p Params) (Section, error) {

@@ -10,7 +10,7 @@
 // Key types: Entry (one registered experiment), Section (one experiment's
 // finished tables, checks and metrics), Document (the full rendered
 // suite), Params (quick/full mode, seed, workers). Generate runs the whole
-// registry; cmd/repro and cmd/experiments are thin drivers.
+// registry; cmd/repro is the thin driver.
 //
 // Determinism contract: a Document is a pure function of (mode, seed) —
 // the sweep engine is bit-identical for any worker count, every

@@ -377,15 +377,13 @@ func MeasureAveragingTimeSharded(g ImplicitGraph, x0 []float64, cfg TavConfig, o
 }
 
 // Decentralized message-passing runtime, re-exported from internal/dist:
-// the same local rules the simulator applies centrally, run as one
-// goroutine per node exchanging messages over an explicit, optionally
-// lossy or slow transport.
+// the same local rules the simulator applies centrally, run as nodes
+// exchanging messages — within and across shard event loops, or over an
+// explicit, optionally lossy or slow transport.
 type (
-	// Cluster is the goroutine-per-node runtime; construct with NewCluster
-	// and drive with Run.
-	Cluster = dist.Cluster
-	// ClusterConfig configures NewCluster (time scale, seed, transport,
-	// telemetry registry, crash schedule).
+	// ClusterConfig holds the runtime's protocol settings (time scale,
+	// seed, transport, telemetry registry, flight recorder, crash
+	// schedule); it is embedded in ShardRuntimeConfig.
 	ClusterConfig = dist.ClusterConfig
 	// CrashEvent fail-stops one node for a window of simulated time;
 	// a slice of them forms ClusterConfig.Crashes, the fault-injection
@@ -400,25 +398,14 @@ type (
 	// TCPTransport carries protocol messages over loopback TCP sockets
 	// (it additionally exposes Port).
 	TCPTransport = dist.TCPTransport
-	// ShardRuntime is the M:N sharded runtime: the same protocol machine
-	// as Cluster driven by S shard event loops with per-shard timer
-	// wheels and batched mailboxes, scaling single-box runs to 10^6
-	// nodes. Construct with NewShardRuntime and drive with Run.
+	// ShardRuntime is the decentralized runtime: the exchange protocol's
+	// state machine driven by S shard event loops with per-shard timer
+	// wheels and batched mailboxes, from a dozen nodes to 10^6 on one box.
+	// Construct with NewShardRuntime and drive with Run.
 	ShardRuntime = dist.ShardRuntime
 	// ShardRuntimeConfig configures NewShardRuntime (ClusterConfig plus
 	// shard count, mailbox capacity and timer-wheel tick).
 	ShardRuntimeConfig = dist.ShardRuntimeConfig
-	// WireCodec selects the TCP transport's message encoding; see
-	// NewTCPTransportCodec.
-	WireCodec = dist.WireCodec
-)
-
-// TCP wire codecs: the compact length-prefixed binary framing (default)
-// and the legacy gob stream. Peers negotiate per connection via a leading
-// version byte, so the two interoperate within one cluster.
-const (
-	WireBinary = dist.WireBinary
-	WireGob    = dist.WireGob
 )
 
 // / Telemetry, re-exported from internal/metrics: the dependency-free
@@ -471,33 +458,20 @@ func NewFlightRecorder(nodes, perNodeCap int) *FlightRecorder {
 // at /debug/flightz.
 func FlightHandler(rec *FlightRecorder) http.Handler { return flight.Handler(rec) }
 
-// NewCluster builds the decentralized runtime for rule on g with initial
-// values x0. One simulated time unit lasts cfg.TimeScale of wall-clock
-// time, so Cluster.Run(ctx, t) is directly comparable to Simulate(g, alg,
-// t, seed).
-func NewCluster(g *Graph, x0 []float64, rule ExchangeRule, cfg ClusterConfig) (*Cluster, error) {
-	return dist.NewCluster(g, x0, rule, cfg)
-}
-
 // NewChanTransport returns the in-memory transport (one buffered mailbox
-// per node, buf messages each).
+// per address, buf messages each).
 func NewChanTransport(buf int) Transport { return dist.NewChanTransport(buf) }
 
 // NewTCPTransport returns a transport with one loopback TCP listener per
-// node address in [0, addrs).
+// mailbox address in [0, addrs) — one per shard of the runtime it serves.
 func NewTCPTransport(addrs int) (*TCPTransport, error) { return dist.NewTCPTransport(addrs) }
 
-// NewTCPTransportCodec is NewTCPTransport with an explicit wire codec for
-// outbound connections (WireBinary is the default; WireGob interoperates
-// with older peers).
-func NewTCPTransportCodec(addrs int, codec WireCodec) (*TCPTransport, error) {
-	return dist.NewTCPTransportCodec(addrs, codec)
-}
-
-// NewShardRuntime builds the sharded decentralized runtime for rule on g
-// with initial values x0: N nodes multiplexed over cfg.Shards event
-// loops, cross-shard delivery through cfg.Transport (or the in-process
-// direct path when nil). Same Run contract and invariants as NewCluster.
+// NewShardRuntime builds the decentralized runtime for rule on g with
+// initial values x0: N nodes multiplexed over cfg.Shards event loops,
+// cross-shard delivery through cfg.Transport (one address per shard) or
+// the in-process direct path when nil. One simulated time unit lasts
+// cfg.TimeScale of wall-clock time, so ShardRuntime.Run(ctx, t) is
+// directly comparable to Simulate(g, alg, t, seed).
 func NewShardRuntime(g *Graph, x0 []float64, rule ExchangeRule, cfg ShardRuntimeConfig) (*ShardRuntime, error) {
 	return dist.NewShardRuntime(g, x0, rule, cfg)
 }
@@ -506,7 +480,7 @@ func NewShardRuntime(g *Graph, x0 []float64, rule ExchangeRule, cfg ShardRuntime
 // given rate in [0, 1). The drop decisions are drawn from a private
 // generator seeded with seed; the same seed reproduces the same decision
 // sequence, though which concrete messages that drops still depends on
-// the goroutine scheduling of the Send calls.
+// the scheduling of the Send calls.
 func NewDropTransport(inner Transport, dropRate float64, seed uint64) (Transport, error) {
 	return dist.NewDropTransport(inner, dropRate, rng.New(seed))
 }

@@ -318,14 +318,18 @@ func TestDecentralizedRuntimeFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A transport carries the traffic between shards, one address each.
 	tr, err := NewDropTransport(NewChanTransport(4*g.NumNodes()), 0.1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewCluster(g, x0, rule, ClusterConfig{
-		TimeScale: 4 * time.Millisecond,
-		Seed:      1,
-		Transport: tr,
+	cl, err := NewShardRuntime(g, x0, rule, ShardRuntimeConfig{
+		ClusterConfig: ClusterConfig{
+			TimeScale: 4 * time.Millisecond,
+			Seed:      1,
+			Transport: tr,
+		},
+		Shards: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -345,11 +349,14 @@ func TestDecentralizedRuntimeFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vcl, err := NewCluster(g, x0, NewAveragingExchange(), ClusterConfig{
-		TimeScale:   4 * time.Millisecond,
-		Seed:        2,
-		Transport:   vtr,
-		LockTimeout: 8 * time.Millisecond, // must exceed the delay round trip
+	vcl, err := NewShardRuntime(g, x0, NewAveragingExchange(), ShardRuntimeConfig{
+		ClusterConfig: ClusterConfig{
+			TimeScale:   4 * time.Millisecond,
+			Seed:        2,
+			Transport:   vtr,
+			LockTimeout: 8 * time.Millisecond, // must exceed the delay round trip
+		},
+		Shards: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -472,13 +479,16 @@ func TestCrashScheduleFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	x0 := WorstCaseInit(part)
-	cl, err := NewCluster(g, x0, NewAveragingExchange(), ClusterConfig{
-		TimeScale: 4 * time.Millisecond,
-		Seed:      9,
-		Crashes: []CrashEvent{
-			{Node: 0, At: 1, Recover: 3},
-			{Node: 7, At: 2}, // down until the drain force-recovers it
+	cl, err := NewShardRuntime(g, x0, NewAveragingExchange(), ShardRuntimeConfig{
+		ClusterConfig: ClusterConfig{
+			TimeScale: 4 * time.Millisecond,
+			Seed:      9,
+			Crashes: []CrashEvent{
+				{Node: 0, At: 1, Recover: 3},
+				{Node: 7, At: 2}, // down until the drain force-recovers it
+			},
 		},
+		Shards: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
