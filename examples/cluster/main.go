@@ -1,8 +1,8 @@
 // Cluster: run Algorithm A as a *real* decentralized protocol — every
 // node driven by its private Poisson clock, coordinating through explicit
 // messages (try-lock exchanges with leases and grant retransmission)
-// instead of a shared-memory simulator. The nodes are spread over -shards
-// event loops; messages between loops cross the transport.
+// instead of a shared-memory simulator. The nodes are spread over up to
+// four shard event loops; messages between loops cross the transport.
 //
 // By default the transport is in-memory channels; pass -tcp to carry those
 // messages over loopback TCP sockets, one listener per shard. Pass -drop
@@ -26,7 +26,6 @@ func main() {
 		duration = flag.Float64("t", 40, "simulated duration in time units")
 		drop     = flag.Float64("drop", 0, "message loss probability in [0,1)")
 		useTCP   = flag.Bool("tcp", false, "use loopback TCP instead of in-memory channels")
-		shards   = flag.Int("shards", 4, "shard event loops (at most n)")
 		seed     = flag.Uint64("seed", 1, "random seed")
 	)
 	flag.Parse()
@@ -43,7 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	nShards := min(max(*shards, 1), g.NumNodes())
+	nShards := min(4, g.NumNodes())
 	var tr sparsecut.Transport
 	if *useTCP {
 		tcp, err := sparsecut.NewTCPTransport(nShards)

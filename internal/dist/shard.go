@@ -199,13 +199,10 @@ type nodeEvent struct {
 // Timer deadlines are quantised to the wheel tick
 // (ShardRuntimeConfig.TimerTick), which is chosen (and floored) to be much
 // finer than the lock timeout, so quantisation shifts deadlines by at most
-// one tick without reordering the protocol's coarse time constants. Each
-// clock gap is drawn from the previous deadline, not from the (quantised)
-// fire time, so quantisation delays fires without slowing the clock; a
-// fire more than a tick late means the shard is overloaded, and only that
-// excess is dropped. The messages a fire sends are delivered before the
-// next fire in the same tick: a same-shard exchange resolves at once
-// instead of colliding with the other initiations due in that tick.
+// one tick without reordering the protocol's coarse time constants. The
+// messages a fire sends are delivered before the next fire in the same
+// tick: a same-shard exchange resolves at once instead of colliding with
+// the other initiations due in that tick.
 //
 // # Crash schedule
 //
@@ -699,7 +696,7 @@ func (s *shard) resetForRun(start time.Time) {
 		st.Await, st.Pend = nil, nil
 		s.clocks[li] = wheelTimer{node: int32(s.lo + li), kind: tkClock}
 		s.protos[li] = wheelTimer{node: int32(s.lo + li), kind: tkProto}
-		s.scheduleClock(li, start.UnixNano())
+		s.scheduleClock(li, start)
 	}
 	for abs, cs := range s.crash {
 		cs.idx = 0
@@ -721,16 +718,16 @@ func (s *shard) resetForRun(start time.Time) {
 }
 
 // scheduleClock draws node lo+li's next Poisson fire: an Exp(deg/2) gap in
-// simulated time, scaled to wall time and added to fromNs. An isolated
+// simulated time, scaled to wall time and added to now. An isolated
 // node has no edges to tick and its clock never fires (its value simply
 // never changes, as in the simulator).
-func (s *shard) scheduleClock(li int, fromNs int64) {
+func (s *shard) scheduleClock(li int, now time.Time) {
 	deg := s.rt.g.Degree(graph.NodeID(s.lo + li))
 	if deg == 0 {
 		return
 	}
 	gap := s.r.ExpFloat64(float64(deg)/2) * float64(s.rt.cfg.TimeScale)
-	s.w.schedule(&s.clocks[li], fromNs+int64(gap))
+	s.w.schedule(&s.clocks[li], now.Add(time.Duration(gap)).UnixNano())
 }
 
 // loop is the shard body: drain a batch of messages, advance the wheel,
@@ -765,10 +762,7 @@ func (s *shard) loop(drainC, stopC <-chan struct{}, drainWG *sync.WaitGroup) {
 			default:
 			}
 		}
-		// Sleep to the next slot boundary, not a whole tick from now, so
-		// a clock fires at most a tick (plus wake latency) off its
-		// deadline.
-		tick.Reset(s.w.untilNextSlot(time.Now().UnixNano()))
+		tick.Reset(s.rt.timerTick)
 		select {
 		case <-stopC:
 			return
@@ -850,17 +844,8 @@ func (s *shard) fireClock(abs int, now time.Time) {
 		adj := s.rt.g.Neighbors(graph.NodeID(abs))
 		s.step(abs, stepInitiate, Message{}, adj[s.r.Intn(len(adj))], now)
 	}
-	// A fire while locked is skipped but the clock keeps running. The gap
-	// counts from the deadline, not from now: the wheel fires up to a
-	// tick off, and counting from now would stretch every gap by that.
-	// A fire later than one tick is overload, not quantisation; its
-	// excess delay is dropped rather than caught up, so an overloaded
-	// shard sheds initiations instead of building a backlog.
-	from := s.clocks[li].when
-	if floor := now.UnixNano() - s.rt.timerTick.Nanoseconds(); from < floor {
-		from = floor
-	}
-	s.scheduleClock(li, from)
+	// A fire while locked is skipped but the clock keeps running.
+	s.scheduleClock(li, now)
 	// Deliver what this fire set in motion before the next clock due in
 	// the same wheel tick fires: a same-shard exchange then resolves
 	// LOCK→PROPOSE→COMMIT here, instead of every node due in the tick
@@ -935,7 +920,7 @@ func (s *shard) recoverNode(abs int, cs *shardCrash, now time.Time) {
 	cs.recoverAt = time.Time{}
 	s.step(abs, stepRecover, Message{}, graph.HalfEdge{}, now)
 	if !s.draining {
-		s.scheduleClock(li, now.UnixNano())
+		s.scheduleClock(li, now)
 		if cs.idx < len(cs.wins) {
 			s.w.schedule(&cs.timer, cs.wins[cs.idx].at.UnixNano())
 		}

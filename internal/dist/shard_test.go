@@ -549,32 +549,6 @@ func TestShardRuntimeRunGuards(t *testing.T) {
 	}
 }
 
-// TestShardClockGapCountsFromDeadline pins how a fired clock picks its next
-// deadline. The gap counts from the deadline that fired, so a fire the
-// wheel delivers early does not shorten the clock's period, nor a late one
-// stretch it. A fire more than a tick late is overload: counting from the
-// missed deadline would have the shard catch up on every fire it missed,
-// so the gap counts from one tick ago instead.
-func TestShardClockGapCountsFromDeadline(t *testing.T) {
-	rt := newTestRuntime(t, graph.Cycle(8), make([]float64, 8), NewVanillaRule(), 1, ClusterConfig{TimeScale: time.Millisecond})
-	s := rt.shards[0]
-	s.resetForRun(time.Now())
-	clock := &s.clocks[0]
-
-	due := clock.when
-	s.fireClock(0, time.Unix(0, due-int64(time.Second)))
-	if clock.when <= due {
-		t.Errorf("fire 1s early: next deadline %d not after the one that fired (%d)", clock.when, due)
-	}
-
-	due = clock.when
-	now := due + int64(time.Second)
-	s.fireClock(0, time.Unix(0, now))
-	if floor := now - rt.timerTick.Nanoseconds(); clock.when < floor {
-		t.Errorf("fire 1s late: next deadline %dns before now minus a tick; the shard would replay the missed fires", floor-clock.when)
-	}
-}
-
 // TestShardSameTickExchangesCommit pins delivery between clock fires. On
 // a dense graph most of a shard's clocks fall due in the same wheel tick;
 // if the shard fired them all before delivering any message, each node

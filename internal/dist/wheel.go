@@ -1,7 +1,5 @@
 package dist
 
-import "time"
-
 // wheel.go: a hierarchical timing wheel for the sharded runtime.
 //
 // One time.Timer per node would put 10^6 timers on the Go runtime's timer
@@ -179,12 +177,6 @@ func (w *wheel) advance(nowNs int64, fire func(*wheelTimer)) {
 			fire(t)
 		}
 	}
-}
-
-// untilNextSlot returns the wall time from nowNs to the start of the first
-// slot advance has not fired yet.
-func (w *wheel) untilNextSlot(nowNs int64) time.Duration {
-	return time.Duration((w.cur+1)*w.tick - nowNs)
 }
 
 // cascade re-places every timer hashed into the given upper-level slot; all
