@@ -38,7 +38,7 @@ func main() {
 		quick   = flag.Bool("quick", false, "CI-sized budgets, 1-CPU friendly (default unless -full)")
 		full    = flag.Bool("full", false, "full budgets; regenerates the committed REPRODUCTION.md numbers")
 		seed    = flag.Uint64("seed", 1, "root seed; the whole document derives from it")
-		workers = flag.Int("workers", 0, "sweep worker-pool size (0 = GOMAXPROCS); never affects results")
+		workers = flag.Int("workers", 0, "worker-pool size for sweeps and for concurrent entries (0 = GOMAXPROCS); never affects results")
 		run     = flag.String("run", "", "comma-separated experiment subset (e.g. E4,E10); empty = all")
 		out     = flag.String("out", "", "Markdown output path ('-' = stdout; default: REPRODUCTION.md for -full, REPRODUCTION-quick.md for quick, stdout for -run subsets)")
 		jsonOut = flag.String("json", "", "JSON output path ('-' = stdout; default mirrors -out, none for -run subsets; 'none' = skip)")

@@ -22,7 +22,9 @@ package report
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 )
 
 // Params configures a reproduction run.
@@ -32,8 +34,9 @@ type Params struct {
 	Quick bool
 	// Seed drives all randomness (default 1).
 	Seed uint64
-	// Workers is the sweep pool size (default GOMAXPROCS). It never
-	// affects results, only wall-clock time.
+	// Workers is the pool size (default GOMAXPROCS): it bounds both the
+	// sweep workers inside an entry and how many entries GenerateSubset
+	// runs at once. It never affects results, only wall-clock time.
 	Workers int
 }
 
@@ -250,8 +253,11 @@ func Generate(p Params) (*Document, error) {
 	return GenerateSubset(nil, p)
 }
 
-// GenerateSubset runs the named experiments (nil or empty = all), in suite
-// order regardless of the requested order.
+// GenerateSubset runs the named experiments (nil or empty = all) and
+// assembles them in suite order regardless of the requested order. The
+// entries run concurrently, at most Params.Workers at a time; each is a
+// pure function of Params, so the document does not depend on the pool
+// size. On failure it returns the first error in suite order.
 func GenerateSubset(ids []string, p Params) (*Document, error) {
 	p = p.withDefaults()
 	want := map[string]bool{}
@@ -261,18 +267,35 @@ func GenerateSubset(ids []string, p Params) (*Document, error) {
 		}
 		want[id] = true
 	}
-	doc := &Document{Paper: PaperID, Mode: p.Mode(), Seed: p.Seed}
+	var entries []Entry
 	for _, e := range Entries() {
-		if len(want) > 0 && !want[e.ID] {
-			continue
+		if len(want) == 0 || want[e.ID] {
+			entries = append(entries, e)
 		}
-		sec, err := e.RunEntry(p)
+	}
+	workers := p.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	secs := make([]Section, len(entries))
+	errs := make([]error, len(entries))
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i, e := range entries {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			secs[i], errs[i] = e.RunEntry(p)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		doc.Sections = append(doc.Sections, sec)
 	}
-	return doc, nil
+	return &Document{Paper: PaperID, Mode: p.Mode(), Seed: p.Seed, Sections: secs}, nil
 }
 
 // Failures lists every definitive failure in the document, as

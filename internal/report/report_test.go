@@ -2,11 +2,13 @@ package report
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"sparsecut/internal/scenario"
 	"sparsecut/internal/sweep"
@@ -126,12 +128,14 @@ func TestGoldenSection(t *testing.T) {
 	}
 }
 
-// TestDocumentDeterministic renders a three-experiment document twice (and
-// across worker counts) and demands byte equality for both Markdown and
-// JSON — the contract cmd/repro and the repro-smoke CI job rely on.
+// TestDocumentDeterministic renders the whole quick suite at several
+// worker counts, which also bound how many entries run at once, and
+// demands byte equality for both Markdown and JSON — the contract
+// cmd/repro and the repro-smoke CI job rely on. Under -race it also
+// race-checks the concurrent entries.
 func TestDocumentDeterministic(t *testing.T) {
 	gen := func(workers int) (string, string) {
-		doc, err := GenerateSubset([]string{"E2", "E8", "E12"}, Params{Quick: true, Seed: 5, Workers: workers})
+		doc, err := Generate(Params{Quick: true, Seed: 5, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,21 +148,86 @@ func TestDocumentDeterministic(t *testing.T) {
 		}
 		return md.String(), js.String()
 	}
-	md1, js1 := gen(1)
-	md2, js2 := gen(4)
-	md3, js3 := gen(4)
-	if md1 != md2 || md2 != md3 {
-		t.Error("markdown differs across runs/worker counts")
+	md0, js0 := gen(0)
+	for _, workers := range []int{1, 3} {
+		md, js := gen(workers)
+		if md != md0 {
+			t.Errorf("markdown differs between workers=0 and workers=%d", workers)
+		}
+		if js != js0 {
+			t.Errorf("JSON differs between workers=0 and workers=%d", workers)
+		}
 	}
-	if js1 != js2 || js2 != js3 {
-		t.Error("JSON differs across runs/worker counts")
-	}
-	back, err := ReadDocument(strings.NewReader(js1))
+	back, err := ReadDocument(strings.NewReader(js0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Sections) != 3 || back.Sections[0].ID != "E2" {
-		t.Errorf("JSON round-trip lost sections: %+v", back.Sections)
+	all := Entries()
+	if len(back.Sections) != len(all) {
+		t.Fatalf("JSON round-trip has %d sections, want %d", len(back.Sections), len(all))
+	}
+	for i, sec := range back.Sections {
+		if sec.ID != all[i].ID {
+			t.Errorf("section %d is %s, want %s (suite order)", i, sec.ID, all[i].ID)
+		}
+	}
+}
+
+// TestGenerateDefaultWorkersCompletes guards the default pool: Workers 0
+// (cmd/repro's default) must resolve to GOMAXPROCS, not to an unbuffered
+// semaphore that blocks the first entry forever.
+func TestGenerateDefaultWorkersCompletes(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		_, err := Generate(Params{Quick: true})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Minute):
+		t.Fatal("Generate with Workers 0 did not complete")
+	}
+}
+
+// TestGenerateSubsetOrder checks that a subset comes back in suite order
+// whatever order it was requested in, and that an unknown ID is rejected.
+func TestGenerateSubsetOrder(t *testing.T) {
+	doc, err := GenerateSubset([]string{"E12", "E2", "E8"}, Params{Quick: true, Seed: 5, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, sec := range doc.Sections {
+		got = append(got, sec.ID)
+	}
+	if strings.Join(got, ",") != "E2,E8,E12" {
+		t.Errorf("sections %v, want [E2 E8 E12]", got)
+	}
+	if _, err := GenerateSubset([]string{"E2", "E99"}, Params{Quick: true}); err == nil {
+		t.Error("unknown experiment accepted")
+	}
+}
+
+// TestGenerateFirstErrorInSuiteOrder registers two failing entries, the
+// later of which fails first, and checks that the earlier one's error is
+// returned.
+func TestGenerateFirstErrorInSuiteOrder(t *testing.T) {
+	laterFailed := make(chan struct{})
+	register(Entry{ID: "E97", Title: "t", Claim: "c", Run: func(Params) (Section, error) {
+		<-laterFailed
+		return Section{}, errors.New("first")
+	}})
+	register(Entry{ID: "E98", Title: "t", Claim: "c", Run: func(Params) (Section, error) {
+		defer close(laterFailed)
+		return Section{}, errors.New("second")
+	}})
+	t.Cleanup(func() { delete(registry, "E97"); delete(registry, "E98") })
+	_, err := GenerateSubset([]string{"E97", "E98"}, Params{Workers: 2})
+	if err == nil || !strings.Contains(err.Error(), "E97: first") {
+		t.Errorf("error %v, want E97's", err)
 	}
 }
 

@@ -147,6 +147,27 @@ func (r *RNG) IntnSlow(hi, lo, bound uint64) uint64 {
 	return hi
 }
 
+// CountLowBits returns how many of the next n outputs have their low bit
+// set: the same count, leaving the stream at the same position, as n calls
+// of Uint64()&1. It reads the block buffer in a local loop, with no
+// per-output position store and no data-dependent branch. n <= 0 draws
+// nothing and returns 0.
+func (r *RNG) CountLowBits(n int) int {
+	count := 0
+	for n > 0 {
+		if r.pos >= u64BlockSize {
+			r.refill()
+		}
+		m := min(n, u64BlockSize-r.pos)
+		for _, v := range r.buf[r.pos : r.pos+m] {
+			count += int(v & 1)
+		}
+		r.pos += m
+		n -= m
+	}
+	return count
+}
+
 // Int63 returns a uniform non-negative int64.
 func (r *RNG) Int63() int64 {
 	return int64(r.Uint64() >> 1)

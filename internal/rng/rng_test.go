@@ -552,3 +552,28 @@ func TestGammaIntPanicsOnBadShape(t *testing.T) {
 	}()
 	New(1).GammaInt(0)
 }
+
+// TestCountLowBits pins CountLowBits to n calls of Uint64()&1: the same
+// count and the same next output, from a fresh stream and from the middle
+// of a block, for counts on both sides of the block size.
+func TestCountLowBits(t *testing.T) {
+	for _, skip := range []int{0, 100} {
+		for _, n := range []int{0, 1, 255, 256, 257, 1000} {
+			a, b := New(31), New(31)
+			for i := 0; i < skip; i++ {
+				a.Uint64()
+				b.Uint64()
+			}
+			want := 0
+			for i := 0; i < n; i++ {
+				want += int(b.Uint64() & 1)
+			}
+			if got := a.CountLowBits(n); got != want {
+				t.Errorf("skip %d, n %d: count %d, want %d", skip, n, got, want)
+			}
+			if x, y := a.Uint64(), b.Uint64(); x != y {
+				t.Errorf("skip %d, n %d: next output %d, want %d", skip, n, x, y)
+			}
+		}
+	}
+}

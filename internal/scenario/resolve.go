@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"sparsecut/internal/avgtime"
 	"sparsecut/internal/core"
@@ -37,6 +38,14 @@ type Resolved struct {
 
 	trialSeed uint64
 	algSeed   uint64
+
+	// side caches Algorithm A's default per-side Tvan bounds for the
+	// planted partition; see sideTvan.
+	side struct {
+		once     sync.Once
+		tv1, tv2 float64
+		err      error
+	}
 }
 
 // Resolve validates the spec, applies defaults, builds the graph and the
@@ -218,6 +227,8 @@ func (r *Resolved) NewAlgorithm(rr *rng.RNG) (gossip.Algorithm, error) {
 		}
 		if a.EpochTicks != 0 {
 			opts = append(opts, core.WithEpochTicks(a.EpochTicks))
+		} else if tv1, tv2, ok := r.sideTvan(); ok {
+			opts = append(opts, core.WithTvan(tv1, tv2))
 		}
 		if a.AllCutEdges {
 			opts = append(opts, core.WithAllCutEdges())
@@ -226,6 +237,22 @@ func (r *Resolved) NewAlgorithm(rr *rng.RNG) (gossip.Algorithm, error) {
 	default:
 		return nil, fmt.Errorf("scenario: unknown algorithm %q", a.Name)
 	}
+}
+
+// sideTvan returns the per-side Tvan bounds core.New would derive from
+// the planted partition, computed once per Resolved: every trial of a
+// cell would otherwise rebuild both side subgraphs and re-run power
+// iteration for the same result. ok is false without a partition or when
+// the estimate fails; core.New then derives the bounds itself, so a
+// failure surfaces as its "core: estimating side Tvan" error.
+func (r *Resolved) sideTvan() (tv1, tv2 float64, ok bool) {
+	if r.Partition == nil {
+		return 0, 0, false
+	}
+	r.side.once.Do(func() {
+		r.side.tv1, r.side.tv2, r.side.err = core.SideTvanBounds(r.Partition, spectral.Options{})
+	})
+	return r.side.tv1, r.side.tv2, r.side.err == nil
 }
 
 // AlgorithmRNG returns a fresh stream for a single standalone algorithm

@@ -271,3 +271,71 @@ func TestAllCutEdgesSpec(t *testing.T) {
 		t.Errorf("all-cut-edges K=%d not scaled above single-edge K=%d", allK, singleK)
 	}
 }
+
+// TestSideTvanComputedOncePerResolved checks that Algorithm A's default
+// per-side Tvan bounds are derived once per Resolved and shared by every
+// trial, and that each trial matches a bare core.New on the same graph and
+// partition.
+func TestSideTvanComputedOncePerResolved(t *testing.T) {
+	base := GraphSpec{Family: "ringofcliques", N: 24, Cut: 2}
+	for _, a := range []AlgoSpec{
+		{Name: "A"},
+		{Name: "A", EpochC: 2},
+		{Name: "A", AllCutEdges: true},
+	} {
+		r, err := Spec{Graph: base, Algo: a, Seed: 5}.Resolve()
+		if err != nil {
+			t.Fatalf("%+v: resolve: %v", a, err)
+		}
+		opts := []core.Option{core.WithPartition(r.Partition)}
+		if a.EpochC != 0 {
+			opts = append(opts, core.WithEpochConstant(a.EpochC))
+		}
+		if a.AllCutEdges {
+			opts = append(opts, core.WithAllCutEdges())
+		}
+		bare, err := core.New(r.Graph, r.X0, opts...)
+		if err != nil {
+			t.Fatalf("%+v: bare core.New: %v", a, err)
+		}
+		wantK := bare.EpochTicks()
+		want1, want2 := bare.TvanEstimates()
+		if want1 <= 0 || want2 <= 0 {
+			t.Fatalf("%+v: degenerate side bounds (%v, %v)", a, want1, want2)
+		}
+		trial := func() *core.SparseCutAveraging {
+			t.Helper()
+			alg, err := r.NewAlgorithm(rng.New(1))
+			if err != nil {
+				t.Fatalf("%+v: trial: %v", a, err)
+			}
+			return alg.(*core.SparseCutAveraging)
+		}
+		for i := 0; i < 3; i++ {
+			alg := trial()
+			tv1, tv2 := alg.TvanEstimates()
+			if k := alg.EpochTicks(); k != wantK || tv1 != want1 || tv2 != want2 {
+				t.Errorf("%+v trial %d: K=%d Tvan=(%v, %v), want K=%d Tvan=(%v, %v)",
+					a, i, k, tv1, tv2, wantK, want1, want2)
+			}
+		}
+		// A later trial reads the cached bounds rather than recomputing
+		// them: a value planted in the cache comes back out.
+		r.side.tv1 = 2 * want1
+		if tv1, _ := trial().TvanEstimates(); tv1 != 2*want1 {
+			t.Errorf("%+v: trial recomputed Tvan1 = %v instead of reading the cached %v", a, tv1, 2*want1)
+		}
+	}
+
+	// With the swap period fixed the bounds are never needed.
+	r, err := Spec{Graph: base, Algo: AlgoSpec{Name: "A", EpochTicks: 3}, Seed: 5}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.NewAlgorithm(rng.New(1)); err != nil {
+		t.Fatal(err)
+	}
+	if r.side.tv1 != 0 || r.side.tv2 != 0 || r.side.err != nil {
+		t.Errorf("fixed-period A computed side bounds: (%v, %v, %v)", r.side.tv1, r.side.tv2, r.side.err)
+	}
+}

@@ -41,14 +41,7 @@ func TailProbability(r *rng.RNG, steps int, s float64, trials int) (float64, err
 	threshold := s * math.Sqrt(float64(steps))
 	hits := 0
 	for t := 0; t < trials; t++ {
-		pos := 0
-		for i := 0; i < steps; i++ {
-			if r.Uint64()&1 == 1 {
-				pos++
-			} else {
-				pos--
-			}
-		}
+		pos := 2*r.CountLowBits(steps) - steps // heads minus tails
 		if float64(pos) >= threshold {
 			hits++
 		}
@@ -75,7 +68,7 @@ func FitTail(r *rng.RNG, steps int, ss []float64, trials int) (TailFit, error) {
 		return TailFit{}, errors.New("walk: need at least two s values")
 	}
 	fit := TailFit{}
-	var s2 []float64
+	var s2, ps []float64
 	for _, s := range ss {
 		p, err := TailProbability(r, steps, s, trials)
 		if err != nil {
@@ -85,14 +78,7 @@ func FitTail(r *rng.RNG, steps int, ss []float64, trials int) (TailFit, error) {
 		fit.P = append(fit.P, p)
 		if p > 0 {
 			s2 = append(s2, s*s)
-		}
-	}
-	var ps []float64
-	for i, p := range fit.P {
-		if p > 0 {
 			ps = append(ps, p)
-		} else {
-			_ = i
 		}
 	}
 	if len(ps) < 2 {
