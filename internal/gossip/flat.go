@@ -13,8 +13,12 @@ package gossip
 // exchange replays the uncentred arithmetic through the offset, keeping
 // the floating-point trajectory bit-identical to the uncentred per-event
 // simulator. Moments are maintained incrementally with the same fused
-// updates as State.AverageEdge and re-accumulated from scratch every
-// resyncInterval updates per tile to stop drift.
+// updates as State.AverageEdge and re-accumulated from scratch to stop
+// drift: tile t resyncs after max(resyncInterval, its node count)
+// updates, so the amortised resync cost stays at most one sequential
+// read per update at any tile size. The period depends only on the
+// tiling, and the moments never feed back into the values, so the
+// trajectory is the same for any worker count.
 //
 // FlatState assumes vanilla (pairwise-average) exchanges: it implements
 // sim.ShardKernel for the monotone hot path only.
@@ -115,32 +119,29 @@ func (s *FlatState) Variance() float64 {
 	return v
 }
 
-// average replays State.AverageEdge's uncentred arithmetic for the pair
-// (i, j) and returns the moment deltas.
-func (s *FlatState) average(i, j int32) (dSum, dSumSq float64) {
-	yi, yj := s.y[i], s.y[j]
-	c := ((yi + s.off) + (yj + s.off)) / 2
-	c -= s.off
-	s.y[i] = c
-	s.y[j] = c
-	cc := c * c
-	return c + c - yi - yj, cc + cc - yi*yi - yj*yj
-}
-
 // TickTile applies a chunk of internal exchanges to tile t. Both
 // endpoints must lie inside the tile; only tile t's state is touched, so
-// distinct tiles may tick concurrently.
+// distinct tiles may tick concurrently. Each exchange replays
+// State.AverageEdge's uncentred arithmetic, as Exchange does.
 func (s *FlatState) TickTile(t int, us, vs []int32) {
+	y, off := s.y, s.off
+	vs = vs[:len(us)]
 	var dSum, dSumSq float64
 	for k := range us {
-		a, b := s.average(us[k], vs[k])
-		dSum += a
-		dSumSq += b
+		i, j := us[k], vs[k]
+		yi, yj := y[i], y[j]
+		c := ((yi + off) + (yj + off)) / 2
+		c -= off
+		y[i] = c
+		y[j] = c
+		cc := c * c
+		dSum += c + c - yi - yj
+		dSumSq += cc + cc - yi*yi - yj*yj
 	}
 	s.sum[t] += dSum
 	s.sumSq[t] += dSumSq
 	s.ops[t] += int64(len(us))
-	if s.ops[t] >= resyncInterval {
+	if s.ops[t] >= s.resyncPeriod(t) {
 		s.resyncTile(t)
 	}
 }
@@ -168,9 +169,17 @@ func (s *FlatState) Exchange(u, v int32) {
 
 func (s *FlatState) bumpOps(t int) {
 	s.ops[t]++
-	if s.ops[t] >= resyncInterval {
+	if s.ops[t] >= s.resyncPeriod(t) {
 		s.resyncTile(t)
 	}
+}
+
+// resyncPeriod is tile t's resync period in updates: resyncInterval, or
+// the tile's node count when that is larger, so a resync scan costs at
+// most one read per update. Tiles of up to resyncInterval nodes keep the
+// exact resyncInterval period.
+func (s *FlatState) resyncPeriod(t int) int64 {
+	return max(resyncInterval, int64(s.hi[t]-s.lo[t]))
 }
 
 // tileOf locates the tile containing node u.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"sparsecut/internal/graph"
 	"sparsecut/internal/rng"
 )
 
@@ -145,4 +146,135 @@ func TestCutIndicatorPrefixMatches(t *testing.T) {
 	if math.Abs(sum) > 1e-12 {
 		t.Fatalf("prefix indicator sum = %v, want 0", sum)
 	}
+}
+
+// TestFlatStateResyncPeriod pins when a tile's moments are re-accumulated:
+// after resyncInterval updates for tiles of up to resyncInterval nodes,
+// after the tile's own node count for larger ones, whether the crossing
+// update comes through TickTile or Exchange. Right after each resync the
+// moments must equal a fresh re-accumulation bit for bit.
+func TestFlatStateResyncPeriod(t *testing.T) {
+	cases := []struct {
+		size   int32
+		period int64
+	}{
+		{4, 1 << 16},
+		{1 << 16, 1 << 16},
+		{1<<17 + 3, 1<<17 + 3},
+	}
+	const other = 4 // a second tile that must never be touched
+	for _, c := range cases {
+		r := rng.New(uint64(c.size))
+		x0 := make([]float64, c.size+other)
+		for i := range x0 {
+			x0[i] = r.Float64()*10 - 3
+		}
+		fs, err := NewFlatState(x0, [][2]int32{{0, c.size}, {c.size, c.size + other}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		us, vs := make([]int32, 1), make([]int32, 1)
+		// The first period is crossed by TickTile, the second by Exchange.
+		for _, viaExchange := range []bool{false, true} {
+			for k := int64(1); k <= c.period; k++ {
+				i := r.Intn(int(c.size))
+				j := r.Intn(int(c.size) - 1)
+				if j >= i {
+					j++
+				}
+				if viaExchange && k == c.period {
+					fs.Exchange(int32(i), int32(j))
+				} else {
+					us[0], vs[0] = int32(i), int32(j)
+					fs.TickTile(0, us, vs)
+				}
+				if want := k % c.period; fs.ops[0] != want {
+					t.Fatalf("size %d (exchange=%v): ops %d after %d updates, want %d",
+						c.size, viaExchange, fs.ops[0], k, want)
+				}
+			}
+			sum, sumSq := fs.sum[0], fs.sumSq[0]
+			fs.resyncTile(0)
+			if math.Float64bits(sum) != math.Float64bits(fs.sum[0]) ||
+				math.Float64bits(sumSq) != math.Float64bits(fs.sumSq[0]) {
+				t.Fatalf("size %d (exchange=%v): moments (%v, %v) after resync, fresh (%v, %v)",
+					c.size, viaExchange, sum, sumSq, fs.sum[0], fs.sumSq[0])
+			}
+		}
+		if fs.ops[1] != 0 {
+			t.Fatalf("size %d: untouched tile counted %d updates", c.size, fs.ops[1])
+		}
+	}
+}
+
+// exactVariance is the two-pass population variance of the stored
+// (centred) values — the reference the incremental moments approximate.
+func exactVariance(s *FlatState) float64 {
+	var sum float64
+	for _, y := range s.y {
+		sum += y
+	}
+	m := sum / float64(len(s.y))
+	var ss float64
+	for _, y := range s.y {
+		d := y - m
+		ss += d * d
+	}
+	return ss / float64(len(s.y))
+}
+
+// TestFlatStateDriftLargeTiles bounds the incremental moments' drift on
+// tiles longer than resyncInterval, which resync only once per tile size:
+// two 2^17+3-node cliques of values 1e6 + 1e3·U(0,1) are averaged for
+// 1.5·10^7 events each — over a hundred resync periods, until the variance
+// has fallen far below 1e-7 of its start — and at every checkpoint
+// Variance() must agree with a two-pass exact variance to 1e-8 relative.
+func TestFlatStateDriftLargeTiles(t *testing.T) {
+	const (
+		side       = 1<<17 + 3
+		perTile    = 15_000_000
+		chunk      = 256
+		cross      = 32      // cross-tile exchanges per chunk, mixing the halves
+		checkEvery = 1 << 12 // chunks between checkpoints: ~10^6 events
+	)
+	ig, err := graph.ImplicitDumbbell(side, side, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	til := ig.Tiling()
+	r := rng.New(41)
+	x0 := make([]float64, ig.NumNodes())
+	for i := range x0 {
+		x0[i] = 1e6 + 1e3*r.Float64()
+	}
+	fs, err := NewFlatState(x0, til.Bounds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v0 := exactVariance(fs)
+	us, vs := make([]int32, chunk), make([]int32, chunk)
+	worst := 0.0
+	rounds := (perTile + chunk - 1) / chunk
+	for round := 1; round <= rounds; round++ {
+		for ti := range til.Tiles {
+			til.Tiles[ti].Fill(r, us, vs)
+			fs.TickTile(ti, us, vs)
+		}
+		for k := 0; k < cross; k++ {
+			fs.Exchange(int32(r.Intn(side)), int32(side+r.Intn(side)))
+		}
+		if round%checkEvery == 0 || round == rounds {
+			exact := exactVariance(fs)
+			rel := math.Abs(fs.Variance()-exact) / exact
+			worst = max(worst, rel)
+			if !(rel <= 1e-8) {
+				t.Fatalf("after %d events per tile: Variance %v, exact %v (relative error %.3g)",
+					round*chunk, fs.Variance(), exact, rel)
+			}
+		}
+	}
+	if v := exactVariance(fs); !(v < 1e-7*v0) {
+		t.Fatalf("variance fell only from %v to %v", v0, v)
+	}
+	t.Logf("worst relative drift %.3g", worst)
 }

@@ -24,6 +24,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"sparsecut/internal/rng"
@@ -162,18 +163,30 @@ func cliqueEdgeAt(s int, t int64) (u, v int) {
 	return u, v
 }
 
-// cliqueFill samples uniform unordered pairs inside [lo, lo+size): two
+// cliqueFill samples uniform unordered pairs inside [base, base+size): two
 // bounded uniforms and a shift, no triangular inversion on the hot path.
-func cliqueFill(lo int32, size int) func(r *rng.RNG, us, vs []int32) {
+// The draws are r.Intn(size) then r.Intn(size-1) with the Lemire fast
+// path inlined (Intn is over the inlining budget) and the shared
+// rejection finisher on the rare branch, so the stream is consumed word
+// for word as the two Intn calls would.
+func cliqueFill(base int32, size int) func(r *rng.RNG, us, vs []int32) {
+	bi, bj := uint64(size), uint64(size-1)
 	return func(r *rng.RNG, us, vs []int32) {
+		vs = vs[:len(us)]
 		for k := range us {
-			i := r.Intn(size)
-			j := r.Intn(size - 1)
+			i, lo := bits.Mul64(r.Uint64(), bi)
+			if lo < bi {
+				i = r.IntnSlow(i, lo, bi)
+			}
+			j, lo := bits.Mul64(r.Uint64(), bj)
+			if lo < bj {
+				j = r.IntnSlow(j, lo, bj)
+			}
 			if j >= i {
 				j++
 			}
-			us[k] = lo + int32(i)
-			vs[k] = lo + int32(j)
+			us[k] = base + int32(i)
+			vs[k] = base + int32(j)
 		}
 	}
 }

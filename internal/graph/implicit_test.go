@@ -279,6 +279,39 @@ func TestCliqueEdgeAtRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCliqueFillMatchesIntn pins cliqueFill's stream consumption: its
+// inlined draws must yield the pairs of r.Intn(size), r.Intn(size-1) and
+// the shift on a twin stream, and leave both streams at the same position,
+// across clique sizes and chunk lengths straddling the RNG's block size.
+func TestCliqueFillMatchesIntn(t *testing.T) {
+	const base = 7
+	for _, size := range []int{2, 3, 64, 500_000} {
+		fill := cliqueFill(base, size)
+		for _, chunk := range []int{1, 255, 256, 257} {
+			seed := uint64(size*1000 + chunk)
+			r, twin := rng.New(seed), rng.New(seed)
+			us, vs := make([]int32, chunk), make([]int32, chunk)
+			for call := 0; call < 5; call++ {
+				fill(r, us, vs)
+				for k := range us {
+					i := twin.Intn(size)
+					j := twin.Intn(size - 1)
+					if j >= i {
+						j++
+					}
+					if us[k] != base+int32(i) || vs[k] != base+int32(j) {
+						t.Fatalf("size %d chunk %d call %d pair %d: (%d,%d), want (%d,%d)",
+							size, chunk, call, k, us[k], vs[k], base+i, base+j)
+					}
+				}
+			}
+			if a, b := r.Uint64(), twin.Uint64(); a != b {
+				t.Fatalf("size %d chunk %d: streams diverged after the fills: %#x vs %#x", size, chunk, a, b)
+			}
+		}
+	}
+}
+
 // TestMillionNodeImplicit is the scale smoke: a 10^6-node dumbbell's
 // index arithmetic must work where materialisation is impossible
 // (~2.5·10^11 edges).

@@ -138,7 +138,9 @@ func (r *RNG) Intn(n int) int {
 // loops that inline the fast path — hi, lo := bits.Mul64(r.Uint64(),
 // bound) — call this when lo < bound, exactly as Intn does; keeping the
 // threshold logic here means there is a single source of truth for the
-// draw sequence.
+// draw sequence. The inlining callers are the fused per-event loop
+// (sim/kernel.go), the batched engine's edge picks (sim/batch.go) and the
+// implicit graphs' clique sampler (graph/implicit.go).
 func (r *RNG) IntnSlow(hi, lo, bound uint64) uint64 {
 	thresh := (-bound) % bound
 	for lo < thresh {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -145,5 +147,39 @@ func TestShardEngineHotPathAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("sharded hot path allocates %.1f per window, want 0", allocs)
+	}
+}
+
+// TestShardEngineGoldenDigest pins the sharded hot path's output bytes on
+// clique tiles larger than 2^16 nodes: the FNV-64a digest of the final
+// values (and the event count) of a seeded run must equal the constants
+// below, which were recorded before the clique sampler's draws were
+// inlined and FlatState's resync period was tied to the tile size. The
+// draws and the pair arithmetic define the trajectory; the moment
+// bookkeeping must never feed back into it.
+func TestShardEngineGoldenDigest(t *testing.T) {
+	const (
+		side       = 1<<17 + 3
+		wantDigest = uint64(0x488070e666fb63cc)
+		wantEvents = int64(1030344)
+	)
+	ig, err := graph.ImplicitDumbbell(side, side, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		til, fs := shardFixture(t, ig, 31)
+		e := NewShardEngine(til, fs, rng.New(32), ShardConfig{Workers: workers, Window: 1e-5})
+		e.RunUntil(6e-5)
+		h := fnv.New64a()
+		var buf [8]byte
+		for u := 0; u < fs.N(); u++ {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(fs.Value(u)))
+			h.Write(buf[:])
+		}
+		if got := h.Sum64(); got != wantDigest || e.Events() != wantEvents {
+			t.Errorf("workers=%d: digest %#x after %d events, want %#x after %d",
+				workers, got, e.Events(), wantDigest, wantEvents)
+		}
 	}
 }
