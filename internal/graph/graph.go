@@ -10,14 +10,18 @@
 // IDs in [0, NumEdges) — both are stable for the lifetime of the graph,
 // which lets simulators index per-edge state with plain slices.
 //
-// Key types: Graph (immutable, CSR adjacency), Partition (two-way cut accounting), the generator zoo in generators.go/composites.go. See DESIGN.md §1 for the layout and §7 for the family registry built on top.
+// Key types: Graph (immutable; one flat offset + half-edge adjacency
+// array, built by Builder with two counting sorts and no edge map),
+// Partition (two-way cut accounting), the generator zoo in
+// generators.go/composites.go. See DESIGN.md §1 for the package layout,
+// §6.1 for the adjacency layout and its build, and §7 for the family
+// registry built on top.
 package graph
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // NodeID identifies a vertex. IDs are dense: 0 <= id < NumNodes().
@@ -66,19 +70,18 @@ type HalfEdge struct {
 // or one of the generators. The zero value is an empty graph with no nodes.
 type Graph struct {
 	name  string
+	n     int
 	edges []Edge
-	adj   [][]HalfEdge
+	// Flat adjacency: the half-edges of node u are half[off[u]:off[u+1]],
+	// sorted by peer. len(off) = n+1 and len(half) = 2·|E|.
+	off  []int32
+	half []HalfEdge
 	// pos holds optional 2-D coordinates (geometric generators); nil otherwise.
 	pos []Point
 
-	// Flat mirrors of edges/adj, built once at Build() time so simulation
-	// kernels can resolve an edge's endpoints or a node's neighbourhood with
-	// plain int32 array indexing instead of Edge struct loads or slice-of-
-	// slice pointer chasing.
+	// Flat endpoint arrays, so simulation kernels resolve an edge's
+	// endpoints with two int32 loads instead of an Edge struct load.
 	edgeU, edgeV []int32 // endpoints of edge id, edgeU[id] < edgeV[id]
-	csrOff       []int32 // CSR offsets, len NumNodes()+1
-	csrPeer      []int32 // neighbour of the half-edge, len 2*NumEdges()
-	csrEdge      []int32 // undirected edge id of the half-edge, len 2*NumEdges()
 }
 
 // Point is a 2-D coordinate attached to nodes of geometric graphs.
@@ -90,7 +93,7 @@ type Point struct {
 func (g *Graph) Name() string { return g.name }
 
 // NumNodes returns |V|.
-func (g *Graph) NumNodes() int { return len(g.adj) }
+func (g *Graph) NumNodes() int { return g.n }
 
 // NumEdges returns |E|.
 func (g *Graph) NumEdges() int { return len(g.edges) }
@@ -111,26 +114,23 @@ func (g *Graph) EdgeU() []int32 { return g.edgeU }
 // not modify it.
 func (g *Graph) EdgeV() []int32 { return g.edgeV }
 
-// CSR returns the compressed-sparse-row adjacency: the half-edges of node u
-// are peers[offsets[u]:offsets[u+1]] (sorted by peer id, matching
-// Neighbors), and edges[k] is the undirected edge id of half-edge k. The
-// caller must not modify the returned slices.
-func (g *Graph) CSR() (offsets, peers, edges []int32) {
-	return g.csrOff, g.csrPeer, g.csrEdge
-}
-
 // Degree returns the number of neighbours of node u.
-func (g *Graph) Degree(u NodeID) int { return len(g.adj[u]) }
+func (g *Graph) Degree(u NodeID) int { return int(g.off[u+1] - g.off[u]) }
 
-// Neighbors returns u's adjacency list. The caller must not modify it.
-func (g *Graph) Neighbors(u NodeID) []HalfEdge { return g.adj[u] }
+// Neighbors returns u's adjacency list, sorted by peer. The caller must not
+// modify it; its capacity ends at the row, so appending to it cannot
+// overwrite the next node's half-edges.
+func (g *Graph) Neighbors(u NodeID) []HalfEdge {
+	lo, hi := g.off[u], g.off[u+1]
+	return g.half[lo:hi:hi]
+}
 
 // MaxDegree returns the largest degree in the graph (0 for an empty graph).
 func (g *Graph) MaxDegree() int {
 	m := 0
-	for _, a := range g.adj {
-		if len(a) > m {
-			m = len(a)
+	for u := 0; u < g.n; u++ {
+		if d := int(g.off[u+1] - g.off[u]); d > m {
+			m = d
 		}
 	}
 	return m
@@ -157,7 +157,7 @@ func (g *Graph) FindEdge(u, v NodeID) (EdgeID, bool) {
 	if g.Degree(u) > g.Degree(v) {
 		u, v = v, u
 	}
-	for _, he := range g.adj[u] {
+	for _, he := range g.Neighbors(u) {
 		if he.Peer == v {
 			return he.Edge, true
 		}
@@ -178,8 +178,7 @@ func (g *Graph) String() string {
 // is ready to use. Builders are not safe for concurrent use.
 type Builder struct {
 	n     int
-	edges map[Edge]struct{}
-	order []Edge // insertion order, for deterministic edge IDs
+	order []Edge // every insertion, normalised, repeats included
 	name  string
 	pos   []Point
 	err   error
@@ -187,7 +186,7 @@ type Builder struct {
 
 // NewBuilder returns a builder for a graph with n nodes (IDs 0..n-1).
 func NewBuilder(n int) *Builder {
-	b := &Builder{edges: make(map[Edge]struct{})}
+	b := &Builder{}
 	if n < 0 {
 		b.err = fmt.Errorf("graph: negative node count %d", n)
 		return b
@@ -214,8 +213,9 @@ func (b *Builder) SetPositions(pos []Point) *Builder {
 }
 
 // AddEdge inserts the undirected edge {u, v}. Self-loops and out-of-range
-// endpoints are recorded as errors reported by Build; duplicate edges are
-// ignored so generators may be sloppy about double insertion.
+// endpoints are recorded as errors reported by Build. A repeated edge, in
+// either orientation, is dropped by Build and keeps the id of its first
+// insertion, so generators may be sloppy about double insertion.
 func (b *Builder) AddEdge(u, v NodeID) *Builder {
 	if b.err != nil {
 		return b
@@ -228,26 +228,20 @@ func (b *Builder) AddEdge(u, v NodeID) *Builder {
 		b.err = fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, b.n)
 		return b
 	}
-	e := NewEdge(u, v)
-	if _, dup := b.edges[e]; dup {
-		return b
-	}
-	b.edges[e] = struct{}{}
-	b.order = append(b.order, e)
+	b.order = append(b.order, NewEdge(u, v))
 	return b
 }
 
-// HasEdge reports whether {u,v} has been added.
-func (b *Builder) HasEdge(u, v NodeID) bool {
-	_, ok := b.edges[NewEdge(u, v)]
-	return ok
-}
-
-// NumEdges returns the number of distinct edges added so far.
-func (b *Builder) NumEdges() int { return len(b.order) }
-
-// Build validates and returns the immutable graph. The builder may be
+// Build validates and returns the immutable graph. Edge ids follow first
+// insertion and every adjacency row is sorted by peer. The builder may be
 // reused afterwards (further AddEdge calls do not affect the built graph).
+//
+// Build uses no map and no comparison sort. A counting sort by endpoint
+// lays each node's half-edges out in insertion order. A second counting
+// pass reads those rows in ascending node order and moves every half-edge
+// to its peer's row, which leaves each row sorted by peer, with the copies
+// of a repeated edge adjacent and in insertion order. Only when such a
+// repeat exists does dedupe drop the later copies and renumber.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -258,43 +252,105 @@ func (b *Builder) Build() (*Graph, error) {
 	if err := checkIndexSpace(b.n, len(b.order)); err != nil {
 		return nil, err
 	}
+	n, m := b.n, len(b.order)
 	g := &Graph{
 		name:  b.name,
+		n:     n,
 		edges: append([]Edge(nil), b.order...),
-		adj:   make([][]HalfEdge, b.n),
+		off:   make([]int32, n+1),
 	}
 	if b.pos != nil {
 		g.pos = append([]Point(nil), b.pos...)
 	}
+	off := g.off
+	for _, e := range g.edges {
+		off[e.U+1]++
+		off[e.V+1]++
+	}
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	// Rows in insertion order.
+	next := make([]int32, n)
+	copy(next, off)
+	byID := make([]HalfEdge, 2*m)
 	for id, e := range g.edges {
-		g.adj[e.U] = append(g.adj[e.U], HalfEdge{Peer: e.V, Edge: EdgeID(id)})
-		g.adj[e.V] = append(g.adj[e.V], HalfEdge{Peer: e.U, Edge: EdgeID(id)})
+		byID[next[e.U]] = HalfEdge{Peer: e.V, Edge: EdgeID(id)}
+		next[e.U]++
+		byID[next[e.V]] = HalfEdge{Peer: e.U, Edge: EdgeID(id)}
+		next[e.V]++
 	}
-	// Deterministic neighbour order regardless of insertion order.
-	for _, a := range g.adj {
-		sort.Slice(a, func(i, j int) bool { return a[i].Peer < a[j].Peer })
+	// Rows sorted by peer: node u's half-edge to p becomes p's half-edge
+	// to u, and u ascends.
+	copy(next, off)
+	half := make([]HalfEdge, 2*m)
+	repeats := false
+	for u := 0; u < n; u++ {
+		for _, he := range byID[off[u]:off[u+1]] {
+			p := he.Peer
+			k := next[p]
+			if k > off[p] && half[k-1].Peer == NodeID(u) {
+				repeats = true
+			}
+			half[k] = HalfEdge{Peer: NodeID(u), Edge: he.Edge}
+			next[p] = k + 1
+		}
 	}
-	// Flat endpoint arrays and CSR adjacency for simulation kernels.
+	g.half = half
+	if repeats {
+		g.dedupe()
+	}
 	g.edgeU = make([]int32, len(g.edges))
 	g.edgeV = make([]int32, len(g.edges))
 	for id, e := range g.edges {
 		g.edgeU[id] = int32(e.U)
 		g.edgeV[id] = int32(e.V)
 	}
-	g.csrOff = make([]int32, b.n+1)
-	g.csrPeer = make([]int32, 2*len(g.edges))
-	g.csrEdge = make([]int32, 2*len(g.edges))
-	k := 0
-	for u, a := range g.adj {
-		g.csrOff[u] = int32(k)
-		for _, he := range a {
-			g.csrPeer[k] = int32(he.Peer)
-			g.csrEdge[k] = int32(he.Edge)
-			k++
+	return g, nil
+}
+
+// dedupe drops repeated edges from a graph under construction whose rows
+// hold the copies of an edge adjacent and in insertion order. It keeps the
+// first copy of each edge and renumbers edge ids by first insertion.
+func (g *Graph) dedupe() {
+	remap := make([]EdgeID, len(g.edges))
+	for id := range remap {
+		remap[id] = -1
+	}
+	for u := 0; u < g.n; u++ {
+		prev := NodeID(-1)
+		for _, he := range g.Neighbors(NodeID(u)) {
+			if he.Peer != prev {
+				remap[he.Edge] = 0
+				prev = he.Peer
+			}
 		}
 	}
-	g.csrOff[b.n] = int32(k)
-	return g, nil
+	kept := 0
+	for id, e := range g.edges {
+		if remap[id] == 0 {
+			remap[id] = EdgeID(kept)
+			g.edges[kept] = e
+			kept++
+		}
+	}
+	g.edges = g.edges[:kept]
+	w, lo := int32(0), g.off[0]
+	for u := 0; u < g.n; u++ {
+		hi := g.off[u+1]
+		g.off[u] = w
+		prev := NodeID(-1)
+		for _, he := range g.half[lo:hi] {
+			if he.Peer != prev {
+				g.half[w] = HalfEdge{Peer: he.Peer, Edge: remap[he.Edge]}
+				w++
+				prev = he.Peer
+			}
+		}
+		lo = hi
+	}
+	g.off[g.n] = w
+	g.half = g.half[:w]
 }
 
 // MustBuild is Build for generators with no failure mode; it panics on error.
@@ -308,17 +364,19 @@ func (b *Builder) MustBuild() *Graph {
 
 // ErrTooLarge is returned (wrapped) when a graph would overflow the int32
 // id space of the materialised representation: NodeID/EdgeID are int32, and
-// the CSR half-edge arrays additionally need 2·|E| (plus the offset
-// sentinel) to fit an int32. Callers hitting it should switch to the
+// the flat half-edge array additionally needs 2·|E| (the offset sentinel)
+// to fit an int32. Callers hitting it should switch to the
 // Implicit representation, whose edge ids are int64.
 var ErrTooLarge = errors.New("graph: graph exceeds int32 index space")
 
-// maxBuildEdges bounds |E| so 2·|E| half-edges plus the CSR offset
-// sentinel stay representable: csrOff[n] = 2·|E| must fit an int32.
+// maxBuildEdges bounds |E| so 2·|E| half-edges stay representable: the
+// offset sentinel off[n] = 2·|E| must fit an int32.
 const maxBuildEdges = (math.MaxInt32 - 1) / 2
 
 // checkIndexSpace validates node and edge counts against the int32 id
-// space before Build commits to its large allocations.
+// space before Build commits to its large allocations. Build passes the raw
+// insertion count, repeats included: it sizes its O(|E|) arrays from that
+// count before dedupe, so the insertions themselves must fit.
 func checkIndexSpace(nodes, edges int) error {
 	if int64(nodes) > math.MaxInt32 {
 		return fmt.Errorf("%w: %d nodes (max %d)", ErrTooLarge, nodes, math.MaxInt32)

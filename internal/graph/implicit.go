@@ -6,12 +6,12 @@ package graph
 // arithmetic. An implicit graph therefore costs O(1) memory per node
 // (plus the handful of explicit cross-block edges), which is what lets a
 // single 10^6-node dumbbell replica — ~2.5·10^11 edges, hopelessly beyond
-// any CSR materialisation — run in RAM.
+// any materialised adjacency — run in RAM.
 //
 // The representation is contract-compatible with Builder.Build: edge ids
 // follow the generator's insertion order, EdgeAt returns normalised
 // endpoints (u < v), and Neighbor enumerates peers in ascending order,
-// exactly matching the materialised CSR adjacency. The package tests
+// exactly matching the materialised adjacency. The package tests
 // assert element-identical enumeration against the materialised
 // constructors for every family, across sizes and cut widths.
 //

@@ -59,11 +59,11 @@ func ReadEdgeList(rd io.Reader) (*Graph, error) {
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("graph: line %d: malformed nodes header %q", lineNo, line)
 			}
-			n, err := strconv.Atoi(fields[1])
+			n, err := strconv.ParseInt(fields[1], 10, 32)
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad node count %q", lineNo, fields[1])
 			}
-			b = NewBuilder(n).SetName(name)
+			b = NewBuilder(int(n)).SetName(name)
 		default:
 			if b == nil {
 				return nil, fmt.Errorf("graph: line %d: edge before nodes header", lineNo)
@@ -72,8 +72,10 @@ func ReadEdgeList(rd io.Reader) (*Graph, error) {
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("graph: line %d: malformed edge %q", lineNo, line)
 			}
-			u, err1 := strconv.Atoi(fields[0])
-			v, err2 := strconv.Atoi(fields[1])
+			// Ids are parsed at NodeID's width: a wider parse would wrap in
+			// the NodeID conversion and alias an in-range node.
+			u, err1 := strconv.ParseInt(fields[0], 10, 32)
+			v, err2 := strconv.ParseInt(fields[1], 10, 32)
 			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("graph: line %d: malformed edge %q", lineNo, line)
 			}

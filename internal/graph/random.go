@@ -66,6 +66,7 @@ func RandomRegular(r *rng.RNG, n, d, maxTries int) (*Graph, error) {
 			}
 		}
 		b := NewBuilder(n).SetName(fmt.Sprintf("regular(n=%d,d=%d)", n, d))
+		seen := make(map[Edge]struct{}, n*d/2)
 		stuck := false
 		for len(stubs) > 0 && !stuck {
 			// Give each pairing a bounded number of local attempts before
@@ -83,9 +84,11 @@ func RandomRegular(r *rng.RNG, n, d, maxTries int) (*Graph, error) {
 					continue
 				}
 				u, v := NodeID(stubs[i]), NodeID(stubs[j])
-				if u == v || b.HasEdge(u, v) {
+				e := NewEdge(u, v)
+				if _, dup := seen[e]; u == v || dup {
 					continue
 				}
+				seen[e] = struct{}{}
 				b.AddEdge(u, v)
 				// Remove both stubs (higher index first).
 				if i < j {

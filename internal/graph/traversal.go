@@ -5,7 +5,7 @@ package graph
 
 // BFSDistances returns the hop distance from src to every node, with -1 for
 // unreachable nodes. It panics if src is out of range. The traversal runs
-// over the flat CSR adjacency with a fixed-capacity cursor queue — Diameter
+// over the flat adjacency with a fixed-capacity cursor queue — Diameter
 // calls this once per node, so the all-pairs cost matters on the larger
 // experiment graphs.
 func BFSDistances(g *Graph, src NodeID) []int {
@@ -14,14 +14,13 @@ func BFSDistances(g *Graph, src NodeID) []int {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	off, peers, _ := g.CSR()
-	queue := make([]int32, 1, g.NumNodes())
-	queue[0] = int32(src)
+	queue := make([]NodeID, 1, g.NumNodes())
+	queue[0] = src
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		du := dist[u]
-		for _, v := range peers[off[u]:off[u+1]] {
-			if dist[v] == -1 {
+		for _, he := range g.Neighbors(u) {
+			if v := he.Peer; dist[v] == -1 {
 				dist[v] = du + 1
 				queue = append(queue, v)
 			}
