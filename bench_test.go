@@ -229,9 +229,10 @@ func BenchmarkSimulatorVanillaBatchTracked(b *testing.B) {
 	})
 }
 
-// BenchmarkSimulatorPerEdgeHeap measures the heap-based per-edge-clock
-// scheduler on the same workload.
-func BenchmarkSimulatorPerEdgeHeap(b *testing.B) {
+// BenchmarkSimulatorHeterogeneousAlias measures the fused path under
+// per-edge rates drawn from [0.5, 2): each event picks its edge from the
+// Walker alias table instead of the uniform pick.
+func BenchmarkSimulatorHeterogeneousAlias(b *testing.B) {
 	g, part, err := graph.Dumbbell(64, 64, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -240,12 +241,17 @@ func BenchmarkSimulatorPerEdgeHeap(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := sim.NewEngine(g, alg, sim.WithScheduler(sim.PerEdgeClocks))
+	r := rng.New(1)
+	rates := make([]float64, g.NumEdges())
+	for i := range rates {
+		rates[i] = 0.5 + 1.5*r.Float64()
+	}
+	eng, err := sim.NewEngine(g, alg, sim.WithRates(rates))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	eng.Run(sim.MaxEvents(int64(b.N)))
+	eng.RunEvents(int64(b.N))
 }
 
 // BenchmarkAlgorithmATick measures Algorithm A's per-event cost including

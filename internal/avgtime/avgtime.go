@@ -73,9 +73,6 @@ type Config struct {
 	// MaxTime hard-caps each trial (default 1e6 time units). Trials
 	// reaching it above the margin are counted in Result.Censored.
 	MaxTime float64
-	// Scheduler selects the event generator (default sim.GlobalClock).
-	// Ignored by EstimateBatched.
-	Scheduler sim.SchedulerKind
 	// Seed seeds the trial streams (default 1).
 	Seed uint64
 	// BatchWidth caps the number of trials resident per replica batch in
@@ -230,7 +227,7 @@ func runTrial(g *graph.Graph, rates []float64, alg gossip.Algorithm, r *rng.RNG,
 	}
 	quiet := cfg.quietFor(alg)
 	stopMargin := cfg.Threshold * cfg.MarginFactor
-	opts := []sim.Option{sim.WithRNG(r), sim.WithScheduler(cfg.Scheduler)}
+	opts := []sim.Option{sim.WithRNG(r)}
 	if rates != nil {
 		opts = append(opts, sim.WithRates(rates))
 	}

@@ -220,21 +220,6 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	}
 }
 
-func TestSchedulerChoiceWorks(t *testing.T) {
-	g := graph.Complete(8)
-	x0, err := gossip.Spike(8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Estimate(g, VanillaFactory(g, x0), Config{Trials: 3, Scheduler: sim.PerEdgeClocks})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tav <= 0 {
-		t.Error("per-edge-clock estimate failed")
-	}
-}
-
 func TestCensoringAtTinyMaxTime(t *testing.T) {
 	// A path graph cannot average in time 0.001: the trial must censor.
 	g := graph.Path(32)

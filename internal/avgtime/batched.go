@@ -28,12 +28,11 @@ type EnsembleFactory func(replicas int, algStreams []*rng.RNG) (sim.BatchKernel,
 // tests check the two paths against each other distributionally.
 //
 // nil rates mean the paper's rate-1 clocks. Config is interpreted as in
-// Estimate, with two differences: Scheduler is ignored (the bridged
-// engine is inherently a global-clock construction), and BatchWidth
-// bounds how many trials are resident per batch (memory only — every
-// trial's randomness comes from its own pair of child streams, derived
-// from Config.Seed in trial order exactly as the legacy loop derives
-// them, so the reported Result is byte-identical for any width).
+// Estimate, except that BatchWidth bounds how many trials are resident per
+// batch (memory only — every trial's randomness comes from its own pair of
+// child streams, derived from Config.Seed in trial order exactly as the
+// legacy loop derives them, so the reported Result is byte-identical for
+// any width).
 //
 // Algorithms whose tracked statistics need materialised per-event times
 // (Algorithm A's epoch machinery) have no ensemble form; they stay on the

@@ -525,7 +525,7 @@ func runE12(p Params) (Section, error) {
 	sec.addMetric("ratio@sim", varX/var0)
 	sec.addMetric("max-divergence", maxDiv)
 	sec.Notes = append(sec.Notes,
-		"The live goroutine-per-node runtime (Chan/Drop/Delay/TCP transports, message loss, abort accounting) is exercised by `go test ./internal/dist -race` and `go run ./cmd/distrun -compare`; its wall-clock scheduling is nondeterministic by nature and is excluded from this byte-deterministic document.")
+		"The live sharded runtime (one event loop per shard over Chan/Drop/Delay/TCP transports, message loss, abort accounting) is exercised by `go test ./internal/dist -race` and `go run ./cmd/distrun -compare`; its wall-clock scheduling is nondeterministic by nature and is excluded from this byte-deterministic document.")
 	return sec, nil
 }
 

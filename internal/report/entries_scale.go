@@ -135,6 +135,6 @@ func runE15(p Params) (Section, error) {
 		sec.Tables = append(sec.Tables, tbl)
 	}
 	sec.Notes = append(sec.Notes,
-		"The sharded engine's output is byte-identical for any worker count (the tiling and RNG streams are fixed by the graph); the determinism and KS cross-checks live in internal/sim and internal/avgtime tests. The same engine completes a 10^6-node dumbbell (2.5x10^11 edges, never materialised) at ~30 ns/event — see cmd/bench's sharded rows.")
+		"The sharded engine's output is byte-identical for any worker count (the tiling and RNG streams are fixed by the graph); the determinism and KS cross-checks live in internal/sim and internal/avgtime tests. The same engine completes a 10^6-node dumbbell (2.5x10^11 edges, never materialised); its events per second are the `ops_per_s` of `bash perfbench/run.sh --workload shard-1m`.")
 	return sec, nil
 }

@@ -302,6 +302,51 @@ func BenchmarkExpFloat64(b *testing.B) {
 	_ = sink
 }
 
+func BenchmarkExpUnit(b *testing.B) {
+	r := New(1)
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += r.ExpUnit()
+	}
+	_ = sink
+}
+
+// BenchmarkFillExpBatch reports the cost per draw of filling 1024-draw
+// batches, the batched engines' way of sampling gaps.
+func BenchmarkFillExpBatch(b *testing.B) {
+	r := New(1)
+	dst := make([]float64, 1024)
+	for i := 0; i < b.N; i += len(dst) {
+		r.FillExp(dst, 1)
+	}
+}
+
+// BenchmarkGammaInt256 is the Gamma bridge draw of one 256-event chunk,
+// with the per-shape constants cached across draws.
+func BenchmarkGammaInt256(b *testing.B) {
+	r := New(1)
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += r.GammaInt(256)
+	}
+	_ = sink
+}
+
+// BenchmarkGammaIntMixedShapes alternates shapes, which defeats the
+// per-shape cache on every draw: the worst case of BenchmarkGammaInt256.
+func BenchmarkGammaIntMixedShapes(b *testing.B) {
+	r := New(1)
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		if i&1 == 0 {
+			sink += r.GammaInt(64)
+		} else {
+			sink += r.GammaInt(256)
+		}
+	}
+	_ = sink
+}
+
 // Regression for the open-interval fix: neither exponential sampler may
 // ever return exactly 0 or +Inf (the old 1-Float64() inversion could
 // return 0 when Float64() hit its lattice endpoint).

@@ -10,13 +10,12 @@ import (
 
 // TickKernel is the fused fast path of the simulator. A Handler that also
 // implements TickKernel lets the engine drive it in batches — event
-// sampling stays inline in the engine (no scheduler interface call per
-// event for the global clock), and the algorithm's per-event update runs
-// in one monomorphic loop per batch instead of one virtual dispatch per
-// event. The kernel methods must apply exactly the same update as
-// HandleTick: the engine guarantees that for any seed the fused run
-// produces bit-identical trajectories to the HandleTick path, and the
-// package tests of the algorithms enforce it.
+// sampling stays inline in the engine (no scheduler call per event), and
+// the algorithm's per-event update runs in one monomorphic loop per batch
+// instead of one virtual dispatch per event. The kernel methods must apply
+// exactly the same update as HandleTick: the engine guarantees that for any
+// seed the fused run produces bit-identical trajectories to the HandleTick
+// path, and the package tests of the algorithms enforce it.
 type TickKernel interface {
 	// TickEdges applies the algorithm's update for a batch of ticks:
 	// edges[k] ticked at times[k], in order. len(times) == len(edges).
@@ -60,49 +59,38 @@ func (e *Engine) ensureBatch() {
 //
 // This is the single fused sampling loop: the global-clock draws are
 // inlined — ziggurat fast path + Lemire pick replicated bit-for-bit in
-// exactly the draw order of scheduler.next() — so fused and generic runs
-// consume identical random streams (the kernel equivalence tests enforce
-// this).
+// exactly the draw order of globalScheduler.next() — so fused and generic
+// runs consume identical random streams (the kernel equivalence tests
+// enforce this).
 func (e *Engine) fillUntil(max int, maxT float64) int {
 	n := 0
-	if gs, ok := e.scheduler.(*globalScheduler); ok {
-		r, inv, now := gs.r, gs.invTotal, gs.now
-		bound := uint64(gs.numEdges)
-		uniform, al := gs.uniform, gs.alias
-		for n < max && now < maxT {
-			// Inline ziggurat common case (rng.ExpUnit), shared slow
-			// finisher on the rare branch.
-			u := r.Uint64()
-			g, okFast := rng.ZigAccept(u)
-			if !okFast {
-				g = r.ExpUnitSlow(u)
-			}
-			now += g * inv
-			e.batchT[n] = now
-			if uniform {
-				// Inline Lemire pick (rng.Intn), shared rejection finisher.
-				hi, lo := bits.Mul64(r.Uint64(), bound)
-				if lo < bound {
-					hi = r.IntnSlow(hi, lo, bound)
-				}
-				e.batchE[n] = graph.EdgeID(hi)
-			} else {
-				e.batchE[n] = graph.EdgeID(al.pick(r))
-			}
-			n++
+	gs := e.sched
+	r, inv, now := gs.r, gs.invTotal, gs.now
+	bound := uint64(gs.numEdges)
+	uniform, al := gs.uniform, gs.alias
+	for n < max && now < maxT {
+		// Inline ziggurat common case (rng.ExpUnit), shared slow
+		// finisher on the rare branch.
+		u := r.Uint64()
+		g, okFast := rng.ZigAccept(u)
+		if !okFast {
+			g = r.ExpUnitSlow(u)
 		}
-		gs.now = now
-	} else {
-		for n < max {
-			edge, at := e.scheduler.next()
-			e.batchE[n] = edge
-			e.batchT[n] = at
-			n++
-			if at >= maxT {
-				break
+		now += g * inv
+		e.batchT[n] = now
+		if uniform {
+			// Inline Lemire pick (rng.Intn), shared rejection finisher.
+			hi, lo := bits.Mul64(r.Uint64(), bound)
+			if lo < bound {
+				hi = r.IntnSlow(hi, lo, bound)
 			}
+			e.batchE[n] = graph.EdgeID(hi)
+		} else {
+			e.batchE[n] = graph.EdgeID(al.pick(r))
 		}
+		n++
 	}
+	gs.now = now
 	if n > 0 {
 		e.now = e.batchT[n-1]
 	}
@@ -192,7 +180,7 @@ func (e *Engine) RunTracked(cfg Tracked) (res TrackedResult, ok bool) {
 		if v < cfg.StopLevel && e.now >= lastExceed+cfg.Quiet {
 			break
 		}
-		edge, at := e.scheduler.next()
+		edge, at := e.sched.next()
 		e.now = at
 		v = k.TickEdgeVar(edge, at)
 		if v > cfg.ExceedLevel {

@@ -1,12 +1,12 @@
 // Package sim implements the paper's timing model: every edge of a graph
 // carries an independent Poisson clock, and an algorithm is invoked at each
-// tick. The simulator is event-driven, deterministic given a seed, and
-// offers two provably equivalent schedulers (per-edge clocks on a binary
-// heap, and a single global clock at the total rate that picks an edge
-// proportionally to its rate) — their statistical equivalence is exercised
-// by the package tests.
+// tick. The simulator is event-driven and deterministic given a seed. It
+// runs the model as one superposed global clock at the total rate that
+// picks each ticking edge proportionally to its rate; the per-edge clock
+// heap the paper describes is kept in the package tests as the reference
+// this clock is checked against.
 //
-// Key types: Engine (per-event loop), BatchEngine (replica-batched, Poisson time-bridging), SchedulerKind. The timing model is DESIGN.md §2; the engines are §6 and §8.
+// Key types: Engine (per-event loop), BatchEngine (replica-batched, Poisson time-bridging). The timing model is DESIGN.md §2; the engines are §6 and §8.
 package sim
 
 import (
@@ -60,32 +60,6 @@ func AnyOf(conds ...StopCondition) StopCondition {
 	}
 }
 
-// SchedulerKind selects the event-generation strategy.
-type SchedulerKind int
-
-const (
-	// GlobalClock draws inter-event gaps from Exp(sum of rates) and picks
-	// the ticking edge proportionally to its rate. This is the default: it
-	// is a single heap-free stream and is the textbook construction for
-	// superposing Poisson processes.
-	GlobalClock SchedulerKind = iota
-	// PerEdgeClocks keeps an independent exponential timer per edge on a
-	// binary heap — the model exactly as the paper states it.
-	PerEdgeClocks
-)
-
-// String names the scheduler kind.
-func (k SchedulerKind) String() string {
-	switch k {
-	case GlobalClock:
-		return "global-clock"
-	case PerEdgeClocks:
-		return "per-edge-clocks"
-	default:
-		return fmt.Sprintf("scheduler(%d)", int(k))
-	}
-}
-
 // Engine drives a Handler with Poisson edge ticks on a fixed graph.
 //
 // Run is the general loop (any Handler, observers, arbitrary stop
@@ -96,7 +70,7 @@ func (k SchedulerKind) String() string {
 type Engine struct {
 	g         *graph.Graph
 	handler   Handler
-	scheduler scheduler
+	sched     *globalScheduler
 	observers []Observer
 	now       float64
 	events    int64
@@ -110,16 +84,10 @@ type Engine struct {
 type Option func(*config)
 
 type config struct {
-	kind      SchedulerKind
 	seed      uint64
 	rand      *rng.RNG
 	rates     []float64
 	observers []Observer
-}
-
-// WithScheduler selects the event-generation strategy (default GlobalClock).
-func WithScheduler(kind SchedulerKind) Option {
-	return func(c *config) { c.kind = kind }
 }
 
 // WithSeed seeds the engine's private RNG (default seed 1). Ignored when
@@ -155,7 +123,7 @@ func NewEngine(g *graph.Graph, handler Handler, opts ...Option) (*Engine, error)
 	if g.NumEdges() == 0 {
 		return nil, fmt.Errorf("sim: %s has no edges to tick", g)
 	}
-	cfg := config{kind: GlobalClock, seed: 1}
+	cfg := config{seed: 1}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -177,19 +145,10 @@ func NewEngine(g *graph.Graph, handler Handler, opts ...Option) (*Engine, error)
 			return nil, fmt.Errorf("sim: invalid rate %v for edge %d", r, i)
 		}
 	}
-	var sched scheduler
-	switch cfg.kind {
-	case GlobalClock:
-		sched = newGlobalScheduler(rates, cfg.rand)
-	case PerEdgeClocks:
-		sched = newHeapScheduler(rates, cfg.rand)
-	default:
-		return nil, fmt.Errorf("sim: unknown scheduler kind %d", cfg.kind)
-	}
 	return &Engine{
 		g:         g,
 		handler:   handler,
-		scheduler: sched,
+		sched:     newGlobalScheduler(rates, cfg.rand),
 		observers: cfg.observers,
 	}, nil
 }
@@ -211,7 +170,7 @@ func (e *Engine) Run(stop StopCondition) (t float64, events int64) {
 		panic("sim: Run requires a stop condition")
 	}
 	for !stop(e.now, e.events) {
-		edge, at := e.scheduler.next()
+		edge, at := e.sched.next()
 		e.now = at
 		e.handler.HandleTick(edge, at)
 		e.events++
@@ -220,10 +179,4 @@ func (e *Engine) Run(stop StopCondition) (t float64, events int64) {
 		}
 	}
 	return e.now, e.events
-}
-
-// scheduler produces the next (edge, absolute time) tick. Implementations
-// advance their internal clock on each call.
-type scheduler interface {
-	next() (graph.EdgeID, float64)
 }

@@ -39,9 +39,6 @@ func TestNewEngineValidation(t *testing.T) {
 	if _, err := NewEngine(g, newCounter(g), WithRates([]float64{1, -1})); err == nil {
 		t.Error("negative rate not rejected")
 	}
-	if _, err := NewEngine(g, newCounter(g), WithScheduler(SchedulerKind(99))); err == nil {
-		t.Error("unknown scheduler not rejected")
-	}
 }
 
 func TestRunStopsAtMaxEvents(t *testing.T) {
@@ -96,63 +93,94 @@ func TestRunResumes(t *testing.T) {
 	}
 }
 
+// clocks are the two constructions of the paper's timing model: the
+// engine's superposed global clock, and the per-edge heap reference. Each
+// drives h on g from seed until stop; nil rates mean rate 1 per edge.
+var clocks = []struct {
+	name string
+	run  func(t *testing.T, g *graph.Graph, rates []float64, seed uint64, h Handler, stop StopCondition)
+}{
+	{"global-clock", runEngine},
+	{"per-edge-heap", runHeap},
+}
+
+func runEngine(t *testing.T, g *graph.Graph, rates []float64, seed uint64, h Handler, stop StopCondition) {
+	t.Helper()
+	opts := []Option{WithSeed(seed)}
+	if rates != nil {
+		opts = append(opts, WithRates(rates))
+	}
+	eng, err := NewEngine(g, h, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run(stop)
+}
+
+// runHeap is Engine.Run's loop over the per-edge heap: test the stop
+// condition, then deliver the next tick.
+func runHeap(_ *testing.T, g *graph.Graph, rates []float64, seed uint64, h Handler, stop StopCondition) {
+	if rates == nil {
+		rates = make([]float64, g.NumEdges())
+		for i := range rates {
+			rates[i] = 1
+		}
+	}
+	s := newHeapScheduler(rates, rng.New(seed))
+	now, events := 0.0, int64(0)
+	for !stop(now, events) {
+		e, at := s.next()
+		now = at
+		h.HandleTick(e, at)
+		events++
+	}
+}
+
 func TestTimesAreIncreasing(t *testing.T) {
-	for _, kind := range []SchedulerKind{GlobalClock, PerEdgeClocks} {
+	for _, c := range clocks {
 		g := graph.Complete(5)
 		h := newCounter(g)
-		eng, err := NewEngine(g, h, WithScheduler(kind))
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.Run(MaxEvents(5000))
+		c.run(t, g, nil, 1, h, MaxEvents(5000))
 		if !sort.Float64sAreSorted(h.times) {
-			t.Errorf("%v: tick times not sorted", kind)
+			t.Errorf("%s: tick times not sorted", c.name)
 		}
 		for _, tm := range h.times {
 			if tm <= 0 {
-				t.Fatalf("%v: non-positive tick time %v", kind, tm)
+				t.Fatalf("%s: non-positive tick time %v", c.name, tm)
 			}
 		}
 	}
 }
 
 func TestDeterminism(t *testing.T) {
-	for _, kind := range []SchedulerKind{GlobalClock, PerEdgeClocks} {
+	for _, c := range clocks {
 		g := graph.Complete(5)
 		run := func() []float64 {
 			h := newCounter(g)
-			eng, err := NewEngine(g, h, WithScheduler(kind), WithSeed(77))
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng.Run(MaxEvents(1000))
+			c.run(t, g, nil, 77, h, MaxEvents(1000))
 			return h.times
 		}
 		a, b := run(), run()
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("%v: runs diverged at event %d", kind, i)
+				t.Fatalf("%s: runs diverged at event %d", c.name, i)
 			}
 		}
 	}
 }
 
-// Both schedulers must realise the same process: per-edge tick counts over
-// a fixed horizon are Poisson(rate*T) for each edge.
+// Both clocks must realise the same process: per-edge tick counts over a
+// fixed horizon are Poisson(rate*T) for each edge.
 func TestSchedulerStatisticalEquivalence(t *testing.T) {
 	g := graph.Complete(6) // 15 edges
 	const horizon = 2000.0
-	for _, kind := range []SchedulerKind{GlobalClock, PerEdgeClocks} {
+	for _, c := range clocks {
 		h := newCounter(g)
-		eng, err := NewEngine(g, h, WithScheduler(kind), WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.Run(Until(horizon))
-		for e, c := range h.perEdge {
+		c.run(t, g, nil, 5, h, Until(horizon))
+		for e, n := range h.perEdge {
 			// Poisson(2000): sd ~ 44.7; allow 5 sigma.
-			if math.Abs(float64(c)-horizon) > 5*math.Sqrt(horizon) {
-				t.Errorf("%v: edge %d ticked %d times, want ~%v", kind, e, c, horizon)
+			if math.Abs(float64(n)-horizon) > 5*math.Sqrt(horizon) {
+				t.Errorf("%s: edge %d ticked %d times, want ~%v", c.name, e, n, horizon)
 			}
 		}
 	}
@@ -189,16 +217,12 @@ func TestGlobalGapDistribution(t *testing.T) {
 func TestWeightedRates(t *testing.T) {
 	// A path with two edges: rates 1 and 4 -> tick counts ~1:4.
 	g := graph.Path(3)
-	for _, kind := range []SchedulerKind{GlobalClock, PerEdgeClocks} {
+	for _, c := range clocks {
 		h := newCounter(g)
-		eng, err := NewEngine(g, h, WithScheduler(kind), WithRates([]float64{1, 4}), WithSeed(9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.Run(MaxEvents(100000))
+		c.run(t, g, []float64{1, 4}, 9, h, MaxEvents(100000))
 		ratio := float64(h.perEdge[1]) / float64(h.perEdge[0])
 		if math.Abs(ratio-4) > 0.2 {
-			t.Errorf("%v: rate ratio %v, want ~4", kind, ratio)
+			t.Errorf("%s: rate ratio %v, want ~4", c.name, ratio)
 		}
 	}
 }
@@ -268,12 +292,6 @@ func TestRunPanicsWithoutStop(t *testing.T) {
 	eng.Run(nil)
 }
 
-func TestSchedulerKindString(t *testing.T) {
-	if GlobalClock.String() == "" || PerEdgeClocks.String() == "" || SchedulerKind(9).String() == "" {
-		t.Error("empty scheduler names")
-	}
-}
-
 func TestGraphAccessor(t *testing.T) {
 	g := graph.Complete(3)
 	eng, err := NewEngine(g, newCounter(g))
@@ -340,8 +358,9 @@ func TestAliasMatchesCDFSampler(t *testing.T) {
 	}
 }
 
-// GlobalClock (alias path), PerEdgeClocks and the analytic expectation must
-// agree on mean per-edge tick counts under heterogeneous rates.
+// The global clock (alias path), the per-edge heap and the analytic
+// expectation must agree on mean per-edge tick counts under heterogeneous
+// rates.
 func TestSchedulerTickCountAgreement(t *testing.T) {
 	g := graph.Complete(5) // 10 edges
 	rates := make([]float64, g.NumEdges())
@@ -349,22 +368,18 @@ func TestSchedulerTickCountAgreement(t *testing.T) {
 		rates[i] = 0.5 + 0.4*float64(i) // heterogeneous: forces the alias path
 	}
 	const horizon = 3000.0
-	counts := map[SchedulerKind][]int64{}
-	for _, kind := range []SchedulerKind{GlobalClock, PerEdgeClocks} {
+	counts := map[string][]int64{}
+	for _, c := range clocks {
 		h := newCounter(g)
-		eng, err := NewEngine(g, h, WithScheduler(kind), WithRates(rates), WithSeed(21))
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.Run(Until(horizon))
-		counts[kind] = h.perEdge
+		c.run(t, g, rates, 21, h, Until(horizon))
+		counts[c.name] = h.perEdge
 	}
 	for e, rate := range rates {
 		want := rate * horizon
 		sigma := math.Sqrt(want)
-		for kind, c := range counts {
+		for name, c := range counts {
 			if d := math.Abs(float64(c[e]) - want); d > 5*sigma {
-				t.Errorf("%v: edge %d ticked %d times, want ~%v (%.1f sigma)", kind, e, c[e], want, d/sigma)
+				t.Errorf("%s: edge %d ticked %d times, want ~%v (%.1f sigma)", name, e, c[e], want, d/sigma)
 			}
 		}
 	}
@@ -395,7 +410,7 @@ func (k *recordingKernel) TickEdgeVar(e graph.EdgeID, t float64) float64 {
 
 func (k *recordingKernel) Variance() float64 { return 0 }
 
-func runPair(t *testing.T, kind SchedulerKind, seed uint64) (legacy, fused *recordingKernel, engL, engF *Engine) {
+func runPair(t *testing.T, seed uint64) (legacy, fused *recordingKernel, engL, engF *Engine) {
 	t.Helper()
 	g, _, err2 := graph.Dumbbell(12, 12, 2)
 	if err2 != nil {
@@ -403,11 +418,11 @@ func runPair(t *testing.T, kind SchedulerKind, seed uint64) (legacy, fused *reco
 	}
 	legacy, fused = &recordingKernel{}, &recordingKernel{}
 	var err error
-	engL, err = NewEngine(g, HandlerFunc(legacy.HandleTick), WithScheduler(kind), WithSeed(seed))
+	engL, err = NewEngine(g, HandlerFunc(legacy.HandleTick), WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	engF, err = NewEngine(g, fused, WithScheduler(kind), WithSeed(seed))
+	engF, err = NewEngine(g, fused, WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,32 +430,28 @@ func runPair(t *testing.T, kind SchedulerKind, seed uint64) (legacy, fused *reco
 }
 
 // The fused RunEvents must produce the identical event sequence (edges and
-// times, bit for bit) as the generic Run loop, on both schedulers.
+// times, bit for bit) as the generic Run loop.
 func TestRunEventsBitIdenticalToRun(t *testing.T) {
-	for _, kind := range []SchedulerKind{GlobalClock, PerEdgeClocks} {
-		legacy, fused, engL, engF := runPair(t, kind, 99)
-		const n = 5000
-		tL, evL := engL.Run(MaxEvents(n))
-		tF, evF := engF.RunEvents(n)
-		if tL != tF || evL != evF {
-			t.Fatalf("%v: (t, events) = (%v, %d) generic vs (%v, %d) fused", kind, tL, evL, tF, evF)
-		}
-		compareRecordings(t, kind.String(), legacy, fused)
+	legacy, fused, engL, engF := runPair(t, 99)
+	const n = 5000
+	tL, evL := engL.Run(MaxEvents(n))
+	tF, evF := engF.RunEvents(n)
+	if tL != tF || evL != evF {
+		t.Fatalf("(t, events) = (%v, %d) generic vs (%v, %d) fused", tL, evL, tF, evF)
 	}
+	compareRecordings(t, "RunEvents", legacy, fused)
 }
 
 // Same for RunUntil vs Run(Until(maxT)).
 func TestRunUntilBitIdenticalToRun(t *testing.T) {
-	for _, kind := range []SchedulerKind{GlobalClock, PerEdgeClocks} {
-		legacy, fused, engL, engF := runPair(t, kind, 7)
-		const horizon = 3.5
-		tL, evL := engL.Run(Until(horizon))
-		tF, evF := engF.RunUntil(horizon)
-		if tL != tF || evL != evF {
-			t.Fatalf("%v: (t, events) = (%v, %d) generic vs (%v, %d) fused", kind, tL, evL, tF, evF)
-		}
-		compareRecordings(t, kind.String(), legacy, fused)
+	legacy, fused, engL, engF := runPair(t, 7)
+	const horizon = 3.5
+	tL, evL := engL.Run(Until(horizon))
+	tF, evF := engF.RunUntil(horizon)
+	if tL != tF || evL != evF {
+		t.Fatalf("(t, events) = (%v, %d) generic vs (%v, %d) fused", tL, evL, tF, evF)
 	}
+	compareRecordings(t, "RunUntil", legacy, fused)
 }
 
 func compareRecordings(t *testing.T, label string, a, b *recordingKernel) {
