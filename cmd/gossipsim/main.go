@@ -17,9 +17,10 @@
 // (including -csv) is byte-identical with or without it.
 //
 // -shards N routes the run onto the sharded PDES engine over the
-// family's implicit edge representation (vanilla + uniform rates only;
-// see DESIGN.md §13): the graph is never materialised, so million-node
-// runs fit in memory. Output is byte-identical for any shard count.
+// family's implicit clique-block representation (dumbbell and
+// ringofcliques only, vanilla + uniform rates; see DESIGN.md §13): the
+// graph is never materialised, so million-node runs fit in memory.
+// Output is byte-identical for any shard count.
 package main
 
 import (
@@ -49,7 +50,7 @@ func main() {
 		progress  = flag.Bool("progress", false, "print a periodic events/sec + variance meter to stderr")
 		initKind  = flag.String("init", "", "initial vector: worstcase|spike|random|gaussian|linear")
 		rateKind  = flag.String("rates", "", "clock-rate model: uniform|nodeclock|random")
-		shards    = flag.Int("shards", 0, "run on the sharded PDES engine with this many workers (vanilla only)")
+		shards    = flag.Int("shards", 0, "run on the sharded PDES engine with this many workers (dumbbell, ringofcliques; vanilla only)")
 		window    = flag.Float64("window", 0, "sharded barrier spacing Δ (0 = engine default)")
 		list      = flag.Bool("families", false, "list the graph-family registry and exit")
 

@@ -52,7 +52,7 @@ func main() {
 		rates    = flag.String("rates", "", "clock-rate models: comma list of uniform|nodeclock|random (a list becomes a sweep axis)")
 		trials   = flag.Int("trials", 5, "Monte-Carlo trials per cell")
 		maxTime  = flag.Float64("maxtime", 0, "censoring horizon per trial (0 = 60*n)")
-		shards   = flag.Int("shards", 0, "run cells on the sharded PDES engine with this many workers per trial (vanilla + implicit families only)")
+		shards   = flag.Int("shards", 0, "run cells on the sharded PDES engine with this many workers per trial (dumbbell, ringofcliques; vanilla only)")
 		window   = flag.Float64("window", 0, "sharded barrier spacing Δ (0 = engine default)")
 		seed     = flag.Uint64("seed", 1, "root seed; every cell seed derives from it")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); does not affect results")

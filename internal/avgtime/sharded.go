@@ -32,7 +32,7 @@ type ShardedOptions struct {
 // splits as the per-event and batched estimators (one reserved algorithm
 // stream, one simulation stream), so seed accounting lines up across
 // estimators.
-func EstimateSharded(g graph.Implicit, x0 []float64, cfg Config, opt ShardedOptions) (Result, error) {
+func EstimateSharded(g *graph.Implicit, x0 []float64, cfg Config, opt ShardedOptions) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return Result{}, err

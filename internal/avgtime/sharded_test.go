@@ -23,7 +23,7 @@ func TestShardedVsOracleTavKS(t *testing.T) {
 	cases := []struct {
 		name string
 		mat  func() (*graph.Graph, []float64)
-		imp  func() (graph.Implicit, []float64)
+		imp  func() (*graph.Implicit, []float64)
 	}{
 		{
 			"dumbbell",
@@ -34,7 +34,7 @@ func TestShardedVsOracleTavKS(t *testing.T) {
 				}
 				return g, gossip.CutIndicator(part)
 			},
-			func() (graph.Implicit, []float64) {
+			func() (*graph.Implicit, []float64) {
 				ig, err := graph.ImplicitDumbbell(12, 12, 1)
 				if err != nil {
 					t.Fatal(err)
@@ -51,7 +51,7 @@ func TestShardedVsOracleTavKS(t *testing.T) {
 				}
 				return g, gossip.CutIndicator(part)
 			},
-			func() (graph.Implicit, []float64) {
+			func() (*graph.Implicit, []float64) {
 				ig, err := graph.ImplicitRingOfCliques(4, 6, 1)
 				if err != nil {
 					t.Fatal(err)

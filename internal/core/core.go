@@ -93,7 +93,6 @@ type config struct {
 	epochC       float64
 	tvanSet      bool
 	tvan1, tvan2 float64
-	spectralOpts spectral.Options
 	listener     func(SwapEvent)
 	allCutEdges  bool
 }
@@ -140,12 +139,6 @@ func WithTvan(tvan1, tvan2 float64) Option {
 	return func(c *config) { c.tvanSet = true; c.tvan1 = tvan1; c.tvan2 = tvan2 }
 }
 
-// WithSpectralOptions tunes the eigensolver used for cut auto-detection and
-// the default Tvan estimates.
-func WithSpectralOptions(o spectral.Options) Option {
-	return func(c *config) { c.spectralOpts = o }
-}
-
 // WithSwapListener installs a callback invoked at every swap with the
 // variance just before and after — the observable driving the
 // stochastic-dominance experiment (E6).
@@ -184,7 +177,7 @@ func New(g *graph.Graph, x0 []float64, opts ...Option) (*SparseCutAveraging, err
 
 	part := cfg.part
 	if part == nil {
-		detected, _, err := cut.Detect(g, cfg.spectralOpts)
+		detected, _, err := cut.Detect(g, spectral.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("core: auto-detecting sparse cut: %w", err)
 		}
@@ -240,7 +233,7 @@ func New(g *graph.Graph, x0 []float64, opts ...Option) (*SparseCutAveraging, err
 	} else {
 		tvan1, tvan2 := cfg.tvan1, cfg.tvan2
 		if !cfg.tvanSet {
-			tvan1, tvan2, err = SideTvanBounds(part, cfg.spectralOpts)
+			tvan1, tvan2, err = SideTvanBounds(part, spectral.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("core: estimating side Tvan: %w", err)
 			}

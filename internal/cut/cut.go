@@ -5,8 +5,8 @@
 // The detector is classic spectral partitioning: compute the Fiedler vector
 // (eigenvector of λ2 of the Laplacian), then run a sweep cut over the
 // nodes sorted by Fiedler score and keep the prefix with minimum
-// conductance. For the small graphs used in tests, an exhaustive
-// minimum-conductance search provides a ground-truth reference.
+// conductance. The package tests check it against an exhaustive
+// minimum-conductance search on small graphs.
 //
 // Key functions: Detect, SpectralBisection, DesignatedCutEdge. Used by Algorithm A's auto-detection (DESIGN.md §3) and the E10 discovery checks (§9).
 package cut
@@ -110,49 +110,6 @@ func SpectralBisection(g *graph.Graph, opts spectral.Options) (*graph.Partition,
 		return nil, fmt.Errorf("cut: computing Fiedler vector: %w", err)
 	}
 	return SweepCut(g, fiedler)
-}
-
-// BruteForceMinConductance exhaustively searches all 2^(n-1)-1 proper
-// two-sided partitions and returns one with minimum conductance. It is the
-// test oracle for SpectralBisection and refuses graphs with more than
-// maxNodes (default cap 22) nodes.
-func BruteForceMinConductance(g *graph.Graph) (*graph.Partition, error) {
-	n := g.NumNodes()
-	if n < 2 {
-		return nil, ErrNoCut
-	}
-	const maxNodes = 22
-	if n > maxNodes {
-		return nil, fmt.Errorf("cut: brute force limited to %d nodes, got %d", maxNodes, n)
-	}
-	var best *graph.Partition
-	bestPhi := math.Inf(1)
-	side := make([]graph.Side, n)
-	// Node 0 stays on Side1 to halve the search space.
-	for mask := uint32(0); mask < 1<<(n-1); mask++ {
-		for u := 1; u < n; u++ {
-			if mask&(1<<(u-1)) != 0 {
-				side[u] = graph.Side2
-			} else {
-				side[u] = graph.Side1
-			}
-		}
-		if mask == 0 {
-			continue // one-sided
-		}
-		p, err := graph.NewPartition(g, side)
-		if err != nil {
-			continue
-		}
-		if phi := p.Conductance(); phi < bestPhi {
-			bestPhi = phi
-			best = p
-		}
-	}
-	if best == nil {
-		return nil, ErrNoCut
-	}
-	return best, nil
 }
 
 // DesignatedCutEdge returns the paper's fixed edge ec for a partition: the

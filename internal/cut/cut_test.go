@@ -2,6 +2,7 @@ package cut
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -118,6 +119,49 @@ func TestSpectralBisectionRejectsDisconnected(t *testing.T) {
 	if _, err := SpectralBisection(g, spectral.Options{}); err == nil {
 		t.Error("disconnected graph not rejected")
 	}
+}
+
+// BruteForceMinConductance exhaustively searches all 2^(n-1)-1 proper
+// two-sided partitions and returns one with minimum conductance. It is the
+// test oracle for SpectralBisection and refuses graphs with more than
+// maxNodes (default cap 22) nodes.
+func BruteForceMinConductance(g *graph.Graph) (*graph.Partition, error) {
+	n := g.NumNodes()
+	if n < 2 {
+		return nil, ErrNoCut
+	}
+	const maxNodes = 22
+	if n > maxNodes {
+		return nil, fmt.Errorf("cut: brute force limited to %d nodes, got %d", maxNodes, n)
+	}
+	var best *graph.Partition
+	bestPhi := math.Inf(1)
+	side := make([]graph.Side, n)
+	// Node 0 stays on Side1 to halve the search space.
+	for mask := uint32(0); mask < 1<<(n-1); mask++ {
+		for u := 1; u < n; u++ {
+			if mask&(1<<(u-1)) != 0 {
+				side[u] = graph.Side2
+			} else {
+				side[u] = graph.Side1
+			}
+		}
+		if mask == 0 {
+			continue // one-sided
+		}
+		p, err := graph.NewPartition(g, side)
+		if err != nil {
+			continue
+		}
+		if phi := p.Conductance(); phi < bestPhi {
+			bestPhi = phi
+			best = p
+		}
+	}
+	if best == nil {
+		return nil, ErrNoCut
+	}
+	return best, nil
 }
 
 func TestBruteForceMinConductanceDumbbell(t *testing.T) {

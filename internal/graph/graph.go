@@ -365,8 +365,8 @@ func (b *Builder) MustBuild() *Graph {
 // ErrTooLarge is returned (wrapped) when a graph would overflow the int32
 // id space of the materialised representation: NodeID/EdgeID are int32, and
 // the flat half-edge array additionally needs 2·|E| (the offset sentinel)
-// to fit an int32. Callers hitting it should switch to the
-// Implicit representation, whose edge ids are int64.
+// to fit an int32. Callers hitting it on a dumbbell or ring of cliques
+// should switch to the Implicit representation, whose edge count is int64.
 var ErrTooLarge = errors.New("graph: graph exceeds int32 index space")
 
 // maxBuildEdges bounds |E| so 2·|E| half-edges stay representable: the

@@ -12,9 +12,8 @@ import (
 // reference for the equivalence suite.
 type implicitCase struct {
 	name string
-	imp  func() (Implicit, error)
-	mat  func() *Graph
-	n1   int // expected SplitPoint (0 = no planted cut)
+	imp  func() (*Implicit, error)
+	mat  func() (*Graph, *Partition)
 }
 
 func implicitCases() []implicitCase {
@@ -23,84 +22,45 @@ func implicitCases() []implicitCase {
 	for _, c := range []struct{ n1, n2, cut int }{
 		{1, 1, 1}, {2, 3, 1}, {5, 5, 1}, {8, 8, 3}, {7, 12, 7}, {16, 16, 16}, {13, 9, 4},
 	} {
-		c := c
 		cases = append(cases, implicitCase{
 			name: "dumbbell",
-			imp:  func() (Implicit, error) { return ImplicitDumbbell(c.n1, c.n2, c.cut) },
-			mat:  func() *Graph { g, _, _ := Dumbbell(c.n1, c.n2, c.cut); return g },
-			n1:   c.n1,
+			imp:  func() (*Implicit, error) { return ImplicitDumbbell(c.n1, c.n2, c.cut) },
+			mat:  func() (*Graph, *Partition) { g, p, _ := Dumbbell(c.n1, c.n2, c.cut); return g, p },
 		})
 	}
+	// The symmetric split SymmetricDumbbell makes, odd n included.
 	for _, c := range []struct{ n, cut int }{{2, 1}, {7, 2}, {20, 5}} {
-		c := c
 		cases = append(cases, implicitCase{
 			name: "symdumbbell",
-			imp:  func() (Implicit, error) { return ImplicitSymmetricDumbbell(c.n, c.cut) },
-			mat:  func() *Graph { g, _, _ := SymmetricDumbbell(c.n, c.cut); return g },
-			n1:   c.n / 2,
+			imp:  func() (*Implicit, error) { return ImplicitDumbbell(c.n/2, c.n-c.n/2, c.cut) },
+			mat:  func() (*Graph, *Partition) { g, p, _ := SymmetricDumbbell(c.n, c.cut); return g, p },
 		})
 	}
 	// Ring of cliques, including the degenerate m=1 cycle.
 	for _, c := range []struct{ blocks, m, bridges int }{
 		{3, 1, 1}, {3, 4, 1}, {4, 6, 2}, {5, 3, 3}, {6, 5, 1},
 	} {
-		c := c
 		cases = append(cases, implicitCase{
 			name: "ringofcliques",
-			imp:  func() (Implicit, error) { return ImplicitRingOfCliques(c.blocks, c.m, c.bridges) },
-			mat:  func() *Graph { g, _, _ := RingOfCliques(c.blocks, c.m, c.bridges); return g },
-			n1:   (c.blocks / 2) * c.m,
-		})
-	}
-	for _, c := range []struct{ n, inner, outer int }{
-		{8, 1, 1}, {16, 2, 3}, {21, 2, 2}, {32, 4, 8},
-	} {
-		c := c
-		cases = append(cases, implicitCase{
-			name: "hierdumbbell",
-			imp:  func() (Implicit, error) { return ImplicitHierarchicalDumbbell(c.n, c.inner, c.outer) },
-			mat:  func() *Graph { g, _, _ := HierarchicalDumbbell(c.n, c.inner, c.outer); return g },
-			n1:   c.n / 2,
-		})
-	}
-	for _, c := range []struct{ rows, cols int }{
-		{1, 1}, {1, 7}, {7, 1}, {2, 2}, {4, 5}, {6, 6}, {3, 9},
-	} {
-		c := c
-		n1 := 0
-		if c.rows >= 2 {
-			n1 = (c.rows / 2) * c.cols
-		}
-		cases = append(cases, implicitCase{
-			name: "grid",
-			imp:  func() (Implicit, error) { return ImplicitGrid(c.rows, c.cols) },
-			mat:  func() *Graph { return Grid(c.rows, c.cols) },
-			n1:   n1,
-		})
-	}
-	for _, c := range []struct{ rows, cols int }{{3, 3}, {3, 5}, {4, 4}, {5, 7}} {
-		c := c
-		cases = append(cases, implicitCase{
-			name: "torus",
-			imp:  func() (Implicit, error) { return ImplicitTorus(c.rows, c.cols) },
-			mat:  func() *Graph { return Torus(c.rows, c.cols) },
-			n1:   (c.rows / 2) * c.cols,
+			imp:  func() (*Implicit, error) { return ImplicitRingOfCliques(c.blocks, c.m, c.bridges) },
+			mat:  func() (*Graph, *Partition) { g, p, _ := RingOfCliques(c.blocks, c.m, c.bridges); return g, p },
 		})
 	}
 	return cases
 }
 
-// TestImplicitMatchesMaterialized is the satellite equivalence suite: for
-// every implicit family, node/edge counts, the edge-id enumeration, the
-// per-node degrees, and the sorted neighbourhoods (peer AND edge id) must
-// be element-identical to the materialised Builder output.
+// TestImplicitMatchesMaterialized checks the data the sharded engine
+// reads against the materialised Builder output of the same generator:
+// the tiles' cliques plus Boundary are exactly g.Edges(), Boundary lists
+// the cross-tile edges in g.Edges() order, and the node count, edge count
+// and planted prefix split agree.
 func TestImplicitMatchesMaterialized(t *testing.T) {
 	for _, tc := range implicitCases() {
 		ig, err := tc.imp()
 		if err != nil {
 			t.Fatalf("%s: implicit constructor: %v", tc.name, err)
 		}
-		g := tc.mat()
+		g, part := tc.mat()
 		if g == nil {
 			t.Fatalf("%s: materialised constructor failed", tc.name)
 		}
@@ -111,26 +71,44 @@ func TestImplicitMatchesMaterialized(t *testing.T) {
 		if ig.NumEdges() != int64(g.NumEdges()) {
 			t.Fatalf("%s: NumEdges %d != %d", label, ig.NumEdges(), g.NumEdges())
 		}
-		if ig.SplitPoint() != tc.n1 {
-			t.Errorf("%s: SplitPoint %d != %d", label, ig.SplitPoint(), tc.n1)
-		}
-		for id, e := range g.Edges() {
-			u, v := ig.EdgeAt(int64(id))
-			if NodeID(u) != e.U || NodeID(v) != e.V {
-				t.Fatalf("%s: EdgeAt(%d) = (%d,%d), want %v", label, id, u, v, e)
-			}
-		}
 		for u := 0; u < g.NumNodes(); u++ {
-			adj := g.Neighbors(NodeID(u))
-			if d := ig.Degree(u); d != len(adj) {
-				t.Fatalf("%s: Degree(%d) = %d, want %d", label, u, d, len(adj))
+			if want := u < ig.SplitPoint(); (part.SideOf(NodeID(u)) == Side1) != want {
+				t.Fatalf("%s: SplitPoint %d, but node %d is on %v", label, ig.SplitPoint(), u, part.SideOf(NodeID(u)))
 			}
-			for k, he := range adj {
-				peer, edge := ig.Neighbor(u, k)
-				if NodeID(peer) != he.Peer || EdgeID(edge) != he.Edge {
-					t.Fatalf("%s: Neighbor(%d,%d) = (%d,%d), want (%d,%d)",
-						label, u, k, peer, edge, he.Peer, he.Edge)
+		}
+
+		til := ig.Tiling()
+		tileOf := make([]int, g.NumNodes())
+		implicitEdges := make(map[Edge]struct{})
+		for i, tl := range til.Tiles {
+			for u := tl.Lo; u < tl.Hi; u++ {
+				tileOf[u] = i
+				for v := u + 1; v < tl.Hi; v++ {
+					implicitEdges[NewEdge(NodeID(u), NodeID(v))] = struct{}{}
 				}
+			}
+		}
+		for _, e := range til.Boundary {
+			implicitEdges[e] = struct{}{}
+		}
+		if len(implicitEdges) != g.NumEdges() {
+			t.Fatalf("%s: tiles + boundary hold %d distinct edges, want %d", label, len(implicitEdges), g.NumEdges())
+		}
+		var cross []Edge
+		for _, e := range g.Edges() {
+			if _, ok := implicitEdges[e]; !ok {
+				t.Fatalf("%s: edge %v missing from tiles + boundary", label, e)
+			}
+			if tileOf[e.U] != tileOf[e.V] {
+				cross = append(cross, e)
+			}
+		}
+		if len(cross) != len(til.Boundary) {
+			t.Fatalf("%s: %d cross-tile edges, Boundary has %d", label, len(cross), len(til.Boundary))
+		}
+		for i, e := range cross {
+			if til.Boundary[i] != e {
+				t.Fatalf("%s: Boundary[%d] = %v, want %v (g.Edges() order)", label, i, til.Boundary[i], e)
 			}
 		}
 	}
@@ -147,7 +125,7 @@ func TestImplicitTilingInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: implicit constructor: %v", tc.name, err)
 		}
-		g := tc.mat()
+		g, _ := tc.mat()
 		label := ig.Name()
 		til := ig.Tiling()
 		if til.N != ig.NumNodes() {
@@ -210,72 +188,31 @@ func TestImplicitTilingInvariants(t *testing.T) {
 	}
 }
 
-// TestImplicitSampleEdgeUniform spot-checks the dense-id uniform sampler:
-// on a small dumbbell every edge must be hit with near-uniform frequency.
-func TestImplicitSampleEdgeUniform(t *testing.T) {
-	ig, err := ImplicitDumbbell(5, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := int(ig.NumEdges())
-	counts := make([]int, m)
-	ids := make(map[[2]int]int, m)
-	for id := 0; id < m; id++ {
-		u, v := ig.EdgeAt(int64(id))
-		ids[[2]int{u, v}] = id
-	}
-	r := rng.New(42)
-	const draws = 50000
-	for i := 0; i < draws; i++ {
-		u, v := SampleEdge(ig, r)
-		id, ok := ids[[2]int{u, v}]
-		if !ok {
-			t.Fatalf("sampled non-edge (%d,%d)", u, v)
-		}
-		counts[id]++
-	}
-	want := float64(draws) / float64(m)
-	for id, c := range counts {
-		if math.Abs(float64(c)-want) > 6*math.Sqrt(want) {
-			t.Errorf("edge %d drawn %d times, want ~%.0f", id, c, want)
-		}
-	}
-}
-
-// TestImplicitConstructorErrors mirrors the materialised validation.
+// TestImplicitConstructorErrors mirrors the materialised validation and
+// pins the block checks every constructor goes through.
 func TestImplicitConstructorErrors(t *testing.T) {
-	bad := []func() (Implicit, error){
-		func() (Implicit, error) { return ImplicitDumbbell(0, 5, 1) },
-		func() (Implicit, error) { return ImplicitDumbbell(5, 5, 0) },
-		func() (Implicit, error) { return ImplicitDumbbell(5, 5, 6) },
-		func() (Implicit, error) { return ImplicitSymmetricDumbbell(1, 1) },
-		func() (Implicit, error) { return ImplicitRingOfCliques(2, 4, 1) },
-		func() (Implicit, error) { return ImplicitRingOfCliques(4, 4, 5) },
-		func() (Implicit, error) { return ImplicitHierarchicalDumbbell(7, 1, 1) },
-		func() (Implicit, error) { return ImplicitHierarchicalDumbbell(16, 5, 1) },
-		func() (Implicit, error) { return ImplicitGrid(0, 3) },
-		func() (Implicit, error) { return ImplicitTorus(2, 5) },
+	bad := []func() (*Implicit, error){
+		func() (*Implicit, error) { return ImplicitDumbbell(0, 5, 1) },
+		func() (*Implicit, error) { return ImplicitDumbbell(5, 5, 0) },
+		func() (*Implicit, error) { return ImplicitDumbbell(5, 5, 6) },
+		func() (*Implicit, error) { return ImplicitRingOfCliques(2, 4, 1) },
+		func() (*Implicit, error) { return ImplicitRingOfCliques(4, 0, 1) },
+		func() (*Implicit, error) { return ImplicitRingOfCliques(4, 4, 5) },
 	}
 	for i, f := range bad {
 		if _, err := f(); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
-}
-
-// TestCliqueEdgeAtRoundTrip exercises the triangular inversion across the
-// full id range for several clique sizes.
-func TestCliqueEdgeAtRoundTrip(t *testing.T) {
-	for _, s := range []int{2, 3, 5, 17, 100} {
-		for id := int64(0); id < cliqueEdges(s); id++ {
-			u, v := cliqueEdgeAt(s, id)
-			if u < 0 || v <= u || v >= s {
-				t.Fatalf("s=%d id=%d: invalid edge (%d,%d)", s, id, u, v)
-			}
-			if back := cliqueEdgeIndex(s, u, v); back != id {
-				t.Fatalf("s=%d: index(%d,%d) = %d, want %d", s, u, v, back, id)
-			}
-		}
+	blocks := [][2]int32{{0, 2}, {2, 4}}
+	if _, err := newImplicit("inside", 4, 2, blocks, []Edge{NewEdge(0, 1)}); err == nil {
+		t.Error("cross edge inside one block not rejected")
+	}
+	if _, err := newImplicit("dup", 4, 2, blocks, []Edge{NewEdge(1, 2), NewEdge(1, 2)}); err == nil {
+		t.Error("duplicate cross edge not rejected")
+	}
+	if _, err := newImplicit("huge", math.MaxInt32+1, 1, nil, nil); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("2^31 nodes: err = %v, want ErrTooLarge", err)
 	}
 }
 
@@ -312,47 +249,33 @@ func TestCliqueFillMatchesIntn(t *testing.T) {
 	}
 }
 
-// TestMillionNodeImplicit is the scale smoke: a 10^6-node dumbbell's
-// index arithmetic must work where materialisation is impossible
-// (~2.5·10^11 edges).
+// TestMillionNodeImplicit is the scale smoke: a 10^6-node dumbbell
+// (~2.5·10^11 edges, impossible to materialise) must report its counts and
+// tile into the two cliques plus Dumbbell's cut edges in generator order.
 func TestMillionNodeImplicit(t *testing.T) {
-	ig, err := ImplicitDumbbell(500000, 500000, 8)
+	const side, cut = 500000, 8
+	ig, err := ImplicitDumbbell(side, side, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ig.NumNodes() != 1000000 {
-		t.Fatalf("NumNodes = %d", ig.NumNodes())
+	if ig.NumNodes() != 2*side || ig.SplitPoint() != side {
+		t.Fatalf("NumNodes = %d, SplitPoint = %d", ig.NumNodes(), ig.SplitPoint())
 	}
-	want := 2*cliqueEdges(500000) + 8
+	want := 2*cliqueEdges(side) + cut
 	if ig.NumEdges() != want {
 		t.Fatalf("NumEdges = %d, want %d", ig.NumEdges(), want)
 	}
-	// Round-trip a spread of edge ids through EdgeAt/Neighbor.
-	r := rng.New(3)
-	for i := 0; i < 1000; i++ {
-		id := int64(r.Intn(int(ig.NumEdges())))
-		u, v := ig.EdgeAt(id)
-		found := false
-		for k := 0; k < ig.Degree(u); k++ {
-			if p, e := ig.Neighbor(u, k); p == v {
-				if e != id {
-					t.Fatalf("edge id mismatch at (%d,%d): %d != %d", u, v, e, id)
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("EdgeAt(%d) = (%d,%d) but v not a neighbor of u", id, u, v)
-		}
-	}
-	// The cut node's degree: clique (499999) + its cross edge.
-	if d := ig.Degree(499999); d != 500000 {
-		t.Fatalf("Degree(499999) = %d, want 500000", d)
-	}
 	til := ig.Tiling()
-	if len(til.Tiles) != 2 || len(til.Boundary) != 8 {
-		t.Fatalf("tiling: %d tiles, %d boundary", len(til.Tiles), len(til.Boundary))
+	if len(til.Tiles) != 2 || til.Tiles[0].Hi != side || til.Tiles[1].Edges != cliqueEdges(side) {
+		t.Fatalf("tiling: %d tiles", len(til.Tiles))
+	}
+	if len(til.Boundary) != cut {
+		t.Fatalf("boundary has %d edges, want %d", len(til.Boundary), cut)
+	}
+	for k, e := range til.Boundary {
+		if want := NewEdge(NodeID(side-1-k), NodeID(side+k)); e != want {
+			t.Fatalf("Boundary[%d] = %v, want %v", k, e, want)
+		}
 	}
 }
 

@@ -81,20 +81,6 @@ func (c *Counter) Value() int64 {
 	return sum
 }
 
-// ShardValue returns the count recorded under one shard hint (reduced mod
-// NumShards). When writers use a stable small hint space — the sharded
-// dist runtime passes its shard loop index — this turns one Counter into a
-// free per-shard breakdown: dist.ShardRuntime registers per-shard
-// CounterFuncs over it for throughput-by-shard snapshots. With more than
-// NumShards distinct hints the breakdown aliases (hints congruent mod
-// NumShards share a cell) while Value() stays exact.
-func (c *Counter) ShardValue(shard int) int64 {
-	if c == nil {
-		return 0
-	}
-	return c.cells[uint(shard)&shardMask].v.Load()
-}
-
 // Gauge is an instantaneous float64 value (convergence progress, occupancy
 // ratios). Reads and writes are atomic; the zero value reads 0 and is
 // ready to use. Methods are no-ops on a nil receiver.

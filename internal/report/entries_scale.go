@@ -26,7 +26,7 @@ func init() {
 // prefixCutSize counts the implicit graph's boundary edges crossing the
 // prefix partition [0, SplitPoint) — the cut the worst-case init vector
 // straddles, hence the one Theorem 1 bounds.
-func prefixCutSize(ig graph.Implicit) int {
+func prefixCutSize(ig *graph.Implicit) int {
 	sp := graph.NodeID(ig.SplitPoint())
 	cut := 0
 	for _, e := range ig.Tiling().Boundary {

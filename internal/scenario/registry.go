@@ -31,10 +31,10 @@ type Family struct {
 	// Build constructs the graph (and partition when Partitioned). The RNG
 	// is only consumed by Random families.
 	Build func(GraphSpec, *rng.RNG) (*graph.Graph, *graph.Partition, error)
-	// Implicit, when non-nil, constructs the family's implicit (index-
-	// arithmetic) representation for the sharded large-run engine. Same
-	// parameter conventions as Build; deterministic families only.
-	Implicit func(GraphSpec) (graph.Implicit, error)
+	// Implicit, when non-nil, constructs the family's implicit (clique
+	// blocks plus cross edges) representation for the sharded large-run
+	// engine. Same parameter conventions as Build.
+	Implicit func(GraphSpec) (*graph.Implicit, error)
 }
 
 // registry maps every name and alias to its family.
@@ -67,6 +67,18 @@ func Families() []Family {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// implicitFamilies returns the sorted canonical names of the families
+// with an Implicit builder — the ones a sharded run accepts.
+func implicitFamilies() []string {
+	var names []string
+	for _, f := range Families() {
+		if f.Implicit != nil {
+			names = append(names, f.Name)
+		}
+	}
+	return names
 }
 
 // FamilyNames returns the sorted canonical names, for usage strings.
@@ -118,7 +130,7 @@ func init() {
 		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
 			return graph.Dumbbell(gs.N1, gs.N2, gs.Cut)
 		},
-		Implicit: func(gs GraphSpec) (graph.Implicit, error) {
+		Implicit: func(gs GraphSpec) (*graph.Implicit, error) {
 			return graph.ImplicitDumbbell(gs.N1, gs.N2, gs.Cut)
 		},
 	})
@@ -178,7 +190,7 @@ func init() {
 			}
 			return graph.RingOfCliques(gs.Blocks, m, gs.Cut)
 		},
-		Implicit: func(gs GraphSpec) (graph.Implicit, error) {
+		Implicit: func(gs GraphSpec) (*graph.Implicit, error) {
 			m := gs.N / gs.Blocks
 			if m < 1 {
 				return nil, fmt.Errorf("scenario: ringofcliques n=%d too small for %d blocks", gs.N, gs.Blocks)
@@ -200,9 +212,6 @@ func init() {
 		},
 		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
 			return graph.HierarchicalDumbbell(gs.N, gs.InnerCut, gs.Cut)
-		},
-		Implicit: func(gs GraphSpec) (graph.Implicit, error) {
-			return graph.ImplicitHierarchicalDumbbell(gs.N, gs.InnerCut, gs.Cut)
 		},
 	})
 	register(Family{
@@ -243,9 +252,6 @@ func init() {
 		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
 			return graph.Grid(gs.Rows, gs.Cols), nil, nil
 		},
-		Implicit: func(gs GraphSpec) (graph.Implicit, error) {
-			return graph.ImplicitGrid(gs.Rows, gs.Cols)
-		},
 	})
 	register(Family{
 		Name: "torus", Brief: "2-D lattice with wraparound", Params: "rows, cols (or n)",
@@ -260,9 +266,6 @@ func init() {
 		},
 		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
 			return graph.Torus(gs.Rows, gs.Cols), nil, nil
-		},
-		Implicit: func(gs GraphSpec) (graph.Implicit, error) {
-			return graph.ImplicitTorus(gs.Rows, gs.Cols)
 		},
 	})
 	register(Family{

@@ -28,9 +28,9 @@ type Resolved struct {
 	// (Stop.Shards > 0), where Implicit carries the graph instead.
 	Graph     *graph.Graph
 	Partition *graph.Partition
-	// Implicit is the index-arithmetic representation, set instead of
-	// Graph when Stop.Shards > 0 routes the run onto the sharded engine.
-	Implicit graph.Implicit
+	// Implicit is the block representation, set instead of Graph when
+	// Stop.Shards > 0 routes the run onto the sharded engine.
+	Implicit *graph.Implicit
 	// X0 is the initial vector.
 	X0 []float64
 	// Rates holds per-edge clock rates, nil for the uniform rate-1 model.
@@ -90,12 +90,13 @@ func (s Spec) Resolve() (*Resolved, error) {
 
 	if s.Stop.Shards > 0 {
 		// Sharded large-run path: the implicit representation replaces the
-		// materialised graph, so only index-arithmetic families, the
+		// materialised graph, so only families with one, the
 		// vanilla kernel (gossip.FlatState) and uniform rate-1 clocks
 		// qualify. Stream derivation order above is unchanged — the same
 		// seed resolves to the same init vector on either path.
 		if fam.Implicit == nil {
-			return nil, fmt.Errorf("scenario: family %s has no implicit representation (shards require one of: dumbbell, ringofcliques, hierdumbbell, grid, torus)", fam.Name)
+			return nil, fmt.Errorf("scenario: family %s has no implicit representation (shards require one of: %s)",
+				fam.Name, strings.Join(implicitFamilies(), ", "))
 		}
 		if s.Algo.Name != "vanilla" {
 			return nil, fmt.Errorf("scenario: sharded runs support the vanilla algorithm only, not %q", s.Algo.Name)
@@ -132,16 +133,12 @@ func (s Spec) Resolve() (*Resolved, error) {
 }
 
 // buildInitImplicit is buildInit for implicit graphs: "worstcase" uses
-// the planted prefix split (falling back to a spike when the family
-// plants none — no spectral detection without a materialised graph).
-func buildInitImplicit(kind string, ig graph.Implicit, r *rng.RNG) ([]float64, error) {
+// the planted prefix split, which every implicit family has.
+func buildInitImplicit(kind string, ig *graph.Implicit, r *rng.RNG) ([]float64, error) {
 	n := ig.NumNodes()
 	switch kind {
 	case "worstcase":
-		if sp := ig.SplitPoint(); sp > 0 && sp < n {
-			return gossip.CutIndicatorPrefix(n, sp), nil
-		}
-		return gossip.Spike(n, 0)
+		return gossip.CutIndicatorPrefix(n, ig.SplitPoint()), nil
 	case "spike":
 		return gossip.Spike(n, 0)
 	case "random":

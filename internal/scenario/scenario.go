@@ -97,7 +97,8 @@ type StopSpec struct {
 	// Memory only: the estimate is byte-identical for any width.
 	BatchWidth int `json:"batch_width,omitempty"`
 	// Shards > 0 routes the run onto the sharded PDES engine over the
-	// family's implicit representation (vanilla + uniform rates only):
+	// family's implicit representation (dumbbell and ringofcliques,
+	// vanilla + uniform rates only):
 	// Shards is the worker-goroutine cap per trial. Wall-clock only: the
 	// tiling and RNG streams are fixed by the graph, so the estimate is
 	// byte-identical for any positive value.

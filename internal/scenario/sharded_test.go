@@ -12,7 +12,7 @@ import (
 // init vector as the materialised path, and unsupported combinations are
 // rejected with a useful error.
 func TestResolveSharded(t *testing.T) {
-	for _, fam := range []string{"dumbbell", "ringofcliques", "hierdumbbell", "grid", "torus"} {
+	for _, fam := range []string{"dumbbell", "ringofcliques"} {
 		spec := Spec{Graph: GraphSpec{Family: fam, N: 48}, Stop: StopSpec{Shards: 4, Trials: 2}}
 		res, err := spec.Resolve()
 		if err != nil {
@@ -35,16 +35,26 @@ func TestResolveSharded(t *testing.T) {
 		if pres.Graph.NumNodes() != res.NumNodes() {
 			t.Fatalf("%s: sharded n=%d, materialised n=%d", fam, res.NumNodes(), pres.Graph.NumNodes())
 		}
-		if fam != "grid" && fam != "torus" {
-			// Partitioned families: worst-case init identical on both paths.
-			if !reflect.DeepEqual(pres.X0, res.X0) {
-				t.Fatalf("%s: init vector differs between paths", fam)
-			}
+		// Worst-case init identical on both paths.
+		if !reflect.DeepEqual(pres.X0, res.X0) {
+			t.Fatalf("%s: init vector differs between paths", fam)
+		}
+	}
+
+	// Families without an implicit builder are rejected, and the error
+	// names exactly the families that have one.
+	for _, fam := range []string{"hierdumbbell", "grid", "torus", "complete"} {
+		spec := Spec{Graph: GraphSpec{Family: fam, N: 48}, Stop: StopSpec{Shards: 4, Trials: 2}}
+		_, err := spec.Resolve()
+		if err == nil {
+			t.Fatalf("%s: sharded resolve accepted a family without an implicit builder", fam)
+		}
+		if !strings.HasSuffix(err.Error(), "(shards require one of: dumbbell, ringofcliques)") {
+			t.Errorf("%s: error %q does not name exactly dumbbell and ringofcliques", fam, err)
 		}
 	}
 
 	bad := []Spec{
-		{Graph: GraphSpec{Family: "complete", N: 16}, Stop: StopSpec{Shards: 2}},
 		{Graph: GraphSpec{Family: "dumbbell", N: 16}, Algo: AlgoSpec{Name: "A"}, Stop: StopSpec{Shards: 2}},
 		{Graph: GraphSpec{Family: "dumbbell", N: 16}, Rates: "nodeclock", Stop: StopSpec{Shards: 2}},
 	}

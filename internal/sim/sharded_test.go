@@ -14,7 +14,7 @@ import (
 
 // shardFixture builds an implicit graph, its tiling and a FlatState over
 // a deterministic initial vector.
-func shardFixture(t *testing.T, ig graph.Implicit, seed uint64) (*graph.Tiling, *gossip.FlatState) {
+func shardFixture(t *testing.T, ig *graph.Implicit, seed uint64) (*graph.Tiling, *gossip.FlatState) {
 	t.Helper()
 	til := ig.Tiling()
 	r := rng.New(seed)

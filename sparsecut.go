@@ -20,9 +20,13 @@
 //	fmt.Printf("variance ratio after t=50: %g\n", res.VarianceRatio)
 //
 // The package is a facade over the implementation packages under
-// internal/: graph substrate, event-driven Poisson simulator, spectral
-// toolkit, cut detection, averaging-time estimation, the E1–E15 experiment
-// suite, and a real message-passing runtime. Everything is stdlib-only.
+// internal/, trimmed to what the examples and commands use: graph
+// constructors and I/O, cut detection, the event-driven Poisson simulator,
+// averaging-time estimation, the scenario sweep, and the decentralized
+// message-passing runtime with its telemetry and flight recorder. The
+// batched and sharded engines, the model checker and the E1–E15
+// reproduction suite are driven through cmd/ (sweep, gossipsim, mcheck,
+// repro). Everything is stdlib-only.
 package sparsecut
 
 import (
@@ -32,7 +36,6 @@ import (
 	"time"
 
 	"sparsecut/internal/avgtime"
-	"sparsecut/internal/check"
 	"sparsecut/internal/core"
 	"sparsecut/internal/cut"
 	"sparsecut/internal/dist"
@@ -40,7 +43,6 @@ import (
 	"sparsecut/internal/gossip"
 	"sparsecut/internal/graph"
 	"sparsecut/internal/metrics"
-	"sparsecut/internal/report"
 	"sparsecut/internal/rng"
 	"sparsecut/internal/scenario"
 	"sparsecut/internal/sim"
@@ -65,73 +67,33 @@ type (
 	Side = graph.Side
 )
 
-// Partition side labels.
-const (
-	Side1 = graph.Side1
-	Side2 = graph.Side2
-)
+// Side1 labels the first block of a two-way partition.
+const Side1 = graph.Side1
 
 // Algorithm A configuration options, re-exported from the core package.
 var (
 	// WithPartition supplies a known sparse-cut partition to NewAlgorithmA
 	// (otherwise the cut is auto-detected by spectral bisection).
 	WithPartition = core.WithPartition
-	// WithCutEdge overrides the designated cut edge ec.
-	WithCutEdge = core.WithCutEdge
-	// WithWeightRule selects the swap coefficient strategy.
-	WithWeightRule = core.WithWeightRule
 	// WithWeight fixes the swap coefficient explicitly.
 	WithWeight = core.WithWeight
 	// WithEpochTicks fixes the swap period K in ticks of ec.
 	WithEpochTicks = core.WithEpochTicks
-	// WithEpochConstant sets the paper's constant C in
-	// K = ceil(C*(Tvan1+Tvan2)*ln n).
-	WithEpochConstant = core.WithEpochConstant
-	// WithTvan supplies per-side vanilla averaging times for the epoch
-	// formula.
-	WithTvan = core.WithTvan
-)
-
-// Swap-weight strategies for Algorithm A (see internal/core/weight.go for
-// the derivation).
-const (
-	// WeightExact is w* = n1*n2/(n1+n2), the coefficient that exactly
-	// annihilates both side means (the default).
-	WeightExact = core.WeightExact
-	// WeightPaper is the paper's literal coefficient n1.
-	WeightPaper = core.WeightPaper
 )
 
 // AlgorithmAOption configures NewAlgorithmA.
 type AlgorithmAOption = core.Option
 
 // ExactSwapWeight returns w* = n1·n2/(n1+n2) for a partition — the swap
-// coefficient that exactly annihilates both side means (WeightExact's
-// value), for callers that need the number itself, e.g. to hand to
+// coefficient that exactly annihilates both side means (NewAlgorithmA's
+// default), for callers that need the number itself, e.g. to hand to
 // NewSparseCutExchange.
 func ExactSwapWeight(p *Partition) float64 { return core.ExactWeight(p) }
-
-// PaperSwapWeight returns the paper's literal coefficient min(|V1|, |V2|).
-func PaperSwapWeight(p *Partition) float64 { return core.PaperWeight(p) }
 
 // NewDumbbell returns two cliques K_n1, K_n2 joined by cutEdges edges — the
 // paper's canonical sparse-cut graph — together with the planted partition.
 func NewDumbbell(n1, n2, cutEdges int) (*Graph, *Partition, error) {
 	return graph.Dumbbell(n1, n2, cutEdges)
-}
-
-// NewRingOfCliques returns `blocks` cliques of size m arranged in a
-// cycle, adjacent cliques joined by `bridges` edges, with the partition
-// splitting the ring into two arcs (|E12| = 2*bridges).
-func NewRingOfCliques(blocks, m, bridges int) (*Graph, *Partition, error) {
-	return graph.RingOfCliques(blocks, m, bridges)
-}
-
-// NewHierarchicalDumbbell returns a dumbbell of dumbbells: two symmetric
-// dumbbells (innerCut internal cut edges each) joined by outerCut edges —
-// two nested bottleneck scales. The partition is the outer cut.
-func NewHierarchicalDumbbell(n, innerCut, outerCut int) (*Graph, *Partition, error) {
-	return graph.HierarchicalDumbbell(n, innerCut, outerCut)
 }
 
 // NewTorusDumbbell returns two 4-regular tori joined by cutEdges edges —
@@ -155,9 +117,6 @@ func NewPlantedPartition(seed uint64, n1, n2 int, pIn, pOut float64) (*Graph, *P
 func NewSensorField(seed uint64, n, doors int) (*Graph, *Partition, error) {
 	return graph.WalledRGG(rng.New(seed), n, 2*graph.ConnectivityRadius(n), doors, 500)
 }
-
-// ReadGraph parses a graph in the package's edge-list format.
-func ReadGraph(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
 
 // WriteGraph serialises a graph in the package's edge-list format.
 func WriteGraph(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) }
@@ -193,17 +152,6 @@ func RandomInit(seed uint64, n int) []float64 {
 // replaces both endpoint values by their mean.
 func NewVanillaGossip(g *Graph, x0 []float64) (Algorithm, error) {
 	return gossip.NewVanilla(g, x0)
-}
-
-// NewConvexGossip builds the general class-C algorithm with mixing
-// parameter alpha in [0, 1] (alpha = 1/2 is vanilla).
-func NewConvexGossip(g *Graph, x0 []float64, alpha float64) (Algorithm, error) {
-	return gossip.NewConvex(g, x0, alpha)
-}
-
-// NewPushSum builds the mass-splitting push-sum baseline.
-func NewPushSum(g *Graph, x0 []float64, seed uint64) (Algorithm, error) {
-	return gossip.NewPushSum(g, x0, rng.New(seed))
 }
 
 // NewAlgorithmA builds the paper's Algorithm A. Without WithPartition the
@@ -260,8 +208,8 @@ type (
 )
 
 // Factory builds a fresh Algorithm for one estimation trial. The seed is a
-// trial-private value for algorithms needing internal randomness
-// (push-sum); deterministic algorithms may ignore it.
+// trial-private value for algorithms needing internal randomness;
+// deterministic algorithms may ignore it.
 type Factory func(trial int, seed uint64) (Algorithm, error)
 
 // MeasureAveragingTime estimates the paper's Tav (Definition 1) for the
@@ -271,109 +219,6 @@ func MeasureAveragingTime(g *Graph, factory Factory, cfg TavConfig) (TavResult, 
 	return avgtime.Estimate(g, func(trial int, r *rng.RNG) (gossip.Algorithm, error) {
 		return factory(trial, r.Uint64())
 	}, cfg)
-}
-
-// Replica-batched simulation, re-exported from internal/sim and
-// internal/gossip: R independent Monte-Carlo replicas of one scenario
-// advance in interleaved lockstep over the shared flat graph, with
-// per-chunk Gamma time-bridging instead of per-event exponential draws.
-// See DESIGN.md §8.
-type (
-	// BatchEngine drives a BatchKernel's replicas with bridged Poisson
-	// clocks; construct with NewBatchEngine.
-	BatchEngine = sim.BatchEngine
-	// BatchKernel is the algorithm side of the batched engine
-	// (implemented by the gossip ensembles below).
-	BatchKernel = sim.BatchKernel
-)
-
-// NewVanillaEnsemble builds R replicas of vanilla gossip on g for the
-// batched engine, all starting from x0.
-func NewVanillaEnsemble(g *Graph, x0 []float64, replicas int) (*gossip.VanillaEnsemble, error) {
-	return gossip.NewVanillaEnsemble(g, x0, replicas)
-}
-
-// NewBatchEngine builds a replica-batched engine for g driving kern, one
-// replica per seed.
-func NewBatchEngine(g *Graph, kern BatchKernel, seeds []uint64) (*BatchEngine, error) {
-	streams := make([]*rng.RNG, len(seeds))
-	for i, s := range seeds {
-		streams[i] = rng.New(s)
-	}
-	return sim.NewBatchEngine(g, kern, streams)
-}
-
-// MeasureAveragingTimeBatched is MeasureAveragingTime through the
-// replica-batched bridged engine: all trials of the ensemble advance in
-// lockstep, the per-trial streams derive from cfg.Seed exactly as the
-// per-event path derives them, and the result is byte-identical for any
-// cfg.BatchWidth. It samples the same Definition-1 statistic as
-// MeasureAveragingTime but is not stream-compatible with it; the two are
-// KS-tested against each other in internal/avgtime.
-func MeasureAveragingTimeBatched(g *Graph, factory func(replicas int, seeds []uint64) (BatchKernel, error), cfg TavConfig) (TavResult, error) {
-	return avgtime.EstimateBatched(g, nil, func(replicas int, streams []*rng.RNG) (sim.BatchKernel, error) {
-		seeds := make([]uint64, len(streams))
-		for i, r := range streams {
-			seeds[i] = r.Uint64()
-		}
-		return factory(replicas, seeds)
-	}, cfg)
-}
-
-// Sharded million-node simulation, re-exported from internal/graph,
-// internal/gossip, internal/sim and internal/avgtime: implicit
-// index-arithmetic edge representations (no stored adjacency) tile along
-// the planted cut, and a windowed PDES engine advances the tiles'
-// independent Poisson streams in parallel — byte-identical for any
-// worker count. See DESIGN.md §13.
-type (
-	// ImplicitGraph is an index-arithmetic edge representation: O(1)
-	// memory for the structured families regardless of |E|, with int64
-	// edge ids (a 10^6-node dumbbell has ~2.5e11 edges).
-	ImplicitGraph = graph.Implicit
-	// Tiling is a cut-aware partition of an implicit graph into
-	// internally-dense tiles plus the boundary (cut) edge list.
-	Tiling = graph.Tiling
-	// FlatState is the memory-lean SoA single-replica vanilla state the
-	// sharded engine drives (~8 bytes/node retained).
-	FlatState = gossip.FlatState
-	// ShardEngine advances a tiling's tiles in bounded windows with
-	// boundary events serialized; construct with NewShardEngine.
-	ShardEngine = sim.ShardEngine
-	// ShardConfig configures NewShardEngine (worker cap, window Δ,
-	// observer). Workers is wall-clock only — never results.
-	ShardConfig = sim.ShardConfig
-	// ShardedTavOptions tunes MeasureAveragingTimeSharded beyond
-	// TavConfig (worker cap, window Δ).
-	ShardedTavOptions = avgtime.ShardedOptions
-)
-
-// NewImplicitDumbbell builds the paper's dumbbell (two n1- and n2-node
-// cliques joined by cutEdges bridge edges) as an implicit graph, without
-// materialising its edge list.
-func NewImplicitDumbbell(n1, n2, cutEdges int) (ImplicitGraph, error) {
-	return graph.ImplicitDumbbell(n1, n2, cutEdges)
-}
-
-// NewFlatState builds the sharded engine's kernel state over x0, tiled by
-// bounds (usually Tiling.Bounds()).
-func NewFlatState(x0 []float64, bounds [][2]int32) (*FlatState, error) {
-	return gossip.NewFlatState(x0, bounds)
-}
-
-// NewShardEngine builds a sharded windowed engine for til driving st,
-// seeded deterministically: results are byte-identical for any
-// cfg.Workers.
-func NewShardEngine(til *Tiling, st *FlatState, seed uint64, cfg ShardConfig) *ShardEngine {
-	return sim.NewShardEngine(til, st, rng.New(seed), cfg)
-}
-
-// MeasureAveragingTimeSharded is MeasureAveragingTime for vanilla gossip
-// on an implicit graph through the sharded engine: same Definition-1
-// statistic, resolved to within one window Δ, KS-tested against the
-// per-event oracle in internal/avgtime.
-func MeasureAveragingTimeSharded(g ImplicitGraph, x0 []float64, cfg TavConfig, opt ShardedTavOptions) (TavResult, error) {
-	return avgtime.EstimateSharded(g, x0, cfg, opt)
 }
 
 // Decentralized message-passing runtime, re-exported from internal/dist:
@@ -408,7 +253,7 @@ type (
 	ShardRuntimeConfig = dist.ShardRuntimeConfig
 )
 
-// / Telemetry, re-exported from internal/metrics: the dependency-free
+// Telemetry, re-exported from internal/metrics: the dependency-free
 // counters/gauges/histograms registry the runtime layers record into.
 // Construct one with NewMetricsRegistry, hand it to ClusterConfig.Metrics
 // or SweepConfig.Metrics, and export deterministic JSON via
@@ -418,32 +263,22 @@ type (
 	// MetricsRegistry names a set of instruments and renders deterministic
 	// snapshots; see internal/metrics and DESIGN.md §10.
 	MetricsRegistry = metrics.Registry
-	// MetricsSnapshot is a point-in-time export of a registry.
-	MetricsSnapshot = metrics.Snapshot
-	// MetricsHistogram is one histogram's snapshot inside a
-	// MetricsSnapshot; its Quantile method estimates p50/p95/p99 from the
-	// log2 buckets.
+	// MetricsHistogram is one histogram's part of a registry snapshot;
+	// its Quantile method estimates p50/p95/p99 from the log2 buckets.
 	MetricsHistogram = metrics.HistogramSnapshot
 )
 
 // NewMetricsRegistry returns an empty enabled telemetry registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
-// Flight recorder, re-exported from internal/flight: a per-node bounded
-// ring buffer of fixed-size protocol event records (machine transitions,
-// message send/recv/drop, timer fires, crashes). Hand one to
-// ClusterConfig.Flight to capture a run, then Snapshot() it into a Dump
-// for serialization or span stitching; cmd/tracez renders the dumps. A
-// nil recorder disables capture at near-zero hot-path cost, exactly like
-// a nil MetricsRegistry.
-type (
-	// FlightRecorder captures protocol events into per-node rings; see
-	// internal/flight and DESIGN.md §12.
-	FlightRecorder = flight.Recorder
-	// FlightDump is a serialized flight capture (deterministic JSON or
-	// binary encoding; see Dump.WriteFile).
-	FlightDump = flight.Dump
-)
+// FlightRecorder is the flight recorder, re-exported from internal/flight
+// (DESIGN.md §12): a per-node bounded ring buffer of fixed-size protocol
+// event records (machine transitions, message send/recv/drop, timer fires,
+// crashes). Hand one to ClusterConfig.Flight to capture a run, then
+// Snapshot() it into a dump for serialization or span stitching;
+// cmd/tracez renders the dumps. A nil recorder disables capture at
+// near-zero hot-path cost, exactly like a nil MetricsRegistry.
+type FlightRecorder = flight.Recorder
 
 // NewFlightRecorder returns a flight recorder with one ring of perNodeCap
 // records (flight.DefaultRingCap if perNodeCap <= 0) per node.
@@ -502,86 +337,11 @@ func NewAveragingExchange() ExchangeRule { return dist.NewVanillaRule() }
 // the non-convex swap at every epochTicks-th exchange proposed over
 // cutEdge (the epoch counter advances when a responder computes the
 // update, so under message loss a proposal that later aborts has still
-// consumed a tick). ExactSwapWeight(part) is the usual coefficient;
-// PaperSwapWeight(part) is the paper's literal choice.
+// consumed a tick). ExactSwapWeight(part) is the usual coefficient; the
+// paper's literal choice is min(|V1|, |V2|).
 func NewSparseCutExchange(part *Partition, cutEdge EdgeID, epochTicks int64, weight float64) (ExchangeRule, error) {
 	return dist.NewSparseCutRule(part, cutEdge, epochTicks, weight)
 }
-
-// Protocol verification, re-exported from internal/check: a deterministic
-// model checker that drives the runtime's exchange state machine through
-// systematically explored fault schedules (arbitrary delivery order,
-// drops, duplicated replies, timeouts, retransmissions, crash/recovery)
-// and asserts sum conservation, no stale commits, lock-state sanity and
-// quiescence after every step. Counterexamples are JSON traces that
-// replay deterministically; cmd/mcheck is the CLI front end and DESIGN.md
-// §11 the architecture notes.
-type (
-	// CheckSpec names the system under check: graph, initial values and
-	// exchange rule (CheckVanillaRule / CheckSparseCutRule).
-	CheckSpec = check.Spec
-	// CheckRuleSpec is the JSON-serializable exchange-rule description.
-	CheckRuleSpec = check.RuleSpec
-	// CheckOptions bounds the exploration (depth, state and fault
-	// budgets) and selects the fault alphabet.
-	CheckOptions = check.Options
-	// CheckResult reports exploration size and, on an invariant
-	// violation, the counterexample trace.
-	CheckResult = check.Result
-	// CheckTrace is a replayable counterexample: system spec, action
-	// schedule and the violation it produces.
-	CheckTrace = check.Trace
-	// CheckViolation is one invariant violation (step, invariant name,
-	// detail).
-	CheckViolation = check.Violation
-	// ProtocolMutation seeds an intentional protocol bug into the checked
-	// state machine (CheckOptions.Mutation) — the checker's self-test and
-	// CI mutation-gate mechanism. The zero value is the correct protocol;
-	// resolve names with ParseProtocolMutation.
-	ProtocolMutation = dist.Mutation
-)
-
-// ParseProtocolMutation resolves a mutation name as accepted by cmd/mcheck
-// -mutation: "none", "nack-rollback-applies", "stale-proposal-apply",
-// "commit-ignores-seq", "nack-ignores-role", "lax-watermark-dedup". The
-// last two are real bugs the model checker found in this protocol's own
-// seed (DESIGN.md §11.5), kept as mutations so the checker keeps proving
-// it would catch them.
-func ParseProtocolMutation(name string) (ProtocolMutation, bool) { return dist.ParseMutation(name) }
-
-// CheckVanillaRule is the model-checker spec for the vanilla averaging
-// exchange.
-func CheckVanillaRule() CheckRuleSpec { return check.Vanilla() }
-
-// CheckSparseCutRule is the model-checker spec for Algorithm A's exchange:
-// sides[i] in {0,1} assigns node i to a partition side, cutEdge is the
-// designated edge, epochTicks the swap period K, weight the swap
-// coefficient.
-func CheckSparseCutRule(sides []int, cutEdge int, epochTicks int64, weight float64) CheckRuleSpec {
-	return check.SparseCut(sides, cutEdge, epochTicks, weight)
-}
-
-// CheckExchange exhaustively model-checks the exchange protocol on spec up
-// to opt's bounds, returning exploration statistics and a replayable
-// counterexample trace if any invariant is violated.
-func CheckExchange(spec CheckSpec, opt CheckOptions) (*CheckResult, error) {
-	return check.Exhaustive(spec, opt)
-}
-
-// CheckExchangeWalks runs seeded random-walk model checking: walks
-// schedules of up to opt.MaxDepth uniformly random enabled actions —
-// depths beyond exhaustive reach, probabilistic coverage.
-func CheckExchangeWalks(spec CheckSpec, opt CheckOptions, seed uint64, walks int) (*CheckResult, error) {
-	return check.RandomWalk(spec, opt, seed, walks)
-}
-
-// ReplayTrace deterministically re-executes a counterexample trace,
-// returning the violation it reproduces (nil for a clean schedule).
-func ReplayTrace(tr *CheckTrace) (*CheckViolation, error) { return check.Replay(tr) }
-
-// ReadCheckTrace loads a counterexample trace written by
-// CheckTrace.WriteFile or cmd/mcheck -trace.
-func ReadCheckTrace(path string) (*CheckTrace, error) { return check.ReadTraceFile(path) }
 
 // Declarative scenario specs and the deterministic parallel sweep engine,
 // re-exported from internal/scenario and internal/sweep. A Scenario names
@@ -598,8 +358,6 @@ type (
 	ScenarioAlgo = scenario.AlgoSpec
 	// ScenarioStop sets a Scenario's Monte-Carlo budget.
 	ScenarioStop = scenario.StopSpec
-	// ResolvedScenario is a Scenario turned into simulation objects.
-	ResolvedScenario = scenario.Resolved
 	// SweepGrid is a base Scenario plus axes to sweep.
 	SweepGrid = sweep.Grid
 	// SweepConfig controls a sweep run (workers, root seed, progress).
@@ -610,58 +368,9 @@ type (
 	SweepCell = sweep.Cell
 )
 
-// ResolveScenario validates a scenario spec and builds its graph,
-// partition, initial vector and rates.
-func ResolveScenario(s Scenario) (*ResolvedScenario, error) { return s.Resolve() }
-
-// ScenarioFamilies returns the canonical names of every registered graph
-// family — the full generator zoo reachable from specs and CLIs.
-func ScenarioFamilies() []string { return scenario.FamilyNames() }
-
 // RunSweep expands the grid and evaluates every cell on a worker pool.
 // Results are deterministic in the root seed and independent of the
 // worker count.
 func RunSweep(grid SweepGrid, cfg SweepConfig) (*SweepReport, error) {
 	return sweep.Run(grid, cfg)
-}
-
-// Experiment re-exports the reproduction-suite entry type (one registered
-// E1–E15 experiment).
-type Experiment = report.Entry
-
-// ReproductionDocument re-exports the finished reproduction document
-// (REPRODUCTION.md's object form; see DESIGN.md §9).
-type ReproductionDocument = report.Document
-
-// ReproductionParams re-exports the reproduction run configuration.
-type ReproductionParams = report.Params
-
-// Experiments returns the full E1–E15 evaluation suite (see DESIGN.md §4
-// for the mapping to paper claims).
-func Experiments() []Experiment { return report.Entries() }
-
-// RunExperiment executes one experiment by ID ("E1".."E15"), writing its
-// Markdown section (measured-vs-bound tables plus derived PASS/FAIL
-// checks) to w and returning its headline metrics. Quick mode shrinks
-// sizes for CI-grade runs.
-func RunExperiment(w io.Writer, id string, quick bool, seed uint64) (map[string]float64, error) {
-	e, ok := report.ByID(id)
-	if !ok {
-		return nil, fmt.Errorf("sparsecut: unknown experiment %q", id)
-	}
-	sec, err := e.RunEntry(report.Params{Quick: quick, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	if err := sec.WriteMarkdown(w); err != nil {
-		return nil, err
-	}
-	return sec.MetricMap(), nil
-}
-
-// GenerateReproduction runs the whole E1–E15 suite and returns the
-// bound-checked document; render it with WriteMarkdown/WriteJSON (this is
-// what cmd/repro does).
-func GenerateReproduction(p ReproductionParams) (*ReproductionDocument, error) {
-	return report.Generate(p)
 }

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sparsecut/internal/graph"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -57,33 +59,6 @@ func TestVanillaVsAlgorithmA(t *testing.T) {
 	}
 }
 
-func TestConvexAndPushSumConstructors(t *testing.T) {
-	g, _, err := NewDumbbell(8, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x0 := RandomInit(3, g.NumNodes())
-	c, err := NewConvexGossip(g, x0, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewPushSum(g, x0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Convex algorithms cross the dumbbell's single cut edge slowly
-	// (that is Theorem 1); the horizon checks convergence trend, not speed.
-	for _, alg := range []Algorithm{c, p} {
-		res := Simulate(g, alg, 100, 5)
-		if res.VarianceRatio > 1e-4 {
-			t.Errorf("%s: ratio %v", alg.Name(), res.VarianceRatio)
-		}
-	}
-	if _, err := NewConvexGossip(g, x0, 2); err == nil {
-		t.Error("alpha out of range not rejected")
-	}
-}
-
 func TestFindSparseCutOnDumbbell(t *testing.T) {
 	g, planted, err := NewDumbbell(10, 10, 1)
 	if err != nil {
@@ -121,7 +96,7 @@ func TestGraphIO(t *testing.T) {
 	if err := WriteGraph(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadGraph(&buf)
+	g2, err := graph.ReadEdgeList(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,109 +145,6 @@ func TestMeasureAveragingTime(t *testing.T) {
 	}
 }
 
-func TestMeasureAveragingTimeBatched(t *testing.T) {
-	g, part, err := NewDumbbell(12, 12, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x0 := WorstCaseInit(part)
-	res, err := MeasureAveragingTimeBatched(g, func(replicas int, _ []uint64) (BatchKernel, error) {
-		return NewVanillaEnsemble(g, x0, replicas)
-	}, TavConfig{Trials: 5, MaxTime: 1e3, MarginFactor: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tav <= 0 {
-		t.Errorf("Tav = %v", res.Tav)
-	}
-	if res.Censored != 0 {
-		t.Errorf("censored = %d", res.Censored)
-	}
-}
-
-func TestBatchEngineFacade(t *testing.T) {
-	g, part, err := NewDumbbell(8, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x0 := WorstCaseInit(part)
-	ens, err := NewVanillaEnsemble(g, x0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewBatchEngine(g, ens, []uint64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.RunEvents(1000)
-	if eng.Events() != 4000 {
-		t.Errorf("events = %d, want 4000", eng.Events())
-	}
-	v0 := ens.ReplicaVariance(0)
-	for rep := 1; rep < 4; rep++ {
-		if v := ens.ReplicaVariance(rep); v == v0 {
-			t.Errorf("replicas %d and 0 produced identical variance %v from distinct seeds", rep, v)
-		}
-	}
-}
-
-func TestShardEngineFacade(t *testing.T) {
-	g, err := NewImplicitDumbbell(24, 24, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 48 {
-		t.Fatalf("n = %d", g.NumNodes())
-	}
-	x0 := make([]float64, 48)
-	for u := 0; u < 24; u++ {
-		x0[u] = 1
-	}
-	run := func(workers int) (float64, int64) {
-		st, err := NewFlatState(x0, g.Tiling().Bounds())
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := NewShardEngine(g.Tiling(), st, 7, ShardConfig{Workers: workers})
-		eng.RunUntil(0.5)
-		return st.Variance(), eng.Events()
-	}
-	v1, e1 := run(1)
-	v4, e4 := run(4)
-	if e1 == 0 {
-		t.Fatal("no events simulated")
-	}
-	if v1 != v4 || e1 != e4 {
-		t.Errorf("worker count changed results: (%v, %d) vs (%v, %d)", v1, e1, v4, e4)
-	}
-
-	res, err := MeasureAveragingTimeSharded(g, x0, TavConfig{Trials: 3, MaxTime: 1e3, MarginFactor: 1}, ShardedTavOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tav <= 0 || res.Censored != 0 {
-		t.Errorf("sharded Tav = %v (censored %d)", res.Tav, res.Censored)
-	}
-}
-
-func TestExperimentsRegistry(t *testing.T) {
-	all := Experiments()
-	if len(all) != 15 {
-		t.Fatalf("%d experiments", len(all))
-	}
-	var buf bytes.Buffer
-	metrics, err := RunExperiment(&buf, "E7", true, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if metrics["beta"] <= 0 {
-		t.Error("E7 metrics missing")
-	}
-	if _, err := RunExperiment(&buf, "E99", true, 2); err == nil {
-		t.Error("unknown experiment not rejected")
-	}
-}
-
 func TestSimulatePanicsOnNilAlgorithm(t *testing.T) {
 	g, _, err := NewDumbbell(4, 4, 1)
 	if err != nil {
@@ -291,15 +163,15 @@ func TestWeightRuleReexports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewAlgorithmA(g, WorstCaseInit(part), WithPartition(part), WithWeightRule(WeightPaper))
+	a, err := NewAlgorithmA(g, WorstCaseInit(part), WithPartition(part))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Weight() != 8 {
-		t.Errorf("paper weight = %v, want n1 = 8", a.Weight())
+	if w := ExactSwapWeight(part); a.Weight() != w || w != 4 {
+		t.Errorf("default weight = %v, ExactSwapWeight = %v, want n1·n2/(n1+n2) = 4", a.Weight(), w)
 	}
 	b, err := NewAlgorithmA(g, WorstCaseInit(part), WithPartition(part),
-		WithEpochTicks(3), WithWeight(2.5), WithCutEdge(part.CutEdges()[0]))
+		WithEpochTicks(3), WithWeight(2.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,32 +242,6 @@ func TestDecentralizedRuntimeFacade(t *testing.T) {
 }
 
 func TestScenarioSweepFacade(t *testing.T) {
-	// The new composites are reachable from the facade...
-	g, part, err := NewRingOfCliques(4, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 16 || part.CutSize() != 2 {
-		t.Fatalf("ring of cliques: %d nodes, cut %d", g.NumNodes(), part.CutSize())
-	}
-	if _, part, err = NewHierarchicalDumbbell(16, 1, 1); err != nil || part.CutSize() != 1 {
-		t.Fatalf("hierarchical dumbbell: cut %d, err %v", part.CutSize(), err)
-	}
-	// ...and so is the whole registry.
-	fams := ScenarioFamilies()
-	if len(fams) < 15 {
-		t.Fatalf("only %d scenario families registered", len(fams))
-	}
-	res, err := ResolveScenario(Scenario{
-		Graph: ScenarioGraph{Family: "ringofcliques", N: 16},
-		Algo:  ScenarioAlgo{Name: "A"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Partition == nil {
-		t.Fatal("ring of cliques should resolve with a planted partition")
-	}
 	// A tiny sweep through the facade stays deterministic across workers.
 	grid := SweepGrid{
 		Base:  Scenario{Graph: ScenarioGraph{Family: "dumbbell", Cut: 1}, Stop: ScenarioStop{Trials: 2, MaxTime: 100}},
@@ -417,59 +263,6 @@ func TestScenarioSweepFacade(t *testing.T) {
 		if rep1.Cells[i] != rep2.Cells[i] {
 			t.Errorf("cell %d differs across worker counts", i)
 		}
-	}
-}
-
-func TestModelCheckerFacade(t *testing.T) {
-	g, err := ReadGraph(strings.NewReader("nodes 3\n0 1\n1 2\n0 2\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := CheckSpec{Graph: g, X0: []float64{1, 5, 0}, Rule: CheckVanillaRule()}
-	opt := CheckOptions{MaxDepth: 10, Drops: true, Dups: true, Crashes: true}
-
-	res, err := CheckExchange(spec, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counterexample != nil {
-		t.Fatalf("correct protocol violated an invariant:\n%+v", res.Counterexample.Violation)
-	}
-	if res.StatesExplored == 0 {
-		t.Fatal("no states explored")
-	}
-
-	// A seeded bug — one of the two real ones the checker found in the
-	// protocol's own history — is caught, and its trace replays.
-	mu, ok := ParseProtocolMutation("lax-watermark-dedup")
-	if !ok {
-		t.Fatal("mutation name not recognised")
-	}
-	opt.Mutation = mu
-	res, err = CheckExchange(spec, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counterexample == nil {
-		t.Fatal("seeded mutation not caught")
-	}
-	v, err := ReplayTrace(res.Counterexample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Counterexample.Violation.Same(v) {
-		t.Fatalf("replayed violation %+v differs from recorded %+v", v, res.Counterexample.Violation)
-	}
-
-	// Random-walk mode through the facade stays clean on the correct
-	// protocol.
-	wres, err := CheckExchangeWalks(CheckSpec{Graph: g, X0: []float64{1, 5, 0}, Rule: CheckVanillaRule()},
-		CheckOptions{MaxDepth: 16, Drops: true}, 3, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wres.Counterexample != nil {
-		t.Fatalf("random walk found a violation in the correct protocol:\n%+v", wres.Counterexample.Violation)
 	}
 }
 
