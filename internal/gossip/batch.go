@@ -190,6 +190,7 @@ func (b *BatchState) AverageEdgeBatchTracked(rep int, edges []graph.EdgeID, eu, 
 func (b *BatchState) ConvexEdgeBatchTracked(rep int, edges []graph.EdgeID, eu, ev []int32, alpha, exceedLevel float64) (lastIdx int, endVar float64) {
 	b.syncIfDirty(rep)
 	row, off, fn := b.row(rep), b.offset, b.fn
+	beta := 1 - alpha
 	scaledLevel := exceedLevel * fn * fn
 	sum, sumSq := b.sum[rep], b.sumSq[rep]
 	lastIdx = -1
@@ -197,8 +198,8 @@ func (b *BatchState) ConvexEdgeBatchTracked(rep int, edges []graph.EdgeID, eu, e
 		i, j := eu[e], ev[e]
 		yi, yj := row[i], row[j]
 		xi, xj := yi+off, yj+off
-		ci := alpha*xi + (1-alpha)*xj - off
-		cj := alpha*xj + (1-alpha)*xi - off
+		ci := alpha*xi + beta*xj - off
+		cj := alpha*xj + beta*xi - off
 		row[i] = ci
 		row[j] = cj
 		sum += ci - yi

@@ -77,6 +77,81 @@ func compareRowToState(t *testing.T, bs *BatchState, rep int, st *State) {
 	}
 }
 
+// Convex gossip at α = ½ must be the vanilla update bit for bit on
+// normal-range values: rows, moments, last-exceedance indices and chunk
+// variances of the tracked and lazy batch kernels, and the values and
+// moments of the per-event State updates. Near underflow halving rounds,
+// so scenario builds the vanilla kernel for convex α = ½ rather than
+// leaning on this identity; the test pins the identity the shared
+// estimates of sweep.Cache would otherwise rest on.
+func TestConvexHalfIsVanilla(t *testing.T) {
+	g, part, err := graph.Dumbbell(9, 11, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eu, ev := g.EdgeU(), g.EdgeV()
+	for si, scale := range []float64{1, 1e-150, 1e150} {
+		r := rng.New(uint64(si) + 3)
+		x0 := GaussianRandom(r, g.NumNodes())
+		for u := range x0 {
+			if part.SideOf(graph.NodeID(u)) == graph.Side1 {
+				x0[u] += 5 // a cut imbalance, so the variance decays slowly
+			}
+			x0[u] *= scale
+		}
+		level := NewState(x0).Variance() * math.Exp(-2)
+		const rep = 1
+		van, cvx := NewBatchState(x0, 2), NewBatchState(x0, 2)
+		vanLazy, cvxLazy := NewBatchState(x0, 2), NewBatchState(x0, 2)
+		vanSt, cvxSt := NewState(x0), NewState(x0)
+		picks := randomPicks(7, g, 8192)
+		exceeded, quiet := false, false
+		for lo := 0; lo < len(picks); {
+			hi := min(len(picks), lo+1+r.Intn(300))
+			chunk := picks[lo:hi]
+			vi, vv := van.AverageEdgeBatchTracked(rep, chunk, eu, ev, level)
+			ci, cv := cvx.ConvexEdgeBatchTracked(rep, chunk, eu, ev, 0.5, level)
+			if vi != ci || math.Float64bits(vv) != math.Float64bits(cv) {
+				t.Fatalf("scale %g, chunk at %d: (lastIdx %d, endVar %v) vanilla vs (%d, %v) convex", scale, lo, vi, vv, ci, cv)
+			}
+			exceeded = exceeded || vi >= 0
+			quiet = quiet || vi < 0
+			vanLazy.AverageEdgeBatch(rep, chunk, eu, ev)
+			cvxLazy.ConvexEdgeBatch(rep, chunk, eu, ev, 0.5)
+			for _, e := range chunk {
+				vanSt.AverageEdge(int(eu[e]), int(ev[e]))
+				cvxSt.ConvexEdge(int(eu[e]), int(ev[e]), 0.5)
+			}
+			lo = hi
+		}
+		if !exceeded || !quiet {
+			t.Fatalf("scale %g: chunks exceeded %v, quiet %v; want both", scale, exceeded, quiet)
+		}
+		for _, pair := range [][2]*BatchState{{van, cvx}, {vanLazy, cvxLazy}} {
+			a, b := pair[0], pair[1]
+			if !sameBits(a.vals, b.vals) || !sameBits(a.sum, b.sum) || !sameBits(a.sumSq, b.sumSq) {
+				t.Errorf("scale %g: batch rows or moments differ between vanilla and convex(1/2)", scale)
+			}
+		}
+		if !sameBits(vanSt.y, cvxSt.y) || !sameBits([]float64{vanSt.sum, vanSt.sumSq}, []float64{cvxSt.sum, cvxSt.sumSq}) {
+			t.Errorf("scale %g: State.AverageEdge and State.ConvexEdge(1/2) differ", scale)
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // The lazy batch entry points must store the same rows as the tracked
 // ones; their deferred moments resync exactly on the next read.
 func TestBatchLazyMatchesTracked(t *testing.T) {

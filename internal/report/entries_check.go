@@ -149,7 +149,27 @@ func runE5(p Params) (Section, error) {
 	return sec, nil
 }
 
-func runE6(p Params) (Section, error) {
+// e6Epochs caps each E6 run at this many epochs.
+const e6Epochs = 10
+
+// e6Advance drives one E6 run. floored reports whether a swap has already
+// put the variance ratio at or below the float noise floor.
+type e6Advance func(eng *sim.Engine, epoch float64, floored func() bool)
+
+func runE6(p Params) (Section, error) { return e6(p, runToFloor) }
+
+// runToFloor advances a run one epoch at a time and stops after the epoch
+// whose swap reached the floor: E6 reads no ratio past the first floored
+// one, and chained RunUntil calls on the eager listener path process the
+// same events as a single call, so the section is the one a full
+// e6Epochs-epoch run gives.
+func runToFloor(eng *sim.Engine, epoch float64, floored func() bool) {
+	for k := 1; k <= e6Epochs && !floored(); k++ {
+		eng.RunUntil(float64(k) * epoch)
+	}
+}
+
+func e6(p Params, advance e6Advance) (Section, error) {
 	var sec Section
 	n := pick(p, 32, 48)
 	// The mean-increment statistic is censoring-biased (strong epochs fall
@@ -179,6 +199,7 @@ func runE6(p Params) (Section, error) {
 		var ratios []float64
 		var var0 float64
 		crossedAt := -1
+		floored := false
 		alg, err := core.New(g, gossip.CutIndicator(part),
 			core.WithPartition(part), core.WithEpochConstant(1.2),
 			core.WithSwapListener(func(ev core.SwapEvent) {
@@ -189,6 +210,9 @@ func runE6(p Params) (Section, error) {
 				ratios = append(ratios, ratio)
 				if crossedAt < 0 && ratio < math.Exp(-2) {
 					crossedAt = int(ev.Index)
+				}
+				if ratio <= floor {
+					floored = true
 				}
 			}))
 		if err != nil {
@@ -201,7 +225,7 @@ func runE6(p Params) (Section, error) {
 		}
 		// The swap listener puts A's fused kernel on its eager path,
 		// which is bit-identical to HandleTick per event.
-		eng.RunUntil(10 * alg.EpochDuration())
+		advance(eng, alg.EpochDuration(), func() bool { return floored })
 		prev := 1.0
 		for _, r := range ratios {
 			if r <= floor {
@@ -532,7 +556,7 @@ func runE12(p Params) (Section, error) {
 // singleCell evaluates one scenario through the sweep engine (so it
 // shares the estimator pathway and seed discipline of the grids).
 func singleCell(p Params, spec scenario.Spec) (sweep.Cell, error) {
-	rep, err := sweep.Run(sweep.Grid{Base: spec}, sweep.Config{Workers: 1, Seed: p.Seed})
+	rep, err := sweep.Run(sweep.Grid{Base: spec}, sweep.Config{Workers: 1, Seed: p.Seed, Cache: p.cache})
 	if err != nil {
 		return sweep.Cell{}, err
 	}

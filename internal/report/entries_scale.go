@@ -80,7 +80,7 @@ func runE15(p Params) (Section, error) {
 		if err != nil {
 			return sec, err
 		}
-		rep, err := sweep.Run(shardedGrid, sweep.Config{Workers: p.Workers, Seed: p.Seed})
+		rep, err := sweep.Run(shardedGrid, sweep.Config{Workers: p.Workers, Seed: p.Seed, Cache: p.cache})
 		if err != nil {
 			return sec, err
 		}

@@ -157,7 +157,7 @@ func fnum(v float64) string {
 // for derived checks. Cell errors abort: the reproduction must be
 // complete, not best-effort.
 func runGrid(sec *Section, gt gridTable, p Params) ([]sweep.Cell, error) {
-	rep, err := sweep.Run(gt.grid, sweep.Config{Workers: p.Workers, Seed: p.Seed})
+	rep, err := sweep.Run(gt.grid, sweep.Config{Workers: p.Workers, Seed: p.Seed, Cache: p.cache})
 	if err != nil {
 		return nil, err
 	}

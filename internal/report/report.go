@@ -25,6 +25,8 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+
+	"sparsecut/internal/sweep"
 )
 
 // Params configures a reproduction run.
@@ -38,6 +40,10 @@ type Params struct {
 	// sweep workers inside an entry and how many entries GenerateSubset
 	// runs at once. It never affects results, only wall-clock time.
 	Workers int
+
+	// cache shares cell estimates between the entries of one
+	// GenerateSubset call (nil: every sweep estimates its own cells).
+	cache *sweep.Cache
 }
 
 func (p Params) withDefaults() Params {
@@ -277,6 +283,10 @@ func GenerateSubset(ids []string, p Params) (*Document, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	// One cache per call: entries that sweep the same cell (in full mode,
+	// E1's α = ½ column is E4's vanilla column) estimate it once. It must
+	// not outlive the call, or a repeated report would cost nothing.
+	p.cache = &sweep.Cache{}
 	secs := make([]Section, len(entries))
 	errs := make([]error, len(entries))
 	sem := make(chan struct{}, workers)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"sparsecut/internal/scenario"
+	"sparsecut/internal/sim"
 	"sparsecut/internal/sweep"
 )
 
@@ -290,5 +292,32 @@ func TestMarkdownEscapesPipes(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `\|E12\|`) || !strings.Contains(buf.String(), `\|x\|`) {
 		t.Errorf("pipes not escaped:\n%s", buf.String())
+	}
+}
+
+// runAllEpochs is the E6 driver that ends every run at its epoch cap,
+// whatever the variance reached: the oracle for runToFloor.
+func runAllEpochs(eng *sim.Engine, epoch float64, _ func() bool) {
+	eng.RunUntil(e6Epochs * epoch)
+}
+
+// TestE6EndsAtFloorUnchanged checks that ending E6's runs after the epoch
+// that reaches the float floor leaves the section exactly as the full
+// e6Epochs-epoch runs give it. Seed 1 backs the committed quick artifact;
+// seed 2 has none.
+func TestE6EndsAtFloorUnchanged(t *testing.T) {
+	for _, seed := range []uint64{1, 2} {
+		p := Params{Quick: true, Seed: seed}
+		got, err := e6(p, runToFloor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e6(p, runAllEpochs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := fmt.Sprintf("%#v", got), fmt.Sprintf("%#v", want); g != w {
+			t.Errorf("seed %d: E6 differs from the full-length runs:\n got %s\nwant %s", seed, g, w)
+		}
 	}
 }

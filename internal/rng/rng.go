@@ -139,14 +139,49 @@ func (r *RNG) Intn(n int) int {
 // bound) — call this when lo < bound, exactly as Intn does; keeping the
 // threshold logic here means there is a single source of truth for the
 // draw sequence. The inlining callers are the fused per-event loop
-// (sim/kernel.go), the batched engine's edge picks (sim/batch.go) and the
-// implicit graphs' clique sampler (graph/implicit.go).
+// (sim/kernel.go) and the implicit graphs' clique sampler
+// (graph/implicit.go); FillIntn hands its rejections to Intn.
 func (r *RNG) IntnSlow(hi, lo, bound uint64) uint64 {
 	thresh := (-bound) % bound
 	for lo < thresh {
 		hi, lo = bits.Mul64(r.Uint64(), bound)
 	}
 	return hi
+}
+
+// FillIntn fills dst with uniform integers in [0, n): the same values,
+// leaving the stream at the same position, as one r.Intn(n) per element.
+// Like CountLowBits it reads the block buffer in a local loop, so the
+// draws do not serialise on a per-draw position store; the rare draw that
+// lands in the Lemire rejection zone (lo < n) is handed to Intn. The
+// batched engine's uniform edge picks use it. It panics if n <= 0 or n
+// does not fit in T.
+func FillIntn[T ~int32](r *RNG, dst []T, n int) {
+	if n <= 0 || int(T(n)) != n {
+		panic("rng: FillIntn called with n <= 0 or n out of range")
+	}
+	bound := uint64(n)
+	for len(dst) > 0 {
+		if r.pos >= u64BlockSize {
+			r.refill()
+		}
+		src := r.buf[r.pos:min(u64BlockSize, r.pos+len(dst))]
+		out := dst[:len(src)]
+		i := 0
+		for ; i < len(src); i++ {
+			hi, lo := bits.Mul64(src[i], bound)
+			if lo < bound {
+				break
+			}
+			out[i] = T(hi)
+		}
+		r.pos += i
+		dst = dst[i:]
+		if i < len(src) {
+			dst[0] = T(r.Intn(n))
+			dst = dst[1:]
+		}
+	}
 }
 
 // CountLowBits returns how many of the next n outputs have their low bit

@@ -622,3 +622,99 @@ func TestCountLowBits(t *testing.T) {
 		}
 	}
 }
+
+// TestFillIntnMatchesIntn pins FillIntn to one Intn call per element: the
+// same values and the same next output, from several stream positions and
+// for fills on both sides of the block size.
+func TestFillIntnMatchesIntn(t *testing.T) {
+	for _, skip := range []int{0, 100, 255} {
+		for _, size := range []int{0, 1, 255, 256, 257, 1000} {
+			for _, n := range []int{1, 3, 1 << 20, math.MaxInt32} {
+				a, b := New(17), New(17)
+				for i := 0; i < skip; i++ {
+					a.Uint64()
+					b.Uint64()
+				}
+				got := make([]int32, size)
+				FillIntn(a, got, n)
+				for i, v := range got {
+					if want := b.Intn(n); int(v) != want {
+						t.Fatalf("skip %d, size %d, n %d: element %d is %d, want %d", skip, size, n, i, v, want)
+					}
+				}
+				if x, y := a.Uint64(), b.Uint64(); x != y {
+					t.Errorf("skip %d, size %d, n %d: next output %d, want %d", skip, size, n, x, y)
+				}
+			}
+		}
+	}
+}
+
+// TestFillIntnRejection plants words in the block buffer that land in
+// Lemire's rejection zone, which random streams reach with probability
+// about n/2^64 per draw. For n = 3 the exact threshold is 2^64 mod 3 = 1:
+// the word 0 gives lo = 0 < thresh, a rejection that redraws, and the
+// inverse of 3 gives lo = 1, below the bound but accepted by IntnSlow.
+// FillIntn must match Intn on the values and on the stream position.
+func TestFillIntnRejection(t *testing.T) {
+	const (
+		n      = 3
+		reject = 0                  // lo = 0 < thresh: redrawn
+		accept = 0xaaaaaaaaaaaaaaab // 3·accept ≡ 1 (mod 2^64): lo = 1, thresh <= lo < n
+	)
+	if bound := uint64(n); -bound%bound != 1 {
+		t.Fatalf("threshold %d, want 1", -bound%bound)
+	}
+	plants := []map[int]uint64{
+		{3: accept},
+		{3: reject},
+		{3: reject, 4: reject, 5: accept, 9: accept},
+		{255: reject}, // the redraw refills the block
+		{254: accept, 255: reject},
+	}
+	for pi, plant := range plants {
+		for _, size := range []int{1, 8, 300} {
+			a := New(23)
+			a.refill()
+			a.pos = 2
+			if _, tail := plant[255]; tail {
+				a.pos = 250
+			}
+			for i, w := range plant {
+				a.buf[i] = w
+			}
+			b := *a
+			got := make([]int32, size)
+			FillIntn(a, got, n)
+			for i, v := range got {
+				if want := b.Intn(n); int(v) != want {
+					t.Fatalf("plant %d, size %d: element %d is %d, want %d", pi, size, i, v, want)
+				}
+			}
+			if a.pos != b.pos || a.s != b.s {
+				t.Errorf("plant %d, size %d: stream at %d, want %d", pi, size, a.pos, b.pos)
+			}
+		}
+	}
+}
+
+func TestFillIntnPanicsOutOfRange(t *testing.T) {
+	for _, n := range []int{0, -1, math.MaxInt32 + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FillIntn with n = %d did not panic", n)
+				}
+			}()
+			FillIntn(New(1), make([]int32, 1), n)
+		}()
+	}
+}
+
+func BenchmarkFillIntn(b *testing.B) {
+	r := New(1)
+	dst := make([]int32, 256)
+	for i := 0; i < b.N; i++ {
+		FillIntn(r, dst, 1000)
+	}
+}

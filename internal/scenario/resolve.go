@@ -302,12 +302,32 @@ func (r *Resolved) AvgtimeConfig() avgtime.Config {
 	return cfg
 }
 
+// kernel names the algorithm whose batch kernel Estimate runs. Convex at
+// α = ½ runs vanilla's: the two updates agree bit for bit except near
+// underflow, where halving rounds, and overflow, so building one kernel
+// makes their estimates equal by construction.
+func (r *Resolved) kernel() string {
+	if a := r.Spec.Algo; a.Name == "convex" && a.Alpha == 0.5 {
+		return "vanilla"
+	}
+	return r.Spec.Algo.Name
+}
+
+// EstimateKey returns the spec as Estimate sees it: resolved specs with
+// equal keys have equal estimates. It is Spec with convex at α = ½ named
+// vanilla, the kernel it runs, so sweep.Cache can share the two.
+func (r *Resolved) EstimateKey() Spec {
+	k := r.Spec
+	k.Algo.Name = r.kernel()
+	return k
+}
+
 // EnsembleFactory returns the replica-batched kernel factory for
 // algorithms with an ensemble implementation — vanilla, convex and
 // push-sum — and ok = false for Algorithm A, whose epoch machinery needs
 // materialised per-event times and therefore stays on the per-event path.
 func (r *Resolved) EnsembleFactory() (avgtime.EnsembleFactory, bool) {
-	switch r.Spec.Algo.Name {
+	switch r.kernel() {
 	case "vanilla":
 		return func(replicas int, _ []*rng.RNG) (sim.BatchKernel, error) {
 			return gossip.NewVanillaEnsemble(r.Graph, r.X0, replicas)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"sparsecut/internal/graph"
 	"sparsecut/internal/rng"
@@ -61,7 +60,7 @@ type BatchEngine struct {
 	g        *graph.Graph
 	kern     BatchKernel
 	uniform  bool
-	numEdges uint64
+	numEdges int
 	alias    *aliasTable // nil when uniform
 	invTotal float64
 	reps     []batchReplica
@@ -159,7 +158,7 @@ func NewBatchEngine(g *graph.Graph, kern BatchKernel, streams []*rng.RNG, opts .
 		g:        g,
 		kern:     kern,
 		uniform:  true,
-		numEdges: uint64(g.NumEdges()),
+		numEdges: g.NumEdges(),
 		reps:     make([]batchReplica, len(streams)),
 		picks:    make([]graph.EdgeID, chunkSize),
 	}
@@ -211,19 +210,12 @@ func (be *BatchEngine) ReplicaNow(rep int) float64 { return be.reps[rep].now }
 func (be *BatchEngine) ReplicaEvents(rep int) int64 { return be.reps[rep].events }
 
 // fillPicks samples one ticking edge per event into dst from the replica
-// stream r — the Lemire pick of rng.Intn inlined for the uniform-rate
-// case, the shared alias table otherwise. This is the only per-event
-// randomness of the bridged path.
+// stream r — rng.FillIntn for the uniform-rate case, the shared alias
+// table otherwise. This is the only per-event randomness of the bridged
+// path.
 func (be *BatchEngine) fillPicks(r *rng.RNG, dst []graph.EdgeID) {
 	if be.uniform {
-		bound := be.numEdges
-		for k := range dst {
-			hi, lo := bits.Mul64(r.Uint64(), bound)
-			if lo < bound {
-				hi = r.IntnSlow(hi, lo, bound)
-			}
-			dst[k] = graph.EdgeID(hi)
-		}
+		rng.FillIntn(r, dst, be.numEdges)
 		return
 	}
 	al := be.alias

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"sparsecut/internal/avgtime"
 	"sparsecut/internal/metrics"
 	"sparsecut/internal/scenario"
 	"sparsecut/internal/stats"
@@ -166,10 +167,58 @@ type Config struct {
 	// only, never for results).
 	OnCell func(Cell)
 	// Metrics, when set, receives the sweep's telemetry: cells
-	// started/completed/errored counters (sharded by worker index) and a
-	// per-cell wall-time histogram (sweep.cell.wall_ns). Like OnCell it is
+	// started/completed/errored/shared counters (sharded by worker index;
+	// shared counts cells whose estimate came from Cache) and a per-cell
+	// wall-time histogram (sweep.cell.wall_ns). Like OnCell it is
 	// observation only — the report is byte-identical with or without it.
 	Metrics *metrics.Registry
+	// Cache, when set, shares estimates with every other Run given the
+	// same Cache: a unit whose resolved spec, unit seed included, equals
+	// one already estimated reuses that result. The report is
+	// byte-identical with or without it; nil estimates every unit.
+	Cache *Cache
+}
+
+// Cache is a single-flight map from a resolved spec to its finished
+// estimate. The first unit to ask for a spec estimates it; units asking
+// for an equal spec meanwhile wait for that result, and later ones read
+// it. The results are shared read-only. The zero value is an empty cache,
+// safe for concurrent use. It keeps every result it holds, so scope it to
+// one batch of related runs.
+type Cache struct {
+	mu sync.Mutex
+	m  map[scenario.Spec]*cacheEntry
+}
+
+type cacheEntry struct {
+	once sync.Once
+	res  avgtime.Result
+	err  error
+}
+
+// estimate returns r's estimate and whether another unit computed it.
+func (c *Cache) estimate(r *scenario.Resolved) (res avgtime.Result, shared bool, err error) {
+	if c == nil {
+		res, err = r.Estimate()
+		return res, false, err
+	}
+	key := r.EstimateKey()
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = map[scenario.Spec]*cacheEntry{}
+	}
+	e := c.m[key]
+	if e == nil {
+		e = &cacheEntry{}
+		c.m[key] = e
+	}
+	c.mu.Unlock()
+	shared = true
+	e.once.Do(func() {
+		e.res, e.err = r.Estimate()
+		shared = false
+	})
+	return e.res, shared, e.err
 }
 
 // Run expands the grid and executes every unit on the worker pool.
@@ -200,6 +249,7 @@ func Run(grid Grid, cfg Config) (*Report, error) {
 	started := cfg.Metrics.Counter("sweep.cells.started")
 	completed := cfg.Metrics.Counter("sweep.cells.completed")
 	errored := cfg.Metrics.Counter("sweep.cells.errored")
+	sharedCells := cfg.Metrics.Counter("sweep.cells.shared")
 	wall := cfg.Metrics.Histogram("sweep.cell.wall_ns")
 
 	cells := make([]Cell, len(units))
@@ -214,15 +264,19 @@ func Run(grid Grid, cfg Config) (*Report, error) {
 				u := units[i]
 				started.Inc(w)
 				begin := time.Now()
+				var shared bool
 				// Label the unit's CPU samples by scenario so a -cpuprofile
 				// of a mixed sweep attributes time per family and algorithm.
 				pprof.Do(context.Background(), unitLabels(u), func(context.Context) {
-					cells[i] = runUnit(u)
+					cells[i], shared = runUnit(u, cfg.Cache)
 				})
 				wall.Observe(time.Since(begin).Nanoseconds())
 				completed.Inc(w)
 				if cells[i].Error != "" {
 					errored.Inc(w)
+				}
+				if shared {
+					sharedCells.Inc(w)
 				}
 				if cfg.OnCell != nil {
 					mu.Lock()
@@ -255,14 +309,15 @@ func unitLabels(u Unit) pprof.LabelSet {
 	return pprof.Labels("sweep_family", fam, "sweep_algo", algo)
 }
 
-// runUnit resolves and estimates one cell. All errors are folded into the
-// cell so the sweep's shape is stable.
-func runUnit(u Unit) Cell {
-	cell := Cell{Index: u.Index, Label: u.Spec.Label(), Spec: u.Spec, Seed: u.Spec.Seed}
+// runUnit resolves and estimates one cell, through cache when it is set;
+// shared reports that the estimate came from another unit. All errors are
+// folded into the cell so the sweep's shape is stable.
+func runUnit(u Unit, cache *Cache) (cell Cell, shared bool) {
+	cell = Cell{Index: u.Index, Label: u.Spec.Label(), Spec: u.Spec, Seed: u.Spec.Seed}
 	r, err := u.Spec.Resolve()
 	if err != nil {
 		cell.Error = err.Error()
-		return cell
+		return cell, false
 	}
 	cell.Spec = r.Spec // normalized: every default made explicit
 	cell.Label = r.Spec.Label()
@@ -279,10 +334,10 @@ func runUnit(u Unit) Cell {
 			cell.CutSize = r.Partition.CutSize()
 		}
 	}
-	res, err := r.Estimate()
+	res, shared, err := cache.estimate(r)
 	if err != nil {
 		cell.Error = err.Error()
-		return cell
+		return cell, shared
 	}
 	var w stats.Welford
 	for _, l := range res.PerTrial {
@@ -306,5 +361,5 @@ func runUnit(u Unit) Cell {
 	if q, err := stats.Quantile(res.PerTrial, 0.75); err == nil {
 		cell.Q75 = q
 	}
-	return cell
+	return cell, shared
 }

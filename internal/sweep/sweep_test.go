@@ -372,3 +372,90 @@ func TestMetricsCountsErroredCells(t *testing.T) {
 		t.Errorf("completed counter %d, want %d", got, len(rep.Cells))
 	}
 }
+
+// reportJSON renders a report for byte comparison.
+func reportJSON(t *testing.T, rep *Report) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// sharedRuns runs every grid concurrently with one Cache and returns how
+// many cells took their estimate from it. Each report must be
+// byte-identical to the same run without the cache.
+func sharedRuns(t *testing.T, seeds []uint64, grids ...Grid) int64 {
+	t.Helper()
+	cache := &Cache{}
+	reg := metrics.NewRegistry()
+	got := make([]*Report, len(grids))
+	errs := make([]error, len(grids))
+	done := make(chan struct{})
+	for i, g := range grids {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			got[i], errs[i] = Run(g, Config{Workers: 2, Seed: seeds[i], Cache: cache, Metrics: reg})
+		}()
+	}
+	for range grids {
+		<-done
+	}
+	for i, g := range grids {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		want, err := Run(g, Config{Workers: 1, Seed: seeds[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reportJSON(t, got[i]) != reportJSON(t, want) {
+			t.Errorf("grid %d: report with a shared cache differs from one without", i)
+		}
+		for _, c := range got[i].Cells {
+			if c.Error != "" {
+				t.Errorf("grid %d: cell %s failed: %s", i, c.Label, c.Error)
+			}
+		}
+	}
+	return reg.Snapshot().Counters["sweep.cells.shared"]
+}
+
+// TestCacheSharesEqualCells: two sweeps over overlapping grids estimate
+// each common cell once, convex(1/2) and vanilla share, and a different
+// seed, rate model or shard count does not.
+func TestCacheSharesEqualCells(t *testing.T) {
+	base := scenario.Spec{Stop: scenario.StopSpec{Trials: 2, MaxTime: 200}}
+	withRates := func(s scenario.Spec, rates string) scenario.Spec { s.Rates = rates; return s }
+	withShards := func(s scenario.Spec, shards int) scenario.Spec { s.Stop.Shards = shards; return s }
+	convexHalf := Grid{Base: base, Ns: []int{12}, Algos: []string{"convex"}, Alphas: []float64{0.5}}
+	vanilla := Grid{Base: base, Ns: []int{12}, Algos: []string{"vanilla"}}
+	cases := []struct {
+		name  string
+		seeds []uint64
+		grids []Grid
+		want  int64
+	}{
+		// Units 0 and 1 (n=12, vanilla and A) are common; n=16 and n=20
+		// are not.
+		{"overlapping grids", []uint64{3, 3}, []Grid{
+			{Base: base, Ns: []int{12, 16}, Algos: []string{"vanilla", "A"}},
+			{Base: base, Ns: []int{12, 20}, Algos: []string{"vanilla", "A"}},
+		}, 2},
+		{"convex(1/2) and vanilla", []uint64{3, 3}, []Grid{convexHalf, vanilla}, 1},
+		{"convex(0.75) and vanilla", []uint64{3, 3}, []Grid{
+			{Base: base, Ns: []int{12}, Algos: []string{"convex"}, Alphas: []float64{0.75}}, vanilla,
+		}, 0},
+		{"different seeds", []uint64{3, 4}, []Grid{vanilla, vanilla}, 0},
+		{"different rates", []uint64{3, 3}, []Grid{vanilla, {Base: withRates(base, "nodeclock"), Ns: []int{12}}}, 0},
+		{"different shard counts", []uint64{3, 3}, []Grid{
+			{Base: withShards(base, 1), Ns: []int{12}}, {Base: withShards(base, 2), Ns: []int{12}},
+		}, 0},
+	}
+	for _, tc := range cases {
+		if got := sharedRuns(t, tc.seeds, tc.grids...); got != tc.want {
+			t.Errorf("%s: %d shared cells, want %d", tc.name, got, tc.want)
+		}
+	}
+}
