@@ -13,7 +13,7 @@
 //	distrun -graph dumbbell -n 16 -cut 1 -rule A        -until 40
 //	distrun -graph dumbbell -n 16 -rule A -drop 0.05    -until 40 -compare
 //	distrun -graph planted  -n 60 -rule vanilla -delay 2ms -until 20
-//	distrun -graph sensor   -n 64 -cut 2 -rule A -tcp   -until 30
+//	distrun -graph sensor   -n 64 -cut 2 -rule A        -until 30
 //	distrun -shards 8 -graph torusdumbbell -n 1000000 \
 //	        -cut 8 -rule vanilla -drop 0.05 -until 0.5 -scale 4s -assert
 //
@@ -21,12 +21,10 @@
 // conservation and the exchange ledger (proposed == applied + aborted,
 // applied == committed) — and exits non-zero on any violation.
 //
-// -drop injects i.i.d. message loss, -delay random per-message latency, and
-// -tcp carries every cross-shard protocol message over loopback TCP
-// sockets, one listener per shard; without any of the three, shards
-// exchange messages through in-process mailboxes. -scale sets the
-// wall-clock length of one simulated time unit: smaller runs faster but
-// leaves less headroom over transport latency.
+// Shards exchange messages through in-process mailboxes. -drop injects
+// i.i.d. message loss and -delay random per-message latency on that path.
+// -scale sets the wall-clock length of one simulated time unit: smaller
+// runs faster but leaves less headroom over message latency.
 //
 // -http serves the runtime's live telemetry while it runs:
 // exchange/abort/message counters, the exchange-latency histogram and the
@@ -60,7 +58,6 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"runtime"
 	"time"
 
 	"sparsecut"
@@ -77,7 +74,6 @@ func main() {
 		scale     = flag.Duration("scale", 4*time.Millisecond, "wall-clock length of one simulated time unit")
 		drop      = flag.Float64("drop", 0, "message loss probability in [0,1)")
 		delay     = flag.Duration("delay", 0, "max random per-message latency (0 = none)")
-		useTCP    = flag.Bool("tcp", false, "carry messages over loopback TCP instead of in-memory channels")
 		shards    = flag.Int("shards", 0, "shard event loops (0 = GOMAXPROCS)")
 		assert    = flag.Bool("assert", false, "verify sum conservation and the exchange ledger after the run; exit non-zero on violation")
 		seed      = flag.Uint64("seed", 1, "random seed")
@@ -98,24 +94,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// The runtime's transport mailboxes are per shard, not per node; with
-	// no fault injection it uses its internal direct path.
-	nShards := *shards
-	if nShards <= 0 {
-		nShards = runtime.GOMAXPROCS(0)
-	}
-	if nShards > g.NumNodes() {
-		nShards = g.NumNodes()
-	}
-	tr, desc, err := buildTransport(nShards, g.NumNodes(), *useTCP, *drop, *delay, *seed)
-	if err != nil {
-		fatal(err)
-	}
-
 	cfg := sparsecut.ClusterConfig{
 		TimeScale: *scale,
 		Seed:      *seed,
-		Transport: tr,
+		Drop:      *drop,
+		Delay:     *delay,
 	}
 	var reg *sparsecut.MetricsRegistry
 	if *httpAddr != "" || *metrics != "" {
@@ -134,7 +117,7 @@ func main() {
 		cfg.LockTimeout = 4 * *delay
 	}
 	cl, err := sparsecut.NewShardRuntime(g, x0, rule, sparsecut.ShardRuntimeConfig{
-		ClusterConfig: cfg, Shards: nShards,
+		ClusterConfig: cfg, Shards: *shards,
 	})
 	if err != nil {
 		fatal(err)
@@ -160,7 +143,7 @@ func main() {
 	fmt.Printf("graph:      %s\n", g)
 	fmt.Printf("partition:  %s\n", part)
 	fmt.Printf("rule:       %s\n", rule.Name())
-	fmt.Printf("transport:  %s\n", desc)
+	fmt.Printf("transport:  %s\n", describeFaults(*drop, *delay))
 	fmt.Printf("running:    %d nodes on %d shard loops for t=%g (~%v wall)...\n",
 		g.NumNodes(), cl.Shards(), *until, (time.Duration(*until * float64(*scale))).Round(time.Millisecond))
 	start := time.Now()
@@ -280,48 +263,16 @@ func buildSimAlgorithm(kind string, g *sparsecut.Graph, part *sparsecut.Partitio
 	}
 }
 
-// buildTransport assembles the transport stack for addrs mailbox
-// addresses, one per shard. A run with no fault injection returns a nil
-// transport: the runtime's internal direct path.
-func buildTransport(addrs, nodes int, useTCP bool, drop float64, delay time.Duration, seed uint64) (sparsecut.Transport, string, error) {
-	var tr sparsecut.Transport
-	desc := ""
-	switch {
-	case useTCP:
-		tcp, err := sparsecut.NewTCPTransport(addrs)
-		if err != nil {
-			return nil, "", err
-		}
-		port, _ := tcp.Port(0)
-		tr = tcp
-		desc = fmt.Sprintf("loopback TCP (%d listeners, addr 0 on port %d)", addrs, port)
-	case drop == 0 && delay == 0:
-		return nil, "in-process direct shard mailboxes", nil
-	default:
-		buf := 4 * nodes
-		if buf > 1<<18 {
-			buf = 1 << 18 // a few mailboxes serve all nodes; cap the buffers
-		}
-		tr = sparsecut.NewChanTransport(buf)
-		desc = fmt.Sprintf("in-memory channels (%d mailboxes, buffer %d each)", addrs, buf)
-	}
+// describeFaults names the message path and the faults injected on it.
+func describeFaults(drop float64, delay time.Duration) string {
+	desc := "in-process shard mailboxes"
 	if delay > 0 {
-		var err error
-		tr, err = sparsecut.NewDelayTransport(tr, delay, seed+17)
-		if err != nil {
-			return nil, "", err
-		}
 		desc += fmt.Sprintf(" + uniform delay [0,%v)", delay)
 	}
 	if drop > 0 {
-		var err error
-		tr, err = sparsecut.NewDropTransport(tr, drop, seed+99)
-		if err != nil {
-			return nil, "", err
-		}
 		desc += fmt.Sprintf(" + %.0f%% loss", drop*100)
 	}
-	return tr, desc, nil
+	return desc
 }
 
 // quantileDur renders a histogram quantile estimate as a rounded duration.

@@ -2,12 +2,12 @@
 // node driven by its private Poisson clock, coordinating through explicit
 // messages (try-lock exchanges with leases and grant retransmission)
 // instead of a shared-memory simulator. The nodes are spread over up to
-// four shard event loops; messages between loops cross the transport.
+// four shard event loops; messages between loops cross in-process shard
+// mailboxes.
 //
-// By default the transport is in-memory channels; pass -tcp to carry those
-// messages over loopback TCP sockets, one listener per shard. Pass -drop
-// 0.05 to inject 5% i.i.d. message loss and watch the protocol degrade
-// gracefully (aborted exchanges are skipped ticks, not corruption).
+// Pass -drop 0.05 to inject 5% i.i.d. message loss and watch the protocol
+// degrade gracefully (aborted exchanges are skipped ticks, not
+// corruption).
 package main
 
 import (
@@ -25,7 +25,6 @@ func main() {
 		n        = flag.Int("n", 16, "total nodes (dumbbell of two n/2-cliques)")
 		duration = flag.Float64("t", 40, "simulated duration in time units")
 		drop     = flag.Float64("drop", 0, "message loss probability in [0,1)")
-		useTCP   = flag.Bool("tcp", false, "use loopback TCP instead of in-memory channels")
 		seed     = flag.Uint64("seed", 1, "random seed")
 	)
 	flag.Parse()
@@ -42,26 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	nShards := min(4, g.NumNodes())
-	var tr sparsecut.Transport
-	if *useTCP {
-		tcp, err := sparsecut.NewTCPTransport(nShards)
-		if err != nil {
-			log.Fatal(err)
-		}
-		port, _ := tcp.Port(0)
-		fmt.Printf("transport: loopback TCP (%d listeners, shard 0 on port %d)\n", nShards, port)
-		tr = tcp
-	} else {
-		buf := 4 * g.NumNodes()
-		fmt.Printf("transport: in-memory channels (buffer %d per mailbox)\n", buf)
-		tr = sparsecut.NewChanTransport(buf)
-	}
 	if *drop > 0 {
-		tr, err = sparsecut.NewDropTransport(tr, *drop, *seed+99)
-		if err != nil {
-			log.Fatal(err)
-		}
 		fmt.Printf("fault injection: dropping %.0f%% of messages\n", *drop*100)
 	}
 
@@ -70,9 +50,9 @@ func main() {
 		ClusterConfig: sparsecut.ClusterConfig{
 			TimeScale: scale,
 			Seed:      *seed,
-			Transport: tr,
+			Drop:      *drop,
 		},
-		Shards: nShards,
+		Shards: 4,
 	})
 	if err != nil {
 		log.Fatal(err)

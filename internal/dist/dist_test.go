@@ -2,8 +2,9 @@ package dist
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,7 +34,7 @@ func sum(xs []float64) float64 {
 }
 
 // newTestRuntime builds a ShardRuntime with the given shard count or fails
-// the test. A configured transport needs one address per shard.
+// the test.
 func newTestRuntime(t *testing.T, g *graph.Graph, x0 []float64, rule Rule, shards int, cfg ClusterConfig) *ShardRuntime {
 	t.Helper()
 	rt, err := NewShardRuntime(g, x0, rule, ShardRuntimeConfig{ClusterConfig: cfg, Shards: shards})
@@ -44,28 +45,21 @@ func newTestRuntime(t *testing.T, g *graph.Graph, x0 []float64, rule Rule, shard
 }
 
 // TestSumConservedAcrossAbortsAndDrops runs one node per shard, so every
-// protocol message crosses the hostile transport.
+// protocol message crosses a shard mailbox under the injected faults.
 func TestSumConservedAcrossAbortsAndDrops(t *testing.T) {
 	g, part, x0 := dumbbellCase(t)
 	rule, err := NewSparseCutRule(part, part.CutEdges()[0], 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A deliberately hostile transport: every message is delayed by up to
-	// 2ms and then dropped with probability 0.25. The lock timeout must
-	// exceed the worst-case round trip (3 messages) or the initiator
-	// refuses every proposal as stale; 10ms leaves room for one drop plus
-	// a retransmission within the window.
-	delay, err := NewDelayTransport(NewChanTransport(8*g.NumNodes()), 2*time.Millisecond, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewDropTransport(delay, 0.25, rng.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A deliberately hostile network: every message is dropped with
+	// probability 0.25, and the survivors are delayed by up to 2ms. The
+	// lock timeout must exceed the worst-case round trip (3 messages) or
+	// the initiator refuses every proposal as stale; 10ms leaves room for
+	// one drop plus a retransmission within the window.
 	cl := newTestRuntime(t, g, x0, rule, perNode, ClusterConfig{
-		TimeScale: 4 * time.Millisecond, Seed: 1, Transport: tr,
+		TimeScale: 4 * time.Millisecond, Seed: 1,
+		Drop: 0.25, Delay: 2 * time.Millisecond,
 		LockTimeout: 10 * time.Millisecond,
 	})
 	if err := cl.Run(context.Background(), 20); err != nil {
@@ -86,11 +80,11 @@ func TestSumConservedAcrossAbortsAndDrops(t *testing.T) {
 	}
 	// No variance assertion here: the sparse-cut swap is non-convex and
 	// legitimately re-inflates varX until the sides remix, which this
-	// hostile transport intentionally starves. The invariant under fire is
+	// hostile network intentionally starves. The invariant under fire is
 	// the sum, checked above; convergence is TestConvergenceMatchesSimulator's
-	// job under a sane transport.
+	// job on a fault-free network.
 	t.Logf("exchanges=%d aborted=%d dropped=%d var=%.4g",
-		cl.Exchanges(), cl.Aborted(), tr.Dropped(), cl.Variance())
+		cl.Exchanges(), cl.Aborted(), cl.Dropped(), cl.Variance())
 }
 
 func TestConvergenceMatchesSimulator(t *testing.T) {
@@ -139,32 +133,56 @@ func TestConvergenceMatchesSimulator(t *testing.T) {
 		horizon, distRatio, simRatio, distRatio/simRatio)
 }
 
+// TestRepeatedRunsContinue resumes a runtime across Runs, on the direct
+// path and under Delay. With Delay, a run can end with messages still held
+// by their senders; the next run must start without them, and a held
+// message planted between runs is never delivered.
 func TestRepeatedRunsContinue(t *testing.T) {
-	g, _, _ := dumbbellCase(t)
-	// Random initial values: every committed internal exchange strictly
-	// reduces the variance, so progress does not hinge on the (slow,
-	// Poisson-rare) single cut edge.
-	x0 := gossip.UniformRandom(rng.New(9), g.NumNodes())
-	cl := newTestRuntime(t, g, x0, NewVanillaRule(), 3, ClusterConfig{TimeScale: 4 * time.Millisecond, Seed: 5})
-	var0 := cl.Variance()
-	if err := cl.Run(context.Background(), 8); err != nil {
-		t.Fatal(err)
-	}
-	ex1 := cl.Exchanges()
-	if ex1 == 0 {
-		t.Fatal("first run committed no exchanges")
-	}
-	if err := cl.Run(context.Background(), 8); err != nil {
-		t.Fatal(err)
-	}
-	if cl.Exchanges() <= ex1 {
-		t.Errorf("second run committed no exchanges (%d then %d)", ex1, cl.Exchanges())
-	}
-	if cl.Variance() >= var0 {
-		t.Errorf("variance %g did not decrease from %g after 16 time units", cl.Variance(), var0)
-	}
-	if drift := math.Abs(cl.Mean() - sum(x0)/float64(len(x0))); drift > 1e-9 {
-		t.Errorf("mean drifted by %g across two runs", drift)
+	for _, delay := range []time.Duration{0, 2 * time.Millisecond} {
+		t.Run(fmt.Sprintf("delay=%v", delay), func(t *testing.T) {
+			g, _, _ := dumbbellCase(t)
+			// Random initial values: every committed internal exchange
+			// strictly reduces the variance, so progress does not hinge on
+			// the (slow, Poisson-rare) single cut edge.
+			x0 := gossip.UniformRandom(rng.New(9), g.NumNodes())
+			cl := newTestRuntime(t, g, x0, NewVanillaRule(), 3, ClusterConfig{
+				TimeScale: 4 * time.Millisecond, Seed: 5,
+				Delay: delay, LockTimeout: 4 * delay, // 0 keeps the default
+
+			})
+			var0 := cl.Variance()
+			if err := cl.Run(context.Background(), 8); err != nil {
+				t.Fatal(err)
+			}
+			ex1 := cl.Exchanges()
+			if ex1 == 0 {
+				t.Fatal("first run committed no exchanges")
+			}
+			const planted = math.MaxUint64
+			cl.shards[0].held.push(heldMsg{m: Message{Kind: MsgLock, From: 0, To: 1, Epoch: cl.epoch, Seq: planted}})
+			var leaked atomic.Int64
+			cl.tap = func(ev nodeEvent) {
+				if ev.kind == stepDeliver && ev.msg.Seq == planted {
+					leaked.Add(1)
+				}
+			}
+			if err := cl.Run(context.Background(), 8); err != nil {
+				t.Fatal(err)
+			}
+			if n := leaked.Load(); n != 0 {
+				t.Errorf("a message held across the run boundary was delivered %d times", n)
+			}
+			if cl.Exchanges() <= ex1 {
+				t.Errorf("second run committed no exchanges (%d then %d)", ex1, cl.Exchanges())
+			}
+			if cl.Variance() >= var0 {
+				t.Errorf("variance %g did not decrease from %g after 16 time units", cl.Variance(), var0)
+			}
+			if drift := math.Abs(cl.Mean() - sum(x0)/float64(len(x0))); drift > 1e-9 {
+				t.Errorf("mean drifted by %g across two runs", drift)
+			}
+			assertLedger(t, cl)
+		})
 	}
 }
 
@@ -185,58 +203,6 @@ func TestIsolatedNodeDoesNotPanic(t *testing.T) {
 	}
 	if drift := math.Abs(sum(cl.Values()) - 7); drift > 1e-12 {
 		t.Errorf("sum drifted by %g", drift)
-	}
-}
-
-func TestRunSurvivesTransportDeath(t *testing.T) {
-	g, _, x0 := dumbbellCase(t)
-	tr := NewChanTransport(4 * g.NumNodes())
-	cl := newTestRuntime(t, g, x0, NewVanillaRule(), 3, ClusterConfig{TimeScale: 4 * time.Millisecond, Seed: 2, Transport: tr})
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		tr.Close() // kill the transport under a running runtime
-	}()
-	start := time.Now()
-	err := cl.Run(context.Background(), 1e6) // would be hours of wall time
-	var se *SendError
-	if !errors.As(err, &se) || !errors.Is(err, ErrClosed) {
-		t.Errorf("Run on a dying transport returned %v, want a *SendError wrapping ErrClosed", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("Run took %v to notice the dead transport", elapsed)
-	}
-	// Stranded proposals are settled in-process: the sum stays exact.
-	if drift := math.Abs(sum(cl.Values()) - sum(x0)); drift > 1e-9 {
-		t.Errorf("sum drifted by %g across a transport death", drift)
-	}
-}
-
-func TestRunSurvivesInnerTransportDeathUnderDelay(t *testing.T) {
-	// Same as above, but the dying transport is hidden behind a
-	// DelayTransport, whose sends succeed asynchronously: the inner
-	// failure must still surface (on subsequent sends) so Run's drain can
-	// bail instead of retransmitting forever.
-	g, _, x0 := dumbbellCase(t)
-	inner := NewChanTransport(4 * g.NumNodes())
-	tr, err := NewDelayTransport(inner, time.Millisecond, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := newTestRuntime(t, g, x0, NewVanillaRule(), 3, ClusterConfig{TimeScale: 4 * time.Millisecond, Seed: 2, Transport: tr})
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		inner.Close() // kill only the inner transport; the delay layer stays up
-	}()
-	start := time.Now()
-	err = cl.Run(context.Background(), 1e6)
-	if !errors.Is(err, ErrClosed) {
-		t.Errorf("Run on a dying inner transport returned %v, want an error wrapping ErrClosed", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("Run took %v to notice the dead inner transport", elapsed)
-	}
-	if drift := math.Abs(sum(cl.Values()) - sum(x0)); drift > 1e-9 {
-		t.Errorf("sum drifted by %g across an inner transport death", drift)
 	}
 }
 

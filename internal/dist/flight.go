@@ -62,37 +62,13 @@ func msgRecord(kind flight.EventKind, m Message, node int, nowNs int64) flight.R
 }
 
 // recordNetDrop records a message lost in the network, attributed to ring
-// `node` with the given reason. Nil-safe; the transports call it on their
-// drop paths with wall-clock time.
+// `node` with the given reason. Nil-safe; the shard loops call it on their
+// loss, congestion and dead-destination paths with wall-clock time.
 func recordNetDrop(rec *flight.Recorder, m Message, node int, reason uint8) {
 	if rec == nil {
 		return
 	}
 	FlightEmitter{Rec: rec}.NetDrop(m, node, reason, time.Now().UnixNano())
-}
-
-// instrumentTransportFlight hands the recorder to the transport stack's
-// drop sites (Bernoulli loss and mailbox congestion), walking decorator
-// layers like InstrumentTransport. External transports simply record no
-// drop events.
-func instrumentTransportFlight(rec *flight.Recorder, tr Transport) {
-	for tr != nil {
-		switch t := tr.(type) {
-		case *DropTransport:
-			t.rec.Store(rec)
-			tr = t.inner
-		case *DelayTransport:
-			tr = t.inner // delays are not drops; nothing to record
-		case *ChanTransport:
-			t.rec.Store(rec)
-			return
-		case *TCPTransport:
-			t.rec.Store(rec)
-			return
-		default:
-			return
-		}
-	}
 }
 
 // FlightPre snapshots the protocol state a step may consume, captured

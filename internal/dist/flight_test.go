@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"sparsecut/internal/flight"
-	"sparsecut/internal/rng"
 )
 
 // TestFlightMsgKindsMatch pins the wire compatibility the flight package
@@ -142,23 +141,16 @@ func TestFlightInstrumentedRun(t *testing.T) {
 }
 
 // TestFlightLossyCrashRun drives the recorder through every fault path —
-// transport loss, congestion-free delays, crashes, recoveries, timeouts,
+// message loss, congestion-free delays, crashes, recoveries, timeouts,
 // resends — and asserts the capture names them: net-drop records with the
 // loss reason, crash/recover records outside any span, and a ledger that
 // still matches the runtime's counters.
 func TestFlightLossyCrashRun(t *testing.T) {
 	g, _, x0 := dumbbellCase(t)
-	delay, err := NewDelayTransport(NewChanTransport(8*g.NumNodes()), 2*time.Millisecond, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewDropTransport(delay, 0.2, rng.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := flight.New(g.NumNodes(), 1<<15)
 	cl := newTestRuntime(t, g, x0, NewVanillaRule(), 4, ClusterConfig{
-		TimeScale: 8 * time.Millisecond, Seed: 5, Transport: tr,
+		TimeScale: 8 * time.Millisecond, Seed: 5,
+		Drop: 0.2, Delay: 2 * time.Millisecond,
 		LockTimeout: 20 * time.Millisecond,
 		Flight:      rec,
 		Crashes: []CrashEvent{
@@ -172,12 +164,12 @@ func TestFlightLossyCrashRun(t *testing.T) {
 		if err := cl.Run(context.Background(), 10); err != nil {
 			t.Fatal(err)
 		}
-		if cl.Exchanges() > 0 && tr.Dropped() > 0 {
+		if cl.Exchanges() > 0 && cl.Dropped() > 0 {
 			break
 		}
 	}
-	if cl.Exchanges() == 0 || tr.Dropped() == 0 {
-		t.Fatalf("run exercised too little: %d exchanges, %d drops", cl.Exchanges(), tr.Dropped())
+	if cl.Exchanges() == 0 || cl.Dropped() == 0 {
+		t.Fatalf("run exercised too little: %d exchanges, %d drops", cl.Exchanges(), cl.Dropped())
 	}
 
 	d := rec.Snapshot()
@@ -194,8 +186,8 @@ func TestFlightLossyCrashRun(t *testing.T) {
 			recovers++
 		}
 	}
-	if d.Overwritten == 0 && drops != tr.Dropped() {
-		t.Errorf("captured %d loss drops, transport counted %d", drops, tr.Dropped())
+	if d.Overwritten == 0 && drops != cl.Dropped() {
+		t.Errorf("captured %d loss drops, runtime counted %d", drops, cl.Dropped())
 	}
 	if d.Overwritten == 0 && crashes != cl.Crashes() {
 		t.Errorf("captured %d crash records, runtime counted %d", crashes, cl.Crashes())

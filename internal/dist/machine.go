@@ -9,9 +9,9 @@ import (
 // code:
 //
 //   - the live runtime (shard.go): shard event loops with wall-clock timer
-//     wheels and real mailboxes or a Transport; each shard steps the
-//     NodeStates it owns and routes StepOut effects into the runtime's
-//     counters and the network;
+//     wheels and real mailboxes; each shard steps the NodeStates it owns
+//     and routes StepOut effects into the runtime's counters and the
+//     network;
 //   - the model checker (internal/check): a single-threaded scheduler that
 //     owns every NodeState plus a virtual network, and explores message
 //     and timer interleavings systematically.
@@ -52,7 +52,7 @@ import (
 // responder applies the exact negation exactly once (it is locked from
 // proposal to resolution, so d stays valid), a committed exchange changes
 // the value sum only by the two float roundings of x±d (~1 ulp each) no
-// matter what the transport drops, delays or reorders.
+// matter what the network drops, delays or reorders.
 //
 // Crash paths: a crash is fail-stop with stable storage for the node's
 // value, seq counter, applied-watermarks and held proposal — only the
@@ -249,7 +249,7 @@ func (st *NodeState) Clone() *NodeState {
 // plus flags the driver folds into its accounting. The machine mutates
 // only the NodeState it was handed; everything else is reported here.
 type StepOut struct {
-	// Send is the messages to hand to the transport, already
+	// Send is the messages to hand to the network, already
 	// epoch-stamped, in order.
 	Send []Message
 	// Proposed: a new initiation went out (LOCK sent, Await created).

@@ -18,7 +18,7 @@ import (
 // The per-shard/per-runtime split the instrumentation follows: counters
 // are sharded by shard loop (each loop writes its own cache line) and
 // aggregated at snapshot time; already-counted state (commit and abort
-// totals, rule tick counters, transport loss counters) is exported
+// totals, rule tick counters, loss and congestion counters) is exported
 // through snapshot-time reader funcs at zero hot-path cost.
 type clusterMetrics struct {
 	// proposed counts initiations (LOCK sent), sharded by shard loop.
@@ -85,20 +85,16 @@ func (rt *ShardRuntime) instrument(reg *metrics.Registry) {
 		prefix := fmt.Sprintf("dist.shard.%02d.", s.id)
 		reg.CounterFunc(prefix+"committed", s.committed.Load)
 		reg.CounterFunc(prefix+"aborted", s.abortedL.Load)
-		if rt.tr == nil {
-			reg.GaugeFunc(prefix+"mailbox_depth", func() float64 { return float64(s.inbox.depth()) })
-		}
+		reg.GaugeFunc(prefix+"mailbox_depth", func() float64 { return float64(s.inbox.depth()) })
 	}
 
 	if r, ok := rt.rule.(*SparseCutRule); ok {
 		reg.CounterFunc("dist.rule.ticks", r.Ticks)
 		reg.CounterFunc("dist.rule.swaps", r.Swaps)
 	}
-	if rt.tr != nil {
-		InstrumentTransport(reg, rt.tr)
-	} else {
-		reg.CounterFunc("dist.transport.congested", rt.Congested)
-	}
+	reg.CounterFunc("dist.transport.dropped", rt.Dropped)
+	reg.CounterFunc("dist.transport.delayed", rt.Delayed)
+	reg.CounterFunc("dist.transport.congested", rt.Congested)
 }
 
 func liveMean(live []atomic.Uint64) float64 {
@@ -123,32 +119,4 @@ func liveVariance(live []atomic.Uint64) float64 {
 		s += d * d
 	}
 	return s / float64(len(live))
-}
-
-// InstrumentTransport registers snapshot-time readers for the transport
-// stack's internal counters — message loss, injected latency, congestion
-// drops, TCP wire bytes — walking decorator layers down to the base
-// transport. Nothing is added to the send path: the transports already
-// count these atomically; the registry only learns how to read them.
-func InstrumentTransport(reg *metrics.Registry, tr Transport) {
-	for tr != nil {
-		switch t := tr.(type) {
-		case *DropTransport:
-			reg.CounterFunc("dist.transport.dropped", t.Dropped)
-			tr = t.inner
-		case *DelayTransport:
-			reg.CounterFunc("dist.transport.delayed", t.Delayed)
-			tr = t.inner
-		case *ChanTransport:
-			reg.CounterFunc("dist.transport.congested", t.Congested)
-			return
-		case *TCPTransport:
-			reg.CounterFunc("dist.transport.congested", t.Congested)
-			reg.CounterFunc("dist.transport.tcp_bytes_out", t.BytesOut)
-			reg.CounterFunc("dist.transport.tcp_bytes_in", t.BytesIn)
-			return
-		default:
-			return // an external transport; nothing known to read
-		}
-	}
 }

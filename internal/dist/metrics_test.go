@@ -7,12 +7,11 @@ import (
 	"time"
 
 	"sparsecut/internal/metrics"
-	"sparsecut/internal/rng"
 )
 
 // TestInstrumentedLossyRun is the telemetry acceptance check: a runtime on
-// a lossy, delayed transport with ClusterConfig.Metrics set must export
-// nonzero exchange, abort, message and transport-loss counters, a
+// a lossy, delayed network with ClusterConfig.Metrics set must export
+// nonzero exchange, abort, message, loss and delay counters, a
 // populated latency histogram, and convergence gauges consistent with the
 // runtime's own accessors — while preserving the sum invariant exactly as
 // the uninstrumented runtime does. Run under -race this also proves the
@@ -23,17 +22,10 @@ func TestInstrumentedLossyRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delay, err := NewDelayTransport(NewChanTransport(8*g.NumNodes()), 2*time.Millisecond, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewDropTransport(delay, 0.2, rng.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := metrics.NewRegistry()
 	cl := newTestRuntime(t, g, x0, rule, 4, ClusterConfig{
-		TimeScale: 8 * time.Millisecond, Seed: 1, Transport: tr,
+		TimeScale: 8 * time.Millisecond, Seed: 1,
+		Drop: 0.2, Delay: 2 * time.Millisecond,
 		LockTimeout: 20 * time.Millisecond,
 		Metrics:     reg,
 	})
@@ -55,13 +47,13 @@ func TestInstrumentedLossyRun(t *testing.T) {
 	// How contended the lock protocol gets is decided by wall-clock
 	// scheduling, so one leg occasionally quiesces with aborts only. Run is
 	// resumable: keep adding legs (bounded) until an exchange commits and
-	// the transport has exercised both loss modes.
+	// the network has exercised both fault modes.
 	var runErr error
 	for leg := 0; leg < 10; leg++ {
 		if runErr = cl.Run(context.Background(), 10); runErr != nil {
 			break
 		}
-		if cl.Exchanges() > 0 && tr.Dropped() > 0 && delay.Delayed() > 0 {
+		if cl.Exchanges() > 0 && cl.Dropped() > 0 && cl.Delayed() > 0 {
 			break
 		}
 	}
@@ -91,6 +83,16 @@ func TestInstrumentedLossyRun(t *testing.T) {
 	}
 	if got, want := snap.Counters["dist.exchange.aborted"], cl.Aborted(); got != want {
 		t.Errorf("aborted counter %d != Aborted() %d", got, want)
+	}
+	if got, want := snap.Counters["dist.transport.dropped"], cl.Dropped(); got != want {
+		t.Errorf("dropped counter %d != Dropped() %d", got, want)
+	}
+	if got, want := snap.Counters["dist.transport.delayed"], cl.Delayed(); got != want {
+		t.Errorf("delayed counter %d != Delayed() %d", got, want)
+	}
+	// Faults ride the mailbox path, so the per-shard depth gauges stay.
+	if _, ok := snap.Gauges["dist.shard.00.mailbox_depth"]; !ok {
+		t.Error("no mailbox depth gauge on a lossy run")
 	}
 	// Initiations split exactly into commits and aborts at quiescence.
 	if p, c, a := snap.Counters["dist.exchange.proposed"], snap.Counters["dist.exchange.committed"], snap.Counters["dist.exchange.aborted"]; p != c+a {
@@ -167,35 +169,6 @@ func TestConservationUnderCrashes(t *testing.T) {
 	}
 	if drift := math.Abs(sum(cl.Values()) - sum(x0)); drift > 1e-9 {
 		t.Errorf("sum drifted by %g across a crash-faulted run", drift)
-	}
-}
-
-// TestInstrumentedTCPBytes checks the TCP transport's wire-byte counters
-// flow into the registry (one listener per shard).
-func TestInstrumentedTCPBytes(t *testing.T) {
-	g, _, x0 := dumbbellCase(t)
-	const shards = 3
-	tr, err := NewTCPTransport(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	reg := metrics.NewRegistry()
-	cl := newTestRuntime(t, g, x0, NewVanillaRule(), shards, ClusterConfig{
-		TimeScale: 4 * time.Millisecond, Seed: 1, Transport: tr, Metrics: reg,
-	})
-	if err := cl.Run(context.Background(), 5); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["dist.transport.tcp_bytes_out"] == 0 {
-		t.Error("no outbound TCP bytes counted")
-	}
-	if snap.Counters["dist.transport.tcp_bytes_in"] == 0 {
-		t.Error("no inbound TCP bytes counted")
-	}
-	if cl.Exchanges() == 0 {
-		t.Error("no exchanges committed over TCP")
 	}
 }
 

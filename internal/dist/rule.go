@@ -16,7 +16,7 @@ import (
 // delta. Because the two applied deltas are exact negations of one
 // another, a committed exchange perturbs the value sum only by the two
 // float roundings of x±d (~1 ulp each; no systematic drift), whatever the
-// transport drops or delays in between — and an abort perturbs nothing.
+// network drops or delays in between — and an abort perturbs nothing.
 //
 // Rules are shared by all shard loops of a runtime; implementations must
 // be safe for concurrent use (SparseCutRule uses atomics for its tick

@@ -1,8 +1,8 @@
 // Package dist is the decentralized counterpart of internal/sim: instead of
 // an event loop mutating shared state, every graph node owns its value,
 // drives itself with a private exponential clock, and negotiates pairwise
-// exchanges with its neighbours by message passing, optionally over an
-// explicit, pluggable (and deliberately unreliable) Transport.
+// exchanges with its neighbours by message passing, over mailboxes that
+// can be made deliberately unreliable (ClusterConfig.Drop and Delay).
 //
 // The runtime exists to back the paper's Section 1 claim that Algorithm A
 // is *decentralized*: the same local rules the simulator applies centrally
@@ -22,9 +22,8 @@
 // superposes to an independent rate-1 clock per edge — the paper's model.
 // One simulated time unit is ClusterConfig.TimeScale of wall-clock time.
 //
-// Key types: ShardRuntime, Rule (VanillaRule, SparseCutRule), the
-// Transport stack (Chan/Drop/Delay/TCP). The protocol is DESIGN.md §5, the
-// runtime §14.
+// Key types: ShardRuntime, Rule (VanillaRule, SparseCutRule), Machine.
+// The protocol is DESIGN.md §5, fault injection §5.4, the runtime §14.
 package dist
 
 import (
@@ -48,27 +47,30 @@ import (
 
 // ClusterConfig holds the protocol, fault-injection and instrumentation
 // settings of a ShardRuntime (embedded in ShardRuntimeConfig). TimeScale,
-// Seed and Transport are the knobs experiments use; the remaining fields
+// Seed, Drop and Delay are the knobs experiments use; the remaining fields
 // tune the protocol and default sensibly from TimeScale.
 type ClusterConfig struct {
 	// TimeScale is the wall-clock duration of one simulated time unit
 	// (default 4ms). Smaller is faster but leaves less headroom between
-	// the mean clock gap and transport latency.
+	// the mean clock gap and message latency.
 	TimeScale time.Duration
-	// Seed drives every clock and edge choice.
+	// Seed drives every clock and edge choice, and the loss and latency
+	// draws.
 	Seed uint64
-	// Transport carries cross-shard protocol messages. nil selects the
-	// runtime's internal direct path (shard-to-shard mailboxes, the fast
-	// default for single-process runs). Configure a transport only to
-	// inject loss/delay or to cross sockets; its address space must cover
-	// one address per SHARD (see ShardRuntime).
-	Transport Transport
+	// Drop is the probability in [0, 1) that a protocol message is lost
+	// in transit, drawn independently per message (0 = no loss).
+	Drop float64
+	// Delay is the maximum per-message latency: each message is held by
+	// its sending shard for an independent uniform time in [0, Delay)
+	// before it reaches its destination mailbox, so messages may reorder
+	// (0 = none). A release can run up to one TimerTick late.
+	Delay time.Duration
 	// LockTimeout bounds how long an initiator waits for a proposal
 	// before aborting (default TimeScale/4, at least 1ms and four wheel
-	// ticks). It must comfortably exceed the transport's worst-case round
+	// ticks). It must comfortably exceed the worst-case message round
 	// trip — a proposal arriving after the timeout is refused as stale,
-	// so with LockTimeout below the typical latency (e.g. a
-	// DelayTransport's range) essentially no exchange commits.
+	// so with LockTimeout below the typical latency (e.g. 3·Delay)
+	// essentially no exchange commits.
 	LockTimeout time.Duration
 	// ResendEvery is the proposal retransmission lease period (default
 	// LockTimeout/2).
@@ -76,17 +78,17 @@ type ClusterConfig struct {
 	// Metrics, when non-nil, receives the runtime's telemetry: exchange
 	// counters (proposed/committed/aborted), per-kind message counters, a
 	// committed-exchange latency histogram, live convergence-progress
-	// gauges, per-shard throughput, the rule's tick/swap counters and the
-	// transport stack's loss/latency/byte counters (see metrics.go for the
-	// full name list). nil disables telemetry at near-zero hot-path cost.
-	// Use one registry per runtime.
+	// gauges, per-shard throughput and mailbox depth, the rule's tick/swap
+	// counters and the loss/latency/congestion counters (see metrics.go
+	// for the full name list). nil disables telemetry at near-zero
+	// hot-path cost. Use one registry per runtime.
 	Metrics *metrics.Registry
 	// Crashes schedules fail-stop crash/recovery fault injection; the
 	// schedule is interpreted relative to the start of each Run. See
 	// CrashEvent and the crash-path notes on Machine.
 	Crashes []CrashEvent
 	// Flight, when non-nil, receives the runtime's causal flight records:
-	// every protocol step, message send/receive, transport drop, timer
+	// every protocol step, message send/receive, network drop, timer
 	// fire and crash, ready for flight.Stitch to reconstruct per-exchange
 	// span trees (see internal/flight and cmd/tracez). nil disables the
 	// recorder at one pointer test per step. Like Metrics, use one
@@ -116,21 +118,6 @@ type crashWindow struct {
 	at    time.Time
 	until time.Time // zero = until drain
 }
-
-// SendError is the typed error Run returns when the transport failed
-// permanently mid-run (the run is cut short, in-flight exchanges are
-// settled in-process, and the value sum stays exact). It unwraps to the
-// transport's own error, so errors.Is(err, ErrClosed) matches a transport
-// closed underneath a running runtime.
-type SendError struct {
-	Err error
-}
-
-// Error implements error.
-func (e *SendError) Error() string { return "dist: transport send failed: " + e.Err.Error() }
-
-// Unwrap exposes the transport's underlying error to errors.Is/As.
-func (e *SendError) Unwrap() error { return e.Err }
 
 // stepKind discriminates the protocol events a shard feeds the machine;
 // the lockstep tap records them for replay.
@@ -178,13 +165,13 @@ type nodeEvent struct {
 //
 // # Delivery
 //
-// With no transport configured the runtime uses its internal direct path:
-// Send appends to the destination shard's mailbox under a short mutex (a
-// full mailbox is congestion loss, like ChanTransport). With a Transport
-// configured, cross-shard messages flow through it — transport address i
-// is SHARD i's mailbox, not node i's, and every message carries the
-// Message.Via override so Drop/Delay/TCP fault injection and multi-process
-// sharding work at 10^6 nodes without 10^6 mailboxes.
+// A send appends to the destination shard's mailbox under a short mutex; a
+// full mailbox drops the message as congestion loss. Fault injection sits
+// on the same path, in the sending shard: ClusterConfig.Drop loses a
+// message before it is posted, and ClusterConfig.Delay holds it in the
+// shard's own due-time heap until its sampled latency has passed. Both
+// draw from a per-shard fault stream the shard loop owns, so neither takes
+// a lock; with Drop and Delay zero a send posts at once.
 //
 // # Timing model
 //
@@ -217,7 +204,6 @@ type ShardRuntime struct {
 	g      *graph.Graph
 	rule   Rule
 	cfg    ShardRuntimeConfig
-	tr     Transport // nil = direct path
 	values []float64
 
 	lockTimeout time.Duration
@@ -247,7 +233,7 @@ type ShardRuntime struct {
 	applied   atomic.Int64
 	crashes   atomic.Int64
 	crashLost atomic.Int64
-	congested atomic.Int64 // direct-path mailbox overflows
+	congested atomic.Int64 // mailbox overflows
 	// awaiting and pending count outstanding initiations and held
 	// proposals; the drain phase of Run waits for both to hit zero, which
 	// guarantees every exchange has fully committed or fully aborted.
@@ -256,10 +242,6 @@ type ShardRuntime struct {
 
 	running atomic.Bool
 	wg      sync.WaitGroup
-
-	errMu     sync.Mutex
-	sendErr   error
-	runCancel context.CancelFunc
 
 	// met is the telemetry plane; all fields nil (every hook a no-op)
 	// unless ClusterConfig.Metrics was set.
@@ -276,9 +258,8 @@ type ShardRuntimeConfig struct {
 	// Shards is the number of event loops. 0 = GOMAXPROCS, clamped to the
 	// node count.
 	Shards int
-	// MailboxCap is the direct path's per-shard mailbox capacity; messages
-	// beyond it are dropped as congestion loss. 0 = max(1024, 4·nodes/
-	// shards). Ignored when a Transport is configured.
+	// MailboxCap is the per-shard mailbox capacity; messages beyond it are
+	// dropped as congestion loss. 0 = max(1024, 4·nodes/shards).
 	MailboxCap int
 	// TimerTick is the wheel granularity. 0 = TimeScale/16 clamped to
 	// [50µs, 1ms]. Protocol deadlines are quantised up to the next tick.
@@ -286,8 +267,9 @@ type ShardRuntimeConfig struct {
 }
 
 // shard is one event loop: the states, timers and mailbox of nodes
-// [lo, hi). All fields except the mailbox and the single-writer counters
-// are owned by the loop goroutine.
+// [lo, hi), and the messages they sent that are still in flight under
+// ClusterConfig.Delay. All fields except the mailbox and the single-writer
+// counters are owned by the loop goroutine.
 type shard struct {
 	rt     *ShardRuntime
 	id     int
@@ -299,18 +281,23 @@ type shard struct {
 	crash  map[int]*shardCrash
 	r      *rng.RNG
 	w      *wheel
+	// fault draws loss and latency for this shard's sends; nil when Drop
+	// and Delay are both zero.
+	fault *rng.RNG
+	held  heldQueue // delayed sends not yet due
 
-	inbox mailbox        // direct path (rt.tr == nil)
-	recvC <-chan Message // transport path (rt.tr != nil)
+	inbox mailbox
 	wakeC chan struct{}
 	batch []Message
 
 	draining bool
 
-	// committed/abortedL are single-writer (this loop), atomically read by
-	// metrics snapshots: the per-shard throughput/abort breakdown.
+	// committed/abortedL/dropped/delayed are single-writer (this loop),
+	// atomically read by the accessors and metrics snapshots.
 	committed atomic.Int64
 	abortedL  atomic.Int64
+	dropped   atomic.Int64
+	delayed   atomic.Int64
 }
 
 // shardCrash is the crash-schedule state of one node that has one; nodes
@@ -324,7 +311,7 @@ type shardCrash struct {
 	timer     wheelTimer // kind tkCrash
 }
 
-// mailbox is the direct path's batched MPSC queue: producers append under
+// mailbox is a shard's batched MPSC queue: producers append under
 // a mutex, the owning shard swaps the whole backlog out in O(1) and
 // processes it as a batch. A full mailbox drops (congestion loss).
 type mailbox struct {
@@ -365,6 +352,58 @@ func (mb *mailbox) depth() int {
 	return d
 }
 
+// heldMsg is a delayed message and the wall-clock time it is due.
+type heldMsg struct {
+	dueNs int64
+	m     Message
+}
+
+// heldQueue is a binary min-heap of delayed messages on due time, owned by
+// the sending shard's loop. It is written out rather than built on
+// container/heap, whose interface boxing would allocate per message.
+type heldQueue []heldMsg
+
+func (q *heldQueue) push(h heldMsg) {
+	a := append(*q, h)
+	for i := len(a) - 1; i > 0; {
+		p := (i - 1) / 2
+		if a[p].dueNs <= a[i].dueNs {
+			break
+		}
+		a[p], a[i] = a[i], a[p]
+		i = p
+	}
+	*q = a
+}
+
+// popDue removes and returns the earliest message if it is due at nowNs.
+func (q *heldQueue) popDue(nowNs int64) (Message, bool) {
+	a := *q
+	if len(a) == 0 || a[0].dueNs > nowNs {
+		return Message{}, false
+	}
+	m := a[0].m
+	n := len(a) - 1
+	a[0] = a[n]
+	a = a[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && a[c+1].dueNs < a[c].dueNs {
+			c++
+		}
+		if a[i].dueNs <= a[c].dueNs {
+			break
+		}
+		a[i], a[c] = a[c], a[i]
+		i = c
+	}
+	*q = a
+	return m, true
+}
+
 // NewShardRuntime builds a sharded runtime for rule on g with initial
 // values x0 (copied).
 func NewShardRuntime(g *graph.Graph, x0 []float64, rule Rule, cfg ShardRuntimeConfig) (*ShardRuntime, error) {
@@ -380,8 +419,11 @@ func NewShardRuntime(g *graph.Graph, x0 []float64, rule Rule, cfg ShardRuntimeCo
 	if rule == nil {
 		return nil, errors.New("dist: shard runtime requires a rule")
 	}
-	if cfg.TimeScale < 0 || cfg.LockTimeout < 0 || cfg.ResendEvery < 0 || cfg.TimerTick < 0 {
+	if cfg.TimeScale < 0 || cfg.LockTimeout < 0 || cfg.ResendEvery < 0 || cfg.TimerTick < 0 || cfg.Delay < 0 {
 		return nil, errors.New("dist: negative durations in config")
+	}
+	if !(cfg.Drop >= 0 && cfg.Drop < 1) {
+		return nil, fmt.Errorf("dist: drop rate %v outside [0,1)", cfg.Drop)
 	}
 	if cfg.Shards < 0 || cfg.MailboxCap < 0 {
 		return nil, errors.New("dist: negative shard parameters in config")
@@ -402,7 +444,6 @@ func NewShardRuntime(g *graph.Graph, x0 []float64, rule Rule, cfg ShardRuntimeCo
 		g:      g,
 		rule:   rule,
 		cfg:    cfg,
-		tr:     cfg.Transport,
 		values: append([]float64(nil), x0...),
 	}
 	rt.timerTick = cfg.TimerTick
@@ -477,14 +518,14 @@ func NewShardRuntime(g *graph.Graph, x0 []float64, rule Rule, cfg ShardRuntimeCo
 		for li := range s.states {
 			s.states[li] = NodeState{ID: lo + li, X: x0[lo+li]}
 		}
-		if rt.tr != nil {
-			recvC, err := rt.tr.Recv(i)
-			if err != nil {
-				return nil, fmt.Errorf("dist: mailbox for shard %d: %w", i, err)
-			}
-			s.recvC = recvC
-		}
 		rt.shards[i] = s
+	}
+	// The fault streams split off after every clock stream, so turning
+	// fault injection on leaves the clock draws unchanged.
+	if cfg.Drop > 0 || cfg.Delay > 0 {
+		for _, s := range rt.shards {
+			s.fault = root.Split()
+		}
 	}
 	if err := rt.assignCrashes(cfg.Crashes); err != nil {
 		return nil, err
@@ -492,12 +533,7 @@ func NewShardRuntime(g *graph.Graph, x0 []float64, rule Rule, cfg ShardRuntimeCo
 	if cfg.Metrics != nil {
 		rt.instrument(cfg.Metrics)
 	}
-	if cfg.Flight != nil {
-		rt.rec = cfg.Flight
-		if rt.tr != nil {
-			instrumentTransportFlight(rt.rec, rt.tr)
-		}
-	}
+	rt.rec = cfg.Flight
 	return rt, nil
 }
 
@@ -555,12 +591,9 @@ func (rt *ShardRuntime) assignCrashes(events []CrashEvent) error {
 // is preserved exactly across the run boundary. Run may be called again to
 // continue from the current values.
 //
-// Errors are typed: a Run the caller cut short returns ctx.Err()
-// (context.Canceled or context.DeadlineExceeded) after the same full
-// drain, so the values remain consistent and the runtime stays usable; a
-// transport that fails permanently mid-run surfaces as a *SendError
-// wrapping the transport's error (errors.Is(err, ErrClosed) matches a
-// transport closed underneath a running runtime). A nil return means the
+// A Run the caller cut short returns ctx.Err() (context.Canceled or
+// context.DeadlineExceeded) after the same full drain, so the values
+// remain consistent and the runtime stays usable. A nil return means the
 // horizon was reached and every exchange resolved.
 func (rt *ShardRuntime) Run(ctx context.Context, duration float64) error {
 	if !(duration > 0) || math.IsInf(duration, 0) {
@@ -579,13 +612,6 @@ func (rt *ShardRuntime) Run(ctx context.Context, duration float64) error {
 	wall := time.Duration(duration * float64(rt.cfg.TimeScale))
 	runCtx, cancel := context.WithTimeout(ctx, wall)
 	defer cancel()
-	// A transport that fails permanently mid-run (e.g. closed underneath
-	// us) would otherwise leave the horizon wait and the drain loop with
-	// nothing to wait for; the first send error cuts the run short.
-	rt.errMu.Lock()
-	rt.sendErr = nil
-	rt.runCancel = cancel
-	rt.errMu.Unlock()
 
 	drainC := make(chan struct{})
 	stopC := make(chan struct{})
@@ -619,21 +645,19 @@ func (rt *ShardRuntime) Run(ctx context.Context, duration float64) error {
 	close(drainC)
 	drainWG.Wait()
 	for rt.awaiting.Load() != 0 || rt.pending.Load() != 0 {
-		if rt.sendFailed() {
-			break // the transport is gone; retransmission cannot succeed
-		}
 		time.Sleep(100 * time.Microsecond)
 	}
 	close(stopC)
 	rt.wg.Wait()
 
-	// Settle any proposals stranded by a failed transport. All shard loops
-	// have exited, so cross-shard state reads are safe: each held proposal
-	// is resolved the way its initiator already decided — if the initiator
-	// applied (+delta committed but the COMMIT message was lost), land the
-	// responder's half; otherwise nothing was applied anywhere and the
-	// proposal is simply discarded. The sum stays exact even across a
-	// transport death. On a healthy shutdown this loop finds nothing.
+	// Settle pass, the last line of fault recovery. The drain above ends
+	// only at quiescence, so this loop normally finds nothing; should a
+	// proposal ever be left held, it is resolved the way its initiator
+	// already decided. All shard loops have exited, so cross-shard state
+	// reads are safe: if the initiator applied (+delta committed but the
+	// COMMIT message was lost), land the responder's half; otherwise
+	// nothing was applied anywhere and the proposal is discarded. Either
+	// way the sum stays exact.
 	for _, s := range rt.shards {
 		for li := range s.states {
 			st := &s.states[li]
@@ -658,37 +682,17 @@ func (rt *ShardRuntime) Run(ctx context.Context, duration float64) error {
 			rt.values[s.lo+li] = s.states[li].X
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return err // the caller cut the run short; state is still consistent
-	}
-	rt.errMu.Lock()
-	defer rt.errMu.Unlock()
-	return rt.sendErr
+	return ctx.Err() // non-nil if the caller cut the run short; state is still consistent
 }
 
-func (rt *ShardRuntime) noteSendErr(err error) {
-	rt.errMu.Lock()
-	if rt.sendErr == nil {
-		rt.sendErr = &SendError{Err: err}
-		if rt.runCancel != nil {
-			rt.runCancel()
-		}
-	}
-	rt.errMu.Unlock()
-}
-
-func (rt *ShardRuntime) sendFailed() bool {
-	rt.errMu.Lock()
-	defer rt.errMu.Unlock()
-	return rt.sendErr != nil
-}
-
-// resetForRun reinstalls the run's initial values, rebuilds the wheel and
-// re-arms every clock and crash timer. Called by Run, before the loop
+// resetForRun reinstalls the run's initial values, rebuilds the wheel,
+// re-arms every clock and crash timer, and discards the delayed messages
+// an earlier run left in flight. Called by Run, before the loop
 // goroutines start.
 func (s *shard) resetForRun(start time.Time) {
 	rt := s.rt
 	s.draining = false
+	s.held = s.held[:0]
 	s.w = newWheel(rt.timerTick.Nanoseconds(), start.UnixNano())
 	for li := range s.states {
 		st := &s.states[li]
@@ -770,35 +774,21 @@ func (s *shard) loop(drainC, stopC <-chan struct{}, drainWG *sync.WaitGroup) {
 			s.enterDrain(time.Now())
 			drainC = nil
 			drainWG.Done()
-		case m, ok := <-s.recvC: // nil (blocks forever) on the direct path
-			if ok {
-				s.deliver(m, time.Now())
-			} else {
-				s.recvC = nil // transport gone; rely on wake/tick
-			}
 		case <-s.wakeC:
 		case <-tick.C:
 		}
 	}
 }
 
-// drainMessages processes one bounded batch from the shard's source and
-// returns how many messages it handled.
+// drainMessages posts the shard's delayed sends that are due, then
+// processes its mailbox backlog as one batch and returns how many messages
+// it handled. It runs at the top of every loop iteration and after every
+// clock fire, so a release waits neither for the next iteration nor for
+// the rest of a wheel advance.
 func (s *shard) drainMessages() int {
-	const maxBatch = 4096
 	now := time.Now()
-	if s.recvC != nil {
-		n := 0
-		for n < maxBatch {
-			select {
-			case m := <-s.recvC:
-				s.deliver(m, now)
-				n++
-			default:
-				return n
-			}
-		}
-		return n
+	if len(s.held) > 0 {
+		s.releaseDue(now.UnixNano())
 	}
 	s.batch = s.inbox.drainSwap(s.batch)
 	for _, m := range s.batch {
@@ -810,9 +800,6 @@ func (s *shard) drainMessages() int {
 // deliver routes one incoming message to its node.
 func (s *shard) deliver(m Message, now time.Time) {
 	abs := m.To
-	if abs < s.lo || abs >= s.hi {
-		return // misrouted (stale Via from a different configuration); drop
-	}
 	if cs := s.crash[abs]; cs != nil && cs.crashed {
 		s.rt.crashLost.Add(1)
 		recordNetDrop(s.rt.rec, m, abs, flight.ReasonDead)
@@ -946,7 +933,7 @@ func (s *shard) enterDrain(now time.Time) {
 
 // step feeds one protocol event to the pure machine and routes its effects
 // into the runtime's accounting, the lockstep tap, the flight recorder and
-// the transport.
+// the mailboxes.
 func (s *shard) step(abs int, kind stepKind, m Message, he graph.HalfEdge, now time.Time) {
 	rt := s.rt
 	li := abs - s.lo
@@ -1045,22 +1032,47 @@ func (s *shard) applyOut(st *NodeState, out StepOut, nowNs int64) {
 	}
 }
 
-// send routes one outgoing message: into the destination shard's mailbox
-// on the direct path, or through the transport (Via-stamped with the
-// destination shard) otherwise.
+// send routes one outgoing message: lost with probability Drop, held for
+// a uniform latency in [0, Delay) when Delay is set, and otherwise posted
+// to the destination shard's mailbox at once.
 func (s *shard) send(m Message, nowNs int64) {
 	rt := s.rt
 	rt.met.sent[m.Kind].Inc(s.id)
 	if rec := rt.rec; rec != nil {
 		rec.Record(msgRecord(flight.EvSend, m, m.From, nowNs))
 	}
-	if rt.tr != nil {
-		m.Via = rt.shardOf(m.To) + 1
-		if err := rt.tr.Send(m); err != nil {
-			rt.noteSendErr(err)
+	if s.fault != nil {
+		if rt.cfg.Drop > 0 && s.fault.Float64() < rt.cfg.Drop {
+			s.dropped.Add(1)
+			recordNetDrop(rt.rec, m, m.From, flight.ReasonLoss)
+			return
 		}
-		return
+		if rt.cfg.Delay > 0 {
+			s.delayed.Add(1)
+			s.held.push(heldMsg{dueNs: nowNs + int64(s.fault.Float64()*float64(rt.cfg.Delay)), m: m})
+			return
+		}
 	}
+	s.post(m)
+}
+
+// releaseDue posts every held message that is due at nowNs.
+func (s *shard) releaseDue(nowNs int64) {
+	for {
+		m, ok := s.held.popDue(nowNs)
+		if !ok {
+			return
+		}
+		s.post(m)
+	}
+}
+
+// post appends m to its destination shard's mailbox and wakes that shard.
+// A full mailbox drops m as congestion loss: blocking would let two shards
+// with mutually full mailboxes deadlock, and the exchange protocol already
+// recovers from the loss of any message.
+func (s *shard) post(m Message) {
+	rt := s.rt
 	d := rt.shards[rt.shardOf(m.To)]
 	if !d.inbox.put(m) {
 		rt.congested.Add(1)
@@ -1126,16 +1138,13 @@ func (rt *ShardRuntime) Exchanges() int64 { return rt.exchanges.Load() }
 func (rt *ShardRuntime) Aborted() int64 { return rt.aborted.Load() }
 
 // Proposed returns the number of initiation attempts (LOCKs sent with a
-// fresh seq). After a healthy run Proposed() == Applied() + Aborted() — the
-// exchange ledger cmd/distrun -assert checks. A run cut short by transport
-// death can leave initiations resolved as neither (their state is discarded
-// by the settle pass), so the ledger only balances when Run returned nil or
-// a context error.
+// fresh seq). After every Run, Proposed() == Applied() + Aborted() — the
+// exchange ledger cmd/distrun -assert checks.
 func (rt *ShardRuntime) Proposed() int64 { return rt.proposed.Load() }
 
 // Applied returns the number of exchanges whose initiator applied its half.
 // After the settle pass this equals Exchanges(): no exchange ends
-// half-applied, even across a transport death.
+// half-applied.
 func (rt *ShardRuntime) Applied() int64 { return rt.applied.Load() }
 
 // Crashes returns the number of crash events fired so far.
@@ -1144,7 +1153,25 @@ func (rt *ShardRuntime) Crashes() int64 { return rt.crashes.Load() }
 // CrashLost returns the number of messages lost to dead destinations.
 func (rt *ShardRuntime) CrashLost() int64 { return rt.crashLost.Load() }
 
-// Congested returns the number of direct-path messages dropped because the
-// destination shard's mailbox was full (always 0 with a Transport, which
-// does its own congestion accounting).
+// Congested returns the number of messages dropped because the destination
+// shard's mailbox was full.
 func (rt *ShardRuntime) Congested() int64 { return rt.congested.Load() }
+
+// Dropped returns the number of messages lost to ClusterConfig.Drop.
+func (rt *ShardRuntime) Dropped() int64 {
+	n := int64(0)
+	for _, s := range rt.shards {
+		n += s.dropped.Load()
+	}
+	return n
+}
+
+// Delayed returns the number of messages held for a ClusterConfig.Delay
+// latency (counted when held, whether or not their mailbox later had room).
+func (rt *ShardRuntime) Delayed() int64 {
+	n := int64(0)
+	for _, s := range rt.shards {
+		n += s.delayed.Load()
+	}
+	return n
+}

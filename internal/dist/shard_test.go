@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"sparsecut/internal/gossip"
 	"sparsecut/internal/graph"
 	"sparsecut/internal/leakcheck"
+	"sparsecut/internal/metrics"
 	"sparsecut/internal/rng"
 )
 
@@ -152,7 +154,7 @@ func testLockstep(t *testing.T, shards int) {
 // responder, edge, outcome and protocol-event multiset. Multisets, not
 // sequences: concurrent records from different shards may reach the
 // recorder in either order. Network-layer records (EvNetDrop/EvNetDup) are
-// excluded — they are emitted by the transport/mailbox layer, which the
+// excluded — they are emitted by the send and mailbox paths, which the
 // protocol-step tap does not see.
 func compareSpanSets(t *testing.T, live, replayed *flight.SpanSet) {
 	t.Helper()
@@ -201,27 +203,19 @@ func compareSpanSets(t *testing.T, live, replayed *flight.SpanSet) {
 }
 
 // TestShardSumConservedHostileTransport drives the sharded runtime over a
-// hostile stack — 2ms random delays, then 25% Bernoulli loss — plus a
-// crash schedule, and asserts
-// the protocol's core promise end to end: exact sum conservation and a
-// balanced exchange ledger at quiescence.
+// hostile network — 25% Bernoulli loss, 2ms random delays — plus a crash
+// schedule, and asserts the protocol's core promise end to end: exact sum
+// conservation and a balanced exchange ledger at quiescence.
 func TestShardSumConservedHostileTransport(t *testing.T) {
 	g, _, x0 := dumbbellCase(t)
-	delay, err := NewDelayTransport(NewChanTransport(8*g.NumNodes()), 2*time.Millisecond, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewDropTransport(delay, 0.25, rng.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
 	crashes := []CrashEvent{
 		{Node: 1, At: 2, Recover: 5},
 		{Node: 8, At: 3}, // down until drain
 	}
 	rt, err := NewShardRuntime(g, x0, NewVanillaRule(), ShardRuntimeConfig{
 		ClusterConfig: ClusterConfig{
-			TimeScale: 4 * time.Millisecond, Seed: 1, Transport: tr,
+			TimeScale: 4 * time.Millisecond, Seed: 1,
+			Drop: 0.25, Delay: 2 * time.Millisecond,
 			LockTimeout: 10 * time.Millisecond, Crashes: crashes,
 		},
 		Shards: 4,
@@ -247,8 +241,8 @@ func TestShardSumConservedHostileTransport(t *testing.T) {
 	assertLedger(t, rt)
 }
 
-// assertLedger checks the exchange ledger a drained healthy-transport run
-// must balance: every initiation resolved exactly once (applied or
+// assertLedger checks the exchange ledger every drained run must
+// balance: every initiation resolved exactly once (applied or
 // aborted), and every applied initiator half was committed by its
 // responder.
 func assertLedger(t *testing.T, rt *ShardRuntime) {
@@ -263,8 +257,7 @@ func assertLedger(t *testing.T, rt *ShardRuntime) {
 	}
 }
 
-// TestShardDirectPathConverges is the direct-path (no transport) sanity
-// run: traffic flows shard-to-shard through the batched mailboxes, the
+// TestShardDirectPathConverges is the fault-free sanity run: traffic flows shard-to-shard through the batched mailboxes, the
 // ledger balances, and the exchange rule actually averages.
 func TestShardDirectPathConverges(t *testing.T) {
 	g := graph.Cycle(64)
@@ -298,33 +291,195 @@ func TestShardDirectPathConverges(t *testing.T) {
 	assertLedger(t, rt)
 }
 
-// TestShardRuntimeOverTCP runs the sharded runtime across real sockets on
-// the binary wire codec: one transport address per shard, every message
-// routed by its Via shard override. This is the multi-process sharding
-// shape — S mailboxes serving N >> S nodes.
-func TestShardRuntimeOverTCP(t *testing.T) {
-	t.Run("binary", func(t *testing.T) {
-		g, _, x0 := dumbbellCase(t)
-		tr, err := NewTCPTransport(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		rt := newTestRuntime(t, g, x0, NewVanillaRule(), 4, ClusterConfig{TimeScale: 8 * time.Millisecond, Seed: 2, Transport: tr})
-		if err := rt.Run(context.Background(), 8); err != nil {
-			t.Fatal(err)
-		}
-		// The assertions target transport plumbing (delivery, framing,
-		// clean reuse of cached connections), not convergence speed: on a
-		// loaded machine the socket round-trips shrink the effective
-		// exchange rate.
-		if rt.Exchanges() == 0 {
-			t.Fatal("no exchanges committed over TCP")
-		}
-		if drift := math.Abs(rt.Mean()); drift > 1e-9 {
-			t.Errorf("mean drifted to %g over TCP", rt.Mean())
-		}
+// TestShardMailboxCongestion overflows tiny shard mailboxes: the full
+// mailboxes must drop as congestion loss — counted, exported and recorded
+// — while the protocol still conserves the sum exactly and balances the
+// ledger.
+func TestShardMailboxCongestion(t *testing.T) {
+	// Four shards split both cliques, so a wheel tick's burst of clock
+	// fires sends several LOCKs into each peer shard's one-slot mailbox.
+	g, _, err := graph.Dumbbell(32, 32, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0 := gossip.UniformRandom(rng.New(3), g.NumNodes())
+	reg := metrics.NewRegistry()
+	rec := flight.New(g.NumNodes(), 1<<12)
+	rt, err := NewShardRuntime(g, x0, NewVanillaRule(), ShardRuntimeConfig{
+		ClusterConfig: ClusterConfig{TimeScale: 2 * time.Millisecond, Seed: 2, Metrics: reg, Flight: rec},
+		Shards:        4,
+		MailboxCap:    1,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Run(context.Background(), 10); err != nil {
+		t.Fatal(err)
+	}
+	if rt.Congested() == 0 {
+		t.Fatal("one-message mailboxes never overflowed")
+	}
+	if got := reg.Snapshot().Counters["dist.transport.congested"]; got != rt.Congested() {
+		t.Errorf("congested counter %d != Congested() %d", got, rt.Congested())
+	}
+	records := 0
+	for _, e := range rec.Snapshot().Events {
+		if e.Kind == flight.EvNetDrop && e.Flags == flight.ReasonCongestion {
+			records++
+		}
+	}
+	if records == 0 {
+		t.Error("no congestion drops in the flight capture")
+	}
+	if drift := math.Abs(sum(rt.Values()) - sum(x0)); drift > 1e-9 {
+		t.Errorf("sum drifted by %g under congestion", drift)
+	}
+	assertLedger(t, rt)
+}
+
+// sendSequence sends n LOCKs from node 0 to node 1 through shard 0's send
+// path, without running any shard loop, and returns the sequence numbers
+// that reach the mailbox.
+func sendSequence(t *testing.T, cfg ClusterConfig, n int) (*ShardRuntime, []uint64) {
+	t.Helper()
+	rt, err := NewShardRuntime(graph.Cycle(8), make([]float64, 8), VanillaRule{}, ShardRuntimeConfig{
+		ClusterConfig: cfg, Shards: 2, MailboxCap: n,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rt.shards[0]
+	for i := 0; i < n; i++ {
+		s.send(Message{Kind: MsgLock, From: 0, To: 1, Seq: uint64(i)}, 0)
+	}
+	var got []uint64
+	for _, m := range s.inbox.drainSwap(nil) {
+		got = append(got, m.Seq)
+	}
+	return rt, got
+}
+
+// TestDropTransportDeterministicGivenSeed pins the loss draws of
+// ClusterConfig.Drop: the same seed drops the same messages of a fixed
+// send sequence, and a different seed a different set.
+func TestDropTransportDeterministicGivenSeed(t *testing.T) {
+	const n = 500
+	const rate = 0.2
+	run := func(seed uint64) []uint64 {
+		_, got := sendSequence(t, ClusterConfig{Seed: seed, Drop: rate}, n)
+		return got
+	}
+	a, b := run(42), run(42)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed delivered different messages:\n%v\n%v", a, b)
+	}
+	if kept := float64(len(a)) / n; kept < 0.7 || kept > 0.9 {
+		t.Errorf("kept fraction %.3f far from 1-rate=%.1f", kept, 1-rate)
+	}
+	if reflect.DeepEqual(a, run(43)) {
+		t.Error("different seeds produced identical drop patterns over 500 messages")
+	}
+}
+
+// TestDropTransportCountsDrops pins the loss accounting: every sent
+// message is either dropped or delivered, and each loss is counted by
+// Dropped and dist.transport.dropped and recorded as ReasonLoss on the
+// sender's ring.
+func TestDropTransportCountsDrops(t *testing.T) {
+	const n = 100
+	reg := metrics.NewRegistry()
+	rec := flight.New(8, 1<<10)
+	rt, got := sendSequence(t, ClusterConfig{Seed: 1, Drop: 0.5, Metrics: reg, Flight: rec}, n)
+	if rt.Dropped() == 0 || int(rt.Dropped())+len(got) != n {
+		t.Fatalf("dropped %d + delivered %d != %d", rt.Dropped(), len(got), n)
+	}
+	if c := reg.Snapshot().Counters["dist.transport.dropped"]; c != rt.Dropped() {
+		t.Errorf("dropped counter %d != Dropped() %d", c, rt.Dropped())
+	}
+	var losses int64
+	for _, e := range rec.Snapshot().Events {
+		if e.Kind != flight.EvNetDrop {
+			continue
+		}
+		if e.Flags != flight.ReasonLoss || e.Node != 0 {
+			t.Errorf("drop record with reason %d on node %d, want ReasonLoss on sender 0", e.Flags, e.Node)
+		}
+		losses++
+	}
+	if losses != rt.Dropped() {
+		t.Errorf("%d loss records for %d drops", losses, rt.Dropped())
+	}
+}
+
+// TestDropTransportValidation pins the accepted range of ClusterConfig.Drop,
+// [0, 1): the bounds and non-numbers are rejected by name, the rates inside
+// construct a runtime.
+func TestDropTransportValidation(t *testing.T) {
+	for _, rate := range []float64{-0.1, 1, math.Inf(1), math.NaN()} {
+		_, err := NewShardRuntime(graph.Cycle(8), make([]float64, 8), VanillaRule{}, ShardRuntimeConfig{
+			ClusterConfig: ClusterConfig{Drop: rate},
+		})
+		if err == nil || !strings.Contains(err.Error(), "drop rate") {
+			t.Errorf("Drop %v: got %v, want a drop rate error", rate, err)
+		}
+	}
+	for _, rate := range []float64{0, 0.5, math.Nextafter(1, 0)} {
+		if _, err := NewShardRuntime(graph.Cycle(8), make([]float64, 8), VanillaRule{}, ShardRuntimeConfig{
+			ClusterConfig: ClusterConfig{Drop: rate},
+		}); err != nil {
+			t.Errorf("Drop %v: %v", rate, err)
+		}
+	}
+}
+
+// TestDelayTransportValidation pins the accepted range of
+// ClusterConfig.Delay: a negative latency is rejected, zero and positive
+// ones construct a runtime.
+func TestDelayTransportValidation(t *testing.T) {
+	for _, delay := range []time.Duration{-time.Millisecond, 0, time.Millisecond} {
+		_, err := NewShardRuntime(graph.Cycle(8), make([]float64, 8), VanillaRule{}, ShardRuntimeConfig{
+			ClusterConfig: ClusterConfig{Delay: delay},
+		})
+		if (err != nil) != (delay < 0) {
+			t.Errorf("Delay %v: got error %v", delay, err)
+		}
+	}
+}
+
+// TestShardDelayHoldsUntilDue pins the latency draws: every delayed send
+// is held, a release posts exactly the held messages that are due, and
+// all of them are out once Delay has passed.
+func TestShardDelayHoldsUntilDue(t *testing.T) {
+	const n = 200
+	const delay = 5 * time.Millisecond
+	rt, got := sendSequence(t, ClusterConfig{Seed: 1, Delay: delay}, n)
+	if len(got) != 0 {
+		t.Fatalf("%d messages posted before any delay passed", len(got))
+	}
+	s := rt.shards[0]
+	if rt.Delayed() != n || len(s.held) != n {
+		t.Fatalf("Delayed() = %d with %d held, want %d", rt.Delayed(), len(s.held), n)
+	}
+	for nowNs := int64(0); nowNs <= int64(delay); nowNs += int64(delay) / 10 {
+		due := 0
+		for _, h := range s.held {
+			if h.dueNs <= nowNs {
+				due++
+			}
+		}
+		s.releaseDue(nowNs)
+		if posted := len(s.inbox.drainSwap(nil)); posted != due {
+			t.Fatalf("release at %dns posted %d messages, %d were due", nowNs, posted, due)
+		}
+		for _, h := range s.held {
+			if h.dueNs <= nowNs {
+				t.Fatalf("message due at %dns still held after a release at %dns", h.dueNs, nowNs)
+			}
+		}
+	}
+	if len(s.held) != 0 {
+		t.Errorf("%d messages still held after the maximum delay", len(s.held))
+	}
 }
 
 // TestShardRuntimeShutdownNoLeak extends the repository's leak discipline
@@ -339,13 +494,18 @@ func TestNoGoroutineLeakAfterRun(t *testing.T) { testNoLeak(t, perNode) }
 func testNoLeak(t *testing.T, shards int) {
 	base := leakcheck.Snapshot()
 	g, _, x0 := dumbbellCase(t)
-	rt := newTestRuntime(t, g, x0, NewVanillaRule(), shards, ClusterConfig{TimeScale: 2 * time.Millisecond, Seed: 3})
-	for run := 0; run < 3; run++ {
-		if err := rt.Run(context.Background(), 4); err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
-		if drift := math.Abs(sum(rt.Values()) - sum(x0)); drift > 1e-9 {
-			t.Fatalf("run %d: sum drifted by %g", run, drift)
+	for _, delay := range []time.Duration{0, time.Millisecond} {
+		rt := newTestRuntime(t, g, x0, NewVanillaRule(), shards, ClusterConfig{
+			TimeScale: 2 * time.Millisecond, Seed: 3,
+			Delay: delay, LockTimeout: 4 * delay, // 0 keeps the default
+		})
+		for run := 0; run < 3; run++ {
+			if err := rt.Run(context.Background(), 4); err != nil {
+				t.Fatalf("delay %v, run %d: %v", delay, run, err)
+			}
+			if drift := math.Abs(sum(rt.Values()) - sum(x0)); drift > 1e-9 {
+				t.Fatalf("delay %v, run %d: sum drifted by %g", delay, run, drift)
+			}
 		}
 	}
 	base.Check(t)
@@ -391,71 +551,6 @@ func testCancel(t *testing.T, shards int) {
 	base.Check(t)
 }
 
-// TestShardRuntimeSendAfterTransportClose closes the transport under a
-// running sharded runtime, for every transport implementation: the first
-// failed send must surface as a *SendError wrapping ErrClosed, the run
-// must stop draining (not hang on unresolvable exchanges), and nothing
-// may leak. The DropTransport is built with rate 0 so sends always reach
-// the closed inner layer rather than being absorbed as loss.
-func TestShardRuntimeSendAfterTransportClose(t *testing.T) {
-	build := []struct {
-		name string
-		make func(t *testing.T) Transport
-	}{
-		{"chan", func(t *testing.T) Transport { return NewChanTransport(256) }},
-		{"drop", func(t *testing.T) Transport {
-			tr, err := NewDropTransport(NewChanTransport(256), 0, rng.New(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tr
-		}},
-		{"delay", func(t *testing.T) Transport {
-			tr, err := NewDelayTransport(NewChanTransport(256), 100*time.Microsecond, rng.New(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tr
-		}},
-		{"tcp", func(t *testing.T) Transport {
-			tr, err := NewTCPTransport(3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tr
-		}},
-	}
-	for _, b := range build {
-		b := b
-		t.Run(b.name, func(t *testing.T) {
-			base := leakcheck.Snapshot()
-			g, _, x0 := dumbbellCase(t)
-			tr := b.make(t)
-			rt, err := NewShardRuntime(g, x0, NewVanillaRule(), ShardRuntimeConfig{
-				ClusterConfig: ClusterConfig{TimeScale: 2 * time.Millisecond, Seed: 4, Transport: tr},
-				Shards:        3,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			go func() {
-				time.Sleep(5 * time.Millisecond)
-				tr.Close()
-			}()
-			err = rt.Run(context.Background(), 1000)
-			if err == nil {
-				t.Fatal("Run succeeded across a transport death")
-			}
-			var se *SendError
-			if !errors.As(err, &se) || !errors.Is(err, ErrClosed) {
-				t.Fatalf("Run returned %v, want a *SendError wrapping ErrClosed", err)
-			}
-			tr.Close() // idempotent; ensures full unwind before the leak check
-			base.Check(t)
-		})
-	}
-}
-
 // TestShardRuntimeValidation pins the constructor's input checking.
 func TestShardRuntimeValidation(t *testing.T) {
 	g := graph.Cycle(8)
@@ -491,6 +586,26 @@ func TestShardRuntimeValidation(t *testing.T) {
 		{"negative tick", g, x0, VanillaRule{}, func() ShardRuntimeConfig {
 			c := valid()
 			c.TimerTick = -time.Millisecond
+			return c
+		}()},
+		{"negative drop", g, x0, VanillaRule{}, func() ShardRuntimeConfig {
+			c := valid()
+			c.Drop = -0.1
+			return c
+		}()},
+		{"drop one", g, x0, VanillaRule{}, func() ShardRuntimeConfig {
+			c := valid()
+			c.Drop = 1
+			return c
+		}()},
+		{"NaN drop", g, x0, VanillaRule{}, func() ShardRuntimeConfig {
+			c := valid()
+			c.Drop = math.NaN()
+			return c
+		}()},
+		{"negative delay", g, x0, VanillaRule{}, func() ShardRuntimeConfig {
+			c := valid()
+			c.Delay = -time.Millisecond
 			return c
 		}()},
 		{"crash node out of range", g, x0, VanillaRule{}, func() ShardRuntimeConfig {

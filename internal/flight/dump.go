@@ -156,7 +156,10 @@ func readBinary(br *bufio.Reader) (*Dump, error) {
 	if count > maxRecords {
 		return nil, fmt.Errorf("flight: binary dump claims %d records", count)
 	}
-	d.Events = make([]Record, 0, count)
+	// The count is only a claim until the records arrive: preallocate for
+	// at most 1<<16 of them and let append grow past that, so a header
+	// naming 2^28 records costs an error, not 12 GiB.
+	d.Events = make([]Record, 0, min(count, 1<<16))
 	var buf [recordSize]byte
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {

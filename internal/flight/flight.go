@@ -145,7 +145,7 @@ const (
 	ReasonNack       uint8 = 1 // abort: the peer refused the LOCK
 	ReasonTimeout    uint8 = 2 // abort: the lock timeout fired first
 	ReasonCrash      uint8 = 3 // abort: the initiator crashed
-	ReasonLoss       uint8 = 4 // net-drop: Bernoulli transport loss
+	ReasonLoss       uint8 = 4 // net-drop: Bernoulli message loss
 	ReasonCongestion uint8 = 5 // net-drop: destination mailbox full
 	ReasonSchedule   uint8 = 6 // net-drop/dup: a model-checker action
 	ReasonDead       uint8 = 7 // net-drop: the destination node was down
@@ -219,9 +219,9 @@ type Record struct {
 
 // ring is one node's bounded event buffer: fixed-capacity, overwrite-
 // oldest. A mutex (not atomics) keeps concurrent writers race-clean; in
-// the live runtime each ring has a single writer (its node's shard loop)
-// plus occasional transport-layer writers, so the lock is essentially
-// uncontended.
+// the live runtime each ring has a single writer (its node's shard loop,
+// which also records the node's sends lost to loss or congestion), so the
+// lock is uncontended.
 type ring struct {
 	mu  sync.Mutex
 	buf []Record

@@ -2,6 +2,9 @@ package flight
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -222,6 +225,57 @@ func TestReadDumpRejectsCorruptCount(t *testing.T) {
 	if _, err := ReadDump(bytes.NewReader(raw)); err == nil {
 		t.Error("corrupt record count not rejected")
 	}
+}
+
+// TestReadDumpHugeCountFailsCleanly feeds a bare 32-byte header that
+// claims the largest accepted record count and carries no records: the
+// decoder must report the missing first record, not reserve memory for
+// all of them.
+func TestReadDumpHugeCountFailsCleanly(t *testing.T) {
+	var buf bytes.Buffer
+	if err := (&Dump{Version: DumpVersion}).WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	binary.LittleEndian.PutUint64(raw[4+20:], 1<<28)
+	_, err := ReadDump(bytes.NewReader(raw))
+	if err == nil || !strings.Contains(err.Error(), "reading record 0 of 268435456") {
+		t.Errorf("ReadDump on a %d-byte header claiming 2^28 records: %v", len(raw), err)
+	}
+}
+
+// FuzzReadDump feeds arbitrary bytes to the dump decoder and to everything
+// downstream of it (cmd/tracez's path): an input either fails to decode
+// with an error, or decodes, stitches and renders in every view. A decoded
+// binary dump re-encodes to the input bytes, except for each record's
+// padding and anything after the last record, which the decoder ignores.
+func FuzzReadDump(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := ReadDump(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		set := Stitch(d)
+		for _, render := range []func(io.Writer, *SpanSet, Filter){
+			RenderSpans, RenderTimeline, RenderPhases, RenderAborts, RenderCritical,
+		} {
+			render(io.Discard, set, NewFilter())
+		}
+		if !bytes.HasPrefix(data, binaryMagic[:]) {
+			return
+		}
+		var enc bytes.Buffer
+		if err := d.WriteBinary(&enc); err != nil {
+			t.Fatal(err)
+		}
+		want := bytes.Clone(data[:enc.Len()])
+		for off := 4 + 28; off < len(want); off += recordSize {
+			clear(want[off+44 : off+recordSize])
+		}
+		if !bytes.Equal(enc.Bytes(), want) {
+			t.Fatalf("binary decode∘encode changed the dump:\n got %x\nwant %x", enc.Bytes(), want)
+		}
+	})
 }
 
 func TestWriteFilePicksEncodingBySuffix(t *testing.T) {

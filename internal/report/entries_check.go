@@ -471,7 +471,7 @@ func runE11(p Params) (Section, error) {
 // exchange rule (internal/dist) and Algorithm A (internal/core) are driven
 // in lockstep over the identical tick sequence and must agree to float
 // tolerance, and the rule's own trajectory must converge. The wall-clock
-// runtime (shard event loops, lossy transports) is inherently
+// runtime (shard event loops, lossy mailboxes) is inherently
 // scheduling-dependent and therefore lives in `go test ./internal/dist`
 // rather than in this byte-deterministic document.
 func runE12(p Params) (Section, error) {
@@ -549,7 +549,7 @@ func runE12(p Params) (Section, error) {
 	sec.addMetric("ratio@sim", varX/var0)
 	sec.addMetric("max-divergence", maxDiv)
 	sec.Notes = append(sec.Notes,
-		"The live sharded runtime (one event loop per shard over Chan/Drop/Delay/TCP transports, message loss, abort accounting) is exercised by `go test ./internal/dist -race` and `go run ./cmd/distrun -compare`; its wall-clock scheduling is nondeterministic by nature and is excluded from this byte-deterministic document.")
+		"The live sharded runtime (one event loop per shard, shard mailboxes with injected message loss and delay, abort accounting) is exercised by `go test ./internal/dist -race` and `go run ./cmd/distrun -compare`; its wall-clock scheduling is nondeterministic by nature and is excluded from this byte-deterministic document.")
 	return sec, nil
 }
 

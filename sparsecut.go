@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"sparsecut/internal/avgtime"
 	"sparsecut/internal/core"
@@ -223,26 +222,21 @@ func MeasureAveragingTime(g *Graph, factory Factory, cfg TavConfig) (TavResult, 
 
 // Decentralized message-passing runtime, re-exported from internal/dist:
 // the same local rules the simulator applies centrally, run as nodes
-// exchanging messages — within and across shard event loops, or over an
-// explicit, optionally lossy or slow transport.
+// exchanging messages within and across shard event loops, optionally
+// over a lossy or slow network (ClusterConfig.Drop and Delay).
 type (
 	// ClusterConfig holds the runtime's protocol settings (time scale,
-	// seed, transport, telemetry registry, flight recorder, crash
-	// schedule); it is embedded in ShardRuntimeConfig.
+	// seed, message loss and delay, telemetry registry, flight recorder,
+	// crash schedule); it is embedded in ShardRuntimeConfig.
 	ClusterConfig = dist.ClusterConfig
 	// CrashEvent fail-stops one node for a window of simulated time;
 	// a slice of them forms ClusterConfig.Crashes, the fault-injection
 	// schedule. Values, seq counters and watermarks survive a crash
 	// (stable storage); in-flight messages to a downed node are lost.
 	CrashEvent = dist.CrashEvent
-	// Transport carries the runtime's protocol messages.
-	Transport = dist.Transport
 	// ExchangeRule is the local update a committed pairwise exchange
 	// applies — the runtime counterpart of Algorithm.
 	ExchangeRule = dist.Rule
-	// TCPTransport carries protocol messages over loopback TCP sockets
-	// (it additionally exposes Port).
-	TCPTransport = dist.TCPTransport
 	// ShardRuntime is the decentralized runtime: the exchange protocol's
 	// state machine driven by S shard event loops with per-shard timer
 	// wheels and batched mailboxes, from a dozen nodes to 10^6 on one box.
@@ -293,39 +287,13 @@ func NewFlightRecorder(nodes, perNodeCap int) *FlightRecorder {
 // at /debug/flightz.
 func FlightHandler(rec *FlightRecorder) http.Handler { return flight.Handler(rec) }
 
-// NewChanTransport returns the in-memory transport (one buffered mailbox
-// per address, buf messages each).
-func NewChanTransport(buf int) Transport { return dist.NewChanTransport(buf) }
-
-// NewTCPTransport returns a transport with one loopback TCP listener per
-// mailbox address in [0, addrs) — one per shard of the runtime it serves.
-func NewTCPTransport(addrs int) (*TCPTransport, error) { return dist.NewTCPTransport(addrs) }
-
 // NewShardRuntime builds the decentralized runtime for rule on g with
-// initial values x0: N nodes multiplexed over cfg.Shards event loops,
-// cross-shard delivery through cfg.Transport (one address per shard) or
-// the in-process direct path when nil. One simulated time unit lasts
+// initial values x0: N nodes multiplexed over cfg.Shards event loops that
+// exchange messages through in-process mailboxes. One simulated time unit lasts
 // cfg.TimeScale of wall-clock time, so ShardRuntime.Run(ctx, t) is
 // directly comparable to Simulate(g, alg, t, seed).
 func NewShardRuntime(g *Graph, x0 []float64, rule ExchangeRule, cfg ShardRuntimeConfig) (*ShardRuntime, error) {
 	return dist.NewShardRuntime(g, x0, rule, cfg)
-}
-
-// NewDropTransport wraps inner with i.i.d. Bernoulli message loss at the
-// given rate in [0, 1). The drop decisions are drawn from a private
-// generator seeded with seed; the same seed reproduces the same decision
-// sequence, though which concrete messages that drops still depends on
-// the scheduling of the Send calls.
-func NewDropTransport(inner Transport, dropRate float64, seed uint64) (Transport, error) {
-	return dist.NewDropTransport(inner, dropRate, rng.New(seed))
-}
-
-// NewDelayTransport wraps inner with independent uniform per-message
-// latency in [0, maxDelay), sampled from a private generator seeded with
-// seed (same caveat as NewDropTransport). Delayed messages may reorder;
-// the exchange protocol tolerates both.
-func NewDelayTransport(inner Transport, maxDelay time.Duration, seed uint64) (Transport, error) {
-	return dist.NewDelayTransport(inner, maxDelay, rng.New(seed))
 }
 
 // NewAveragingExchange returns the vanilla pairwise-averaging exchange

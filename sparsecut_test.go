@@ -190,16 +190,12 @@ func TestDecentralizedRuntimeFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A transport carries the traffic between shards, one address each.
-	tr, err := NewDropTransport(NewChanTransport(4*g.NumNodes()), 0.1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Message loss on the path between shards.
 	cl, err := NewShardRuntime(g, x0, rule, ShardRuntimeConfig{
 		ClusterConfig: ClusterConfig{
 			TimeScale: 4 * time.Millisecond,
 			Seed:      1,
-			Transport: tr,
+			Drop:      0.1,
 		},
 		Shards: 3,
 	})
@@ -216,16 +212,12 @@ func TestDecentralizedRuntimeFacade(t *testing.T) {
 		t.Errorf("mean drifted to %v", cl.Mean())
 	}
 
-	// The vanilla exchange rule and the delay transport compose the same way.
-	vtr, err := NewDelayTransport(NewChanTransport(4*g.NumNodes()), time.Millisecond, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The vanilla exchange rule and message delay compose the same way.
 	vcl, err := NewShardRuntime(g, x0, NewAveragingExchange(), ShardRuntimeConfig{
 		ClusterConfig: ClusterConfig{
 			TimeScale:   4 * time.Millisecond,
 			Seed:        2,
-			Transport:   vtr,
+			Delay:       time.Millisecond,
 			LockTimeout: 8 * time.Millisecond, // must exceed the delay round trip
 		},
 		Shards: 3,
