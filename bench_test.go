@@ -128,26 +128,6 @@ func BenchmarkSimulatorVanillaTick(b *testing.B) {
 	eng.RunEvents(int64(b.N))
 }
 
-// BenchmarkSimulatorVanillaTickLegacy measures the same workload through
-// the generic Run loop (per-event virtual dispatch, closure stop
-// condition) — the pre-kernel hot path, kept for comparison.
-func BenchmarkSimulatorVanillaTickLegacy(b *testing.B) {
-	g, part, err := graph.Dumbbell(64, 64, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	alg, err := gossip.NewVanilla(g, gossip.CutIndicator(part))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := sim.NewEngine(g, alg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	eng.Run(sim.MaxEvents(int64(b.N)))
-}
-
 // BenchmarkSimulatorTrackedVanilla measures the averaging-time estimator's
 // per-event cost: the fused tracked loop with one moment read per event.
 func BenchmarkSimulatorTrackedVanilla(b *testing.B) {
@@ -166,9 +146,7 @@ func BenchmarkSimulatorTrackedVanilla(b *testing.B) {
 	b.ResetTimer()
 	// StopLevel -1 is unreachable, so the loop runs to MaxTime; at total
 	// rate |E| that horizon yields ~b.N events.
-	if _, ok := eng.RunTracked(sim.Tracked{ExceedLevel: 0, StopLevel: -1, Quiet: 0, MaxTime: float64(b.N) / float64(g.NumEdges())}); !ok {
-		b.Fatal("tracked fast path unavailable")
-	}
+	eng.RunTracked(sim.Tracked{ExceedLevel: 0, StopLevel: -1, Quiet: 0, MaxTime: float64(b.N) / float64(g.NumEdges())})
 	b.ReportMetric(float64(eng.Events())/float64(b.N), "events/op")
 }
 

@@ -11,10 +11,12 @@
 //	gossipsim -algo convex -alpha 0.8 ...
 //	gossipsim -n 1e6 -algo vanilla -shards 8 -until 0.001
 //
-// With -csv the sampled trajectory is written to stdout as
-// "series,t,value" rows; otherwise a short summary is printed. -progress
-// adds a periodic events/sec + variance meter on stderr; stdout output
-// (including -csv) is byte-identical with or without it.
+// With -csv the variance-ratio trajectory is written to stdout as
+// "series,t,value" rows: t=0, then one row at each of 1000 equal steps to
+// -until (the time of the first event at or past each step); otherwise a
+// short summary is printed. -progress adds a periodic events/sec +
+// variance meter on stderr; stdout output (including -csv) is
+// byte-identical with or without it.
 //
 // -shards N routes the run onto the sharded PDES engine over the
 // family's implicit clique-block representation (dumbbell and
@@ -46,7 +48,7 @@ func main() {
 		alpha     = flag.Float64("alpha", 0.5, "mixing parameter for -algo convex")
 		until     = flag.Float64("until", 50, "simulated time horizon")
 		seed      = flag.Uint64("seed", 1, "random seed")
-		csv       = flag.Bool("csv", false, "emit the sampled variance trajectory as CSV")
+		csv       = flag.Bool("csv", false, "emit the variance-ratio trajectory (t=0 and 1000 equal steps) as CSV")
 		progress  = flag.Bool("progress", false, "print a periodic events/sec + variance meter to stderr")
 		initKind  = flag.String("init", "", "initial vector: worstcase|spike|random|gaussian|linear")
 		rateKind  = flag.String("rates", "", "clock-rate model: uniform|nodeclock|random")
@@ -114,21 +116,7 @@ func main() {
 	}
 
 	var0 := alg.Variance()
-	rec, err := trace.NewSampledRecorder(alg.Name(), int64(res.Graph.NumEdges()/4+1))
-	if err != nil {
-		fatal(err)
-	}
-	observe := func(t float64, _ int64) { rec.Record(t, alg.Variance()/var0) }
-	var meter *progressMeter
-	if *progress {
-		meter = newProgressMeter()
-		record := observe
-		observe = func(t float64, ev int64) {
-			record(t, ev)
-			meter.tick(t, ev, func() float64 { return alg.Variance() / var0 })
-		}
-	}
-	opts := []sim.Option{sim.WithSeed(*seed), sim.WithObserver(observe)}
+	opts := []sim.Option{sim.WithSeed(*seed)}
 	if res.Rates != nil {
 		opts = append(opts, sim.WithRates(res.Rates))
 	}
@@ -136,17 +124,32 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	t, events := eng.Run(sim.Until(*until))
+	// The run reaches -until in steps equal RunTracked calls; the CSV
+	// records t=0 and one row after each. Chained calls process exactly
+	// the events of one call to -until, so the summary does not depend on
+	// the step count.
+	const steps = 1000
+	ratio := func() float64 { return alg.Variance() / var0 }
+	series := trace.NewSeries(alg.Name())
+	series.Add(0, ratio())
+	var meter *progressMeter
+	if *progress {
+		meter = newProgressMeter()
+	}
+	for i := 1; i <= steps; i++ {
+		eng.RunTracked(sim.Tracked{MaxTime: float64(i) / steps * *until})
+		series.Add(eng.Now(), ratio())
+		if meter != nil {
+			meter.barrier(eng.Now(), eng.Events(), ratio())
+		}
+	}
+	t, events := eng.Now(), eng.Events()
 	if meter != nil {
-		meter.finish(t, events, alg.Variance()/var0)
+		meter.finish(t, events, ratio())
 	}
 
 	if *csv {
-		ds, err := rec.Series.Downsample(1000)
-		if err != nil {
-			fatal(err)
-		}
-		if err := trace.WriteCSV(os.Stdout, ds); err != nil {
+		if err := trace.WriteCSV(os.Stdout, series); err != nil {
 			fatal(err)
 		}
 		return
@@ -160,7 +163,7 @@ func main() {
 	fmt.Printf("algorithm:  %s\n", alg.Name())
 	fmt.Printf("simulated:  t=%.4g (%d events)\n", t, events)
 	fmt.Printf("mean:       %.6g\n", alg.Mean())
-	fmt.Printf("var ratio:  %.6g\n", alg.Variance()/var0)
+	fmt.Printf("var ratio:  %.6g\n", ratio())
 }
 
 // runSharded executes one single-replica run on the sharded PDES engine:
@@ -228,9 +231,8 @@ func parseCount(s string) (int, error) {
 }
 
 // progressMeter prints a periodic one-line telemetry reading to stderr.
-// The event-count mask keeps the common case to one AND + branch per
-// event; the wall-clock gate then limits actual prints to ~5 per second.
-// It writes only to stderr, so -csv stdout stays byte-identical.
+// The wall-clock gate limits prints to ~5 per second. It writes only to
+// stderr, so -csv stdout stays byte-identical.
 type progressMeter struct {
 	start      time.Time
 	lastPrint  time.Time
@@ -242,24 +244,9 @@ func newProgressMeter() *progressMeter {
 	return &progressMeter{start: now, lastPrint: now}
 }
 
-func (p *progressMeter) tick(t float64, events int64, varRatio func() float64) {
-	if events&8191 != 0 {
-		return
-	}
-	now := time.Now()
-	gap := now.Sub(p.lastPrint)
-	if gap < 200*time.Millisecond {
-		return
-	}
-	rate := float64(events-p.lastEvents) / gap.Seconds()
-	fmt.Fprintf(os.Stderr, "progress: t=%-10.4g %12d events  %10.4g ev/s  var %.4g\n",
-		t, events, rate, varRatio())
-	p.lastPrint = now
-	p.lastEvents = events
-}
-
-// barrier is tick without the event-count mask: the sharded engine
-// already rate-limits observer calls to window barriers.
+// barrier prints a reading at most every 200 ms of wall time; callers
+// invoke it at their own step boundaries (window barriers on the sharded
+// engine, RunTracked steps otherwise).
 func (p *progressMeter) barrier(t float64, events int64, varRatio float64) {
 	now := time.Now()
 	gap := now.Sub(p.lastPrint)

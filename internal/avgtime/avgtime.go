@@ -213,62 +213,29 @@ func EstimateWithRates(g *graph.Graph, rates []float64, factory Factory, cfg Con
 	return res, nil
 }
 
-// runTrial simulates one trial and returns the last exceedance time.
-//
-// Algorithms implementing sim.TickKernel take the engine's fused tracked
-// loop: zero closures and exactly one moment read per event. The fallback
-// drives HandleTick through the generic engine, still computing the
-// variance ratio once per event (the handler stores it; the stop condition
-// only reads it).
+// runTrial simulates one trial on the engine's tracked per-event loop and
+// returns the last exceedance time: zero closures and exactly one moment
+// read per event.
 func runTrial(g *graph.Graph, rates []float64, alg gossip.Algorithm, r *rng.RNG, cfg Config) (last float64, censored bool, events int64, err error) {
 	var0 := alg.Variance()
 	if var0 == 0 {
 		return 0, false, 0, nil // already averaged
 	}
-	quiet := cfg.quietFor(alg)
-	stopMargin := cfg.Threshold * cfg.MarginFactor
 	opts := []sim.Option{sim.WithRNG(r)}
 	if rates != nil {
 		opts = append(opts, sim.WithRates(rates))
 	}
-
-	if _, isKernel := alg.(sim.TickKernel); isKernel {
-		eng, err := sim.NewEngine(g, alg, opts...)
-		if err != nil {
-			return 0, false, 0, err
-		}
-		if res, ok := eng.RunTracked(sim.Tracked{
-			ExceedLevel: cfg.Threshold * var0,
-			StopLevel:   stopMargin * var0,
-			Quiet:       quiet,
-			MaxTime:     cfg.MaxTime,
-		}); ok {
-			return res.LastExceed, res.Censored, eng.Events(), nil
-		}
-	}
-
-	// Identical absolute-level predicates as the kernel path (not ratio
-	// divisions), so both paths classify boundary events the same way.
-	lastExceed := 0.0
-	exceedLevel := cfg.Threshold * var0
-	stopLevel := stopMargin * var0
-	v := alg.Variance()
-	eng, err := sim.NewEngine(g, sim.HandlerFunc(func(e graph.EdgeID, t float64) {
-		alg.HandleTick(e, t)
-		v = alg.Variance()
-		if v > exceedLevel {
-			lastExceed = t
-		}
-	}), opts...)
+	eng, err := sim.NewEngine(g, alg, opts...)
 	if err != nil {
 		return 0, false, 0, err
 	}
-	stop := func(t float64, _ int64) bool {
-		return t >= cfg.MaxTime || (v < stopLevel && t >= lastExceed+quiet)
-	}
-	endT, events := eng.Run(stop)
-	censored = endT >= cfg.MaxTime && v >= stopLevel
-	return lastExceed, censored, events, nil
+	res := eng.RunTracked(sim.Tracked{
+		ExceedLevel: cfg.Threshold * var0,
+		StopLevel:   cfg.Threshold * cfg.MarginFactor * var0,
+		Quiet:       cfg.quietFor(alg),
+		MaxTime:     cfg.MaxTime,
+	})
+	return res.LastExceed, res.Censored, eng.Events(), nil
 }
 
 // EpsilonConfig returns a Config measuring the ε-averaging time of Boyd et

@@ -266,46 +266,3 @@ func TestEstimateWithRatesValidation(t *testing.T) {
 		t.Error("rate length mismatch not rejected")
 	}
 }
-
-// hideKernel wraps an Algorithm so it no longer implements sim.TickKernel,
-// forcing runTrial onto the HandleTick fallback.
-type hideKernel struct{ inner gossip.Algorithm }
-
-func (h hideKernel) Name() string                         { return h.inner.Name() }
-func (h hideKernel) HandleTick(e graph.EdgeID, t float64) { h.inner.HandleTick(e, t) }
-func (h hideKernel) Values() []float64                    { return h.inner.Values() }
-func (h hideKernel) Mean() float64                        { return h.inner.Mean() }
-func (h hideKernel) Variance() float64                    { return h.inner.Variance() }
-
-// The fused tracked loop and the generic fallback must agree on the
-// estimate: same events, same censoring, per-trial last-exceedance times
-// equal to float accuracy.
-func TestKernelAndFallbackTrialsAgree(t *testing.T) {
-	g, p, err := graph.Dumbbell(12, 12, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x0 := gossip.CutIndicator(p)
-	cfg := Config{Trials: 5, Seed: 17, MaxTime: 1e4}
-	kernel, err := Estimate(g, VanillaFactory(g, x0), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fallback, err := Estimate(g, func(int, *rng.RNG) (gossip.Algorithm, error) {
-		v, err := gossip.NewVanilla(g, x0)
-		return hideKernel{inner: v}, err
-	}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kernel.Censored != fallback.Censored || kernel.Events != fallback.Events {
-		t.Errorf("kernel (censored=%d, events=%d) vs fallback (censored=%d, events=%d)",
-			kernel.Censored, kernel.Events, fallback.Censored, fallback.Events)
-	}
-	for i := range kernel.PerTrial {
-		a, b := kernel.PerTrial[i], fallback.PerTrial[i]
-		if a != b {
-			t.Errorf("trial %d: last exceedance %v kernel vs %v fallback", i, a, b)
-		}
-	}
-}

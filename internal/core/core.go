@@ -59,7 +59,8 @@ type SwapEvent struct {
 }
 
 // SparseCutAveraging is Algorithm A. It implements gossip.Algorithm (and
-// therefore sim.Handler). Construct with New; the zero value is not usable.
+// therefore sim.TickKernel). Construct with New; the zero value is not
+// usable.
 type SparseCutAveraging struct {
 	g    *graph.Graph
 	part *graph.Partition
@@ -281,22 +282,6 @@ func (a *SparseCutAveraging) Name() string {
 	return fmt.Sprintf("algorithm-A(w=%s, K=%d)", a.rule, a.epochK)
 }
 
-// HandleTick implements gossip.Algorithm (and sim.Handler).
-func (a *SparseCutAveraging) HandleTick(e graph.EdgeID, t float64) {
-	switch {
-	case e == a.ec || (a.ec < 0 && a.isCut[e]):
-		a.tickCut(e, t)
-	case a.isCut[e]:
-		// Non-designated cut edges make no update (paper, Section 1.0.1).
-	default:
-		edge := a.g.Edge(e)
-		i, j := int(edge.U), int(edge.V)
-		avg := (a.st.Get(i) + a.st.Get(j)) / 2
-		a.st.Set(i, avg)
-		a.st.Set(j, avg)
-	}
-}
-
 // swap applies the non-convex update at cut edge e.
 func (a *SparseCutAveraging) swap(e graph.EdgeID, t float64) {
 	edge := a.g.Edge(e)
@@ -329,7 +314,7 @@ func (a *SparseCutAveraging) swap(e graph.EdgeID, t float64) {
 }
 
 // tickCut advances the designated-edge counter and fires the swap on the
-// epoch boundary — the shared cut-edge body of HandleTick and the kernel.
+// epoch boundary — the shared cut-edge body of TickEdges and TickEdgeVar.
 func (a *SparseCutAveraging) tickCut(e graph.EdgeID, t float64) {
 	a.ecTicks++
 	if a.ecTicks%a.epochK == 0 {
@@ -338,16 +323,16 @@ func (a *SparseCutAveraging) tickCut(e graph.EdgeID, t float64) {
 }
 
 // TickEdges implements sim.TickKernel: the fused batch loop, bit-identical
-// in the values to HandleTick per event. Runs of internal edges — the
+// in the values to TickEdgeVar per event. Runs of internal edges — the
 // overwhelming majority on a sparse-cut graph — are flushed to the lazy
 // two-point average in sub-batches; cut edges take the same counter/swap
-// path as HandleTick, in order.
+// path as TickEdgeVar, in order.
 //
 // With a swap listener installed the loop uses the eager (incremental)
 // moment updates instead: the listener's VarBefore/VarAfter then match the
-// legacy HandleTick path bit for bit, rather than being resync-exact —
-// E6-style per-epoch statistics read those fields at the float noise
-// floor, where the difference is observable.
+// per-event path bit for bit, rather than being resync-exact — E6-style
+// per-epoch statistics read those fields at the float noise floor, where
+// the difference is observable.
 func (a *SparseCutAveraging) TickEdges(edges []graph.EdgeID, times []float64) {
 	eu, ev, st, isCut := a.eu, a.ev, a.st, a.isCut
 	if a.listener != nil {
@@ -390,9 +375,6 @@ func (a *SparseCutAveraging) TickEdgeVar(e graph.EdgeID, t float64) float64 {
 
 // Values implements gossip.Algorithm.
 func (a *SparseCutAveraging) Values() []float64 { return a.st.Values() }
-
-// CopyInto implements gossip.ValueCopier.
-func (a *SparseCutAveraging) CopyInto(dst []float64) { a.st.CopyInto(dst) }
 
 // Mean implements gossip.Algorithm.
 func (a *SparseCutAveraging) Mean() float64 { return a.st.Mean() }

@@ -133,7 +133,7 @@ func TestSwapAnnihilatesSideMeansExactWeight(t *testing.T) {
 		t.Fatal(err)
 	}
 	ec := a.CutEdge()
-	a.HandleTick(ec, 1.0) // first tick of ec fires the swap (1 % 1 == 0)
+	a.TickEdgeVar(ec, 1.0) // first tick of ec fires the swap (1 % 1 == 0)
 	mu1, mu2 := a.SideMeans()
 	if math.Abs(mu1-0.5) > 1e-12 || math.Abs(mu2-0.5) > 1e-12 {
 		t.Errorf("side means after exact swap = (%v, %v), want (0.5, 0.5)", mu1, mu2)
@@ -158,7 +158,7 @@ func TestSwapPaperWeightExchangesMeansOnEqualSides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.HandleTick(a.CutEdge(), 1.0)
+	a.TickEdgeVar(a.CutEdge(), 1.0)
 	mu1, mu2 := a.SideMeans()
 	if math.Abs(mu1-(-1)) > 1e-12 || math.Abs(mu2-1) > 1e-12 {
 		t.Errorf("paper-weight swap on equal sides gave (%v, %v), want (-1, 1)", mu1, mu2)
@@ -175,7 +175,7 @@ func TestSwapPreservesSum(t *testing.T) {
 		}
 		sum0 := a.Mean() * float64(g.NumNodes())
 		for k := 0; k < 10; k++ {
-			a.HandleTick(a.CutEdge(), float64(k))
+			a.TickEdgeVar(a.CutEdge(), float64(k))
 		}
 		if math.Abs(a.Mean()*float64(g.NumNodes())-sum0) > 1e-9 {
 			t.Errorf("rule %v: sum drifted", rule)
@@ -200,7 +200,7 @@ func TestNonDesignatedCutEdgeIsNoOp(t *testing.T) {
 		t.Fatal("no non-designated cut edge")
 	}
 	before := a.Values()
-	a.HandleTick(other, 0.5)
+	a.TickEdgeVar(other, 0.5)
 	after := a.Values()
 	for i := range before {
 		if before[i] != after[i] {
@@ -220,7 +220,7 @@ func TestInternalEdgeAverages(t *testing.T) {
 	if !ok {
 		t.Fatal("edge 0-1 missing")
 	}
-	a.HandleTick(e, 0.1)
+	a.TickEdgeVar(e, 0.1)
 	vals := a.Values()
 	if vals[0] != 3 || vals[1] != 3 {
 		t.Errorf("internal tick gave %v", vals[:2])
@@ -234,7 +234,7 @@ func TestSwapOnlyEveryKthTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 1; k <= 14; k++ {
-		a.HandleTick(a.CutEdge(), float64(k))
+		a.TickEdgeVar(a.CutEdge(), float64(k))
 	}
 	if a.Swaps() != 2 { // ticks 5 and 10
 		t.Errorf("swaps = %d after 14 ticks with K=5, want 2", a.Swaps())
@@ -250,7 +250,7 @@ func TestSwapListener(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 1; k <= 6; k++ {
-		a.HandleTick(a.CutEdge(), float64(k))
+		a.TickEdgeVar(a.CutEdge(), float64(k))
 	}
 	if len(events) != 3 {
 		t.Fatalf("listener saw %d events, want 3", len(events))
@@ -284,7 +284,7 @@ func TestConvergesOnDumbbellFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Generous horizon: a handful of epochs.
-	eng.Run(sim.Until(20 * a.EpochDuration()))
+	eng.RunUntil(20 * a.EpochDuration())
 	if a.Variance() > 1e-6*var0 {
 		t.Errorf("variance ratio %v after 20 epochs", a.Variance()/var0)
 	}
@@ -311,7 +311,7 @@ func TestAllCutEdgesMode(t *testing.T) {
 	}
 	// Ticking each of the 4 cut edges once gives 4 shared ticks = 1 swap.
 	for _, id := range p.CutEdges() {
-		a.HandleTick(id, 1)
+		a.TickEdgeVar(id, 1)
 	}
 	if a.Swaps() != 1 {
 		t.Errorf("swaps = %d, want 1", a.Swaps())
@@ -362,8 +362,9 @@ func TestEpochFormulaMatchesPaper(t *testing.T) {
 }
 
 // The fused kernel path must produce bit-identical value trajectories to
-// the legacy HandleTick path, including across non-convex swaps, and the
-// swap listeners must fire at identical times and indices.
+// the per-event reference loop over HandleTick, including across
+// non-convex swaps, and the swap listeners must fire at identical times
+// and indices.
 func TestAlgorithmAKernelBitIdenticalToHandleTick(t *testing.T) {
 	g, part, err := graph.Dumbbell(16, 16, 3)
 	if err != nil {
@@ -389,19 +390,16 @@ func TestAlgorithmAKernelBitIdenticalToHandleTick(t *testing.T) {
 	var swapsL, swapsF []swapRec
 	legacy := build(&swapsL)
 	fused := build(&swapsF)
-	engL, err := sim.NewEngine(g, sim.HandlerFunc(legacy.HandleTick), sim.WithSeed(13))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newRefClock(g, 13)
 	engF, err := sim.NewEngine(g, fused, sim.WithSeed(13))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const events = 30000
-	tL, _ := engL.Run(sim.MaxEvents(events))
+	ref.runEvents(legacy, events)
 	tF, _ := engF.RunEvents(events)
-	if tL != tF {
-		t.Fatalf("end time %v legacy vs %v fused", tL, tF)
+	if ref.now != tF {
+		t.Fatalf("end time %v reference vs %v fused", ref.now, tF)
 	}
 	if legacy.Swaps() == 0 {
 		t.Fatal("no swaps fired; test covers nothing")
@@ -441,15 +439,11 @@ func TestAlgorithmAKernelBitIdenticalAllCutEdges(t *testing.T) {
 		return a
 	}
 	legacy, fused := build(), build()
-	engL, err := sim.NewEngine(g, sim.HandlerFunc(legacy.HandleTick), sim.WithSeed(31))
-	if err != nil {
-		t.Fatal(err)
-	}
 	engF, err := sim.NewEngine(g, fused, sim.WithSeed(31))
 	if err != nil {
 		t.Fatal(err)
 	}
-	engL.Run(sim.MaxEvents(20000))
+	newRefClock(g, 31).runEvents(legacy, 20000)
 	engF.RunEvents(20000)
 	if legacy.Swaps() == 0 || legacy.Swaps() != fused.Swaps() {
 		t.Fatalf("swaps: %d legacy vs %d fused", legacy.Swaps(), fused.Swaps())
@@ -459,5 +453,52 @@ func TestAlgorithmAKernelBitIdenticalAllCutEdges(t *testing.T) {
 		if math.Float64bits(vL[i]) != math.Float64bits(vF[i]) {
 			t.Fatalf("value %d = %v legacy vs %v fused", i, vL[i], vF[i])
 		}
+	}
+}
+
+// RunTracked with only MaxTime set is the eager per-event loop that E5
+// and cmd/gossipsim drive in chained steps: for Algorithm A without a
+// swap listener (the lazy-kernel case E5 avoids) it must match the
+// reference loop in the values, Now, Events and the variance, bit for
+// bit, across swaps. The gossip algorithms have the same test in
+// internal/gossip.
+func TestRunTrackedMatchesReferenceLoop(t *testing.T) {
+	g, part, err := graph.Dumbbell(16, 16, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0 := gossip.CutIndicator(part)
+	build := func() *SparseCutAveraging {
+		a, err := New(g, x0, WithPartition(part), WithEpochTicks(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	legacy, tracked := build(), build()
+	ref := newRefClock(g, 23)
+	eng, err := sim.NewEngine(g, tracked, sim.WithSeed(23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, maxT := range []float64{0.5, 4, 4, 9.75, 60} {
+		ref.runUntil(legacy, maxT)
+		eng.RunTracked(sim.Tracked{MaxTime: maxT})
+		if ref.now != eng.Now() || ref.events != eng.Events() {
+			t.Fatalf("at %v: (t, events) = (%v, %d) reference vs (%v, %d) tracked",
+				maxT, ref.now, ref.events, eng.Now(), eng.Events())
+		}
+		vL, vT := legacy.Values(), tracked.Values()
+		for i := range vL {
+			if math.Float64bits(vL[i]) != math.Float64bits(vT[i]) {
+				t.Fatalf("at %v: value %d = %v reference vs %v tracked", maxT, i, vL[i], vT[i])
+			}
+		}
+		if math.Float64bits(legacy.Variance()) != math.Float64bits(tracked.Variance()) {
+			t.Fatalf("at %v: variance %v reference vs %v tracked", maxT, legacy.Variance(), tracked.Variance())
+		}
+	}
+	if tracked.Swaps() == 0 {
+		t.Fatal("no swaps fired; test covers nothing")
 	}
 }

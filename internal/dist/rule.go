@@ -10,7 +10,7 @@ import (
 )
 
 // Rule is the local update a committed exchange applies — the distributed
-// counterpart of gossip.Algorithm's HandleTick. The responder of an
+// counterpart of gossip.Algorithm's TickEdgeVar. The responder of an
 // exchange over edge e calls Delta once with both endpoint values, applies
 // the exact negation to itself, and the initiator applies the returned
 // delta. Because the two applied deltas are exact negations of one

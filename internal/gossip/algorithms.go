@@ -8,14 +8,19 @@ import (
 )
 
 // Algorithm is a distributed averaging process driven by edge clock ticks.
-// It extends sim.Handler (HandleTick has the same signature) with the
+// Its tick methods are sim.TickKernel's, declared here because package sim
+// may not be imported from gossip (sim's tests import gossip); any
+// Algorithm is therefore a TickKernel. The other methods are the
 // observables the averaging-time estimator needs.
 type Algorithm interface {
 	// Name identifies the algorithm in tables and traces.
 	Name() string
-	// HandleTick applies the algorithm's update for a tick of edge e at
-	// simulated time t.
-	HandleTick(e graph.EdgeID, t float64)
+	// TickEdges applies the algorithm's update for a batch of ticks:
+	// edges[k] ticked at times[k], in order.
+	TickEdges(edges []graph.EdgeID, times []float64)
+	// TickEdgeVar applies the update for one tick of edge e at simulated
+	// time t and returns the resulting Variance.
+	TickEdgeVar(e graph.EdgeID, t float64) float64
 	// Values returns a copy of the current value vector.
 	Values() []float64
 	// Mean returns the current average (invariant for sum-preserving
@@ -25,23 +30,12 @@ type Algorithm interface {
 	Variance() float64
 }
 
-// ValueCopier is the optional allocation-free counterpart of Values: all
-// algorithms in this repository implement it, and trajectory samplers
-// assert for it to poll into a reused buffer. It is deliberately not part
-// of Algorithm so external Algorithm implementations keep compiling.
-type ValueCopier interface {
-	// CopyInto writes the current value vector into dst (len must equal
-	// the node count).
-	CopyInto(dst []float64)
-}
-
 // Vanilla is the paper's baseline: a tick of edge (i, j) replaces both
 // endpoint values with their arithmetic mean. It is the α = 1/2 member of
 // class C and the algorithm whose averaging time defines Tvan.
 type Vanilla struct {
-	g      *graph.Graph
 	st     *State
-	eu, ev []int32 // flat endpoint arrays of g, for the fused kernel
+	eu, ev []int32 // flat endpoint arrays of the graph
 }
 
 // NewVanilla builds vanilla gossip on g with initial values x0. It returns
@@ -50,23 +44,14 @@ func NewVanilla(g *graph.Graph, x0 []float64) (*Vanilla, error) {
 	if len(x0) != g.NumNodes() {
 		return nil, fmt.Errorf("gossip: %d initial values for %d nodes", len(x0), g.NumNodes())
 	}
-	return &Vanilla{g: g, st: NewState(x0), eu: g.EdgeU(), ev: g.EdgeV()}, nil
+	return &Vanilla{st: NewState(x0), eu: g.EdgeU(), ev: g.EdgeV()}, nil
 }
 
 // Name implements Algorithm.
 func (v *Vanilla) Name() string { return "vanilla" }
 
-// HandleTick implements Algorithm.
-func (v *Vanilla) HandleTick(e graph.EdgeID, _ float64) {
-	edge := v.g.Edge(e)
-	i, j := int(edge.U), int(edge.V)
-	avg := (v.st.Get(i) + v.st.Get(j)) / 2
-	v.st.Set(i, avg)
-	v.st.Set(j, avg)
-}
-
 // TickEdges implements sim.TickKernel: the fused batch loop, bit-identical
-// in the values to HandleTick per event (moments resync on the next read).
+// in the values to TickEdgeVar per event (moments resync on the next read).
 func (v *Vanilla) TickEdges(edges []graph.EdgeID, _ []float64) {
 	v.st.AverageEdgesLazy(edges, v.eu, v.ev)
 }
@@ -79,9 +64,6 @@ func (v *Vanilla) TickEdgeVar(e graph.EdgeID, _ float64) float64 {
 
 // Values implements Algorithm.
 func (v *Vanilla) Values() []float64 { return v.st.Values() }
-
-// CopyInto implements ValueCopier.
-func (v *Vanilla) CopyInto(dst []float64) { v.st.CopyInto(dst) }
 
 // Mean implements Algorithm.
 func (v *Vanilla) Mean() float64 { return v.st.Mean() }
@@ -99,7 +81,6 @@ func (v *Vanilla) Variance() float64 { return v.st.Variance() }
 // α closer to 1 is "lazier". All members preserve the sum and never
 // increase the variance — the properties Theorem 1's lower bound exploits.
 type Convex struct {
-	g      *graph.Graph
 	st     *State
 	alpha  float64
 	eu, ev []int32
@@ -114,7 +95,7 @@ func NewConvex(g *graph.Graph, x0 []float64, alpha float64) (*Convex, error) {
 	if len(x0) != g.NumNodes() {
 		return nil, fmt.Errorf("gossip: %d initial values for %d nodes", len(x0), g.NumNodes())
 	}
-	return &Convex{g: g, st: NewState(x0), alpha: alpha, eu: g.EdgeU(), ev: g.EdgeV()}, nil
+	return &Convex{st: NewState(x0), alpha: alpha, eu: g.EdgeU(), ev: g.EdgeV()}, nil
 }
 
 // Name implements Algorithm.
@@ -123,17 +104,8 @@ func (c *Convex) Name() string { return fmt.Sprintf("convex(alpha=%.3g)", c.alph
 // Alpha returns the mixing parameter.
 func (c *Convex) Alpha() float64 { return c.alpha }
 
-// HandleTick implements Algorithm.
-func (c *Convex) HandleTick(e graph.EdgeID, _ float64) {
-	edge := c.g.Edge(e)
-	i, j := int(edge.U), int(edge.V)
-	xi, xj := c.st.Get(i), c.st.Get(j)
-	c.st.Set(i, c.alpha*xi+(1-c.alpha)*xj)
-	c.st.Set(j, c.alpha*xj+(1-c.alpha)*xi)
-}
-
 // TickEdges implements sim.TickKernel: the fused batch loop, bit-identical
-// in the values to HandleTick per event (moments resync on the next read).
+// in the values to TickEdgeVar per event (moments resync on the next read).
 func (c *Convex) TickEdges(edges []graph.EdgeID, _ []float64) {
 	c.st.ConvexEdgesLazy(edges, c.eu, c.ev, c.alpha)
 }
@@ -146,9 +118,6 @@ func (c *Convex) TickEdgeVar(e graph.EdgeID, _ float64) float64 {
 
 // Values implements Algorithm.
 func (c *Convex) Values() []float64 { return c.st.Values() }
-
-// CopyInto implements ValueCopier.
-func (c *Convex) CopyInto(dst []float64) { c.st.CopyInto(dst) }
 
 // Mean implements Algorithm.
 func (c *Convex) Mean() float64 { return c.st.Mean() }
@@ -163,7 +132,6 @@ func (c *Convex) Variance() float64 { return c.st.Variance() }
 // lower bound; it is included to show the bound is about convexity, not
 // about any particular update rule.
 type PushSum struct {
-	g      *graph.Graph
 	s      []float64
 	w      []float64
 	est    *State // estimates s/w, kept in sync for O(1) variance
@@ -181,7 +149,6 @@ func NewPushSum(g *graph.Graph, x0 []float64, r *rng.RNG) (*PushSum, error) {
 		return nil, fmt.Errorf("gossip: push-sum requires an RNG")
 	}
 	p := &PushSum{
-		g:  g,
 		s:  append([]float64(nil), x0...),
 		w:  make([]float64, len(x0)),
 		r:  r,
@@ -198,25 +165,9 @@ func NewPushSum(g *graph.Graph, x0 []float64, r *rng.RNG) (*PushSum, error) {
 // Name implements Algorithm.
 func (p *PushSum) Name() string { return "push-sum" }
 
-// HandleTick implements Algorithm.
-func (p *PushSum) HandleTick(e graph.EdgeID, _ float64) {
-	edge := p.g.Edge(e)
-	from, to := int(edge.U), int(edge.V)
-	if p.r.Float64() < 0.5 {
-		from, to = to, from
-	}
-	halfS, halfW := p.s[from]/2, p.w[from]/2
-	p.s[from] -= halfS
-	p.w[from] -= halfW
-	p.s[to] += halfS
-	p.w[to] += halfW
-	p.est.Set(from, p.s[from]/p.w[from])
-	p.est.Set(to, p.s[to]/p.w[to])
-}
-
 // tickPair applies one push-sum exchange between the endpoints i, j of a
-// ticked edge, bit-identical in the mass vectors and estimates to
-// HandleTick's body. When lazy is set the estimate moments are deferred to
+// ticked edge: a fair coin picks the sender, which hands half of its (s, w)
+// mass to the other. When lazy is set the estimate moments are deferred to
 // the next moment read.
 func (p *PushSum) tickPair(i, j int, lazy bool) {
 	from, to := i, j
@@ -250,9 +201,6 @@ func (p *PushSum) TickEdgeVar(e graph.EdgeID, _ float64) float64 {
 
 // Values implements Algorithm (the per-node estimates s/w).
 func (p *PushSum) Values() []float64 { return p.est.Values() }
-
-// CopyInto implements ValueCopier.(the per-node estimates s/w).
-func (p *PushSum) CopyInto(dst []float64) { p.est.CopyInto(dst) }
 
 // Mean implements Algorithm. Note push-sum preserves total mass Σs and
 // total weight Σw rather than the mean of the estimates; Mean reports the

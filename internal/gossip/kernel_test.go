@@ -9,25 +9,38 @@ import (
 	"sparsecut/internal/sim"
 )
 
-// The fused kernel path (RunEvents + TickEdges) must produce bit-identical
-// value trajectories to the legacy HandleTick path through the generic Run
-// loop, for the same seed.
+// refAlgorithm is an Algorithm with its reference update rule.
+type refAlgorithm interface {
+	Algorithm
+	handler
+}
+
+// refBuilder builds one gossip algorithm afresh on each call, so a test
+// can run the same algorithm on the engine and on the reference loop.
+type refBuilder struct {
+	name string
+	make func() (refAlgorithm, error)
+}
+
+func refBuilders(g *graph.Graph, x0 []float64) []refBuilder {
+	return []refBuilder{
+		{"vanilla", func() (refAlgorithm, error) { return NewVanilla(g, x0) }},
+		{"convex(0.3)", func() (refAlgorithm, error) { return NewConvex(g, x0, 0.3) }},
+		{"push-sum", func() (refAlgorithm, error) { return NewPushSum(g, x0, rng.New(9)) }},
+	}
+}
+
+// The fused batch loop (RunEvents + TickEdges) must produce bit-identical
+// value trajectories to the per-event reference loop over HandleTick, for
+// the same seed.
 func TestKernelBitIdenticalToHandleTick(t *testing.T) {
 	g, part, err := graph.Dumbbell(24, 24, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x0 := CutIndicator(part)
-	builders := []struct {
-		name string
-		make func() (Algorithm, error)
-	}{
-		{"vanilla", func() (Algorithm, error) { return NewVanilla(g, x0) }},
-		{"convex(0.3)", func() (Algorithm, error) { return NewConvex(g, x0, 0.3) }},
-		{"push-sum", func() (Algorithm, error) { return NewPushSum(g, x0, rng.New(9)) }},
-	}
 	const events = 20000
-	for _, b := range builders {
+	for _, b := range refBuilders(g, x0) {
 		legacy, err := b.make()
 		if err != nil {
 			t.Fatal(err)
@@ -36,18 +49,15 @@ func TestKernelBitIdenticalToHandleTick(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engL, err := sim.NewEngine(g, sim.HandlerFunc(legacy.HandleTick), sim.WithSeed(42))
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := newRefClock(g, 42)
 		engF, err := sim.NewEngine(g, fused, sim.WithSeed(42))
 		if err != nil {
 			t.Fatal(err)
 		}
-		tL, _ := engL.Run(sim.MaxEvents(events))
+		ref.runEvents(legacy, events)
 		tF, _ := engF.RunEvents(events)
-		if tL != tF {
-			t.Fatalf("%s: end time %v generic vs %v fused", b.name, tL, tF)
+		if ref.now != tF {
+			t.Fatalf("%s: end time %v reference vs %v fused", b.name, ref.now, tF)
 		}
 		vL, vF := legacy.Values(), fused.Values()
 		for i := range vL {
@@ -55,13 +65,59 @@ func TestKernelBitIdenticalToHandleTick(t *testing.T) {
 				t.Fatalf("%s: value %d = %v legacy vs %v fused (not bit-identical)", b.name, i, vL[i], vF[i])
 			}
 		}
-		// The fused path resyncs moments exactly, the legacy path maintains
+		// The fused path resyncs moments exactly, the reference maintains
 		// them incrementally: they agree to float accumulation error.
 		if d := relDiff(legacy.Variance(), fused.Variance()); d > 1e-9 {
 			t.Errorf("%s: variance %v legacy vs %v fused (rel %g)", b.name, legacy.Variance(), fused.Variance(), d)
 		}
 		if d := relDiff(legacy.Mean(), fused.Mean()); d > 1e-9 {
 			t.Errorf("%s: mean %v legacy vs %v fused (rel %g)", b.name, legacy.Mean(), fused.Mean(), d)
+		}
+	}
+}
+
+// RunTracked with only MaxTime set is the eager per-event loop that E5
+// and cmd/gossipsim drive in chained steps: it must match the reference
+// loop in the values, Now, Events and the variance, bit for bit, and
+// chaining must not change that. Algorithm A has the same test in
+// internal/core.
+func TestRunTrackedMatchesReferenceLoop(t *testing.T) {
+	g, part, err := graph.Dumbbell(24, 24, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0 := CutIndicator(part)
+	steps := []float64{0.5, 3, 3, 7.25, 40}
+	for _, b := range refBuilders(g, x0) {
+		legacy, err := b.make()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tracked, err := b.make()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefClock(g, 17)
+		eng, err := sim.NewEngine(g, tracked, sim.WithSeed(17))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, maxT := range steps {
+			ref.runUntil(legacy, maxT)
+			eng.RunTracked(sim.Tracked{MaxTime: maxT})
+			if ref.now != eng.Now() || ref.events != eng.Events() {
+				t.Fatalf("%s at %v: (t, events) = (%v, %d) reference vs (%v, %d) tracked",
+					b.name, maxT, ref.now, ref.events, eng.Now(), eng.Events())
+			}
+			vL, vT := legacy.Values(), tracked.Values()
+			for i := range vL {
+				if math.Float64bits(vL[i]) != math.Float64bits(vT[i]) {
+					t.Fatalf("%s at %v: value %d = %v reference vs %v tracked", b.name, maxT, i, vL[i], vT[i])
+				}
+			}
+			if math.Float64bits(legacy.Variance()) != math.Float64bits(tracked.Variance()) {
+				t.Fatalf("%s at %v: variance %v reference vs %v tracked", b.name, maxT, legacy.Variance(), tracked.Variance())
+			}
 		}
 	}
 }

@@ -92,11 +92,18 @@ func Torus(rows, cols int) *Graph {
 	return b.MustBuild()
 }
 
+// MaxHypercubeDim and MaxBinaryTreeLevels bound the two exponential-size
+// generators (a guard against absurd sizes).
+const (
+	MaxHypercubeDim     = 20
+	MaxBinaryTreeLevels = 24
+)
+
 // Hypercube returns the d-dimensional hypercube Q_d on 2^d nodes. It panics
-// if d < 0 or d > 20 (guard against absurd sizes).
+// if d < 0 or d > MaxHypercubeDim.
 func Hypercube(d int) *Graph {
-	if d < 0 || d > 20 {
-		panic(fmt.Sprintf("graph: hypercube dimension %d out of [0,20]", d))
+	if d < 0 || d > MaxHypercubeDim {
+		panic(fmt.Sprintf("graph: hypercube dimension %d out of [0,%d]", d, MaxHypercubeDim))
 	}
 	n := 1 << uint(d)
 	b := NewBuilder(n).SetName(fmt.Sprintf("hypercube(d=%d)", d))
@@ -127,10 +134,11 @@ func CompleteBipartite(a, bCount int) *Graph {
 }
 
 // BinaryTree returns the complete binary tree with the given number of
-// levels (level 1 = a single root). It panics if levels < 1 or levels > 24.
+// levels (level 1 = a single root). It panics if levels < 1 or levels >
+// MaxBinaryTreeLevels.
 func BinaryTree(levels int) *Graph {
-	if levels < 1 || levels > 24 {
-		panic(fmt.Sprintf("graph: binary tree levels %d out of [1,24]", levels))
+	if levels < 1 || levels > MaxBinaryTreeLevels {
+		panic(fmt.Sprintf("graph: binary tree levels %d out of [1,%d]", levels, MaxBinaryTreeLevels))
 	}
 	n := 1<<uint(levels) - 1
 	b := NewBuilder(n).SetName(fmt.Sprintf("bintree(levels=%d)", levels))

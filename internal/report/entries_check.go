@@ -126,11 +126,11 @@ func runE5(p Params) (Section, error) {
 		row := []string{which}
 		var final float64
 		for i := 1; i <= segments; i++ {
-			// Not RunUntil: without a swap listener A's fused kernel takes
-			// the lazy path, whose exact moment resync changes the ratios
-			// reported here at the float noise floor (ratio@t=30 for A
-			// reads 1.069e-50 instead of 0).
-			eng.Run(sim.Until(horizon * float64(i) / segments))
+			// The eager per-event loop, not RunUntil: without a swap
+			// listener A's fused kernel takes the lazy path, whose exact
+			// moment resync changes the ratios reported here at the float
+			// noise floor (ratio@t=30 for A reads 1.069e-50 instead of 0).
+			eng.RunTracked(sim.Tracked{MaxTime: horizon * float64(i) / segments})
 			final = alg.Variance() / var0
 			row = append(row, fmt.Sprintf("%.4g", final))
 		}
@@ -224,7 +224,7 @@ func e6(p Params, advance e6Advance) (Section, error) {
 			return sec, err
 		}
 		// The swap listener puts A's fused kernel on its eager path,
-		// which is bit-identical to HandleTick per event.
+		// which is bit-identical to TickEdgeVar per event.
 		advance(eng, alg.EpochDuration(), func() bool { return floored })
 		prev := 1.0
 		for _, r := range ratios {
@@ -344,7 +344,7 @@ func swapContraction(g *graph.Graph, part *graph.Partition, weight float64) (flo
 	}
 	mu1a, mu2a := alg.SideMeans()
 	before := math.Abs(mu1a) + math.Abs(mu2a)
-	alg.HandleTick(alg.CutEdge(), 1)
+	alg.TickEdgeVar(alg.CutEdge(), 1)
 	mu1b, mu2b := alg.SideMeans()
 	after := math.Abs(mu1b) + math.Abs(mu2b)
 	return after / before, nil
@@ -512,7 +512,7 @@ func runE12(p Params) (Section, error) {
 		d := rule.Delta(e, a, vals[a], vals[b])
 		vals[a] += d
 		vals[b] -= d
-		alg.HandleTick(e, float64(i))
+		alg.TickEdgeVar(e, float64(i))
 		for u, x := range alg.Values() {
 			if div := math.Abs(x - vals[u]); div > maxDiv {
 				maxDiv = div

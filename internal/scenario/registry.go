@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -104,6 +106,19 @@ func Usage() string {
 	return b.String()
 }
 
+// inRange fails a spec whose integer parameter lies outside [lo, hi]: the
+// generators panic there, and a spec must fail with an error instead.
+func inRange(param string, got, lo, hi int) error {
+	switch {
+	case got >= lo && got <= hi:
+		return nil
+	case hi == math.MaxInt:
+		return fmt.Errorf("%s = %d, want >= %d", param, got, lo)
+	default:
+		return fmt.Errorf("%s = %d, want it in [%d,%d]", param, got, lo, hi)
+	}
+}
+
 // sideSplit fills N1/N2 from N (and vice versa) for two-sided families.
 func sideSplit(gs *GraphSpec) {
 	if gs.N1 == 0 {
@@ -165,6 +180,9 @@ func init() {
 			}
 		},
 		Build: func(gs GraphSpec, r *rng.RNG) (*graph.Graph, *graph.Partition, error) {
+			if err := inRange("n", gs.N, 0, math.MaxInt); err != nil {
+				return nil, nil, err
+			}
 			return graph.WalledRGG(r, gs.N, gs.Radius*graph.ConnectivityRadius(gs.N), gs.Cut, 500)
 		},
 	})
@@ -217,24 +235,36 @@ func init() {
 	register(Family{
 		Name: "complete", Aliases: []string{"clique"}, Brief: "complete graph K_n", Params: "n",
 		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
+			if err := inRange("n", gs.N, 1, math.MaxInt); err != nil {
+				return nil, nil, err
+			}
 			return graph.Complete(gs.N), nil, nil
 		},
 	})
 	register(Family{
 		Name: "path", Brief: "path graph P_n", Params: "n",
 		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
+			if err := inRange("n", gs.N, 1, math.MaxInt); err != nil {
+				return nil, nil, err
+			}
 			return graph.Path(gs.N), nil, nil
 		},
 	})
 	register(Family{
 		Name: "cycle", Aliases: []string{"ring"}, Brief: "cycle C_n", Params: "n",
 		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
+			if err := inRange("n", gs.N, 3, math.MaxInt); err != nil {
+				return nil, nil, err
+			}
 			return graph.Cycle(gs.N), nil, nil
 		},
 	})
 	register(Family{
 		Name: "star", Brief: "star K_{1,n-1}", Params: "n",
 		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
+			if err := inRange("n", gs.N, 2, math.MaxInt); err != nil {
+				return nil, nil, err
+			}
 			return graph.Star(gs.N), nil, nil
 		},
 	})
@@ -250,6 +280,10 @@ func init() {
 			gs.N = gs.Rows * gs.Cols
 		},
 		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
+			if err := errors.Join(inRange("rows", gs.Rows, 1, math.MaxInt),
+				inRange("cols", gs.Cols, 1, math.MaxInt)); err != nil {
+				return nil, nil, err
+			}
 			return graph.Grid(gs.Rows, gs.Cols), nil, nil
 		},
 	})
@@ -265,6 +299,10 @@ func init() {
 			gs.N = gs.Rows * gs.Cols
 		},
 		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
+			if err := errors.Join(inRange("rows", gs.Rows, 3, math.MaxInt),
+				inRange("cols", gs.Cols, 3, math.MaxInt)); err != nil {
+				return nil, nil, err
+			}
 			return graph.Torus(gs.Rows, gs.Cols), nil, nil
 		},
 	})
@@ -277,6 +315,9 @@ func init() {
 			gs.N = 1 << uint(gs.Dim)
 		},
 		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
+			if err := inRange("dim", gs.Dim, 0, graph.MaxHypercubeDim); err != nil {
+				return nil, nil, err
+			}
 			return graph.Hypercube(gs.Dim), nil, nil
 		},
 	})
@@ -285,6 +326,10 @@ func init() {
 		Brief: "complete bipartite K_{n1,n2}", Params: "n1, n2 (or n)",
 		Defaults: func(gs *GraphSpec) { sideSplit(gs) },
 		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
+			if err := errors.Join(inRange("n1", gs.N1, 1, math.MaxInt),
+				inRange("n2", gs.N2, 1, math.MaxInt)); err != nil {
+				return nil, nil, err
+			}
 			return graph.CompleteBipartite(gs.N1, gs.N2), nil, nil
 		},
 	})
@@ -298,6 +343,9 @@ func init() {
 			gs.N = 1<<uint(gs.Levels) - 1
 		},
 		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
+			if err := inRange("levels", gs.Levels, 1, graph.MaxBinaryTreeLevels); err != nil {
+				return nil, nil, err
+			}
 			return graph.BinaryTree(gs.Levels), nil, nil
 		},
 	})
@@ -313,6 +361,10 @@ func init() {
 			gs.N = gs.N1 + gs.Tail
 		},
 		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
+			if err := errors.Join(inRange("n1", gs.N1, 1, math.MaxInt),
+				inRange("tail", gs.Tail, 0, math.MaxInt)); err != nil {
+				return nil, nil, err
+			}
 			return graph.Lollipop(gs.N1, gs.Tail), nil, nil
 		},
 	})
@@ -321,11 +373,18 @@ func init() {
 		Brief: "Erdős–Rényi G(n,p), resampled until connected", Params: "n, p", Random: true,
 		Defaults: func(gs *GraphSpec) {
 			if gs.P == 0 {
-				// 3x the connectivity threshold ln(n)/n.
-				gs.P = 3 * connectivityP(gs.N)
+				// 3x the connectivity threshold ln(n)/n, a probability
+				// only from n = 5 on.
+				gs.P = min(1, 3*connectivityP(gs.N))
 			}
 		},
 		Build: func(gs GraphSpec, r *rng.RNG) (*graph.Graph, *graph.Partition, error) {
+			if err := inRange("n", gs.N, 0, math.MaxInt); err != nil {
+				return nil, nil, err
+			}
+			if !(gs.P >= 0 && gs.P <= 1) {
+				return nil, nil, fmt.Errorf("p = %v, want it in [0,1]", gs.P)
+			}
 			g, err := graph.GnPConnected(r, gs.N, gs.P, 500)
 			return g, nil, err
 		},
@@ -355,6 +414,12 @@ func init() {
 			}
 		},
 		Build: func(gs GraphSpec, r *rng.RNG) (*graph.Graph, *graph.Partition, error) {
+			if err := inRange("n", gs.N, 0, math.MaxInt); err != nil {
+				return nil, nil, err
+			}
+			if !(gs.Radius >= 0) {
+				return nil, nil, fmt.Errorf("radius = %v, want >= 0", gs.Radius)
+			}
 			g, err := graph.RGGConnected(r, gs.N, gs.Radius*graph.ConnectivityRadius(gs.N), 500)
 			return g, nil, err
 		},

@@ -339,3 +339,45 @@ func TestSideTvanComputedOncePerResolved(t *testing.T) {
 		t.Errorf("fixed-period A computed side bounds: (%v, %v, %v)", r.side.tv1, r.side.tv2, r.side.err)
 	}
 }
+
+// Out-of-range family parameters must fail Resolve with an error: the
+// graph generators panic on them, and these specs reach Resolve from
+// user input (gossipsim -graph, sweep -spec).
+func TestResolveRejectsOutOfRangeParams(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		gs   GraphSpec
+	}{
+		{"hypercube dim=62", GraphSpec{Family: "hypercube", Dim: 62}},
+		{"hypercube dim=-1", GraphSpec{Family: "hypercube", Dim: -1}},
+		{"bintree levels=30", GraphSpec{Family: "bintree", Levels: 30}},
+		{"grid rows=-1", GraphSpec{Family: "grid", Rows: -1}},
+		{"torus 2x4", GraphSpec{Family: "torus", Rows: 2, Cols: 4}},
+		{"cycle n=2", GraphSpec{Family: "cycle", N: 2}},
+		{"star n=1", GraphSpec{Family: "star", N: 1}},
+		{"complete n=-1", GraphSpec{Family: "complete", N: -1}},
+		{"path n=-1", GraphSpec{Family: "path", N: -1}},
+		{"gnp p=2", GraphSpec{Family: "gnp", N: 16, P: 2}},
+		{"gnp n=-1", GraphSpec{Family: "gnp", N: -1}},
+		{"rgg radius=-1", GraphSpec{Family: "rgg", N: 16, Radius: -1}},
+		{"rgg n=-1", GraphSpec{Family: "rgg", N: -1}},
+		{"sensor n=-1", GraphSpec{Family: "sensor", N: -1}},
+		{"lollipop tail=-1", GraphSpec{Family: "lollipop", N1: 4, Tail: -1}},
+		{"bipartite n1=-1", GraphSpec{Family: "bipartite", N1: -1, N2: 4}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Resolve panicked: %v", r)
+				}
+			}()
+			if _, err := (Spec{Graph: c.gs}).Resolve(); err == nil {
+				t.Error("Resolve accepted the spec")
+			}
+		})
+	}
+	// gnp's default p is 3·ln(n)/n, above 1 below n = 5: it is capped.
+	if _, err := (Spec{Graph: GraphSpec{Family: "gnp", N: 3}}).Resolve(); err != nil {
+		t.Errorf("gnp n=3 at the default p: %v", err)
+	}
+}

@@ -8,14 +8,13 @@ import (
 	"sparsecut/internal/rng"
 )
 
-// TickKernel is the fused fast path of the simulator. A Handler that also
-// implements TickKernel lets the engine drive it in batches — event
-// sampling stays inline in the engine (no scheduler call per event), and
-// the algorithm's per-event update runs in one monomorphic loop per batch
-// instead of one virtual dispatch per event. The kernel methods must apply
-// exactly the same update as HandleTick: the engine guarantees that for any
-// seed the fused run produces bit-identical trajectories to the HandleTick
-// path, and the package tests of the algorithms enforce it.
+// TickKernel is the simulator's per-event contract: an algorithm's update
+// rule, applied once per edge tick. The engine samples events inline (no
+// scheduler call per event) and hands them to TickEdges in batches, so the
+// update runs in one monomorphic loop per batch instead of one virtual
+// dispatch per event. TickEdges and TickEdgeVar must leave bit-identical
+// values for the same event sequence; the package tests of the algorithms
+// pin both to a per-event reference loop over the unfused update rule.
 type TickKernel interface {
 	// TickEdges applies the algorithm's update for a batch of ticks:
 	// edges[k] ticked at times[k], in order. len(times) == len(edges).
@@ -33,17 +32,6 @@ type TickKernel interface {
 // paying once the virtual-dispatch amortisation is negligible.
 const batchSize = 256
 
-// kernel reports whether the fused fast path applies: the handler
-// implements TickKernel and no per-event observers are registered (the
-// empty-observer fast path).
-func (e *Engine) kernel() (TickKernel, bool) {
-	if len(e.observers) != 0 {
-		return nil, false
-	}
-	k, ok := e.handler.(TickKernel)
-	return k, ok
-}
-
 func (e *Engine) ensureBatch() {
 	if e.batchE == nil {
 		e.batchE = make([]graph.EdgeID, batchSize)
@@ -53,15 +41,15 @@ func (e *Engine) ensureBatch() {
 
 // fillUntil samples up to max events into the batch scratch, advancing the
 // simulated clock, stopping after the first event whose time reaches maxT
-// (that event is included, matching Run(Until(maxT)) which tests the stop
-// condition before each event, not after; pass maxT = +Inf for a pure
-// event-count fill). It returns the number of events sampled.
+// (that event is included: like RunTracked, the loop tests the clock
+// before each event, not after; pass maxT = +Inf for a pure event-count
+// fill). It returns the number of events sampled.
 //
 // This is the single fused sampling loop: the global-clock draws are
 // inlined — ziggurat fast path + Lemire pick replicated bit-for-bit in
-// exactly the draw order of globalScheduler.next() — so fused and generic
-// runs consume identical random streams (the kernel equivalence tests
-// enforce this).
+// exactly the draw order of globalScheduler.next() — so the batched and
+// per-event loops consume identical random streams (the kernel equivalence
+// tests enforce this).
 func (e *Engine) fillUntil(max int, maxT float64) int {
 	n := 0
 	gs := e.sched
@@ -97,35 +85,26 @@ func (e *Engine) fillUntil(max int, maxT float64) int {
 	return n
 }
 
-// RunEvents processes events until the cumulative event count reaches n —
-// semantically identical to Run(MaxEvents(n)) — taking the fused kernel
-// fast path when available.
+// RunEvents processes events in fused batches until the cumulative event
+// count reaches n. It may be called repeatedly; simulated time continues
+// from where the previous call stopped.
 func (e *Engine) RunEvents(n int64) (t float64, events int64) {
-	k, ok := e.kernel()
-	if !ok {
-		return e.Run(MaxEvents(n))
-	}
 	e.ensureBatch()
 	for e.events < n {
 		b := e.fillUntil(int(min(n-e.events, batchSize)), math.Inf(1))
-		k.TickEdges(e.batchE[:b], e.batchT[:b])
+		e.kern.TickEdges(e.batchE[:b], e.batchT[:b])
 		e.events += int64(b)
 	}
 	return e.now, e.events
 }
 
-// RunUntil processes events until simulated time reaches maxT —
-// semantically identical to Run(Until(maxT)) — taking the fused kernel
-// fast path when available.
+// RunUntil processes events in fused batches until simulated time reaches
+// maxT: the last event processed is the first at or past maxT.
 func (e *Engine) RunUntil(maxT float64) (t float64, events int64) {
-	k, ok := e.kernel()
-	if !ok {
-		return e.Run(Until(maxT))
-	}
 	e.ensureBatch()
 	for e.now < maxT {
 		b := e.fillUntil(batchSize, maxT)
-		k.TickEdges(e.batchE[:b], e.batchT[:b])
+		e.kern.TickEdges(e.batchE[:b], e.batchT[:b])
 		e.events += int64(b)
 	}
 	return e.now, e.events
@@ -157,21 +136,18 @@ type TrackedResult struct {
 	Censored bool
 }
 
-// RunTracked drives the engine's handler — which must implement
-// TickKernel, with no observers registered — while tracking the
+// RunTracked drives the kernel one event at a time while tracking the
 // last-exceedance statistic of the averaging-time estimator inline: per
-// event it costs one kernel call and two float compares — no closures, no
-// second variance read. The stop rule matches the estimator's: stop at
-// MaxTime, or once the variance is below StopLevel and Quiet time has
-// passed since the last exceedance. It returns ok = false (running
-// nothing) when the fast path does not apply, so callers fall back to the
-// generic Run loop rather than silently skipping observers.
-func (e *Engine) RunTracked(cfg Tracked) (res TrackedResult, ok bool) {
-	k, ok := e.kernel()
-	if !ok {
-		return TrackedResult{}, false
-	}
-	v := k.Variance()
+// event it costs one TickEdgeVar call and two float compares — no
+// closures, no second variance read. The stop rule matches the
+// estimator's: stop at MaxTime, or once the variance is below StopLevel
+// and Quiet time has passed since the last exceedance. The clock is
+// tested before each event, so chained calls with rising MaxTime process
+// exactly the events of one call to the last MaxTime. With only MaxTime
+// set it is the plain eager per-event loop: no variance is below a zero
+// StopLevel.
+func (e *Engine) RunTracked(cfg Tracked) TrackedResult {
+	v := e.kern.Variance()
 	lastExceed := 0.0
 	for {
 		if e.now >= cfg.MaxTime {
@@ -182,7 +158,7 @@ func (e *Engine) RunTracked(cfg Tracked) (res TrackedResult, ok bool) {
 		}
 		edge, at := e.sched.next()
 		e.now = at
-		v = k.TickEdgeVar(edge, at)
+		v = e.kern.TickEdgeVar(edge, at)
 		if v > cfg.ExceedLevel {
 			lastExceed = at
 		}
@@ -191,5 +167,5 @@ func (e *Engine) RunTracked(cfg Tracked) (res TrackedResult, ok bool) {
 	return TrackedResult{
 		LastExceed: lastExceed,
 		Censored:   e.now >= cfg.MaxTime && v >= cfg.StopLevel,
-	}, true
+	}
 }

@@ -57,13 +57,13 @@ func TestNodeClockReductionEquivalence(t *testing.T) {
 	const horizon = 3000.0
 
 	// Reduction: edge-clock engine with NodeClockRates.
-	viaRates := make([]int64, g.NumEdges())
-	eng, err := NewEngine(g, HandlerFunc(func(e graph.EdgeID, _ float64) { viaRates[e]++ }),
-		WithRates(NodeClockRates(g)), WithSeed(3))
+	counter := newCounter(g)
+	eng, err := NewEngine(g, counter, WithRates(NodeClockRates(g)), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run(Until(horizon))
+	eng.RunUntil(horizon)
+	viaRates := counter.perEdge
 
 	// Direct simulation: n node clocks, uniform neighbour choice.
 	direct := make([]int64, g.NumEdges())

@@ -1,12 +1,20 @@
 // Package sim implements the paper's timing model: every edge of a graph
-// carries an independent Poisson clock, and an algorithm is invoked at each
-// tick. The simulator is event-driven and deterministic given a seed. It
-// runs the model as one superposed global clock at the total rate that
-// picks each ticking edge proportionally to its rate; the per-edge clock
-// heap the paper describes is kept in the package tests as the reference
-// this clock is checked against.
+// carries an independent Poisson clock, and an algorithm's update rule is
+// applied at each tick. The simulator is event-driven and deterministic
+// given a seed. It runs the model as one superposed global clock at the
+// total rate that picks each ticking edge proportionally to its rate; the
+// per-edge clock heap the paper describes is kept in the package tests as
+// the reference this clock is checked against.
 //
-// Key types: Engine (per-event loop), BatchEngine (replica-batched, Poisson time-bridging). The timing model is DESIGN.md §2; the engines are §6 and §8.
+// TickKernel is the one per-event contract: every engine here drives an
+// algorithm through it (or through its replica-batched and sharded
+// counterparts BatchKernel and ShardKernel). A per-event reference loop
+// over the algorithms' unfused update rules lives in the test files, which
+// pin the fused loops to it bit for bit.
+//
+// Key types: Engine (fused per-event loops), BatchEngine (replica-batched,
+// Poisson time-bridging), ShardEngine (sharded PDES). The timing model is
+// DESIGN.md §2; the engines are §6, §8 and §13.
 package sim
 
 import (
@@ -18,62 +26,15 @@ import (
 	"sparsecut/internal/rng"
 )
 
-// Handler consumes edge clock ticks in simulated-time order.
-type Handler interface {
-	// HandleTick is invoked when edge e ticks at simulated time t.
-	HandleTick(e graph.EdgeID, t float64)
-}
-
-// HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(e graph.EdgeID, t float64)
-
-// HandleTick implements Handler.
-func (f HandlerFunc) HandleTick(e graph.EdgeID, t float64) { f(e, t) }
-
-// Observer is called after every processed event with the current simulated
-// time and the number of events processed so far.
-type Observer func(t float64, events int64)
-
-// StopCondition inspects simulation progress after each event and returns
-// true to halt. It is also consulted once before the first event.
-type StopCondition func(t float64, events int64) bool
-
-// Until stops once simulated time reaches maxT.
-func Until(maxT float64) StopCondition {
-	return func(t float64, _ int64) bool { return t >= maxT }
-}
-
-// MaxEvents stops after n processed events.
-func MaxEvents(n int64) StopCondition {
-	return func(_ float64, events int64) bool { return events >= n }
-}
-
-// AnyOf stops when any of the given conditions holds.
-func AnyOf(conds ...StopCondition) StopCondition {
-	return func(t float64, events int64) bool {
-		for _, c := range conds {
-			if c(t, events) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-// Engine drives a Handler with Poisson edge ticks on a fixed graph.
-//
-// Run is the general loop (any Handler, observers, arbitrary stop
-// conditions). When the handler also implements TickKernel and no
-// observers are registered, RunEvents, RunUntil and RunTracked take a
-// fused batch path with identical semantics and random-stream consumption
-// — see kernel.go.
+// Engine drives a TickKernel with Poisson edge ticks on a fixed graph:
+// RunEvents and RunUntil in fused batches, RunTracked one event at a time
+// with a variance read per event — see kernel.go.
 type Engine struct {
-	g         *graph.Graph
-	handler   Handler
-	sched     *globalScheduler
-	observers []Observer
-	now       float64
-	events    int64
+	g      *graph.Graph
+	kern   TickKernel
+	sched  *globalScheduler
+	now    float64
+	events int64
 
 	// Scratch for the fused kernel path, allocated once on first use.
 	batchE []graph.EdgeID
@@ -84,10 +45,9 @@ type Engine struct {
 type Option func(*config)
 
 type config struct {
-	seed      uint64
-	rand      *rng.RNG
-	rates     []float64
-	observers []Observer
+	seed  uint64
+	rand  *rng.RNG
+	rates []float64
 }
 
 // WithSeed seeds the engine's private RNG (default seed 1). Ignored when
@@ -109,16 +69,11 @@ func WithRates(rates []float64) Option {
 	return func(c *config) { c.rates = rates }
 }
 
-// WithObserver registers an observer invoked after every event.
-func WithObserver(obs Observer) Option {
-	return func(c *config) { c.observers = append(c.observers, obs) }
-}
-
-// NewEngine builds an engine for g driving handler. It returns an error for
-// a nil handler, an edgeless graph, or invalid rates.
-func NewEngine(g *graph.Graph, handler Handler, opts ...Option) (*Engine, error) {
-	if handler == nil {
-		return nil, errors.New("sim: nil handler")
+// NewEngine builds an engine for g driving kern. It returns an error for
+// a nil kernel, an edgeless graph, or invalid rates.
+func NewEngine(g *graph.Graph, kern TickKernel, opts ...Option) (*Engine, error) {
+	if kern == nil {
+		return nil, errors.New("sim: nil kernel")
 	}
 	if g.NumEdges() == 0 {
 		return nil, fmt.Errorf("sim: %s has no edges to tick", g)
@@ -146,10 +101,9 @@ func NewEngine(g *graph.Graph, handler Handler, opts ...Option) (*Engine, error)
 		}
 	}
 	return &Engine{
-		g:         g,
-		handler:   handler,
-		sched:     newGlobalScheduler(rates, cfg.rand),
-		observers: cfg.observers,
+		g:     g,
+		kern:  kern,
+		sched: newGlobalScheduler(rates, cfg.rand),
 	}, nil
 }
 
@@ -161,22 +115,3 @@ func (e *Engine) Now() float64 { return e.now }
 
 // Events returns the number of ticks processed so far.
 func (e *Engine) Events() int64 { return e.events }
-
-// Run processes events until stop returns true and reports the final
-// simulated time and cumulative event count. Run may be called repeatedly;
-// simulated time continues from where the previous call stopped.
-func (e *Engine) Run(stop StopCondition) (t float64, events int64) {
-	if stop == nil {
-		panic("sim: Run requires a stop condition")
-	}
-	for !stop(e.now, e.events) {
-		edge, at := e.sched.next()
-		e.now = at
-		e.handler.HandleTick(edge, at)
-		e.events++
-		for _, obs := range e.observers {
-			obs(e.now, e.events)
-		}
-	}
-	return e.now, e.events
-}

@@ -10,6 +10,39 @@ import (
 	"sparsecut/internal/stats"
 )
 
+// handler is the per-event contract of the reference loop below: one call
+// per edge tick.
+type handler interface {
+	HandleTick(e graph.EdgeID, t float64)
+}
+
+// stopCondition is tested before each event of the reference loop, which
+// stops once it returns true.
+type stopCondition func(t float64, events int64) bool
+
+func until(maxT float64) stopCondition {
+	return func(t float64, _ int64) bool { return t >= maxT }
+}
+
+func maxEvents(n int64) stopCondition {
+	return func(_ float64, events int64) bool { return events >= n }
+}
+
+// runRef is the per-event reference loop over the engine's clock: test the
+// stop condition, draw the next tick from the scheduler, deliver it to h.
+// The fused loops are pinned to it bit for bit.
+func runRef(e *Engine, h handler, stop stopCondition) (float64, int64) {
+	for !stop(e.now, e.events) {
+		edge, at := e.sched.next()
+		e.now = at
+		h.HandleTick(edge, at)
+		e.events++
+	}
+	return e.now, e.events
+}
+
+// countingHandler counts ticks per edge and records their times, one event
+// at a time on either loop.
 type countingHandler struct {
 	perEdge []int64
 	times   []float64
@@ -20,6 +53,19 @@ func (h *countingHandler) HandleTick(e graph.EdgeID, t float64) {
 	h.times = append(h.times, t)
 }
 
+func (h *countingHandler) TickEdges(edges []graph.EdgeID, times []float64) {
+	for k, e := range edges {
+		h.HandleTick(e, times[k])
+	}
+}
+
+func (h *countingHandler) TickEdgeVar(e graph.EdgeID, t float64) float64 {
+	h.HandleTick(e, t)
+	return 0
+}
+
+func (h *countingHandler) Variance() float64 { return 0 }
+
 func newCounter(g *graph.Graph) *countingHandler {
 	return &countingHandler{perEdge: make([]int64, g.NumEdges())}
 }
@@ -27,10 +73,10 @@ func newCounter(g *graph.Graph) *countingHandler {
 func TestNewEngineValidation(t *testing.T) {
 	g := graph.Path(3)
 	if _, err := NewEngine(g, nil); err == nil {
-		t.Error("nil handler not rejected")
+		t.Error("nil kernel not rejected")
 	}
 	edgeless := graph.NewBuilder(2).MustBuild()
-	if _, err := NewEngine(edgeless, HandlerFunc(func(graph.EdgeID, float64) {})); err == nil {
+	if _, err := NewEngine(edgeless, newCounter(edgeless)); err == nil {
 		t.Error("edgeless graph not rejected")
 	}
 	if _, err := NewEngine(g, newCounter(g), WithRates([]float64{1})); err == nil {
@@ -48,7 +94,7 @@ func TestRunStopsAtMaxEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, events := eng.Run(MaxEvents(100))
+	_, events := eng.RunEvents(100)
 	if events != 100 {
 		t.Errorf("events = %d, want 100", events)
 	}
@@ -67,7 +113,7 @@ func TestRunStopsAtTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tEnd, _ := eng.Run(Until(5))
+	tEnd, _ := eng.RunUntil(5)
 	if tEnd < 5 {
 		t.Errorf("stopped at t=%v, want >= 5", tEnd)
 	}
@@ -82,9 +128,9 @@ func TestRunResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run(MaxEvents(10))
+	eng.RunEvents(10)
 	t1 := eng.Now()
-	eng.Run(MaxEvents(20))
+	eng.RunEvents(20)
 	if eng.Events() != 20 {
 		t.Errorf("cumulative events = %d, want 20", eng.Events())
 	}
@@ -98,13 +144,13 @@ func TestRunResumes(t *testing.T) {
 // drives h on g from seed until stop; nil rates mean rate 1 per edge.
 var clocks = []struct {
 	name string
-	run  func(t *testing.T, g *graph.Graph, rates []float64, seed uint64, h Handler, stop StopCondition)
+	run  func(t *testing.T, g *graph.Graph, rates []float64, seed uint64, h *countingHandler, stop stopCondition)
 }{
 	{"global-clock", runEngine},
 	{"per-edge-heap", runHeap},
 }
 
-func runEngine(t *testing.T, g *graph.Graph, rates []float64, seed uint64, h Handler, stop StopCondition) {
+func runEngine(t *testing.T, g *graph.Graph, rates []float64, seed uint64, h *countingHandler, stop stopCondition) {
 	t.Helper()
 	opts := []Option{WithSeed(seed)}
 	if rates != nil {
@@ -114,12 +160,12 @@ func runEngine(t *testing.T, g *graph.Graph, rates []float64, seed uint64, h Han
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run(stop)
+	runRef(eng, h, stop)
 }
 
-// runHeap is Engine.Run's loop over the per-edge heap: test the stop
+// runHeap is runRef's loop over the per-edge heap: test the stop
 // condition, then deliver the next tick.
-func runHeap(_ *testing.T, g *graph.Graph, rates []float64, seed uint64, h Handler, stop StopCondition) {
+func runHeap(_ *testing.T, g *graph.Graph, rates []float64, seed uint64, h *countingHandler, stop stopCondition) {
 	if rates == nil {
 		rates = make([]float64, g.NumEdges())
 		for i := range rates {
@@ -140,7 +186,7 @@ func TestTimesAreIncreasing(t *testing.T) {
 	for _, c := range clocks {
 		g := graph.Complete(5)
 		h := newCounter(g)
-		c.run(t, g, nil, 1, h, MaxEvents(5000))
+		c.run(t, g, nil, 1, h, maxEvents(5000))
 		if !sort.Float64sAreSorted(h.times) {
 			t.Errorf("%s: tick times not sorted", c.name)
 		}
@@ -157,7 +203,7 @@ func TestDeterminism(t *testing.T) {
 		g := graph.Complete(5)
 		run := func() []float64 {
 			h := newCounter(g)
-			c.run(t, g, nil, 77, h, MaxEvents(1000))
+			c.run(t, g, nil, 77, h, maxEvents(1000))
 			return h.times
 		}
 		a, b := run(), run()
@@ -176,7 +222,7 @@ func TestSchedulerStatisticalEquivalence(t *testing.T) {
 	const horizon = 2000.0
 	for _, c := range clocks {
 		h := newCounter(g)
-		c.run(t, g, nil, 5, h, Until(horizon))
+		c.run(t, g, nil, 5, h, until(horizon))
 		for e, n := range h.perEdge {
 			// Poisson(2000): sd ~ 44.7; allow 5 sigma.
 			if math.Abs(float64(n)-horizon) > 5*math.Sqrt(horizon) {
@@ -194,7 +240,7 @@ func TestGlobalGapDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run(MaxEvents(200000))
+	eng.RunEvents(200000)
 	gaps := make([]float64, len(h.times)-1)
 	prev := 0.0
 	for i, tm := range h.times {
@@ -219,34 +265,11 @@ func TestWeightedRates(t *testing.T) {
 	g := graph.Path(3)
 	for _, c := range clocks {
 		h := newCounter(g)
-		c.run(t, g, []float64{1, 4}, 9, h, MaxEvents(100000))
+		c.run(t, g, []float64{1, 4}, 9, h, maxEvents(100000))
 		ratio := float64(h.perEdge[1]) / float64(h.perEdge[0])
 		if math.Abs(ratio-4) > 0.2 {
 			t.Errorf("%s: rate ratio %v, want ~4", c.name, ratio)
 		}
-	}
-}
-
-func TestObserverInvoked(t *testing.T) {
-	g := graph.Complete(3)
-	calls := int64(0)
-	var lastT float64
-	eng, err := NewEngine(g, newCounter(g), WithObserver(func(tm float64, ev int64) {
-		calls++
-		lastT = tm
-		if ev != calls {
-			t.Fatalf("observer event count %d, want %d", ev, calls)
-		}
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Run(MaxEvents(50))
-	if calls != 50 {
-		t.Errorf("observer called %d times", calls)
-	}
-	if lastT != eng.Now() {
-		t.Error("observer saw stale time")
 	}
 }
 
@@ -261,35 +284,11 @@ func TestWithRNGSharedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng1.Run(MaxEvents(100))
-	eng2.Run(MaxEvents(100))
+	eng1.RunEvents(100)
+	eng2.RunEvents(100)
 	if eng1.Now() == eng2.Now() {
 		t.Error("split streams produced identical trajectories")
 	}
-}
-
-func TestAnyOf(t *testing.T) {
-	cond := AnyOf(Until(10), MaxEvents(5))
-	if !cond(11, 0) || !cond(0, 5) {
-		t.Error("AnyOf missed a satisfied condition")
-	}
-	if cond(5, 3) {
-		t.Error("AnyOf fired early")
-	}
-}
-
-func TestRunPanicsWithoutStop(t *testing.T) {
-	g := graph.Complete(3)
-	eng, err := NewEngine(g, newCounter(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Run(nil) did not panic")
-		}
-	}()
-	eng.Run(nil)
 }
 
 func TestGraphAccessor(t *testing.T) {
@@ -371,7 +370,7 @@ func TestSchedulerTickCountAgreement(t *testing.T) {
 	counts := map[string][]int64{}
 	for _, c := range clocks {
 		h := newCounter(g)
-		c.run(t, g, rates, 21, h, Until(horizon))
+		c.run(t, g, rates, 21, h, until(horizon))
 		counts[c.name] = h.perEdge
 	}
 	for e, rate := range rates {
@@ -385,9 +384,9 @@ func TestSchedulerTickCountAgreement(t *testing.T) {
 	}
 }
 
-// recordingKernel implements both Handler and TickKernel, recording every
-// (edge, time) it sees, so the fused loops can be compared bit-for-bit
-// against the generic Run loop.
+// recordingKernel implements both the reference handler and TickKernel,
+// recording every (edge, time) it sees, so the fused loops can be compared
+// bit-for-bit against the reference loop.
 type recordingKernel struct {
 	edges []graph.EdgeID
 	times []float64
@@ -418,7 +417,7 @@ func runPair(t *testing.T, seed uint64) (legacy, fused *recordingKernel, engL, e
 	}
 	legacy, fused = &recordingKernel{}, &recordingKernel{}
 	var err error
-	engL, err = NewEngine(g, HandlerFunc(legacy.HandleTick), WithSeed(seed))
+	engL, err = NewEngine(g, legacy, WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,28 +429,39 @@ func runPair(t *testing.T, seed uint64) (legacy, fused *recordingKernel, engL, e
 }
 
 // The fused RunEvents must produce the identical event sequence (edges and
-// times, bit for bit) as the generic Run loop.
+// times, bit for bit) as the reference loop.
 func TestRunEventsBitIdenticalToRun(t *testing.T) {
 	legacy, fused, engL, engF := runPair(t, 99)
 	const n = 5000
-	tL, evL := engL.Run(MaxEvents(n))
+	tL, evL := runRef(engL, legacy, maxEvents(n))
 	tF, evF := engF.RunEvents(n)
 	if tL != tF || evL != evF {
-		t.Fatalf("(t, events) = (%v, %d) generic vs (%v, %d) fused", tL, evL, tF, evF)
+		t.Fatalf("(t, events) = (%v, %d) reference vs (%v, %d) fused", tL, evL, tF, evF)
 	}
 	compareRecordings(t, "RunEvents", legacy, fused)
 }
 
-// Same for RunUntil vs Run(Until(maxT)).
+// Same for RunUntil, and for RunTracked with only MaxTime set, in chained
+// steps, against the reference loop to the same horizons.
 func TestRunUntilBitIdenticalToRun(t *testing.T) {
 	legacy, fused, engL, engF := runPair(t, 7)
 	const horizon = 3.5
-	tL, evL := engL.Run(Until(horizon))
+	tL, evL := runRef(engL, legacy, until(horizon))
 	tF, evF := engF.RunUntil(horizon)
 	if tL != tF || evL != evF {
-		t.Fatalf("(t, events) = (%v, %d) generic vs (%v, %d) fused", tL, evL, tF, evF)
+		t.Fatalf("(t, events) = (%v, %d) reference vs (%v, %d) fused", tL, evL, tF, evF)
 	}
 	compareRecordings(t, "RunUntil", legacy, fused)
+
+	legacy, tracked, engL, engT := runPair(t, 7)
+	for _, maxT := range []float64{0.25, 1, 1, horizon} {
+		tL, evL := runRef(engL, legacy, until(maxT))
+		engT.RunTracked(Tracked{MaxTime: maxT})
+		if tL != engT.Now() || evL != engT.Events() {
+			t.Fatalf("at %v: (t, events) = (%v, %d) reference vs (%v, %d) tracked", maxT, tL, evL, engT.Now(), engT.Events())
+		}
+	}
+	compareRecordings(t, "RunTracked", legacy, tracked)
 }
 
 func compareRecordings(t *testing.T, label string, a, b *recordingKernel) {
@@ -467,27 +477,6 @@ func compareRecordings(t *testing.T, label string, a, b *recordingKernel) {
 	}
 }
 
-// An engine with observers must not take the kernel fast path (observers
-// would be skipped); RunEvents falls back to the generic loop.
-func TestRunEventsRespectsObservers(t *testing.T) {
-	g := graph.Complete(4)
-	k := &recordingKernel{}
-	calls := 0
-	eng, err := NewEngine(g, k, WithObserver(func(float64, int64) { calls++ }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.RunEvents(50)
-	if calls != 50 {
-		t.Errorf("observer called %d times, want 50", calls)
-	}
-	// RunTracked has no generic fallback: with observers present it must
-	// refuse rather than silently skip them.
-	if _, ok := eng.RunTracked(Tracked{StopLevel: -1, MaxTime: 1}); ok {
-		t.Error("RunTracked took the fast path despite observers")
-	}
-}
-
 // RunTracked must replicate the estimator's stop rule: it stops once the
 // variance is below StopLevel and the quiet period has passed, and censors
 // at MaxTime.
@@ -498,10 +487,7 @@ func TestRunTrackedStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, ok := eng.RunTracked(Tracked{ExceedLevel: 1, StopLevel: 0.5, Quiet: 2, MaxTime: 1e6})
-	if !ok {
-		t.Fatal("kernel handler rejected by RunTracked")
-	}
+	res := eng.RunTracked(Tracked{ExceedLevel: 1, StopLevel: 0.5, Quiet: 2, MaxTime: 1e6})
 	if res.Censored {
 		t.Error("censored despite variance below stop level")
 	}
@@ -516,10 +502,7 @@ func TestRunTrackedStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, ok := eng2.RunTracked(Tracked{ExceedLevel: -1, StopLevel: -1, Quiet: 0, MaxTime: 0.5})
-	if !ok {
-		t.Fatal("kernel handler rejected by RunTracked")
-	}
+	res2 := eng2.RunTracked(Tracked{ExceedLevel: -1, StopLevel: -1, Quiet: 0, MaxTime: 0.5})
 	if !res2.Censored {
 		t.Error("not censored at MaxTime with unreachable stop level")
 	}

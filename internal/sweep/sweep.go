@@ -64,9 +64,16 @@ type Unit struct {
 	Spec scenario.Spec
 }
 
+// maxUnits caps the unit count a grid may expand to. The grids this
+// repository runs have at most a few hundred units; the cap keeps a short
+// grid file (four 400-entry axes are 2.56·10^10 units) from asking for an
+// allocation no host can make.
+const maxUnits = 1 << 16
+
 // Expand turns the grid into its ordered unit list, planting the per-unit
 // seeds derived from root. Axis values are validated against the scenario
-// registry up front so a typo fails before any simulation runs.
+// registry up front so a typo fails before any simulation runs. A grid
+// expanding to more than maxUnits units is an error.
 func Expand(g Grid, root uint64) ([]Unit, error) {
 	orOne := func(k int) int {
 		if k == 0 {
@@ -74,9 +81,15 @@ func Expand(g Grid, root uint64) ([]Unit, error) {
 		}
 		return k
 	}
-	total := orOne(len(g.Families)) * orOne(len(g.Ns)) * orOne(len(g.Cuts)) *
-		orOne(len(g.Algos)) * orOne(len(g.Alphas)) * orOne(len(g.EpochCs)) *
-		orOne(len(g.Weights)) * orOne(len(g.Rates))
+	total := 1
+	for _, k := range []int{len(g.Families), len(g.Ns), len(g.Cuts), len(g.Algos),
+		len(g.Alphas), len(g.EpochCs), len(g.Weights), len(g.Rates)} {
+		// total ≤ maxUnits here, so the check cannot overflow.
+		if total > maxUnits/orOne(k) {
+			return nil, fmt.Errorf("sweep: grid expands to more than %d units", maxUnits)
+		}
+		total *= orOne(k)
+	}
 	units := make([]Unit, 0, total)
 	for fi := 0; fi < orOne(len(g.Families)); fi++ {
 		for ni := 0; ni < orOne(len(g.Ns)); ni++ {

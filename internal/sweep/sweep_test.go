@@ -459,3 +459,82 @@ func TestCacheSharesEqualCells(t *testing.T) {
 		}
 	}
 }
+
+// A short grid file can name an enormous product: four 400-entry axes are
+// 2.56·10^10 units, and eight 256-entry axes overflow int to 0. Expand
+// must refuse both with an error instead of allocating (an out-of-memory
+// crash no recover can catch) or looping for ever, and still expand a
+// grid of exactly maxUnits units.
+func TestExpandRejectsHugeGrids(t *testing.T) {
+	ints := func(k int) []int {
+		out := make([]int, k)
+		for i := range out {
+			out[i] = i + 1
+		}
+		return out
+	}
+	floats := func(k int) []float64 {
+		out := make([]float64, k)
+		for i := range out {
+			out[i] = float64(i+1) / float64(k)
+		}
+		return out
+	}
+	strs := func(s string, k int) []string {
+		out := make([]string, k)
+		for i := range out {
+			out[i] = s
+		}
+		return out
+	}
+	huge := Grid{Ns: ints(400), Cuts: ints(400), Alphas: floats(400), EpochCs: floats(400)}
+	if _, err := Expand(huge, 1); err == nil {
+		t.Error("four 400-entry axes expanded without error")
+	}
+	overflow := Grid{
+		Families: strs("dumbbell", 256), Ns: ints(256), Cuts: ints(256), Algos: strs("A", 256),
+		Alphas: floats(256), EpochCs: floats(256), Weights: strs("exact", 256), Rates: strs("uniform", 256),
+	}
+	if _, err := Expand(overflow, 1); err == nil {
+		t.Error("eight 256-entry axes (2^64 units) expanded without error")
+	}
+	atCap := Grid{Ns: ints(256), Cuts: ints(maxUnits / 256)}
+	units, err := Expand(atCap, 1)
+	if err != nil {
+		t.Fatalf("grid of exactly %d units: %v", maxUnits, err)
+	}
+	if len(units) != maxUnits {
+		t.Errorf("expanded %d units, want %d", len(units), maxUnits)
+	}
+	atCap.Cuts = append(atCap.Cuts, 0)
+	if _, err := Expand(atCap, 1); err == nil {
+		t.Errorf("grid of %d units expanded without error", maxUnits+256)
+	}
+}
+
+// FuzzParseGrid feeds arbitrary bytes through ParseGrid and Expand, the
+// path a -spec file takes in cmd/sweep: every input fails with an error or
+// expands to at most maxUnits units in index order, and none panics. The
+// seed corpus in testdata/fuzz/FuzzParseGrid holds the CI smoke grid, a
+// grid with every field set, and the 2.56·10^10-unit grid of four
+// 400-entry axes.
+func FuzzParseGrid(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ParseGrid(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		units, err := Expand(g, 1)
+		if err != nil {
+			return
+		}
+		if len(units) == 0 || len(units) > maxUnits {
+			t.Fatalf("expanded to %d units", len(units))
+		}
+		for i, u := range units {
+			if u.Index != i {
+				t.Fatalf("unit %d has index %d", i, u.Index)
+			}
+		}
+	})
+}

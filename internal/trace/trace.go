@@ -1,15 +1,14 @@
 // Package trace records time series produced during simulations (variance
 // trajectories, epoch boundaries) and writes them as CSV — the repository's
-// "figure" output format. A Series can be downsampled so that million-event
-// runs produce plottable files.
+// "figure" output format.
 //
-// Key types: Series, SampledRecorder, WriteCSV — the figure-style trajectory output of E5 and cmd/gossipsim -csv (DESIGN.md §4).
+// Key types: Series, WriteCSV — the figure-style trajectory output of
+// cmd/gossipsim -csv (DESIGN.md §4).
 package trace
 
 import (
 	"bufio"
 	"errors"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -44,66 +43,6 @@ func (s *Series) Last() (t, v float64, ok bool) {
 		return 0, 0, false
 	}
 	return s.T[len(s.T)-1], s.V[len(s.V)-1], true
-}
-
-// Downsample returns a new series keeping at most maxPoints points, chosen
-// uniformly by index, always retaining the first and last point. A series
-// already within budget is copied verbatim. maxPoints must be >= 2.
-func (s *Series) Downsample(maxPoints int) (*Series, error) {
-	if maxPoints < 2 {
-		return nil, fmt.Errorf("trace: maxPoints %d < 2", maxPoints)
-	}
-	out := NewSeries(s.Name)
-	n := s.Len()
-	if n <= maxPoints {
-		out.T = append(out.T, s.T...)
-		out.V = append(out.V, s.V...)
-		return out, nil
-	}
-	stride := float64(n-1) / float64(maxPoints-1)
-	prevIdx := -1
-	for k := 0; k < maxPoints; k++ {
-		idx := int(float64(k)*stride + 0.5)
-		if idx >= n {
-			idx = n - 1
-		}
-		if idx == prevIdx {
-			continue
-		}
-		out.Add(s.T[idx], s.V[idx])
-		prevIdx = idx
-	}
-	// Ensure the exact last point survived rounding.
-	if lt, _, _ := out.Last(); lt != s.T[n-1] {
-		out.Add(s.T[n-1], s.V[n-1])
-	}
-	return out, nil
-}
-
-// SampledRecorder calls Add only every stride-th invocation of Record
-// (always including the first), bounding the memory of long simulations at
-// the source.
-type SampledRecorder struct {
-	Series *Series
-	Stride int64
-	count  int64
-}
-
-// NewSampledRecorder records every stride-th point into a fresh series.
-// It returns an error for stride < 1.
-func NewSampledRecorder(name string, stride int64) (*SampledRecorder, error) {
-	if stride < 1 {
-		return nil, fmt.Errorf("trace: stride %d < 1", stride)
-	}
-	return &SampledRecorder{Series: NewSeries(name), Stride: stride}, nil
-}
-
-// Record offers a point; it is kept when the sample counter fires.
-func (r *SampledRecorder) Record(t, v float64) {
-	if r.count%r.Stride == 0 {
-		r.Series.Add(t, v)
-	}
-	r.count++
 }
 
 // WriteCSV writes one or more series sharing no time base as long-format

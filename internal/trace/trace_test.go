@@ -26,81 +26,6 @@ func TestSeriesBasics(t *testing.T) {
 	}
 }
 
-func TestDownsampleSmallSeriesCopied(t *testing.T) {
-	s := NewSeries("x")
-	s.Add(0, 0)
-	s.Add(1, 1)
-	d, err := s.Downsample(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Len() != 2 {
-		t.Errorf("Len = %d", d.Len())
-	}
-	// Must be a copy, not an alias.
-	d.T[0] = 42
-	if s.T[0] == 42 {
-		t.Error("downsample aliased source")
-	}
-}
-
-func TestDownsampleKeepsEndpoints(t *testing.T) {
-	s := NewSeries("x")
-	for i := 0; i < 1000; i++ {
-		s.Add(float64(i), float64(i)*2)
-	}
-	d, err := s.Downsample(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Len() > 51 {
-		t.Errorf("Len = %d, want <= 51", d.Len())
-	}
-	if d.T[0] != 0 {
-		t.Error("first point lost")
-	}
-	lt, lv, _ := d.Last()
-	if lt != 999 || lv != 1998 {
-		t.Errorf("last point %v, %v", lt, lv)
-	}
-	// Monotone time.
-	for i := 1; i < d.Len(); i++ {
-		if d.T[i] <= d.T[i-1] {
-			t.Fatal("downsampled times not increasing")
-		}
-	}
-}
-
-func TestDownsampleRejectsTinyBudget(t *testing.T) {
-	s := NewSeries("x")
-	if _, err := s.Downsample(1); err == nil {
-		t.Error("maxPoints=1 not rejected")
-	}
-}
-
-func TestSampledRecorder(t *testing.T) {
-	r, err := NewSampledRecorder("v", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		r.Record(float64(i), float64(i))
-	}
-	// Kept: i = 0, 3, 6, 9.
-	if r.Series.Len() != 4 {
-		t.Errorf("recorded %d points, want 4", r.Series.Len())
-	}
-	if r.Series.T[0] != 0 || r.Series.T[3] != 9 {
-		t.Errorf("wrong sample points: %v", r.Series.T)
-	}
-}
-
-func TestSampledRecorderRejectsBadStride(t *testing.T) {
-	if _, err := NewSampledRecorder("v", 0); err == nil {
-		t.Error("stride 0 not rejected")
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	a := NewSeries("alpha")
 	a.Add(0, 1)

@@ -182,8 +182,7 @@ func Simulate(g *Graph, alg Algorithm, until float64, seed uint64) SimResult {
 	if err != nil {
 		panic(fmt.Sprintf("sparsecut: Simulate: %v", err))
 	}
-	// RunUntil takes the fused kernel fast path for the built-in algorithms
-	// and falls back to the generic loop for custom handlers.
+	// RunUntil drives alg's TickEdges in fused batches.
 	t, events := eng.RunUntil(until)
 	res := SimResult{
 		Time:     t,
