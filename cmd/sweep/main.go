@@ -26,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -333,16 +334,27 @@ func splitList(s string) []string {
 
 // parseInts parses a comma list whose elements are integers or ranges:
 // "lo..hi" (step 1), "lo..hi..+s" (arithmetic step s), "lo..hi..xk"
-// (geometric factor k).
+// (geometric factor k). A list of more than sweep.MaxUnits values is an
+// error, found before it is built, and so is a range whose next step
+// would overflow an int.
 func parseInts(s string) ([]int, error) {
 	var out []int
+	add := func(v int) error {
+		if len(out) == sweep.MaxUnits {
+			return fmt.Errorf("more than %d values", sweep.MaxUnits)
+		}
+		out = append(out, v)
+		return nil
+	}
 	for _, part := range splitList(s) {
 		if !strings.Contains(part, "..") {
 			v, err := strconv.Atoi(part)
 			if err != nil {
 				return nil, fmt.Errorf("bad integer %q", part)
 			}
-			out = append(out, v)
+			if err := add(v); err != nil {
+				return nil, err
+			}
 			continue
 		}
 		fields := strings.Split(part, "..")
@@ -375,11 +387,15 @@ func parseInts(s string) ([]int, error) {
 			}
 		}
 		for v := lo; v <= hi; {
-			out = append(out, v)
-			if factor > 0 {
+			if err := add(v); err != nil {
+				return nil, fmt.Errorf("range %q: %w", part, err)
+			}
+			if factor > 0 && v <= math.MaxInt/factor {
 				v *= factor
-			} else {
+			} else if factor == 0 && v <= math.MaxInt-step {
 				v += step
+			} else {
+				return nil, fmt.Errorf("range %q: the step after %d overflows an int", part, v)
 			}
 		}
 	}

@@ -17,7 +17,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
 	"sparsecut/internal/rng"
@@ -89,24 +88,27 @@ func (g *Implicit) Tiling() *Tiling {
 			Lo:    lo,
 			Hi:    hi,
 			Edges: cliqueEdges(int(hi - lo)),
-			Fill:  cliqueFill(lo, int(hi-lo)),
 		})
 	}
 	return t
 }
 
-// Tile is one contiguous node range of a Tiling plus its internal edge
-// population. Internal edges are never enumerated: Edges counts them and
-// Fill samples them.
+// Tile is one contiguous node range of a Tiling: a clique block, whose
+// internal edges are never enumerated. Edges counts them and Fill samples
+// them.
 type Tile struct {
 	// Lo, Hi bound the tile's nodes: [Lo, Hi).
 	Lo, Hi int32
 	// Edges counts the edges with both endpoints inside the tile.
 	Edges int64
-	// Fill writes len(us) == len(vs) endpoint pairs of independent
-	// uniform internal edges, consuming only r. It must not be called
-	// when Edges == 0.
-	Fill func(r *rng.RNG, us, vs []int32)
+}
+
+// Fill writes len(us) endpoint pairs of independent uniform internal
+// edges into us and vs, consuming only r: the pairs and the stream
+// position of r.Intn(size), r.Intn(size-1) and a shift per pair
+// (rng.FillPairs). It panics when Edges == 0 or len(vs) < len(us).
+func (t *Tile) Fill(r *rng.RNG, us, vs []int32) {
+	rng.FillPairs(r, us, vs, t.Lo, int(t.Hi-t.Lo))
 }
 
 // Tiling is a cut-aware decomposition of an implicit graph: contiguous
@@ -149,34 +151,6 @@ func (t *Tiling) InternalEdges() int64 {
 func cliqueEdges(s int) int64 {
 	s64 := int64(s)
 	return s64 * (s64 - 1) / 2
-}
-
-// cliqueFill samples uniform unordered pairs inside [base, base+size): two
-// bounded uniforms and a shift, no triangular inversion on the hot path.
-// The draws are r.Intn(size) then r.Intn(size-1) with the Lemire fast
-// path inlined (Intn is over the inlining budget) and the shared
-// rejection finisher on the rare branch, so the stream is consumed word
-// for word as the two Intn calls would.
-func cliqueFill(base int32, size int) func(r *rng.RNG, us, vs []int32) {
-	bi, bj := uint64(size), uint64(size-1)
-	return func(r *rng.RNG, us, vs []int32) {
-		vs = vs[:len(us)]
-		for k := range us {
-			i, lo := bits.Mul64(r.Uint64(), bi)
-			if lo < bi {
-				i = r.IntnSlow(i, lo, bi)
-			}
-			j, lo := bits.Mul64(r.Uint64(), bj)
-			if lo < bj {
-				j = r.IntnSlow(j, lo, bj)
-			}
-			if j >= i {
-				j++
-			}
-			us[k] = base + int32(i)
-			vs[k] = base + int32(j)
-		}
-	}
 }
 
 // --- family constructors ------------------------------------------------

@@ -216,20 +216,20 @@ func TestImplicitConstructorErrors(t *testing.T) {
 	}
 }
 
-// TestCliqueFillMatchesIntn pins cliqueFill's stream consumption: its
-// inlined draws must yield the pairs of r.Intn(size), r.Intn(size-1) and
-// the shift on a twin stream, and leave both streams at the same position,
+// TestCliqueFillMatchesIntn pins Tile.Fill's stream consumption: its
+// draws must yield the pairs of r.Intn(size), r.Intn(size-1) and the
+// shift on a twin stream, and leave both streams at the same position,
 // across clique sizes and chunk lengths straddling the RNG's block size.
 func TestCliqueFillMatchesIntn(t *testing.T) {
 	const base = 7
 	for _, size := range []int{2, 3, 64, 500_000} {
-		fill := cliqueFill(base, size)
+		tile := Tile{Lo: base, Hi: base + int32(size), Edges: cliqueEdges(size)}
 		for _, chunk := range []int{1, 255, 256, 257} {
 			seed := uint64(size*1000 + chunk)
 			r, twin := rng.New(seed), rng.New(seed)
 			us, vs := make([]int32, chunk), make([]int32, chunk)
 			for call := 0; call < 5; call++ {
-				fill(r, us, vs)
+				tile.Fill(r, us, vs)
 				for k := range us {
 					i := twin.Intn(size)
 					j := twin.Intn(size - 1)

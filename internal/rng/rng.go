@@ -93,23 +93,30 @@ func (r *RNG) Uint64() uint64 {
 }
 
 // refill regenerates the output block, holding the state in registers for
-// the whole run. The rotations are written out inline so the loop body
-// compiles to straight-line integer ops.
+// the whole run, and marks it full.
 func (r *RNG) refill() {
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	for i := range r.buf {
-		x := s0 + s3
-		r.buf[i] = (x<<23 | x>>41) + s0
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = s3<<45 | s3>>19
+		r.buf[i], s0, s1, s2, s3 = step(s0, s1, s2, s3)
 	}
 	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
 	r.pos = 0
+}
+
+// step is one xoshiro256++ output and state transition on a state held in
+// locals. The rotations are written out so it inlines into straight-line
+// integer ops. refill and FillPairs both step through it, so the words
+// they produce cannot differ.
+func step(s0, s1, s2, s3 uint64) (out, t0, t1, t2, t3 uint64) {
+	x := s0 + s3
+	out = (x<<23 | x>>41) + s0
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return out, s0, s1, s2, s3<<45 | s3>>19
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
@@ -138,9 +145,8 @@ func (r *RNG) Intn(n int) int {
 // loops that inline the fast path — hi, lo := bits.Mul64(r.Uint64(),
 // bound) — call this when lo < bound, exactly as Intn does; keeping the
 // threshold logic here means there is a single source of truth for the
-// draw sequence. The inlining callers are the fused per-event loop
-// (sim/kernel.go) and the implicit graphs' clique sampler
-// (graph/implicit.go); FillIntn hands its rejections to Intn.
+// draw sequence. The inlining caller is the fused per-event loop
+// (sim/kernel.go); FillIntn and FillPairs hand their rejections to Intn.
 func (r *RNG) IntnSlow(hi, lo, bound uint64) uint64 {
 	thresh := (-bound) % bound
 	for lo < thresh {
@@ -182,6 +188,95 @@ func FillIntn[T ~int32](r *RNG, dst []T, n int) {
 			dst = dst[1:]
 		}
 	}
+}
+
+// FillPairs fills us and vs with uniform pairs of distinct nodes in
+// [base, base+n): us[k] = base+i and vs[k] = base+j, where i = Intn(n),
+// j = Intn(n-1), and j is bumped by one when j >= i. The values, and the
+// stream position left behind, are those of the two Intn calls per pair.
+// It is the implicit graphs' clique edge sampler (graph.Tile.Fill).
+//
+// Words left in the block are read in a local loop, as FillIntn does.
+// Once the block is empty the state is the next stream position, so the
+// xoshiro256++ step runs in locals, pos stays at the block end and the
+// state is written back once: the next Uint64 refills from exactly there.
+// A word in Lemire's rejection zone goes to Intn or IntnSlow with the
+// stream position exact, so the threshold rule stays theirs. It panics if
+// n < 2, if [base, base+n) is not a range of non-negative int32 values,
+// or if len(vs) < len(us).
+func FillPairs(r *RNG, us, vs []int32, base int32, n int) {
+	if n < 2 || base < 0 || int64(base)+int64(n) > math.MaxInt32 {
+		panic("rng: FillPairs called with n < 2 or a range outside int32")
+	}
+	bi, bj := uint64(n), uint64(n-1)
+	vs = vs[:len(us)]
+	k := 0
+outer:
+	for k < len(us) {
+		src := r.buf[r.pos:]
+		p := 0
+		for ; k < len(us) && p+1 < len(src); k++ {
+			i, lo := bits.Mul64(src[p], bi)
+			j, lo2 := bits.Mul64(src[p+1], bj)
+			if lo < bi || lo2 < bj {
+				break
+			}
+			us[k], vs[k] = pair(base, i, j)
+			p += 2
+		}
+		r.pos += p
+		switch {
+		case k == len(us):
+			return
+		case r.pos == u64BlockSize-1:
+			// One word left: shift it down and append the state's next
+			// output, so the pair lies whole in the block.
+			r.buf[u64BlockSize-2] = r.buf[u64BlockSize-1]
+			r.buf[u64BlockSize-1], r.s[0], r.s[1], r.s[2], r.s[3] = step(r.s[0], r.s[1], r.s[2], r.s[3])
+			r.pos--
+			continue
+		case r.pos < u64BlockSize:
+			// A word in the rejection zone: the pair takes the Intn path.
+			i := r.Intn(n)
+			us[k], vs[k] = pair(base, uint64(i), uint64(r.Intn(n-1)))
+			k++
+			continue
+		}
+		// The block is empty. Each check follows its own word, so only
+		// the state, not the words, is live across a step; on a
+		// rejection-zone word the state is written back first.
+		s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+		var w uint64
+		for ; k < len(us); k++ {
+			w, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+			i, lo := bits.Mul64(w, bi)
+			if lo < bi {
+				r.s = [4]uint64{s0, s1, s2, s3}
+				i = r.IntnSlow(i, lo, bi)
+				us[k], vs[k] = pair(base, i, uint64(r.Intn(n-1)))
+				k++
+				continue outer
+			}
+			w, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+			j, lo := bits.Mul64(w, bj)
+			if lo < bj {
+				r.s = [4]uint64{s0, s1, s2, s3}
+				us[k], vs[k] = pair(base, i, r.IntnSlow(j, lo, bj))
+				k++
+				continue outer
+			}
+			us[k], vs[k] = pair(base, i, j)
+		}
+		r.s = [4]uint64{s0, s1, s2, s3}
+	}
+}
+
+// pair maps the draws i in [0, n) and j in [0, n-1) to distinct nodes.
+func pair(base int32, i, j uint64) (int32, int32) {
+	if j >= i {
+		j++
+	}
+	return base + int32(i), base + int32(j)
 }
 
 // CountLowBits returns how many of the next n outputs have their low bit

@@ -1,7 +1,9 @@
 package rng
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -716,5 +718,168 @@ func BenchmarkFillIntn(b *testing.B) {
 	dst := make([]int32, 256)
 	for i := 0; i < b.N; i++ {
 		FillIntn(r, dst, 1000)
+	}
+}
+
+// intnPairs draws count pairs of FillPairs' reference: Intn(n), then
+// Intn(n-1) bumped past the first.
+func intnPairs(r *RNG, count int, base int32, n int) (us, vs []int32) {
+	for ; count > 0; count-- {
+		i, j := r.Intn(n), r.Intn(n-1)
+		if j >= i {
+			j++
+		}
+		us, vs = append(us, base+int32(i)), append(vs, base+int32(j))
+	}
+	return us, vs
+}
+
+// checkFillPairs runs FillPairs on a and the two Intn calls per pair on a
+// twin copy of it, one chunk per call, and fails unless the pairs, the
+// next Uint64 and the next Float64 agree.
+func checkFillPairs(t *testing.T, label string, a *RNG, base int32, n int, chunks ...int) {
+	t.Helper()
+	b := *a
+	for _, chunk := range chunks {
+		us, vs := make([]int32, chunk), make([]int32, chunk)
+		FillPairs(a, us, vs, base, n)
+		wantU, wantV := intnPairs(&b, chunk, base, n)
+		for k := range us {
+			if us[k] != wantU[k] || vs[k] != wantV[k] {
+				t.Fatalf("%s, chunk %d: pair %d is (%d,%d), want (%d,%d)", label, chunk, k, us[k], vs[k], wantU[k], wantV[k])
+			}
+		}
+	}
+	if x, y := a.Uint64(), b.Uint64(); x != y {
+		t.Fatalf("%s: next Uint64 %#x, want %#x", label, x, y)
+	}
+	if x, y := a.Float64(), b.Float64(); x != y {
+		t.Fatalf("%s: next Float64 %v, want %v", label, x, y)
+	}
+}
+
+// TestFillPairsMatchesIntn pins FillPairs to Intn(n), Intn(n-1) per pair
+// from every block offset: offset 256 is the empty block, where the state
+// is drawn in registers, and odd offsets make a pair straddle the block
+// end. Two chunks per case check that a call resumes where the last one
+// left the stream.
+func TestFillPairsMatchesIntn(t *testing.T) {
+	for _, n := range []int{2, 3, 64, 500_000, math.MaxInt32} {
+		base := int32(7)
+		if n == math.MaxInt32 {
+			base = 0
+		}
+		for off := 0; off <= u64BlockSize; off++ {
+			for _, chunk := range []int{1, 2, 127, 128, 129, 256, 257, 1000} {
+				a := New(uint64(n) + uint64(off))
+				a.refill()
+				a.pos = off
+				checkFillPairs(t, fmt.Sprintf("n %d, offset %d", n, off), a, base, n, chunk, chunk)
+			}
+		}
+	}
+}
+
+// TestFillPairsRejectionBuffered plants words in the block buffer that
+// land in Lemire's rejection zone, as TestFillIntnRejection does. The
+// first word of a pair draws from n and the second from n-1; n = 3 and
+// n = 4 put a bound of 3, whose threshold is 1, on each of them. The
+// word 0 is then rejected and the inverse of 3 is below the bound but
+// accepted.
+func TestFillPairsRejectionBuffered(t *testing.T) {
+	const (
+		reject = 0
+		accept = 0xaaaaaaaaaaaaaaab
+	)
+	plants := []map[int]uint64{
+		{2: reject},
+		{3: reject},
+		{3: accept},
+		{2: accept, 3: reject, 4: reject, 5: reject, 9: accept},
+		{255: reject}, // the redraw refills the block
+		{254: accept, 255: reject},
+		{254: reject},
+	}
+	for _, n := range []int{3, 4} {
+		for pi, plant := range plants {
+			starts := []int{2}
+			if _, tail := plant[255]; tail {
+				starts = []int{250, 251} // a whole and a straddling last pair
+			}
+			for _, start := range starts {
+				for _, chunk := range []int{1, 8, 300} {
+					a := New(23)
+					a.refill()
+					a.pos = start
+					for i, w := range plant {
+						a.buf[i] = w
+					}
+					checkFillPairs(t, fmt.Sprintf("n %d, plant %d, start %d", n, pi, start), a, 0, n, chunk)
+				}
+			}
+		}
+	}
+}
+
+// unstep inverts one xoshiro256++ state transition.
+func unstep(s [4]uint64) [4]uint64 {
+	s3 := bits.RotateLeft64(s[3], -45) // s3 ^ s1
+	s0 := s[0] ^ s3
+	x := s[1] ^ s[2] // s1 ^ s1<<17
+	s1 := x ^ x<<17 ^ x<<34 ^ x<<51
+	s2 := s[1] ^ s1 ^ s0
+	return [4]uint64{s0, s1, s2, s3 ^ s1}
+}
+
+// TestFillPairsRejectionRegisters forces rejection-zone words while the
+// block is empty and the state is stepped in locals. s0 = s3 = 0 makes the
+// next output 0, rejected under a bound of 3; s0 = 0 with s3 =
+// rotr(accept, 23) makes it the accepted inverse of 3. unstep moves such a
+// state one output later, so the second word of a pair is hit as well.
+func TestFillPairsRejectionRegisters(t *testing.T) {
+	const accept = 0xaaaaaaaaaaaaaaab
+	for _, s := range [][4]uint64{{1, 2, 3, 4}, {0x12345, 0xfedcba, 0x777, 0x9999}} {
+		p := unstep(s)
+		if _, t0, t1, t2, t3 := step(p[0], p[1], p[2], p[3]); [4]uint64{t0, t1, t2, t3} != s {
+			t.Fatalf("unstep(%#x) does not invert step", s)
+		}
+	}
+	states := [][4]uint64{
+		{0, 0x5555, 0x3333, 0},
+		{0, 0x5555, 0x3333, bits.RotateLeft64(accept, -23)},
+	}
+	for _, s := range states {
+		if out, _, _, _, _ := step(s[0], s[1], s[2], s[3]); out != 0 && out != accept {
+			t.Fatalf("planted state %#x outputs %#x", s, out)
+		}
+	}
+	for _, s := range states {
+		states = append(states, unstep(s))
+	}
+	for _, n := range []int{3, 4} {
+		for si, s := range states {
+			for _, chunk := range []int{1, 2, 300} {
+				a := New(1)
+				a.s = s
+				checkFillPairs(t, fmt.Sprintf("n %d, state %d", n, si), a, 0, n, chunk)
+			}
+		}
+	}
+}
+
+func TestFillPairsPanics(t *testing.T) {
+	for _, c := range []struct {
+		base int32
+		n    int
+		vs   int
+	}{{0, 1, 1}, {0, 0, 1}, {-1, 4, 1}, {1, math.MaxInt32, 1}, {0, 4, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FillPairs with base %d, n %d, len(vs) %d did not panic", c.base, c.n, c.vs)
+				}
+			}()
+			FillPairs(New(1), make([]int32, 1), make([]int32, c.vs), c.base, c.n)
+		}()
 	}
 }

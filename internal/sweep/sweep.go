@@ -64,16 +64,17 @@ type Unit struct {
 	Spec scenario.Spec
 }
 
-// maxUnits caps the unit count a grid may expand to. The grids this
+// MaxUnits caps the unit count a grid may expand to. The grids this
 // repository runs have at most a few hundred units; the cap keeps a short
 // grid file (four 400-entry axes are 2.56·10^10 units) from asking for an
-// allocation no host can make.
-const maxUnits = 1 << 16
+// allocation no host can make. cmd/sweep caps each axis flag's list at it
+// too, before building the list.
+const MaxUnits = 1 << 16
 
 // Expand turns the grid into its ordered unit list, planting the per-unit
 // seeds derived from root. Axis values are validated against the scenario
 // registry up front so a typo fails before any simulation runs. A grid
-// expanding to more than maxUnits units is an error.
+// expanding to more than MaxUnits units is an error.
 func Expand(g Grid, root uint64) ([]Unit, error) {
 	orOne := func(k int) int {
 		if k == 0 {
@@ -84,9 +85,9 @@ func Expand(g Grid, root uint64) ([]Unit, error) {
 	total := 1
 	for _, k := range []int{len(g.Families), len(g.Ns), len(g.Cuts), len(g.Algos),
 		len(g.Alphas), len(g.EpochCs), len(g.Weights), len(g.Rates)} {
-		// total ≤ maxUnits here, so the check cannot overflow.
-		if total > maxUnits/orOne(k) {
-			return nil, fmt.Errorf("sweep: grid expands to more than %d units", maxUnits)
+		// total ≤ MaxUnits here, so the check cannot overflow.
+		if total > MaxUnits/orOne(k) {
+			return nil, fmt.Errorf("sweep: grid expands to more than %d units", MaxUnits)
 		}
 		total *= orOne(k)
 	}

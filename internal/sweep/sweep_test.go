@@ -464,7 +464,7 @@ func TestCacheSharesEqualCells(t *testing.T) {
 // 2.56·10^10 units, and eight 256-entry axes overflow int to 0. Expand
 // must refuse both with an error instead of allocating (an out-of-memory
 // crash no recover can catch) or looping for ever, and still expand a
-// grid of exactly maxUnits units.
+// grid of exactly MaxUnits units.
 func TestExpandRejectsHugeGrids(t *testing.T) {
 	ints := func(k int) []int {
 		out := make([]int, k)
@@ -498,23 +498,23 @@ func TestExpandRejectsHugeGrids(t *testing.T) {
 	if _, err := Expand(overflow, 1); err == nil {
 		t.Error("eight 256-entry axes (2^64 units) expanded without error")
 	}
-	atCap := Grid{Ns: ints(256), Cuts: ints(maxUnits / 256)}
+	atCap := Grid{Ns: ints(256), Cuts: ints(MaxUnits / 256)}
 	units, err := Expand(atCap, 1)
 	if err != nil {
-		t.Fatalf("grid of exactly %d units: %v", maxUnits, err)
+		t.Fatalf("grid of exactly %d units: %v", MaxUnits, err)
 	}
-	if len(units) != maxUnits {
-		t.Errorf("expanded %d units, want %d", len(units), maxUnits)
+	if len(units) != MaxUnits {
+		t.Errorf("expanded %d units, want %d", len(units), MaxUnits)
 	}
 	atCap.Cuts = append(atCap.Cuts, 0)
 	if _, err := Expand(atCap, 1); err == nil {
-		t.Errorf("grid of %d units expanded without error", maxUnits+256)
+		t.Errorf("grid of %d units expanded without error", MaxUnits+256)
 	}
 }
 
 // FuzzParseGrid feeds arbitrary bytes through ParseGrid and Expand, the
 // path a -spec file takes in cmd/sweep: every input fails with an error or
-// expands to at most maxUnits units in index order, and none panics. The
+// expands to at most MaxUnits units in index order, and none panics. The
 // seed corpus in testdata/fuzz/FuzzParseGrid holds the CI smoke grid, a
 // grid with every field set, and the 2.56·10^10-unit grid of four
 // 400-entry axes.
@@ -528,7 +528,7 @@ func FuzzParseGrid(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(units) == 0 || len(units) > maxUnits {
+		if len(units) == 0 || len(units) > MaxUnits {
 			t.Fatalf("expanded to %d units", len(units))
 		}
 		for i, u := range units {
