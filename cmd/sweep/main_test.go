@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"sparsecut/internal/sweep"
@@ -64,4 +65,41 @@ func TestParseIntsRejects(t *testing.T) {
 	if got, err := parseInts("1.." + capList); err != nil || len(got) != sweep.MaxUnits {
 		t.Errorf("a list of exactly %d values: %d values, %v", sweep.MaxUnits, len(got), err)
 	}
+}
+
+// FuzzParseInts fuzzes the integer-list flags' parser: every input must
+// either fail with an error or return at most sweep.MaxUnits values, each
+// list element's values in order, and each range's values strictly rising
+// within [lo, hi] — a step that wrapped past the int limits would break
+// both. The committed corpus under testdata/fuzz/FuzzParseInts holds the
+// inputs of TestParseIntsRejects.
+func FuzzParseInts(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := parseInts(s)
+		if err != nil {
+			return
+		}
+		if len(got) > sweep.MaxUnits {
+			t.Fatalf("parseInts(%q) returned %d values, more than %d", s, len(got), sweep.MaxUnits)
+		}
+		rest := got
+		for _, part := range splitList(s) {
+			vals, err := parseInts(part)
+			if err != nil || len(vals) > len(rest) || !slices.Equal(vals, rest[:len(vals)]) {
+				t.Fatalf("parseInts(%q) = %v, but its element %q gives %v, %v", s, got, part, vals, err)
+			}
+			rest = rest[len(vals):]
+			bounds := strings.Split(part, "..")
+			lo, _ := strconv.Atoi(bounds[0])
+			hi, _ := strconv.Atoi(bounds[min(1, len(bounds)-1)])
+			for i, v := range vals {
+				if v < lo || v > hi || (i > 0 && v <= vals[i-1]) {
+					t.Fatalf("parseInts(%q) = %v: value %d breaks [%d, %d] or order", part, vals, v, lo, hi)
+				}
+			}
+		}
+		if len(rest) != 0 {
+			t.Fatalf("parseInts(%q) = %v has %d values its elements do not account for", s, got, len(rest))
+		}
+	})
 }

@@ -55,6 +55,25 @@ func FuzzSchedule(f *testing.F) {
 	})
 }
 
+// FuzzReplayTrace fuzzes Replay, the decoder behind mcheck -replay: any
+// bytes that decode as a Trace must replay or fail with an error, never
+// panic or allocate beyond the input's own size. The action list is capped
+// so one input stays fast. The committed corpus under
+// testdata/fuzz/FuzzReplayTrace holds a vanilla and a sparse-cut
+// counterexample trace and a trace whose node count disagrees with x0.
+func FuzzReplayTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var tr Trace
+		if json.Unmarshal(data, &tr) != nil {
+			return
+		}
+		if len(tr.Actions) > 64 {
+			tr.Actions = tr.Actions[:64]
+		}
+		Replay(&tr)
+	})
+}
+
 // TestFuzzSeedsFromCounterexamples regenerates the committed seed corpus'
 // content in-process: every mutation counterexample, re-encoded under the
 // fuzz target's own options, must drive the fuzz system cleanly (the bug

@@ -148,8 +148,13 @@ func (w *world) describe(a Action) string {
 	return ""
 }
 
-// specAndOptions reconstructs the checkable system from a trace.
+// specAndOptions reconstructs the checkable system from a trace. The node
+// count is checked against x0 before the graph is built, so a trace cannot
+// make Replay allocate a graph larger than its own x0 list.
 func (tr *Trace) specAndOptions() (Spec, Options, error) {
+	if len(tr.X0) != tr.Graph.Nodes {
+		return Spec{}, Options{}, fmt.Errorf("check: %d initial values for %d nodes", len(tr.X0), tr.Graph.Nodes)
+	}
 	g, err := tr.Graph.build()
 	if err != nil {
 		return Spec{}, Options{}, err

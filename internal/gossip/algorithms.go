@@ -62,6 +62,13 @@ func (v *Vanilla) TickEdgeVar(e graph.EdgeID, _ float64) float64 {
 	return v.st.Variance()
 }
 
+// TickChunkTracked applies a chunk of ticks with eager per-event moments
+// and returns the last event index whose variance exceeded level (-1 if
+// none did) and the post-chunk variance (State.AverageEdgesTracked).
+func (v *Vanilla) TickChunkTracked(edges []graph.EdgeID, level float64) (lastIdx int, endVar float64) {
+	return v.st.AverageEdgesTracked(edges, v.eu, v.ev, level)
+}
+
 // Values implements Algorithm.
 func (v *Vanilla) Values() []float64 { return v.st.Values() }
 
@@ -116,6 +123,11 @@ func (c *Convex) TickEdgeVar(e graph.EdgeID, _ float64) float64 {
 	return c.st.Variance()
 }
 
+// TickChunkTracked is Vanilla.TickChunkTracked for the class-C exchange.
+func (c *Convex) TickChunkTracked(edges []graph.EdgeID, level float64) (lastIdx int, endVar float64) {
+	return c.st.ConvexEdgesTracked(edges, c.eu, c.ev, c.alpha, level)
+}
+
 // Values implements Algorithm.
 func (c *Convex) Values() []float64 { return c.st.Values() }
 
@@ -165,12 +177,11 @@ func NewPushSum(g *graph.Graph, x0 []float64, r *rng.RNG) (*PushSum, error) {
 // Name implements Algorithm.
 func (p *PushSum) Name() string { return "push-sum" }
 
-// tickPair applies one push-sum exchange between the endpoints i, j of a
-// ticked edge: a fair coin picks the sender, which hands half of its (s, w)
-// mass to the other. When lazy is set the estimate moments are deferred to
-// the next moment read.
-func (p *PushSum) tickPair(i, j int, lazy bool) {
-	from, to := i, j
+// push applies the mass exchange of one tick of edge e: a fair coin picks
+// the sender, which hands half of its (s, w) mass to the other. It returns
+// the endpoints (sender first) and their new estimates s/w.
+func (p *PushSum) push(e graph.EdgeID) (from, to int, estFrom, estTo float64) {
+	from, to = int(p.eu[e]), int(p.ev[e])
 	if p.r.Float64() < 0.5 {
 		from, to = to, from
 	}
@@ -179,24 +190,39 @@ func (p *PushSum) tickPair(i, j int, lazy bool) {
 	p.w[from] -= halfW
 	p.s[to] += halfS
 	p.w[to] += halfW
-	if lazy {
-		p.est.Set2Lazy(from, to, p.s[from]/p.w[from], p.s[to]/p.w[to])
-	} else {
-		p.est.Set2(from, to, p.s[from]/p.w[from], p.s[to]/p.w[to])
-	}
+	return from, to, p.s[from] / p.w[from], p.s[to] / p.w[to]
 }
 
-// TickEdges implements sim.TickKernel.
+// TickEdges implements sim.TickKernel (estimate moments deferred to the
+// next moment read).
 func (p *PushSum) TickEdges(edges []graph.EdgeID, _ []float64) {
 	for _, e := range edges {
-		p.tickPair(int(p.eu[e]), int(p.ev[e]), true)
+		p.est.Set2Lazy(p.push(e))
 	}
 }
 
 // TickEdgeVar implements sim.TickKernel.
 func (p *PushSum) TickEdgeVar(e graph.EdgeID, _ float64) float64 {
-	p.tickPair(int(p.eu[e]), int(p.ev[e]), false)
+	p.est.Set2(p.push(e))
 	return p.est.Variance()
+}
+
+// TickChunkTracked is Vanilla.TickChunkTracked for push-sum's estimates:
+// the mass arithmetic runs between the events, so the chunk loop is here
+// rather than in State.
+func (p *PushSum) TickChunkTracked(edges []graph.EdgeID, level float64) (lastIdx int, endVar float64) {
+	st := p.est
+	st.syncIfDirty()
+	fn := float64(st.N())
+	scaledLevel := level * fn * fn
+	lastIdx = -1
+	for k, e := range edges {
+		st.set2(p.push(e))
+		if st.scaledVariance() > scaledLevel {
+			lastIdx = k
+		}
+	}
+	return lastIdx, st.endChunk(2 * len(edges))
 }
 
 // Values implements Algorithm (the per-node estimates s/w).

@@ -1,0 +1,94 @@
+package gossip
+
+import (
+	"fmt"
+
+	"sparsecut/internal/graph"
+	"sparsecut/internal/rng"
+)
+
+// Ensemble is R independent runs of one averaging algorithm over a shared
+// graph, driven as a replica batch by sim.BatchEngine (it implements
+// sim.BatchKernel). Each replica is an ordinary single run — a Vanilla,
+// Convex or PushSum with its own State — so a replica's trajectory is that
+// run's, bit for bit. The graph's flat endpoint arrays are shared by all
+// replicas and stay hot in cache while the engine round-robins replica
+// chunks over them.
+type Ensemble struct {
+	runs []replica
+}
+
+// replica is one single run as the ensemble drives it.
+type replica interface {
+	TickEdges(edges []graph.EdgeID, times []float64)
+	TickChunkTracked(edges []graph.EdgeID, level float64) (lastIdx int, endVar float64)
+	Variance() float64
+	values() *State
+}
+
+func (v *Vanilla) values() *State { return v.st }
+func (c *Convex) values() *State  { return c.st }
+func (p *PushSum) values() *State { return p.est }
+
+// newEnsemble builds an ensemble of replicas runs, replica rep from run(rep).
+func newEnsemble(replicas int, run func(rep int) (replica, error)) (*Ensemble, error) {
+	if replicas < 1 {
+		return nil, fmt.Errorf("gossip: ensemble needs at least one replica, got %d", replicas)
+	}
+	e := &Ensemble{runs: make([]replica, replicas)}
+	for rep := range e.runs {
+		r, err := run(rep)
+		if err != nil {
+			return nil, err
+		}
+		e.runs[rep] = r
+	}
+	return e, nil
+}
+
+// NewVanillaEnsemble builds R runs of vanilla gossip on g, all starting
+// from x0.
+func NewVanillaEnsemble(g *graph.Graph, x0 []float64, replicas int) (*Ensemble, error) {
+	return newEnsemble(replicas, func(int) (replica, error) { return NewVanilla(g, x0) })
+}
+
+// NewConvexEnsemble builds R runs of α-gossip on g.
+func NewConvexEnsemble(g *graph.Graph, x0 []float64, alpha float64, replicas int) (*Ensemble, error) {
+	return newEnsemble(replicas, func(int) (replica, error) { return NewConvex(g, x0, alpha) })
+}
+
+// NewPushSumEnsemble builds one push-sum run per stream, all starting from
+// x0; replica rep draws its direction coins from streams[rep]. Every stream
+// must be non-nil and distinct streams should be independent (e.g.
+// rng.Split children).
+func NewPushSumEnsemble(g *graph.Graph, x0 []float64, streams []*rng.RNG) (*Ensemble, error) {
+	if len(streams) < 1 {
+		return nil, fmt.Errorf("gossip: push-sum ensemble needs at least one stream")
+	}
+	return newEnsemble(len(streams), func(rep int) (replica, error) {
+		if streams[rep] == nil {
+			return nil, fmt.Errorf("gossip: push-sum ensemble stream %d is nil", rep)
+		}
+		return NewPushSum(g, x0, streams[rep])
+	})
+}
+
+// Replicas implements sim.BatchKernel.
+func (e *Ensemble) Replicas() int { return len(e.runs) }
+
+// TickChunk implements sim.BatchKernel: the run's untracked TickEdges.
+func (e *Ensemble) TickChunk(rep int, edges []graph.EdgeID) {
+	e.runs[rep].TickEdges(edges, nil)
+}
+
+// TickChunkTracked implements sim.BatchKernel.
+func (e *Ensemble) TickChunkTracked(rep int, edges []graph.EdgeID, exceedLevel float64) (lastIdx int, endVar float64) {
+	return e.runs[rep].TickChunkTracked(edges, exceedLevel)
+}
+
+// ReplicaVariance implements sim.BatchKernel.
+func (e *Ensemble) ReplicaVariance(rep int) float64 { return e.runs[rep].Variance() }
+
+// CopyInto writes replica rep's value vector (original frame; push-sum's
+// estimates s/w) into dst. It panics if len(dst) is not the node count.
+func (e *Ensemble) CopyInto(rep int, dst []float64) { e.runs[rep].values().CopyInto(dst) }

@@ -18,9 +18,10 @@ func randomPicks(seed uint64, g *graph.Graph, n int) []graph.EdgeID {
 	return picks
 }
 
-// The tracked batch updates must be bit-identical to the per-event State
-// sequence: same rows, same moments, same variance — for vanilla and
-// convex, on a replica other than 0 (so row addressing is exercised).
+// The tracked chunks of an ensemble replica must be bit-identical to the
+// per-event State sequence: same values, same moments, same variance — for
+// vanilla and convex, on a replica other than 0 (so replica addressing is
+// exercised).
 func TestBatchTrackedBitIdenticalToState(t *testing.T) {
 	g, part, err := graph.Dumbbell(9, 9, 2)
 	if err != nil {
@@ -33,53 +34,59 @@ func TestBatchTrackedBitIdenticalToState(t *testing.T) {
 
 	t.Run("vanilla", func(t *testing.T) {
 		st := NewState(x0)
-		bs := NewBatchState(x0, 3)
+		ens, err := NewVanillaEnsemble(g, x0, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
 		level := st.Variance() * math.Exp(-2)
 		for lo := 0; lo < len(picks); lo += 256 {
-			bs.AverageEdgeBatchTracked(rep, picks[lo:lo+256], eu, ev, level)
+			ens.TickChunkTracked(rep, picks[lo:lo+256], level)
 		}
 		for _, e := range picks {
 			st.AverageEdge(int(eu[e]), int(ev[e]))
 		}
-		compareRowToState(t, bs, rep, st)
+		compareReplicaToState(t, ens, rep, st)
 	})
 
 	t.Run("convex", func(t *testing.T) {
 		const alpha = 0.73
 		st := NewState(x0)
-		bs := NewBatchState(x0, 3)
+		ens, err := NewConvexEnsemble(g, x0, alpha, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
 		level := st.Variance() * math.Exp(-2)
 		for lo := 0; lo < len(picks); lo += 256 {
-			bs.ConvexEdgeBatchTracked(rep, picks[lo:lo+256], eu, ev, alpha, level)
+			ens.TickChunkTracked(rep, picks[lo:lo+256], level)
 		}
 		for _, e := range picks {
 			st.ConvexEdge(int(eu[e]), int(ev[e]), alpha)
 		}
-		compareRowToState(t, bs, rep, st)
+		compareReplicaToState(t, ens, rep, st)
 	})
 }
 
-func compareRowToState(t *testing.T, bs *BatchState, rep int, st *State) {
+func compareReplicaToState(t *testing.T, ens *Ensemble, rep int, st *State) {
 	t.Helper()
-	row := make([]float64, bs.N())
-	bs.CopyInto(rep, row)
+	row := make([]float64, st.N())
+	ens.CopyInto(rep, row)
 	want := st.Values()
 	for i := range row {
 		if math.Float64bits(row[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("node %d: %v batched vs %v state", i, row[i], want[i])
 		}
 	}
-	if gotV, wantV := bs.Variance(rep), st.Variance(); math.Float64bits(gotV) != math.Float64bits(wantV) {
+	if gotV, wantV := ens.ReplicaVariance(rep), st.Variance(); math.Float64bits(gotV) != math.Float64bits(wantV) {
 		t.Errorf("variance %v batched vs %v state", gotV, wantV)
 	}
-	if gotM, wantM := bs.Mean(rep), st.Mean(); math.Float64bits(gotM) != math.Float64bits(wantM) {
+	if gotM, wantM := ens.runs[rep].values().Mean(), st.Mean(); math.Float64bits(gotM) != math.Float64bits(wantM) {
 		t.Errorf("mean %v batched vs %v state", gotM, wantM)
 	}
 }
 
 // Convex gossip at α = ½ must be the vanilla update bit for bit on
-// normal-range values: rows, moments, last-exceedance indices and chunk
-// variances of the tracked and lazy batch kernels, and the values and
+// normal-range values: values, moments, last-exceedance indices and chunk
+// variances of the tracked and lazy ensemble chunks, and the values and
 // moments of the per-event State updates. Near underflow halving rounds,
 // so scenario builds the vanilla kernel for convex α = ½ rather than
 // leaning on this identity; the test pins the identity the shared
@@ -101,23 +108,23 @@ func TestConvexHalfIsVanilla(t *testing.T) {
 		}
 		level := NewState(x0).Variance() * math.Exp(-2)
 		const rep = 1
-		van, cvx := NewBatchState(x0, 2), NewBatchState(x0, 2)
-		vanLazy, cvxLazy := NewBatchState(x0, 2), NewBatchState(x0, 2)
+		van, cvx := mustEnsemble(NewVanillaEnsemble(g, x0, 2)), mustEnsemble(NewConvexEnsemble(g, x0, 0.5, 2))
+		vanLazy, cvxLazy := mustEnsemble(NewVanillaEnsemble(g, x0, 2)), mustEnsemble(NewConvexEnsemble(g, x0, 0.5, 2))
 		vanSt, cvxSt := NewState(x0), NewState(x0)
 		picks := randomPicks(7, g, 8192)
 		exceeded, quiet := false, false
 		for lo := 0; lo < len(picks); {
 			hi := min(len(picks), lo+1+r.Intn(300))
 			chunk := picks[lo:hi]
-			vi, vv := van.AverageEdgeBatchTracked(rep, chunk, eu, ev, level)
-			ci, cv := cvx.ConvexEdgeBatchTracked(rep, chunk, eu, ev, 0.5, level)
+			vi, vv := van.TickChunkTracked(rep, chunk, level)
+			ci, cv := cvx.TickChunkTracked(rep, chunk, level)
 			if vi != ci || math.Float64bits(vv) != math.Float64bits(cv) {
 				t.Fatalf("scale %g, chunk at %d: (lastIdx %d, endVar %v) vanilla vs (%d, %v) convex", scale, lo, vi, vv, ci, cv)
 			}
 			exceeded = exceeded || vi >= 0
 			quiet = quiet || vi < 0
-			vanLazy.AverageEdgeBatch(rep, chunk, eu, ev)
-			cvxLazy.ConvexEdgeBatch(rep, chunk, eu, ev, 0.5)
+			vanLazy.TickChunk(rep, chunk)
+			cvxLazy.TickChunk(rep, chunk)
 			for _, e := range chunk {
 				vanSt.AverageEdge(int(eu[e]), int(ev[e]))
 				cvxSt.ConvexEdge(int(eu[e]), int(ev[e]), 0.5)
@@ -127,10 +134,10 @@ func TestConvexHalfIsVanilla(t *testing.T) {
 		if !exceeded || !quiet {
 			t.Fatalf("scale %g: chunks exceeded %v, quiet %v; want both", scale, exceeded, quiet)
 		}
-		for _, pair := range [][2]*BatchState{{van, cvx}, {vanLazy, cvxLazy}} {
-			a, b := pair[0], pair[1]
-			if !sameBits(a.vals, b.vals) || !sameBits(a.sum, b.sum) || !sameBits(a.sumSq, b.sumSq) {
-				t.Errorf("scale %g: batch rows or moments differ between vanilla and convex(1/2)", scale)
+		for _, pair := range [][2]*Ensemble{{van, cvx}, {vanLazy, cvxLazy}} {
+			a, b := pair[0].runs[rep].values(), pair[1].runs[rep].values()
+			if !sameBits(a.y, b.y) || !sameBits([]float64{a.sum, a.sumSq}, []float64{b.sum, b.sumSq}) {
+				t.Errorf("scale %g: replica values or moments differ between vanilla and convex(1/2)", scale)
 			}
 		}
 		if !sameBits(vanSt.y, cvxSt.y) || !sameBits([]float64{vanSt.sum, vanSt.sumSq}, []float64{cvxSt.sum, cvxSt.sumSq}) {
@@ -152,24 +159,31 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// The lazy batch entry points must store the same rows as the tracked
-// ones; their deferred moments resync exactly on the next read.
+// mustEnsemble unwraps an ensemble constructor's result in a test.
+func mustEnsemble(e *Ensemble, err error) *Ensemble {
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// The untracked chunks must store the same values as the tracked ones;
+// their deferred moments resync exactly on the next read.
 func TestBatchLazyMatchesTracked(t *testing.T) {
 	g, part, err := graph.Dumbbell(8, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x0 := CutIndicator(part)
-	eu, ev := g.EdgeU(), g.EdgeV()
 	picks := randomPicks(11, g, 2048)
 
-	lazy := NewBatchState(x0, 2)
-	eager := NewBatchState(x0, 2)
+	lazy := mustEnsemble(NewVanillaEnsemble(g, x0, 2))
+	eager := mustEnsemble(NewVanillaEnsemble(g, x0, 2))
 	for lo := 0; lo < len(picks); lo += 256 {
-		lazy.AverageEdgeBatch(1, picks[lo:lo+256], eu, ev)
-		eager.AverageEdgeBatchTracked(1, picks[lo:lo+256], eu, ev, 0.1)
+		lazy.TickChunk(1, picks[lo:lo+256])
+		eager.TickChunkTracked(1, picks[lo:lo+256], 0.1)
 	}
-	a, b := make([]float64, lazy.N()), make([]float64, eager.N())
+	a, b := make([]float64, g.NumNodes()), make([]float64, g.NumNodes())
 	lazy.CopyInto(1, a)
 	eager.CopyInto(1, b)
 	for i := range a {
@@ -179,7 +193,7 @@ func TestBatchLazyMatchesTracked(t *testing.T) {
 	}
 	// The lazy read resyncs exactly; the eager moments carry float drift
 	// bounded far below any threshold the estimator compares against.
-	if lv, ev2 := lazy.Variance(1), eager.Variance(1); math.Abs(lv-ev2) > 1e-12 {
+	if lv, ev2 := lazy.ReplicaVariance(1), eager.ReplicaVariance(1); math.Abs(lv-ev2) > 1e-12 {
 		t.Errorf("variance %v lazy vs %v tracked", lv, ev2)
 	}
 }
@@ -196,11 +210,11 @@ func TestBatchTrackedLastIndex(t *testing.T) {
 	st := NewState(x0)
 	level := st.Variance() * math.Exp(-2)
 
-	bs := NewBatchState(x0, 1)
+	ens := mustEnsemble(NewVanillaEnsemble(g, x0, 1))
 	picks := randomPicks(3, g, 8192)
 	for lo := 0; lo < len(picks); lo += 256 {
 		chunk := picks[lo : lo+256]
-		gotIdx, _ := bs.AverageEdgeBatchTracked(0, chunk, eu, ev, level)
+		gotIdx, _ := ens.TickChunkTracked(0, chunk, level)
 		wantIdx := -1
 		for k, e := range chunk {
 			st.AverageEdge(int(eu[e]), int(ev[e]))

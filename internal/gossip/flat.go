@@ -3,8 +3,7 @@ package gossip
 // FlatState is the memory-lean single-replica run state for the sharded
 // large-run engine: one flat float64 per node plus O(tiles) moment
 // accumulators — no per-node heap objects, no per-event allocation. It is
-// the single-replica analogue of BatchState, tiled instead of
-// replica-major: each tile of the graph tiling owns a contiguous value
+// State tiled: each tile of the graph tiling owns a contiguous value
 // range and its own (sum, sumSq) moments, so parallel tile workers touch
 // disjoint state and the global variance combines per-tile moments in a
 // fixed order — a deterministic reduction for any worker count.

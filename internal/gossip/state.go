@@ -7,7 +7,9 @@
 // vector incrementally, so the variance the paper's averaging-time metric
 // needs is available in O(1) after every event rather than O(n).
 //
-// Key types: State (O(1) incremental moments), Algorithm (the tick interface), BatchState and the *Ensemble replica batches. See DESIGN.md §6 (fused kernels) and §8 (replica batching).
+// Key types: State (O(1) incremental moments), Algorithm (the tick
+// interface) and Ensemble (R single runs as one replica batch). See
+// DESIGN.md §6 (fused kernels) and §8 (replica batching).
 package gossip
 
 import (
@@ -85,6 +87,16 @@ func (s *State) Set(i int, v float64) {
 // bit-identical in the stored values to Set(i, vi); Set(j, vj) — the
 // moment arithmetic is applied in the same order.
 func (s *State) Set2(i, j int, vi, vj float64) {
+	s.set2(i, j, vi, vj)
+	s.updates += 2
+	if s.updates >= resyncInterval {
+		s.resync()
+	}
+}
+
+// set2 is Set2 without the resync accounting: a tracked chunk accounts
+// its point updates once, in endChunk.
+func (s *State) set2(i, j int, vi, vj float64) {
 	yi, yj := s.y[i], s.y[j]
 	ci := vi - s.offset
 	cj := vj - s.offset
@@ -94,10 +106,6 @@ func (s *State) Set2(i, j int, vi, vj float64) {
 	s.sum += cj - yj
 	s.sumSq += ci*ci - yi*yi
 	s.sumSq += cj*cj - yj*yj
-	s.updates += 2
-	if s.updates >= resyncInterval {
-		s.resync()
-	}
 }
 
 // AverageEdge applies the vanilla exchange on the edge {i, j}: both nodes
@@ -186,6 +194,90 @@ func (s *State) Set2Lazy(i, j int, vi, vj float64) {
 	s.y[i] = vi - s.offset
 	s.y[j] = vj - s.offset
 	s.dirty = true
+}
+
+// AverageEdgesTracked applies the vanilla exchange for every edge of the
+// chunk with eager per-event moments, and returns the index within edges
+// of the last event whose post-tick variance exceeded level (-1 if none
+// did) together with the post-chunk variance. The values and moments are
+// bit-identical to the AverageEdge sequence except that the resync is
+// accounted once, at chunk end. Each event is classified with the
+// division-free scaled compare
+//
+//	var > level  ⇔  n·Σy² − (Σy)² > n²·level,
+//
+// two multiplies and a compare instead of two divisions, so it can differ
+// from a Variance read only by one ulp at the threshold.
+func (s *State) AverageEdgesTracked(edges []graph.EdgeID, eu, ev []int32, level float64) (lastIdx int, endVar float64) {
+	s.syncIfDirty()
+	y, off, fn := s.y, s.offset, float64(len(s.y))
+	scaledLevel := level * fn * fn
+	sum, sumSq := s.sum, s.sumSq
+	lastIdx = -1
+	for k, e := range edges {
+		i, j := eu[e], ev[e]
+		yi, yj := y[i], y[j]
+		c := ((yi + off) + (yj + off)) / 2
+		c -= off
+		y[i] = c
+		y[j] = c
+		sum += c - yi
+		sum += c - yj
+		cc := c * c
+		sumSq += cc - yi*yi
+		sumSq += cc - yj*yj
+		if sumSq*fn-sum*sum > scaledLevel {
+			lastIdx = k
+		}
+	}
+	s.sum, s.sumSq = sum, sumSq
+	return lastIdx, s.endChunk(2 * len(edges))
+}
+
+// ConvexEdgesTracked is AverageEdgesTracked for the class-C exchange with
+// mixing parameter alpha, mirroring ConvexEdge.
+func (s *State) ConvexEdgesTracked(edges []graph.EdgeID, eu, ev []int32, alpha, level float64) (lastIdx int, endVar float64) {
+	s.syncIfDirty()
+	y, off, fn := s.y, s.offset, float64(len(s.y))
+	beta := 1 - alpha
+	scaledLevel := level * fn * fn
+	sum, sumSq := s.sum, s.sumSq
+	lastIdx = -1
+	for k, e := range edges {
+		i, j := eu[e], ev[e]
+		yi, yj := y[i], y[j]
+		xi, xj := yi+off, yj+off
+		ci := alpha*xi + beta*xj - off
+		cj := alpha*xj + beta*xi - off
+		y[i] = ci
+		y[j] = cj
+		sum += ci - yi
+		sum += cj - yj
+		sumSq += ci*ci - yi*yi
+		sumSq += cj*cj - yj*yj
+		if sumSq*fn-sum*sum > scaledLevel {
+			lastIdx = k
+		}
+	}
+	s.sum, s.sumSq = sum, sumSq
+	return lastIdx, s.endChunk(2 * len(edges))
+}
+
+// scaledVariance returns n·Σy² − (Σy)², the variance in the frame of the
+// tracked compares (n² times the variance).
+func (s *State) scaledVariance() float64 {
+	return s.sumSq*float64(len(s.y)) - s.sum*s.sum
+}
+
+// endChunk closes a tracked chunk of pointUpdates updates: it resyncs on
+// the Set cadence (at chunk rather than event granularity — the drift
+// bound is the same order) and returns the post-chunk variance.
+func (s *State) endChunk(pointUpdates int) float64 {
+	s.updates += pointUpdates
+	if s.updates >= resyncInterval {
+		s.resync()
+	}
+	return s.Variance()
 }
 
 // Values returns a fresh copy of the value vector in the original frame.

@@ -10,12 +10,13 @@ import (
 )
 
 // BatchKernel is the algorithm side of the replica-batched engine: R
-// independent replicas of one algorithm over a shared graph, with the
-// value state held in a structure-of-arrays buffer (gossip.BatchState).
-// The engine owns event sampling and simulated time; the kernel owns the
+// independent replicas of one algorithm over a shared graph, each an
+// ordinary single run with its own value state (gossip.Ensemble). The
+// engine owns event sampling and simulated time; the kernel owns the
 // per-event state updates. Methods are replica-addressed because the
 // engine round-robins chunks across replicas — replica rep's chunk touches
-// only row rep, while the graph's flat arrays are shared by all.
+// only replica rep's values, while the graph's flat arrays are shared by
+// all.
 type BatchKernel interface {
 	// Replicas returns the batch width R.
 	Replicas() int

@@ -270,7 +270,7 @@ func TestBatchObserverInert(t *testing.T) {
 	seeds := replicaSeeds(4)
 	const events = 3000
 
-	run := func(opts ...BatchOption) (*gossip.VanillaEnsemble, *BatchEngine) {
+	run := func(opts ...BatchOption) (*gossip.Ensemble, *BatchEngine) {
 		kern, err := gossip.NewVanillaEnsemble(g, x0, len(seeds))
 		if err != nil {
 			t.Fatal(err)
