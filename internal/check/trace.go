@@ -91,8 +91,13 @@ func (gs GraphSpec) build() (*graph.Graph, error) {
 		return nil, fmt.Errorf("check: trace graph has %d edge_u but %d edge_v", len(gs.EdgeU), len(gs.EdgeV))
 	}
 	b := graph.NewBuilder(gs.Nodes)
-	for i := range gs.EdgeU {
-		b.AddEdge(graph.NodeID(gs.EdgeU[i]), graph.NodeID(gs.EdgeV[i]))
+	for i, u := range gs.EdgeU {
+		v := gs.EdgeV[i]
+		// Checked here, before the conversion to NodeID could wrap them.
+		if u < 0 || u >= gs.Nodes || v < 0 || v >= gs.Nodes {
+			return nil, fmt.Errorf("check: trace edge %d (%d, %d) outside %d nodes", i, u, v, gs.Nodes)
+		}
+		b.AddEdge(graph.NodeID(u), graph.NodeID(v))
 	}
 	return b.Build()
 }

@@ -26,3 +26,18 @@ func TestReplayChecksX0BeforeBuild(t *testing.T) {
 		t.Errorf("Replay allocated %d bytes before rejecting the trace: %v", d, err)
 	}
 }
+
+// An edge endpoint outside the node range must be rejected, not wrapped
+// into range by the conversion to a NodeID: 2^32 once replayed as node 0.
+func TestReplayRejectsOutOfRangeEdge(t *testing.T) {
+	for _, u := range []string{"4294967296", "-1", "2"} {
+		var tr Trace
+		in := `{"graph":{"nodes":2,"edge_u":[` + u + `],"edge_v":[1]},"x0":[1,3],"rule":{"kind":"vanilla"},"actions":[]}`
+		if err := json.Unmarshal([]byte(in), &tr); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Replay(&tr); err == nil {
+			t.Errorf("edge_u %s: Replay accepted an endpoint outside 2 nodes", u)
+		}
+	}
+}
