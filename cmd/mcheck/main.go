@@ -221,7 +221,7 @@ func buildSpec(kind string, n int, ruleKind string, epochK int64) (check.Spec, e
 		g = graph.Cycle(n)
 	case "dumbbell":
 		var err error
-		g, part, err = graph.SymmetricDumbbell(n/2, 1)
+		g, part, err = graph.SymmetricDumbbell(n, 1)
 		if err != nil {
 			return check.Spec{}, err
 		}

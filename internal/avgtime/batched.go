@@ -11,7 +11,8 @@ import (
 )
 
 // EnsembleFactory builds a replica-batched kernel: R independent replicas
-// of one algorithm over a shared graph (e.g. gossip.NewVanillaEnsemble).
+// of one algorithm over a shared graph (e.g. gossip.NewVanillaEnsemble or
+// core.NewEnsemble).
 // algStreams has length R, one private stream per replica for
 // algorithm-internal randomness (push-sum direction coins); factories for
 // deterministic algorithms may ignore it.
@@ -34,9 +35,8 @@ type EnsembleFactory func(replicas int, algStreams []*rng.RNG) (sim.BatchKernel,
 // legacy loop derives them, so the reported Result is byte-identical for
 // any width).
 //
-// Algorithms whose tracked statistics need materialised per-event times
-// (Algorithm A's epoch machinery) have no ensemble form; they stay on the
-// per-event Estimate path.
+// A kernel that reports an epoch duration (core.Ensemble, Algorithm A)
+// sizes the quiet period from it, as Estimate does from the algorithm.
 func EstimateBatched(g *graph.Graph, rates []float64, factory EnsembleFactory, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {

@@ -20,7 +20,7 @@
 // discussion (the library defaults to the exactly-annihilating w* rather
 // than the paper's literal n1).
 //
-// Key types: SparseCutAveraging (gossip.Algorithm), the Option set (WithPartition, WithTvan, WithAllCutEdges, ...). The deliberate deviations from the paper's literal text are DESIGN.md §3; the claim mapping is §4.
+// Key types: SparseCutAveraging (gossip.Algorithm and gossip.Run), Ensemble (R runs as one replica batch), the Option set (WithPartition, WithTvan, WithAllCutEdges, ...). The deliberate deviations from the paper's literal text are DESIGN.md §3; the claim mapping is §4.
 package core
 
 import (
@@ -79,7 +79,7 @@ type SparseCutAveraging struct {
 	tvan1, tvan2 float64 // the Tvan estimates used to size the epoch (0 if user-supplied K)
 }
 
-var _ gossip.Algorithm = (*SparseCutAveraging)(nil)
+var _ gossip.Run = (*SparseCutAveraging)(nil)
 
 // Option configures New.
 type Option func(*config)
@@ -282,14 +282,38 @@ func (a *SparseCutAveraging) Name() string {
 	return fmt.Sprintf("algorithm-A(w=%s, K=%d)", a.rule, a.epochK)
 }
 
-// swap applies the non-convex update at cut edge e.
-func (a *SparseCutAveraging) swap(e graph.EdgeID, t float64) {
-	edge := a.g.Edge(e)
-	// Orient so that `u` is the Side1 endpoint, matching the paper's
+// cutTick advances the swap counter for a tick of cut edge e. At every
+// epochK-th tick of ec (of any cut edge in all-cut-edges mode) it returns
+// the swap: the endpoints u on Side1 and v, with their new values
+// x_u + w(x_v − x_u) and x_v − w(x_v − x_u). ok is false for every other
+// tick; cutTick changes no value itself.
+func (a *SparseCutAveraging) cutTick(e graph.EdgeID) (u, v int, xu, xv float64, ok bool) {
+	if e != a.ec && a.ec >= 0 {
+		return 0, 0, 0, 0, false
+	}
+	a.ecTicks++
+	if a.ecTicks%a.epochK != 0 {
+		return 0, 0, 0, 0, false
+	}
+	// Orient so that u is the Side1 endpoint, matching the paper's
 	// x_{n1}/x_{n1+1} labelling (the update itself is orientation-neutral).
-	u, v := int(edge.U), int(edge.V)
+	edge := a.g.Edge(e)
+	u, v = int(edge.U), int(edge.V)
 	if a.part.SideOf(edge.U) != graph.Side1 {
 		u, v = v, u
+	}
+	xu, xv = a.st.Get(u), a.st.Get(v)
+	d := a.weight * (xv - xu)
+	a.swaps++
+	return u, v, xu + d, xv - d, true
+}
+
+// tickCut applies a tick of cut edge e at time t on the per-event path:
+// the swap, if cutTick fires one, and the listener's report of it.
+func (a *SparseCutAveraging) tickCut(e graph.EdgeID, t float64) {
+	u, v, xu, xv, ok := a.cutTick(e)
+	if !ok {
+		return
 	}
 	// The before/after variance reads exist only for the listener; without
 	// one, skip them (after a lazy kernel batch each read costs a full
@@ -298,11 +322,8 @@ func (a *SparseCutAveraging) swap(e graph.EdgeID, t float64) {
 	if a.listener != nil {
 		varBefore = a.st.Variance()
 	}
-	xu, xv := a.st.Get(u), a.st.Get(v)
-	d := a.weight * (xv - xu)
-	a.st.Set(u, xu+d)
-	a.st.Set(v, xv-d)
-	a.swaps++
+	a.st.Set(u, xu)
+	a.st.Set(v, xv)
 	if a.listener != nil {
 		a.listener(SwapEvent{
 			Time:      t,
@@ -313,20 +334,13 @@ func (a *SparseCutAveraging) swap(e graph.EdgeID, t float64) {
 	}
 }
 
-// tickCut advances the designated-edge counter and fires the swap on the
-// epoch boundary — the shared cut-edge body of TickEdges and TickEdgeVar.
-func (a *SparseCutAveraging) tickCut(e graph.EdgeID, t float64) {
-	a.ecTicks++
-	if a.ecTicks%a.epochK == 0 {
-		a.swap(e, t)
-	}
-}
-
 // TickEdges implements sim.TickKernel: the fused batch loop, bit-identical
 // in the values to TickEdgeVar per event. Runs of internal edges — the
 // overwhelming majority on a sparse-cut graph — are flushed to the lazy
-// two-point average in sub-batches; cut edges take the same counter/swap
-// path as TickEdgeVar, in order.
+// two-point average in sub-batches; a swap is stored lazily too, and the
+// moments resync on the next read. times is read only by a swap
+// listener: without one it may be nil, as in a gossip.Ensemble's
+// untracked chunks.
 //
 // With a swap listener installed the loop uses the eager (incremental)
 // moment updates instead: the listener's VarBefore/VarAfter then match the
@@ -338,12 +352,10 @@ func (a *SparseCutAveraging) TickEdges(edges []graph.EdgeID, times []float64) {
 	if a.listener != nil {
 		for k, e := range edges {
 			if isCut[e] {
-				if e == a.ec || a.ec < 0 {
-					a.tickCut(e, times[k])
-				}
-				continue
+				a.tickCut(e, times[k])
+			} else {
+				st.AverageEdge(int(eu[e]), int(ev[e]))
 			}
-			st.AverageEdge(int(eu[e]), int(ev[e]))
 		}
 		return
 	}
@@ -354,8 +366,8 @@ func (a *SparseCutAveraging) TickEdges(edges []graph.EdgeID, times []float64) {
 		}
 		st.AverageEdgesLazy(edges[start:k], eu, ev)
 		start = k + 1
-		if e == a.ec || a.ec < 0 {
-			a.tickCut(e, times[k])
+		if u, v, xu, xv, ok := a.cutTick(e); ok {
+			st.Set2Lazy(u, v, xu, xv)
 		}
 	}
 	st.AverageEdgesLazy(edges[start:], eu, ev)
@@ -364,13 +376,44 @@ func (a *SparseCutAveraging) TickEdges(edges []graph.EdgeID, times []float64) {
 // TickEdgeVar implements sim.TickKernel: one tick, one moment read.
 func (a *SparseCutAveraging) TickEdgeVar(e graph.EdgeID, t float64) float64 {
 	if a.isCut[e] {
-		if e == a.ec || a.ec < 0 {
-			a.tickCut(e, t)
-		}
+		a.tickCut(e, t)
 	} else {
 		a.st.AverageEdge(int(a.eu[e]), int(a.ev[e]))
 	}
 	return a.st.Variance()
+}
+
+// TickChunkTracked implements gossip.Run: the ticks of a chunk with eager
+// per-event moments. Runs of internal edges go to
+// State.AverageEdgesTracked; at a cut edge the swap, where cutTick fires
+// one, is applied with Set as on the per-event path, and the variance is
+// compared with level. The values are those of TickEdgeVar per event, bit
+// for bit, and so is the last exceedance index, but for a one-ulp tie at
+// the threshold or a moment resync that the per-event path makes
+// mid-chunk.
+func (a *SparseCutAveraging) TickChunkTracked(edges []graph.EdgeID, level float64) (lastIdx int, endVar float64) {
+	lastIdx, start := -1, 0
+	for k, e := range edges {
+		if !a.isCut[e] {
+			continue
+		}
+		if idx, _ := a.st.AverageEdgesTracked(edges[start:k], a.eu, a.ev, level); idx >= 0 {
+			lastIdx = start + idx
+		}
+		start = k + 1
+		if u, v, xu, xv, ok := a.cutTick(e); ok {
+			a.st.Set(u, xu)
+			a.st.Set(v, xv)
+		}
+		if a.st.Variance() > level {
+			lastIdx = k
+		}
+	}
+	idx, endVar := a.st.AverageEdgesTracked(edges[start:], a.eu, a.ev, level)
+	if idx >= 0 {
+		lastIdx = start + idx
+	}
+	return lastIdx, endVar
 }
 
 // Values implements gossip.Algorithm.
@@ -429,3 +472,39 @@ func (a *SparseCutAveraging) SideMeans() (mu1, mu2 float64) {
 	}
 	return s1 / float64(a.part.Size1()), s2 / float64(a.part.Size2())
 }
+
+// Ensemble is R runs of Algorithm A as one replica batch for
+// sim.BatchEngine: a gossip.Ensemble that also reports the runs' epoch
+// duration, from which the averaging-time estimator sizes its quiet
+// period.
+type Ensemble struct {
+	*gossip.Ensemble
+	epoch float64
+}
+
+// NewEnsemble builds an ensemble of replicas runs of A, replica rep from
+// run(rep). The runs are meant to share one configuration; the epoch
+// duration reported is the last run's. A run with a swap listener is
+// rejected: the batched engine materialises no per-event times.
+func NewEnsemble(replicas int, run func(rep int) (*SparseCutAveraging, error)) (*Ensemble, error) {
+	e := &Ensemble{}
+	ens, err := gossip.NewEnsemble(replicas, func(rep int) (gossip.Run, error) {
+		a, err := run(rep)
+		if err != nil {
+			return nil, err
+		}
+		if a.listener != nil {
+			return nil, errors.New("core: an ensemble run cannot have a swap listener")
+		}
+		e.epoch = a.EpochDuration()
+		return a, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	e.Ensemble = ens
+	return e, nil
+}
+
+// EpochDuration returns the runs' expected simulated time between swaps.
+func (e *Ensemble) EpochDuration() float64 { return e.epoch }

@@ -6,6 +6,7 @@ import (
 
 	"sparsecut/internal/gossip"
 	"sparsecut/internal/graph"
+	"sparsecut/internal/rng"
 	"sparsecut/internal/sim"
 	"sparsecut/internal/spectral"
 )
@@ -501,4 +502,114 @@ func TestRunTrackedMatchesReferenceLoop(t *testing.T) {
 	if tracked.Swaps() == 0 {
 		t.Fatal("no swaps fired; test covers nothing")
 	}
+}
+
+// The tracked chunk must be per-event TickEdgeVar bit for bit: the same
+// values, swaps and chunk-end variance, and as lastIdx the last event
+// whose TickEdgeVar result exceeded the level. Chunks are ragged, and a
+// coin ends a chunk at a swap, so swaps land both mid-chunk and as a
+// chunk's last event. The dumbbell has three cut edges, so ticks of cut
+// edges other than ec occur; the all-cut-edges mode is covered too. The
+// level is moved just below the variance at one event of the chunk: an
+// idle cut tick (one that changes nothing) on even chunks, a random event
+// on odd ones, so the last exceedance falls on idle cut ticks and inside
+// runs of internal edges that follow a cut tick. A swap weight of 2, half
+// of w*, keeps the variance far above the float floor for thousands of
+// events. The 20,000 events stay below the 2^16-update resync, which the
+// per-event path makes mid-chunk and the tracked chunk at its end.
+func TestTickChunkTrackedBitIdenticalToTickEdgeVar(t *testing.T) {
+	g, part := dumbbell(t, 8, 8, 3)
+	x0 := gossip.CutIndicator(part)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"designated edge", []Option{WithPartition(part), WithWeight(2), WithEpochTicks(3)}},
+		{"all cut edges", []Option{WithPartition(part), WithWeight(2), WithEpochTicks(5), WithAllCutEdges()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			oracle, chunked := mustNew(t, g, x0, tc.opts...), mustNew(t, g, x0, tc.opts...)
+			r := rng.New(41)
+			floor := 1e-10 * oracle.Variance()
+			var swapMid, swapLast, otherCut, idleLast, segmentLast, exceeded, quiet bool
+			for chunk, lo := 0, 0; lo < 20000; chunk++ {
+				target := 1 + r.Intn(300)
+				var picks []graph.EdgeID
+				var vars []float64
+				firstCut, idle := -1, -1
+				for len(picks) < target {
+					e := graph.EdgeID(r.Intn(g.NumEdges()))
+					otherCut = otherCut || (oracle.isCut[e] && oracle.ec >= 0 && e != oracle.ec)
+					swaps := oracle.Swaps()
+					picks = append(picks, e)
+					vars = append(vars, oracle.TickEdgeVar(e, 0))
+					k := len(picks) - 1
+					if oracle.isCut[e] && firstCut < 0 {
+						firstCut = k
+					}
+					if oracle.Swaps() > swaps {
+						if r.Intn(2) == 0 {
+							swapLast = true
+							break
+						}
+						swapMid = swapMid || len(picks) < target
+					} else if oracle.isCut[e] {
+						idle = k
+					}
+				}
+				j := r.Intn(len(vars))
+				if chunk%2 == 0 && idle >= 0 {
+					j = idle
+				}
+				level := math.Exp(-2) * oracle.Variance()
+				if vars[j] > floor {
+					level = vars[j] * (1 - 1e-9)
+				}
+				wantIdx := -1
+				for k, v := range vars {
+					if v > level {
+						wantIdx = k
+					}
+				}
+				gotIdx, endVar := chunked.TickChunkTracked(picks, level)
+				hi := lo + len(picks)
+				if gotIdx != wantIdx {
+					t.Fatalf("chunk [%d, %d): lastIdx %d, want %d", lo, hi, gotIdx, wantIdx)
+				}
+				if math.Float64bits(endVar) != math.Float64bits(oracle.Variance()) {
+					t.Fatalf("chunk [%d, %d): end variance %v, want %v", lo, hi, endVar, oracle.Variance())
+				}
+				idleLast = idleLast || (wantIdx >= 0 && wantIdx == idle)
+				segmentLast = segmentLast || (firstCut >= 0 && wantIdx > firstCut && !oracle.isCut[picks[wantIdx]])
+				exceeded = exceeded || gotIdx >= 0
+				quiet = quiet || gotIdx < 0
+				lo = hi
+			}
+			if oracle.Swaps() != chunked.Swaps() {
+				t.Fatalf("%d swaps per event vs %d chunked", oracle.Swaps(), chunked.Swaps())
+			}
+			vO, vC := oracle.Values(), chunked.Values()
+			for i := range vO {
+				if math.Float64bits(vO[i]) != math.Float64bits(vC[i]) {
+					t.Fatalf("value %d = %v per event vs %v chunked", i, vO[i], vC[i])
+				}
+			}
+			if !swapMid || !swapLast || !idleLast || !segmentLast || !exceeded || !quiet {
+				t.Errorf("coverage: swap mid-chunk %v, swap last %v, last exceedance on an idle cut tick %v, after a cut tick %v, exceeded %v, quiet %v; want all",
+					swapMid, swapLast, idleLast, segmentLast, exceeded, quiet)
+			}
+			if oracle.ec >= 0 && !otherCut {
+				t.Error("no tick of a cut edge other than ec")
+			}
+		})
+	}
+}
+
+func mustNew(t *testing.T, g *graph.Graph, x0 []float64, opts ...Option) *SparseCutAveraging {
+	t.Helper()
+	a, err := New(g, x0, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }

@@ -10,32 +10,31 @@ import (
 // Ensemble is R independent runs of one averaging algorithm over a shared
 // graph, driven as a replica batch by sim.BatchEngine (it implements
 // sim.BatchKernel). Each replica is an ordinary single run — a Vanilla,
-// Convex or PushSum with its own State — so a replica's trajectory is that
-// run's, bit for bit. The graph's flat endpoint arrays are shared by all
-// replicas and stay hot in cache while the engine round-robins replica
-// chunks over them.
+// Convex, PushSum or Algorithm A (core.SparseCutAveraging) with its own
+// State — so a replica's trajectory is that run's, bit for bit. The
+// graph's flat endpoint arrays are shared by all replicas and stay hot in
+// cache while the engine round-robins replica chunks over them.
 type Ensemble struct {
-	runs []replica
+	runs []Run
 }
 
-// replica is one single run as the ensemble drives it.
-type replica interface {
-	TickEdges(edges []graph.EdgeID, times []float64)
+// Run is one single run as an Ensemble drives it: an Algorithm whose
+// TickEdges accepts nil times (the untracked chunk), plus a tracked chunk
+// that applies the ticks with eager per-event moments and returns the
+// index within edges of the last event whose post-tick variance exceeded
+// level (-1 if none did) and the post-chunk variance.
+type Run interface {
+	Algorithm
 	TickChunkTracked(edges []graph.EdgeID, level float64) (lastIdx int, endVar float64)
-	Variance() float64
-	values() *State
 }
 
-func (v *Vanilla) values() *State { return v.st }
-func (c *Convex) values() *State  { return c.st }
-func (p *PushSum) values() *State { return p.est }
-
-// newEnsemble builds an ensemble of replicas runs, replica rep from run(rep).
-func newEnsemble(replicas int, run func(rep int) (replica, error)) (*Ensemble, error) {
+// NewEnsemble builds an ensemble of replicas runs, replica rep from
+// run(rep).
+func NewEnsemble(replicas int, run func(rep int) (Run, error)) (*Ensemble, error) {
 	if replicas < 1 {
 		return nil, fmt.Errorf("gossip: ensemble needs at least one replica, got %d", replicas)
 	}
-	e := &Ensemble{runs: make([]replica, replicas)}
+	e := &Ensemble{runs: make([]Run, replicas)}
 	for rep := range e.runs {
 		r, err := run(rep)
 		if err != nil {
@@ -49,12 +48,12 @@ func newEnsemble(replicas int, run func(rep int) (replica, error)) (*Ensemble, e
 // NewVanillaEnsemble builds R runs of vanilla gossip on g, all starting
 // from x0.
 func NewVanillaEnsemble(g *graph.Graph, x0 []float64, replicas int) (*Ensemble, error) {
-	return newEnsemble(replicas, func(int) (replica, error) { return NewVanilla(g, x0) })
+	return NewEnsemble(replicas, func(int) (Run, error) { return NewVanilla(g, x0) })
 }
 
 // NewConvexEnsemble builds R runs of α-gossip on g.
 func NewConvexEnsemble(g *graph.Graph, x0 []float64, alpha float64, replicas int) (*Ensemble, error) {
-	return newEnsemble(replicas, func(int) (replica, error) { return NewConvex(g, x0, alpha) })
+	return NewEnsemble(replicas, func(int) (Run, error) { return NewConvex(g, x0, alpha) })
 }
 
 // NewPushSumEnsemble builds one push-sum run per stream, all starting from
@@ -65,7 +64,7 @@ func NewPushSumEnsemble(g *graph.Graph, x0 []float64, streams []*rng.RNG) (*Ense
 	if len(streams) < 1 {
 		return nil, fmt.Errorf("gossip: push-sum ensemble needs at least one stream")
 	}
-	return newEnsemble(len(streams), func(rep int) (replica, error) {
+	return NewEnsemble(len(streams), func(rep int) (Run, error) {
 		if streams[rep] == nil {
 			return nil, fmt.Errorf("gossip: push-sum ensemble stream %d is nil", rep)
 		}
@@ -89,6 +88,6 @@ func (e *Ensemble) TickChunkTracked(rep int, edges []graph.EdgeID, exceedLevel f
 // ReplicaVariance implements sim.BatchKernel.
 func (e *Ensemble) ReplicaVariance(rep int) float64 { return e.runs[rep].Variance() }
 
-// CopyInto writes replica rep's value vector (original frame; push-sum's
-// estimates s/w) into dst. It panics if len(dst) is not the node count.
-func (e *Ensemble) CopyInto(rep int, dst []float64) { e.runs[rep].values().CopyInto(dst) }
+// Values returns a copy of replica rep's value vector (original frame;
+// push-sum's estimates s/w).
+func (e *Ensemble) Values(rep int) []float64 { return e.runs[rep].Values() }

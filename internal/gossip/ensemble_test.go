@@ -68,8 +68,7 @@ func TestBatchTrackedBitIdenticalToState(t *testing.T) {
 
 func compareReplicaToState(t *testing.T, ens *Ensemble, rep int, st *State) {
 	t.Helper()
-	row := make([]float64, st.N())
-	ens.CopyInto(rep, row)
+	row := ens.Values(rep)
 	want := st.Values()
 	for i := range row {
 		if math.Float64bits(row[i]) != math.Float64bits(want[i]) {
@@ -79,7 +78,7 @@ func compareReplicaToState(t *testing.T, ens *Ensemble, rep int, st *State) {
 	if gotV, wantV := ens.ReplicaVariance(rep), st.Variance(); math.Float64bits(gotV) != math.Float64bits(wantV) {
 		t.Errorf("variance %v batched vs %v state", gotV, wantV)
 	}
-	if gotM, wantM := ens.runs[rep].values().Mean(), st.Mean(); math.Float64bits(gotM) != math.Float64bits(wantM) {
+	if gotM, wantM := ens.runs[rep].Mean(), st.Mean(); math.Float64bits(gotM) != math.Float64bits(wantM) {
 		t.Errorf("mean %v batched vs %v state", gotM, wantM)
 	}
 }
@@ -135,7 +134,7 @@ func TestConvexHalfIsVanilla(t *testing.T) {
 			t.Fatalf("scale %g: chunks exceeded %v, quiet %v; want both", scale, exceeded, quiet)
 		}
 		for _, pair := range [][2]*Ensemble{{van, cvx}, {vanLazy, cvxLazy}} {
-			a, b := pair[0].runs[rep].values(), pair[1].runs[rep].values()
+			a, b := stateOf(pair[0].runs[rep]), stateOf(pair[1].runs[rep])
 			if !sameBits(a.y, b.y) || !sameBits([]float64{a.sum, a.sumSq}, []float64{b.sum, b.sumSq}) {
 				t.Errorf("scale %g: replica values or moments differ between vanilla and convex(1/2)", scale)
 			}
@@ -157,6 +156,19 @@ func sameBits(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// stateOf returns the State a gossip run keeps its values in.
+func stateOf(r Run) *State {
+	switch r := r.(type) {
+	case *Vanilla:
+		return r.st
+	case *Convex:
+		return r.st
+	case *PushSum:
+		return r.est
+	}
+	panic("gossip: not a gossip run")
 }
 
 // mustEnsemble unwraps an ensemble constructor's result in a test.
@@ -183,9 +195,7 @@ func TestBatchLazyMatchesTracked(t *testing.T) {
 		lazy.TickChunk(1, picks[lo:lo+256])
 		eager.TickChunkTracked(1, picks[lo:lo+256], 0.1)
 	}
-	a, b := make([]float64, g.NumNodes()), make([]float64, g.NumNodes())
-	lazy.CopyInto(1, a)
-	eager.CopyInto(1, b)
+	a, b := lazy.Values(1), eager.Values(1)
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			t.Fatalf("node %d: %v lazy vs %v tracked", i, a[i], b[i])
@@ -254,8 +264,7 @@ func TestPushSumEnsembleMatchesLegacy(t *testing.T) {
 	for _, e := range picks {
 		legacy.HandleTick(e, 0)
 	}
-	got := make([]float64, g.NumNodes())
-	ens.CopyInto(1, got)
+	got := ens.Values(1)
 	want := legacy.Values()
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -282,8 +291,7 @@ func TestBatchReplicaIsolation(t *testing.T) {
 	picks := randomPicks(77, g, 512)
 	ens.TickChunk(0, picks[:256])
 	ens.TickChunk(2, picks[256:])
-	row := make([]float64, g.NumNodes())
-	ens.CopyInto(1, row)
+	row := ens.Values(1)
 	for i, v := range row {
 		if v != x0[i] {
 			t.Fatalf("untouched replica drifted at node %d: %v != %v", i, v, x0[i])

@@ -16,7 +16,7 @@ type goldenEnsemble interface {
 	TickChunk(rep int, edges []graph.EdgeID)
 	TickChunkTracked(rep int, edges []graph.EdgeID, exceedLevel float64) (lastIdx int, endVar float64)
 	ReplicaVariance(rep int) float64
-	CopyInto(rep int, dst []float64)
+	Values(rep int) []float64
 }
 
 // TestEnsembleGoldenDigest pins the replica-batched chunk paths across a
@@ -80,10 +80,8 @@ func TestEnsembleGoldenDigest(t *testing.T) {
 			if !exceeded || !quiet {
 				t.Fatalf("chunks exceeded %v, quiet %v; want both", exceeded, quiet)
 			}
-			vals := make([]float64, g.NumNodes())
 			for rep := range replicas {
-				ens.CopyInto(rep, vals)
-				for _, v := range vals {
+				for _, v := range ens.Values(rep) {
 					put(math.Float64bits(v))
 				}
 				put(math.Float64bits(ens.ReplicaVariance(rep)))

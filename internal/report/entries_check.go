@@ -145,7 +145,7 @@ func runE5(p Params) (Section, error) {
 	sec.addCheck("final ratio of A", finals["algorithm-A"],
 		"< 1e-8: a few epochs fully annihilate the cut imbalance", finals["algorithm-A"] < 1e-8)
 	sec.Notes = append(sec.Notes,
-		"Full trajectories (400-point downsampled CSV) are available via `go run ./cmd/gossipsim -graph dumbbell -algo A -csv`.")
+		"Full trajectories (CSV rows at t=0 and 1000 equal steps) are available via `go run ./cmd/gossipsim -graph dumbbell -algo A -csv`.")
 	return sec, nil
 }
 

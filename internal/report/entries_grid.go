@@ -1,9 +1,8 @@
 package report
 
 // The grid-backed experiments: every cell is a scenario.Spec evaluated by
-// the deterministic sweep engine (vanilla/convex/push-sum cells on the
-// replica-batched engine, Algorithm A on the per-event tracked loop), with
-// the paper's predicted bounds computed per cell from internal/spectral.
+// the deterministic sweep engine on the replica-batched engine, with the
+// paper's predicted bounds computed per cell from internal/spectral.
 
 import (
 	"fmt"

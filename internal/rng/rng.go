@@ -157,11 +157,11 @@ func (r *RNG) IntnSlow(hi, lo, bound uint64) uint64 {
 
 // FillIntn fills dst with uniform integers in [0, n): the same values,
 // leaving the stream at the same position, as one r.Intn(n) per element.
-// Like CountLowBits it reads the block buffer in a local loop, so the
-// draws do not serialise on a per-draw position store; the rare draw that
-// lands in the Lemire rejection zone (lo < n) is handed to Intn. The
-// batched engine's uniform edge picks use it. It panics if n <= 0 or n
-// does not fit in T.
+// It reads the block buffer in a local loop, so the draws do not
+// serialise on a per-draw position store; the rare draw that lands in
+// the Lemire rejection zone (lo < n) is handed to Intn. The batched
+// engine's uniform edge picks use it. It panics if n <= 0 or n does not
+// fit in T.
 func FillIntn[T ~int32](r *RNG, dst []T, n int) {
 	if n <= 0 || int(T(n)) != n {
 		panic("rng: FillIntn called with n <= 0 or n out of range")
@@ -279,23 +279,29 @@ func pair(base int32, i, j uint64) (int32, int32) {
 	return base + int32(i), base + int32(j)
 }
 
-// CountLowBits returns how many of the next n outputs have their low bit
-// set: the same count, leaving the stream at the same position, as n calls
-// of Uint64()&1. It reads the block buffer in a local loop, with no
-// per-output position store and no data-dependent branch. n <= 0 draws
-// nothing and returns 0.
-func (r *RNG) CountLowBits(n int) int {
+// CountOnes returns the number of set bits among the next n random bits:
+// the popcount of n/64 whole outputs plus that of the low n%64 bits of one
+// more output when n%64 > 0. It consumes ⌈n/64⌉ outputs, as many Uint64
+// calls would. The whole words are read from the block buffer in a local
+// loop. n <= 0 draws nothing and returns 0.
+func (r *RNG) CountOnes(n int) int {
+	if n <= 0 {
+		return 0
+	}
 	count := 0
-	for n > 0 {
+	for words := n / 64; words > 0; {
 		if r.pos >= u64BlockSize {
 			r.refill()
 		}
-		m := min(n, u64BlockSize-r.pos)
+		m := min(words, u64BlockSize-r.pos)
 		for _, v := range r.buf[r.pos : r.pos+m] {
-			count += int(v & 1)
+			count += bits.OnesCount64(v)
 		}
 		r.pos += m
-		n -= m
+		words -= m
+	}
+	if rem := n % 64; rem > 0 {
+		count += bits.OnesCount64(r.Uint64() & (1<<rem - 1))
 	}
 	return count
 }

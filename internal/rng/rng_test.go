@@ -600,26 +600,30 @@ func TestGammaIntPanicsOnBadShape(t *testing.T) {
 	New(1).GammaInt(0)
 }
 
-// TestCountLowBits pins CountLowBits to n calls of Uint64()&1: the same
-// count and the same next output, from a fresh stream and from the middle
-// of a block, for counts on both sides of the block size.
-func TestCountLowBits(t *testing.T) {
-	for _, skip := range []int{0, 100} {
-		for _, n := range []int{0, 1, 255, 256, 257, 1000} {
-			a, b := New(31), New(31)
-			for i := 0; i < skip; i++ {
-				a.Uint64()
-				b.Uint64()
-			}
+// TestCountOnes pins CountOnes to the popcount of ⌈n/64⌉ Uint64 outputs,
+// the last one masked to its low n%64 bits: the same count and the same
+// next output, from the start, the last word and the end of a block, for
+// counts around one word and across whole blocks.
+func TestCountOnes(t *testing.T) {
+	for _, off := range []int{0, u64BlockSize - 1, u64BlockSize} {
+		for _, n := range []int{0, 1, 63, 64, 65, 400, 1<<14 + 7} {
+			a, b := New(uint64(31+n)), New(uint64(31+n))
+			a.refill()
+			b.refill()
+			a.pos, b.pos = off, off
 			want := 0
-			for i := 0; i < n; i++ {
-				want += int(b.Uint64() & 1)
+			for left := n; left > 0; left -= 64 {
+				w := b.Uint64()
+				if left < 64 {
+					w &= 1<<left - 1
+				}
+				want += bits.OnesCount64(w)
 			}
-			if got := a.CountLowBits(n); got != want {
-				t.Errorf("skip %d, n %d: count %d, want %d", skip, n, got, want)
+			if got := a.CountOnes(n); got != want {
+				t.Errorf("offset %d, n %d: count %d, want %d", off, n, got, want)
 			}
 			if x, y := a.Uint64(), b.Uint64(); x != y {
-				t.Errorf("skip %d, n %d: next output %d, want %d", skip, n, x, y)
+				t.Errorf("offset %d, n %d: next output %d, want %d", off, n, x, y)
 			}
 		}
 	}

@@ -209,31 +209,37 @@ func (r *Resolved) NewAlgorithm(rr *rng.RNG) (gossip.Algorithm, error) {
 	case "pushsum":
 		return gossip.NewPushSum(r.Graph, r.X0, rr)
 	case "A":
-		opts := []core.Option{}
-		if r.Partition != nil {
-			opts = append(opts, core.WithPartition(r.Partition))
-		}
-		switch a.Weight {
-		case "paper":
-			opts = append(opts, core.WithWeightRule(core.WeightPaper))
-		case "custom":
-			opts = append(opts, core.WithWeight(a.W))
-		}
-		if a.EpochC != 0 {
-			opts = append(opts, core.WithEpochConstant(a.EpochC))
-		}
-		if a.EpochTicks != 0 {
-			opts = append(opts, core.WithEpochTicks(a.EpochTicks))
-		} else if tv1, tv2, ok := r.sideTvan(); ok {
-			opts = append(opts, core.WithTvan(tv1, tv2))
-		}
-		if a.AllCutEdges {
-			opts = append(opts, core.WithAllCutEdges())
-		}
-		return core.New(r.Graph, r.X0, opts...)
+		return r.newA()
 	default:
 		return nil, fmt.Errorf("scenario: unknown algorithm %q", a.Name)
 	}
+}
+
+// newA builds one run of Algorithm A from the spec.
+func (r *Resolved) newA() (*core.SparseCutAveraging, error) {
+	a := r.Spec.Algo
+	opts := []core.Option{}
+	if r.Partition != nil {
+		opts = append(opts, core.WithPartition(r.Partition))
+	}
+	switch a.Weight {
+	case "paper":
+		opts = append(opts, core.WithWeightRule(core.WeightPaper))
+	case "custom":
+		opts = append(opts, core.WithWeight(a.W))
+	}
+	if a.EpochC != 0 {
+		opts = append(opts, core.WithEpochConstant(a.EpochC))
+	}
+	if a.EpochTicks != 0 {
+		opts = append(opts, core.WithEpochTicks(a.EpochTicks))
+	} else if tv1, tv2, ok := r.sideTvan(); ok {
+		opts = append(opts, core.WithTvan(tv1, tv2))
+	}
+	if a.AllCutEdges {
+		opts = append(opts, core.WithAllCutEdges())
+	}
+	return core.New(r.Graph, r.X0, opts...)
 }
 
 // sideTvan returns the per-side Tvan bounds core.New would derive from
@@ -267,13 +273,6 @@ func (r *Resolved) NumNodes() int {
 		return r.Implicit.NumNodes()
 	}
 	return r.Graph.NumNodes()
-}
-
-// Factory adapts NewAlgorithm to the avgtime trial-factory signature.
-func (r *Resolved) Factory() avgtime.Factory {
-	return func(_ int, rr *rng.RNG) (gossip.Algorithm, error) {
-		return r.NewAlgorithm(rr)
-	}
 }
 
 // Monotone reports whether the resolved algorithm's variance is
@@ -322,11 +321,13 @@ func (r *Resolved) EstimateKey() Spec {
 	return k
 }
 
-// EnsembleFactory returns the replica-batched kernel factory for
-// algorithms with an ensemble implementation — vanilla, convex and
-// push-sum — and ok = false for Algorithm A, whose epoch machinery needs
-// materialised per-event times and therefore stays on the per-event path.
+// EnsembleFactory returns the replica-batched kernel factory for the
+// resolved algorithm, and ok = false on the sharded path, which has no
+// materialised graph.
 func (r *Resolved) EnsembleFactory() (avgtime.EnsembleFactory, bool) {
+	if r.Implicit != nil {
+		return nil, false
+	}
 	switch r.kernel() {
 	case "vanilla":
 		return func(replicas int, _ []*rng.RNG) (sim.BatchKernel, error) {
@@ -341,19 +342,19 @@ func (r *Resolved) EnsembleFactory() (avgtime.EnsembleFactory, bool) {
 		return func(_ int, algStreams []*rng.RNG) (sim.BatchKernel, error) {
 			return gossip.NewPushSumEnsemble(r.Graph, r.X0, algStreams)
 		}, true
-	default:
-		return nil, false
+	default: // Algorithm A
+		return func(replicas int, _ []*rng.RNG) (sim.BatchKernel, error) {
+			return core.NewEnsemble(replicas, func(int) (*core.SparseCutAveraging, error) { return r.newA() })
+		}, true
 	}
 }
 
 // Estimate runs the paper's Definition-1 Monte-Carlo averaging-time
 // estimator for this scenario (censoring-aware, like internal/avgtime).
 // Scenarios resolved onto the sharded path (Stop.Shards > 0) run the
-// windowed PDES engine over the implicit graph; scenarios whose
-// algorithm has a replica-batched ensemble form route through the
-// bridged sim.BatchEngine — the sweep hot path; Algorithm A runs the
-// per-event tracked loop. Either way the result is a deterministic
-// function of the spec alone.
+// windowed PDES engine over the implicit graph; every other scenario
+// routes through the bridged sim.BatchEngine, the sweep hot path. Either
+// way the result is a deterministic function of the spec alone.
 func (r *Resolved) Estimate() (avgtime.Result, error) {
 	if r.Implicit != nil {
 		return avgtime.EstimateSharded(r.Implicit, r.X0, r.AvgtimeConfig(), avgtime.ShardedOptions{
@@ -361,8 +362,6 @@ func (r *Resolved) Estimate() (avgtime.Result, error) {
 			Window:  r.Spec.Stop.Window,
 		})
 	}
-	if factory, ok := r.EnsembleFactory(); ok {
-		return avgtime.EstimateBatched(r.Graph, r.Rates, factory, r.AvgtimeConfig())
-	}
-	return avgtime.EstimateWithRates(r.Graph, r.Rates, r.Factory(), r.AvgtimeConfig())
+	factory, _ := r.EnsembleFactory()
+	return avgtime.EstimateBatched(r.Graph, r.Rates, factory, r.AvgtimeConfig())
 }

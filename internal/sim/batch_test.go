@@ -65,9 +65,7 @@ func TestBatchEngineWidthDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		soloEng.RunEvents(events)
-		a, b := make([]float64, g.NumNodes()), make([]float64, g.NumNodes())
-		wide.CopyInto(rep, a)
-		solo.CopyInto(0, b)
+		a, b := wide.Values(rep), solo.Values(0)
 		for i := range a {
 			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 				t.Fatalf("replica %d node %d: %v wide vs %v solo", rep, i, a[i], b[i])
@@ -290,9 +288,7 @@ func TestBatchObserverInert(t *testing.T) {
 	}))
 
 	for rep := range seeds {
-		a, b := make([]float64, g.NumNodes()), make([]float64, g.NumNodes())
-		plain.CopyInto(rep, a)
-		observed.CopyInto(rep, b)
+		a, b := plain.Values(rep), observed.Values(rep)
 		for i := range a {
 			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 				t.Fatalf("replica %d node %d diverged under observation: %v vs %v", rep, i, a[i], b[i])

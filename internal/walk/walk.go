@@ -41,7 +41,7 @@ func TailProbability(r *rng.RNG, steps int, s float64, trials int) (float64, err
 	threshold := s * math.Sqrt(float64(steps))
 	hits := 0
 	for t := 0; t < trials; t++ {
-		pos := 2*r.CountLowBits(steps) - steps // heads minus tails
+		pos := 2*r.CountOnes(steps) - steps // heads minus tails
 		if float64(pos) >= threshold {
 			hits++
 		}

@@ -2,6 +2,7 @@ package walk
 
 import (
 	"math"
+	"math/big"
 	"testing"
 
 	"sparsecut/internal/rng"
@@ -55,6 +56,50 @@ func TestTailProbabilityMatchesGaussian(t *testing.T) {
 		}
 		if math.Abs(p-c.want) > c.tol {
 			t.Errorf("s=%v: p=%v, want ~%v", c.s, p, c.want)
+		}
+	}
+}
+
+// exactTail returns P[S_steps >= s·√steps] for the simple ±1 walk:
+// S = 2·Bin(steps, ½) − steps, summed exactly over the binomial tail.
+func exactTail(steps int, s float64) float64 {
+	threshold := s * math.Sqrt(float64(steps))
+	hits := new(big.Int)
+	for heads := 0; heads <= steps; heads++ {
+		if float64(2*heads-steps) >= threshold {
+			hits.Add(hits, new(big.Int).Binomial(int64(steps), int64(heads)))
+		}
+	}
+	p, _ := new(big.Rat).SetFrac(hits, new(big.Int).Lsh(big.NewInt(1), uint(steps))).Float64()
+	return p
+}
+
+// TestTailProbabilityExact checks E7's estimates against the exact
+// binomial tail: at E7's full budget (400 steps, 60,000 trials per point,
+// the points drawn in sequence from one stream as FitTail draws them),
+// every point at seeds 1–8 lies within 4.5 standard errors of it.
+func TestTailProbabilityExact(t *testing.T) {
+	const steps, trials = 400, 60000
+	ss := []float64{0.5, 1, 1.5, 2, 2.5, 3}
+	// The exact tails, rounded, pin exactTail itself.
+	want := []float64{0.32638, 0.17106, 0.073483, 0.02552, 0.0070921, 0.0015645}
+	exact := make([]float64, len(ss))
+	for i, s := range ss {
+		exact[i] = exactTail(steps, s)
+		if math.Abs(exact[i]-want[i]) > 5e-5*want[i] {
+			t.Fatalf("s=%v: exact tail %v, want %v", s, exact[i], want[i])
+		}
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		fit, err := FitTail(rng.New(seed), steps, ss, trials)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range exact {
+			z := (fit.P[i] - p) / math.Sqrt(p*(1-p)/trials)
+			if math.Abs(z) >= 4.5 {
+				t.Errorf("seed %d, s=%v: estimate %v, exact %v, z = %.2f", seed, ss[i], fit.P[i], p, z)
+			}
 		}
 	}
 }
