@@ -109,8 +109,8 @@ func BenchmarkE14AllCutEdges(b *testing.B) {
 
 // BenchmarkSimulatorVanillaTick measures raw event throughput of the
 // event-driven simulator running vanilla gossip on a dumbbell — the fused
-// kernel path (RunEvents), which is what Simulate and the averaging-time
-// estimator drive.
+// kernel path (RunUntil), which is what Simulate drives. At total rate |E|
+// the horizon yields ~b.N events.
 func BenchmarkSimulatorVanillaTick(b *testing.B) {
 	g, part, err := graph.Dumbbell(64, 64, 1)
 	if err != nil {
@@ -125,7 +125,8 @@ func BenchmarkSimulatorVanillaTick(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	eng.RunEvents(int64(b.N))
+	eng.RunUntil(float64(b.N) / float64(g.NumEdges()))
+	b.ReportMetric(float64(eng.Events())/float64(b.N), "events/op")
 }
 
 // BenchmarkSimulatorTrackedVanilla measures the averaging-time estimator's
@@ -148,32 +149,6 @@ func BenchmarkSimulatorTrackedVanilla(b *testing.B) {
 	// rate |E| that horizon yields ~b.N events.
 	eng.RunTracked(sim.Tracked{ExceedLevel: 0, StopLevel: -1, Quiet: 0, MaxTime: float64(b.N) / float64(g.NumEdges())})
 	b.ReportMetric(float64(eng.Events())/float64(b.N), "events/op")
-}
-
-// BenchmarkSimulatorVanillaBatchBridged measures the replica-batched
-// untracked hot path: 16 replicas in SoA lockstep, one uniform pick per
-// event, one Gamma bridge draw per 256-event chunk.
-func BenchmarkSimulatorVanillaBatchBridged(b *testing.B) {
-	g, part, err := graph.Dumbbell(64, 64, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const replicas = 16
-	ens, err := gossip.NewVanillaEnsemble(g, gossip.CutIndicator(part), replicas)
-	if err != nil {
-		b.Fatal(err)
-	}
-	root := rng.New(1)
-	streams := make([]*rng.RNG, replicas)
-	for i := range streams {
-		streams[i] = root.Split()
-	}
-	eng, err := sim.NewBatchEngine(g, ens, streams)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	eng.RunEvents((int64(b.N) + replicas - 1) / replicas)
 }
 
 // BenchmarkSimulatorVanillaBatchTracked measures the replica-batched
@@ -209,7 +184,8 @@ func BenchmarkSimulatorVanillaBatchTracked(b *testing.B) {
 
 // BenchmarkSimulatorHeterogeneousAlias measures the fused path under
 // per-edge rates drawn from [0.5, 2): each event picks its edge from the
-// Walker alias table instead of the uniform pick.
+// Walker alias table instead of the uniform pick. The horizon yields ~b.N
+// events at the total rate.
 func BenchmarkSimulatorHeterogeneousAlias(b *testing.B) {
 	g, part, err := graph.Dumbbell(64, 64, 1)
 	if err != nil {
@@ -221,19 +197,22 @@ func BenchmarkSimulatorHeterogeneousAlias(b *testing.B) {
 	}
 	r := rng.New(1)
 	rates := make([]float64, g.NumEdges())
+	total := 0.0
 	for i := range rates {
 		rates[i] = 0.5 + 1.5*r.Float64()
+		total += rates[i]
 	}
 	eng, err := sim.NewEngine(g, alg, sim.WithRates(rates))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	eng.RunEvents(int64(b.N))
+	eng.RunUntil(float64(b.N) / total)
+	b.ReportMetric(float64(eng.Events())/float64(b.N), "events/op")
 }
 
-// BenchmarkAlgorithmATick measures Algorithm A's per-event cost including
-// the O(1) variance tracking.
+// BenchmarkAlgorithmATick measures Algorithm A's per-event cost on the
+// fused path; the horizon yields ~b.N events.
 func BenchmarkAlgorithmATick(b *testing.B) {
 	g, part, err := graph.Dumbbell(64, 64, 1)
 	if err != nil {
@@ -248,7 +227,8 @@ func BenchmarkAlgorithmATick(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	eng.RunEvents(int64(b.N))
+	eng.RunUntil(float64(b.N) / float64(g.NumEdges()))
+	b.ReportMetric(float64(eng.Events())/float64(b.N), "events/op")
 }
 
 // BenchmarkLambda2Dumbbell measures the spectral cut-analysis cost that

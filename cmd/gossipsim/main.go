@@ -26,6 +26,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"math"
@@ -36,7 +37,6 @@ import (
 	"sparsecut/internal/gossip"
 	"sparsecut/internal/scenario"
 	"sparsecut/internal/sim"
-	"sparsecut/internal/trace"
 )
 
 func main() {
@@ -130,15 +130,30 @@ func main() {
 	// the step count.
 	const steps = 1000
 	ratio := func() float64 { return alg.Variance() / var0 }
-	series := trace.NewSeries(alg.Name())
-	series.Add(0, ratio())
+	var out *bufio.Writer
+	if *csv {
+		out = bufio.NewWriter(os.Stdout)
+		out.WriteString("series,t,value\n")
+	}
+	row := func(t float64) {
+		if out == nil {
+			return
+		}
+		out.WriteString(alg.Name())
+		out.WriteByte(',')
+		out.WriteString(strconv.FormatFloat(t, 'g', 10, 64))
+		out.WriteByte(',')
+		out.WriteString(strconv.FormatFloat(ratio(), 'g', 10, 64))
+		out.WriteByte('\n')
+	}
+	row(0)
 	var meter *progressMeter
 	if *progress {
 		meter = newProgressMeter()
 	}
 	for i := 1; i <= steps; i++ {
 		eng.RunTracked(sim.Tracked{MaxTime: float64(i) / steps * *until})
-		series.Add(eng.Now(), ratio())
+		row(eng.Now())
 		if meter != nil {
 			meter.barrier(eng.Now(), eng.Events(), ratio())
 		}
@@ -148,8 +163,8 @@ func main() {
 		meter.finish(t, events, ratio())
 	}
 
-	if *csv {
-		if err := trace.WriteCSV(os.Stdout, series); err != nil {
+	if out != nil {
+		if err := out.Flush(); err != nil {
 			fatal(err)
 		}
 		return

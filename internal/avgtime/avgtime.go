@@ -57,19 +57,9 @@ type EpochHinter interface {
 type Config struct {
 	// Trials is the number of independent simulations (default 9).
 	Trials int
-	// Threshold is the variance-ratio level defining an exceedance
-	// (default e⁻², Definition 1).
-	Threshold float64
-	// Quantile is the confidence quantile of the last-exceedance
-	// distribution to report as Tav (default 1 − 1/e).
-	Quantile float64
-	// MarginFactor stops a trial only when ratio < Threshold·MarginFactor
-	// (default 1e−8).
+	// MarginFactor stops a trial only when ratio < DefaultThreshold ·
+	// MarginFactor (default 1e−8).
 	MarginFactor float64
-	// QuietTime is the minimum simulated time that must pass after the
-	// last exceedance before a trial may stop. Default: twice the
-	// algorithm's EpochDuration hint when available, otherwise 1.
-	QuietTime float64
 	// MaxTime hard-caps each trial (default 1e6 time units). Trials
 	// reaching it above the margin are counted in Result.Censored.
 	MaxTime float64
@@ -92,12 +82,6 @@ func (c Config) withDefaults() Config {
 	if c.Trials == 0 {
 		c.Trials = 9
 	}
-	if c.Threshold == 0 {
-		c.Threshold = DefaultThreshold
-	}
-	if c.Quantile == 0 {
-		c.Quantile = DefaultQuantile
-	}
 	if c.MarginFactor == 0 {
 		c.MarginFactor = 1e-8
 	}
@@ -114,41 +98,36 @@ func (c Config) validate() error {
 	if c.Trials < 1 {
 		return fmt.Errorf("avgtime: trials %d < 1", c.Trials)
 	}
-	if c.Threshold <= 0 || c.Threshold >= 1 {
-		return fmt.Errorf("avgtime: threshold %v outside (0,1)", c.Threshold)
-	}
-	if c.Quantile <= 0 || c.Quantile > 1 {
-		return fmt.Errorf("avgtime: quantile %v outside (0,1]", c.Quantile)
-	}
 	if c.MarginFactor <= 0 || c.MarginFactor > 1 {
 		return fmt.Errorf("avgtime: margin factor %v outside (0,1]", c.MarginFactor)
 	}
 	if c.MaxTime <= 0 {
 		return fmt.Errorf("avgtime: max time %v must be positive", c.MaxTime)
 	}
-	if c.QuietTime < 0 {
-		return fmt.Errorf("avgtime: quiet time %v negative", c.QuietTime)
-	}
 	return nil
 }
 
-// quietFor derives the trial's quiet period: the configured QuietTime,
-// defaulting to twice the algorithm's epoch-duration hint when it
-// provides one and 1 otherwise. Shared by the per-event and batched
-// estimators so the Definition-1 stop rule cannot drift between them.
-func (c Config) quietFor(alg any) float64 {
-	if c.QuietTime != 0 {
-		return c.QuietTime
-	}
+// tracked returns the stop rule of one trial from varX(0): exceedances
+// above DefaultThreshold, a stop below DefaultThreshold·MarginFactor, and
+// a quiet period of twice the algorithm's epoch-duration hint when it
+// provides one and 1 otherwise. Shared by the estimators so the
+// Definition-1 stop rule cannot drift between them.
+func (c Config) tracked(var0 float64, alg any) sim.Tracked {
+	quiet := 1.0
 	if h, ok := alg.(EpochHinter); ok {
-		return 2 * h.EpochDuration()
+		quiet = 2 * h.EpochDuration()
 	}
-	return 1
+	return sim.Tracked{
+		ExceedLevel: DefaultThreshold * var0,
+		StopLevel:   DefaultThreshold * c.MarginFactor * var0,
+		Quiet:       quiet,
+		MaxTime:     c.MaxTime,
+	}
 }
 
 // Result summarises an estimation run.
 type Result struct {
-	// Tav is the Config.Quantile empirical quantile of the per-trial last
+	// Tav is the DefaultQuantile empirical quantile of the per-trial last
 	// exceedance times — the Definition 1 estimate.
 	Tav float64
 	// PerTrial holds each trial's last exceedance time L.
@@ -204,7 +183,7 @@ func EstimateWithRates(g *graph.Graph, rates []float64, factory Factory, cfg Con
 		res.Events += events
 		res.PerTrial = append(res.PerTrial, last)
 	}
-	q, err := stats.Quantile(res.PerTrial, cfg.Quantile)
+	q, err := stats.Quantile(res.PerTrial, DefaultQuantile)
 	if err != nil {
 		return Result{}, err
 	}
@@ -229,21 +208,8 @@ func runTrial(g *graph.Graph, rates []float64, alg gossip.Algorithm, r *rng.RNG,
 	if err != nil {
 		return 0, false, 0, err
 	}
-	res := eng.RunTracked(sim.Tracked{
-		ExceedLevel: cfg.Threshold * var0,
-		StopLevel:   cfg.Threshold * cfg.MarginFactor * var0,
-		Quiet:       cfg.quietFor(alg),
-		MaxTime:     cfg.MaxTime,
-	})
+	res := eng.RunTracked(cfg.tracked(var0, alg))
 	return res.LastExceed, res.Censored, eng.Events(), nil
-}
-
-// EpsilonConfig returns a Config measuring the ε-averaging time of Boyd et
-// al. (2005): the first time the relative ℓ2 error ‖x − x̄·1‖/‖x(0) − x̄·1‖
-// drops below ε with probability 1 − ε. In variance terms the threshold is
-// ε² and the quantile 1 − ε.
-func EpsilonConfig(eps float64) Config {
-	return Config{Threshold: eps * eps, Quantile: 1 - eps}
 }
 
 // VanillaFactory builds the standard factory for vanilla gossip with a

@@ -1,7 +1,6 @@
 package avgtime
 
 import (
-	"math"
 	"testing"
 
 	"sparsecut/internal/core"
@@ -17,12 +16,8 @@ func TestConfigValidation(t *testing.T) {
 	f := VanillaFactory(g, x0)
 	bad := []Config{
 		{Trials: -1},
-		{Threshold: 1.5},
-		{Threshold: -0.1},
-		{Quantile: 1.5},
 		{MarginFactor: 2},
 		{MaxTime: -1},
-		{QuietTime: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := Estimate(g, f, cfg); err == nil {
@@ -174,30 +169,6 @@ func TestQuietPeriodUsesEpochHint(t *testing.T) {
 	// Oscillation means the variance keeps returning to ~var0 forever.
 	if res.Censored != 3 {
 		t.Errorf("expected all trials censored in oscillating regime, got %d/3 (Tav=%v)", res.Censored, res.Tav)
-	}
-}
-
-func TestEpsilonConfig(t *testing.T) {
-	cfg := EpsilonConfig(0.1)
-	if math.Abs(cfg.Threshold-0.01) > 1e-15 {
-		t.Errorf("threshold %v", cfg.Threshold)
-	}
-	if math.Abs(cfg.Quantile-0.9) > 1e-15 {
-		t.Errorf("quantile %v", cfg.Quantile)
-	}
-	// And it should run.
-	g := graph.Complete(8)
-	x0, err := gossip.Spike(8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Trials = 5
-	res, err := Estimate(g, VanillaFactory(g, x0), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tav <= 0 {
-		t.Errorf("epsilon time %v", res.Tav)
 	}
 }
 

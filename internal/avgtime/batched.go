@@ -82,7 +82,6 @@ func EstimateBatched(g *graph.Graph, rates []float64, factory EnsembleFactory, c
 			}
 			continue
 		}
-		quiet := cfg.quietFor(kern)
 		var opts []sim.BatchOption
 		if rates != nil {
 			opts = append(opts, sim.WithBatchRates(rates))
@@ -102,12 +101,7 @@ func EstimateBatched(g *graph.Graph, rates []float64, factory EnsembleFactory, c
 		if err != nil {
 			return Result{}, fmt.Errorf("avgtime: %w", err)
 		}
-		tracked := eng.RunTracked(sim.Tracked{
-			ExceedLevel: cfg.Threshold * var0,
-			StopLevel:   cfg.Threshold * cfg.MarginFactor * var0,
-			Quiet:       quiet,
-			MaxTime:     cfg.MaxTime,
-		})
+		tracked := eng.RunTracked(cfg.tracked(var0, kern))
 		for _, tr := range tracked {
 			if tr.Censored {
 				res.Censored++
@@ -118,7 +112,7 @@ func EstimateBatched(g *graph.Graph, rates []float64, factory EnsembleFactory, c
 		chunksSoFar += eng.Chunks()
 	}
 
-	q, err := stats.Quantile(res.PerTrial, cfg.Quantile)
+	q, err := stats.Quantile(res.PerTrial, DefaultQuantile)
 	if err != nil {
 		return Result{}, err
 	}

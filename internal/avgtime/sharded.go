@@ -60,19 +60,14 @@ func EstimateSharded(g *graph.Implicit, x0 []float64, cfg Config, opt ShardedOpt
 			Workers: opt.Workers,
 			Window:  opt.Window,
 		})
-		tr := eng.RunTracked(sim.Tracked{
-			ExceedLevel: cfg.Threshold * var0,
-			StopLevel:   cfg.Threshold * cfg.MarginFactor * var0,
-			Quiet:       cfg.quietFor(st),
-			MaxTime:     cfg.MaxTime,
-		})
+		tr := eng.RunTracked(cfg.tracked(var0, st))
 		if tr.Censored {
 			res.Censored++
 		}
 		res.Events += eng.Events()
 		res.PerTrial = append(res.PerTrial, tr.LastExceed)
 	}
-	q, err := stats.Quantile(res.PerTrial, cfg.Quantile)
+	q, err := stats.Quantile(res.PerTrial, DefaultQuantile)
 	if err != nil {
 		return Result{}, err
 	}

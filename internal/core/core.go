@@ -20,7 +20,14 @@
 // discussion (the library defaults to the exactly-annihilating w* rather
 // than the paper's literal n1).
 //
-// Key types: SparseCutAveraging (gossip.Algorithm and gossip.Run), Ensemble (R runs as one replica batch), the Option set (WithPartition, WithTvan, WithAllCutEdges, ...). The deliberate deviations from the paper's literal text are DESIGN.md §3; the claim mapping is §4.
+// Key types: SparseCutAveraging (gossip.Algorithm and gossip.Run: the
+// per-event TickEdges and TickEdgeVar, which take no event times, and the
+// batched TickChunkTracked), Ensemble (R runs as one replica batch) and the
+// Option set (WithPartition, WithTvan, WithAllCutEdges, ...). The
+// designated edge ec is always the lowest-ID cut edge. A swap listener
+// (WithSwapListener, used by E6) sees each swap's index and the variance
+// around it, on the per-event path only. The deliberate deviations from
+// the paper's literal text are DESIGN.md §3; the claim mapping is §4.
 package core
 
 import (
@@ -49,8 +56,6 @@ const DefaultEpochConstant = 1.0
 // SwapEvent describes one firing of the non-convex cut update, as reported
 // to the listener installed with WithSwapListener.
 type SwapEvent struct {
-	// Time is the simulated time of the swap.
-	Time float64
 	// Index is the 1-based count of swaps so far.
 	Index int64
 	// VarBefore and VarAfter are the paper's varX immediately before and
@@ -86,8 +91,6 @@ type Option func(*config)
 
 type config struct {
 	part         *graph.Partition
-	ecSet        bool
-	ec           graph.EdgeID
 	rule         WeightRule
 	customWeight float64
 	epochK       int64
@@ -103,12 +106,6 @@ type config struct {
 // bisection.
 func WithPartition(p *graph.Partition) Option {
 	return func(c *config) { c.part = p }
-}
-
-// WithCutEdge overrides the designated edge ec (default: the lowest-ID cut
-// edge, per cut.DesignatedCutEdge).
-func WithCutEdge(e graph.EdgeID) Option {
-	return func(c *config) { c.ecSet = true; c.ec = e }
 }
 
 // WithWeightRule selects the swap coefficient strategy (default WeightExact).
@@ -163,8 +160,9 @@ func WithAllCutEdges() Option {
 
 // New builds Algorithm A on g with initial values x0.
 //
-// Validation errors include: length mismatch, a partition for a different
-// graph, a designated edge that does not cross the cut, non-positive
+// The designated edge ec is the lowest-ID cut edge
+// (cut.DesignatedCutEdge). Validation errors include: length mismatch, a
+// partition for a different graph or with no cut edges, non-positive
 // custom weights, or K < 1. When no partition is supplied the graph must be
 // connected so spectral bisection can find the cut.
 func New(g *graph.Graph, x0 []float64, opts ...Option) (*SparseCutAveraging, error) {
@@ -190,19 +188,9 @@ func New(g *graph.Graph, x0 []float64, opts ...Option) (*SparseCutAveraging, err
 		return nil, errors.New("core: partition has no cut edges")
 	}
 
-	ec := cfg.ec
-	if !cfg.ecSet {
-		designated, err := cut.DesignatedCutEdge(part)
-		if err != nil {
-			return nil, err
-		}
-		ec = designated
-	}
-	if ec < 0 || int(ec) >= g.NumEdges() {
-		return nil, fmt.Errorf("core: designated edge %d out of range", ec)
-	}
-	if !part.IsCutEdge(ec) {
-		return nil, fmt.Errorf("core: designated edge %v does not cross the cut", g.Edge(ec))
+	ec, err := cut.DesignatedCutEdge(part)
+	if err != nil {
+		return nil, err
 	}
 
 	w, err := weightFor(cfg.rule, cfg.customWeight, part)
@@ -308,9 +296,9 @@ func (a *SparseCutAveraging) cutTick(e graph.EdgeID) (u, v int, xu, xv float64, 
 	return u, v, xu + d, xv - d, true
 }
 
-// tickCut applies a tick of cut edge e at time t on the per-event path:
-// the swap, if cutTick fires one, and the listener's report of it.
-func (a *SparseCutAveraging) tickCut(e graph.EdgeID, t float64) {
+// tickCut applies a tick of cut edge e on the per-event path: the swap, if
+// cutTick fires one, and the listener's report of it.
+func (a *SparseCutAveraging) tickCut(e graph.EdgeID) {
 	u, v, xu, xv, ok := a.cutTick(e)
 	if !ok {
 		return
@@ -326,7 +314,6 @@ func (a *SparseCutAveraging) tickCut(e graph.EdgeID, t float64) {
 	a.st.Set(v, xv)
 	if a.listener != nil {
 		a.listener(SwapEvent{
-			Time:      t,
 			Index:     a.swaps,
 			VarBefore: varBefore,
 			VarAfter:  a.st.Variance(),
@@ -338,21 +325,19 @@ func (a *SparseCutAveraging) tickCut(e graph.EdgeID, t float64) {
 // in the values to TickEdgeVar per event. Runs of internal edges — the
 // overwhelming majority on a sparse-cut graph — are flushed to the lazy
 // two-point average in sub-batches; a swap is stored lazily too, and the
-// moments resync on the next read. times is read only by a swap
-// listener: without one it may be nil, as in a gossip.Ensemble's
-// untracked chunks.
+// moments resync on the next read.
 //
 // With a swap listener installed the loop uses the eager (incremental)
 // moment updates instead: the listener's VarBefore/VarAfter then match the
 // per-event path bit for bit, rather than being resync-exact — E6-style
 // per-epoch statistics read those fields at the float noise floor, where
 // the difference is observable.
-func (a *SparseCutAveraging) TickEdges(edges []graph.EdgeID, times []float64) {
+func (a *SparseCutAveraging) TickEdges(edges []graph.EdgeID) {
 	eu, ev, st, isCut := a.eu, a.ev, a.st, a.isCut
 	if a.listener != nil {
-		for k, e := range edges {
+		for _, e := range edges {
 			if isCut[e] {
-				a.tickCut(e, times[k])
+				a.tickCut(e)
 			} else {
 				st.AverageEdge(int(eu[e]), int(ev[e]))
 			}
@@ -374,9 +359,9 @@ func (a *SparseCutAveraging) TickEdges(edges []graph.EdgeID, times []float64) {
 }
 
 // TickEdgeVar implements sim.TickKernel: one tick, one moment read.
-func (a *SparseCutAveraging) TickEdgeVar(e graph.EdgeID, t float64) float64 {
+func (a *SparseCutAveraging) TickEdgeVar(e graph.EdgeID) float64 {
 	if a.isCut[e] {
-		a.tickCut(e, t)
+		a.tickCut(e)
 	} else {
 		a.st.AverageEdge(int(a.eu[e]), int(a.ev[e]))
 	}
@@ -485,7 +470,7 @@ type Ensemble struct {
 // NewEnsemble builds an ensemble of replicas runs of A, replica rep from
 // run(rep). The runs are meant to share one configuration; the epoch
 // duration reported is the last run's. A run with a swap listener is
-// rejected: the batched engine materialises no per-event times.
+// rejected: the tracked chunk reports no swaps.
 func NewEnsemble(replicas int, run func(rep int) (*SparseCutAveraging, error)) (*Ensemble, error) {
 	e := &Ensemble{}
 	ens, err := gossip.NewEnsemble(replicas, func(rep int) (gossip.Run, error) {

@@ -60,12 +60,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(g, x0, WithPartition(otherPart)); err == nil {
 		t.Error("foreign partition not rejected")
 	}
-	if _, err := New(g, x0, WithPartition(p), WithCutEdge(0)); err == nil {
-		t.Error("non-cut designated edge not rejected")
-	}
-	if _, err := New(g, x0, WithPartition(p), WithCutEdge(9999)); err == nil {
-		t.Error("out-of-range designated edge not rejected")
-	}
 	if _, err := New(g, x0, WithPartition(p), WithWeight(-1)); err == nil {
 		t.Error("negative custom weight not rejected")
 	}
@@ -134,7 +128,7 @@ func TestSwapAnnihilatesSideMeansExactWeight(t *testing.T) {
 		t.Fatal(err)
 	}
 	ec := a.CutEdge()
-	a.TickEdgeVar(ec, 1.0) // first tick of ec fires the swap (1 % 1 == 0)
+	a.TickEdgeVar(ec) // first tick of ec fires the swap (1 % 1 == 0)
 	mu1, mu2 := a.SideMeans()
 	if math.Abs(mu1-0.5) > 1e-12 || math.Abs(mu2-0.5) > 1e-12 {
 		t.Errorf("side means after exact swap = (%v, %v), want (0.5, 0.5)", mu1, mu2)
@@ -159,7 +153,7 @@ func TestSwapPaperWeightExchangesMeansOnEqualSides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.TickEdgeVar(a.CutEdge(), 1.0)
+	a.TickEdgeVar(a.CutEdge())
 	mu1, mu2 := a.SideMeans()
 	if math.Abs(mu1-(-1)) > 1e-12 || math.Abs(mu2-1) > 1e-12 {
 		t.Errorf("paper-weight swap on equal sides gave (%v, %v), want (-1, 1)", mu1, mu2)
@@ -176,7 +170,7 @@ func TestSwapPreservesSum(t *testing.T) {
 		}
 		sum0 := a.Mean() * float64(g.NumNodes())
 		for k := 0; k < 10; k++ {
-			a.TickEdgeVar(a.CutEdge(), float64(k))
+			a.TickEdgeVar(a.CutEdge())
 		}
 		if math.Abs(a.Mean()*float64(g.NumNodes())-sum0) > 1e-9 {
 			t.Errorf("rule %v: sum drifted", rule)
@@ -201,7 +195,7 @@ func TestNonDesignatedCutEdgeIsNoOp(t *testing.T) {
 		t.Fatal("no non-designated cut edge")
 	}
 	before := a.Values()
-	a.TickEdgeVar(other, 0.5)
+	a.TickEdgeVar(other)
 	after := a.Values()
 	for i := range before {
 		if before[i] != after[i] {
@@ -221,7 +215,7 @@ func TestInternalEdgeAverages(t *testing.T) {
 	if !ok {
 		t.Fatal("edge 0-1 missing")
 	}
-	a.TickEdgeVar(e, 0.1)
+	a.TickEdgeVar(e)
 	vals := a.Values()
 	if vals[0] != 3 || vals[1] != 3 {
 		t.Errorf("internal tick gave %v", vals[:2])
@@ -235,7 +229,7 @@ func TestSwapOnlyEveryKthTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 1; k <= 14; k++ {
-		a.TickEdgeVar(a.CutEdge(), float64(k))
+		a.TickEdgeVar(a.CutEdge())
 	}
 	if a.Swaps() != 2 { // ticks 5 and 10
 		t.Errorf("swaps = %d after 14 ticks with K=5, want 2", a.Swaps())
@@ -251,7 +245,7 @@ func TestSwapListener(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 1; k <= 6; k++ {
-		a.TickEdgeVar(a.CutEdge(), float64(k))
+		a.TickEdgeVar(a.CutEdge())
 	}
 	if len(events) != 3 {
 		t.Fatalf("listener saw %d events, want 3", len(events))
@@ -263,9 +257,6 @@ func TestSwapListener(t *testing.T) {
 		if ev.VarBefore < 0 || ev.VarAfter < 0 {
 			t.Error("negative variance in event")
 		}
-	}
-	if events[0].Time != 2 || events[1].Time != 4 {
-		t.Errorf("event times %v, %v; want 2, 4", events[0].Time, events[1].Time)
 	}
 }
 
@@ -312,7 +303,7 @@ func TestAllCutEdgesMode(t *testing.T) {
 	}
 	// Ticking each of the 4 cut edges once gives 4 shared ticks = 1 swap.
 	for _, id := range p.CutEdges() {
-		a.TickEdgeVar(id, 1)
+		a.TickEdgeVar(id)
 	}
 	if a.Swaps() != 1 {
 		t.Errorf("swaps = %d, want 1", a.Swaps())
@@ -364,8 +355,8 @@ func TestEpochFormulaMatchesPaper(t *testing.T) {
 
 // The fused kernel path must produce bit-identical value trajectories to
 // the per-event reference loop over HandleTick, including across
-// non-convex swaps, and the swap listeners must fire at identical times
-// and indices.
+// non-convex swaps, and the swap listeners must report identical indices
+// and variances.
 func TestAlgorithmAKernelBitIdenticalToHandleTick(t *testing.T) {
 	g, part, err := graph.Dumbbell(16, 16, 3)
 	if err != nil {
@@ -373,7 +364,6 @@ func TestAlgorithmAKernelBitIdenticalToHandleTick(t *testing.T) {
 	}
 	x0 := gossip.CutIndicator(part)
 	type swapRec struct {
-		at        float64
 		index     int64
 		varBefore float64
 		varAfter  float64
@@ -381,7 +371,7 @@ func TestAlgorithmAKernelBitIdenticalToHandleTick(t *testing.T) {
 	build := func(rec *[]swapRec) *SparseCutAveraging {
 		a, err := New(g, x0, WithPartition(part), WithEpochTicks(3),
 			WithSwapListener(func(ev SwapEvent) {
-				*rec = append(*rec, swapRec{at: ev.Time, index: ev.Index, varBefore: ev.VarBefore, varAfter: ev.VarAfter})
+				*rec = append(*rec, swapRec{index: ev.Index, varBefore: ev.VarBefore, varAfter: ev.VarAfter})
 			}))
 		if err != nil {
 			t.Fatal(err)
@@ -396,11 +386,11 @@ func TestAlgorithmAKernelBitIdenticalToHandleTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const events = 30000
-	ref.runEvents(legacy, events)
-	tF, _ := engF.RunEvents(events)
-	if ref.now != tF {
-		t.Fatalf("end time %v reference vs %v fused", ref.now, tF)
+	horizon := 30000 / float64(g.NumEdges()) // about 30,000 events
+	ref.runUntil(legacy, horizon)
+	tF, evF := engF.RunUntil(horizon)
+	if ref.now != tF || ref.events != evF {
+		t.Fatalf("(t, events) = (%v, %d) reference vs (%v, %d) fused", ref.now, ref.events, tF, evF)
 	}
 	if legacy.Swaps() == 0 {
 		t.Fatal("no swaps fired; test covers nothing")
@@ -444,8 +434,9 @@ func TestAlgorithmAKernelBitIdenticalAllCutEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newRefClock(g, 31).runEvents(legacy, 20000)
-	engF.RunEvents(20000)
+	horizon := 20000 / float64(g.NumEdges()) // about 20,000 events
+	newRefClock(g, 31).runUntil(legacy, horizon)
+	engF.RunUntil(horizon)
 	if legacy.Swaps() == 0 || legacy.Swaps() != fused.Swaps() {
 		t.Fatalf("swaps: %d legacy vs %d fused", legacy.Swaps(), fused.Swaps())
 	}
@@ -542,7 +533,7 @@ func TestTickChunkTrackedBitIdenticalToTickEdgeVar(t *testing.T) {
 					otherCut = otherCut || (oracle.isCut[e] && oracle.ec >= 0 && e != oracle.ec)
 					swaps := oracle.Swaps()
 					picks = append(picks, e)
-					vars = append(vars, oracle.TickEdgeVar(e, 0))
+					vars = append(vars, oracle.TickEdgeVar(e))
 					k := len(picks) - 1
 					if oracle.isCut[e] && firstCut < 0 {
 						firstCut = k

@@ -10,12 +10,11 @@ import (
 // delivers one tick at a time. The engine's fused loops are pinned to it
 // bit for bit in core_test.go.
 
-// HandleTick is Algorithm A's reference update for a tick of edge e at
-// simulated time t.
-func (a *SparseCutAveraging) HandleTick(e graph.EdgeID, t float64) {
+// HandleTick is Algorithm A's reference update for a tick of edge e.
+func (a *SparseCutAveraging) HandleTick(e graph.EdgeID) {
 	switch {
 	case e == a.ec || (a.ec < 0 && a.isCut[e]):
-		a.tickCut(e, t)
+		a.tickCut(e)
 	case a.isCut[e]:
 		// Non-designated cut edges make no update (paper, Section 1.0.1).
 	default:
@@ -44,15 +43,8 @@ func newRefClock(g *graph.Graph, seed uint64) *refClock {
 // tick delivers the next event to a.
 func (c *refClock) tick(a *SparseCutAveraging) {
 	c.now += c.r.ExpUnit() * c.inv
-	a.HandleTick(graph.EdgeID(c.r.Intn(c.m)), c.now)
+	a.HandleTick(graph.EdgeID(c.r.Intn(c.m)))
 	c.events++
-}
-
-// runEvents delivers events until n have been processed.
-func (c *refClock) runEvents(a *SparseCutAveraging, n int64) {
-	for c.events < n {
-		c.tick(a)
-	}
 }
 
 // runUntil delivers events until simulated time reaches maxT, testing the

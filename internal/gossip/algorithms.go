@@ -15,12 +15,12 @@ import (
 type Algorithm interface {
 	// Name identifies the algorithm in tables and traces.
 	Name() string
-	// TickEdges applies the algorithm's update for a batch of ticks:
-	// edges[k] ticked at times[k], in order.
-	TickEdges(edges []graph.EdgeID, times []float64)
-	// TickEdgeVar applies the update for one tick of edge e at simulated
-	// time t and returns the resulting Variance.
-	TickEdgeVar(e graph.EdgeID, t float64) float64
+	// TickEdges applies the algorithm's update for a batch of ticks, in
+	// order.
+	TickEdges(edges []graph.EdgeID)
+	// TickEdgeVar applies the update for one tick of edge e and returns the
+	// resulting Variance.
+	TickEdgeVar(e graph.EdgeID) float64
 	// Values returns a copy of the current value vector.
 	Values() []float64
 	// Mean returns the current average (invariant for sum-preserving
@@ -52,12 +52,12 @@ func (v *Vanilla) Name() string { return "vanilla" }
 
 // TickEdges implements sim.TickKernel: the fused batch loop, bit-identical
 // in the values to TickEdgeVar per event (moments resync on the next read).
-func (v *Vanilla) TickEdges(edges []graph.EdgeID, _ []float64) {
+func (v *Vanilla) TickEdges(edges []graph.EdgeID) {
 	v.st.AverageEdgesLazy(edges, v.eu, v.ev)
 }
 
 // TickEdgeVar implements sim.TickKernel: one tick, one moment read.
-func (v *Vanilla) TickEdgeVar(e graph.EdgeID, _ float64) float64 {
+func (v *Vanilla) TickEdgeVar(e graph.EdgeID) float64 {
 	v.st.AverageEdge(int(v.eu[e]), int(v.ev[e]))
 	return v.st.Variance()
 }
@@ -113,12 +113,12 @@ func (c *Convex) Alpha() float64 { return c.alpha }
 
 // TickEdges implements sim.TickKernel: the fused batch loop, bit-identical
 // in the values to TickEdgeVar per event (moments resync on the next read).
-func (c *Convex) TickEdges(edges []graph.EdgeID, _ []float64) {
+func (c *Convex) TickEdges(edges []graph.EdgeID) {
 	c.st.ConvexEdgesLazy(edges, c.eu, c.ev, c.alpha)
 }
 
 // TickEdgeVar implements sim.TickKernel: one tick, one moment read.
-func (c *Convex) TickEdgeVar(e graph.EdgeID, _ float64) float64 {
+func (c *Convex) TickEdgeVar(e graph.EdgeID) float64 {
 	c.st.ConvexEdge(int(c.eu[e]), int(c.ev[e]), c.alpha)
 	return c.st.Variance()
 }
@@ -195,14 +195,14 @@ func (p *PushSum) push(e graph.EdgeID) (from, to int, estFrom, estTo float64) {
 
 // TickEdges implements sim.TickKernel (estimate moments deferred to the
 // next moment read).
-func (p *PushSum) TickEdges(edges []graph.EdgeID, _ []float64) {
+func (p *PushSum) TickEdges(edges []graph.EdgeID) {
 	for _, e := range edges {
 		p.est.Set2Lazy(p.push(e))
 	}
 }
 
 // TickEdgeVar implements sim.TickKernel.
-func (p *PushSum) TickEdgeVar(e graph.EdgeID, _ float64) float64 {
+func (p *PushSum) TickEdgeVar(e graph.EdgeID) float64 {
 	p.est.Set2(p.push(e))
 	return p.est.Variance()
 }

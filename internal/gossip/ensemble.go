@@ -18,11 +18,10 @@ type Ensemble struct {
 	runs []Run
 }
 
-// Run is one single run as an Ensemble drives it: an Algorithm whose
-// TickEdges accepts nil times (the untracked chunk), plus a tracked chunk
-// that applies the ticks with eager per-event moments and returns the
-// index within edges of the last event whose post-tick variance exceeded
-// level (-1 if none did) and the post-chunk variance.
+// Run is one single run as an Ensemble drives it: an Algorithm plus a
+// tracked chunk that applies the ticks with eager per-event moments and
+// returns the index within edges of the last event whose post-tick
+// variance exceeded level (-1 if none did) and the post-chunk variance.
 type Run interface {
 	Algorithm
 	TickChunkTracked(edges []graph.EdgeID, level float64) (lastIdx int, endVar float64)
@@ -74,11 +73,6 @@ func NewPushSumEnsemble(g *graph.Graph, x0 []float64, streams []*rng.RNG) (*Ense
 
 // Replicas implements sim.BatchKernel.
 func (e *Ensemble) Replicas() int { return len(e.runs) }
-
-// TickChunk implements sim.BatchKernel: the run's untracked TickEdges.
-func (e *Ensemble) TickChunk(rep int, edges []graph.EdgeID) {
-	e.runs[rep].TickEdges(edges, nil)
-}
 
 // TickChunkTracked implements sim.BatchKernel.
 func (e *Ensemble) TickChunkTracked(rep int, edges []graph.EdgeID, exceedLevel float64) (lastIdx int, endVar float64) {

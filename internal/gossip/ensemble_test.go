@@ -122,8 +122,8 @@ func TestConvexHalfIsVanilla(t *testing.T) {
 			}
 			exceeded = exceeded || vi >= 0
 			quiet = quiet || vi < 0
-			vanLazy.TickChunk(rep, chunk)
-			cvxLazy.TickChunk(rep, chunk)
+			vanLazy.runs[rep].TickEdges(chunk)
+			cvxLazy.runs[rep].TickEdges(chunk)
 			for _, e := range chunk {
 				vanSt.AverageEdge(int(eu[e]), int(ev[e]))
 				cvxSt.ConvexEdge(int(eu[e]), int(ev[e]), 0.5)
@@ -192,7 +192,7 @@ func TestBatchLazyMatchesTracked(t *testing.T) {
 	lazy := mustEnsemble(NewVanillaEnsemble(g, x0, 2))
 	eager := mustEnsemble(NewVanillaEnsemble(g, x0, 2))
 	for lo := 0; lo < len(picks); lo += 256 {
-		lazy.TickChunk(1, picks[lo:lo+256])
+		lazy.runs[1].TickEdges(picks[lo : lo+256])
 		eager.TickChunkTracked(1, picks[lo:lo+256], 0.1)
 	}
 	a, b := lazy.Values(1), eager.Values(1)
@@ -289,8 +289,8 @@ func TestBatchReplicaIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	picks := randomPicks(77, g, 512)
-	ens.TickChunk(0, picks[:256])
-	ens.TickChunk(2, picks[256:])
+	ens.runs[0].TickEdges(picks[:256])
+	ens.runs[2].TickEdges(picks[256:])
 	row := ens.Values(1)
 	for i, v := range row {
 		if v != x0[i] {

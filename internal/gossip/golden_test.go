@@ -10,15 +10,6 @@ import (
 	"sparsecut/internal/rng"
 )
 
-// goldenEnsemble is the part of an ensemble the golden digest drives: the
-// untracked and tracked chunk paths and the two reads.
-type goldenEnsemble interface {
-	TickChunk(rep int, edges []graph.EdgeID)
-	TickChunkTracked(rep int, edges []graph.EdgeID, exceedLevel float64) (lastIdx int, endVar float64)
-	ReplicaVariance(rep int) float64
-	Values(rep int) []float64
-}
-
 // TestEnsembleGoldenDigest pins the replica-batched chunk paths across a
 // moment resync: 48,000 events per replica in ragged 300-event chunks.
 // Every seventh of the first 40 chunks runs untracked, so the next tracked
@@ -40,11 +31,11 @@ func TestEnsembleGoldenDigest(t *testing.T) {
 	cases := []struct {
 		name string
 		want uint64
-		make func() (goldenEnsemble, error)
+		make func() (*Ensemble, error)
 	}{
-		{"vanilla", 0xdd3b2b4a5f3ba896, func() (goldenEnsemble, error) { return NewVanillaEnsemble(g, x0, replicas) }},
-		{"convex", 0xfe8a2b03a0d78f1d, func() (goldenEnsemble, error) { return NewConvexEnsemble(g, x0, 0.73, replicas) }},
-		{"pushsum", 0x5d961ef3cb9edabd, func() (goldenEnsemble, error) {
+		{"vanilla", 0xdd3b2b4a5f3ba896, func() (*Ensemble, error) { return NewVanillaEnsemble(g, x0, replicas) }},
+		{"convex", 0xfe8a2b03a0d78f1d, func() (*Ensemble, error) { return NewConvexEnsemble(g, x0, 0.73, replicas) }},
+		{"pushsum", 0x5d961ef3cb9edabd, func() (*Ensemble, error) {
 			return NewPushSumEnsemble(g, x0, []*rng.RNG{rng.New(21), rng.New(22)})
 		}},
 	}
@@ -67,7 +58,7 @@ func TestEnsembleGoldenDigest(t *testing.T) {
 				for rep := range replicas {
 					c := picks[rep][lo:min(lo+chunk, events)]
 					if k < 40 && k%7 == 6 {
-						ens.TickChunk(rep, c)
+						ens.runs[rep].TickEdges(c)
 						continue
 					}
 					idx, endVar := ens.TickChunkTracked(rep, c, level)

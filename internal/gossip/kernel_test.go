@@ -30,7 +30,7 @@ func refBuilders(g *graph.Graph, x0 []float64) []refBuilder {
 	}
 }
 
-// The fused batch loop (RunEvents + TickEdges) must produce bit-identical
+// The fused batch loop (RunUntil + TickEdges) must produce bit-identical
 // value trajectories to the per-event reference loop over HandleTick, for
 // the same seed.
 func TestKernelBitIdenticalToHandleTick(t *testing.T) {
@@ -39,7 +39,7 @@ func TestKernelBitIdenticalToHandleTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	x0 := CutIndicator(part)
-	const events = 20000
+	horizon := 20000 / float64(g.NumEdges()) // about 20,000 events
 	for _, b := range refBuilders(g, x0) {
 		legacy, err := b.make()
 		if err != nil {
@@ -54,10 +54,10 @@ func TestKernelBitIdenticalToHandleTick(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref.runEvents(legacy, events)
-		tF, _ := engF.RunEvents(events)
-		if ref.now != tF {
-			t.Fatalf("%s: end time %v reference vs %v fused", b.name, ref.now, tF)
+		ref.runUntil(legacy, horizon)
+		tF, evF := engF.RunUntil(horizon)
+		if ref.now != tF || ref.events != evF {
+			t.Fatalf("%s: (t, events) = (%v, %d) reference vs (%v, %d) fused", b.name, ref.now, ref.events, tF, evF)
 		}
 		vL, vF := legacy.Values(), fused.Values()
 		for i := range vL {

@@ -7,9 +7,9 @@ import (
 
 // The per-event reference: each algorithm's update rule written out once
 // more in its plain unfused form (State.Get/Set per endpoint), and a loop
-// that delivers one tick at a time. The engine's fused loops (RunEvents,
-// RunUntil, RunTracked over TickEdges/TickEdgeVar) are pinned to it bit for
-// bit in kernel_test.go.
+// that delivers one tick at a time. The engine's loops (RunUntil over
+// TickEdges, RunTracked over TickEdgeVar) are pinned to it bit for bit in
+// kernel_test.go.
 
 // HandleTick is vanilla's reference update for a tick of edge e.
 func (v *Vanilla) HandleTick(e graph.EdgeID, _ float64) {
@@ -66,13 +66,6 @@ func (c *refClock) tick(h handler) {
 	c.now += c.r.ExpUnit() * c.inv
 	h.HandleTick(graph.EdgeID(c.r.Intn(c.m)), c.now)
 	c.events++
-}
-
-// runEvents delivers events until n have been processed.
-func (c *refClock) runEvents(h handler, n int64) {
-	for c.events < n {
-		c.tick(h)
-	}
 }
 
 // runUntil delivers events until simulated time reaches maxT, testing the

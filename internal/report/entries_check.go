@@ -344,7 +344,7 @@ func swapContraction(g *graph.Graph, part *graph.Partition, weight float64) (flo
 	}
 	mu1a, mu2a := alg.SideMeans()
 	before := math.Abs(mu1a) + math.Abs(mu2a)
-	alg.TickEdgeVar(alg.CutEdge(), 1)
+	alg.TickEdgeVar(alg.CutEdge())
 	mu1b, mu2b := alg.SideMeans()
 	after := math.Abs(mu1b) + math.Abs(mu2b)
 	return after / before, nil
@@ -512,7 +512,7 @@ func runE12(p Params) (Section, error) {
 		d := rule.Delta(e, a, vals[a], vals[b])
 		vals[a] += d
 		vals[b] -= d
-		alg.TickEdgeVar(e, float64(i))
+		alg.TickEdgeVar(e)
 		for u, x := range alg.Values() {
 			if div := math.Abs(x - vals[u]); div > maxDiv {
 				maxDiv = div

@@ -20,10 +20,6 @@ import (
 type BatchKernel interface {
 	// Replicas returns the batch width R.
 	Replicas() int
-	// TickChunk applies the algorithm's update for a chunk of ticks of
-	// replica rep, values only (moment bookkeeping may be deferred) — the
-	// untracked fast path.
-	TickChunk(rep int, edges []graph.EdgeID)
 	// TickChunkTracked applies the chunk with eager per-event moments and
 	// returns the index within edges of the last event whose post-tick
 	// variance exceeded exceedLevel (-1 when none did), together with the
@@ -58,16 +54,13 @@ const chunkSize = batchSize
 // chunk only. The per-event Engine remains the distribution-reference
 // oracle; the avgtime package KS-tests the two against each other.
 type BatchEngine struct {
-	g        *graph.Graph
-	kern     BatchKernel
-	uniform  bool
-	numEdges int
-	alias    *aliasTable // nil when uniform
-	invTotal float64
-	reps     []batchReplica
-	picks    []graph.EdgeID   // chunk scratch, shared across replicas
-	observe  func(BatchStats) // nil unless WithBatchObserver; per-pass, never per-event
-	chunks   int64
+	rateClock
+	g       *graph.Graph
+	kern    BatchKernel
+	reps    []batchReplica
+	picks   []graph.EdgeID   // chunk scratch, shared across replicas
+	observe func(BatchStats) // nil unless WithBatchObserver; per-pass, never per-event
+	chunks  int64
 }
 
 type batchReplica struct {
@@ -105,7 +98,7 @@ type batchConfig struct {
 }
 
 // WithBatchObserver installs a telemetry callback invoked once per
-// round-robin pass of RunEvents and RunTracked. The observer must not
+// round-robin pass of RunTracked. The observer must not
 // retain the stats value's address and must be fast — it runs on the
 // simulation goroutine. It never touches the per-event path and never
 // consumes randomness, so installing one cannot perturb any replica
@@ -140,46 +133,18 @@ func NewBatchEngine(g *graph.Graph, kern BatchKernel, streams []*rng.RNG, opts .
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	rates := cfg.rates
-	if rates == nil {
-		rates = make([]float64, g.NumEdges())
-		for i := range rates {
-			rates[i] = 1
-		}
-	}
-	if len(rates) != g.NumEdges() {
-		return nil, fmt.Errorf("sim: %d rates for %d edges", len(rates), g.NumEdges())
-	}
-	for i, r := range rates {
-		if r <= 0 || math.IsNaN(r) || math.IsInf(r, 0) {
-			return nil, fmt.Errorf("sim: invalid rate %v for edge %d", r, i)
-		}
+	clock, err := newRateClock(g, cfg.rates)
+	if err != nil {
+		return nil, err
 	}
 	be := &BatchEngine{
-		g:        g,
-		kern:     kern,
-		uniform:  true,
-		numEdges: g.NumEdges(),
-		reps:     make([]batchReplica, len(streams)),
-		picks:    make([]graph.EdgeID, chunkSize),
+		rateClock: clock,
+		g:         g,
+		kern:      kern,
+		reps:      make([]batchReplica, len(streams)),
+		picks:     make([]graph.EdgeID, chunkSize),
+		observe:   cfg.observe,
 	}
-	for _, r := range rates {
-		if r != rates[0] {
-			be.uniform = false
-			break
-		}
-	}
-	total := 0.0
-	if be.uniform {
-		total = rates[0] * float64(len(rates))
-	} else {
-		be.alias = newAliasTable(rates)
-		for _, r := range rates {
-			total += r
-		}
-	}
-	be.invTotal = 1 / total
-	be.observe = cfg.observe
 	for rep, r := range streams {
 		if r == nil {
 			return nil, fmt.Errorf("sim: replica %d stream is nil", rep)
@@ -202,65 +167,6 @@ func (be *BatchEngine) Events() int64 {
 		n += be.reps[i].events
 	}
 	return n
-}
-
-// ReplicaNow returns replica rep's current simulated time.
-func (be *BatchEngine) ReplicaNow(rep int) float64 { return be.reps[rep].now }
-
-// ReplicaEvents returns replica rep's tick count.
-func (be *BatchEngine) ReplicaEvents(rep int) int64 { return be.reps[rep].events }
-
-// fillPicks samples one ticking edge per event into dst from the replica
-// stream r — rng.FillIntn for the uniform-rate case, the shared alias
-// table otherwise. This is the only per-event randomness of the bridged
-// path.
-func (be *BatchEngine) fillPicks(r *rng.RNG, dst []graph.EdgeID) {
-	if be.uniform {
-		rng.FillIntn(r, dst, be.numEdges)
-		return
-	}
-	al := be.alias
-	for k := range dst {
-		dst[k] = graph.EdgeID(al.pick(r))
-	}
-}
-
-// RunEvents advances every replica by exactly n further events (untracked:
-// lazy moments, bridged clocks). Chunks are interleaved across replicas in
-// round-robin order; per-replica trajectories do not depend on the
-// interleaving.
-func (be *BatchEngine) RunEvents(n int64) {
-	target := make([]int64, len(be.reps))
-	for rep := range be.reps {
-		target[rep] = be.reps[rep].events + n
-	}
-	for {
-		active := 0
-		minNow := math.Inf(1)
-		for rep := range be.reps {
-			r := &be.reps[rep]
-			if r.events >= target[rep] {
-				continue
-			}
-			active++
-			m := int(min(target[rep]-r.events, chunkSize))
-			picks := be.picks[:m]
-			be.fillPicks(r.r, picks)
-			be.kern.TickChunk(rep, picks)
-			r.now += r.r.GammaInt(m) * be.invTotal
-			r.events += int64(m)
-			be.chunks++
-			if r.now < minNow {
-				minNow = r.now
-			}
-		}
-		if active == 0 {
-			return
-		}
-		if be.observe != nil {
-			be.observe(BatchStats{Events: be.Events(), Chunks: be.chunks, Active: active, Now: minNow})
-		}
-	}
 }
 
 // RunTracked drives every replica under the averaging-time stop rule of

@@ -37,13 +37,13 @@ func streamsFor(seeds []uint64) []*rng.RNG {
 	return streams
 }
 
-// A replica's untracked trajectory must be byte-identical whether it runs
-// alone (R=1) or interleaved in a wide batch (R=8) — values, clock and
-// event count.
+// A replica's trajectory must be byte-identical whether it runs alone
+// (R=1) or interleaved in a wide batch (R=8) — values, clock and event
+// count — on a run stopped by MaxTime alone.
 func TestBatchEngineWidthDeterminism(t *testing.T) {
 	g, x0 := batchFixture(t)
 	seeds := replicaSeeds(8)
-	const events = 5000
+	horizon := Tracked{MaxTime: 5000 / float64(g.NumEdges())}
 
 	wide, err := gossip.NewVanillaEnsemble(g, x0, len(seeds))
 	if err != nil {
@@ -53,7 +53,7 @@ func TestBatchEngineWidthDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.RunEvents(events)
+	eng.RunTracked(horizon)
 
 	for rep, seed := range seeds {
 		solo, err := gossip.NewVanillaEnsemble(g, x0, 1)
@@ -64,18 +64,15 @@ func TestBatchEngineWidthDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		soloEng.RunEvents(events)
+		soloEng.RunTracked(horizon)
 		a, b := wide.Values(rep), solo.Values(0)
 		for i := range a {
 			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 				t.Fatalf("replica %d node %d: %v wide vs %v solo", rep, i, a[i], b[i])
 			}
 		}
-		if eng.ReplicaNow(rep) != soloEng.ReplicaNow(0) {
-			t.Errorf("replica %d clock: %v wide vs %v solo", rep, eng.ReplicaNow(rep), soloEng.ReplicaNow(0))
-		}
-		if eng.ReplicaEvents(rep) != soloEng.ReplicaEvents(0) {
-			t.Errorf("replica %d events: %d wide vs %d solo", rep, eng.ReplicaEvents(rep), soloEng.ReplicaEvents(0))
+		if w, s := eng.reps[rep], soloEng.reps[0]; w.now != s.now || w.events != s.events {
+			t.Errorf("replica %d (clock, events): (%v, %d) wide vs (%v, %d) solo", rep, w.now, w.events, s.now, s.events)
 		}
 	}
 }
@@ -159,21 +156,18 @@ func TestBatchRunTrackedCensors(t *testing.T) {
 // scaled by the mean gap, so the cross-replica average must match n/|E|
 // within Monte-Carlo tolerance.
 func TestBatchBridgedClockMean(t *testing.T) {
-	g, x0 := batchFixture(t)
+	g, _ := batchFixture(t)
 	const replicas, events = 32, 4096
-	ens, err := gossip.NewVanillaEnsemble(g, x0, replicas)
+	kern := newCountingKernel(g, replicas, events/chunkSize)
+	eng, err := NewBatchEngine(g, kern, streamsFor(replicaSeeds(replicas)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewBatchEngine(g, ens, streamsFor(replicaSeeds(replicas)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.RunEvents(events)
+	eng.RunTracked(kern.tracked())
 	want := float64(events) / float64(g.NumEdges())
 	mean := 0.0
 	for rep := 0; rep < replicas; rep++ {
-		mean += eng.ReplicaNow(rep)
+		mean += eng.reps[rep].now
 	}
 	mean /= replicas
 	// Each replica clock has sd want/sqrt(events); the mean of 32 shrinks
@@ -187,24 +181,39 @@ func TestBatchBridgedClockMean(t *testing.T) {
 	}
 }
 
-// countingKernel tallies edge picks — for verifying the heterogeneous
-// (alias) pick path against the rate vector.
+// countingKernel tallies edge picks, and reports a variance of 1 for the
+// first budget chunks of each replica and 0 after, so that under its
+// tracked() stop rule every replica advances by exactly budget chunks.
 type countingKernel struct {
-	replicas int
-	counts   []int64
+	budget int
+	counts []int64
+	chunks []int // per replica
 }
 
-func (k *countingKernel) Replicas() int { return k.replicas }
-func (k *countingKernel) TickChunk(_ int, edges []graph.EdgeID) {
+func newCountingKernel(g *graph.Graph, replicas, budget int) *countingKernel {
+	return &countingKernel{budget: budget, counts: make([]int64, g.NumEdges()), chunks: make([]int, replicas)}
+}
+
+func (k *countingKernel) Replicas() int { return len(k.chunks) }
+func (k *countingKernel) TickChunkTracked(rep int, edges []graph.EdgeID, _ float64) (int, float64) {
 	for _, e := range edges {
 		k.counts[e]++
 	}
+	k.chunks[rep]++
+	return -1, k.ReplicaVariance(rep)
 }
-func (k *countingKernel) TickChunkTracked(rep int, edges []graph.EdgeID, _ float64) (int, float64) {
-	k.TickChunk(rep, edges)
-	return -1, 0
+func (k *countingKernel) ReplicaVariance(rep int) float64 {
+	if k.chunks[rep] < k.budget {
+		return 1
+	}
+	return 0
 }
-func (k *countingKernel) ReplicaVariance(int) float64 { return 0 }
+
+// tracked stops a replica once its variance reads 0, with no exceedances
+// and no quiet period.
+func (k *countingKernel) tracked() Tracked {
+	return Tracked{ExceedLevel: 2, StopLevel: 0.5, MaxTime: math.Inf(1)}
+}
 
 // Heterogeneous rates route picks through the shared alias table: edge
 // frequencies must be proportional to the rates.
@@ -217,13 +226,17 @@ func TestBatchEngineHeterogeneousRates(t *testing.T) {
 		rates[i] = 0.5 + 1.5*r.Float64()
 		total += rates[i]
 	}
-	kern := &countingKernel{replicas: 4, counts: make([]int64, g.NumEdges())}
-	eng, err := NewBatchEngine(g, kern, streamsFor(replicaSeeds(4)), WithBatchRates(rates))
+	const replicas, budget = 4, 196
+	const events = replicas * budget * chunkSize // ~200,000
+	kern := newCountingKernel(g, replicas, budget)
+	eng, err := NewBatchEngine(g, kern, streamsFor(replicaSeeds(replicas)), WithBatchRates(rates))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const events = 200000
-	eng.RunEvents(events / 4)
+	eng.RunTracked(kern.tracked())
+	if eng.Events() != events {
+		t.Fatalf("ran %d events, want %d", eng.Events(), events)
+	}
 	for e, rate := range rates {
 		want := float64(events) * rate / total
 		if sigma := math.Sqrt(want); math.Abs(float64(kern.counts[e])-want) > 6*sigma {
@@ -261,12 +274,12 @@ func TestBatchEngineValidation(t *testing.T) {
 }
 
 // An installed observer must be telemetry-only: replica trajectories stay
-// byte-identical, the meters it sees are monotone, and the final reading
-// matches the engine's own accounting.
+// byte-identical on a run stopped by MaxTime alone, the meters it sees are
+// monotone, and the final reading matches the engine's own accounting.
 func TestBatchObserverInert(t *testing.T) {
 	g, x0 := batchFixture(t)
 	seeds := replicaSeeds(4)
-	const events = 3000
+	horizon := Tracked{MaxTime: 3000 / float64(g.NumEdges())}
 
 	run := func(opts ...BatchOption) (*gossip.Ensemble, *BatchEngine) {
 		kern, err := gossip.NewVanillaEnsemble(g, x0, len(seeds))
@@ -277,7 +290,7 @@ func TestBatchObserverInert(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.RunEvents(events)
+		eng.RunTracked(horizon)
 		return kern, eng
 	}
 
@@ -294,7 +307,7 @@ func TestBatchObserverInert(t *testing.T) {
 				t.Fatalf("replica %d node %d diverged under observation: %v vs %v", rep, i, a[i], b[i])
 			}
 		}
-		if plainEng.ReplicaNow(rep) != obsEng.ReplicaNow(rep) {
+		if plainEng.reps[rep].now != obsEng.reps[rep].now {
 			t.Errorf("replica %d clock diverged under observation", rep)
 		}
 	}

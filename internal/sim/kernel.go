@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"math/bits"
 
 	"sparsecut/internal/graph"
@@ -16,47 +15,40 @@ import (
 // values for the same event sequence; the package tests of the algorithms
 // pin both to a per-event reference loop over the unfused update rule.
 type TickKernel interface {
-	// TickEdges applies the algorithm's update for a batch of ticks:
-	// edges[k] ticked at times[k], in order. len(times) == len(edges).
-	TickEdges(edges []graph.EdgeID, times []float64)
+	// TickEdges applies the algorithm's update for a batch of ticks, in
+	// order.
+	TickEdges(edges []graph.EdgeID)
 	// TickEdgeVar applies a single tick and returns the resulting
 	// population variance of the value vector — one moment read per event,
 	// for tracked runs (averaging-time estimation).
-	TickEdgeVar(e graph.EdgeID, t float64) float64
+	TickEdgeVar(e graph.EdgeID) float64
 	// Variance returns the current population variance without ticking.
 	Variance() float64
 }
 
 // batchSize is the number of events sampled ahead of each fused kernel
-// call. Scratch cost is two small arrays per engine; larger batches stop
+// call. Scratch cost is one small array per engine; larger batches stop
 // paying once the virtual-dispatch amortisation is negligible.
 const batchSize = 256
 
-func (e *Engine) ensureBatch() {
-	if e.batchE == nil {
-		e.batchE = make([]graph.EdgeID, batchSize)
-		e.batchT = make([]float64, batchSize)
-	}
-}
-
-// fillUntil samples up to max events into the batch scratch, advancing the
-// simulated clock, stopping after the first event whose time reaches maxT
-// (that event is included: like RunTracked, the loop tests the clock
-// before each event, not after; pass maxT = +Inf for a pure event-count
-// fill). It returns the number of events sampled.
+// fillUntil samples up to batchSize events into the batch scratch,
+// advancing the simulated clock, stopping after the first event whose time
+// reaches maxT (that event is included: like RunTracked, the loop tests
+// the clock before each event, not after). It returns the number of events
+// sampled.
 //
 // This is the single fused sampling loop: the global-clock draws are
 // inlined — ziggurat fast path + Lemire pick replicated bit-for-bit in
 // exactly the draw order of globalScheduler.next() — so the batched and
 // per-event loops consume identical random streams (the kernel equivalence
 // tests enforce this).
-func (e *Engine) fillUntil(max int, maxT float64) int {
+func (e *Engine) fillUntil(maxT float64) int {
 	n := 0
 	gs := e.sched
 	r, inv, now := gs.r, gs.invTotal, gs.now
 	bound := uint64(gs.numEdges)
 	uniform, al := gs.uniform, gs.alias
-	for n < max && now < maxT {
+	for n < batchSize && now < maxT {
 		// Inline ziggurat common case (rng.ExpUnit), shared slow
 		// finisher on the rare branch.
 		u := r.Uint64()
@@ -65,7 +57,6 @@ func (e *Engine) fillUntil(max int, maxT float64) int {
 			g = r.ExpUnitSlow(u)
 		}
 		now += g * inv
-		e.batchT[n] = now
 		if uniform {
 			// Inline Lemire pick (rng.Intn), shared rejection finisher.
 			hi, lo := bits.Mul64(r.Uint64(), bound)
@@ -78,33 +69,19 @@ func (e *Engine) fillUntil(max int, maxT float64) int {
 		}
 		n++
 	}
-	gs.now = now
-	if n > 0 {
-		e.now = e.batchT[n-1]
-	}
+	gs.now, e.now = now, now
 	return n
-}
-
-// RunEvents processes events in fused batches until the cumulative event
-// count reaches n. It may be called repeatedly; simulated time continues
-// from where the previous call stopped.
-func (e *Engine) RunEvents(n int64) (t float64, events int64) {
-	e.ensureBatch()
-	for e.events < n {
-		b := e.fillUntil(int(min(n-e.events, batchSize)), math.Inf(1))
-		e.kern.TickEdges(e.batchE[:b], e.batchT[:b])
-		e.events += int64(b)
-	}
-	return e.now, e.events
 }
 
 // RunUntil processes events in fused batches until simulated time reaches
 // maxT: the last event processed is the first at or past maxT.
 func (e *Engine) RunUntil(maxT float64) (t float64, events int64) {
-	e.ensureBatch()
+	if e.batchE == nil {
+		e.batchE = make([]graph.EdgeID, batchSize)
+	}
 	for e.now < maxT {
-		b := e.fillUntil(batchSize, maxT)
-		e.kern.TickEdges(e.batchE[:b], e.batchT[:b])
+		b := e.fillUntil(maxT)
+		e.kern.TickEdges(e.batchE[:b])
 		e.events += int64(b)
 	}
 	return e.now, e.events
@@ -158,7 +135,7 @@ func (e *Engine) RunTracked(cfg Tracked) TrackedResult {
 		}
 		edge, at := e.sched.next()
 		e.now = at
-		v = e.kern.TickEdgeVar(edge, at)
+		v = e.kern.TickEdgeVar(edge)
 		if v > cfg.ExceedLevel {
 			lastExceed = at
 		}

@@ -19,7 +19,7 @@ import (
 // j ticks and picks i (rate 1 · 1/deg(j)). The paper's footnote observes
 // the reverse reduction ("allocating edges to nodes and equipping nodes
 // with multiple i.i.d poisson clocks"); NodeClockRates implements the
-// forward one, so any Handler written for this package runs unchanged
+// forward one, so any TickKernel runs unchanged
 // under the node-clock model:
 //
 //	rates := sim.NodeClockRates(g)
@@ -42,15 +42,4 @@ func NodeClockRates(g *graph.Graph) []float64 {
 		rates[id] = 1/float64(du) + 1/float64(dv)
 	}
 	return rates
-}
-
-// TotalNodeClockRate returns the sum of NodeClockRates, which must equal
-// the number of non-isolated nodes (each node ticks at rate 1 and always
-// selects exactly one incident edge). Exposed for tests and sanity checks.
-func TotalNodeClockRate(g *graph.Graph) float64 {
-	total := 0.0
-	for _, r := range NodeClockRates(g) {
-		total += r
-	}
-	return total
 }

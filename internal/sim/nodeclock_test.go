@@ -30,11 +30,17 @@ func TestNodeClockRatesRegularGraph(t *testing.T) {
 	}
 }
 
-func TestTotalNodeClockRateEqualsN(t *testing.T) {
+// Each node ticks at rate 1 and always selects exactly one incident edge,
+// so the node-clock rates sum to the number of non-isolated nodes.
+func TestNodeClockRatesSumToN(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		graph.Complete(7), graph.Path(9), graph.Star(6), graph.Grid(3, 4),
 	} {
-		if got := TotalNodeClockRate(g); math.Abs(got-float64(g.NumNodes())) > 1e-9 {
+		got := 0.0
+		for _, r := range NodeClockRates(g) {
+			got += r
+		}
+		if math.Abs(got-float64(g.NumNodes())) > 1e-9 {
 			t.Errorf("%s: total rate %v, want %d", g, got, g.NumNodes())
 		}
 	}

@@ -1,44 +1,83 @@
 package sim
 
 import (
+	"fmt"
+	"math"
+
 	"sparsecut/internal/graph"
 	"sparsecut/internal/rng"
 )
 
-// globalScheduler superposes all edge clocks into one Poisson stream at the
-// total rate; each event picks an edge with probability proportional to its
-// rate. Uniform rates use a constant-time Lemire pick; heterogeneous rates
-// use a Walker alias table — also O(1) per event, replacing the former
-// per-event binary search (kept in the package tests as the reference the
-// alias table is cross-checked against).
-type globalScheduler struct {
-	r         *rng.RNG
-	totalRate float64
-	invTotal  float64
-	now       float64
-	uniform   bool
-	numEdges  int
-	alias     *aliasTable // nil when uniform
+// rateClock is the superposed edge clock both engines sample: all edge
+// clocks as one Poisson stream at the total rate, each event picking an
+// edge with probability proportional to its rate. Uniform rates use a
+// constant-time Lemire pick; heterogeneous rates use a Walker alias table —
+// also O(1) per event, replacing the former per-event binary search (kept
+// in the package tests as the reference the alias table is cross-checked
+// against).
+type rateClock struct {
+	uniform  bool
+	numEdges int
+	alias    *aliasTable // nil when uniform
+	invTotal float64     // mean gap between events
 }
 
-func newGlobalScheduler(rates []float64, r *rng.RNG) *globalScheduler {
-	s := &globalScheduler{r: r, numEdges: len(rates), uniform: true}
+// newRateClock validates per-edge rates for g (nil means rate 1 on every
+// edge, as in the paper) and builds the clock.
+func newRateClock(g *graph.Graph, rates []float64) (rateClock, error) {
+	if rates == nil {
+		rates = make([]float64, g.NumEdges())
+		for i := range rates {
+			rates[i] = 1
+		}
+	}
+	if len(rates) != g.NumEdges() {
+		return rateClock{}, fmt.Errorf("sim: %d rates for %d edges", len(rates), g.NumEdges())
+	}
+	for i, r := range rates {
+		if r <= 0 || math.IsNaN(r) || math.IsInf(r, 0) {
+			return rateClock{}, fmt.Errorf("sim: invalid rate %v for edge %d", r, i)
+		}
+	}
+	c := rateClock{numEdges: len(rates), uniform: true}
 	for _, rate := range rates {
 		if rate != rates[0] {
-			s.uniform = false
+			c.uniform = false
 			break
 		}
 	}
-	if s.uniform {
-		s.totalRate = rates[0] * float64(len(rates))
+	total := 0.0
+	if c.uniform {
+		total = rates[0] * float64(len(rates))
 	} else {
-		s.alias = newAliasTable(rates)
+		c.alias = newAliasTable(rates)
 		for _, rate := range rates {
-			s.totalRate += rate
+			total += rate
 		}
 	}
-	s.invTotal = 1 / s.totalRate
-	return s
+	c.invTotal = 1 / total
+	return c, nil
+}
+
+// fillPicks samples one ticking edge per event into dst from r —
+// rng.FillIntn for the uniform-rate case, the alias table otherwise.
+func (c *rateClock) fillPicks(r *rng.RNG, dst []graph.EdgeID) {
+	if c.uniform {
+		rng.FillIntn(r, dst, c.numEdges)
+		return
+	}
+	al := c.alias
+	for k := range dst {
+		dst[k] = graph.EdgeID(al.pick(r))
+	}
+}
+
+// globalScheduler is the per-event engine's rate clock with its stream
+// and its simulated time.
+type globalScheduler struct {
+	rateClock
+	r   *rng.RNG
+	now float64
 }
 
 func (s *globalScheduler) next() (graph.EdgeID, float64) {

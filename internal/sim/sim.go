@@ -12,23 +12,24 @@
 // over the algorithms' unfused update rules lives in the test files, which
 // pin the fused loops to it bit for bit.
 //
-// Key types: Engine (fused per-event loops), BatchEngine (replica-batched,
-// Poisson time-bridging), ShardEngine (sharded PDES). The timing model is
-// DESIGN.md §2; the engines are §6, §8 and §13.
+// Key types: Engine (two per-event loops: RunUntil in fused batches with
+// lazy moments, RunTracked with one variance read per event), BatchEngine
+// (replica-batched, Poisson time-bridging, one tracked loop), ShardEngine
+// (sharded PDES). The timing model is DESIGN.md §2; the engines are §6, §8
+// and §13.
 package sim
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"sparsecut/internal/graph"
 	"sparsecut/internal/rng"
 )
 
 // Engine drives a TickKernel with Poisson edge ticks on a fixed graph:
-// RunEvents and RunUntil in fused batches, RunTracked one event at a time
-// with a variance read per event — see kernel.go.
+// RunUntil in fused batches with lazy moments, RunTracked one event at a
+// time with a variance read per event — see kernel.go.
 type Engine struct {
 	g      *graph.Graph
 	kern   TickKernel
@@ -38,7 +39,6 @@ type Engine struct {
 
 	// Scratch for the fused kernel path, allocated once on first use.
 	batchE []graph.EdgeID
-	batchT []float64
 }
 
 // Option configures NewEngine.
@@ -85,25 +85,14 @@ func NewEngine(g *graph.Graph, kern TickKernel, opts ...Option) (*Engine, error)
 	if cfg.rand == nil {
 		cfg.rand = rng.New(cfg.seed)
 	}
-	rates := cfg.rates
-	if rates == nil {
-		rates = make([]float64, g.NumEdges())
-		for i := range rates {
-			rates[i] = 1
-		}
-	}
-	if len(rates) != g.NumEdges() {
-		return nil, fmt.Errorf("sim: %d rates for %d edges", len(rates), g.NumEdges())
-	}
-	for i, r := range rates {
-		if r <= 0 || math.IsNaN(r) || math.IsInf(r, 0) {
-			return nil, fmt.Errorf("sim: invalid rate %v for edge %d", r, i)
-		}
+	clock, err := newRateClock(g, cfg.rates)
+	if err != nil {
+		return nil, err
 	}
 	return &Engine{
 		g:     g,
 		kern:  kern,
-		sched: newGlobalScheduler(rates, cfg.rand),
+		sched: &globalScheduler{rateClock: clock, r: cfg.rand},
 	}, nil
 }
 

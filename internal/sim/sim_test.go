@@ -41,8 +41,8 @@ func runRef(e *Engine, h handler, stop stopCondition) (float64, int64) {
 	return e.now, e.events
 }
 
-// countingHandler counts ticks per edge and records their times, one event
-// at a time on either loop.
+// countingHandler counts ticks per edge on any loop, and records their
+// times on the reference loops, which deliver them.
 type countingHandler struct {
 	perEdge []int64
 	times   []float64
@@ -53,14 +53,14 @@ func (h *countingHandler) HandleTick(e graph.EdgeID, t float64) {
 	h.times = append(h.times, t)
 }
 
-func (h *countingHandler) TickEdges(edges []graph.EdgeID, times []float64) {
-	for k, e := range edges {
-		h.HandleTick(e, times[k])
+func (h *countingHandler) TickEdges(edges []graph.EdgeID) {
+	for _, e := range edges {
+		h.perEdge[e]++
 	}
 }
 
-func (h *countingHandler) TickEdgeVar(e graph.EdgeID, t float64) float64 {
-	h.HandleTick(e, t)
+func (h *countingHandler) TickEdgeVar(e graph.EdgeID) float64 {
+	h.perEdge[e]++
 	return 0
 }
 
@@ -87,38 +87,28 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 }
 
-func TestRunStopsAtMaxEvents(t *testing.T) {
+// RunUntil stops at the first event at or past the horizon, and the kernel
+// sees every event it counts.
+func TestRunStopsAtTime(t *testing.T) {
 	g := graph.Complete(4)
 	h := newCounter(g)
 	eng, err := NewEngine(g, h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, events := eng.RunEvents(100)
-	if events != 100 {
-		t.Errorf("events = %d, want 100", events)
-	}
-	total := int64(0)
-	for _, c := range h.perEdge {
-		total += c
-	}
-	if total != 100 {
-		t.Errorf("handler saw %d ticks", total)
-	}
-}
-
-func TestRunStopsAtTime(t *testing.T) {
-	g := graph.Complete(4)
-	eng, err := NewEngine(g, newCounter(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tEnd, _ := eng.RunUntil(5)
+	tEnd, events := eng.RunUntil(5)
 	if tEnd < 5 {
 		t.Errorf("stopped at t=%v, want >= 5", tEnd)
 	}
 	if tEnd > 10 {
 		t.Errorf("overshot wildly: t=%v", tEnd)
+	}
+	total := int64(0)
+	for _, c := range h.perEdge {
+		total += c
+	}
+	if total != events || events != eng.Events() {
+		t.Errorf("handler saw %d ticks, RunUntil returned %d, Events() %d", total, events, eng.Events())
 	}
 }
 
@@ -128,11 +118,11 @@ func TestRunResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.RunEvents(10)
+	_, e1 := eng.RunUntil(1)
 	t1 := eng.Now()
-	eng.RunEvents(20)
-	if eng.Events() != 20 {
-		t.Errorf("cumulative events = %d, want 20", eng.Events())
+	_, e2 := eng.RunUntil(2)
+	if e2 <= e1 || eng.Events() != e2 {
+		t.Errorf("cumulative events %d after %d, Events() %d", e2, e1, eng.Events())
 	}
 	if eng.Now() <= t1 {
 		t.Error("time did not advance on resume")
@@ -232,7 +222,9 @@ func TestSchedulerStatisticalEquivalence(t *testing.T) {
 	}
 }
 
-// Inter-event gaps of the superposed process must be Exp(|E|).
+// Inter-event gaps of the superposed process must be Exp(|E|). The gaps
+// are read on the reference loop over the engine's clock, to which the
+// fused loops are pinned bit for bit.
 func TestGlobalGapDistribution(t *testing.T) {
 	g := graph.Complete(4) // 6 edges
 	h := newCounter(g)
@@ -240,7 +232,7 @@ func TestGlobalGapDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.RunEvents(200000)
+	runRef(eng, h, maxEvents(200000))
 	gaps := make([]float64, len(h.times)-1)
 	prev := 0.0
 	for i, tm := range h.times {
@@ -284,8 +276,8 @@ func TestWithRNGSharedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng1.RunEvents(100)
-	eng2.RunEvents(100)
+	eng1.RunUntil(30)
+	eng2.RunUntil(30)
 	if eng1.Now() == eng2.Now() {
 		t.Error("split streams produced identical trajectories")
 	}
@@ -385,25 +377,23 @@ func TestSchedulerTickCountAgreement(t *testing.T) {
 }
 
 // recordingKernel implements both the reference handler and TickKernel,
-// recording every (edge, time) it sees, so the fused loops can be compared
-// bit-for-bit against the reference loop.
+// recording every edge it sees, so the fused loops can be compared
+// bit-for-bit against the reference loop: the same edges, and the same
+// clock and event count where each loop stops.
 type recordingKernel struct {
 	edges []graph.EdgeID
-	times []float64
 }
 
-func (k *recordingKernel) HandleTick(e graph.EdgeID, t float64) {
+func (k *recordingKernel) HandleTick(e graph.EdgeID, _ float64) {
 	k.edges = append(k.edges, e)
-	k.times = append(k.times, t)
 }
 
-func (k *recordingKernel) TickEdges(edges []graph.EdgeID, times []float64) {
+func (k *recordingKernel) TickEdges(edges []graph.EdgeID) {
 	k.edges = append(k.edges, edges...)
-	k.times = append(k.times, times...)
 }
 
-func (k *recordingKernel) TickEdgeVar(e graph.EdgeID, t float64) float64 {
-	k.HandleTick(e, t)
+func (k *recordingKernel) TickEdgeVar(e graph.EdgeID) float64 {
+	k.edges = append(k.edges, e)
 	return 0
 }
 
@@ -428,21 +418,9 @@ func runPair(t *testing.T, seed uint64) (legacy, fused *recordingKernel, engL, e
 	return legacy, fused, engL, engF
 }
 
-// The fused RunEvents must produce the identical event sequence (edges and
-// times, bit for bit) as the reference loop.
-func TestRunEventsBitIdenticalToRun(t *testing.T) {
-	legacy, fused, engL, engF := runPair(t, 99)
-	const n = 5000
-	tL, evL := runRef(engL, legacy, maxEvents(n))
-	tF, evF := engF.RunEvents(n)
-	if tL != tF || evL != evF {
-		t.Fatalf("(t, events) = (%v, %d) reference vs (%v, %d) fused", tL, evL, tF, evF)
-	}
-	compareRecordings(t, "RunEvents", legacy, fused)
-}
-
-// Same for RunUntil, and for RunTracked with only MaxTime set, in chained
-// steps, against the reference loop to the same horizons.
+// The fused RunUntil must produce the identical event sequence as the
+// reference loop, in one call and in chained steps, and so must RunTracked
+// with only MaxTime set, against the reference loop to the same horizons.
 func TestRunUntilBitIdenticalToRun(t *testing.T) {
 	legacy, fused, engL, engF := runPair(t, 7)
 	const horizon = 3.5
@@ -452,6 +430,16 @@ func TestRunUntilBitIdenticalToRun(t *testing.T) {
 		t.Fatalf("(t, events) = (%v, %d) reference vs (%v, %d) fused", tL, evL, tF, evF)
 	}
 	compareRecordings(t, "RunUntil", legacy, fused)
+
+	legacy, fused, engL, engF = runPair(t, 99)
+	for _, maxT := range []float64{0.25, 1, 1, 2.5, 9} {
+		tL, evL := runRef(engL, legacy, until(maxT))
+		tF, evF := engF.RunUntil(maxT)
+		if tL != tF || evL != evF {
+			t.Fatalf("at %v: (t, events) = (%v, %d) reference vs (%v, %d) chained", maxT, tL, evL, tF, evF)
+		}
+	}
+	compareRecordings(t, "chained RunUntil", legacy, fused)
 
 	legacy, tracked, engL, engT := runPair(t, 7)
 	for _, maxT := range []float64{0.25, 1, 1, horizon} {
@@ -470,9 +458,8 @@ func compareRecordings(t *testing.T, label string, a, b *recordingKernel) {
 		t.Fatalf("%s: %d events generic vs %d fused", label, len(a.edges), len(b.edges))
 	}
 	for i := range a.edges {
-		if a.edges[i] != b.edges[i] || a.times[i] != b.times[i] {
-			t.Fatalf("%s: event %d diverged: (%d, %v) vs (%d, %v)",
-				label, i, a.edges[i], a.times[i], b.edges[i], b.times[i])
+		if a.edges[i] != b.edges[i] {
+			t.Fatalf("%s: event %d diverged: edge %d vs %d", label, i, a.edges[i], b.edges[i])
 		}
 	}
 }

@@ -198,8 +198,9 @@ func Simulate(g *Graph, alg Algorithm, until float64, seed uint64) SimResult {
 
 // Averaging-time estimation, re-exported from internal/avgtime.
 type (
-	// TavConfig configures MeasureAveragingTime (zero value = Definition 1
-	// defaults: threshold e^-2, confidence 1-1/e, 9 trials).
+	// TavConfig configures MeasureAveragingTime: trials, margin, horizon
+	// and seed (zero value = 9 trials). The threshold e^-2 and the
+	// confidence 1-1/e are Definition 1's and fixed.
 	TavConfig = avgtime.Config
 	// TavResult is the estimate with per-trial data and censoring info.
 	TavResult = avgtime.Result
