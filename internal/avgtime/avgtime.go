@@ -10,17 +10,22 @@
 //
 // and Tav is the (1 − 1/e)-quantile of L's distribution. The estimator runs
 // independent trials, records L in each, and reports the empirical
-// quantile.
+// quantile. The threshold e⁻² and the quantile 1 − 1/e are fixed
+// (DefaultThreshold, DefaultQuantile); Config sets only the trial count,
+// margin, horizon, seed, batch width and observer.
 //
 // Non-convex algorithms (Algorithm A) can re-inflate the variance by up to
 // ‖A‖² ≤ n² at a swap, so "currently below the threshold" does not imply
 // "below forever". A trial therefore only stops once the ratio is below
 // threshold·MarginFactor (default 1e−8, far below any single-swap
-// re-inflation on the graph sizes used here) and a quiet period of two
-// epochs has passed since the last exceedance; trials that still exceed the
-// margin at MaxTime are reported as censored.
+// re-inflation on the graph sizes used here) and a quiet period has passed
+// since the last exceedance: two epochs for an EpochHinter, one time unit
+// otherwise. Trials that still exceed the margin at MaxTime are reported
+// as censored.
 //
-// Key types: Config, Result, Estimate/EstimateWithRates (per-event) and EstimateBatched (replica-batched, DESIGN.md §8). The timing model is DESIGN.md §2.
+// Key types: Config, Result, Estimate/EstimateWithRates (per-event),
+// EstimateBatched (replica-batched, DESIGN.md §8) and EstimateSharded. The
+// timing model is DESIGN.md §2.
 package avgtime
 
 import (

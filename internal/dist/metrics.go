@@ -17,12 +17,11 @@ import (
 //
 // The per-shard/per-runtime split the instrumentation follows: counters
 // are sharded by shard loop (each loop writes its own cache line) and
-// aggregated at snapshot time; already-counted state (commit and abort
-// totals, rule tick counters, loss and congestion counters) is exported
-// through snapshot-time reader funcs at zero hot-path cost.
+// aggregated at snapshot time; already-counted state (the exchange
+// ledger's proposed, commit and abort totals, rule tick counters, loss and
+// congestion counters) is exported through snapshot-time reader funcs at
+// zero hot-path cost.
 type clusterMetrics struct {
-	// proposed counts initiations (LOCK sent), sharded by shard loop.
-	proposed *metrics.Counter
 	// sent counts protocol messages sent, per kind, sharded by shard loop. Indexed by MsgKind (1..4; slot 0 unused).
 	sent [5]*metrics.Counter
 	// latency is the committed-exchange round trip observed at the
@@ -52,7 +51,7 @@ func (m *clusterMetrics) publish(id int, x float64) {
 // the same registry accumulates counters and rebinds the reader funcs to
 // the newest runtime.
 func (rt *ShardRuntime) instrument(reg *metrics.Registry) {
-	rt.met.proposed = reg.Counter("dist.exchange.proposed")
+	reg.CounterFunc("dist.exchange.proposed", rt.Proposed)
 	reg.CounterFunc("dist.exchange.committed", rt.Exchanges)
 	reg.CounterFunc("dist.exchange.aborted", rt.Aborted)
 	reg.CounterFunc("dist.node.crashes", rt.Crashes)

@@ -186,7 +186,7 @@ func TestDisabledMetricsIsNilSafe(t *testing.T) {
 	if cl.Exchanges() == 0 {
 		t.Error("no exchanges committed")
 	}
-	if cl.met.proposed != nil || cl.met.live != nil || cl.met.latency != nil {
+	if cl.met.sent[MsgLock] != nil || cl.met.live != nil || cl.met.latency != nil {
 		t.Error("telemetry plane populated without a registry")
 	}
 }

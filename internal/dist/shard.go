@@ -997,7 +997,6 @@ func (s *shard) applyOut(st *NodeState, out StepOut, nowNs int64) {
 	if out.Proposed {
 		rt.awaiting.Add(1)
 		rt.proposed.Add(1)
-		rt.met.proposed.Inc(s.id)
 	}
 	if out.PendCreated {
 		rt.pending.Add(1)

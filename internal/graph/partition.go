@@ -118,13 +118,6 @@ func (p *Partition) IsCutEdge(id EdgeID) bool {
 	return p.side[e.U] != p.side[e.V]
 }
 
-// Volume1 returns the sum of degrees over Side1 (Volume2 likewise); these
-// are the volumes in the standard conductance definition.
-func (p *Partition) Volume1() int { return p.vol1 }
-
-// Volume2 returns the sum of degrees over Side2.
-func (p *Partition) Volume2() int { return p.vol2 }
-
 // Conductance returns |E12| / min(vol(V1), vol(V2)), the standard notion of
 // cut sparsity. It returns +Inf when the smaller volume is zero (isolated
 // side), which cannot happen on connected graphs.

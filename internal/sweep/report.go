@@ -114,14 +114,3 @@ func (r *Report) Table(title string) *table.Table {
 	}
 	return tbl
 }
-
-// CellByLabel finds the first cell with the given label, for programmatic
-// lookups in tests and downstream tooling.
-func (r *Report) CellByLabel(label string) (Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Label == label {
-			return c, true
-		}
-	}
-	return Cell{}, false
-}

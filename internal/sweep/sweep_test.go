@@ -229,9 +229,6 @@ func TestReportRoundTrip(t *testing.T) {
 	if tbl := rep.Table("t"); tbl.NumRows() != len(rep.Cells) {
 		t.Errorf("table has %d rows for %d cells", tbl.NumRows(), len(rep.Cells))
 	}
-	if _, ok := rep.CellByLabel(rep.Cells[0].Label); !ok {
-		t.Error("CellByLabel failed to find an existing label")
-	}
 }
 
 // TestCellErrorIsolated: a failing cell doesn't abort the sweep.

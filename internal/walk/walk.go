@@ -127,9 +127,6 @@ func (d Dominating) Sample(r *rng.RNG, k int) []float64 {
 	return path
 }
 
-// Drift returns the expected increment −(log n)/4.
-func (d Dominating) Drift() float64 { return -d.LogN / 4 }
-
 // LastTimeAbove returns the largest index k with path[k] > level, or -1
 // when the path never exceeds level. This is the per-trajectory statistic
 // behind "P[∀T > t0 : W̃_T ≤ −2] > 1 − 1/e".

@@ -190,9 +190,6 @@ func TestDominatingSteps(t *testing.T) {
 	if math.Abs(ratio-0.5) > 0.02 {
 		t.Errorf("step ratio %v, want ~0.5", ratio)
 	}
-	if math.Abs(d.Drift()+logN/4) > 1e-12 {
-		t.Errorf("drift %v, want %v", d.Drift(), -logN/4)
-	}
 }
 
 func TestDominatingSampleDriftsDown(t *testing.T) {
@@ -210,7 +207,7 @@ func TestDominatingSampleDriftsDown(t *testing.T) {
 		}
 		ends[i] = path[k]
 	}
-	wantMean := float64(k) * d.Drift()
+	wantMean := float64(k) * -d.LogN / 4 // the drift −(log n)/4 per step
 	gotMean := stats.Mean(ends)
 	if math.Abs(gotMean-wantMean) > math.Abs(wantMean)*0.15 {
 		t.Errorf("endpoint mean %v, want ~%v", gotMean, wantMean)
