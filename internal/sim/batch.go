@@ -98,9 +98,8 @@ type batchConfig struct {
 }
 
 // WithBatchObserver installs a telemetry callback invoked once per
-// round-robin pass of RunTracked. The observer must not
-// retain the stats value's address and must be fast — it runs on the
-// simulation goroutine. It never touches the per-event path and never
+// round-robin pass of RunTracked. The observer must not retain the stats
+// value's address and must be fast — it runs on the simulation goroutine. It never touches the per-event path and never
 // consumes randomness, so installing one cannot perturb any replica
 // trajectory (the package tests pin this byte-for-byte).
 func WithBatchObserver(fn func(BatchStats)) BatchOption {

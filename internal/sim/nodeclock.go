@@ -19,8 +19,7 @@ import (
 // j ticks and picks i (rate 1 · 1/deg(j)). The paper's footnote observes
 // the reverse reduction ("allocating edges to nodes and equipping nodes
 // with multiple i.i.d poisson clocks"); NodeClockRates implements the
-// forward one, so any TickKernel runs unchanged
-// under the node-clock model:
+// forward one, so any TickKernel runs unchanged under the node-clock model:
 //
 //	rates := sim.NodeClockRates(g)
 //	eng, _ := sim.NewEngine(g, alg, sim.WithRates(rates))
