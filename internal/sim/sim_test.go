@@ -87,22 +87,30 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 }
 
-// RunUntil stops at the first event at or past the horizon, and the kernel
-// sees every event it counts.
 func TestRunStopsAtTime(t *testing.T) {
 	g := graph.Complete(4)
-	h := newCounter(g)
-	eng, err := NewEngine(g, h)
+	eng, err := NewEngine(g, newCounter(g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tEnd, events := eng.RunUntil(5)
+	tEnd, _ := eng.RunUntil(5)
 	if tEnd < 5 {
 		t.Errorf("stopped at t=%v, want >= 5", tEnd)
 	}
 	if tEnd > 10 {
 		t.Errorf("overshot wildly: t=%v", tEnd)
 	}
+}
+
+// The kernel sees every event RunUntil counts.
+func TestRunUntilKernelSeesEveryEvent(t *testing.T) {
+	g := graph.Complete(4)
+	h := newCounter(g)
+	eng, err := NewEngine(g, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, events := eng.RunUntil(5)
 	total := int64(0)
 	for _, c := range h.perEdge {
 		total += c
@@ -419,8 +427,8 @@ func runPair(t *testing.T, seed uint64) (legacy, fused *recordingKernel, engL, e
 }
 
 // The fused RunUntil must produce the identical event sequence as the
-// reference loop, in one call and in chained steps, and so must RunTracked
-// with only MaxTime set, against the reference loop to the same horizons.
+// reference loop, and so must RunTracked with only MaxTime set, against the
+// reference loop to the same horizons.
 func TestRunUntilBitIdenticalToRun(t *testing.T) {
 	legacy, fused, engL, engF := runPair(t, 7)
 	const horizon = 3.5
@@ -431,16 +439,6 @@ func TestRunUntilBitIdenticalToRun(t *testing.T) {
 	}
 	compareRecordings(t, "RunUntil", legacy, fused)
 
-	legacy, fused, engL, engF = runPair(t, 99)
-	for _, maxT := range []float64{0.25, 1, 1, 2.5, 9} {
-		tL, evL := runRef(engL, legacy, until(maxT))
-		tF, evF := engF.RunUntil(maxT)
-		if tL != tF || evL != evF {
-			t.Fatalf("at %v: (t, events) = (%v, %d) reference vs (%v, %d) chained", maxT, tL, evL, tF, evF)
-		}
-	}
-	compareRecordings(t, "chained RunUntil", legacy, fused)
-
 	legacy, tracked, engL, engT := runPair(t, 7)
 	for _, maxT := range []float64{0.25, 1, 1, horizon} {
 		tL, evL := runRef(engL, legacy, until(maxT))
@@ -450,6 +448,20 @@ func TestRunUntilBitIdenticalToRun(t *testing.T) {
 		}
 	}
 	compareRecordings(t, "RunTracked", legacy, tracked)
+}
+
+// Chained RunUntil steps, a repeated horizon among them, must produce the
+// identical event sequence as the reference loop run to the same horizons.
+func TestChainedRunUntilBitIdenticalToRun(t *testing.T) {
+	legacy, fused, engL, engF := runPair(t, 99)
+	for _, maxT := range []float64{0.25, 1, 1, 2.5, 9} {
+		tL, evL := runRef(engL, legacy, until(maxT))
+		tF, evF := engF.RunUntil(maxT)
+		if tL != tF || evL != evF {
+			t.Fatalf("at %v: (t, events) = (%v, %d) reference vs (%v, %d) chained", maxT, tL, evL, tF, evF)
+		}
+	}
+	compareRecordings(t, "chained RunUntil", legacy, fused)
 }
 
 func compareRecordings(t *testing.T, label string, a, b *recordingKernel) {
