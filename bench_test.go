@@ -129,28 +129,6 @@ func BenchmarkSimulatorVanillaTick(b *testing.B) {
 	b.ReportMetric(float64(eng.Events())/float64(b.N), "events/op")
 }
 
-// BenchmarkSimulatorTrackedVanilla measures the averaging-time estimator's
-// per-event cost: the fused tracked loop with one moment read per event.
-func BenchmarkSimulatorTrackedVanilla(b *testing.B) {
-	g, part, err := graph.Dumbbell(64, 64, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	alg, err := gossip.NewVanilla(g, gossip.CutIndicator(part))
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := sim.NewEngine(g, alg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	// StopLevel -1 is unreachable, so the loop runs to MaxTime; at total
-	// rate |E| that horizon yields ~b.N events.
-	eng.RunTracked(sim.Tracked{ExceedLevel: 0, StopLevel: -1, Quiet: 0, MaxTime: float64(b.N) / float64(g.NumEdges())})
-	b.ReportMetric(float64(eng.Events())/float64(b.N), "events/op")
-}
-
 // BenchmarkSimulatorVanillaBatchTracked measures the replica-batched
 // averaging-time loop: eager per-event moments and exceedance compares on
 // the SoA rows, chunk-bridged clocks.

@@ -124,7 +124,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// The run reaches -until in steps equal RunTracked calls; the CSV
+	// The run reaches -until in steps equal RunUntil calls; the CSV
 	// records t=0 and one row after each. Chained calls process exactly
 	// the events of one call to -until, so the summary does not depend on
 	// the step count.
@@ -152,7 +152,7 @@ func main() {
 		meter = newProgressMeter()
 	}
 	for i := 1; i <= steps; i++ {
-		eng.RunTracked(sim.Tracked{MaxTime: float64(i) / steps * *until})
+		eng.RunUntil(float64(i) / steps * *until)
 		row(eng.Now())
 		if meter != nil {
 			meter.barrier(eng.Now(), eng.Events(), ratio())
@@ -261,7 +261,7 @@ func newProgressMeter() *progressMeter {
 
 // barrier prints a reading at most every 200 ms of wall time; callers
 // invoke it at their own step boundaries (window barriers on the sharded
-// engine, RunTracked steps otherwise).
+// engine, RunUntil steps otherwise).
 func (p *progressMeter) barrier(t float64, events int64, varRatio float64) {
 	now := time.Now()
 	gap := now.Sub(p.lastPrint)

@@ -10,49 +10,44 @@
 //
 // and Tav is the (1 − 1/e)-quantile of L's distribution. The estimator runs
 // independent trials, records L in each, and reports the empirical
-// quantile. The threshold e⁻² and the quantile 1 − 1/e are fixed
-// (DefaultThreshold, DefaultQuantile); Config sets only the trial count,
-// margin, horizon, seed, batch width and observer.
+// quantile. The threshold e⁻² and the quantile 1 − 1/e are fixed package
+// constants; Config sets only the trial count, margin, horizon, seed,
+// batch width and observer.
 //
 // Non-convex algorithms (Algorithm A) can re-inflate the variance by up to
 // ‖A‖² ≤ n² at a swap, so "currently below the threshold" does not imply
 // "below forever". A trial therefore only stops once the ratio is below
 // threshold·MarginFactor (default 1e−8, far below any single-swap
 // re-inflation on the graph sizes used here) and a quiet period has passed
-// since the last exceedance: two epochs for an EpochHinter, one time unit
-// otherwise. Trials that still exceed the margin at MaxTime are reported
-// as censored.
+// since the last exceedance: two epochs for a kernel that reports an epoch
+// (EpochHinter), one time unit otherwise. Trials that still exceed the
+// margin at MaxTime are reported as censored.
 //
-// Key types: Config, Result, Estimate/EstimateWithRates (per-event),
-// EstimateBatched (replica-batched, DESIGN.md §8) and EstimateSharded. The
-// timing model is DESIGN.md §2.
+// There is one estimator per engine: EstimateBatched (replica-batched,
+// DESIGN.md §8) for every materialised graph, and EstimateSharded for
+// implicit graphs too large to materialise. The per-event estimator the
+// package tests use as the KS oracle lives in the test files. The timing
+// model is DESIGN.md §2.
 package avgtime
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
-	"sparsecut/internal/gossip"
-	"sparsecut/internal/graph"
-	"sparsecut/internal/rng"
 	"sparsecut/internal/sim"
 	"sparsecut/internal/stats"
 )
 
-// DefaultThreshold is e⁻², the variance ratio in Definition 1.
-var DefaultThreshold = math.Exp(-2)
+// threshold is e⁻², the variance ratio in Definition 1, and quantile is
+// 1 − 1/e, its confidence level. The literals are math.Exp(-2) and
+// 1 − math.Exp(-1) to the bit (the package tests check it).
+const (
+	threshold = 0.1353352832366127
+	quantile  = 0.6321205588285577
+)
 
-// DefaultQuantile is 1 − 1/e, the confidence level in Definition 1.
-var DefaultQuantile = 1 - math.Exp(-1)
-
-// Factory constructs a fresh algorithm instance for one trial. The supplied
-// RNG stream is private to the trial (pass it to algorithms that need
-// internal randomness, e.g. push-sum).
-type Factory func(trial int, r *rng.RNG) (gossip.Algorithm, error)
-
-// EpochHinter is implemented by algorithms with an intrinsic epoch length
-// (Algorithm A); the estimator sizes its quiet period from the hint.
+// EpochHinter is implemented by kernels whose runs have an intrinsic epoch
+// length (gossip.Ensemble of Algorithm A runs); the estimator sizes its
+// quiet period from a positive hint.
 type EpochHinter interface {
 	EpochDuration() float64
 }
@@ -62,8 +57,8 @@ type EpochHinter interface {
 type Config struct {
 	// Trials is the number of independent simulations (default 9).
 	Trials int
-	// MarginFactor stops a trial only when ratio < DefaultThreshold ·
-	// MarginFactor (default 1e−8).
+	// MarginFactor stops a trial only when ratio < e⁻² · MarginFactor
+	// (default 1e−8).
 	MarginFactor float64
 	// MaxTime hard-caps each trial (default 1e6 time units). Trials
 	// reaching it above the margin are counted in Result.Censored.
@@ -73,13 +68,13 @@ type Config struct {
 	// BatchWidth caps the number of trials resident per replica batch in
 	// EstimateBatched (0 = all trials in one batch). It bounds memory
 	// only; the Result is byte-identical for any width. Ignored by
-	// Estimate.
+	// EstimateSharded.
 	BatchWidth int
 	// Observer, when non-nil, receives periodic sim.BatchStats from
 	// EstimateBatched's engines, with Events accumulated across batches so
 	// the meter is monotone over the whole estimate. Observation never
 	// consumes randomness: the Result is byte-identical with or without
-	// an observer. Ignored by Estimate.
+	// an observer. Ignored by EstimateSharded.
 	Observer func(sim.BatchStats)
 }
 
@@ -113,18 +108,18 @@ func (c Config) validate() error {
 }
 
 // tracked returns the stop rule of one trial from varX(0): exceedances
-// above DefaultThreshold, a stop below DefaultThreshold·MarginFactor, and
-// a quiet period of twice the algorithm's epoch-duration hint when it
-// provides one and 1 otherwise. Shared by the estimators so the
+// above the threshold, a stop below threshold·MarginFactor, and a quiet
+// period of twice the kernel's epoch-duration hint when it gives a
+// positive one and 1 otherwise. Shared by the estimators so the
 // Definition-1 stop rule cannot drift between them.
-func (c Config) tracked(var0 float64, alg any) sim.Tracked {
+func (c Config) tracked(var0 float64, kern any) sim.Tracked {
 	quiet := 1.0
-	if h, ok := alg.(EpochHinter); ok {
+	if h, ok := kern.(EpochHinter); ok && h.EpochDuration() > 0 {
 		quiet = 2 * h.EpochDuration()
 	}
 	return sim.Tracked{
-		ExceedLevel: DefaultThreshold * var0,
-		StopLevel:   DefaultThreshold * c.MarginFactor * var0,
+		ExceedLevel: threshold * var0,
+		StopLevel:   threshold * c.MarginFactor * var0,
 		Quiet:       quiet,
 		MaxTime:     c.MaxTime,
 	}
@@ -132,7 +127,7 @@ func (c Config) tracked(var0 float64, alg any) sim.Tracked {
 
 // Result summarises an estimation run.
 type Result struct {
-	// Tav is the DefaultQuantile empirical quantile of the per-trial last
+	// Tav is the 1 − 1/e empirical quantile of the per-trial last
 	// exceedance times — the Definition 1 estimate.
 	Tav float64
 	// PerTrial holds each trial's last exceedance time L.
@@ -152,90 +147,13 @@ func (r Result) String() string {
 		r.Tav, r.Mean, r.CI95, len(r.PerTrial), r.Censored)
 }
 
-// Estimate measures the averaging time of the algorithm produced by factory
-// on graph g under the paper's rate-1 edge clocks.
-func Estimate(g *graph.Graph, factory Factory, cfg Config) (Result, error) {
-	return EstimateWithRates(g, nil, factory, cfg)
-}
-
-// EstimateWithRates is Estimate under heterogeneous per-edge clock rates
-// (nil rates = rate 1 everywhere). Used by the timing-model experiments
-// (node-clock model, random rates).
-func EstimateWithRates(g *graph.Graph, rates []float64, factory Factory, cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return Result{}, err
-	}
-	if factory == nil {
-		return Result{}, errors.New("avgtime: nil factory")
-	}
-	root := rng.New(cfg.Seed)
-	res := Result{PerTrial: make([]float64, 0, cfg.Trials)}
-	for trial := 0; trial < cfg.Trials; trial++ {
-		algRNG := root.Split()
-		simRNG := root.Split()
-		alg, err := factory(trial, algRNG)
-		if err != nil {
-			return Result{}, fmt.Errorf("avgtime: trial %d factory: %w", trial, err)
-		}
-		last, censored, events, err := runTrial(g, rates, alg, simRNG, cfg)
-		if err != nil {
-			return Result{}, fmt.Errorf("avgtime: trial %d: %w", trial, err)
-		}
-		if censored {
-			res.Censored++
-		}
-		res.Events += events
-		res.PerTrial = append(res.PerTrial, last)
-	}
-	q, err := stats.Quantile(res.PerTrial, DefaultQuantile)
+// summarise sets Tav, Mean and CI95 from PerTrial.
+func (r *Result) summarise() error {
+	q, err := stats.Quantile(r.PerTrial, quantile)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
-	res.Tav = q
-	res.Mean, res.CI95 = stats.MeanCI95(res.PerTrial)
-	return res, nil
-}
-
-// runTrial simulates one trial on the engine's tracked per-event loop and
-// returns the last exceedance time: zero closures and exactly one moment
-// read per event.
-func runTrial(g *graph.Graph, rates []float64, alg gossip.Algorithm, r *rng.RNG, cfg Config) (last float64, censored bool, events int64, err error) {
-	var0 := alg.Variance()
-	if var0 == 0 {
-		return 0, false, 0, nil // already averaged
-	}
-	opts := []sim.Option{sim.WithRNG(r)}
-	if rates != nil {
-		opts = append(opts, sim.WithRates(rates))
-	}
-	eng, err := sim.NewEngine(g, alg, opts...)
-	if err != nil {
-		return 0, false, 0, err
-	}
-	res := eng.RunTracked(cfg.tracked(var0, alg))
-	return res.LastExceed, res.Censored, eng.Events(), nil
-}
-
-// VanillaFactory builds the standard factory for vanilla gossip with a
-// fixed initial vector.
-func VanillaFactory(g *graph.Graph, x0 []float64) Factory {
-	return func(int, *rng.RNG) (gossip.Algorithm, error) {
-		return gossip.NewVanilla(g, x0)
-	}
-}
-
-// MeasureTvan empirically measures Tvan(g), the averaging time of vanilla
-// gossip. Definition 1 takes a supremum over initial vectors; as a
-// practical stand-in this uses the spike initial condition (all variance at
-// one node), which excites every decay mode of the process and tracks the
-// worst case up to constants on the graphs used in this repository. The
-// analytic counterpart is spectral.TvanBound = 6/λ2; the package tests
-// compare the two.
-func MeasureTvan(g *graph.Graph, cfg Config) (Result, error) {
-	x0, err := gossip.Spike(g.NumNodes(), 0)
-	if err != nil {
-		return Result{}, err
-	}
-	return Estimate(g, VanillaFactory(g, x0), cfg)
+	r.Tav = q
+	r.Mean, r.CI95 = stats.MeanCI95(r.PerTrial)
+	return nil
 }

@@ -13,35 +13,35 @@ import (
 func TestConfigValidation(t *testing.T) {
 	g := graph.Complete(4)
 	x0 := []float64{1, -1, 1, -1}
-	f := VanillaFactory(g, x0)
+	f := vanillaEnsembleFactory(g, x0)
 	bad := []Config{
 		{Trials: -1},
 		{MarginFactor: 2},
 		{MaxTime: -1},
 	}
 	for i, cfg := range bad {
-		if _, err := Estimate(g, f, cfg); err == nil {
+		if _, err := EstimateBatched(g, nil, f, cfg); err == nil {
 			t.Errorf("config %d not rejected: %+v", i, cfg)
 		}
 	}
-	if _, err := Estimate(g, nil, Config{}); err == nil {
+	if _, err := EstimateBatched(g, nil, nil, Config{}); err == nil {
 		t.Error("nil factory not rejected")
 	}
 }
 
 func TestFactoryErrorPropagates(t *testing.T) {
 	g := graph.Complete(4)
-	f := func(int, *rng.RNG) (gossip.Algorithm, error) {
-		return gossip.NewVanilla(g, []float64{1}) // wrong length
+	f := func(replicas int, _ []*rng.RNG) (sim.BatchKernel, error) {
+		return gossip.NewVanillaEnsemble(g, []float64{1}, replicas) // wrong length
 	}
-	if _, err := Estimate(g, f, Config{Trials: 1}); err == nil {
+	if _, err := EstimateBatched(g, nil, f, Config{Trials: 1}); err == nil {
 		t.Error("factory error not propagated")
 	}
 }
 
 func TestAlreadyAveragedIsZero(t *testing.T) {
 	g := graph.Complete(4)
-	res, err := Estimate(g, VanillaFactory(g, []float64{3, 3, 3, 3}), Config{Trials: 3})
+	res, err := EstimateBatched(g, nil, vanillaEnsembleFactory(g, []float64{3, 3, 3, 3}), Config{Trials: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestVanillaOnCompleteGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Estimate(g, VanillaFactory(g, x0), Config{Trials: 15, Seed: 7})
+	res, err := EstimateBatched(g, nil, vanillaEnsembleFactory(g, x0), Config{Trials: 15, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +86,15 @@ func TestVanillaOnCompleteGraph(t *testing.T) {
 }
 
 func TestMeasureTvanAgreesWithSpectralBound(t *testing.T) {
-	// Measured Tvan must be below the analytic bound 6/lambda2 (it is an
+	// Tvan measured from a spike (all variance at one node, as E10 measures
+	// its side Tvans) must be below the analytic bound 6/lambda2 (it is an
 	// upper bound) and above a small fraction of it.
 	g := graph.Complete(12)
-	res, err := MeasureTvan(g, Config{Trials: 15, Seed: 3})
+	x0, err := gossip.Spike(12, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := EstimateBatched(g, nil, vanillaEnsembleFactory(g, x0), Config{Trials: 15, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +116,7 @@ func TestDumbbellVanillaScalesLinearly(t *testing.T) {
 			t.Fatal(err)
 		}
 		x0 := gossip.CutIndicator(p)
-		res, err := Estimate(g, VanillaFactory(g, x0), Config{Trials: 7, Seed: 11, MaxTime: 1e4})
+		res, err := EstimateBatched(g, nil, vanillaEnsembleFactory(g, x0), Config{Trials: 7, Seed: 11, MaxTime: 1e4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,13 +136,11 @@ func TestAlgorithmABeatsVanillaOnDumbbell(t *testing.T) {
 		t.Fatal(err)
 	}
 	x0 := gossip.CutIndicator(p)
-	vanilla, err := Estimate(g, VanillaFactory(g, x0), Config{Trials: 7, Seed: 5, MaxTime: 1e4})
+	vanilla, err := EstimateBatched(g, nil, vanillaEnsembleFactory(g, x0), Config{Trials: 7, Seed: 5, MaxTime: 1e4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	algA, err := Estimate(g, func(int, *rng.RNG) (gossip.Algorithm, error) {
-		return core.New(g, x0, core.WithPartition(p))
-	}, Config{Trials: 7, Seed: 5, MaxTime: 1e4})
+	algA, err := EstimateBatched(g, nil, aEnsembleFactory(g, x0, core.WithPartition(p)), Config{Trials: 7, Seed: 5, MaxTime: 1e4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,15 +163,35 @@ func TestQuietPeriodUsesEpochHint(t *testing.T) {
 		t.Fatal(err)
 	}
 	x0 := gossip.CutIndicator(p)
-	res, err := Estimate(g, func(int, *rng.RNG) (gossip.Algorithm, error) {
-		return core.New(g, x0, core.WithPartition(p), core.WithWeightRule(core.WeightPaper))
-	}, Config{Trials: 3, Seed: 2, MaxTime: 50})
+	res, err := EstimateBatched(g, nil, aEnsembleFactory(g, x0, core.WithPartition(p), core.WithWeightRule(core.WeightPaper)),
+		Config{Trials: 3, Seed: 2, MaxTime: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Oscillation means the variance keeps returning to ~var0 forever.
 	if res.Censored != 3 {
 		t.Errorf("expected all trials censored in oscillating regime, got %d/3 (Tav=%v)", res.Censored, res.Tav)
+	}
+	// The quiet period is two epochs of an ensemble of A runs, and one
+	// time unit for an ensemble without epochs.
+	a, err := core.New(g, x0, core.WithPartition(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		f    EnsembleFactory
+		want float64
+	}{
+		{aEnsembleFactory(g, x0, core.WithPartition(p)), 2 * a.EpochDuration()},
+		{vanillaEnsembleFactory(g, x0), 1},
+	} {
+		kern, err := tc.f(2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q := (Config{}).tracked(1, kern).Quiet; q != tc.want {
+			t.Errorf("%T: quiet period %v, want %v", kern, q, tc.want)
+		}
 	}
 }
 
@@ -179,7 +202,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() Result {
-		res, err := Estimate(g, VanillaFactory(g, x0), Config{Trials: 4, Seed: 123})
+		res, err := EstimateBatched(g, nil, vanillaEnsembleFactory(g, x0), Config{Trials: 4, Seed: 123})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +218,7 @@ func TestCensoringAtTinyMaxTime(t *testing.T) {
 	// A path graph cannot average in time 0.001: the trial must censor.
 	g := graph.Path(32)
 	x0 := gossip.Linear(32)
-	res, err := Estimate(g, VanillaFactory(g, x0), Config{Trials: 2, MaxTime: 0.001})
+	res, err := EstimateBatched(g, nil, vanillaEnsembleFactory(g, x0), Config{Trials: 2, MaxTime: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +235,11 @@ func TestEstimateWithRatesNodeClockSlower(t *testing.T) {
 		t.Fatal(err)
 	}
 	x0 := gossip.CutIndicator(p)
-	edgeClock, err := Estimate(g, VanillaFactory(g, x0), Config{Trials: 5, Seed: 3, MaxTime: 1e4, MarginFactor: 1})
+	edgeClock, err := EstimateBatched(g, nil, vanillaEnsembleFactory(g, x0), Config{Trials: 5, Seed: 3, MaxTime: 1e4, MarginFactor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodeClock, err := EstimateWithRates(g, sim.NodeClockRates(g), VanillaFactory(g, x0),
+	nodeClock, err := EstimateBatched(g, sim.NodeClockRates(g), vanillaEnsembleFactory(g, x0),
 		Config{Trials: 5, Seed: 3, MaxTime: 1e5, MarginFactor: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +256,14 @@ func TestEstimateWithRatesValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wrong rate vector length must surface as an error, not a panic.
-	if _, err := EstimateWithRates(g, []float64{1}, VanillaFactory(g, x0), Config{Trials: 1}); err == nil {
+	if _, err := EstimateBatched(g, []float64{1}, vanillaEnsembleFactory(g, x0), Config{Trials: 1}); err == nil {
 		t.Error("rate length mismatch not rejected")
+	}
+}
+
+// aEnsembleFactory builds ensembles of Algorithm A runs on g from x0.
+func aEnsembleFactory(g *graph.Graph, x0 []float64, opts ...core.Option) EnsembleFactory {
+	return func(replicas int, _ []*rng.RNG) (sim.BatchKernel, error) {
+		return core.NewEnsemble(replicas, func(int) (*core.SparseCutAveraging, error) { return core.New(g, x0, opts...) })
 	}
 }

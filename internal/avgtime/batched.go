@@ -3,16 +3,16 @@ package avgtime
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"sparsecut/internal/graph"
 	"sparsecut/internal/rng"
 	"sparsecut/internal/sim"
-	"sparsecut/internal/stats"
 )
 
 // EnsembleFactory builds a replica-batched kernel: R independent replicas
-// of one algorithm over a shared graph (e.g. gossip.NewVanillaEnsemble or
-// core.NewEnsemble).
+// of one algorithm over a shared graph, all starting from the same initial
+// vector (e.g. gossip.NewVanillaEnsemble or core.NewEnsemble).
 // algStreams has length R, one private stream per replica for
 // algorithm-internal randomness (push-sum direction coins); factories for
 // deterministic algorithms may ignore it.
@@ -23,20 +23,19 @@ type EnsembleFactory func(replicas int, algStreams []*rng.RNG) (sim.BatchKernel,
 // (sim.BatchEngine): all trials advance in interleaved lockstep over the
 // shared flat graph, inter-event exponential gaps collapse into per-chunk
 // Gamma bridge draws, and the per-event work drops to one uniform edge
-// pick plus a division-free moment update. It samples the same
-// last-exceedance distribution as Estimate but is not stream-compatible
-// with it (randomness is consumed in a different order); the package KS
-// tests check the two paths against each other distributionally.
+// pick plus a division-free moment update. It samples the
+// last-exceedance distribution of a per-event simulation; the package KS
+// tests check it against a per-event estimator with its own clock.
 //
-// nil rates mean the paper's rate-1 clocks. Config is interpreted as in
-// Estimate, except that BatchWidth bounds how many trials are resident per
-// batch (memory only — every trial's randomness comes from its own pair of
-// child streams, derived from Config.Seed in trial order exactly as the
-// legacy loop derives them, so the reported Result is byte-identical for
-// any width).
+// nil rates mean the paper's rate-1 clocks. BatchWidth bounds how many
+// trials are resident per batch (memory only — every trial's randomness
+// comes from its own pair of child streams, an algorithm stream then a
+// simulation stream, split from Config.Seed in trial order, so the
+// reported Result is byte-identical for any width).
 //
-// A kernel that reports an epoch duration (core.Ensemble, Algorithm A)
-// sizes the quiet period from it, as Estimate does from the algorithm.
+// A kernel that reports a positive epoch duration (an ensemble of
+// Algorithm A runs) sizes the quiet period from it. Every replica must
+// start at the same variance varX(0), from which the levels are scaled.
 func EstimateBatched(g *graph.Graph, rates []float64, factory EnsembleFactory, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -45,8 +44,8 @@ func EstimateBatched(g *graph.Graph, rates []float64, factory EnsembleFactory, c
 	if factory == nil {
 		return Result{}, errors.New("avgtime: nil ensemble factory")
 	}
-	// Per-trial streams, split from the root in trial order — the same
-	// derivation as the legacy loop, independent of the batch grouping.
+	// Per-trial streams, split from the root in trial order, independent
+	// of the batch grouping.
 	root := rng.New(cfg.Seed)
 	algStreams := make([]*rng.RNG, cfg.Trials)
 	simStreams := make([]*rng.RNG, cfg.Trials)
@@ -60,6 +59,7 @@ func EstimateBatched(g *graph.Graph, rates []float64, factory EnsembleFactory, c
 	}
 
 	res := Result{PerTrial: make([]float64, 0, cfg.Trials)}
+	var var0 float64
 	var chunksSoFar int64
 	for lo := 0; lo < cfg.Trials; lo += width {
 		hi := min(lo+width, cfg.Trials)
@@ -73,9 +73,16 @@ func EstimateBatched(g *graph.Graph, rates []float64, factory EnsembleFactory, c
 		if kern.Replicas() != hi-lo {
 			return Result{}, fmt.Errorf("avgtime: ensemble factory returned %d replicas, want %d", kern.Replicas(), hi-lo)
 		}
-		// All replicas start from the same initial vector, so replica 0's
-		// variance is every replica's varX(0).
-		var0 := kern.ReplicaVariance(0)
+		// All trials start from the same initial vector, so trial 0's
+		// variance is every trial's varX(0).
+		if lo == 0 {
+			var0 = kern.ReplicaVariance(0)
+		}
+		for rep := range hi - lo {
+			if v := kern.ReplicaVariance(rep); math.Float64bits(v) != math.Float64bits(var0) {
+				return Result{}, fmt.Errorf("avgtime: trial %d starts at variance %v, trial 0 at %v; all trials must start from one initial vector", lo+rep, v, var0)
+			}
+		}
 		if var0 == 0 {
 			for i := lo; i < hi; i++ {
 				res.PerTrial = append(res.PerTrial, 0) // already averaged
@@ -112,11 +119,8 @@ func EstimateBatched(g *graph.Graph, rates []float64, factory EnsembleFactory, c
 		chunksSoFar += eng.Chunks()
 	}
 
-	q, err := stats.Quantile(res.PerTrial, DefaultQuantile)
-	if err != nil {
+	if err := res.summarise(); err != nil {
 		return Result{}, err
 	}
-	res.Tav = q
-	res.Mean, res.CI95 = stats.MeanCI95(res.PerTrial)
 	return res, nil
 }

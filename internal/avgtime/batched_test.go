@@ -3,6 +3,7 @@ package avgtime
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sparsecut/internal/gossip"
@@ -22,39 +23,50 @@ func vanillaEnsembleFactory(g *graph.Graph, x0 []float64) EnsembleFactory {
 
 // The batched estimator's Result must be byte-identical for any
 // BatchWidth: trial streams derive from the seed in trial order, never
-// from the grouping.
+// from the grouping. The 64-trial input holds the engine's claim of the
+// same bytes at R=1 and R=64.
 func TestEstimateBatchedWidthDeterminism(t *testing.T) {
 	g, part, err := graph.Dumbbell(10, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x0 := gossip.CutIndicator(part)
-	var results []Result
-	for _, width := range []int{0, 1, 3, 64} {
-		res, err := EstimateBatched(g, nil, vanillaEnsembleFactory(g, x0), Config{
-			Trials:       9,
-			Seed:         11,
-			MarginFactor: 1,
-			BatchWidth:   width,
-		})
-		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
+	for _, in := range []struct {
+		trials int
+		widths []int
+	}{
+		{9, []int{0, 1, 3, 64}},
+		{64, []int{1, 64}},
+	} {
+		var results []Result
+		for _, width := range in.widths {
+			res, err := EstimateBatched(g, nil, vanillaEnsembleFactory(g, x0), Config{
+				Trials:       in.trials,
+				Seed:         11,
+				MarginFactor: 1,
+				BatchWidth:   width,
+			})
+			if err != nil {
+				t.Fatalf("%d trials, width %d: %v", in.trials, width, err)
+			}
+			results = append(results, res)
 		}
-		results = append(results, res)
-	}
-	for i := 1; i < len(results); i++ {
-		if !reflect.DeepEqual(results[0], results[i]) {
-			t.Errorf("results diverged between widths: %+v vs %+v", results[0], results[i])
+		for i := 1; i < len(results); i++ {
+			if !reflect.DeepEqual(results[0], results[i]) {
+				t.Errorf("%d trials: results diverged between widths %d and %d: %+v vs %+v",
+					in.trials, in.widths[0], in.widths[i], results[0], results[i])
+			}
 		}
-	}
-	if results[0].Tav <= 0 {
-		t.Errorf("expected positive Tav, got %v", results[0].Tav)
+		if results[0].Tav <= 0 || len(results[0].PerTrial) != in.trials {
+			t.Errorf("%d trials: Tav %v over %d trials", in.trials, results[0].Tav, len(results[0].PerTrial))
+		}
 	}
 }
 
 // The time-bridged batched estimator must sample the same last-exceedance
-// distribution as the legacy per-event path: two-sample KS test of the
-// per-trial Tav samples on a sparse-cut dumbbell and a complete graph.
+// distribution as the per-event oracle (perEventEstimate, the "legacy"
+// path): two-sample KS test of the per-trial Tav samples on a sparse-cut
+// dumbbell and a complete graph.
 // This is the distributional contract of the Gamma bridging (a chunk's
 // elapsed time is the sum of its per-event exponential gaps) and of the
 // Beta interpolation of within-chunk exceedance times.
@@ -86,7 +98,7 @@ func TestBatchedVsLegacyTavKS(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g, x0 := tc.build()
 			cfg := Config{Trials: trials, Seed: 1234, MarginFactor: 1}
-			legacy, err := Estimate(g, VanillaFactory(g, x0), cfg)
+			legacy, err := perEventEstimate(g, nil, vanillaPerEvent(g, x0), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +119,8 @@ func TestBatchedVsLegacyTavKS(t *testing.T) {
 }
 
 // Same KS contract under heterogeneous rates: the superposition is still
-// Poisson at the total rate, with picks through the shared alias table.
+// Poisson at the total rate, with picks through the engine's alias table
+// against the oracle's binary search over cumulative rates.
 func TestBatchedVsLegacyTavKSHeterogeneous(t *testing.T) {
 	const trials = 100
 	crit := 1.949 * math.Sqrt(2.0/trials)
@@ -122,7 +135,7 @@ func TestBatchedVsLegacyTavKSHeterogeneous(t *testing.T) {
 		rates[i] = 0.5 + 1.5*r.Float64()
 	}
 	cfg := Config{Trials: trials, Seed: 99, MarginFactor: 1}
-	legacy, err := EstimateWithRates(g, rates, VanillaFactory(g, x0), cfg)
+	legacy, err := perEventEstimate(g, rates, vanillaPerEvent(g, x0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +173,7 @@ func TestEstimateBatchedPushSumWidthDeterminism(t *testing.T) {
 }
 
 // An already-averaged initial vector yields zero averaging time without
-// simulating, as in the legacy path.
+// simulating.
 func TestEstimateBatchedAlreadyAveraged(t *testing.T) {
 	g := graph.Complete(6)
 	x0 := []float64{3, 3, 3, 3, 3, 3}
@@ -170,6 +183,32 @@ func TestEstimateBatchedAlreadyAveraged(t *testing.T) {
 	}
 	if res.Tav != 0 || res.Events != 0 || len(res.PerTrial) != 4 {
 		t.Errorf("want all-zero result without events, got %+v", res)
+	}
+}
+
+// Every trial is measured against one varX(0), so an ensemble whose
+// replicas start from different vectors is an error, also when the odd
+// replica sits in a later batch.
+func TestEstimateBatchedRejectsMixedStarts(t *testing.T) {
+	g := graph.Complete(6)
+	spike, err := gossip.Spike(6, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := []float64{4, 0, 0, 0, 0, 0}
+	trial := 0
+	factory := func(replicas int, _ []*rng.RNG) (sim.BatchKernel, error) {
+		return gossip.NewEnsemble(replicas, func(int) (gossip.Run, error) {
+			trial++
+			if trial == 3 {
+				return gossip.NewVanilla(g, wide)
+			}
+			return gossip.NewVanilla(g, spike)
+		})
+	}
+	_, err = EstimateBatched(g, nil, factory, Config{Trials: 4, BatchWidth: 2})
+	if err == nil || !strings.Contains(err.Error(), "trial 2 starts at variance") {
+		t.Errorf("replicas with different initial variances: err %v, want trial 2 rejected", err)
 	}
 }
 
@@ -190,9 +229,9 @@ func TestEstimateBatchedValidation(t *testing.T) {
 	}
 }
 
-// The batched estimate must agree with the legacy point estimate within
-// Monte-Carlo noise on a well-conditioned graph (coarse sanity on top of
-// the KS tests).
+// The batched estimate must agree with the per-event oracle's point
+// estimate within Monte-Carlo noise on a well-conditioned graph (coarse
+// sanity on top of the KS tests).
 func TestEstimateBatchedCloseToLegacy(t *testing.T) {
 	g := graph.Complete(24)
 	x0, err := gossip.Spike(24, 0)
@@ -200,7 +239,7 @@ func TestEstimateBatchedCloseToLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Trials: 31, Seed: 2, MarginFactor: 1}
-	legacy, err := Estimate(g, VanillaFactory(g, x0), cfg)
+	legacy, err := perEventEstimate(g, nil, vanillaPerEvent(g, x0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"sparsecut/internal/graph"
 	"sparsecut/internal/rng"
 	"sparsecut/internal/sim"
-	"sparsecut/internal/stats"
 )
 
 // ShardedOptions tunes EstimateSharded beyond the shared Config.
@@ -29,9 +28,8 @@ type ShardedOptions struct {
 
 // EstimateSharded measures vanilla averaging time on an implicit graph
 // with the sharded engine. Per trial it derives the same two root-stream
-// splits as the per-event and batched estimators (one reserved algorithm
-// stream, one simulation stream), so seed accounting lines up across
-// estimators.
+// splits as EstimateBatched (one reserved algorithm stream, one
+// simulation stream), so seed accounting lines up across estimators.
 func EstimateSharded(g *graph.Implicit, x0 []float64, cfg Config, opt ShardedOptions) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -67,11 +65,8 @@ func EstimateSharded(g *graph.Implicit, x0 []float64, cfg Config, opt ShardedOpt
 		res.Events += eng.Events()
 		res.PerTrial = append(res.PerTrial, tr.LastExceed)
 	}
-	q, err := stats.Quantile(res.PerTrial, DefaultQuantile)
-	if err != nil {
+	if err := res.summarise(); err != nil {
 		return Result{}, err
 	}
-	res.Tav = q
-	res.Mean, res.CI95 = stats.MeanCI95(res.PerTrial)
 	return res, nil
 }

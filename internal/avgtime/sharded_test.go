@@ -64,7 +64,7 @@ func TestShardedVsOracleTavKS(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g, x0 := tc.mat()
 			cfg := Config{Trials: trials, Seed: 1234, MarginFactor: 1}
-			oracle, err := Estimate(g, VanillaFactory(g, x0), cfg)
+			oracle, err := perEventEstimate(g, nil, vanillaPerEvent(g, x0), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

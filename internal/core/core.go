@@ -22,12 +22,13 @@
 //
 // Key types: SparseCutAveraging (gossip.Algorithm and gossip.Run: the
 // per-event TickEdges and TickEdgeVar, which take no event times, and the
-// batched TickChunkTracked), Ensemble (R runs as one replica batch) and the
-// Option set (WithPartition, WithTvan, WithAllCutEdges, ...). The
-// designated edge ec is always the lowest-ID cut edge. A swap listener
-// (WithSwapListener, used by E6) sees each swap's index and the variance
-// around it, on the per-event path only. The deliberate deviations from
-// the paper's literal text are DESIGN.md §3; the claim mapping is §4.
+// batched TickChunkTracked), NewEnsemble (R runs as one gossip.Ensemble
+// replica batch) and the Option set (WithPartition, WithTvan,
+// WithAllCutEdges, ...). The designated edge ec is always the lowest-ID
+// cut edge. A swap listener (WithSwapListener, used by E6) sees each
+// swap's index and the variance around it, on the per-event path only.
+// The deliberate deviations from the paper's literal text are DESIGN.md
+// §3; the claim mapping is §4.
 package core
 
 import (
@@ -358,7 +359,7 @@ func (a *SparseCutAveraging) TickEdges(edges []graph.EdgeID) {
 	st.AverageEdgesLazy(edges[start:], eu, ev)
 }
 
-// TickEdgeVar implements sim.TickKernel: one tick, one moment read.
+// TickEdgeVar implements gossip.Algorithm: one tick, one moment read.
 func (a *SparseCutAveraging) TickEdgeVar(e graph.EdgeID) float64 {
 	if a.isCut[e] {
 		a.tickCut(e)
@@ -458,22 +459,13 @@ func (a *SparseCutAveraging) SideMeans() (mu1, mu2 float64) {
 	return s1 / float64(a.part.Size1()), s2 / float64(a.part.Size2())
 }
 
-// Ensemble is R runs of Algorithm A as one replica batch for
-// sim.BatchEngine: a gossip.Ensemble that also reports the runs' epoch
-// duration, from which the averaging-time estimator sizes its quiet
-// period.
-type Ensemble struct {
-	*gossip.Ensemble
-	epoch float64
-}
-
 // NewEnsemble builds an ensemble of replicas runs of A, replica rep from
-// run(rep). The runs are meant to share one configuration; the epoch
-// duration reported is the last run's. A run with a swap listener is
+// run(rep), as one replica batch for sim.BatchEngine. The gossip.Ensemble
+// reports the runs' epoch duration, from which the averaging-time
+// estimator sizes its quiet period. A run with a swap listener is
 // rejected: the tracked chunk reports no swaps.
-func NewEnsemble(replicas int, run func(rep int) (*SparseCutAveraging, error)) (*Ensemble, error) {
-	e := &Ensemble{}
-	ens, err := gossip.NewEnsemble(replicas, func(rep int) (gossip.Run, error) {
+func NewEnsemble(replicas int, run func(rep int) (*SparseCutAveraging, error)) (*gossip.Ensemble, error) {
+	return gossip.NewEnsemble(replicas, func(rep int) (gossip.Run, error) {
 		a, err := run(rep)
 		if err != nil {
 			return nil, err
@@ -481,15 +473,6 @@ func NewEnsemble(replicas int, run func(rep int) (*SparseCutAveraging, error)) (
 		if a.listener != nil {
 			return nil, errors.New("core: an ensemble run cannot have a swap listener")
 		}
-		e.epoch = a.EpochDuration()
 		return a, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	e.Ensemble = ens
-	return e, nil
 }
-
-// EpochDuration returns the runs' expected simulated time between swaps.
-func (e *Ensemble) EpochDuration() float64 { return e.epoch }

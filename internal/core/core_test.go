@@ -448,53 +448,6 @@ func TestAlgorithmAKernelBitIdenticalAllCutEdges(t *testing.T) {
 	}
 }
 
-// RunTracked with only MaxTime set is the eager per-event loop that E5
-// and cmd/gossipsim drive in chained steps: for Algorithm A without a
-// swap listener (the lazy-kernel case E5 avoids) it must match the
-// reference loop in the values, Now, Events and the variance, bit for
-// bit, across swaps. The gossip algorithms have the same test in
-// internal/gossip.
-func TestRunTrackedMatchesReferenceLoop(t *testing.T) {
-	g, part, err := graph.Dumbbell(16, 16, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x0 := gossip.CutIndicator(part)
-	build := func() *SparseCutAveraging {
-		a, err := New(g, x0, WithPartition(part), WithEpochTicks(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
-	legacy, tracked := build(), build()
-	ref := newRefClock(g, 23)
-	eng, err := sim.NewEngine(g, tracked, sim.WithSeed(23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, maxT := range []float64{0.5, 4, 4, 9.75, 60} {
-		ref.runUntil(legacy, maxT)
-		eng.RunTracked(sim.Tracked{MaxTime: maxT})
-		if ref.now != eng.Now() || ref.events != eng.Events() {
-			t.Fatalf("at %v: (t, events) = (%v, %d) reference vs (%v, %d) tracked",
-				maxT, ref.now, ref.events, eng.Now(), eng.Events())
-		}
-		vL, vT := legacy.Values(), tracked.Values()
-		for i := range vL {
-			if math.Float64bits(vL[i]) != math.Float64bits(vT[i]) {
-				t.Fatalf("at %v: value %d = %v reference vs %v tracked", maxT, i, vL[i], vT[i])
-			}
-		}
-		if math.Float64bits(legacy.Variance()) != math.Float64bits(tracked.Variance()) {
-			t.Fatalf("at %v: variance %v reference vs %v tracked", maxT, legacy.Variance(), tracked.Variance())
-		}
-	}
-	if tracked.Swaps() == 0 {
-		t.Fatal("no swaps fired; test covers nothing")
-	}
-}
-
 // The tracked chunk must be per-event TickEdgeVar bit for bit: the same
 // values, swaps and chunk-end variance, and as lastIdx the last event
 // whose TickEdgeVar result exceeded the level. Chunks are ragged, and a

@@ -105,7 +105,7 @@ func TestConvergenceMatchesSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.RunTracked(sim.Tracked{MaxTime: horizon})
+		eng.RunUntil(horizon)
 		simLog += math.Log(alg.Variance())
 	}
 	simRatio := math.Exp(simLog / simTrials)

@@ -8,10 +8,11 @@ import (
 )
 
 // Algorithm is a distributed averaging process driven by edge clock ticks.
-// Its tick methods are sim.TickKernel's, declared here because package sim
+// TickEdges is sim.TickKernel's method, declared here because package sim
 // may not be imported from gossip (sim's tests import gossip); any
-// Algorithm is therefore a TickKernel. The other methods are the
-// observables the averaging-time estimator needs.
+// Algorithm is therefore a TickKernel. TickEdgeVar is the eager one-tick
+// form, for callers that read the variance after every event. The other
+// methods are the observables the averaging-time estimator needs.
 type Algorithm interface {
 	// Name identifies the algorithm in tables and traces.
 	Name() string
@@ -56,7 +57,7 @@ func (v *Vanilla) TickEdges(edges []graph.EdgeID) {
 	v.st.AverageEdgesLazy(edges, v.eu, v.ev)
 }
 
-// TickEdgeVar implements sim.TickKernel: one tick, one moment read.
+// TickEdgeVar implements Algorithm: one tick, one moment read.
 func (v *Vanilla) TickEdgeVar(e graph.EdgeID) float64 {
 	v.st.AverageEdge(int(v.eu[e]), int(v.ev[e]))
 	return v.st.Variance()
@@ -117,7 +118,7 @@ func (c *Convex) TickEdges(edges []graph.EdgeID) {
 	c.st.ConvexEdgesLazy(edges, c.eu, c.ev, c.alpha)
 }
 
-// TickEdgeVar implements sim.TickKernel: one tick, one moment read.
+// TickEdgeVar implements Algorithm: one tick, one moment read.
 func (c *Convex) TickEdgeVar(e graph.EdgeID) float64 {
 	c.st.ConvexEdge(int(c.eu[e]), int(c.ev[e]), c.alpha)
 	return c.st.Variance()
@@ -201,7 +202,7 @@ func (p *PushSum) TickEdges(edges []graph.EdgeID) {
 	}
 }
 
-// TickEdgeVar implements sim.TickKernel.
+// TickEdgeVar implements Algorithm.
 func (p *PushSum) TickEdgeVar(e graph.EdgeID) float64 {
 	p.est.Set2(p.push(e))
 	return p.est.Variance()

@@ -15,7 +15,8 @@ import (
 // graph's flat endpoint arrays are shared by all replicas and stay hot in
 // cache while the engine round-robins replica chunks over them.
 type Ensemble struct {
-	runs []Run
+	runs  []Run
+	epoch float64 // the runs' epoch duration; 0 for runs without epochs
 }
 
 // Run is one single run as an Ensemble drives it: an Algorithm plus a
@@ -28,7 +29,9 @@ type Run interface {
 }
 
 // NewEnsemble builds an ensemble of replicas runs, replica rep from
-// run(rep).
+// run(rep). The runs are meant to share one configuration; when they have
+// an epoch (Algorithm A), the ensemble reports the last run's
+// EpochDuration.
 func NewEnsemble(replicas int, run func(rep int) (Run, error)) (*Ensemble, error) {
 	if replicas < 1 {
 		return nil, fmt.Errorf("gossip: ensemble needs at least one replica, got %d", replicas)
@@ -38,6 +41,9 @@ func NewEnsemble(replicas int, run func(rep int) (Run, error)) (*Ensemble, error
 		r, err := run(rep)
 		if err != nil {
 			return nil, err
+		}
+		if h, ok := r.(interface{ EpochDuration() float64 }); ok {
+			e.epoch = h.EpochDuration()
 		}
 		e.runs[rep] = r
 	}
@@ -78,6 +84,11 @@ func (e *Ensemble) Replicas() int { return len(e.runs) }
 func (e *Ensemble) TickChunkTracked(rep int, edges []graph.EdgeID, exceedLevel float64) (lastIdx int, endVar float64) {
 	return e.runs[rep].TickChunkTracked(edges, exceedLevel)
 }
+
+// EpochDuration returns the runs' expected simulated time between epochs
+// (Algorithm A's swaps), or 0 when the runs have none. The averaging-time
+// estimator sizes its quiet period from it.
+func (e *Ensemble) EpochDuration() float64 { return e.epoch }
 
 // ReplicaVariance implements sim.BatchKernel.
 func (e *Ensemble) ReplicaVariance(rep int) float64 { return e.runs[rep].Variance() }

@@ -76,52 +76,6 @@ func TestKernelBitIdenticalToHandleTick(t *testing.T) {
 	}
 }
 
-// RunTracked with only MaxTime set is the eager per-event loop that E5
-// and cmd/gossipsim drive in chained steps: it must match the reference
-// loop in the values, Now, Events and the variance, bit for bit, and
-// chaining must not change that. Algorithm A has the same test in
-// internal/core.
-func TestRunTrackedMatchesReferenceLoop(t *testing.T) {
-	g, part, err := graph.Dumbbell(24, 24, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x0 := CutIndicator(part)
-	steps := []float64{0.5, 3, 3, 7.25, 40}
-	for _, b := range refBuilders(g, x0) {
-		legacy, err := b.make()
-		if err != nil {
-			t.Fatal(err)
-		}
-		tracked, err := b.make()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := newRefClock(g, 17)
-		eng, err := sim.NewEngine(g, tracked, sim.WithSeed(17))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, maxT := range steps {
-			ref.runUntil(legacy, maxT)
-			eng.RunTracked(sim.Tracked{MaxTime: maxT})
-			if ref.now != eng.Now() || ref.events != eng.Events() {
-				t.Fatalf("%s at %v: (t, events) = (%v, %d) reference vs (%v, %d) tracked",
-					b.name, maxT, ref.now, ref.events, eng.Now(), eng.Events())
-			}
-			vL, vT := legacy.Values(), tracked.Values()
-			for i := range vL {
-				if math.Float64bits(vL[i]) != math.Float64bits(vT[i]) {
-					t.Fatalf("%s at %v: value %d = %v reference vs %v tracked", b.name, maxT, i, vL[i], vT[i])
-				}
-			}
-			if math.Float64bits(legacy.Variance()) != math.Float64bits(tracked.Variance()) {
-				t.Fatalf("%s at %v: variance %v reference vs %v tracked", b.name, maxT, legacy.Variance(), tracked.Variance())
-			}
-		}
-	}
-}
-
 func relDiff(a, b float64) float64 {
 	if a == b || math.Abs(a-b) < 1e-12 {
 		return 0 // agreement to absolute float-noise level

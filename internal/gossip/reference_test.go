@@ -7,9 +7,8 @@ import (
 
 // The per-event reference: each algorithm's update rule written out once
 // more in its plain unfused form (State.Get/Set per endpoint), and a loop
-// that delivers one tick at a time. The engine's loops (RunUntil over
-// TickEdges, RunTracked over TickEdgeVar) are pinned to it bit for bit in
-// kernel_test.go.
+// that delivers one tick at a time. The engine's loop (RunUntil over
+// TickEdges) is pinned to it bit for bit in kernel_test.go.
 
 // HandleTick is vanilla's reference update for a tick of edge e.
 func (v *Vanilla) HandleTick(e graph.EdgeID, _ float64) {

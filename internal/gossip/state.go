@@ -8,7 +8,7 @@
 // needs is available in O(1) after every event rather than O(n).
 //
 // Key types: State (O(1) incremental moments), Algorithm (sim.TickKernel's
-// TickEdges and TickEdgeVar, which take no event times, plus the
+// TickEdges and the eager TickEdgeVar, which take no event times, plus the
 // observables), Run (an Algorithm with a tracked chunk) and Ensemble (R
 // single runs as one replica batch, driven only through the tracked
 // chunk). See DESIGN.md §6 (fused kernels) and §8 (replica batching).

@@ -44,18 +44,6 @@ func NewEdge(u, v NodeID) Edge {
 	return Edge{U: u, V: v}
 }
 
-// Other returns the endpoint of e that is not x. It panics if x is not an
-// endpoint of e.
-func (e Edge) Other(x NodeID) NodeID {
-	switch x {
-	case e.U:
-		return e.V
-	case e.V:
-		return e.U
-	}
-	panic(fmt.Sprintf("graph: node %d is not an endpoint of edge %v", x, e))
-}
-
 // String renders the edge as "u-v".
 func (e Edge) String() string { return fmt.Sprintf("%d-%d", e.U, e.V) }
 

@@ -23,19 +23,6 @@ func TestNewEdgeNormalises(t *testing.T) {
 	}
 }
 
-func TestEdgeOther(t *testing.T) {
-	e := NewEdge(1, 4)
-	if e.Other(1) != 4 || e.Other(4) != 1 {
-		t.Error("Other returned wrong endpoint")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Other on non-endpoint did not panic")
-		}
-	}()
-	e.Other(2)
-}
-
 func TestBuilderBasic(t *testing.T) {
 	g, err := NewBuilder(3).AddEdge(0, 1).AddEdge(1, 2).Build()
 	if err != nil {
@@ -164,8 +151,7 @@ func TestDegreeSumInvariant(t *testing.T) {
 		}
 		for u := 0; u < g.NumNodes(); u++ {
 			for _, he := range g.Neighbors(NodeID(u)) {
-				e := g.Edge(he.Edge)
-				if e.Other(NodeID(u)) != he.Peer {
+				if g.Edge(he.Edge) != NewEdge(NodeID(u), he.Peer) {
 					t.Errorf("%s: adjacency inconsistent at node %d", g, u)
 				}
 			}

@@ -1,7 +1,7 @@
 package graph
 
-// This file provides the traversal utilities (BFS, connectivity, distance,
-// component extraction) that generators and cut detection rely on.
+// This file provides the traversal utilities (BFS, connectivity, distance)
+// that generators and cut detection rely on.
 
 // BFSDistances returns the hop distance from src to every node, with -1 for
 // unreachable nodes. It panics if src is out of range. The traversal runs
@@ -43,36 +43,6 @@ func IsConnected(g *Graph) bool {
 		}
 	}
 	return true
-}
-
-// ConnectedComponents labels every node with a component index (0-based,
-// in order of discovery from node 0 upward) and returns the labels along
-// with the number of components.
-func ConnectedComponents(g *Graph) (labels []int, count int) {
-	n := g.NumNodes()
-	labels = make([]int, n)
-	for i := range labels {
-		labels[i] = -1
-	}
-	for start := 0; start < n; start++ {
-		if labels[start] != -1 {
-			continue
-		}
-		labels[start] = count
-		queue := []NodeID{NodeID(start)}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, he := range g.Neighbors(u) {
-				if labels[he.Peer] == -1 {
-					labels[he.Peer] = count
-					queue = append(queue, he.Peer)
-				}
-			}
-		}
-		count++
-	}
-	return labels, count
 }
 
 // Eccentricity returns the maximum BFS distance from src to any reachable

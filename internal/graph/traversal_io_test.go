@@ -43,23 +43,6 @@ func TestIsConnected(t *testing.T) {
 	}
 }
 
-func TestConnectedComponents(t *testing.T) {
-	g := NewBuilder(6).AddEdge(0, 1).AddEdge(1, 2).AddEdge(3, 4).MustBuild()
-	labels, count := ConnectedComponents(g)
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	if labels[0] != labels[1] || labels[1] != labels[2] {
-		t.Error("first component mislabelled")
-	}
-	if labels[3] != labels[4] || labels[3] == labels[0] {
-		t.Error("second component mislabelled")
-	}
-	if labels[5] == labels[0] || labels[5] == labels[3] {
-		t.Error("isolated node shares a label with a non-trivial component")
-	}
-}
-
 func TestEccentricityAndDiameter(t *testing.T) {
 	g := Path(4)
 	ecc, ok := Eccentricity(g, 1)

@@ -126,11 +126,7 @@ func runE5(p Params) (Section, error) {
 		row := []string{which}
 		var final float64
 		for i := 1; i <= segments; i++ {
-			// The eager per-event loop, not RunUntil: without a swap
-			// listener A's fused kernel takes the lazy path, whose exact
-			// moment resync changes the ratios reported here at the float
-			// noise floor (ratio@t=30 for A reads 1.069e-50 instead of 0).
-			eng.RunTracked(sim.Tracked{MaxTime: horizon * float64(i) / segments})
+			eng.RunUntil(horizon * float64(i) / segments)
 			final = alg.Variance() / var0
 			row = append(row, fmt.Sprintf("%.4g", final))
 		}

@@ -306,11 +306,6 @@ func (r *RNG) CountOnes(n int) int {
 	return count
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // openUnit returns a uniform float64 strictly inside (0, 1): the half-unit
 // offset keeps the lattice off both endpoints, so -Log(openUnit) is always
 // positive and finite. 52 bits are used so every k+0.5 is exactly
@@ -523,17 +518,6 @@ func (r *RNG) Poisson(mean float64) int {
 		}
 		return int(v)
 	}
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }
 
 // Shuffle performs a Fisher-Yates shuffle over n elements using swap.

@@ -126,15 +126,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestInt63NonNegative(t *testing.T) {
-	r := New(17)
-	for i := 0; i < 10000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 returned a negative value")
-		}
-	}
-}
-
 func TestExpFloat64Mean(t *testing.T) {
 	for _, rate := range []float64{0.5, 1, 4} {
 		r := New(13)
@@ -229,42 +220,6 @@ func TestPoissonNonNegative(t *testing.T) {
 			if v := r.Poisson(mean); v < 0 {
 				t.Fatalf("Poisson(%v) returned %d", mean, v)
 			}
-		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(41)
-	if err := quick.Check(func(nRaw uint8) bool {
-		n := int(nRaw % 64)
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPermUniformFirstElement(t *testing.T) {
-	r := New(43)
-	const n, draws = 5, 50000
-	counts := make([]int, n)
-	for i := 0; i < draws; i++ {
-		counts[r.Perm(n)[0]]++
-	}
-	want := float64(draws) / n
-	for i, c := range counts {
-		if math.Abs(float64(c)-want) > 5*math.Sqrt(want) {
-			t.Errorf("Perm first-element %d count %d deviates from %v", i, c, want)
 		}
 	}
 }

@@ -51,8 +51,9 @@ const chunkSize = batchSize
 // needs one (the last exceedance of the averaging-time statistic, landing
 // strictly inside a chunk) it is resolved by the order-statistics identity
 // S_j | S_k = D  ~  D·Beta(j, k−j), costing two GammaInt draws for that
-// chunk only. The per-event Engine remains the distribution-reference
-// oracle; the avgtime package KS-tests the two against each other.
+// chunk only. The avgtime package tests keep a per-event estimator with
+// its own clock as the distribution oracle and KS-test this engine
+// against it.
 type BatchEngine struct {
 	rateClock
 	g       *graph.Graph
@@ -168,15 +169,14 @@ func (be *BatchEngine) Events() int64 {
 	return n
 }
 
-// RunTracked drives every replica under the averaging-time stop rule of
-// Engine.RunTracked, evaluated at chunk granularity: a replica stops once
-// its simulated time reaches MaxTime, or once its variance is below
-// StopLevel and Quiet time has passed since its last exceedance, checked
-// before each chunk (so a run may overshoot the legacy stop point by up to
-// one chunk; the recorded last-exceedance statistic is unaffected for
-// variance-monotone algorithms and distributionally indistinguishable
-// otherwise — the avgtime KS tests cover both). It returns one
-// TrackedResult per replica.
+// RunTracked drives every replica under the averaging-time stop rule,
+// evaluated at chunk granularity: a replica stops once its simulated time
+// reaches MaxTime, or once its variance is below StopLevel and Quiet time
+// has passed since its last exceedance, checked before each chunk (so a
+// run may overshoot a per-event stop point by up to one chunk; the
+// recorded last-exceedance statistic is unaffected for variance-monotone
+// algorithms and distributionally indistinguishable otherwise — the
+// avgtime KS tests cover both). It returns one TrackedResult per replica.
 func (be *BatchEngine) RunTracked(cfg Tracked) []TrackedResult {
 	res := make([]TrackedResult, len(be.reps))
 	type trackState struct {

@@ -1,4 +1,4 @@
-package core
+package sim_test
 
 import (
 	"encoding/binary"
@@ -6,29 +6,32 @@ import (
 	"math"
 	"testing"
 
+	"sparsecut/internal/core"
 	"sparsecut/internal/gossip"
 	"sparsecut/internal/graph"
 	"sparsecut/internal/rng"
 	"sparsecut/internal/sim"
 )
 
-// TestEngineGoldenDigest pins the per-event engine's three loops for each
-// kernel on a 32+32 dumbbell with one cut edge, under uniform and node-clock
-// rates. The horizon is about 40,000 events, so the eager loops pass the
-// 2^16-update moment resync; the cross-cut imbalance keeps the variance
-// far above the float floor for vanilla, convex and push-sum. The FNV-64a
-// digest covers, per kernel:
+// TestEngineGoldenDigest pins the per-event engine for each kernel on a
+// 32+32 dumbbell with one cut edge, under uniform and node-clock rates:
+// RunUntil, the engine's one loop, and the eager reference loop RunTracked
+// (export_test.go). The horizon is about 40,000 events, so the eager loop
+// passes the 2^16-update moment resync; the cross-cut imbalance keeps the
+// variance far above the float floor for vanilla, convex and push-sum. The
+// FNV-64a digest covers, per kernel:
 //
 //   - 50 chained RunUntil steps: Now, Events, Variance bits and the values;
-//   - 200 chained RunTracked{MaxTime} steps, as E5 and gossipsim step it;
-//   - one RunTracked with the averaging-time estimator's levels and quiet
-//     period: LastExceed, Censored and Events;
+//   - 200 chained eager RunTracked{MaxTime} steps;
+//   - one eager RunTracked with the averaging-time estimator's levels and
+//     quiet period: LastExceed, Censored and Events;
 //   - for A only, a RunUntil with a swap listener: each swap's Index,
 //     VarBefore and VarAfter, then the final values.
 //
 // The constants were recorded before the untracked batch loop and the
-// event-time arguments left the engine; a change to the draw order, the
-// fused kernels or the resync cadence changes them.
+// event-time arguments left the engine, and kept when the eager loop moved
+// into the tests; a change to the draw order, the fused kernels or the
+// resync cadence changes them.
 func TestEngineGoldenDigest(t *testing.T) {
 	g, part, err := graph.Dumbbell(32, 32, 1)
 	if err != nil {
@@ -40,8 +43,8 @@ func TestEngineGoldenDigest(t *testing.T) {
 			x0[i] += 4
 		}
 	}
-	newA := func(opts ...Option) (gossip.Algorithm, error) {
-		return New(g, x0, append([]Option{WithPartition(part)}, opts...)...)
+	newA := func(opts ...core.Option) (gossip.Algorithm, error) {
+		return core.New(g, x0, append([]core.Option{core.WithPartition(part)}, opts...)...)
 	}
 	algs := []struct {
 		name string
@@ -128,7 +131,7 @@ func TestEngineGoldenDigest(t *testing.T) {
 				eng = engine(5, a)
 				var0 := a.Variance()
 				quiet := 1.0
-				if sc, ok := a.(*SparseCutAveraging); ok {
+				if sc, ok := a.(*core.SparseCutAveraging); ok {
 					quiet = 2 * sc.EpochDuration()
 				}
 				threshold := math.Exp(-2)
@@ -148,7 +151,7 @@ func TestEngineGoldenDigest(t *testing.T) {
 
 				if alg.name == "A" {
 					swaps := 0
-					la, err := newA(WithSwapListener(func(ev SwapEvent) {
+					la, err := newA(core.WithSwapListener(func(ev core.SwapEvent) {
 						swaps++
 						put(uint64(ev.Index))
 						putF(ev.VarBefore)

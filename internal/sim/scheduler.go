@@ -80,14 +80,6 @@ type globalScheduler struct {
 	now float64
 }
 
-func (s *globalScheduler) next() (graph.EdgeID, float64) {
-	s.now += s.r.ExpUnit() * s.invTotal
-	if s.uniform {
-		return graph.EdgeID(s.r.Intn(s.numEdges)), s.now
-	}
-	return graph.EdgeID(s.alias.pick(s.r)), s.now
-}
-
 // aliasTable is a Walker/Vose alias table over a fixed weight vector:
 // construction is O(n), each pick is O(1) — one uniform slot, one coin.
 type aliasTable struct {

@@ -8,15 +8,16 @@
 //
 // TickKernel is the one per-event contract: every engine here drives an
 // algorithm through it (or through its replica-batched and sharded
-// counterparts BatchKernel and ShardKernel). A per-event reference loop
-// over the algorithms' unfused update rules lives in the test files, which
-// pin the fused loops to it bit for bit.
+// counterparts BatchKernel and ShardKernel). The test files keep two
+// references: a per-event loop over the algorithms' unfused update rules,
+// to which the fused loop is pinned bit for bit, and the eager tracked
+// loop (one moment read per event) that the engine golden digest pins.
 //
-// Key types: Engine (two per-event loops: RunUntil in fused batches with
-// lazy moments, RunTracked with one variance read per event), BatchEngine
-// (replica-batched, Poisson time-bridging, one tracked loop), ShardEngine
-// (sharded PDES). The timing model is DESIGN.md §2; the engines are §6, §8
-// and §13.
+// Key types: Engine (one per-event loop, RunUntil, in fused batches with
+// lazy moments), BatchEngine (replica-batched, Poisson time-bridging, one
+// tracked loop; every averaging-time estimate off the sharded path runs
+// on it), ShardEngine (sharded PDES). The timing model is DESIGN.md §2;
+// the engines are §6, §8 and §13.
 package sim
 
 import (
@@ -27,9 +28,8 @@ import (
 	"sparsecut/internal/rng"
 )
 
-// Engine drives a TickKernel with Poisson edge ticks on a fixed graph:
-// RunUntil in fused batches with lazy moments, RunTracked one event at a
-// time with a variance read per event — see kernel.go.
+// Engine drives a TickKernel with Poisson edge ticks on a fixed graph, in
+// fused batches through RunUntil — see kernel.go.
 type Engine struct {
 	g      *graph.Graph
 	kern   TickKernel

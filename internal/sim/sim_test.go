@@ -59,13 +59,6 @@ func (h *countingHandler) TickEdges(edges []graph.EdgeID) {
 	}
 }
 
-func (h *countingHandler) TickEdgeVar(e graph.EdgeID) float64 {
-	h.perEdge[e]++
-	return 0
-}
-
-func (h *countingHandler) Variance() float64 { return 0 }
-
 func newCounter(g *graph.Graph) *countingHandler {
 	return &countingHandler{perEdge: make([]int64, g.NumEdges())}
 }
@@ -384,10 +377,10 @@ func TestSchedulerTickCountAgreement(t *testing.T) {
 	}
 }
 
-// recordingKernel implements both the reference handler and TickKernel,
-// recording every edge it sees, so the fused loops can be compared
-// bit-for-bit against the reference loop: the same edges, and the same
-// clock and event count where each loop stops.
+// recordingKernel implements the reference handler, TickKernel and
+// eagerKernel, recording every edge it sees, so the fused loop and the
+// eager loop can be compared bit-for-bit against the reference loop: the
+// same edges, and the same clock and event count where each loop stops.
 type recordingKernel struct {
 	edges []graph.EdgeID
 }
@@ -427,8 +420,8 @@ func runPair(t *testing.T, seed uint64) (legacy, fused *recordingKernel, engL, e
 }
 
 // The fused RunUntil must produce the identical event sequence as the
-// reference loop, and so must RunTracked with only MaxTime set, against the
-// reference loop to the same horizons.
+// reference loop, and so must the eager RunTracked with only MaxTime set,
+// against the reference loop to the same horizons.
 func TestRunUntilBitIdenticalToRun(t *testing.T) {
 	legacy, fused, engL, engF := runPair(t, 7)
 	const horizon = 3.5
@@ -476,9 +469,9 @@ func compareRecordings(t *testing.T, label string, a, b *recordingKernel) {
 	}
 }
 
-// RunTracked must replicate the estimator's stop rule: it stops once the
-// variance is below StopLevel and the quiet period has passed, and censors
-// at MaxTime.
+// The eager RunTracked must replicate the estimator's stop rule: it stops
+// once the variance is below StopLevel and the quiet period has passed,
+// and censors at MaxTime.
 func TestRunTrackedStops(t *testing.T) {
 	g := graph.Complete(4)
 	k := &recordingKernel{} // variance constant 0: below any positive stop level

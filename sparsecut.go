@@ -198,9 +198,10 @@ func Simulate(g *Graph, alg Algorithm, until float64, seed uint64) SimResult {
 
 // Averaging-time estimation, re-exported from internal/avgtime.
 type (
-	// TavConfig configures MeasureAveragingTime: trials, margin, horizon
-	// and seed (zero value = 9 trials). The threshold e^-2 and the
-	// confidence 1-1/e are Definition 1's and fixed.
+	// TavConfig configures MeasureAveragingTime: trials, margin, horizon,
+	// seed, batch width and observer (zero value = 9 trials). The
+	// threshold e^-2 and the confidence 1-1/e are Definition 1's, constants
+	// of the estimator that no caller can change.
 	TavConfig = avgtime.Config
 	// TavResult is the estimate with per-trial data and censoring info.
 	TavResult = avgtime.Result
@@ -208,15 +209,31 @@ type (
 
 // Factory builds a fresh Algorithm for one estimation trial. The seed is a
 // trial-private value for algorithms needing internal randomness;
-// deterministic algorithms may ignore it.
+// deterministic algorithms may ignore it. The trials run as replicas of
+// one batch, so every trial must start from the same initial vector, and
+// the Algorithm must be one this package builds (NewVanillaGossip,
+// NewAlgorithmA); anything else is an error.
 type Factory func(trial int, seed uint64) (Algorithm, error)
 
 // MeasureAveragingTime estimates the paper's Tav (Definition 1) for the
 // algorithm produced by factory on g, by Monte-Carlo over independent
 // trials.
 func MeasureAveragingTime(g *Graph, factory Factory, cfg TavConfig) (TavResult, error) {
-	return avgtime.Estimate(g, func(trial int, r *rng.RNG) (gossip.Algorithm, error) {
-		return factory(trial, r.Uint64())
+	trial := 0 // the batches cover the trials in order
+	return avgtime.EstimateBatched(g, nil, func(replicas int, streams []*rng.RNG) (sim.BatchKernel, error) {
+		return gossip.NewEnsemble(replicas, func(rep int) (gossip.Run, error) {
+			t := trial
+			trial++
+			alg, err := factory(t, streams[rep].Uint64())
+			if err != nil {
+				return nil, fmt.Errorf("trial %d: %w", t, err)
+			}
+			run, ok := alg.(gossip.Run)
+			if !ok {
+				return nil, fmt.Errorf("trial %d: %T cannot run in a replica batch", t, alg)
+			}
+			return run, nil
+		})
 	}, cfg)
 }
 

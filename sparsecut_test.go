@@ -4,11 +4,17 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"sparsecut/internal/avgtime"
+	"sparsecut/internal/core"
 	"sparsecut/internal/graph"
+	"sparsecut/internal/rng"
+	"sparsecut/internal/sim"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -144,6 +150,72 @@ func TestMeasureAveragingTime(t *testing.T) {
 		t.Errorf("censored = %d", res.Censored)
 	}
 }
+
+// MeasureAveragingTime runs the user's trials as replica batches. Each
+// factory call still gets its trial index and the seed of its own
+// algorithm stream, split from the root before the trial's simulation
+// stream, for any batch width; Algorithm A's estimate is the one
+// core.NewEnsemble's runs give; and a result that cannot run in a replica
+// batch is an error.
+func TestMeasureAveragingTimeFactoryContract(t *testing.T) {
+	g, part, err := NewDumbbell(6, 6, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0 := WorstCaseInit(part)
+	root := rng.New(5)
+	var want []uint64
+	for range 5 {
+		want = append(want, root.Split().Uint64())
+		root.Split()
+	}
+	for _, width := range []int{0, 2} {
+		var got []uint64
+		_, err := MeasureAveragingTime(g, func(trial int, seed uint64) (Algorithm, error) {
+			if trial != len(got) {
+				t.Errorf("width %d: trial %d built as call %d", width, trial, len(got))
+			}
+			got = append(got, seed)
+			return NewVanillaGossip(g, x0)
+		}, TavConfig{Trials: 5, Seed: 5, MarginFactor: 1, BatchWidth: width})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("width %d: seeds %v, want %v", width, got, want)
+		}
+	}
+
+	cfg := TavConfig{Trials: 4, Seed: 2, MaxTime: 200}
+	facade, err := MeasureAveragingTime(g, func(int, uint64) (Algorithm, error) {
+		return NewAlgorithmA(g, x0, WithPartition(part))
+	}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := avgtime.EstimateBatched(g, nil, func(replicas int, _ []*rng.RNG) (sim.BatchKernel, error) {
+		return core.NewEnsemble(replicas, func(int) (*core.SparseCutAveraging, error) {
+			return NewAlgorithmA(g, x0, WithPartition(part))
+		})
+	}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(facade, direct) {
+		t.Errorf("Algorithm A through the facade %+v, through core.NewEnsemble %+v", facade, direct)
+	}
+
+	_, err = MeasureAveragingTime(g, func(int, uint64) (Algorithm, error) {
+		return foreignAlgorithm{}, nil
+	}, TavConfig{Trials: 2})
+	if err == nil || !strings.Contains(err.Error(), "cannot run in a replica batch") {
+		t.Errorf("foreign algorithm: err %v, want a replica-batch error", err)
+	}
+}
+
+// foreignAlgorithm is an Algorithm this package did not build: it has no
+// tracked chunk.
+type foreignAlgorithm struct{ Algorithm }
 
 func TestSimulatePanicsOnNilAlgorithm(t *testing.T) {
 	g, _, err := NewDumbbell(4, 4, 1)
