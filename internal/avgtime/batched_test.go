@@ -198,7 +198,7 @@ func TestEstimateBatchedRejectsMixedStarts(t *testing.T) {
 	wide := []float64{4, 0, 0, 0, 0, 0}
 	trial := 0
 	factory := func(replicas int, _ []*rng.RNG) (sim.BatchKernel, error) {
-		return gossip.NewEnsemble(replicas, func(int) (gossip.Run, error) {
+		return gossip.NewEnsemble(replicas, func(int) (gossip.Algorithm, error) {
 			trial++
 			if trial == 3 {
 				return gossip.NewVanilla(g, wide)

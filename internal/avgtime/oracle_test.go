@@ -11,7 +11,8 @@ import (
 )
 
 // perEventEstimate is the KS tests' oracle: Definition 1 estimated one
-// event at a time, with a variance read after every tick. Its clock shares
+// event at a time, with a variance read after every tick (a one-edge
+// tracked chunk). Its clock shares
 // no code with the engines: each event draws an Exp(1) gap scaled by the
 // inverse total rate, then picks an edge with probability proportional to
 // its rate by binary search over the cumulative rates (nil rates mean rate
@@ -33,6 +34,7 @@ func perEventEstimate(g *graph.Graph, rates []float64, newAlg func(r *rng.RNG) (
 	}
 	root := rng.New(cfg.Seed)
 	res := Result{PerTrial: make([]float64, 0, cfg.Trials)}
+	tick := make([]graph.EdgeID, 1)
 	for range cfg.Trials {
 		algRNG, r := root.Split(), root.Split()
 		alg, err := newAlg(algRNG)
@@ -49,8 +51,8 @@ func perEventEstimate(g *graph.Graph, rates []float64, newAlg func(r *rng.RNG) (
 		for now < tr.MaxTime && (v >= tr.StopLevel || now < last+tr.Quiet) {
 			now += r.ExpUnit() / total
 			u := r.Float64() * total
-			e := sort.Search(len(cum)-1, func(i int) bool { return cum[i] > u })
-			v = alg.TickEdgeVar(graph.EdgeID(e))
+			tick[0] = graph.EdgeID(sort.Search(len(cum)-1, func(i int) bool { return cum[i] > u }))
+			_, v = alg.TickChunkTracked(tick, math.Inf(1))
 			if v > tr.ExceedLevel {
 				last = now
 			}
@@ -108,9 +110,15 @@ type countingKernel struct {
 	counts []float64
 }
 
-func (k *countingKernel) TickEdgeVar(e graph.EdgeID) float64 {
-	k.counts[e]++
-	return 1
+func (k *countingKernel) TickChunkTracked(edges []graph.EdgeID, level float64) (int, float64) {
+	lastIdx := -1
+	for i, e := range edges {
+		k.counts[e]++
+		if 1 > level {
+			lastIdx = i
+		}
+	}
+	return lastIdx, 1
 }
 
 func (k *countingKernel) Variance() float64 { return 1 }

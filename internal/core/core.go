@@ -20,13 +20,13 @@
 // discussion (the library defaults to the exactly-annihilating w* rather
 // than the paper's literal n1).
 //
-// Key types: SparseCutAveraging (gossip.Algorithm and gossip.Run: the
-// per-event TickEdges and TickEdgeVar, which take no event times, and the
-// batched TickChunkTracked), NewEnsemble (R runs as one gossip.Ensemble
-// replica batch) and the Option set (WithPartition, WithTvan,
-// WithAllCutEdges, ...). The designated edge ec is always the lowest-ID
-// cut edge. A swap listener (WithSwapListener, used by E6) sees each
-// swap's index and the variance around it, on the per-event path only.
+// Key types: SparseCutAveraging (gossip.Algorithm: the lazy TickEdges and
+// the tracked TickChunkTracked, which take no event times), NewEnsemble (R
+// runs as one gossip.Ensemble replica batch) and the Option set
+// (WithPartition, WithTvan, WithAllCutEdges, ...). The designated edge ec
+// is always the lowest-ID cut edge. A swap listener (WithSwapListener,
+// used by E6) sees each swap's index and the exact variance around it, on
+// the lazy path only.
 // The deliberate deviations from the paper's literal text are DESIGN.md
 // §3; the claim mapping is §4.
 package core
@@ -85,7 +85,7 @@ type SparseCutAveraging struct {
 	tvan1, tvan2 float64 // the Tvan estimates used to size the epoch (0 if user-supplied K)
 }
 
-var _ gossip.Run = (*SparseCutAveraging)(nil)
+var _ gossip.Algorithm = (*SparseCutAveraging)(nil)
 
 // Option configures New.
 type Option func(*config)
@@ -297,54 +297,20 @@ func (a *SparseCutAveraging) cutTick(e graph.EdgeID) (u, v int, xu, xv float64, 
 	return u, v, xu + d, xv - d, true
 }
 
-// tickCut applies a tick of cut edge e on the per-event path: the swap, if
-// cutTick fires one, and the listener's report of it.
-func (a *SparseCutAveraging) tickCut(e graph.EdgeID) {
-	u, v, xu, xv, ok := a.cutTick(e)
-	if !ok {
-		return
-	}
-	// The before/after variance reads exist only for the listener; without
-	// one, skip them (after a lazy kernel batch each read costs a full
-	// moment resync).
-	varBefore := 0.0
-	if a.listener != nil {
-		varBefore = a.st.Variance()
-	}
-	a.st.Set(u, xu)
-	a.st.Set(v, xv)
-	if a.listener != nil {
-		a.listener(SwapEvent{
-			Index:     a.swaps,
-			VarBefore: varBefore,
-			VarAfter:  a.st.Variance(),
-		})
-	}
-}
-
 // TickEdges implements sim.TickKernel: the fused batch loop, bit-identical
-// in the values to TickEdgeVar per event. Runs of internal edges — the
+// in the values to TickChunkTracked. Runs of internal edges — the
 // overwhelming majority on a sparse-cut graph — are flushed to the lazy
 // two-point average in sub-batches; a swap is stored lazily too, and the
 // moments resync on the next read.
 //
-// With a swap listener installed the loop uses the eager (incremental)
-// moment updates instead: the listener's VarBefore/VarAfter then match the
-// per-event path bit for bit, rather than being resync-exact — E6-style
-// per-epoch statistics read those fields at the float noise floor, where
-// the difference is observable.
+// A swap listener's VarBefore and VarAfter are moment reads just before
+// and after the lazy swap. The state is always dirty at a swap (the lazy
+// flush before it marks it so, even when empty), so both reads are exact
+// resyncs of the values: E6-style per-epoch statistics read those fields
+// at the float noise floor, where an incrementally kept moment can read 0
+// (clamped) where the exact variance is not.
 func (a *SparseCutAveraging) TickEdges(edges []graph.EdgeID) {
 	eu, ev, st, isCut := a.eu, a.ev, a.st, a.isCut
-	if a.listener != nil {
-		for _, e := range edges {
-			if isCut[e] {
-				a.tickCut(e)
-			} else {
-				st.AverageEdge(int(eu[e]), int(ev[e]))
-			}
-		}
-		return
-	}
 	start := 0
 	for k, e := range edges {
 		if !isCut[e] {
@@ -352,31 +318,30 @@ func (a *SparseCutAveraging) TickEdges(edges []graph.EdgeID) {
 		}
 		st.AverageEdgesLazy(edges[start:k], eu, ev)
 		start = k + 1
-		if u, v, xu, xv, ok := a.cutTick(e); ok {
-			st.Set2Lazy(u, v, xu, xv)
+		u, v, xu, xv, ok := a.cutTick(e)
+		if !ok {
+			continue
 		}
+		if a.listener == nil {
+			st.Set2Lazy(u, v, xu, xv)
+			continue
+		}
+		varBefore := st.Variance()
+		st.Set2Lazy(u, v, xu, xv)
+		a.listener(SwapEvent{Index: a.swaps, VarBefore: varBefore, VarAfter: st.Variance()})
 	}
 	st.AverageEdgesLazy(edges[start:], eu, ev)
 }
 
-// TickEdgeVar implements gossip.Algorithm: one tick, one moment read.
-func (a *SparseCutAveraging) TickEdgeVar(e graph.EdgeID) float64 {
-	if a.isCut[e] {
-		a.tickCut(e)
-	} else {
-		a.st.AverageEdge(int(a.eu[e]), int(a.ev[e]))
-	}
-	return a.st.Variance()
-}
-
-// TickChunkTracked implements gossip.Run: the ticks of a chunk with eager
-// per-event moments. Runs of internal edges go to
+// TickChunkTracked implements gossip.Algorithm: the ticks of a chunk with
+// eager per-event moments. Runs of internal edges go to
 // State.AverageEdgesTracked; at a cut edge the swap, where cutTick fires
-// one, is applied with Set as on the per-event path, and the variance is
-// compared with level. The values are those of TickEdgeVar per event, bit
-// for bit, and so is the last exceedance index, but for a one-ulp tie at
-// the threshold or a moment resync that the per-event path makes
-// mid-chunk.
+// one, is applied with Set, and the variance is compared with level. A
+// one-edge chunk is the eager one-tick form: one update, one moment read.
+// Longer chunks give the values of one-edge chunks bit for bit, and the
+// same last exceedance index but for a one-ulp tie at the threshold or a
+// moment resync that one-edge chunks make mid-chunk. The swap listener is
+// not called here.
 func (a *SparseCutAveraging) TickChunkTracked(edges []graph.EdgeID, level float64) (lastIdx int, endVar float64) {
 	lastIdx, start := -1, 0
 	for k, e := range edges {
@@ -463,9 +428,10 @@ func (a *SparseCutAveraging) SideMeans() (mu1, mu2 float64) {
 // run(rep), as one replica batch for sim.BatchEngine. The gossip.Ensemble
 // reports the runs' epoch duration, from which the averaging-time
 // estimator sizes its quiet period. A run with a swap listener is
-// rejected: the tracked chunk reports no swaps.
+// rejected: the ensemble drives only the tracked chunk, which never calls
+// the listener.
 func NewEnsemble(replicas int, run func(rep int) (*SparseCutAveraging, error)) (*gossip.Ensemble, error) {
-	return gossip.NewEnsemble(replicas, func(rep int) (gossip.Run, error) {
+	return gossip.NewEnsemble(replicas, func(rep int) (gossip.Algorithm, error) {
 		a, err := run(rep)
 		if err != nil {
 			return nil, err

@@ -128,7 +128,7 @@ func TestSwapAnnihilatesSideMeansExactWeight(t *testing.T) {
 		t.Fatal(err)
 	}
 	ec := a.CutEdge()
-	a.TickEdgeVar(ec) // first tick of ec fires the swap (1 % 1 == 0)
+	tickOne(a, ec) // first tick of ec fires the swap (1 % 1 == 0)
 	mu1, mu2 := a.SideMeans()
 	if math.Abs(mu1-0.5) > 1e-12 || math.Abs(mu2-0.5) > 1e-12 {
 		t.Errorf("side means after exact swap = (%v, %v), want (0.5, 0.5)", mu1, mu2)
@@ -153,7 +153,7 @@ func TestSwapPaperWeightExchangesMeansOnEqualSides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.TickEdgeVar(a.CutEdge())
+	tickOne(a, a.CutEdge())
 	mu1, mu2 := a.SideMeans()
 	if math.Abs(mu1-(-1)) > 1e-12 || math.Abs(mu2-1) > 1e-12 {
 		t.Errorf("paper-weight swap on equal sides gave (%v, %v), want (-1, 1)", mu1, mu2)
@@ -170,7 +170,7 @@ func TestSwapPreservesSum(t *testing.T) {
 		}
 		sum0 := a.Mean() * float64(g.NumNodes())
 		for k := 0; k < 10; k++ {
-			a.TickEdgeVar(a.CutEdge())
+			tickOne(a, a.CutEdge())
 		}
 		if math.Abs(a.Mean()*float64(g.NumNodes())-sum0) > 1e-9 {
 			t.Errorf("rule %v: sum drifted", rule)
@@ -195,7 +195,7 @@ func TestNonDesignatedCutEdgeIsNoOp(t *testing.T) {
 		t.Fatal("no non-designated cut edge")
 	}
 	before := a.Values()
-	a.TickEdgeVar(other)
+	tickOne(a, other)
 	after := a.Values()
 	for i := range before {
 		if before[i] != after[i] {
@@ -215,7 +215,7 @@ func TestInternalEdgeAverages(t *testing.T) {
 	if !ok {
 		t.Fatal("edge 0-1 missing")
 	}
-	a.TickEdgeVar(e)
+	tickOne(a, e)
 	vals := a.Values()
 	if vals[0] != 3 || vals[1] != 3 {
 		t.Errorf("internal tick gave %v", vals[:2])
@@ -229,7 +229,7 @@ func TestSwapOnlyEveryKthTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 1; k <= 14; k++ {
-		a.TickEdgeVar(a.CutEdge())
+		tickOne(a, a.CutEdge())
 	}
 	if a.Swaps() != 2 { // ticks 5 and 10
 		t.Errorf("swaps = %d after 14 ticks with K=5, want 2", a.Swaps())
@@ -245,7 +245,7 @@ func TestSwapListener(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 1; k <= 6; k++ {
-		a.TickEdgeVar(a.CutEdge())
+		a.TickEdges([]graph.EdgeID{a.CutEdge()})
 	}
 	if len(events) != 3 {
 		t.Fatalf("listener saw %d events, want 3", len(events))
@@ -303,7 +303,7 @@ func TestAllCutEdgesMode(t *testing.T) {
 	}
 	// Ticking each of the 4 cut edges once gives 4 shared ticks = 1 swap.
 	for _, id := range p.CutEdges() {
-		a.TickEdgeVar(id)
+		tickOne(a, id)
 	}
 	if a.Swaps() != 1 {
 		t.Errorf("swaps = %d, want 1", a.Swaps())
@@ -448,9 +448,9 @@ func TestAlgorithmAKernelBitIdenticalAllCutEdges(t *testing.T) {
 	}
 }
 
-// The tracked chunk must be per-event TickEdgeVar bit for bit: the same
-// values, swaps and chunk-end variance, and as lastIdx the last event
-// whose TickEdgeVar result exceeded the level. Chunks are ragged, and a
+// The tracked chunk must be the per-event Get/Set reference bit for bit:
+// the same values, swaps and chunk-end variance, and as lastIdx the last
+// event after which the reference's Variance exceeded the level. Chunks are ragged, and a
 // coin ends a chunk at a swap, so swaps land both mid-chunk and as a
 // chunk's last event. The dumbbell has three cut edges, so ticks of cut
 // edges other than ec occur; the all-cut-edges mode is covered too. The
@@ -460,8 +460,8 @@ func TestAlgorithmAKernelBitIdenticalAllCutEdges(t *testing.T) {
 // runs of internal edges that follow a cut tick. A swap weight of 2, half
 // of w*, keeps the variance far above the float floor for thousands of
 // events. The 20,000 events stay below the 2^16-update resync, which the
-// per-event path makes mid-chunk and the tracked chunk at its end.
-func TestTickChunkTrackedBitIdenticalToTickEdgeVar(t *testing.T) {
+// reference makes mid-chunk and the tracked chunk at its end.
+func TestTickChunkTrackedBitIdenticalToReference(t *testing.T) {
 	g, part := dumbbell(t, 8, 8, 3)
 	x0 := gossip.CutIndicator(part)
 	for _, tc := range []struct {
@@ -486,7 +486,8 @@ func TestTickChunkTrackedBitIdenticalToTickEdgeVar(t *testing.T) {
 					otherCut = otherCut || (oracle.isCut[e] && oracle.ec >= 0 && e != oracle.ec)
 					swaps := oracle.Swaps()
 					picks = append(picks, e)
-					vars = append(vars, oracle.TickEdgeVar(e))
+					oracle.HandleTick(e)
+					vars = append(vars, oracle.Variance())
 					k := len(picks) - 1
 					if oracle.isCut[e] && firstCut < 0 {
 						firstCut = k

@@ -10,12 +10,13 @@ import (
 )
 
 // Rule is the local update a committed exchange applies — the distributed
-// counterpart of gossip.Algorithm's TickEdgeVar. The responder of an
-// exchange over edge e calls Delta once with both endpoint values, applies
-// the exact negation to itself, and the initiator applies the returned
-// delta. Because the two applied deltas are exact negations of one
-// another, a committed exchange perturbs the value sum only by the two
-// float roundings of x±d (~1 ulp each; no systematic drift), whatever the
+// counterpart of a gossip.Algorithm's update rule at one edge tick (its
+// TickChunkTracked on a one-edge chunk). The responder of an exchange over
+// edge e calls Delta once with both endpoint values, applies the exact
+// negation to itself, and the initiator applies the returned delta.
+// Because the two applied deltas are exact negations of one another, a
+// committed exchange perturbs the value sum only by the two float
+// roundings of x±d (~1 ulp each; no systematic drift), whatever the
 // network drops or delays in between — and an abort perturbs nothing.
 //
 // Rules are shared by all shard loops of a runtime; implementations must

@@ -8,20 +8,24 @@ import (
 )
 
 // Algorithm is a distributed averaging process driven by edge clock ticks.
-// TickEdges is sim.TickKernel's method, declared here because package sim
-// may not be imported from gossip (sim's tests import gossip); any
-// Algorithm is therefore a TickKernel. TickEdgeVar is the eager one-tick
-// form, for callers that read the variance after every event. The other
-// methods are the observables the averaging-time estimator needs.
+// Its update rule comes in two forms: the lazy TickEdges, which is
+// sim.TickKernel's method (declared here because package sim may not be
+// imported from gossip; any Algorithm is therefore a TickKernel), and the
+// tracked TickChunkTracked, which an Ensemble drives. A one-edge tracked
+// chunk is the eager one-tick form, for callers that read the variance
+// after every event. The other methods are the observables the
+// averaging-time estimator needs.
 type Algorithm interface {
 	// Name identifies the algorithm in tables and traces.
 	Name() string
 	// TickEdges applies the algorithm's update for a batch of ticks, in
-	// order.
+	// order, deferring the moments to the next read.
 	TickEdges(edges []graph.EdgeID)
-	// TickEdgeVar applies the update for one tick of edge e and returns the
-	// resulting Variance.
-	TickEdgeVar(e graph.EdgeID) float64
+	// TickChunkTracked applies the ticks with eager per-event moments and
+	// returns the index within edges of the last event whose post-tick
+	// variance exceeded level (-1 if none did) and the post-chunk
+	// variance.
+	TickChunkTracked(edges []graph.EdgeID, level float64) (lastIdx int, endVar float64)
 	// Values returns a copy of the current value vector.
 	Values() []float64
 	// Mean returns the current average (invariant for sum-preserving
@@ -52,20 +56,12 @@ func NewVanilla(g *graph.Graph, x0 []float64) (*Vanilla, error) {
 func (v *Vanilla) Name() string { return "vanilla" }
 
 // TickEdges implements sim.TickKernel: the fused batch loop, bit-identical
-// in the values to TickEdgeVar per event (moments resync on the next read).
+// in the values to TickChunkTracked (moments resync on the next read).
 func (v *Vanilla) TickEdges(edges []graph.EdgeID) {
 	v.st.AverageEdgesLazy(edges, v.eu, v.ev)
 }
 
-// TickEdgeVar implements Algorithm: one tick, one moment read.
-func (v *Vanilla) TickEdgeVar(e graph.EdgeID) float64 {
-	v.st.AverageEdge(int(v.eu[e]), int(v.ev[e]))
-	return v.st.Variance()
-}
-
-// TickChunkTracked applies a chunk of ticks with eager per-event moments
-// and returns the last event index whose variance exceeded level (-1 if
-// none did) and the post-chunk variance (State.AverageEdgesTracked).
+// TickChunkTracked implements Algorithm (State.AverageEdgesTracked).
 func (v *Vanilla) TickChunkTracked(edges []graph.EdgeID, level float64) (lastIdx int, endVar float64) {
 	return v.st.AverageEdgesTracked(edges, v.eu, v.ev, level)
 }
@@ -113,18 +109,12 @@ func (c *Convex) Name() string { return fmt.Sprintf("convex(alpha=%.3g)", c.alph
 func (c *Convex) Alpha() float64 { return c.alpha }
 
 // TickEdges implements sim.TickKernel: the fused batch loop, bit-identical
-// in the values to TickEdgeVar per event (moments resync on the next read).
+// in the values to TickChunkTracked (moments resync on the next read).
 func (c *Convex) TickEdges(edges []graph.EdgeID) {
 	c.st.ConvexEdgesLazy(edges, c.eu, c.ev, c.alpha)
 }
 
-// TickEdgeVar implements Algorithm: one tick, one moment read.
-func (c *Convex) TickEdgeVar(e graph.EdgeID) float64 {
-	c.st.ConvexEdge(int(c.eu[e]), int(c.ev[e]), c.alpha)
-	return c.st.Variance()
-}
-
-// TickChunkTracked is Vanilla.TickChunkTracked for the class-C exchange.
+// TickChunkTracked implements Algorithm (State.ConvexEdgesTracked).
 func (c *Convex) TickChunkTracked(edges []graph.EdgeID, level float64) (lastIdx int, endVar float64) {
 	return c.st.ConvexEdgesTracked(edges, c.eu, c.ev, c.alpha, level)
 }
@@ -202,15 +192,9 @@ func (p *PushSum) TickEdges(edges []graph.EdgeID) {
 	}
 }
 
-// TickEdgeVar implements Algorithm.
-func (p *PushSum) TickEdgeVar(e graph.EdgeID) float64 {
-	p.est.Set2(p.push(e))
-	return p.est.Variance()
-}
-
-// TickChunkTracked is Vanilla.TickChunkTracked for push-sum's estimates:
-// the mass arithmetic runs between the events, so the chunk loop is here
-// rather than in State.
+// TickChunkTracked implements Algorithm for push-sum's estimates: the mass
+// arithmetic runs between the events, so the chunk loop is here rather
+// than in State.
 func (p *PushSum) TickChunkTracked(edges []graph.EdgeID, level float64) (lastIdx int, endVar float64) {
 	st := p.est
 	st.syncIfDirty()

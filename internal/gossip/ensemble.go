@@ -15,28 +15,19 @@ import (
 // graph's flat endpoint arrays are shared by all replicas and stay hot in
 // cache while the engine round-robins replica chunks over them.
 type Ensemble struct {
-	runs  []Run
+	runs  []Algorithm
 	epoch float64 // the runs' epoch duration; 0 for runs without epochs
-}
-
-// Run is one single run as an Ensemble drives it: an Algorithm plus a
-// tracked chunk that applies the ticks with eager per-event moments and
-// returns the index within edges of the last event whose post-tick
-// variance exceeded level (-1 if none did) and the post-chunk variance.
-type Run interface {
-	Algorithm
-	TickChunkTracked(edges []graph.EdgeID, level float64) (lastIdx int, endVar float64)
 }
 
 // NewEnsemble builds an ensemble of replicas runs, replica rep from
 // run(rep). The runs are meant to share one configuration; when they have
 // an epoch (Algorithm A), the ensemble reports the last run's
 // EpochDuration.
-func NewEnsemble(replicas int, run func(rep int) (Run, error)) (*Ensemble, error) {
+func NewEnsemble(replicas int, run func(rep int) (Algorithm, error)) (*Ensemble, error) {
 	if replicas < 1 {
 		return nil, fmt.Errorf("gossip: ensemble needs at least one replica, got %d", replicas)
 	}
-	e := &Ensemble{runs: make([]Run, replicas)}
+	e := &Ensemble{runs: make([]Algorithm, replicas)}
 	for rep := range e.runs {
 		r, err := run(rep)
 		if err != nil {
@@ -53,12 +44,12 @@ func NewEnsemble(replicas int, run func(rep int) (Run, error)) (*Ensemble, error
 // NewVanillaEnsemble builds R runs of vanilla gossip on g, all starting
 // from x0.
 func NewVanillaEnsemble(g *graph.Graph, x0 []float64, replicas int) (*Ensemble, error) {
-	return NewEnsemble(replicas, func(int) (Run, error) { return NewVanilla(g, x0) })
+	return NewEnsemble(replicas, func(int) (Algorithm, error) { return NewVanilla(g, x0) })
 }
 
 // NewConvexEnsemble builds R runs of α-gossip on g.
 func NewConvexEnsemble(g *graph.Graph, x0 []float64, alpha float64, replicas int) (*Ensemble, error) {
-	return NewEnsemble(replicas, func(int) (Run, error) { return NewConvex(g, x0, alpha) })
+	return NewEnsemble(replicas, func(int) (Algorithm, error) { return NewConvex(g, x0, alpha) })
 }
 
 // NewPushSumEnsemble builds one push-sum run per stream, all starting from
@@ -69,7 +60,7 @@ func NewPushSumEnsemble(g *graph.Graph, x0 []float64, streams []*rng.RNG) (*Ense
 	if len(streams) < 1 {
 		return nil, fmt.Errorf("gossip: push-sum ensemble needs at least one stream")
 	}
-	return NewEnsemble(len(streams), func(rep int) (Run, error) {
+	return NewEnsemble(len(streams), func(rep int) (Algorithm, error) {
 		if streams[rep] == nil {
 			return nil, fmt.Errorf("gossip: push-sum ensemble stream %d is nil", rep)
 		}

@@ -19,7 +19,7 @@ func randomPicks(seed uint64, g *graph.Graph, n int) []graph.EdgeID {
 }
 
 // The tracked chunks of an ensemble replica must be bit-identical to the
-// per-event State sequence: same values, same moments, same variance — for
+// per-event Get/Set reference: same values, same moments, same variance — for
 // vanilla and convex, on a replica other than 0 (so replica addressing is
 // exercised).
 func TestBatchTrackedBitIdenticalToState(t *testing.T) {
@@ -43,7 +43,7 @@ func TestBatchTrackedBitIdenticalToState(t *testing.T) {
 			ens.TickChunkTracked(rep, picks[lo:lo+256], level)
 		}
 		for _, e := range picks {
-			st.AverageEdge(int(eu[e]), int(ev[e]))
+			averageRef(st, int(eu[e]), int(ev[e]))
 		}
 		compareReplicaToState(t, ens, rep, st)
 	})
@@ -60,7 +60,7 @@ func TestBatchTrackedBitIdenticalToState(t *testing.T) {
 			ens.TickChunkTracked(rep, picks[lo:lo+256], level)
 		}
 		for _, e := range picks {
-			st.ConvexEdge(int(eu[e]), int(ev[e]), alpha)
+			convexRef(st, int(eu[e]), int(ev[e]), alpha)
 		}
 		compareReplicaToState(t, ens, rep, st)
 	})
@@ -86,7 +86,7 @@ func compareReplicaToState(t *testing.T, ens *Ensemble, rep int, st *State) {
 // Convex gossip at α = ½ must be the vanilla update bit for bit on
 // normal-range values: values, moments, last-exceedance indices and chunk
 // variances of the tracked and lazy ensemble chunks, and the values and
-// moments of the per-event State updates. Near underflow halving rounds,
+// moments of the per-event Get/Set references. Near underflow halving rounds,
 // so scenario builds the vanilla kernel for convex α = ½ rather than
 // leaning on this identity; the test pins the identity the shared
 // estimates of sweep.Cache would otherwise rest on.
@@ -125,8 +125,8 @@ func TestConvexHalfIsVanilla(t *testing.T) {
 			vanLazy.runs[rep].TickEdges(chunk)
 			cvxLazy.runs[rep].TickEdges(chunk)
 			for _, e := range chunk {
-				vanSt.AverageEdge(int(eu[e]), int(ev[e]))
-				cvxSt.ConvexEdge(int(eu[e]), int(ev[e]), 0.5)
+				averageRef(vanSt, int(eu[e]), int(ev[e]))
+				convexRef(cvxSt, int(eu[e]), int(ev[e]), 0.5)
 			}
 			lo = hi
 		}
@@ -140,7 +140,7 @@ func TestConvexHalfIsVanilla(t *testing.T) {
 			}
 		}
 		if !sameBits(vanSt.y, cvxSt.y) || !sameBits([]float64{vanSt.sum, vanSt.sumSq}, []float64{cvxSt.sum, cvxSt.sumSq}) {
-			t.Errorf("scale %g: State.AverageEdge and State.ConvexEdge(1/2) differ", scale)
+			t.Errorf("scale %g: the Get/Set vanilla and convex(1/2) references differ", scale)
 		}
 	}
 }
@@ -159,7 +159,7 @@ func sameBits(a, b []float64) bool {
 }
 
 // stateOf returns the State a gossip run keeps its values in.
-func stateOf(r Run) *State {
+func stateOf(r Algorithm) *State {
 	switch r := r.(type) {
 	case *Vanilla:
 		return r.st
@@ -227,7 +227,7 @@ func TestBatchTrackedLastIndex(t *testing.T) {
 		gotIdx, _ := ens.TickChunkTracked(0, chunk, level)
 		wantIdx := -1
 		for k, e := range chunk {
-			st.AverageEdge(int(eu[e]), int(ev[e]))
+			averageRef(st, int(eu[e]), int(ev[e]))
 			if st.Variance() > level {
 				wantIdx = k
 			}

@@ -12,10 +12,10 @@ package gossip
 // exchange replays the uncentred arithmetic through the offset, keeping
 // the floating-point trajectory bit-identical to the uncentred per-event
 // simulator. Moments are maintained incrementally with the same fused
-// updates as State.AverageEdge and re-accumulated from scratch to stop
-// drift: tile t resyncs after max(resyncInterval, its node count)
-// updates, so the amortised resync cost stays at most one sequential
-// read per update at any tile size. The period depends only on the
+// updates as State.AverageEdgesTracked and re-accumulated from scratch to
+// stop drift: tile t resyncs after max(resyncInterval, its node count)
+// updates, so the amortised resync cost stays at most one sequential read
+// per update at any tile size. The period depends only on the
 // tiling, and the moments never feed back into the values, so the
 // trajectory is the same for any worker count.
 //
@@ -121,7 +121,7 @@ func (s *FlatState) Variance() float64 {
 // TickTile applies a chunk of internal exchanges to tile t. Both
 // endpoints must lie inside the tile; only tile t's state is touched, so
 // distinct tiles may tick concurrently. Each exchange replays
-// State.AverageEdge's uncentred arithmetic, as Exchange does.
+// State.AverageEdgesTracked's uncentred arithmetic, as Exchange does.
 func (s *FlatState) TickTile(t int, us, vs []int32) {
 	y, off := s.y, s.off
 	vs = vs[:len(us)]

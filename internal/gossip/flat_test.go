@@ -37,7 +37,7 @@ func TestFlatStateMatchesState(t *testing.T) {
 			if j >= i {
 				j++
 			}
-			ref.AverageEdge(i, j)
+			averageRef(ref, i, j)
 			u, v := int32(i), int32(j)
 			ti, tj := fs.tileOf(u), fs.tileOf(v)
 			if ti == tj {

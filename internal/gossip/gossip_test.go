@@ -129,7 +129,7 @@ func TestVanillaTickAverages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.TickEdgeVar(0)
+	tickOne(v, 0)
 	vals := v.Values()
 	if vals[0] != 2 || vals[1] != 2 {
 		t.Errorf("values after tick = %v", vals)
@@ -186,8 +186,8 @@ func TestConvexHalfEqualsVanilla(t *testing.T) {
 	}
 	ticks := []graph.EdgeID{0, 3, 2, 2, 4, 1}
 	for _, e := range ticks {
-		v.TickEdgeVar(e)
-		c.TickEdgeVar(e)
+		tickOne(v, e)
+		tickOne(c, e)
 	}
 	va, cb := v.Values(), c.Values()
 	for i := range va {
@@ -203,7 +203,7 @@ func TestConvexIdentityAlphaOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.TickEdgeVar(0)
+	tickOne(c, 0)
 	vals := c.Values()
 	if vals[0] != 1 || vals[1] != 9 {
 		t.Errorf("alpha=1 changed values: %v", vals)
@@ -216,7 +216,7 @@ func TestConvexSwapAlphaZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.TickEdgeVar(0)
+	tickOne(c, 0)
 	vals := c.Values()
 	if vals[0] != 9 || vals[1] != 1 {
 		t.Errorf("alpha=0 should swap: %v", vals)
@@ -238,7 +238,7 @@ func TestConvexInvariants(t *testing.T) {
 		sum0 := c.Mean() * 8
 		for k := 0; k < 50; k++ {
 			before := c.Variance()
-			c.TickEdgeVar(graph.EdgeID(r.Intn(g.NumEdges())))
+			tickOne(c, graph.EdgeID(r.Intn(g.NumEdges())))
 			if c.Variance() > before+1e-12 {
 				return false // variance increased
 			}
@@ -270,7 +270,7 @@ func TestPushSumConservesMass(t *testing.T) {
 	mass0, weight0 := p.TotalMass(), p.TotalWeight()
 	tick := rng.New(6)
 	for k := 0; k < 10000; k++ {
-		p.TickEdgeVar(graph.EdgeID(tick.Intn(g.NumEdges())))
+		tickOne(p, graph.EdgeID(tick.Intn(g.NumEdges())))
 	}
 	if math.Abs(p.TotalMass()-mass0) > 1e-9 {
 		t.Errorf("mass drifted %v -> %v", mass0, p.TotalMass())

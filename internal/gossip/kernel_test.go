@@ -84,33 +84,33 @@ func relDiff(a, b float64) float64 {
 }
 
 // The fused two-point updates must be bit-identical to the Set sequences
-// they replace, including the maintained moments.
+// they replace, including the maintained moments: the tracked chunks' and
+// push-sum's per-event arithmetic, one event at a time.
 func TestFusedStateUpdatesMatchSetPairs(t *testing.T) {
 	x0 := []float64{3, -1, 4, 1.5, -9, 2.6}
 	r := rng.New(5)
 	a, b := NewState(x0), NewState(x0)
+	edge := []graph.EdgeID{0}
 	for step := 0; step < 2000; step++ {
 		i := r.Intn(len(x0))
 		j := (i + 1 + r.Intn(len(x0)-1)) % len(x0)
+		eu, ev := []int32{int32(i)}, []int32{int32(j)}
 		switch step % 3 {
 		case 0: // vanilla average
-			avg := (a.Get(i) + a.Get(j)) / 2
-			a.Set(i, avg)
-			a.Set(j, avg)
-			b.AverageEdge(i, j)
+			averageRef(a, i, j)
+			b.AverageEdgesTracked(edge, eu, ev, math.Inf(1))
 		case 1: // convex
 			// A float64 variable, not a constant: 1-alpha must round at
 			// runtime exactly as the algorithm's field does.
 			alpha := float64(0.7)
-			xi, xj := a.Get(i), a.Get(j)
-			a.Set(i, alpha*xi+(1-alpha)*xj)
-			a.Set(j, alpha*xj+(1-alpha)*xi)
-			b.ConvexEdge(i, j, alpha)
+			convexRef(a, i, j, alpha)
+			b.ConvexEdgesTracked(edge, eu, ev, alpha, math.Inf(1))
 		default: // arbitrary two-point assignment
 			vi, vj := a.Get(j)*1.25, a.Get(i)*0.75
 			a.Set(i, vi)
 			a.Set(j, vj)
-			b.Set2(i, j, vi, vj)
+			b.set2(i, j, vi, vj)
+			b.endChunk(2)
 		}
 		for u := 0; u < a.N(); u++ {
 			if math.Float64bits(a.Get(u)) != math.Float64bits(b.Get(u)) {
@@ -142,7 +142,7 @@ func TestLazyBatchUpdatesMatchEager(t *testing.T) {
 	}
 	eu, ev := g.EdgeU(), g.EdgeV()
 	for _, e := range edges {
-		eager.AverageEdge(int(eu[e]), int(ev[e]))
+		averageRef(eager, int(eu[e]), int(ev[e]))
 	}
 	lazy.AverageEdgesLazy(edges, eu, ev)
 	for u := 0; u < eager.N(); u++ {
@@ -163,7 +163,7 @@ func TestLazyBatchUpdatesMatchEager(t *testing.T) {
 	// Convex lazy variant.
 	eagerC, lazyC := NewState(x0), NewState(x0)
 	for _, e := range edges {
-		eagerC.ConvexEdge(int(eu[e]), int(ev[e]), 0.8)
+		convexRef(eagerC, int(eu[e]), int(ev[e]), 0.8)
 	}
 	lazyC.ConvexEdgesLazy(edges, eu, ev, 0.8)
 	for u := 0; u < eagerC.N(); u++ {

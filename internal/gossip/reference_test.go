@@ -1,6 +1,8 @@
 package gossip
 
 import (
+	"math"
+
 	"sparsecut/internal/graph"
 	"sparsecut/internal/rng"
 )
@@ -8,22 +10,39 @@ import (
 // The per-event reference: each algorithm's update rule written out once
 // more in its plain unfused form (State.Get/Set per endpoint), and a loop
 // that delivers one tick at a time. The engine's loop (RunUntil over
-// TickEdges) is pinned to it bit for bit in kernel_test.go.
+// TickEdges) is pinned to it bit for bit in kernel_test.go, and the fused
+// State kernels in kernel_test.go, ensemble_test.go and flat_test.go.
+
+// averageRef is the vanilla exchange on {i, j} with Get/Set: both
+// endpoints move to their arithmetic mean.
+func averageRef(s *State, i, j int) {
+	avg := (s.Get(i) + s.Get(j)) / 2
+	s.Set(i, avg)
+	s.Set(j, avg)
+}
+
+// convexRef is the class-C exchange on {i, j} with Get/Set:
+// x_i ← α·x_i + (1−α)·x_j, x_j ← α·x_j + (1−α)·x_i(old).
+func convexRef(s *State, i, j int, alpha float64) {
+	xi, xj := s.Get(i), s.Get(j)
+	s.Set(i, alpha*xi+(1-alpha)*xj)
+	s.Set(j, alpha*xj+(1-alpha)*xi)
+}
+
+// tickOne applies one tick of edge e as a one-edge tracked chunk, the
+// eager one-tick form.
+func tickOne(a Algorithm, e graph.EdgeID) {
+	a.TickChunkTracked([]graph.EdgeID{e}, math.Inf(1))
+}
 
 // HandleTick is vanilla's reference update for a tick of edge e.
 func (v *Vanilla) HandleTick(e graph.EdgeID, _ float64) {
-	i, j := int(v.eu[e]), int(v.ev[e])
-	avg := (v.st.Get(i) + v.st.Get(j)) / 2
-	v.st.Set(i, avg)
-	v.st.Set(j, avg)
+	averageRef(v.st, int(v.eu[e]), int(v.ev[e]))
 }
 
 // HandleTick is the class-C reference update for a tick of edge e.
 func (c *Convex) HandleTick(e graph.EdgeID, _ float64) {
-	i, j := int(c.eu[e]), int(c.ev[e])
-	xi, xj := c.st.Get(i), c.st.Get(j)
-	c.st.Set(i, c.alpha*xi+(1-c.alpha)*xj)
-	c.st.Set(j, c.alpha*xj+(1-c.alpha)*xi)
+	convexRef(c.st, int(c.eu[e]), int(c.ev[e]), c.alpha)
 }
 
 // HandleTick is push-sum's reference update for a tick of edge e.

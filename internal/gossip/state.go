@@ -7,11 +7,12 @@
 // vector incrementally, so the variance the paper's averaging-time metric
 // needs is available in O(1) after every event rather than O(n).
 //
-// Key types: State (O(1) incremental moments), Algorithm (sim.TickKernel's
-// TickEdges and the eager TickEdgeVar, which take no event times, plus the
-// observables), Run (an Algorithm with a tracked chunk) and Ensemble (R
-// single runs as one replica batch, driven only through the tracked
-// chunk). See DESIGN.md §6 (fused kernels) and §8 (replica batching).
+// Key types: State (O(1) incremental moments), Algorithm (the update rule
+// in two forms, sim.TickKernel's lazy TickEdges and the tracked
+// TickChunkTracked, which take no event times, plus the observables) and
+// Ensemble (R single runs as one replica batch, driven only through the
+// tracked chunk). See DESIGN.md §6 (fused kernels) and §8 (replica
+// batching).
 package gossip
 
 import (
@@ -84,20 +85,10 @@ func (s *State) Set(i int, v float64) {
 	}
 }
 
-// Set2 assigns nodes i and j (i != j) the values vi, vj (original frame)
-// in one fused call: one moment update, one resync check. It is
-// bit-identical in the stored values to Set(i, vi); Set(j, vj) — the
-// moment arithmetic is applied in the same order.
-func (s *State) Set2(i, j int, vi, vj float64) {
-	s.set2(i, j, vi, vj)
-	s.updates += 2
-	if s.updates >= resyncInterval {
-		s.resync()
-	}
-}
-
-// set2 is Set2 without the resync accounting: a tracked chunk accounts
-// its point updates once, in endChunk.
+// set2 assigns nodes i and j (i != j) the values vi, vj (original frame),
+// updating the moments with the arithmetic of Set(i, vi); Set(j, vj) but
+// without the resync accounting: a tracked chunk accounts its point
+// updates once, in endChunk.
 func (s *State) set2(i, j int, vi, vj float64) {
 	yi, yj := s.y[i], s.y[j]
 	ci := vi - s.offset
@@ -108,52 +99,6 @@ func (s *State) set2(i, j int, vi, vj float64) {
 	s.sum += cj - yj
 	s.sumSq += ci*ci - yi*yi
 	s.sumSq += cj*cj - yj*yj
-}
-
-// AverageEdge applies the vanilla exchange on the edge {i, j}: both nodes
-// move to their arithmetic mean, with one fused moment update. The
-// arithmetic replicates Get/Get/Set/Set exactly (including the
-// offset round-trips), so the stored values are bit-identical to the
-// unfused sequence — the fused-kernel equivalence tests rely on this.
-func (s *State) AverageEdge(i, j int) {
-	yi, yj := s.y[i], s.y[j]
-	c := ((yi + s.offset) + (yj + s.offset)) / 2
-	c -= s.offset
-	s.y[i] = c
-	s.y[j] = c
-	s.sum += c - yi
-	s.sum += c - yj
-	cc := c * c
-	s.sumSq += cc - yi*yi
-	s.sumSq += cc - yj*yj
-	s.updates += 2
-	if s.updates >= resyncInterval {
-		s.resync()
-	}
-}
-
-// ConvexEdge applies the class-C exchange with mixing parameter alpha on
-// the edge {i, j}:
-//
-//	x_i ← α·x_i + (1−α)·x_j,  x_j ← α·x_j + (1−α)·x_i(old)
-//
-// with one fused moment update, bit-identical in the stored values to the
-// unfused Get/Set sequence.
-func (s *State) ConvexEdge(i, j int, alpha float64) {
-	yi, yj := s.y[i], s.y[j]
-	xi, xj := yi+s.offset, yj+s.offset
-	ci := alpha*xi + (1-alpha)*xj - s.offset
-	cj := alpha*xj + (1-alpha)*xi - s.offset
-	s.y[i] = ci
-	s.y[j] = cj
-	s.sum += ci - yi
-	s.sum += cj - yj
-	s.sumSq += ci*ci - yi*yi
-	s.sumSq += cj*cj - yj*yj
-	s.updates += 2
-	if s.updates >= resyncInterval {
-		s.resync()
-	}
 }
 
 // AverageEdgesLazy applies the vanilla exchange for every edge of the
@@ -202,9 +147,9 @@ func (s *State) Set2Lazy(i, j int, vi, vj float64) {
 // chunk with eager per-event moments, and returns the index within edges
 // of the last event whose post-tick variance exceeded level (-1 if none
 // did) together with the post-chunk variance. The values and moments are
-// bit-identical to the AverageEdge sequence except that the resync is
-// accounted once, at chunk end. Each event is classified with the
-// division-free scaled compare
+// bit-identical to the unfused Get/Set sequence (both endpoints set to
+// (x_i+x_j)/2) except that the resync is accounted once, at chunk end.
+// Each event is classified with the division-free scaled compare
 //
 //	var > level  ⇔  n·Σy² − (Σy)² > n²·level,
 //
@@ -237,7 +182,9 @@ func (s *State) AverageEdgesTracked(edges []graph.EdgeID, eu, ev []int32, level 
 }
 
 // ConvexEdgesTracked is AverageEdgesTracked for the class-C exchange with
-// mixing parameter alpha, mirroring ConvexEdge.
+// mixing parameter alpha:
+//
+//	x_i ← α·x_i + (1−α)·x_j,  x_j ← α·x_j + (1−α)·x_i(old)
 func (s *State) ConvexEdgesTracked(edges []graph.EdgeID, eu, ev []int32, alpha, level float64) (lastIdx int, endVar float64) {
 	s.syncIfDirty()
 	y, off, fn := s.y, s.offset, float64(len(s.y))

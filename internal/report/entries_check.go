@@ -156,9 +156,9 @@ func runE6(p Params) (Section, error) { return e6(p, runToFloor) }
 
 // runToFloor advances a run one epoch at a time and stops after the epoch
 // whose swap reached the floor: E6 reads no ratio past the first floored
-// one, and chained RunUntil calls on the eager listener path process the
-// same events as a single call, so the section is the one a full
-// e6Epochs-epoch run gives.
+// one, chained RunUntil calls process the same events as a single call,
+// and the listener's exact variance reads do not depend on where the calls
+// split, so the section is the one a full e6Epochs-epoch run gives.
 func runToFloor(eng *sim.Engine, epoch float64, floored func() bool) {
 	for k := 1; k <= e6Epochs && !floored(); k++ {
 		eng.RunUntil(float64(k) * epoch)
@@ -219,8 +219,8 @@ func e6(p Params, advance e6Advance) (Section, error) {
 		if err != nil {
 			return sec, err
 		}
-		// The swap listener puts A's fused kernel on its eager path,
-		// which is bit-identical to TickEdgeVar per event.
+		// The listener reads exact (resynced) variances around each swap,
+		// so the ratios do not depend on where RunUntil splits batches.
 		advance(eng, alg.EpochDuration(), func() bool { return floored })
 		prev := 1.0
 		for _, r := range ratios {
@@ -340,7 +340,7 @@ func swapContraction(g *graph.Graph, part *graph.Partition, weight float64) (flo
 	}
 	mu1a, mu2a := alg.SideMeans()
 	before := math.Abs(mu1a) + math.Abs(mu2a)
-	alg.TickEdgeVar(alg.CutEdge())
+	alg.TickChunkTracked([]graph.EdgeID{alg.CutEdge()}, math.Inf(1))
 	mu1b, mu2b := alg.SideMeans()
 	after := math.Abs(mu1b) + math.Abs(mu2b)
 	return after / before, nil
@@ -508,7 +508,7 @@ func runE12(p Params) (Section, error) {
 		d := rule.Delta(e, a, vals[a], vals[b])
 		vals[a] += d
 		vals[b] -= d
-		alg.TickEdgeVar(e)
+		alg.TickChunkTracked([]graph.EdgeID{e}, math.Inf(1))
 		for u, x := range alg.Values() {
 			if div := math.Abs(x - vals[u]); div > maxDiv {
 				maxDiv = div

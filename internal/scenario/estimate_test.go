@@ -58,8 +58,8 @@ func TestBatchedAlgorithmAVsPerEventKS(t *testing.T) {
 
 // perEventTav is the per-event oracle of internal/avgtime's KS tests
 // (perEventEstimate there) for a resolved A spec: each trial ticks one
-// NewAlgorithm run event by event, reading the variance after every tick,
-// on a clock that shares no code with the engines — Exp(1) gaps scaled by
+// NewAlgorithm run event by event, reading the variance after every tick
+// (a one-edge tracked chunk), on a clock that shares no code with the engines — Exp(1) gaps scaled by
 // the inverse total rate, then an edge picked proportionally to its rate
 // by binary search over the cumulative rates. The trial streams and the
 // stop rule (levels e⁻²·varX(0) and e⁻²·1e−8·varX(0), a quiet period of two
@@ -78,6 +78,7 @@ func perEventTav(r *Resolved) (lastExceed []float64, censored int, err error) {
 		cum[i] = total
 	}
 	root := rng.New(cfg.Seed)
+	tick := make([]graph.EdgeID, 1)
 	for range cfg.Trials {
 		algRNG, clock := root.Split(), root.Split()
 		alg, err := r.NewAlgorithm(algRNG)
@@ -91,7 +92,8 @@ func perEventTav(r *Resolved) (lastExceed []float64, censored int, err error) {
 		for now < cfg.MaxTime && (v >= stop || now < last+quiet) {
 			now += clock.ExpUnit() / total
 			u := clock.Float64() * total
-			v = a.TickEdgeVar(graph.EdgeID(sort.Search(len(cum)-1, func(i int) bool { return cum[i] > u })))
+			tick[0] = graph.EdgeID(sort.Search(len(cum)-1, func(i int) bool { return cum[i] > u }))
+			_, v = a.TickChunkTracked(tick, math.Inf(1))
 			if v > exceed {
 				last = now
 			}

@@ -11,7 +11,8 @@
 // counterparts BatchKernel and ShardKernel). The test files keep two
 // references: a per-event loop over the algorithms' unfused update rules,
 // to which the fused loop is pinned bit for bit, and the eager tracked
-// loop (one moment read per event) that the engine golden digest pins.
+// loop (one-edge tracked chunks, one moment read per event) that the
+// engine golden digest pins.
 //
 // Key types: Engine (one per-event loop, RunUntil, in fused batches with
 // lazy moments), BatchEngine (replica-batched, Poisson time-bridging, one

@@ -393,9 +393,9 @@ func (k *recordingKernel) TickEdges(edges []graph.EdgeID) {
 	k.edges = append(k.edges, edges...)
 }
 
-func (k *recordingKernel) TickEdgeVar(e graph.EdgeID) float64 {
-	k.edges = append(k.edges, e)
-	return 0
+func (k *recordingKernel) TickChunkTracked(edges []graph.EdgeID, _ float64) (int, float64) {
+	k.edges = append(k.edges, edges...)
+	return -1, 0
 }
 
 func (k *recordingKernel) Variance() float64 { return 0 }

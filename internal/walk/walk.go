@@ -1,9 +1,8 @@
 // Package walk reproduces the probabilistic machinery of the paper's
-// Section 3: the simple random walk and its sub-Gaussian tail (Theorem 3),
+// Section 3: the simple random walk's sub-Gaussian tail (Theorem 3) and
 // the biased dominating walk W̃ whose increments are +log n with
-// probability 1/2 and −(3/2)·log n otherwise, and the statistics used to
-// check empirically that the per-epoch log-variance process of Algorithm A
-// is dominated by W̃.
+// probability 1/2 and −(3/2)·log n otherwise, against which E6 checks the
+// per-epoch log-variance process of Algorithm A.
 //
 // Key functions: FitTail (Theorem 3's sub-Gaussian tail, E7) and HittingQuantile (the dominating walk of E6). Claim mapping in DESIGN.md §4.
 package walk
@@ -16,20 +15,6 @@ import (
 	"sparsecut/internal/rng"
 	"sparsecut/internal/stats"
 )
-
-// SimpleWalk returns one trajectory of the simple ±1 random walk S_0..S_k
-// (length k+1, S_0 = 0).
-func SimpleWalk(r *rng.RNG, k int) []int {
-	path := make([]int, k+1)
-	for i := 1; i <= k; i++ {
-		step := -1
-		if r.Uint64()&1 == 1 {
-			step = 1
-		}
-		path[i] = path[i-1] + step
-	}
-	return path
-}
 
 // TailProbability estimates P[S_n ≥ s·√n] for the simple random walk by
 // Monte-Carlo over the given number of trials. It returns an error for
@@ -155,56 +140,4 @@ func HittingQuantile(r *rng.RNG, n int, level float64, q float64, trials, horizo
 		lasts = append(lasts, float64(LastTimeAbove(path, level)+1))
 	}
 	return stats.Quantile(lasts, q)
-}
-
-// EpochStats summarises the per-epoch increments of ½·log varX(T_k⁺), the
-// quantity the paper dominates with W̃ (½ because ‖·‖ enters varX squared).
-type EpochStats struct {
-	// Increments are the per-epoch changes of ½·log var.
-	Increments []float64
-	// MeanIncrement should be negative (net contraction) and ideally below
-	// the dominating drift −(log n)/4.
-	MeanIncrement float64
-	// MaxIncrement must respect the hard bound log n from ‖A_k‖ ≤ n.
-	MaxIncrement float64
-	// FracWeak is the fraction of epochs whose contraction is weaker than
-	// n^{−3/2} (i.e. increment > −(3/2)·log n). Lemma 1 + the dominance
-	// construction require this to be ≤ 1/2.
-	FracWeak float64
-	// HardViolations counts increments exceeding log n (+ small tolerance):
-	// impossible under the paper's Equation 12, so should be 0.
-	HardViolations int
-}
-
-// AnalyzeEpochIncrements computes EpochStats from the sequence of
-// ½·log varX(T_k⁺) values at successive epoch boundaries (k = 0, 1, ...)
-// for a graph on n nodes. It returns an error with fewer than two points or
-// n < 2.
-func AnalyzeEpochIncrements(halfLogVar []float64, n int) (EpochStats, error) {
-	if len(halfLogVar) < 2 {
-		return EpochStats{}, errors.New("walk: need at least two epoch boundary values")
-	}
-	if n < 2 {
-		return EpochStats{}, fmt.Errorf("walk: n = %d too small", n)
-	}
-	logN := math.Log(float64(n))
-	var st EpochStats
-	weak := 0
-	st.MaxIncrement = math.Inf(-1)
-	for k := 1; k < len(halfLogVar); k++ {
-		inc := halfLogVar[k] - halfLogVar[k-1]
-		st.Increments = append(st.Increments, inc)
-		if inc > st.MaxIncrement {
-			st.MaxIncrement = inc
-		}
-		if inc > -1.5*logN {
-			weak++
-		}
-		if inc > logN*(1+1e-9)+1e-9 {
-			st.HardViolations++
-		}
-	}
-	st.MeanIncrement = stats.Mean(st.Increments)
-	st.FracWeak = float64(weak) / float64(len(st.Increments))
-	return st, nil
 }

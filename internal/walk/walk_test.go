@@ -9,38 +9,6 @@ import (
 	"sparsecut/internal/stats"
 )
 
-func TestSimpleWalkParity(t *testing.T) {
-	r := rng.New(1)
-	path := SimpleWalk(r, 100)
-	if len(path) != 101 {
-		t.Fatalf("length %d", len(path))
-	}
-	if path[0] != 0 {
-		t.Error("walk does not start at 0")
-	}
-	for k := 1; k < len(path); k++ {
-		d := path[k] - path[k-1]
-		if d != 1 && d != -1 {
-			t.Fatalf("step %d has increment %d", k, d)
-		}
-	}
-}
-
-func TestSimpleWalkUnbiased(t *testing.T) {
-	r := rng.New(2)
-	const trials, steps = 4000, 64
-	sum := 0
-	for i := 0; i < trials; i++ {
-		p := SimpleWalk(r, steps)
-		sum += p[steps]
-	}
-	mean := float64(sum) / trials
-	// sd of the mean ~ sqrt(64)/sqrt(4000) = 0.126; allow 5 sigma.
-	if math.Abs(mean) > 0.7 {
-		t.Errorf("endpoint mean %v, want ~0", mean)
-	}
-}
-
 func TestTailProbabilityMatchesGaussian(t *testing.T) {
 	r := rng.New(3)
 	// P[S_n >= s*sqrt(n)] -> Phi-bar(s); for s=1: ~0.159, s=2: ~0.0228.
@@ -249,52 +217,6 @@ func TestHittingQuantileIsSmallConstant(t *testing.T) {
 func TestHittingQuantileErrors(t *testing.T) {
 	r := rng.New(10)
 	if _, err := HittingQuantile(r, 1, -2, 0.5, 10, 10); err == nil {
-		t.Error("n=1 not rejected")
-	}
-}
-
-func TestAnalyzeEpochIncrements(t *testing.T) {
-	// Synthetic trajectory on n=8: two strong contractions, one weak bump.
-	logN := math.Log(8)
-	halfLogVar := []float64{0, -1.5 * logN, -3 * logN, -3*logN + 0.5, -4.5 * logN}
-	st, err := AnalyzeEpochIncrements(halfLogVar, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Increments) != 4 {
-		t.Fatalf("%d increments", len(st.Increments))
-	}
-	if st.HardViolations != 0 {
-		t.Errorf("hard violations %d", st.HardViolations)
-	}
-	// One increment (+0.5) is weaker than -1.5*logN; the -1.5logN steps are
-	// boundary cases counted as weak only if strictly greater.
-	if st.FracWeak < 0.25 || st.FracWeak > 0.5 {
-		t.Errorf("frac weak %v", st.FracWeak)
-	}
-	if st.MaxIncrement != 0.5 {
-		t.Errorf("max increment %v", st.MaxIncrement)
-	}
-	if st.MeanIncrement >= 0 {
-		t.Errorf("mean increment %v, want negative", st.MeanIncrement)
-	}
-}
-
-func TestAnalyzeEpochIncrementsHardViolation(t *testing.T) {
-	st, err := AnalyzeEpochIncrements([]float64{0, 2 * math.Log(4)}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.HardViolations != 1 {
-		t.Errorf("hard violations %d, want 1", st.HardViolations)
-	}
-}
-
-func TestAnalyzeEpochIncrementsErrors(t *testing.T) {
-	if _, err := AnalyzeEpochIncrements([]float64{0}, 8); err == nil {
-		t.Error("short sequence not rejected")
-	}
-	if _, err := AnalyzeEpochIncrements([]float64{0, 1}, 1); err == nil {
 		t.Error("n=1 not rejected")
 	}
 }

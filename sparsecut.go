@@ -210,9 +210,8 @@ type (
 // Factory builds a fresh Algorithm for one estimation trial. The seed is a
 // trial-private value for algorithms needing internal randomness;
 // deterministic algorithms may ignore it. The trials run as replicas of
-// one batch, so every trial must start from the same initial vector, and
-// the Algorithm must be one this package builds (NewVanillaGossip,
-// NewAlgorithmA); anything else is an error.
+// one batch, driven through the Algorithm's TickChunkTracked, so every
+// trial must start from the same initial vector.
 type Factory func(trial int, seed uint64) (Algorithm, error)
 
 // MeasureAveragingTime estimates the paper's Tav (Definition 1) for the
@@ -221,18 +220,14 @@ type Factory func(trial int, seed uint64) (Algorithm, error)
 func MeasureAveragingTime(g *Graph, factory Factory, cfg TavConfig) (TavResult, error) {
 	trial := 0 // the batches cover the trials in order
 	return avgtime.EstimateBatched(g, nil, func(replicas int, streams []*rng.RNG) (sim.BatchKernel, error) {
-		return gossip.NewEnsemble(replicas, func(rep int) (gossip.Run, error) {
+		return gossip.NewEnsemble(replicas, func(rep int) (Algorithm, error) {
 			t := trial
 			trial++
 			alg, err := factory(t, streams[rep].Uint64())
 			if err != nil {
 				return nil, fmt.Errorf("trial %d: %w", t, err)
 			}
-			run, ok := alg.(gossip.Run)
-			if !ok {
-				return nil, fmt.Errorf("trial %d: %T cannot run in a replica batch", t, alg)
-			}
-			return run, nil
+			return alg, nil
 		})
 	}, cfg)
 }

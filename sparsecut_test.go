@@ -154,9 +154,8 @@ func TestMeasureAveragingTime(t *testing.T) {
 // MeasureAveragingTime runs the user's trials as replica batches. Each
 // factory call still gets its trial index and the seed of its own
 // algorithm stream, split from the root before the trial's simulation
-// stream, for any batch width; Algorithm A's estimate is the one
-// core.NewEnsemble's runs give; and a result that cannot run in a replica
-// batch is an error.
+// stream, for any batch width; and Algorithm A's estimate is the one
+// core.NewEnsemble's runs give.
 func TestMeasureAveragingTimeFactoryContract(t *testing.T) {
 	g, part, err := NewDumbbell(6, 6, 1)
 	if err != nil {
@@ -204,18 +203,7 @@ func TestMeasureAveragingTimeFactoryContract(t *testing.T) {
 	if !reflect.DeepEqual(facade, direct) {
 		t.Errorf("Algorithm A through the facade %+v, through core.NewEnsemble %+v", facade, direct)
 	}
-
-	_, err = MeasureAveragingTime(g, func(int, uint64) (Algorithm, error) {
-		return foreignAlgorithm{}, nil
-	}, TavConfig{Trials: 2})
-	if err == nil || !strings.Contains(err.Error(), "cannot run in a replica batch") {
-		t.Errorf("foreign algorithm: err %v, want a replica-batch error", err)
-	}
 }
-
-// foreignAlgorithm is an Algorithm this package did not build: it has no
-// tracked chunk.
-type foreignAlgorithm struct{ Algorithm }
 
 func TestSimulatePanicsOnNilAlgorithm(t *testing.T) {
 	g, _, err := NewDumbbell(4, 4, 1)
