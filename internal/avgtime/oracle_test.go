@@ -12,14 +12,14 @@ import (
 
 // perEventEstimate is the KS tests' oracle: Definition 1 estimated one
 // event at a time, with a variance read after every tick (a one-edge
-// tracked chunk). Its clock shares
-// no code with the engines: each event draws an Exp(1) gap scaled by the
-// inverse total rate, then picks an edge with probability proportional to
-// its rate by binary search over the cumulative rates (nil rates mean rate
-// 1 everywhere). A bias in the engines' shared samplers — the alias table,
-// the Lemire pick, the Gamma bridge — therefore shows up as a KS failure.
-// The trial streams and the stop rule are EstimateBatched's: streams split
-// from cfg.Seed in trial order, and cfg.tracked's levels and quiet period.
+// tracked chunk). Its clock shares no code with the engines: each event
+// draws an Exp(1) gap scaled by the inverse total rate, then picks an edge
+// with probability proportional to its rate by binary search over the
+// cumulative rates (nil rates mean rate 1 everywhere). A bias in the
+// engines' shared samplers — the alias table, the Lemire pick, the Gamma
+// bridge — therefore shows up as a KS failure. The trial streams and the
+// stop rule are EstimateBatched's: streams split from cfg.Seed in trial
+// order, and cfg.tracked's levels and quiet period.
 func perEventEstimate(g *graph.Graph, rates []float64, newAlg func(r *rng.RNG) (gossip.Algorithm, error), cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	cum := make([]float64, g.NumEdges())

@@ -450,11 +450,11 @@ func TestAlgorithmAKernelBitIdenticalAllCutEdges(t *testing.T) {
 
 // The tracked chunk must be the per-event Get/Set reference bit for bit:
 // the same values, swaps and chunk-end variance, and as lastIdx the last
-// event after which the reference's Variance exceeded the level. Chunks are ragged, and a
-// coin ends a chunk at a swap, so swaps land both mid-chunk and as a
-// chunk's last event. The dumbbell has three cut edges, so ticks of cut
-// edges other than ec occur; the all-cut-edges mode is covered too. The
-// level is moved just below the variance at one event of the chunk: an
+// event after which the reference's Variance exceeded the level. Chunks are
+// ragged, and a coin ends a chunk at a swap, so swaps land both mid-chunk
+// and as a chunk's last event. The dumbbell has three cut edges, so ticks
+// of cut edges other than ec occur; the all-cut-edges mode is covered too.
+// The level is moved just below the variance at one event of the chunk: an
 // idle cut tick (one that changes nothing) on even chunks, a random event
 // on odd ones, so the last exceedance falls on idle cut ticks and inside
 // runs of internal edges that follow a cut tick. A swap weight of 2, half

@@ -58,13 +58,14 @@ func TestBatchedAlgorithmAVsPerEventKS(t *testing.T) {
 
 // perEventTav is the per-event oracle of internal/avgtime's KS tests
 // (perEventEstimate there) for a resolved A spec: each trial ticks one
-// NewAlgorithm run event by event, reading the variance after every tick
-// (a one-edge tracked chunk), on a clock that shares no code with the engines — Exp(1) gaps scaled by
-// the inverse total rate, then an edge picked proportionally to its rate
-// by binary search over the cumulative rates. The trial streams and the
-// stop rule (levels e⁻²·varX(0) and e⁻²·1e−8·varX(0), a quiet period of two
-// epochs) are avgtime.EstimateBatched's. It returns the per-trial last
-// exceedance times and the number of censored trials.
+// NewAlgorithm run event by event, reading the variance after every tick (a
+// one-edge tracked chunk), on a clock that shares no code with the engines
+// — Exp(1) gaps scaled by the inverse total rate, then an edge picked
+// proportionally to its rate by binary search over the cumulative rates.
+// The trial streams and the stop rule (levels e⁻²·varX(0) and
+// e⁻²·1e−8·varX(0), a quiet period of two epochs) are
+// avgtime.EstimateBatched's. It returns the per-trial last exceedance times
+// and the number of censored trials.
 func perEventTav(r *Resolved) (lastExceed []float64, censored int, err error) {
 	cfg := r.AvgtimeConfig()
 	cum := make([]float64, r.Graph.NumEdges())
