@@ -2,6 +2,7 @@ package check
 
 import (
 	"bytes"
+	"hash/fnv"
 	"testing"
 
 	"sparsecut/internal/dist"
@@ -49,7 +50,9 @@ func TestReplayFlightMatchesReplay(t *testing.T) {
 // TestReplayFlightDeterministic pins the byte-determinism acceptance
 // criterion: two flight-instrumented replays of the same trace encode to
 // byte-identical dumps in both encodings (virtual ticks, single-threaded
-// world — nothing scheduling-dependent leaks in).
+// world — nothing scheduling-dependent leaks in). The binary dump's
+// FNV-64a digest is pinned too, so a change to the step-to-record mapping
+// shows even when it is deterministic.
 func TestReplayFlightDeterministic(t *testing.T) {
 	tr := mutationTrace(t)
 	encode := func() ([]byte, []byte) {
@@ -77,6 +80,12 @@ func TestReplayFlightDeterministic(t *testing.T) {
 	}
 	if len(b1) == 0 || len(j1) == 0 {
 		t.Error("empty dump")
+	}
+	const wantDigest = uint64(0x41966e0c9b0937c4)
+	h := fnv.New64a()
+	h.Write(b1)
+	if got := h.Sum64(); got != wantDigest {
+		t.Errorf("binary dump digest %#016x, want %#016x", got, wantDigest)
 	}
 }
 
