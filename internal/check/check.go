@@ -1,10 +1,13 @@
 // Package check is a deterministic, single-threaded model checker for the
 // lock/propose/commit exchange protocol of internal/dist.
 //
-// The checker drives the same pure state machine (dist.Machine) the live
-// runtime runs — the lockstep divergence test in internal/dist proves the
-// goroutine actor adds no hidden protocol state — but replaces every source
-// of runtime nondeterminism with an explicit, explorable action:
+// The checker is the second driver of the pure state machine
+// (dist.Machine) the live runtime runs: it moves every node through the
+// same Machine.Step and runs the same dist rules (VanillaRule,
+// SparseCutRule), so the two drivers differ only in timing and transport
+// — the lockstep divergence test in internal/dist proves the shard loops
+// add no hidden protocol state. It replaces every source of runtime
+// nondeterminism with an explicit, explorable action:
 //
 //   - the transport becomes an ordered multiset of in-flight messages, and
 //     delivering, dropping, duplicating or (by choosing delivery order)
@@ -43,7 +46,6 @@ package check
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"sparsecut/internal/dist"
 	"sparsecut/internal/graph"
@@ -58,9 +60,7 @@ type Spec struct {
 }
 
 // RuleSpec describes an exchange rule by value so it survives a trip
-// through trace JSON and can be rebuilt as a cloneable, checker-local rule
-// (the checker backtracks, so it cannot share dist.SparseCutRule's atomic
-// tick counter across forked worlds).
+// through trace JSON; buildRule turns it into the dist rule it names.
 type RuleSpec struct {
 	// Kind is "vanilla" or "sparse-cut".
 	Kind string `json:"kind"`
@@ -82,72 +82,39 @@ func SparseCut(sides []int, cutEdge int, epochK int64, weight float64) RuleSpec 
 	return RuleSpec{Kind: "sparse-cut", Sides: sides, CutEdge: cutEdge, EpochK: epochK, Weight: weight}
 }
 
-// checkRule is the checker-local counterpart of dist.VanillaRule /
-// dist.SparseCutRule: same Delta arithmetic (cross-checked against the dist
-// rules in check_test.go) but with a plain tick counter so a forked world
-// snapshots and restores rule state exactly.
-type checkRule struct {
-	spec  RuleSpec
-	isCut []bool // nil for vanilla
-	ticks int64
-	swaps int64
-}
-
-func buildRule(spec RuleSpec, g *graph.Graph) (*checkRule, error) {
+// buildRule validates spec against g and builds the dist rule it names:
+// the checker runs the same Rule values the live runtime does.
+func buildRule(spec RuleSpec, g *graph.Graph) (dist.Rule, error) {
 	switch spec.Kind {
 	case "vanilla":
-		return &checkRule{spec: spec}, nil
+		return dist.VanillaRule{}, nil
 	case "sparse-cut":
 		if len(spec.Sides) != g.NumNodes() {
 			return nil, fmt.Errorf("check: rule sides has %d entries for %d nodes", len(spec.Sides), g.NumNodes())
 		}
+		sides := make([]graph.Side, len(spec.Sides))
+		for i, s := range spec.Sides {
+			if s != 0 && s != 1 {
+				return nil, fmt.Errorf("check: rule side %d of node %d is not 0 or 1", s, i)
+			}
+			sides[i] = graph.Side(s)
+		}
+		// Checked here, before the conversion to EdgeID could wrap it.
 		if spec.CutEdge < 0 || spec.CutEdge >= g.NumEdges() {
 			return nil, fmt.Errorf("check: designated edge %d out of range", spec.CutEdge)
 		}
-		if spec.EpochK < 1 {
-			return nil, fmt.Errorf("check: epoch ticks %d must be >= 1", spec.EpochK)
+		part, err := graph.NewPartition(g, sides)
+		if err != nil {
+			return nil, err
 		}
-		if !(spec.Weight > 0) || math.IsInf(spec.Weight, 0) {
-			return nil, fmt.Errorf("check: swap weight %v must be positive and finite", spec.Weight)
-		}
-		r := &checkRule{spec: spec, isCut: make([]bool, g.NumEdges())}
-		for i, e := range g.Edges() {
-			if spec.Sides[e.U] != spec.Sides[e.V] {
-				r.isCut[i] = true
-			}
-		}
-		if !r.isCut[spec.CutEdge] {
-			return nil, fmt.Errorf("check: designated edge %v does not cross the cut", g.Edge(graph.EdgeID(spec.CutEdge)))
+		r, err := dist.NewSparseCutRule(part, graph.EdgeID(spec.CutEdge), spec.EpochK, spec.Weight)
+		if err != nil {
+			return nil, err
 		}
 		return r, nil
 	default:
 		return nil, fmt.Errorf("check: unknown rule kind %q", spec.Kind)
 	}
-}
-
-// Name implements dist.Rule.
-func (r *checkRule) Name() string { return "check:" + r.spec.Kind }
-
-// Delta implements dist.Rule with the same arithmetic as the dist rules.
-func (r *checkRule) Delta(e graph.EdgeID, _ graph.NodeID, xInit, xResp float64) float64 {
-	switch {
-	case r.isCut == nil || !r.isCut[e]:
-		return (xResp - xInit) / 2
-	case int(e) != r.spec.CutEdge:
-		return 0
-	default:
-		r.ticks++
-		if r.ticks%r.spec.EpochK != 0 {
-			return 0
-		}
-		r.swaps++
-		return r.spec.Weight * (xResp - xInit)
-	}
-}
-
-func (r *checkRule) clone() *checkRule {
-	cp := *r
-	return &cp // spec and isCut are immutable after buildRule
 }
 
 // Options bounds an exploration. The zero value means "use defaults" for
@@ -174,10 +141,6 @@ type Options struct {
 	Dups bool `json:"dups,omitempty"`
 	// Crashes enables crash/recover actions.
 	Crashes bool `json:"crashes,omitempty"`
-	// QuiescenceEvery runs the (cloned-world) quiescence drain check after
-	// every QuiescenceEvery-th action: 0 means after every action, a
-	// negative value disables the check.
-	QuiescenceEvery int `json:"quiescence_every,omitempty"`
 	// Epsilon is the sum-conservation tolerance (default 1e-9).
 	Epsilon float64 `json:"epsilon,omitempty"`
 	// Mutation seeds an intentional protocol bug (checker self-test).

@@ -8,7 +8,6 @@ import (
 
 	"sparsecut/internal/dist"
 	"sparsecut/internal/graph"
-	"sparsecut/internal/rng"
 )
 
 func triangleSpec() Spec {
@@ -185,64 +184,6 @@ func TestRandomWalk(t *testing.T) {
 	}
 }
 
-// TestCheckRuleMatchesDistRules pins the checker-local rule to the dist
-// package's rules: identical deltas (and identical tick/swap schedules for
-// the sparse-cut rule) over the same exchange sequence.
-func TestCheckRuleMatchesDistRules(t *testing.T) {
-	t.Run("vanilla", func(t *testing.T) {
-		g := graph.Complete(3)
-		cr, err := buildRule(Vanilla(), g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dr := dist.NewVanillaRule()
-		r := rng.New(3)
-		for i := 0; i < 200; i++ {
-			e := graph.EdgeID(r.Intn(g.NumEdges()))
-			xi, xr := r.Float64()*10-5, r.Float64()*10-5
-			if got, want := cr.Delta(e, 0, xi, xr), dr.Delta(e, 0, xi, xr); got != want {
-				t.Fatalf("step %d: checkRule delta %v, dist delta %v", i, got, want)
-			}
-		}
-	})
-	t.Run("sparse-cut", func(t *testing.T) {
-		g, part, err := graph.Dumbbell(3, 3, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cutEdge := part.CutEdges()[0]
-		const k, w = 3, 0.25
-		dr, err := dist.NewSparseCutRule(part, cutEdge, k, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sides := make([]int, g.NumNodes())
-		for i := range sides {
-			if part.SideOf(graph.NodeID(i)) == graph.Side2 {
-				sides[i] = 1
-			}
-		}
-		cr, err := buildRule(SparseCut(sides, int(cutEdge), k, w), g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := rng.New(5)
-		for i := 0; i < 500; i++ {
-			e := graph.EdgeID(r.Intn(g.NumEdges()))
-			xi, xr := r.Float64()*10-5, r.Float64()*10-5
-			if got, want := cr.Delta(e, 0, xi, xr), dr.Delta(e, 0, xi, xr); got != want {
-				t.Fatalf("step %d edge %d: checkRule delta %v, dist delta %v", i, e, got, want)
-			}
-		}
-		if cr.ticks != dr.Ticks() || cr.swaps != dr.Swaps() {
-			t.Fatalf("checkRule ticks/swaps %d/%d, dist %d/%d", cr.ticks, cr.swaps, dr.Ticks(), dr.Swaps())
-		}
-		if cr.swaps == 0 {
-			t.Fatal("sequence never exercised the swap path")
-		}
-	})
-}
-
 // TestSpecValidation exercises the constructor errors.
 func TestSpecValidation(t *testing.T) {
 	tri := graph.Complete(3)
@@ -257,6 +198,14 @@ func TestSpecValidation(t *testing.T) {
 		{"bad rule kind", Spec{Graph: tri, X0: []float64{1, 2, 3}, Rule: RuleSpec{Kind: "nope"}}, "unknown rule"},
 		{"bad sides len", Spec{Graph: tri, X0: []float64{1, 2, 3}, Rule: SparseCut([]int{0, 1}, 0, 1, 0.5)}, "sides"},
 		{"non-cut edge", Spec{Graph: tri, X0: []float64{1, 2, 3}, Rule: SparseCut([]int{0, 1, 1}, 2, 1, 0.5)}, "does not cross"},
+		{"side not 0 or 1", Spec{Graph: tri, X0: []float64{1, 2, 3}, Rule: SparseCut([]int{0, 2, 1}, 0, 1, 0.5)}, "not 0 or 1"},
+		{"one-sided partition", Spec{Graph: tri, X0: []float64{1, 2, 3}, Rule: SparseCut([]int{1, 1, 1}, 0, 1, 0.5)}, "two non-empty sides"},
+		{"edge past range", Spec{Graph: tri, X0: []float64{1, 2, 3}, Rule: SparseCut([]int{0, 1, 1}, 3, 1, 0.5)}, "out of range"},
+		// 1<<32 wraps to edge 0, which crosses the cut, if converted unchecked.
+		{"edge wraps EdgeID", Spec{Graph: tri, X0: []float64{1, 2, 3}, Rule: SparseCut([]int{0, 1, 1}, 1<<32, 1, 0.5)}, "out of range"},
+		{"zero epoch", Spec{Graph: tri, X0: []float64{1, 2, 3}, Rule: SparseCut([]int{0, 1, 1}, 0, 0, 0.5)}, "epoch ticks"},
+		{"bad weight", Spec{Graph: tri, X0: []float64{1, 2, 3}, Rule: SparseCut([]int{0, 1, 1}, 0, 1, math.Inf(1))}, "swap weight"},
+		{"too many nodes to hash", Spec{Graph: graph.Path(257), X0: make([]float64, 257), Rule: Vanilla()}, "at most 256 nodes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

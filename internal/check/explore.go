@@ -11,11 +11,18 @@ import (
 // or when the opt.MaxStates budget is spent (Result.Truncated). With the
 // budget untouched and no counterexample, every state reachable within the
 // configured bounds satisfies every invariant.
+//
+// The state hash packs node ids into 8 bits (see msgKey), so two distinct
+// worlds of a larger graph could hash alike and one be pruned unexplored;
+// Exhaustive rejects graphs of more than maxHashNodes nodes.
 func Exhaustive(spec Spec, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	w, err := newWorld(spec, opt)
 	if err != nil {
 		return nil, err
+	}
+	if n := spec.Graph.NumNodes(); n > maxHashNodes {
+		return nil, fmt.Errorf("check: exhaustive search hashes at most %d nodes, spec has %d", maxHashNodes, n)
 	}
 	e := &explorer{spec: spec, opt: opt, res: &Result{}, visited: make(map[uint64]int)}
 	e.dfs(w, 0)

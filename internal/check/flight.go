@@ -4,11 +4,10 @@ import (
 	"sparsecut/internal/flight"
 )
 
-// ReplayFlight re-executes tr's schedule exactly like Replay, emitting
-// every protocol step into rec through the same dist.FlightEmitter
-// mapping the live runtime uses — so a model-checker counterexample
-// renders as the same span trees as a production capture (cmd/mcheck
-// -flight, cmd/tracez). Timestamps are the replay's virtual ticks and the
+// ReplayFlight re-executes tr's schedule exactly like Replay, recording
+// every protocol step into rec through dist.Machine.Step, as the live
+// runtime does — so a model-checker counterexample renders as the same
+// span trees as a production capture (cmd/mcheck -flight, cmd/tracez). Timestamps are the replay's virtual ticks and the
 // replay is single-threaded, so for a given trace the recorder's dump is
 // fully deterministic: two replays encode to byte-identical files.
 //

@@ -39,10 +39,9 @@ type exKey struct {
 // in-flight messages — delivery order is the checker's choice, which is
 // what models reordering), and the ghost state the invariants need.
 type world struct {
-	g    *graph.Graph
-	opt  Options
-	rule *checkRule
-	mc   dist.Machine
+	g   *graph.Graph
+	opt Options
+	mc  dist.Machine
 
 	nodes   []*dist.NodeState
 	crashed []bool
@@ -63,10 +62,10 @@ type world struct {
 	inits, dups, resends, crashes int
 
 	// rec, when non-nil, receives a flight record for every applied
-	// action (ReplayFlight sets it on the top-level replay world; the
-	// emission mapping is dist.FlightEmitter, shared with the live
-	// runtime). Clones drop it, so the throwaway quiescence drains the
-	// invariants run record nothing.
+	// action (ReplayFlight sets it on the top-level replay world; steps
+	// are recorded by dist.Machine.Step, as in the live runtime). Clones
+	// drop it, so the throwaway quiescence drains the invariants run
+	// record nothing.
 	rec *flight.Recorder
 }
 
@@ -92,7 +91,6 @@ func newWorld(spec Spec, opt Options) (*world, error) {
 	w := &world{
 		g:       spec.Graph,
 		opt:     opt,
-		rule:    rule,
 		nodes:   make([]*dist.NodeState, n),
 		crashed: make([]bool, n),
 		xInit:   make(map[exKey]float64),
@@ -110,12 +108,13 @@ func newWorld(spec Spec, opt Options) (*world, error) {
 }
 
 // clone forks the world for one explored branch. Everything mutable is
-// deep-copied, including the rule (its tick counter is protocol state the
-// DFS must backtrack).
+// deep-copied, including A's rule (its tick and swap counters are protocol
+// state the DFS must backtrack).
 func (w *world) clone() *world {
 	cp := *w
-	cp.rule = w.rule.clone()
-	cp.mc.Rule = cp.rule
+	if r, ok := w.mc.Rule.(*dist.SparseCutRule); ok {
+		cp.mc.Rule = r.Clone()
+	}
 	cp.nodes = make([]*dist.NodeState, len(w.nodes))
 	for i, st := range w.nodes {
 		cp.nodes[i] = st.Clone()
@@ -225,19 +224,9 @@ func (w *world) apply(a Action) error {
 		if a.Edge < 0 || a.Edge >= len(adj) {
 			return fmt.Errorf("%w: node %d has no incident edge index %d", errInvalid, a.Node, a.Edge)
 		}
-		out := w.mc.Initiate(st, adj[a.Edge], w.nowNs)
+		lk := w.step(a.Node, dist.StepIn{Kind: dist.StepInitiate, He: adj[a.Edge]}).Send[0]
+		w.xInit[exKey{a.Node, lk.Seq}] = lk.X
 		w.inits++
-		for _, m := range out.Send {
-			if m.Kind == dist.MsgLock {
-				w.xInit[exKey{st.ID, m.Seq}] = m.X
-			}
-		}
-		if w.rec != nil {
-			fe := dist.FlightEmitter{Rec: w.rec}
-			fe.Initiate(a.Node, out, w.nowNs)
-			w.emitSends(fe, a.Node, out.Send)
-		}
-		w.enqueue(out.Send)
 	case OpTimeout:
 		st, err := w.aliveNode(a.Node)
 		if err != nil {
@@ -246,14 +235,7 @@ func (w *world) apply(a Action) error {
 		if st.Await == nil {
 			return fmt.Errorf("%w: timeout on node %d with no outstanding initiation", errInvalid, a.Node)
 		}
-		var pre dist.FlightPre
-		if w.rec != nil {
-			pre = dist.FlightPreOf(st)
-		}
-		out := w.mc.TimeoutAwait(st)
-		if w.rec != nil {
-			dist.FlightEmitter{Rec: w.rec}.Timeout(a.Node, out, pre, w.nowNs)
-		}
+		w.step(a.Node, dist.StepIn{Kind: dist.StepTimeout})
 	case OpResend:
 		st, err := w.aliveNode(a.Node)
 		if err != nil {
@@ -262,42 +244,21 @@ func (w *world) apply(a Action) error {
 		if st.Pend == nil {
 			return fmt.Errorf("%w: resend on node %d with no held proposal", errInvalid, a.Node)
 		}
-		var pre dist.FlightPre
-		if w.rec != nil {
-			pre = dist.FlightPreOf(st)
-		}
-		out := w.mc.Resend(st, w.nowNs)
+		w.step(a.Node, dist.StepIn{Kind: dist.StepResend})
 		w.resends++
-		if w.rec != nil {
-			fe := dist.FlightEmitter{Rec: w.rec}
-			fe.Resend(a.Node, pre, w.nowNs)
-			w.emitSends(fe, a.Node, out.Send)
-		}
-		w.enqueue(out.Send)
 	case OpCrash:
-		st, err := w.aliveNode(a.Node)
-		if err != nil {
+		if _, err := w.aliveNode(a.Node); err != nil {
 			return err
 		}
 		w.crashed[a.Node] = true
 		w.crashes++
-		var pre dist.FlightPre
-		if w.rec != nil {
-			pre = dist.FlightPreOf(st)
-		}
-		out := w.mc.Crash(st)
-		if w.rec != nil {
-			dist.FlightEmitter{Rec: w.rec}.Crash(a.Node, out, pre, w.nowNs)
-		}
+		w.step(a.Node, dist.StepIn{Kind: dist.StepCrash})
 	case OpRecover:
 		if a.Node < 0 || a.Node >= len(w.nodes) || !w.crashed[a.Node] {
 			return fmt.Errorf("%w: recover on node %d which is not crashed", errInvalid, a.Node)
 		}
 		w.crashed[a.Node] = false
-		if w.rec != nil {
-			dist.FlightEmitter{Rec: w.rec}.Recover(a.Node, w.nowNs)
-		}
-		w.enqueue(w.mc.Recover(w.nodes[a.Node], w.nowNs).Send)
+		w.step(a.Node, dist.StepIn{Kind: dist.StepRecover})
 	default:
 		return fmt.Errorf("%w: unknown op %q", errInvalid, a.Op)
 	}
@@ -334,16 +295,19 @@ func (w *world) takeMsg(i int) (dist.Message, error) {
 	return m, nil
 }
 
-func (w *world) enqueue(ms []dist.Message) {
-	w.net = append(w.net, ms...)
-}
-
-// emitSends records each outgoing message of a step, mirroring the live
-// runtime's send() hook.
-func (w *world) emitSends(fe dist.FlightEmitter, node int, ms []dist.Message) {
-	for _, m := range ms {
-		fe.Send(node, m, w.nowNs)
+// step moves node through the machine at the current virtual time, records
+// the step's sends as the live runtime's send path does, and puts them in
+// flight.
+func (w *world) step(node int, in dist.StepIn) dist.StepOut {
+	in.NowNs = w.nowNs
+	out := w.mc.Step(w.nodes[node], in, w.rec)
+	if w.rec != nil {
+		for _, m := range out.Send {
+			dist.FlightEmitter{Rec: w.rec}.Send(node, m, w.nowNs)
+		}
 	}
+	w.net = append(w.net, out.Send...)
+	return out
 }
 
 // deliver hands m to its destination and runs the per-delivery ghost
@@ -363,17 +327,7 @@ func (w *world) deliver(m dist.Message, draining bool) error {
 	if st.Pend != nil {
 		pendSeq, pendInit = st.Pend.Msg.Seq, st.Pend.Msg.To
 	}
-	var pre dist.FlightPre
-	if w.rec != nil {
-		pre = dist.FlightPreOf(st)
-	}
-	out := w.mc.Deliver(st, m, w.nowNs, draining)
-	if w.rec != nil {
-		fe := dist.FlightEmitter{Rec: w.rec}
-		fe.Deliver(m.To, m, out, pre, w.nowNs)
-		w.emitSends(fe, m.To, out.Send)
-	}
-	w.enqueue(out.Send)
+	out := w.step(m.To, dist.StepIn{Kind: dist.StepDeliver, Msg: m, Draining: draining})
 	if out.Applied {
 		// Provenance: the delta the initiator just applied was computed by
 		// the responder from the value the LOCK carried. If that is not the
@@ -399,17 +353,13 @@ func (w *world) deliver(m dist.Message, draining bool) error {
 }
 
 // invariants runs the per-step safety checks: lock-state sanity, the
-// crash-adjusted sum, and (on its configured cadence) the quiescence
-// drain on a throwaway clone.
+// crash-adjusted sum, and the quiescence drain on a throwaway clone.
 func (w *world) invariants() error {
 	if err := w.lockSanity(); err != nil {
 		return err
 	}
 	if err := w.sumInvariant(); err != nil {
 		return err
-	}
-	if q := w.opt.QuiescenceEvery; q < 0 || (q > 1 && w.steps%q != 0) {
-		return nil
 	}
 	return w.clone().drain()
 }
@@ -476,7 +426,7 @@ func (w *world) drain() error {
 	for i := range w.crashed {
 		if w.crashed[i] {
 			w.crashed[i] = false
-			w.enqueue(w.mc.Recover(w.nodes[i], w.nowNs).Send)
+			w.step(i, dist.StepIn{Kind: dist.StepRecover})
 		}
 	}
 	limit := 100 + 30*(len(w.net)+len(w.nodes))
@@ -498,17 +448,17 @@ func (w *world) drain() error {
 			continue
 		}
 		acted := false
-		for _, st := range w.nodes {
+		for i, st := range w.nodes {
 			if st.Pend != nil {
-				w.enqueue(w.mc.Resend(st, w.nowNs).Send)
+				w.step(i, dist.StepIn{Kind: dist.StepResend})
 				acted = true
 				break
 			}
 		}
 		if !acted {
-			for _, st := range w.nodes {
+			for i, st := range w.nodes {
 				if st.Await != nil {
-					w.mc.TimeoutAwait(st)
+					w.step(i, dist.StepIn{Kind: dist.StepTimeout})
 					acted = true
 					break
 				}
@@ -590,19 +540,23 @@ func (w *world) hash() uint64 {
 		mix(k[0])
 		mix(k[1])
 	}
-	mix(uint64(w.rule.ticks))
-	mix(uint64(w.rule.swaps))
+	var ticks, swaps int64 // vanilla averaging has no rule state
+	if r, ok := w.mc.Rule.(*dist.SparseCutRule); ok {
+		ticks, swaps = r.Ticks(), r.Swaps()
+	}
+	mix(uint64(ticks))
+	mix(uint64(swaps))
 	mix(uint64(w.inits))
 	mix(uint64(w.dups))
 	mix(uint64(w.resends))
 	mix(uint64(w.crashes))
-	if q := w.opt.QuiescenceEvery; q > 1 {
-		// Which step of the quiescence cadence we are on changes what future
-		// steps will check, so it is part of the state.
-		mix(uint64(w.steps % q))
-	}
 	return h
 }
+
+// maxHashNodes is the largest node count msgKey identifies exactly: it
+// keeps 8 bits of each endpoint id. A graph that small also has fewer
+// than 2^15 edges, within msgKey's 16 edge bits.
+const maxHashNodes = 256
 
 // msgKey packs a message's time-independent identity for hashing.
 func msgKey(m dist.Message) [2]uint64 {

@@ -162,7 +162,7 @@ func TestRepeatedRunsContinue(t *testing.T) {
 			cl.shards[0].held.push(heldMsg{m: Message{Kind: MsgLock, From: 0, To: 1, Epoch: cl.epoch, Seq: planted}})
 			var leaked atomic.Int64
 			cl.tap = func(ev nodeEvent) {
-				if ev.kind == stepDeliver && ev.msg.Seq == planted {
+				if ev.in.Kind == StepDeliver && ev.in.Msg.Seq == planted {
 					leaked.Add(1)
 				}
 			}
@@ -238,6 +238,35 @@ func TestSparseCutRuleSemantics(t *testing.T) {
 	}
 	if rule.EpochTicks() != 3 || rule.Weight() != w {
 		t.Errorf("accessors: K=%d w=%g", rule.EpochTicks(), rule.Weight())
+	}
+}
+
+// TestSparseCutRuleClone checks that a clone starts from the rule's
+// counters and then advances on its own, as the model checker's forked
+// worlds need.
+func TestSparseCutRuleClone(t *testing.T) {
+	g, part, _ := dumbbellCase(t)
+	ec := part.CutEdges()[0]
+	u := g.Edge(ec).U
+	rule, err := NewSparseCutRule(part, ec, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		rule.Delta(ec, u, 1, 5)
+	}
+	cp := rule.Clone()
+	if cp.Ticks() != 4 || cp.Swaps() != 1 {
+		t.Fatalf("clone counters %d/%d, want 4/1", cp.Ticks(), cp.Swaps())
+	}
+	for i, want := range []float64{0, 8} {
+		if d := cp.Delta(ec, u, 1, 5); d != want {
+			t.Errorf("clone tick %d: delta %g, want %g", 5+i, d, want)
+		}
+	}
+	if rule.Ticks() != 4 || rule.Swaps() != 1 || cp.Ticks() != 6 || cp.Swaps() != 2 {
+		t.Errorf("counters after the clone advanced: rule %d/%d, clone %d/%d",
+			rule.Ticks(), rule.Swaps(), cp.Ticks(), cp.Swaps())
 	}
 }
 

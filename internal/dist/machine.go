@@ -1,12 +1,15 @@
 package dist
 
 import (
+	"sparsecut/internal/flight"
 	"sparsecut/internal/graph"
 )
 
 // This file is the exchange protocol itself: a pure, synchronously-steppable
 // state machine, so that two very different drivers can run the *same*
-// code:
+// code. Both move a node only through Machine.Step, which also records the
+// step in the flight recorder; the drivers differ only in timing and
+// transport:
 //
 //   - the live runtime (shard.go): shard event loops with wall-clock timer
 //     wheels and real mailboxes; each shard steps the NodeStates it owns
@@ -17,9 +20,9 @@ import (
 //     and timer interleavings systematically.
 //
 // The live driver is pinned to the machine by the lockstep divergence test
-// in shard_test.go: the runtime records every protocol event it feeds the
-// machine, and replaying that event sequence through fresh NodeStates
-// must reproduce byte-identical StepOuts and final values.
+// in shard_test.go: the runtime records every StepIn it feeds the machine,
+// and replaying that event sequence through fresh NodeStates and the
+// per-kind methods must reproduce byte-identical StepOuts and final values.
 //
 // # Exchange protocol (lock / propose / commit)
 //
@@ -273,6 +276,64 @@ type StepOut struct {
 }
 
 func (out *StepOut) send(m Message) { out.Send = append(out.Send, m) }
+
+// StepKind names the protocol event a driver feeds the machine: one per
+// per-kind entry point below.
+type StepKind uint8
+
+const (
+	StepDeliver StepKind = iota + 1
+	StepInitiate
+	StepTimeout
+	StepResend
+	StepCrash
+	StepRecover
+)
+
+// StepIn is one protocol event: its kind and the inputs that kind reads.
+type StepIn struct {
+	Kind StepKind
+	// Msg is the incoming message (StepDeliver).
+	Msg Message
+	// He is the incident half-edge to initiate over (StepInitiate).
+	He graph.HalfEdge
+	// NowNs is the driver's clock, in its own time base.
+	NowNs int64
+	// Draining mirrors the driver's drain phase (StepDeliver; see Deliver).
+	Draining bool
+}
+
+// Step is how a driver moves a node: it dispatches in to the matching
+// per-kind method and, when rec is non-nil, records the step (receive,
+// state changes) in rec. The driver records the step's sends itself, after
+// Step returns, as it hands them to its network.
+func (mc *Machine) Step(st *NodeState, in StepIn, rec *flight.Recorder) StepOut {
+	var pre flightPre
+	if rec != nil {
+		// Snapshot the Await/Pend identity the step may clear; the record
+		// needs it to name the exchange an abort or rollback resolved.
+		pre = flightPreOf(st)
+	}
+	var out StepOut
+	switch in.Kind {
+	case StepDeliver:
+		out = mc.Deliver(st, in.Msg, in.NowNs, in.Draining)
+	case StepInitiate:
+		out = mc.Initiate(st, in.He, in.NowNs)
+	case StepTimeout:
+		out = mc.TimeoutAwait(st)
+	case StepResend:
+		out = mc.Resend(st, in.NowNs)
+	case StepCrash:
+		out = mc.Crash(st)
+	case StepRecover:
+		out = mc.Recover(st, in.NowNs)
+	}
+	if rec != nil {
+		recordStep(rec, st.ID, in, out, pre)
+	}
+	return out
+}
 
 // Deliver processes one incoming message against st. draining mirrors the
 // runtime's drain phase: the node answers and resolves but refuses to

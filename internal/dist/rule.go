@@ -133,6 +133,15 @@ func (r *SparseCutRule) Delta(e graph.EdgeID, _ graph.NodeID, xInit, xResp float
 	}
 }
 
+// Clone returns a copy of the rule with its tick and swap counters as they
+// stand now, so the model checker can fork and backtrack a rule's state.
+func (r *SparseCutRule) Clone() *SparseCutRule {
+	cp := &SparseCutRule{part: r.part, ec: r.ec, epochK: r.epochK, weight: r.weight, isCut: r.isCut}
+	cp.ticks.Store(r.ticks.Load())
+	cp.swaps.Store(r.swaps.Load())
+	return cp
+}
+
 // Swaps returns the number of non-convex swaps committed so far.
 func (r *SparseCutRule) Swaps() int64 { return r.swaps.Load() }
 

@@ -13,9 +13,12 @@
 //
 // The protocol is a pure state machine (Machine, NodeState) with two
 // drivers: ShardRuntime, the live runtime in this file, and the model
-// checker in internal/check. The lockstep test in shard_test.go replays
-// the live runtime's recorded steps through fresh NodeStates and proves
-// the runtime adds no hidden state.
+// checker in internal/check. Both move a node only through Machine.Step,
+// which also records the step in the flight recorder, and both run the
+// same Rule values; they differ only in timing and transport. The
+// lockstep test in shard_test.go replays the live runtime's recorded
+// steps through fresh NodeStates and proves the runtime adds no hidden
+// state.
 //
 // The timing model matches internal/sim exactly in distribution: node u
 // initiates at Poisson rate deg(u)/2 over a uniform incident edge, which
@@ -63,7 +66,7 @@ type ClusterConfig struct {
 	// Delay is the maximum per-message latency: each message is held by
 	// its sending shard for an independent uniform time in [0, Delay)
 	// before it reaches its destination mailbox, so messages may reorder
-	// (0 = none). A release can run up to one TimerTick late.
+	// (0 = none). A release can run up to one timer-wheel tick late.
 	Delay time.Duration
 	// LockTimeout bounds how long an initiator waits for a proposal
 	// before aborting (default TimeScale/4, at least 1ms and four wheel
@@ -71,10 +74,8 @@ type ClusterConfig struct {
 	// trip — a proposal arriving after the timeout is refused as stale,
 	// so with LockTimeout below the typical latency (e.g. 3·Delay)
 	// essentially no exchange commits.
+	// The proposal retransmission lease is half the lock timeout.
 	LockTimeout time.Duration
-	// ResendEvery is the proposal retransmission lease period (default
-	// LockTimeout/2).
-	ResendEvery time.Duration
 	// Metrics, when non-nil, receives the runtime's telemetry: exchange
 	// counters (proposed/committed/aborted), per-kind message counters, a
 	// committed-exchange latency histogram, live convergence-progress
@@ -119,29 +120,12 @@ type crashWindow struct {
 	until time.Time // zero = until drain
 }
 
-// stepKind discriminates the protocol events a shard feeds the machine;
-// the lockstep tap records them for replay.
-type stepKind uint8
-
-const (
-	stepDeliver stepKind = iota + 1
-	stepInitiate
-	stepTimeout
-	stepResend
-	stepCrash
-	stepRecover
-)
-
-// nodeEvent is one recorded protocol event (lockstep test plumbing; see
+// nodeEvent is one recorded protocol step (lockstep test plumbing; see
 // ShardRuntime.tap).
 type nodeEvent struct {
-	node     int
-	kind     stepKind
-	msg      Message // stepDeliver
-	he       graph.HalfEdge
-	nowNs    int64
-	draining bool
-	out      StepOut
+	node int
+	in   StepIn
+	out  StepOut
 }
 
 // ShardRuntime runs a Rule as a real concurrent message-passing system on a
@@ -183,10 +167,10 @@ type nodeEvent struct {
 // clock fire while the node is locked is skipped, like a simulator tick
 // on a busy pair; the clock keeps running.
 //
-// Timer deadlines are quantised to the wheel tick
-// (ShardRuntimeConfig.TimerTick), which is chosen (and floored) to be much
-// finer than the lock timeout, so quantisation shifts deadlines by at most
-// one tick without reordering the protocol's coarse time constants. The
+// Timer deadlines are quantised to the wheel tick, TimeScale/16 clamped to
+// [50µs, 1ms], which is chosen (and floored) to be much finer than the
+// lock timeout, so quantisation shifts deadlines by at most one tick
+// without reordering the protocol's coarse time constants. The
 // messages a fire sends are delivered before the next fire in the same
 // tick: a same-shard exchange resolves at once instead of colliding with
 // the other initiations due in that tick.
@@ -261,9 +245,6 @@ type ShardRuntimeConfig struct {
 	// MailboxCap is the per-shard mailbox capacity; messages beyond it are
 	// dropped as congestion loss. 0 = max(1024, 4·nodes/shards).
 	MailboxCap int
-	// TimerTick is the wheel granularity. 0 = TimeScale/16 clamped to
-	// [50µs, 1ms]. Protocol deadlines are quantised up to the next tick.
-	TimerTick time.Duration
 }
 
 // shard is one event loop: the states, timers and mailbox of nodes
@@ -419,7 +400,7 @@ func NewShardRuntime(g *graph.Graph, x0 []float64, rule Rule, cfg ShardRuntimeCo
 	if rule == nil {
 		return nil, errors.New("dist: shard runtime requires a rule")
 	}
-	if cfg.TimeScale < 0 || cfg.LockTimeout < 0 || cfg.ResendEvery < 0 || cfg.TimerTick < 0 || cfg.Delay < 0 {
+	if cfg.TimeScale < 0 || cfg.LockTimeout < 0 || cfg.Delay < 0 {
 		return nil, errors.New("dist: negative durations in config")
 	}
 	if !(cfg.Drop >= 0 && cfg.Drop < 1) {
@@ -446,16 +427,8 @@ func NewShardRuntime(g *graph.Graph, x0 []float64, rule Rule, cfg ShardRuntimeCo
 		cfg:    cfg,
 		values: append([]float64(nil), x0...),
 	}
-	rt.timerTick = cfg.TimerTick
-	if rt.timerTick == 0 {
-		rt.timerTick = cfg.TimeScale / 16
-		if rt.timerTick < 50*time.Microsecond {
-			rt.timerTick = 50 * time.Microsecond
-		}
-		if rt.timerTick > time.Millisecond {
-			rt.timerTick = time.Millisecond
-		}
-	}
+	// The wheel tick: protocol deadlines are quantised up to the next one.
+	rt.timerTick = min(max(cfg.TimeScale/16, 50*time.Microsecond), time.Millisecond)
 	rt.lockTimeout = cfg.LockTimeout
 	if rt.lockTimeout == 0 {
 		rt.lockTimeout = cfg.TimeScale / 4
@@ -468,12 +441,9 @@ func NewShardRuntime(g *graph.Graph, x0 []float64, rule Rule, cfg ShardRuntimeCo
 			rt.lockTimeout = 4 * rt.timerTick
 		}
 	}
-	rt.resendEvery = cfg.ResendEvery
-	if rt.resendEvery == 0 {
-		rt.resendEvery = rt.lockTimeout / 2
-		if rt.resendEvery <= 0 {
-			rt.resendEvery = rt.lockTimeout
-		}
+	rt.resendEvery = rt.lockTimeout / 2
+	if rt.resendEvery <= 0 {
+		rt.resendEvery = rt.lockTimeout
 	}
 	rt.mc = Machine{
 		G:             g,
@@ -805,7 +775,7 @@ func (s *shard) deliver(m Message, now time.Time) {
 		recordNetDrop(s.rt.rec, m, abs, flight.ReasonDead)
 		return
 	}
-	s.step(abs, stepDeliver, m, graph.HalfEdge{}, now)
+	s.step(abs, StepIn{Kind: StepDeliver, Msg: m}, now)
 }
 
 // fire dispatches one expired wheel timer.
@@ -829,7 +799,7 @@ func (s *shard) fireClock(abs int, now time.Time) {
 	li := abs - s.lo
 	if !s.states[li].Locked() {
 		adj := s.rt.g.Neighbors(graph.NodeID(abs))
-		s.step(abs, stepInitiate, Message{}, adj[s.r.Intn(len(adj))], now)
+		s.step(abs, StepIn{Kind: StepInitiate, He: adj[s.r.Intn(len(adj))]}, now)
 	}
 	// A fire while locked is skipped but the clock keeps running.
 	s.scheduleClock(li, now)
@@ -850,10 +820,10 @@ func (s *shard) fireProto(abs int, now time.Time) {
 	st := &s.states[li]
 	nowNs := now.UnixNano()
 	if st.Await != nil && nowNs >= st.Await.DeadlineNs {
-		s.step(abs, stepTimeout, Message{}, graph.HalfEdge{}, now)
+		s.step(abs, StepIn{Kind: StepTimeout}, now)
 	}
 	if st.Pend != nil && nowNs >= st.Pend.ResendNs {
-		s.step(abs, stepResend, Message{}, graph.HalfEdge{}, now)
+		s.step(abs, StepIn{Kind: StepResend}, now)
 	}
 	// Quantisation can fire a slot before the deadline's sub-tick offset;
 	// re-arm for the next tick in that case (armProto is idempotent).
@@ -892,7 +862,7 @@ func (s *shard) crashNode(abs int, cs *shardCrash, now time.Time) {
 	cs.recoverAt = cs.wins[cs.idx].until
 	cs.idx++
 	s.rt.crashes.Add(1)
-	s.step(abs, stepCrash, Message{}, graph.HalfEdge{}, now)
+	s.step(abs, StepIn{Kind: StepCrash}, now)
 	// A dead node fires no timers; its one deadline is recovery.
 	s.w.cancel(&s.clocks[li])
 	s.w.cancel(&s.protos[li])
@@ -905,7 +875,7 @@ func (s *shard) recoverNode(abs int, cs *shardCrash, now time.Time) {
 	li := abs - s.lo
 	cs.crashed = false
 	cs.recoverAt = time.Time{}
-	s.step(abs, stepRecover, Message{}, graph.HalfEdge{}, now)
+	s.step(abs, StepIn{Kind: StepRecover}, now)
 	if !s.draining {
 		s.scheduleClock(li, now)
 		if cs.idx < len(cs.wins) {
@@ -931,42 +901,20 @@ func (s *shard) enterDrain(now time.Time) {
 	}
 }
 
-// step feeds one protocol event to the pure machine and routes its effects
-// into the runtime's accounting, the lockstep tap, the flight recorder and
+// step feeds one protocol event, stamped with the shard's clock and drain
+// phase, to the machine (which records it in the flight recorder), then
+// routes its effects into the lockstep tap, the runtime's accounting and
 // the mailboxes.
-func (s *shard) step(abs int, kind stepKind, m Message, he graph.HalfEdge, now time.Time) {
+func (s *shard) step(abs int, in StepIn, now time.Time) {
 	rt := s.rt
 	li := abs - s.lo
 	st := &s.states[li]
-	nowNs := now.UnixNano()
-	var pre FlightPre
-	if rt.rec != nil {
-		// Snapshot the Await/Pend identity the step may clear; the emitter
-		// needs it to name the exchange an abort or rollback resolved.
-		pre = FlightPreOf(st)
-	}
-	var out StepOut
-	switch kind {
-	case stepDeliver:
-		out = rt.mc.Deliver(st, m, nowNs, s.draining)
-	case stepInitiate:
-		out = rt.mc.Initiate(st, he, nowNs)
-	case stepTimeout:
-		out = rt.mc.TimeoutAwait(st)
-	case stepResend:
-		out = rt.mc.Resend(st, nowNs)
-	case stepCrash:
-		out = rt.mc.Crash(st)
-	case stepRecover:
-		out = rt.mc.Recover(st, nowNs)
-	}
+	in.NowNs, in.Draining = now.UnixNano(), s.draining
+	out := rt.mc.Step(st, in, rt.rec)
 	if tap := rt.tap; tap != nil {
-		tap(nodeEvent{node: abs, kind: kind, msg: m, he: he, nowNs: nowNs, draining: s.draining, out: out})
+		tap(nodeEvent{node: abs, in: in, out: out})
 	}
-	if rt.rec != nil {
-		emitStepRec(rt.rec, abs, kind, m, out, pre, nowNs)
-	}
-	s.applyOut(st, out, nowNs)
+	s.applyOut(st, out, in.NowNs)
 	s.armProto(li)
 }
 

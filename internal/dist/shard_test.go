@@ -33,11 +33,13 @@ import (
 //     initiator's replayed state must already have applied that exact
 //     (initiator, seq) — the tap order respects causality (a send is
 //     tapped before its delivery can be), so the check is sound;
-//   - flight equivalence: re-emitting the replayed stream through the
-//     shared FlightEmitter must stitch into the same span set as the live
-//     shard capture, span by span (the sharded loops add no records and
-//     lose none relative to the canonical step→record mapping).
+//   - flight equivalence: re-recording the replayed stream through the
+//     step→record mapping Machine.Step uses must stitch into the same span
+//     set as the live shard capture, span by span (the sharded loops add
+//     no records and lose none relative to that mapping).
 //
+// The replay calls the per-kind methods through its own switch, not
+// Machine.Step, so it is an independent reference for Step's dispatch.
 // This test runs 3 shards, so most exchanges stay inside one loop.
 func TestShardLockstepEquivalence(t *testing.T) { testLockstep(t, 3) }
 
@@ -86,7 +88,7 @@ func testLockstep(t *testing.T, shards int) {
 			}
 
 			// Replay: fresh states, same machine parameters, recorded
-			// inputs; re-emit flight records through the shared emitter.
+			// inputs; re-record each step through Step's flight mapping.
 			mc := Machine{
 				G:             g,
 				Rule:          NewVanillaRule(),
@@ -100,26 +102,26 @@ func testLockstep(t *testing.T, shards int) {
 				states[i] = NewNodeState(i, x0[i])
 			}
 			for k, ev := range events {
-				st := states[ev.node]
-				pre := FlightPreOf(st)
+				st, in := states[ev.node], ev.in
+				pre := flightPreOf(st)
 				var out StepOut
-				switch ev.kind {
-				case stepDeliver:
-					out = mc.Deliver(st, ev.msg, ev.nowNs, ev.draining)
-				case stepInitiate:
-					out = mc.Initiate(st, ev.he, ev.nowNs)
-				case stepTimeout:
+				switch in.Kind {
+				case StepDeliver:
+					out = mc.Deliver(st, in.Msg, in.NowNs, in.Draining)
+				case StepInitiate:
+					out = mc.Initiate(st, in.He, in.NowNs)
+				case StepTimeout:
 					out = mc.TimeoutAwait(st)
-				case stepResend:
-					out = mc.Resend(st, ev.nowNs)
-				case stepCrash:
+				case StepResend:
+					out = mc.Resend(st, in.NowNs)
+				case StepCrash:
 					out = mc.Crash(st)
-				case stepRecover:
-					out = mc.Recover(st, ev.nowNs)
+				case StepRecover:
+					out = mc.Recover(st, in.NowNs)
 				}
 				if !reflect.DeepEqual(out, ev.out) {
 					t.Fatalf("event %d (node %d, kind %d): replayed StepOut %+v diverged from live %+v",
-						k, ev.node, ev.kind, out, ev.out)
+						k, ev.node, in.Kind, out, ev.out)
 				}
 				if out.Committed {
 					// Ghost provenance: the pend this commit resolved names
@@ -130,9 +132,9 @@ func testLockstep(t *testing.T, shards int) {
 							k, ev.node, pre.pendMsg.Seq, pre.pendMsg.To)
 					}
 				}
-				emitStepRec(rec2, ev.node, ev.kind, ev.msg, out, pre, ev.nowNs)
+				recordStep(rec2, ev.node, in, out, pre)
 				for _, m := range out.Send {
-					FlightEmitter{Rec: rec2}.Send(ev.node, m, ev.nowNs)
+					FlightEmitter{Rec: rec2}.Send(ev.node, m, in.NowNs)
 				}
 			}
 			got := rt.Values()
@@ -581,11 +583,6 @@ func TestShardRuntimeValidation(t *testing.T) {
 		{"negative shards", g, x0, VanillaRule{}, func() ShardRuntimeConfig {
 			c := valid()
 			c.Shards = -1
-			return c
-		}()},
-		{"negative tick", g, x0, VanillaRule{}, func() ShardRuntimeConfig {
-			c := valid()
-			c.TimerTick = -time.Millisecond
 			return c
 		}()},
 		{"negative drop", g, x0, VanillaRule{}, func() ShardRuntimeConfig {

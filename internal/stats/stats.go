@@ -1,6 +1,6 @@
 // Package stats provides the small set of descriptive statistics and
 // least-squares fits the experiment harness needs: means, variances,
-// quantiles, confidence intervals, histograms, and (log-log) linear fits
+// quantiles, confidence intervals, and (log-log) linear fits
 // used to extract empirical scaling exponents.
 package stats
 
@@ -39,21 +39,6 @@ func Variance(xs []float64) float64 {
 		sum += d * d
 	}
 	return sum / float64(len(xs)-1)
-}
-
-// PopulationVariance returns the variance with an n denominator, matching
-// the paper's varX definition. It returns 0 for an empty slice.
-func PopulationVariance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
 }
 
 // StdDev returns the square root of the unbiased sample variance.
@@ -119,35 +104,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Summary holds the standard five-number-plus-moments description of a
-// sample, as printed in experiment tables.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Median float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs. An empty sample yields NaN fields.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		Median: Median(xs),
-		Max:    Max(xs),
-	}
-}
-
-// String renders the summary compactly, e.g. for log lines.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.3g min=%.4g med=%.4g max=%.4g",
-		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.Max)
 }
 
 // MeanCI95 returns the sample mean together with the half-width of a 95%
@@ -232,58 +188,6 @@ func SemiLogYFit(xs, ys []float64) (Fit, error) {
 		ly[i] = math.Log(ys[i])
 	}
 	return LinearFit(xs, ly)
-}
-
-// Histogram is a fixed-width binning of a sample over [Lo, Hi). Samples
-// outside the range are counted in Under/Over.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Under  int
-	Over   int
-}
-
-// NewHistogram creates a histogram with the given number of bins spanning
-// [lo, hi). It returns an error if bins < 1 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins < 1 {
-		return nil, fmt.Errorf("stats: histogram needs >= 1 bin, got %d", bins)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: histogram range [%v, %v) is empty", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Counts) { // guard float rounding at the top edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations recorded, including out-of-range.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
 }
 
 // KSDistance computes the two-sample Kolmogorov–Smirnov statistic: the

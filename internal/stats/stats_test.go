@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"sparsecut/internal/rng"
 )
@@ -44,31 +43,6 @@ func TestVariance(t *testing.T) {
 	}
 	if got := Variance([]float64{1}); got != 0 {
 		t.Errorf("Variance of singleton = %v, want 0", got)
-	}
-}
-
-func TestPopulationVariance(t *testing.T) {
-	if got := PopulationVariance([]float64{2, 4, 4, 4, 5, 5, 7, 9}); !almostEqual(got, 4, 1e-12) {
-		t.Errorf("PopulationVariance = %v, want 4", got)
-	}
-	if got := PopulationVariance(nil); got != 0 {
-		t.Errorf("PopulationVariance(nil) = %v, want 0", got)
-	}
-}
-
-func TestPopulationVarianceShiftInvariance(t *testing.T) {
-	r := rng.New(1)
-	if err := quick.Check(func(shiftRaw int8) bool {
-		shift := float64(shiftRaw)
-		xs := make([]float64, 50)
-		ys := make([]float64, 50)
-		for i := range xs {
-			xs[i] = r.NormFloat64()
-			ys[i] = xs[i] + shift
-		}
-		return almostEqual(PopulationVariance(xs), PopulationVariance(ys), 1e-9)
-	}, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -151,16 +125,6 @@ func TestMinMaxMedian(t *testing.T) {
 	}
 	if !math.IsNaN(Min(nil)) || !math.IsNaN(Max(nil)) || !math.IsNaN(Median(nil)) {
 		t.Error("Min/Max/Median of empty should be NaN")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Errorf("unexpected summary %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("empty String()")
 	}
 }
 
@@ -277,60 +241,6 @@ func TestSemiLogYFitExponential(t *testing.T) {
 func TestSemiLogYFitRejectsNonPositiveY(t *testing.T) {
 	if _, err := SemiLogYFit([]float64{0, 1}, []float64{1, 0}); err == nil {
 		t.Error("expected error for zero y")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 11} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under/over = %d/%d, want 1/2", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bin 0 = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Errorf("bin 1 = %d, want 1", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.99
-		t.Errorf("bin 4 = %d, want 1", h.Counts[4])
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d, want 7", h.Total())
-	}
-	if got := h.BinCenter(0); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("BinCenter(0) = %v, want 1", got)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("expected error for zero bins")
-	}
-	if _, err := NewHistogram(1, 1, 4); err == nil {
-		t.Error("expected error for empty range")
-	}
-}
-
-func TestHistogramTotalProperty(t *testing.T) {
-	r := rng.New(5)
-	if err := quick.Check(func(nRaw uint8) bool {
-		n := int(nRaw)
-		h, err := NewHistogram(-2, 2, 8)
-		if err != nil {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			h.Add(r.NormFloat64())
-		}
-		return h.Total() == n
-	}, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -5,8 +5,7 @@ import "math"
 // Welford is a streaming accumulator for mean, variance and range using
 // Welford's numerically stable online algorithm. The zero value is an
 // empty accumulator. It lets the sweep engine fold per-trial statistics
-// into a cell without retaining every sample, and Merge combines
-// accumulators from independent shards (Chan et al.'s parallel update).
+// into a cell without retaining every sample.
 type Welford struct {
 	n        int64
 	mean, m2 float64
@@ -29,29 +28,6 @@ func (w *Welford) Add(x float64) {
 	d := x - w.mean
 	w.mean += d / float64(w.n)
 	w.m2 += d * (x - w.mean)
-}
-
-// Merge folds another accumulator into this one, as if every observation
-// of o had been Added here.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.mean += d * float64(o.n) / float64(n)
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.n = n
 }
 
 // N returns the number of observations.

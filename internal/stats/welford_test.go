@@ -48,29 +48,3 @@ func TestWelfordEmptyAndSingle(t *testing.T) {
 		t.Error("single observation variance should be 0")
 	}
 }
-
-func TestWelfordMerge(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	for split := 0; split <= len(xs); split++ {
-		var a, b Welford
-		for _, x := range xs[:split] {
-			a.Add(x)
-		}
-		for _, x := range xs[split:] {
-			b.Add(x)
-		}
-		a.Merge(b)
-		if a.N() != int64(len(xs)) {
-			t.Fatalf("split %d: N = %d", split, a.N())
-		}
-		if math.Abs(a.Mean()-Mean(xs)) > 1e-12 {
-			t.Errorf("split %d: Mean = %v, want %v", split, a.Mean(), Mean(xs))
-		}
-		if math.Abs(a.Variance()-Variance(xs)) > 1e-12 {
-			t.Errorf("split %d: Variance = %v, want %v", split, a.Variance(), Variance(xs))
-		}
-		if a.Min() != 1 || a.Max() != 9 {
-			t.Errorf("split %d: range [%v, %v], want [1, 9]", split, a.Min(), a.Max())
-		}
-	}
-}

@@ -255,7 +255,8 @@ type (
 	// Construct with NewShardRuntime and drive with Run.
 	ShardRuntime = dist.ShardRuntime
 	// ShardRuntimeConfig configures NewShardRuntime (ClusterConfig plus
-	// shard count, mailbox capacity and timer-wheel tick).
+	// shard count and mailbox capacity; the timer-wheel tick and the
+	// proposal resend lease derive from TimeScale and LockTimeout).
 	ShardRuntimeConfig = dist.ShardRuntimeConfig
 )
 
