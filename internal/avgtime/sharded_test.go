@@ -1,12 +1,16 @@
 package avgtime
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"testing"
 
 	"sparsecut/internal/gossip"
 	"sparsecut/internal/graph"
+	"sparsecut/internal/rng"
+	"sparsecut/internal/sim"
 	"sparsecut/internal/stats"
 )
 
@@ -143,5 +147,113 @@ func TestEstimateShardedAlreadyAveraged(t *testing.T) {
 	}
 	if res.Tav != 0 || res.Events != 0 {
 		t.Fatalf("constant vector: Tav=%v Events=%d, want 0/0", res.Tav, res.Events)
+	}
+}
+
+// shardedTrial is one EstimateSharded trial as the tracked golden digest
+// sees it: the last-exceedance time, the trial's events, whether it was
+// censored, and the state's Variance() when RunTracked returned.
+type shardedTrial struct {
+	last     float64
+	events   int64
+	censored bool
+	variance float64
+}
+
+// shardedTrials replays EstimateSharded's per-trial loop — the same stream
+// derivation, state and tracked stop rule — and keeps what the estimator's
+// Result folds away: each trial's own events, censoring and final variance.
+func shardedTrials(t *testing.T, g *graph.Implicit, x0 []float64, cfg Config, opt ShardedOptions) []shardedTrial {
+	t.Helper()
+	cfg = cfg.withDefaults()
+	til := g.Tiling()
+	root := rng.New(cfg.Seed)
+	var out []shardedTrial
+	for trial := 0; trial < cfg.Trials; trial++ {
+		_ = root.Split()
+		simRNG := root.Split()
+		st, err := gossip.NewFlatState(x0, til.Bounds())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var0 := st.Variance()
+		eng := sim.NewShardEngine(til, st, simRNG, sim.ShardConfig{Workers: opt.Workers, Window: opt.Window})
+		tr := eng.RunTracked(cfg.tracked(var0, st))
+		out = append(out, shardedTrial{tr.LastExceed, eng.Events(), tr.Censored, st.Variance()})
+	}
+	return out
+}
+
+// TestEstimateShardedTrackedGoldenDigest pins the sharded engine's tracked
+// loop (RunTracked and the eager per-tile moments it reads at every
+// barrier) through EstimateSharded, on a 24+24 implicit dumbbell, a ring
+// of four 24-cliques and the dumbbell again with a MaxTime that censors
+// two of its five trials, at 1 and 2 workers. The trials run 60k–80k
+// events per tile, around the 2^16-update moment resync. The FNV-64a digest covers each trial's LastExceed bits, events,
+// censoring and final Variance() bits; the replayed trials must also add
+// up to the estimator's own Result. TestShardEngineGoldenDigest pins only
+// RunUntil's values, so this is the check that the tracked moments'
+// rounding, resync cadence and barrier reads do not move.
+func TestEstimateShardedTrackedGoldenDigest(t *testing.T) {
+	dumbbell, err := graph.ImplicitDumbbell(24, 24, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := graph.ImplicitRingOfCliques(4, 24, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		g    *graph.Implicit
+		cfg  Config
+		want uint64
+	}{
+		{"dumbbell", dumbbell, Config{Trials: 5, Seed: 17}, 0x621195fbff37c058},
+		{"ringofcliques", ring, Config{Trials: 5, Seed: 18}, 0x2ecd6e77fa730dcc},
+		{"dumbbell-censored", dumbbell, Config{Trials: 5, Seed: 19, MaxTime: 250}, 0x54293750e31ac73f},
+	}
+	for _, c := range cases {
+		x0 := gossip.CutIndicatorPrefix(c.g.NumNodes(), c.g.SplitPoint())
+		for _, workers := range []int{1, 2} {
+			opt := ShardedOptions{Workers: workers, Window: 0.25}
+			res, err := EstimateSharded(c.g, x0, c.cfg, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trials := shardedTrials(t, c.g, x0, c.cfg, opt)
+			h := fnv.New64a()
+			var buf [8]byte
+			put := func(v uint64) {
+				binary.LittleEndian.PutUint64(buf[:], v)
+				h.Write(buf[:])
+			}
+			var events int64
+			censored := 0
+			for i, tr := range trials {
+				if math.Float64bits(tr.last) != math.Float64bits(res.PerTrial[i]) {
+					t.Fatalf("%s/workers=%d: trial %d replayed LastExceed %v, estimator %v",
+						c.name, workers, i, tr.last, res.PerTrial[i])
+				}
+				events += tr.events
+				if tr.censored {
+					censored++
+					put(1)
+				} else {
+					put(0)
+				}
+				put(math.Float64bits(tr.last))
+				put(uint64(tr.events))
+				put(math.Float64bits(tr.variance))
+			}
+			if events != res.Events || censored != res.Censored {
+				t.Fatalf("%s/workers=%d: replayed %d events, %d censored; estimator %d, %d",
+					c.name, workers, events, censored, res.Events, res.Censored)
+			}
+			if got := h.Sum64(); got != c.want {
+				t.Errorf("%s/workers=%d: digest %#x (%d events, %d censored), want %#x",
+					c.name, workers, got, events, censored, c.want)
+			}
+		}
 	}
 }
