@@ -11,13 +11,21 @@ package gossip
 // Like State, values are stored centred by the initial mean and each
 // exchange replays the uncentred arithmetic through the offset, keeping
 // the floating-point trajectory bit-identical to the uncentred per-event
-// simulator. Moments are maintained incrementally with the same fused
-// updates as State.AverageEdgesTracked and re-accumulated from scratch to
-// stop drift: tile t resyncs after max(resyncInterval, its node count)
-// updates, so the amortised resync cost stays at most one sequential read
-// per update at any tile size. The period depends only on the
+// simulator. A tile's chunk has two forms, as an Algorithm's ticks do:
+//
+//   - TickTile (ShardEngine.RunUntil) updates the values only and marks
+//     the tile dirty; Mean and Variance re-accumulate dirty tiles' moments
+//     from the values before they read them, as State's lazy loops do.
+//   - TickTileTracked (ShardEngine.RunTracked) maintains the moments
+//     eagerly with the same fused updates as State.AverageEdgesTracked,
+//     and re-accumulates them from scratch to stop drift: tile t resyncs
+//     after max(resyncInterval, its node count) updates, so the amortised
+//     resync cost stays at most one sequential read per update at any
+//     tile size. A dirty tile is resynced before its first tracked chunk.
+//
+// Both forms leave the same values, the resync period depends only on the
 // tiling, and the moments never feed back into the values, so the
-// trajectory is the same for any worker count.
+// trajectory is the same for any worker count and either form.
 //
 // FlatState assumes vanilla (pairwise-average) exchanges: it implements
 // sim.ShardKernel for the monotone hot path only.
@@ -36,6 +44,7 @@ type FlatState struct {
 	sum    []float64 // per-tile Σ y, maintained incrementally
 	sumSq  []float64 // per-tile Σ y², maintained incrementally
 	ops    []int64   // per-tile updates since the last resync
+	dirty  []bool    // per-tile: values moved since the moments were exact
 }
 
 // NewFlatState builds tiled state from initial values and tile bounds
@@ -71,6 +80,7 @@ func NewFlatState(x0 []float64, bounds [][2]int32) (*FlatState, error) {
 		sum:   make([]float64, len(bounds)),
 		sumSq: make([]float64, len(bounds)),
 		ops:   make([]int64, len(bounds)),
+		dirty: make([]bool, len(bounds)),
 	}
 	for i := range x0 {
 		s.y[i] = x0[i] - mean
@@ -92,8 +102,10 @@ func (s *FlatState) Tiles() int { return len(s.lo) }
 func (s *FlatState) Value(u int) float64 { return s.y[u] + s.off }
 
 // Mean returns the current global mean — conserved by averaging up to
-// floating-point roundoff.
+// floating-point roundoff. It resyncs dirty tiles first, so it must only
+// be called from the single-threaded barrier phase.
 func (s *FlatState) Mean() float64 {
+	s.resyncDirty()
 	var sum float64
 	for i := range s.sum {
 		sum += s.sum[i]
@@ -103,7 +115,9 @@ func (s *FlatState) Mean() float64 {
 
 // Variance returns the population variance, combining per-tile moments
 // in tile order (deterministic for any worker count), clamped at zero.
+// Like Mean, it resyncs dirty tiles first (barrier phase only).
 func (s *FlatState) Variance() float64 {
+	s.resyncDirty()
 	var sum, sumSq float64
 	for i := range s.sum {
 		sum += s.sum[i]
@@ -118,11 +132,33 @@ func (s *FlatState) Variance() float64 {
 	return v
 }
 
-// TickTile applies a chunk of internal exchanges to tile t. Both
-// endpoints must lie inside the tile; only tile t's state is touched, so
-// distinct tiles may tick concurrently. Each exchange replays
-// State.AverageEdgesTracked's uncentred arithmetic, as Exchange does.
+// TickTile applies a chunk of internal exchanges to tile t's values and
+// marks the tile dirty, leaving its moments to the next Mean or Variance.
+// Both endpoints must lie inside the tile; only tile t's state is touched,
+// so distinct tiles may tick concurrently. Each exchange replays
+// State.AverageEdgesLazy's uncentred arithmetic, as Exchange does.
 func (s *FlatState) TickTile(t int, us, vs []int32) {
+	y, off := s.y, s.off
+	vs = vs[:len(us)]
+	for k := range us {
+		i, j := us[k], vs[k]
+		c := ((y[i] + off) + (y[j] + off)) / 2
+		c -= off
+		y[i] = c
+		y[j] = c
+	}
+	s.dirty[t] = true
+}
+
+// TickTileTracked is TickTile with tile t's moments maintained eagerly:
+// the chunk's moment deltas are summed and added to the tile's moments,
+// its update count advances, and the tile resyncs when the count reaches
+// its period. A dirty tile is resynced first. The values are those
+// TickTile leaves.
+func (s *FlatState) TickTileTracked(t int, us, vs []int32) {
+	if s.dirty[t] {
+		s.resyncTile(t)
+	}
 	y, off := s.y, s.off
 	vs = vs[:len(us)]
 	var dSum, dSumSq float64
@@ -186,8 +222,17 @@ func (s *FlatState) tileOf(u int32) int {
 	return sort.Search(len(s.hi), func(i int) bool { return s.hi[i] > u })
 }
 
+// resyncDirty resyncs every dirty tile, in tile order.
+func (s *FlatState) resyncDirty() {
+	for t, d := range s.dirty {
+		if d {
+			s.resyncTile(t)
+		}
+	}
+}
+
 // resyncTile re-accumulates tile t's moments from the values, bounding
-// incremental drift.
+// incremental drift, and marks the tile clean.
 func (s *FlatState) resyncTile(t int) {
 	var sum, sumSq float64
 	for _, v := range s.y[s.lo[t]:s.hi[t]] {
@@ -197,4 +242,5 @@ func (s *FlatState) resyncTile(t int) {
 	s.sum[t] = sum
 	s.sumSq[t] = sumSq
 	s.ops[t] = 0
+	s.dirty[t] = false
 }
