@@ -558,9 +558,14 @@ func (w *world) hash() uint64 {
 // than 2^15 edges, within msgKey's 16 edge bits.
 const maxHashNodes = 256
 
-// msgKey packs a message's time-independent identity for hashing.
+// msgKey packs a message's time-independent identity for hashing: its
+// kind and the kind it answers (Re, 4 bits each: there are four kinds),
+// endpoints, edge, sequence number and value. Re separates a NACK that
+// refuses a LOCK from one that refuses a PROPOSE, which Deliver treats
+// differently.
 func msgKey(m dist.Message) [2]uint64 {
-	k := uint64(m.Kind)<<56 | uint64(uint8(m.From))<<48 | uint64(uint8(m.To))<<40 |
+	k := uint64(m.Kind&0xf)<<60 | uint64(m.Re&0xf)<<56 |
+		uint64(uint8(m.From))<<48 | uint64(uint8(m.To))<<40 |
 		uint64(uint16(m.Edge))<<24 | (m.Seq & 0xffffff)
 	return [2]uint64{k, math.Float64bits(m.X)}
 }
