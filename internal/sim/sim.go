@@ -17,7 +17,9 @@
 // Key types: Engine (one per-event loop, RunUntil, in fused batches with
 // lazy moments), BatchEngine (replica-batched, Poisson time-bridging, one
 // tracked loop; every averaging-time estimate off the sharded path runs
-// on it), ShardEngine (sharded PDES). The timing model is DESIGN.md §2;
+// on it), ShardEngine (sharded PDES: RunUntil ticks tiles values-only with
+// lazy moments, RunTracked through the eager tracked tile form). Only the
+// tracked loops keep moments eagerly. The timing model is DESIGN.md §2;
 // the engines are §6, §8 and §13.
 package sim
 
