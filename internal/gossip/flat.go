@@ -41,10 +41,10 @@ type FlatState struct {
 	y   []float64 // centred node values
 
 	lo, hi []int32   // tile node ranges, ascending
-	sum    []float64 // per-tile Σ y, maintained incrementally
-	sumSq  []float64 // per-tile Σ y², maintained incrementally
-	ops    []int64   // per-tile updates since the last resync
-	dirty  []bool    // per-tile: values moved since the moments were exact
+	sum    []float64 // per-tile Σ y; stale while the tile is dirty
+	sumSq  []float64 // per-tile Σ y²; stale while the tile is dirty
+	ops    []int64   // per-tile tracked and boundary updates since the last resync
+	dirty  []bool    // per-tile: TickTile moved values since the last resync
 }
 
 // NewFlatState builds tiled state from initial values and tile bounds
