@@ -17,6 +17,10 @@
 //	distrun -shards 8 -graph torusdumbbell -n 1000000 \
 //	        -cut 8 -rule vanilla -drop 0.05 -until 0.5 -scale 4s -assert
 //
+// The graph flags are scenario.GraphFlags, as in gossipsim: at the same
+// -seed both build the same graph and initial vector from any registry
+// family. Rule A needs a family with a planted partition.
+//
 // -assert verifies the run's invariants afterwards — exact sum
 // conservation and the exchange ledger (proposed == applied + aborted,
 // applied == committed) — and exits non-zero on any violation.
@@ -61,13 +65,12 @@ import (
 	"time"
 
 	"sparsecut"
+	"sparsecut/internal/scenario"
 )
 
 func main() {
+	gs := scenario.GraphFlags(flag.CommandLine, "dumbbell", 16)
 	var (
-		graphKind = flag.String("graph", "dumbbell", "graph family: dumbbell | torusdumbbell | planted | sensor")
-		n         = flag.Int("n", 16, "total number of nodes")
-		cutEdges  = flag.Int("cut", 1, "cut edges (dumbbell) or doors (sensor)")
 		ruleKind  = flag.String("rule", "A", "exchange rule: A | vanilla")
 		epochK    = flag.Int64("epoch", 4, "swap period K in ticks of ec (rule A); too small under-mixes the sides between swaps")
 		until     = flag.Float64("until", 40, "horizon in simulated time units")
@@ -85,15 +88,15 @@ func main() {
 	)
 	flag.Parse()
 
-	g, part, err := buildGraph(*graphKind, *n, *cutEdges, *seed)
+	res, rule, err := build(scenario.Spec{
+		Graph: *gs,
+		Algo:  scenario.AlgoSpec{Name: *ruleKind, EpochTicks: *epochK},
+		Seed:  *seed,
+	})
 	if err != nil {
 		fatal(err)
 	}
-	x0 := sparsecut.WorstCaseInit(part)
-	rule, err := buildRule(*ruleKind, part, *epochK)
-	if err != nil {
-		fatal(err)
-	}
+	g, x0 := res.Graph, res.X0
 	cfg := sparsecut.ClusterConfig{
 		TimeScale: *scale,
 		Seed:      *seed,
@@ -140,8 +143,7 @@ func main() {
 		}()
 	}
 
-	fmt.Printf("graph:      %s\n", g)
-	fmt.Printf("partition:  %s\n", part)
+	res.Describe(os.Stdout)
 	fmt.Printf("rule:       %s\n", rule.Name())
 	fmt.Printf("transport:  %s\n", describeFaults(*drop, *delay))
 	fmt.Printf("running:    %d nodes on %d shard loops for t=%g (~%v wall)...\n",
@@ -213,54 +215,32 @@ func main() {
 	}
 
 	if *compare {
-		alg, err := buildSimAlgorithm(*ruleKind, g, part, x0, *epochK)
+		alg, err := res.NewAlgorithm(res.AlgorithmRNG())
 		if err != nil {
 			fatal(err)
 		}
-		res := sparsecut.Simulate(g, alg, *until, *seed)
+		sr := sparsecut.Simulate(g, alg, *until, *seed)
 		fmt.Printf("\nsimulator on the same workload (t=%g, seed %d):\n", *until, *seed)
-		fmt.Printf("events:     %d\n", res.Events)
-		fmt.Printf("var ratio:  %.6g\n", res.VarianceRatio)
+		fmt.Printf("events:     %d\n", sr.Events)
+		fmt.Printf("var ratio:  %.6g\n", sr.VarianceRatio)
 	}
 }
 
-func buildGraph(kind string, n, cutEdges int, seed uint64) (*sparsecut.Graph, *sparsecut.Partition, error) {
-	switch kind {
-	case "dumbbell":
-		return sparsecut.NewDumbbell(n/2, n-n/2, cutEdges)
-	case "torusdumbbell":
-		return sparsecut.NewTorusDumbbell(n, cutEdges)
-	case "planted":
-		pOut := 3.0 / float64(n*n/4)
-		return sparsecut.NewPlantedPartition(seed, n/2, n-n/2, 0.5, pOut)
-	case "sensor":
-		return sparsecut.NewSensorField(seed, n, cutEdges)
-	default:
-		return nil, nil, fmt.Errorf("unknown graph family %q", kind)
+// build resolves spec and the live exchange rule its algorithm names.
+func build(spec scenario.Spec) (*scenario.Resolved, sparsecut.ExchangeRule, error) {
+	res, err := spec.Resolve()
+	if err != nil {
+		return nil, nil, err
 	}
-}
-
-func buildRule(kind string, part *sparsecut.Partition, epochK int64) (sparsecut.ExchangeRule, error) {
-	switch kind {
-	case "A":
-		return sparsecut.NewSparseCutExchange(part, part.CutEdges()[0], epochK, sparsecut.ExactSwapWeight(part))
-	case "vanilla":
-		return sparsecut.NewAveragingExchange(), nil
-	default:
-		return nil, fmt.Errorf("unknown rule %q", kind)
+	ec, epochK, w, err := res.SwapParams()
+	if err != nil {
+		return nil, nil, err
 	}
-}
-
-func buildSimAlgorithm(kind string, g *sparsecut.Graph, part *sparsecut.Partition, x0 []float64, epochK int64) (sparsecut.Algorithm, error) {
-	switch kind {
-	case "A":
-		return sparsecut.NewAlgorithmA(g, x0, sparsecut.WithPartition(part),
-			sparsecut.WithEpochTicks(epochK), sparsecut.WithWeight(sparsecut.ExactSwapWeight(part)))
-	case "vanilla":
-		return sparsecut.NewVanillaGossip(g, x0)
-	default:
-		return nil, fmt.Errorf("unknown rule %q", kind)
+	if res.Spec.Algo.Name == "vanilla" {
+		return res, sparsecut.NewAveragingExchange(), nil
 	}
+	rule, err := sparsecut.NewSparseCutExchange(res.Partition, ec, epochK, w)
+	return res, rule, err
 }
 
 // describeFaults names the message path and the faults injected on it.

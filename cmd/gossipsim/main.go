@@ -29,7 +29,6 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"time"
@@ -40,37 +39,19 @@ import (
 )
 
 func main() {
+	gs := scenario.GraphFlags(flag.CommandLine, "dumbbell", 128)
 	var (
-		graphKind = flag.String("graph", "dumbbell", "graph family (see -families)")
-		nFlag     = flag.String("n", "128", "total number of nodes (accepts 1e6 notation)")
-		cutEdges  = flag.Int("cut", 0, "cut edges / doors / bridges (0 = family default)")
-		algo      = flag.String("algo", "A", "algorithm: A | vanilla | convex | pushsum")
-		alpha     = flag.Float64("alpha", 0.5, "mixing parameter for -algo convex")
-		until     = flag.Float64("until", 50, "simulated time horizon")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		csv       = flag.Bool("csv", false, "emit the variance-ratio trajectory (t=0 and 1000 equal steps) as CSV")
-		progress  = flag.Bool("progress", false, "print a periodic events/sec + variance meter to stderr")
-		initKind  = flag.String("init", "", "initial vector: worstcase|spike|random|gaussian|linear")
-		rateKind  = flag.String("rates", "", "clock-rate model: uniform|nodeclock|random")
-		shards    = flag.Int("shards", 0, "run on the sharded PDES engine with this many workers (dumbbell, ringofcliques; vanilla only)")
-		window    = flag.Float64("window", 0, "sharded barrier spacing Δ (0 = engine default)")
-		list      = flag.Bool("families", false, "list the graph-family registry and exit")
-
-		// Family-specific shape parameters.
-		n1       = flag.Int("n1", 0, "side-1 size (two-sided families)")
-		n2       = flag.Int("n2", 0, "side-2 size (two-sided families)")
-		innerCut = flag.Int("innercut", 0, "hierdumbbell inner cut width")
-		rows     = flag.Int("rows", 0, "grid/torus rows")
-		cols     = flag.Int("cols", 0, "grid/torus cols")
-		dim      = flag.Int("dim", 0, "hypercube dimension")
-		levels   = flag.Int("levels", 0, "binary-tree levels")
-		tail     = flag.Int("tail", 0, "lollipop tail length")
-		blocks   = flag.Int("blocks", 0, "ring-of-cliques block count")
-		degree   = flag.Int("degree", 0, "random-regular degree")
-		p        = flag.Float64("p", 0, "G(n,p) edge probability")
-		pIn      = flag.Float64("pin", 0, "planted within-side density")
-		pOut     = flag.Float64("pout", 0, "planted cross-side density")
-		radius   = flag.Float64("radius", 0, "RGG/sensor radius multiplier")
+		algo     = flag.String("algo", "A", "algorithm: A | vanilla | convex | pushsum")
+		alpha    = flag.Float64("alpha", 0.5, "mixing parameter for -algo convex")
+		until    = flag.Float64("until", 50, "simulated time horizon")
+		seed     = flag.Uint64("seed", 1, "random seed")
+		csv      = flag.Bool("csv", false, "emit the variance-ratio trajectory (t=0 and 1000 equal steps) as CSV")
+		progress = flag.Bool("progress", false, "print a periodic events/sec + variance meter to stderr")
+		initKind = flag.String("init", "", "initial vector: worstcase|spike|random|gaussian|linear")
+		rateKind = flag.String("rates", "", "clock-rate model: uniform|nodeclock|random")
+		shards   = flag.Int("shards", 0, "run on the sharded PDES engine with this many workers (dumbbell, ringofcliques; vanilla only)")
+		window   = flag.Float64("window", 0, "sharded barrier spacing Δ (0 = engine default)")
+		list     = flag.Bool("families", false, "list the graph-family registry and exit")
 	)
 	flag.Parse()
 
@@ -79,18 +60,8 @@ func main() {
 		return
 	}
 
-	n, err := parseCount(*nFlag)
-	if err != nil {
-		fatal(err)
-	}
-
 	spec := scenario.Spec{
-		Graph: scenario.GraphSpec{
-			Family: *graphKind, N: n, N1: *n1, N2: *n2, Cut: *cutEdges,
-			InnerCut: *innerCut, Rows: *rows, Cols: *cols, Dim: *dim,
-			Levels: *levels, Tail: *tail, Blocks: *blocks, Degree: *degree,
-			P: *p, PIn: *pIn, POut: *pOut, Radius: *radius,
-		},
+		Graph: *gs,
 		Algo:  scenario.AlgoSpec{Name: *algo, Alpha: *alpha},
 		Init:  *initKind,
 		Rates: *rateKind,
@@ -169,12 +140,7 @@ func main() {
 		}
 		return
 	}
-	fmt.Printf("graph:      %s\n", res.Graph)
-	if res.Partition != nil {
-		fmt.Printf("partition:  %s\n", res.Partition)
-	} else {
-		fmt.Printf("partition:  (none planted)\n")
-	}
+	res.Describe(os.Stdout)
 	fmt.Printf("algorithm:  %s\n", alg.Name())
 	fmt.Printf("simulated:  t=%.4g (%d events)\n", t, events)
 	fmt.Printf("mean:       %.6g\n", alg.Mean())
@@ -226,23 +192,6 @@ func runSharded(spec scenario.Spec, until float64, progress bool) error {
 		}
 	}
 	return nil
-}
-
-// parseCount parses a node count, accepting plain integers and
-// scientific notation ("1e6") so scale runs don't need seven-digit
-// literals.
-func parseCount(s string) (int, error) {
-	if v, err := strconv.Atoi(s); err == nil {
-		return v, nil
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("invalid node count %q", s)
-	}
-	if f < 0 || f != math.Trunc(f) || f > math.MaxInt32 {
-		return 0, fmt.Errorf("node count %q is not a representable non-negative integer", s)
-	}
-	return int(f), nil
 }
 
 // progressMeter prints a periodic one-line telemetry reading to stderr.

@@ -4,10 +4,10 @@
 //
 // Usage:
 //
-//	graphgen -type dumbbell -n 64 -cut 1
-//	graphgen -type sensor   -n 120 -cut 2 -dot > field.dot
-//	graphgen -type hierdumbbell -n 64 -innercut 2 -edgelist > g.txt
-//	graphgen -type torus    -rows 8 -cols 8
+//	graphgen -graph dumbbell -n 64 -cut 1
+//	graphgen -graph sensor   -n 120 -cut 2 -dot > field.dot
+//	graphgen -graph hierdumbbell -n 64 -innercut 2 -edgelist > g.txt
+//	graphgen -graph torus    -rows 8 -cols 8
 //	graphgen -families
 package main
 
@@ -21,29 +21,12 @@ import (
 )
 
 func main() {
+	gs := scenario.GraphFlags(flag.CommandLine, "dumbbell", 64)
 	var (
-		kind     = flag.String("type", "dumbbell", "graph family (see -families)")
-		n        = flag.Int("n", 64, "total number of nodes")
-		cutEdges = flag.Int("cut", 0, "cut edges / doors / bridges (0 = family default)")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		dot      = flag.Bool("dot", false, "write Graphviz DOT to stdout")
 		edgelist = flag.Bool("edgelist", false, "write edge list to stdout")
 		list     = flag.Bool("families", false, "list the graph-family registry and exit")
-
-		n1       = flag.Int("n1", 0, "side-1 size (two-sided families)")
-		n2       = flag.Int("n2", 0, "side-2 size (two-sided families)")
-		innerCut = flag.Int("innercut", 0, "hierdumbbell inner cut width")
-		rows     = flag.Int("rows", 0, "grid/torus rows")
-		cols     = flag.Int("cols", 0, "grid/torus cols")
-		dim      = flag.Int("dim", 0, "hypercube dimension")
-		levels   = flag.Int("levels", 0, "binary-tree levels")
-		tail     = flag.Int("tail", 0, "lollipop tail length")
-		blocks   = flag.Int("blocks", 0, "ring-of-cliques block count")
-		degree   = flag.Int("degree", 0, "random-regular degree")
-		p        = flag.Float64("p", 0, "G(n,p) edge probability")
-		pIn      = flag.Float64("pin", 0, "planted within-side density")
-		pOut     = flag.Float64("pout", 0, "planted cross-side density")
-		radius   = flag.Float64("radius", 0, "RGG/sensor radius multiplier")
 	)
 	flag.Parse()
 
@@ -53,14 +36,9 @@ func main() {
 	}
 
 	spec := scenario.Spec{
-		Graph: scenario.GraphSpec{
-			Family: *kind, N: *n, N1: *n1, N2: *n2, Cut: *cutEdges,
-			InnerCut: *innerCut, Rows: *rows, Cols: *cols, Dim: *dim,
-			Levels: *levels, Tail: *tail, Blocks: *blocks, Degree: *degree,
-			P: *p, PIn: *pIn, POut: *pOut, Radius: *radius,
-		},
-		Init: "spike", // skip worst-case cut detection: only the graph is needed
-		Seed: *seed,
+		Graph: *gs,
+		Init:  "spike", // skip worst-case cut detection: only the graph is needed
+		Seed:  *seed,
 	}
 	res, err := spec.Resolve()
 	if err != nil {

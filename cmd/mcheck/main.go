@@ -7,13 +7,16 @@
 //
 // Usage:
 //
-//	mcheck -graph triangle -depth 12 -drop -dup -crash          # exhaustive
+//	mcheck -graph complete -n 3 -depth 12 -drop -dup -crash     # exhaustive
 //	mcheck -graph path -n 4 -depth 10 -drop -crash              # exhaustive, 4 nodes
 //	mcheck -graph ring -n 5 -mode walk -walks 20000 -depth 24   # seeded random walks
 //	mcheck -graph dumbbell -n 6 -rule A -depth 10 -drop         # Algorithm A's rule
 //	mcheck -mutation lax-watermark-dedup -trace cex.json        # catch a seeded bug
 //	mcheck -replay cex.json                                     # replay a counterexample
 //	mcheck -replay cex.json -flight cex.scfr                    # + flight dump & span timeline
+//
+// The graph flags are scenario.GraphFlags, as in gossipsim and distrun;
+// the default, -graph complete -n 3, is the triangle.
 //
 // Exit status: 0 when no invariant is violated, 1 on a violation (the
 // counterexample is printed, and written to -trace if set), 2 on usage or
@@ -28,18 +31,17 @@ import (
 	"os"
 	"time"
 
-	"sparsecut"
 	"sparsecut/internal/check"
 	"sparsecut/internal/dist"
 	"sparsecut/internal/flight"
 	"sparsecut/internal/graph"
+	"sparsecut/internal/scenario"
 )
 
 func main() {
+	gs := scenario.GraphFlags(flag.CommandLine, "complete", 3)
 	var (
-		graphKind = flag.String("graph", "triangle", "graph family: triangle | path | ring | clique | dumbbell")
-		n         = flag.Int("n", 3, "number of nodes (3..5 recommended; dumbbell needs an even count)")
-		ruleKind  = flag.String("rule", "vanilla", "exchange rule: vanilla | A (A needs -graph dumbbell)")
+		ruleKind  = flag.String("rule", "vanilla", "exchange rule: vanilla | A (A needs a family with a planted partition)")
 		epochK    = flag.Int64("epoch", 2, "swap period K in ticks of ec (rule A)")
 		mode      = flag.String("mode", "exhaustive", "exploration mode: exhaustive | walk")
 		depth     = flag.Int("depth", 12, "maximum schedule length")
@@ -49,7 +51,7 @@ func main() {
 		dup       = flag.Bool("dup", false, "enable reply-duplication actions")
 		crash     = flag.Bool("crash", false, "enable crash/recover actions")
 		walks     = flag.Int("walks", 10000, "number of random walks (walk mode)")
-		seed      = flag.Uint64("seed", 1, "random seed (walk mode)")
+		seed      = flag.Uint64("seed", 1, "random seed (walk mode; graph sampling for random families)")
 		mutation  = flag.String("mutation", "none", "seed an intentional protocol bug (checker self-test)")
 		traceOut  = flag.String("trace", "", "write the counterexample trace JSON to this file")
 		flightOut = flag.String("flight", "", "replay the counterexample through the flight recorder, write the dump here (render with tracez), and print its span timeline")
@@ -62,7 +64,7 @@ func main() {
 		os.Exit(replay(*replayIn, *flightOut))
 	}
 
-	spec, err := buildSpec(*graphKind, *n, *ruleKind, *epochK)
+	spec, err := buildSpec(*gs, *ruleKind, *epochK, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -204,56 +206,40 @@ func flightDump(tr *check.Trace, path string) error {
 	return nil
 }
 
-// buildSpec assembles the checked system. Initial values follow a fixed
-// distinct-value pattern so provenance violations are visible (exchanges
-// between equal values have delta 0).
-func buildSpec(kind string, n int, ruleKind string, epochK int64) (check.Spec, error) {
-	var g *graph.Graph
-	var part *graph.Partition
-	switch kind {
-	case "triangle":
-		g, n = graph.Complete(3), 3
-	case "clique":
-		g = graph.Complete(n)
-	case "path":
-		g = graph.Path(n)
-	case "ring":
-		g = graph.Cycle(n)
-	case "dumbbell":
-		var err error
-		g, part, err = graph.SymmetricDumbbell(n, 1)
-		if err != nil {
-			return check.Spec{}, err
-		}
-		n = g.NumNodes()
-	default:
-		return check.Spec{}, fmt.Errorf("unknown graph %q", kind)
+// buildSpec assembles the checked system from the registry's graph. Initial
+// values follow a fixed distinct-value pattern so provenance violations are
+// visible (exchanges between equal values have delta 0).
+func buildSpec(gs scenario.GraphSpec, ruleKind string, epochK int64, seed uint64) (check.Spec, error) {
+	res, err := scenario.Spec{
+		Graph: gs,
+		Algo:  scenario.AlgoSpec{Name: ruleKind, EpochTicks: epochK},
+		Init:  "spike", // the pattern below replaces x0: skip worst-case cut detection
+		Seed:  seed,
+	}.Resolve()
+	if err != nil {
+		return check.Spec{}, err
 	}
+	g := res.Graph
 	if g.NumNodes() < 2 {
-		return check.Spec{}, fmt.Errorf("graph %q with n=%d has fewer than 2 nodes", kind, n)
+		return check.Spec{}, fmt.Errorf("graph %s has fewer than 2 nodes", g)
 	}
 	x0 := make([]float64, g.NumNodes())
 	for i := range x0 {
 		x0[i] = float64((i*3)%7) - 2 // distinct-ish, sum-varied, exact in binary
 	}
-	var rule check.RuleSpec
-	switch ruleKind {
-	case "vanilla":
-		rule = check.Vanilla()
-	case "A":
-		if part == nil {
-			return check.Spec{}, fmt.Errorf("rule A needs -graph dumbbell (a known partition)")
-		}
+	ec, k, w, err := res.SwapParams()
+	if err != nil {
+		return check.Spec{}, err
+	}
+	rule := check.Vanilla()
+	if res.Spec.Algo.Name == "A" {
 		sides := make([]int, g.NumNodes())
-		for i := range sides {
-			if part.SideOf(graph.NodeID(i)) == graph.Side2 {
+		for i, side := range res.Partition.Sides() {
+			if side == graph.Side2 {
 				sides[i] = 1
 			}
 		}
-		w := sparsecut.ExactSwapWeight(part)
-		rule = check.SparseCut(sides, int(part.CutEdges()[0]), epochK, w)
-	default:
-		return check.Spec{}, fmt.Errorf("unknown rule %q", ruleKind)
+		rule = check.SparseCut(sides, int(ec), k, w)
 	}
 	return check.Spec{Graph: g, X0: x0, Rule: rule}, nil
 }

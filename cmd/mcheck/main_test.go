@@ -1,12 +1,16 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"sparsecut/internal/scenario"
+)
 
 // -graph dumbbell -n N checks an N-node dumbbell: two sides of N/2 nodes
 // joined by one cut edge.
 func TestBuildSpecDumbbellNodeCount(t *testing.T) {
 	for _, n := range []int{4, 6, 8} {
-		spec, err := buildSpec("dumbbell", n, "A", 2)
+		spec, err := buildSpec(scenario.GraphSpec{Family: "dumbbell", N: n}, "A", 2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -150,6 +150,18 @@ func init() {
 		},
 	})
 	register(Family{
+		Name: "torusdumbbell", Brief: "two 4-regular tori joined by a sparse cut (the dumbbell at constant degree)",
+		Params: "n, cut", Partitioned: true,
+		Defaults: func(gs *GraphSpec) {
+			if gs.Cut == 0 {
+				gs.Cut = 1
+			}
+		},
+		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
+			return graph.TorusDumbbell(gs.N, gs.Cut)
+		},
+	})
+	register(Family{
 		Name: "planted", Aliases: []string{"planted-partition", "sbm"},
 		Brief:  "two-community random graph with a sparse planted cut",
 		Params: "n (or n1,n2), p_in, p_out", Partitioned: true, Random: true,

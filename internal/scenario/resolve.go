@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 
@@ -240,6 +241,46 @@ func (r *Resolved) newA() (*core.SparseCutAveraging, error) {
 		opts = append(opts, core.WithAllCutEdges())
 	}
 	return core.New(r.Graph, r.X0, opts...)
+}
+
+// SwapParams derives Algorithm A's live exchange rule as the numbers
+// dist.NewSparseCutRule and check.SparseCut take: the planted partition's
+// designated cut edge ec, K = AlgoSpec.EpochTicks, and the weight
+// AlgoSpec.Weight names. Vanilla gets zeros; any other algorithm, or A
+// without a planted partition, is an error.
+func (r *Resolved) SwapParams() (ec graph.EdgeID, epochTicks int64, w float64, err error) {
+	a := r.Spec.Algo
+	switch {
+	case a.Name == "vanilla":
+		return 0, 0, 0, nil
+	case a.Name != "A":
+		return 0, 0, 0, fmt.Errorf("scenario: algorithm %q has no exchange rule (known: vanilla, A)", a.Name)
+	case r.Partition == nil:
+		return 0, 0, 0, fmt.Errorf("scenario: algorithm A's exchange rule needs a planted partition, and family %s has none", r.Spec.Graph.Family)
+	}
+	if ec, err = cut.DesignatedCutEdge(r.Partition); err != nil {
+		return 0, 0, 0, err
+	}
+	switch a.Weight {
+	case "exact":
+		w = core.ExactWeight(r.Partition)
+	case "paper":
+		w = core.PaperWeight(r.Partition)
+	default:
+		w = a.W
+	}
+	return ec, a.EpochTicks, w, nil
+}
+
+// Describe writes the graph: and partition: lines that open the summaries
+// of gossipsim and distrun, one format for both.
+func (r *Resolved) Describe(w io.Writer) {
+	fmt.Fprintf(w, "graph:      %s\n", r.Graph)
+	if r.Partition != nil {
+		fmt.Fprintf(w, "partition:  %s\n", r.Partition)
+	} else {
+		fmt.Fprintf(w, "partition:  (none planted)\n")
+	}
 }
 
 // sideTvan returns the per-side Tvan bounds core.New would derive from

@@ -3,12 +3,16 @@
 // vector, clock-rate model, stop condition — into the concrete objects the
 // engines consume (graph.Graph, gossip.Algorithm factories, avgtime
 // configs). A registry names every generator the repository provides, so
-// the CLIs and the sweep engine reach the whole zoo through one schema
-// instead of hard-coding three families each.
+// the CLIs and the sweep engine reach the whole zoo through one schema.
 //
-// Specs are plain structs with JSON tags: they parse from command-line
-// flags or a JSON file, and round-trip losslessly, which is what makes
-// sweep reports self-describing and replayable.
+// Specs are plain structs with JSON tags: they parse from a JSON file or,
+// for the graph, from the flags GraphFlags registers, and round-trip
+// losslessly, which is what makes sweep reports self-describing and
+// replayable. Every command that takes one graph (gossipsim, graphgen,
+// distrun, mcheck) registers GraphFlags and builds the graph with
+// Resolve, so equal flags and seed give an equal graph in each;
+// Resolved.SwapParams gives the live runtimes Algorithm A's rule as
+// numbers.
 //
 // Key types: Spec (GraphSpec/AlgoSpec/StopSpec), Family and the registry, Resolved. Schema and seed-splitting are DESIGN.md §7.
 package scenario

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"sparsecut/internal/core"
+	"sparsecut/internal/cut"
+	"sparsecut/internal/gossip"
 	"sparsecut/internal/graph"
 	"sparsecut/internal/rng"
 )
@@ -20,7 +23,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // reachable by name, including the legacy CLI spellings.
 func TestRegistryCoversZoo(t *testing.T) {
 	want := []string{
-		"dumbbell", "planted", "sensor", "ringofcliques", "hierdumbbell",
+		"dumbbell", "torusdumbbell", "planted", "sensor", "ringofcliques", "hierdumbbell",
 		"complete", "path", "cycle", "star", "grid", "torus", "hypercube",
 		"bipartite", "bintree", "lollipop", "gnp", "regular", "rgg",
 	}
@@ -41,12 +44,19 @@ func TestRegistryCoversZoo(t *testing.T) {
 }
 
 // TestResolveEveryFamily resolves a small spec for each family and sanity
-// checks the outputs.
+// checks the outputs. Every family resolves at N = 16 except the torus
+// dumbbell, whose two halves must each factor into a torus of at least
+// 3x3.
 func TestResolveEveryFamily(t *testing.T) {
+	sizes := map[string]int{"torusdumbbell": 18}
 	for _, f := range Families() {
 		f := f
+		n := sizes[f.Name]
+		if n == 0 {
+			n = 16
+		}
 		t.Run(f.Name, func(t *testing.T) {
-			r, err := Spec{Graph: GraphSpec{Family: f.Name, N: 16}, Seed: 7}.Resolve()
+			r, err := Spec{Graph: GraphSpec{Family: f.Name, N: n}, Seed: 7}.Resolve()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -380,4 +390,140 @@ func TestResolveRejectsOutOfRangeParams(t *testing.T) {
 	if _, err := (Spec{Graph: GraphSpec{Family: "gnp", N: 3}}).Resolve(); err != nil {
 		t.Errorf("gnp n=3 at the default p: %v", err)
 	}
+}
+
+// The torusdumbbell family builds graph.TorusDumbbell's graph and
+// partition, with the cut indicator as its worst-case x0, bit for bit.
+func TestTorusDumbbellFamilyMatchesGenerator(t *testing.T) {
+	for _, c := range []struct{ n, cut int }{{100000, 8}, {18, 1}} {
+		spec := Spec{Graph: GraphSpec{Family: "torusdumbbell", N: c.n}}
+		if c.cut != 1 {
+			spec.Graph.Cut = c.cut // cut 1 is the family default
+		}
+		r, err := spec.Resolve()
+		if err != nil {
+			t.Fatalf("n=%d cut=%d: %v", c.n, c.cut, err)
+		}
+		g, part, err := graph.TorusDumbbell(c.n, c.cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Graph.String() != g.String() || r.Graph.NumEdges() != g.NumEdges() {
+			t.Fatalf("n=%d cut=%d: built %s, want %s", c.n, c.cut, r.Graph, g)
+		}
+		for i, e := range g.Edges() {
+			if r.Graph.Edge(graph.EdgeID(i)) != e {
+				t.Fatalf("n=%d cut=%d: edge %d is %v, want %v", c.n, c.cut, i, r.Graph.Edge(graph.EdgeID(i)), e)
+			}
+		}
+		for v := 0; v < c.n; v++ {
+			if r.Partition.SideOf(graph.NodeID(v)) != part.SideOf(graph.NodeID(v)) {
+				t.Fatalf("n=%d cut=%d: node %d on another side", c.n, c.cut, v)
+			}
+		}
+		x0 := gossip.CutIndicator(part)
+		for i := range x0 {
+			if math.Float64bits(r.X0[i]) != math.Float64bits(x0[i]) {
+				t.Fatalf("n=%d cut=%d: x0[%d] = %v, want %v", c.n, c.cut, i, r.X0[i], x0[i])
+			}
+		}
+	}
+}
+
+// SwapParams hands the live runtimes the designated cut edge, the fixed
+// swap period and the weight AlgoSpec.Weight names, and refuses what has
+// no live rule.
+func TestSwapParams(t *testing.T) {
+	dumbbell := GraphSpec{Family: "dumbbell", N: 12, Cut: 2}
+	for _, c := range []struct {
+		algo AlgoSpec
+		want func(*graph.Partition) float64
+	}{
+		{AlgoSpec{Name: "A", EpochTicks: 4}, core.ExactWeight},
+		{AlgoSpec{Name: "A", EpochTicks: 3, Weight: "paper"}, core.PaperWeight},
+		{AlgoSpec{Name: "A", EpochTicks: 2, Weight: "custom", W: 2.5}, func(*graph.Partition) float64 { return 2.5 }},
+	} {
+		r, err := Spec{Graph: dumbbell, Algo: c.algo}.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ec, k, w, err := r.SwapParams()
+		if err != nil {
+			t.Fatalf("%+v: %v", c.algo, err)
+		}
+		wantEC, err := cut.DesignatedCutEdge(r.Partition)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ec != wantEC || k != c.algo.EpochTicks || w != c.want(r.Partition) {
+			t.Errorf("%+v: (ec, K, w) = (%d, %d, %v), want (%d, %d, %v)",
+				c.algo, ec, k, w, wantEC, c.algo.EpochTicks, c.want(r.Partition))
+		}
+	}
+
+	r, err := Spec{Graph: dumbbell, Algo: AlgoSpec{Name: "vanilla"}}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ec, k, w, err := r.SwapParams(); err != nil || ec != 0 || k != 0 || w != 0 {
+		t.Errorf("vanilla: (%d, %d, %v, %v), want zeros", ec, k, w, err)
+	}
+
+	for _, bad := range []Spec{
+		{Graph: GraphSpec{Family: "gnp", N: 16}, Algo: AlgoSpec{Name: "A", EpochTicks: 4}},
+		{Graph: dumbbell, Algo: AlgoSpec{Name: "convex"}},
+		{Graph: dumbbell, Algo: AlgoSpec{Name: "pushsum"}},
+	} {
+		bad.Init = "spike"
+		r, err := bad.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := r.SwapParams(); err == nil {
+			t.Errorf("%s/%s: SwapParams accepted it", bad.Graph.Family, bad.Algo.Name)
+		}
+	}
+}
+
+// FuzzResolveSpec feeds arbitrary bytes through ParseSpec and Resolve, the
+// path every spec from outside the program takes (sweep -spec, and the
+// flags of every single-graph CLI fill the same GraphSpec): each input
+// fails with an error or resolves to a graph whose node count matches x0.
+// Shape fields are bounded here so valid graphs stay small; the program
+// itself caps none of them.
+func FuzzResolveSpec(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "specs_golden.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var seeds []json.RawMessage
+	if err := json.Unmarshal(golden, &seeds); err != nil {
+		f.Fatal(err)
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Add([]byte(`{"graph":{"family":"torusdumbbell","n":18,"cut":2},"algo":{"name":"A"}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpec(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		gs := spec.Graph
+		for _, v := range []int{gs.N, gs.N1, gs.N2, gs.Cut, gs.InnerCut, gs.Rows, gs.Cols, gs.Tail, gs.Blocks, gs.Degree} {
+			if v < -64 || v > 64 {
+				return
+			}
+		}
+		if gs.Dim > 6 || gs.Levels > 6 {
+			return
+		}
+		r, err := spec.Resolve()
+		if err != nil {
+			return
+		}
+		if n := r.NumNodes(); n != len(r.X0) {
+			t.Fatalf("%s: %d nodes, %d initial values", r.Spec.Label(), n, len(r.X0))
+		}
+	})
 }

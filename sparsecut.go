@@ -95,13 +95,6 @@ func NewDumbbell(n1, n2, cutEdges int) (*Graph, *Partition, error) {
 	return graph.Dumbbell(n1, n2, cutEdges)
 }
 
-// NewTorusDumbbell returns two 4-regular tori joined by cutEdges edges —
-// the dumbbell's bottleneck at constant degree, materialisable at 10^6
-// nodes — with the planted partition between the halves.
-func NewTorusDumbbell(n, cutEdges int) (*Graph, *Partition, error) {
-	return graph.TorusDumbbell(n, cutEdges)
-}
-
 // NewPlantedPartition returns a random two-community graph: within-side
 // edge probability pIn, cross probability pOut, retried until both sides
 // are internally connected with a non-empty cut.
