@@ -1,13 +1,13 @@
 // Command gossipsim runs one gossip-averaging simulation and reports the
 // variance trajectory and final state. Every graph family in the scenario
-// registry is available (see -families for the catalogue).
+// registry is available; -h lists them with their parameters.
 //
 // Usage:
 //
 //	gossipsim -graph dumbbell -n 128 -cut 1 -algo A     -until 50
 //	gossipsim -graph planted  -n 100 -algo vanilla      -until 200 -csv
 //	gossipsim -graph ringofcliques -n 64 -blocks 8 -algo A -until 100
-//	gossipsim -graph hypercube -dim 7 -algo pushsum     -until 30
+//	gossipsim -graph sensor -n 200 -cut 2 -algo vanilla -until 30
 //	gossipsim -algo convex -alpha 0.8 ...
 //	gossipsim -n 1e6 -algo vanilla -shards 8 -until 0.001
 //
@@ -51,14 +51,8 @@ func main() {
 		rateKind = flag.String("rates", "", "clock-rate model: uniform|nodeclock|random")
 		shards   = flag.Int("shards", 0, "run on the sharded PDES engine with this many workers (dumbbell, ringofcliques; vanilla only)")
 		window   = flag.Float64("window", 0, "sharded barrier spacing Δ (0 = engine default)")
-		list     = flag.Bool("families", false, "list the graph-family registry and exit")
 	)
 	flag.Parse()
-
-	if *list {
-		fmt.Print(scenario.Usage())
-		return
-	}
 
 	spec := scenario.Spec{
 		Graph: *gs,

@@ -1,14 +1,14 @@
 // Command graphgen generates any graph family in the scenario registry,
 // reports its sparse-cut statistics (conductance, λ2, Theorem 1 bound)
-// and optionally exports it as an edge list or Graphviz DOT.
+// and optionally exports it as an edge list or Graphviz DOT. -h lists the
+// families with their parameters.
 //
 // Usage:
 //
 //	graphgen -graph dumbbell -n 64 -cut 1
 //	graphgen -graph sensor   -n 120 -cut 2 -dot > field.dot
-//	graphgen -graph hierdumbbell -n 64 -innercut 2 -edgelist > g.txt
-//	graphgen -graph torus    -rows 8 -cols 8
-//	graphgen -families
+//	graphgen -graph planted  -n 64 -pin 0.3 -edgelist > g.txt
+//	graphgen -graph ringofcliques -n 48 -blocks 6
 package main
 
 import (
@@ -26,14 +26,8 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		dot      = flag.Bool("dot", false, "write Graphviz DOT to stdout")
 		edgelist = flag.Bool("edgelist", false, "write edge list to stdout")
-		list     = flag.Bool("families", false, "list the graph-family registry and exit")
 	)
 	flag.Parse()
-
-	if *list {
-		fmt.Print(scenario.Usage())
-		return
-	}
 
 	spec := scenario.Spec{
 		Graph: *gs,

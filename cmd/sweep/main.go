@@ -8,11 +8,11 @@
 //	sweep -family dumbbell -n 32..256..x2 -algo vanilla,A -cut 1
 //	sweep -family dumbbell,ringofcliques -n 16,32 -algo vanilla,A -json grid.json
 //	sweep -spec grid.json -workers 8 -json -
-//	sweep -families
 //
 // Axis flags take comma-separated lists; integer axes also accept ranges
 // "lo..hi" (step 1), "lo..hi..+s" (arithmetic) and "lo..hi..xk"
-// (geometric). The E4 headline reproduction is simply:
+// (geometric); -h lists the graph families with their parameters. The E4
+// headline reproduction is simply:
 //
 //	sweep -family dumbbell -n 32..256..x2 -cut 1 -algo vanilla,A
 //
@@ -42,7 +42,7 @@ import (
 func main() {
 	var (
 		specFile = flag.String("spec", "", "read the sweep grid from a JSON file (flags below override axes)")
-		family   = flag.String("family", "dumbbell", "graph family or comma list (axis)")
+		family   = flag.String("family", "dumbbell", "graph `family` or comma list (axis), of:\n"+strings.TrimSuffix(scenario.Usage(), "\n"))
 		ns       = flag.String("n", "64", "node counts: list/range, e.g. 32,64 or 32..256..x2")
 		cuts     = flag.String("cut", "", "cut widths: list/range (empty = family default)")
 		algos    = flag.String("algo", "vanilla,A", "algorithms: comma list of vanilla|convex|pushsum|A")
@@ -61,16 +61,10 @@ func main() {
 		quiet    = flag.Bool("q", false, "suppress per-cell progress on stderr")
 		progress = flag.Bool("progress", false, "replace per-cell lines with one in-place done/total + cells/s + ETA line on stderr")
 		metOut   = flag.String("metrics", "", "write the sweep telemetry snapshot (cells started/completed/errored, wall-time histogram) as JSON to this file")
-		list     = flag.Bool("families", false, "list the graph-family registry and exit")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the grid run to this file (go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write a post-run heap profile to this file (go tool pprof)")
 	)
 	flag.Parse()
-
-	if *list {
-		fmt.Print(scenario.Usage())
-		return
-	}
 
 	grid := sweep.Grid{}
 	if *specFile != "" {

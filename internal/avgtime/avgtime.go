@@ -11,8 +11,8 @@
 // and Tav is the (1 − 1/e)-quantile of L's distribution. The estimator runs
 // independent trials, records L in each, and reports the empirical
 // quantile. The threshold e⁻² and the quantile 1 − 1/e are fixed package
-// constants; Config sets only the trial count, margin, horizon, seed,
-// batch width and observer.
+// constants; Config sets only the trial count, margin, horizon, seed and
+// observer.
 //
 // Non-convex algorithms (Algorithm A) can re-inflate the variance by up to
 // ‖A‖² ≤ n² at a swap, so "currently below the threshold" does not imply
@@ -65,16 +65,10 @@ type Config struct {
 	MaxTime float64
 	// Seed seeds the trial streams (default 1).
 	Seed uint64
-	// BatchWidth caps the number of trials resident per replica batch in
-	// EstimateBatched (0 = all trials in one batch). It bounds memory
-	// only; the Result is byte-identical for any width. Ignored by
-	// EstimateSharded.
-	BatchWidth int
 	// Observer, when non-nil, receives periodic sim.BatchStats from
-	// EstimateBatched's engines, with Events accumulated across batches so
-	// the meter is monotone over the whole estimate. Observation never
-	// consumes randomness: the Result is byte-identical with or without
-	// an observer. Ignored by EstimateSharded.
+	// EstimateBatched's engine. Observation never consumes randomness:
+	// the Result is byte-identical with or without an observer. Ignored
+	// by EstimateSharded.
 	Observer func(sim.BatchStats)
 }
 

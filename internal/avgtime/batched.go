@@ -27,11 +27,10 @@ type EnsembleFactory func(replicas int, algStreams []*rng.RNG) (sim.BatchKernel,
 // last-exceedance distribution of a per-event simulation; the package KS
 // tests check it against a per-event estimator with its own clock.
 //
-// nil rates mean the paper's rate-1 clocks. BatchWidth bounds how many
-// trials are resident per batch (memory only — every trial's randomness
-// comes from its own pair of child streams, an algorithm stream then a
-// simulation stream, split from Config.Seed in trial order, so the
-// reported Result is byte-identical for any width).
+// nil rates mean the paper's rate-1 clocks. All trials run as one
+// batch; each trial's randomness comes from its own pair of child
+// streams, an algorithm stream then a simulation stream, split from
+// Config.Seed in trial order.
 //
 // A kernel that reports a positive epoch duration (an ensemble of
 // Algorithm A runs) sizes the quiet period from it. Every replica must
@@ -44,8 +43,6 @@ func EstimateBatched(g *graph.Graph, rates []float64, factory EnsembleFactory, c
 	if factory == nil {
 		return Result{}, errors.New("avgtime: nil ensemble factory")
 	}
-	// Per-trial streams, split from the root in trial order, independent
-	// of the batch grouping.
 	root := rng.New(cfg.Seed)
 	algStreams := make([]*rng.RNG, cfg.Trials)
 	simStreams := make([]*rng.RNG, cfg.Trials)
@@ -53,70 +50,44 @@ func EstimateBatched(g *graph.Graph, rates []float64, factory EnsembleFactory, c
 		algStreams[i] = root.Split()
 		simStreams[i] = root.Split()
 	}
-	width := cfg.BatchWidth
-	if width <= 0 || width > cfg.Trials {
-		width = cfg.Trials
+	kern, err := factory(cfg.Trials, algStreams)
+	if err != nil {
+		return Result{}, fmt.Errorf("avgtime: ensemble factory: %w", err)
 	}
-
-	res := Result{PerTrial: make([]float64, 0, cfg.Trials)}
-	var var0 float64
-	var chunksSoFar int64
-	for lo := 0; lo < cfg.Trials; lo += width {
-		hi := min(lo+width, cfg.Trials)
-		kern, err := factory(hi-lo, algStreams[lo:hi])
-		if err != nil {
-			return Result{}, fmt.Errorf("avgtime: ensemble factory: %w", err)
+	if kern == nil {
+		return Result{}, errors.New("avgtime: ensemble factory returned a nil kernel")
+	}
+	if kern.Replicas() != cfg.Trials {
+		return Result{}, fmt.Errorf("avgtime: ensemble factory returned %d replicas, want %d", kern.Replicas(), cfg.Trials)
+	}
+	// All trials start from the same initial vector, so trial 0's
+	// variance is every trial's varX(0).
+	var0 := kern.ReplicaVariance(0)
+	for rep := range cfg.Trials {
+		if v := kern.ReplicaVariance(rep); math.Float64bits(v) != math.Float64bits(var0) {
+			return Result{}, fmt.Errorf("avgtime: trial %d starts at variance %v, trial 0 at %v; all trials must start from one initial vector", rep, v, var0)
 		}
-		if kern == nil {
-			return Result{}, errors.New("avgtime: ensemble factory returned a nil kernel")
-		}
-		if kern.Replicas() != hi-lo {
-			return Result{}, fmt.Errorf("avgtime: ensemble factory returned %d replicas, want %d", kern.Replicas(), hi-lo)
-		}
-		// All trials start from the same initial vector, so trial 0's
-		// variance is every trial's varX(0).
-		if lo == 0 {
-			var0 = kern.ReplicaVariance(0)
-		}
-		for rep := range hi - lo {
-			if v := kern.ReplicaVariance(rep); math.Float64bits(v) != math.Float64bits(var0) {
-				return Result{}, fmt.Errorf("avgtime: trial %d starts at variance %v, trial 0 at %v; all trials must start from one initial vector", lo+rep, v, var0)
-			}
-		}
-		if var0 == 0 {
-			for i := lo; i < hi; i++ {
-				res.PerTrial = append(res.PerTrial, 0) // already averaged
-			}
-			continue
-		}
+	}
+	res := Result{PerTrial: make([]float64, cfg.Trials)} // all zero: already averaged
+	if var0 != 0 {
 		var opts []sim.BatchOption
 		if rates != nil {
 			opts = append(opts, sim.WithBatchRates(rates))
 		}
 		if cfg.Observer != nil {
-			// Offset the per-engine event count by the trials already
-			// finished so the observer sees one monotone meter across
-			// batches; chunks likewise.
-			baseEvents, baseChunks := res.Events, chunksSoFar
-			opts = append(opts, sim.WithBatchObserver(func(st sim.BatchStats) {
-				st.Events += baseEvents
-				st.Chunks += baseChunks
-				cfg.Observer(st)
-			}))
+			opts = append(opts, sim.WithBatchObserver(cfg.Observer))
 		}
-		eng, err := sim.NewBatchEngine(g, kern, simStreams[lo:hi], opts...)
+		eng, err := sim.NewBatchEngine(g, kern, simStreams, opts...)
 		if err != nil {
 			return Result{}, fmt.Errorf("avgtime: %w", err)
 		}
-		tracked := eng.RunTracked(cfg.tracked(var0, kern))
-		for _, tr := range tracked {
+		for i, tr := range eng.RunTracked(cfg.tracked(var0, kern)) {
 			if tr.Censored {
 				res.Censored++
 			}
-			res.PerTrial = append(res.PerTrial, tr.LastExceed)
+			res.PerTrial[i] = tr.LastExceed
 		}
-		res.Events += eng.Events()
-		chunksSoFar += eng.Chunks()
+		res.Events = eng.Events()
 	}
 
 	if err := res.summarise(); err != nil {

@@ -21,48 +21,6 @@ func vanillaEnsembleFactory(g *graph.Graph, x0 []float64) EnsembleFactory {
 	}
 }
 
-// The batched estimator's Result must be byte-identical for any
-// BatchWidth: trial streams derive from the seed in trial order, never
-// from the grouping. The 64-trial input holds the engine's claim of the
-// same bytes at R=1 and R=64.
-func TestEstimateBatchedWidthDeterminism(t *testing.T) {
-	g, part, err := graph.Dumbbell(10, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x0 := gossip.CutIndicator(part)
-	for _, in := range []struct {
-		trials int
-		widths []int
-	}{
-		{9, []int{0, 1, 3, 64}},
-		{64, []int{1, 64}},
-	} {
-		var results []Result
-		for _, width := range in.widths {
-			res, err := EstimateBatched(g, nil, vanillaEnsembleFactory(g, x0), Config{
-				Trials:       in.trials,
-				Seed:         11,
-				MarginFactor: 1,
-				BatchWidth:   width,
-			})
-			if err != nil {
-				t.Fatalf("%d trials, width %d: %v", in.trials, width, err)
-			}
-			results = append(results, res)
-		}
-		for i := 1; i < len(results); i++ {
-			if !reflect.DeepEqual(results[0], results[i]) {
-				t.Errorf("%d trials: results diverged between widths %d and %d: %+v vs %+v",
-					in.trials, in.widths[0], in.widths[i], results[0], results[i])
-			}
-		}
-		if results[0].Tav <= 0 || len(results[0].PerTrial) != in.trials {
-			t.Errorf("%d trials: Tav %v over %d trials", in.trials, results[0].Tav, len(results[0].PerTrial))
-		}
-	}
-}
-
 // The time-bridged batched estimator must sample the same last-exceedance
 // distribution as the per-event oracle (perEventEstimate, the "legacy"
 // path): two-sample KS test of the per-trial Tav samples on a sparse-cut
@@ -148,9 +106,9 @@ func TestBatchedVsLegacyTavKSHeterogeneous(t *testing.T) {
 	}
 }
 
-// Push-sum ensembles consume the per-trial algorithm streams; the batched
-// estimator must remain width-deterministic for them too.
-func TestEstimateBatchedPushSumWidthDeterminism(t *testing.T) {
+// Push-sum ensembles consume the per-trial algorithm streams, which derive
+// from the seed alone: a rerun gives the same Result.
+func TestEstimateBatchedPushSumDeterministic(t *testing.T) {
 	g := graph.Complete(10)
 	x0, err := gossip.Spike(10, 0)
 	if err != nil {
@@ -160,15 +118,18 @@ func TestEstimateBatchedPushSumWidthDeterminism(t *testing.T) {
 		return gossip.NewPushSumEnsemble(g, x0, algStreams)
 	}
 	var results []Result
-	for _, width := range []int{0, 2} {
-		res, err := EstimateBatched(g, nil, factory, Config{Trials: 6, Seed: 3, BatchWidth: width})
+	for range 2 {
+		res, err := EstimateBatched(g, nil, factory, Config{Trials: 6, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		results = append(results, res)
 	}
 	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Errorf("push-sum results diverged between widths: %+v vs %+v", results[0], results[1])
+		t.Errorf("push-sum results diverged between reruns: %+v vs %+v", results[0], results[1])
+	}
+	if results[0].Tav <= 0 || len(results[0].PerTrial) != 6 {
+		t.Errorf("Tav %v over %d trials, want a positive Tav over 6", results[0].Tav, len(results[0].PerTrial))
 	}
 }
 
@@ -187,8 +148,7 @@ func TestEstimateBatchedAlreadyAveraged(t *testing.T) {
 }
 
 // Every trial is measured against one varX(0), so an ensemble whose
-// replicas start from different vectors is an error, also when the odd
-// replica sits in a later batch.
+// replicas start from different vectors is an error.
 func TestEstimateBatchedRejectsMixedStarts(t *testing.T) {
 	g := graph.Complete(6)
 	spike, err := gossip.Spike(6, 0)
@@ -206,7 +166,7 @@ func TestEstimateBatchedRejectsMixedStarts(t *testing.T) {
 			return gossip.NewVanilla(g, spike)
 		})
 	}
-	_, err = EstimateBatched(g, nil, factory, Config{Trials: 4, BatchWidth: 2})
+	_, err = EstimateBatched(g, nil, factory, Config{Trials: 4})
 	if err == nil || !strings.Contains(err.Error(), "trial 2 starts at variance") {
 		t.Errorf("replicas with different initial variances: err %v, want trial 2 rejected", err)
 	}
@@ -253,16 +213,14 @@ func TestEstimateBatchedCloseToLegacy(t *testing.T) {
 }
 
 // Config.Observer is telemetry-only: the Result must be byte-identical
-// with and without one, and the forwarded meter must stay monotone across
-// batch boundaries (the estimator offsets each engine's counts by the
-// trials already finished).
+// with and without one, and the forwarded meter must stay monotone.
 func TestEstimateBatchedObserverInert(t *testing.T) {
 	g, part, err := graph.Dumbbell(10, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x0 := gossip.CutIndicator(part)
-	base := Config{Trials: 9, Seed: 11, MarginFactor: 1, BatchWidth: 3}
+	base := Config{Trials: 9, Seed: 11, MarginFactor: 1}
 
 	plain, err := EstimateBatched(g, nil, vanillaEnsembleFactory(g, x0), base)
 	if err != nil {
@@ -285,7 +243,7 @@ func TestEstimateBatchedObserverInert(t *testing.T) {
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i].Events <= got[i-1].Events {
-			t.Errorf("meter not monotone across batches: %+v then %+v", got[i-1], got[i])
+			t.Errorf("meter not monotone: %+v then %+v", got[i-1], got[i])
 		}
 	}
 	if last := got[len(got)-1]; last.Events != observed.Events {

@@ -1,9 +1,8 @@
 package graph
 
-// Additional sparse-cut composites beyond the dumbbell family: a ring of
-// cliques (many dense blocks, every adjacent pair joined by a sparse
-// bridge) and a hierarchical double-cut dumbbell (two dumbbells joined by
-// an even sparser outer cut — two nested scales of bottleneck). Both
+// Additional sparse-cut composites beyond the clique dumbbell: a torus
+// dumbbell (the same bottleneck at constant degree) and a ring of cliques
+// (many dense blocks, every adjacent pair joined by a sparse bridge). Both
 // return a planted Partition across their sparsest cut, like the
 // constructions in dumbbell.go.
 
@@ -120,68 +119,6 @@ func RingOfCliques(blocks, m, bridges int) (*Graph, *Partition, error) {
 		return nil, nil, err
 	}
 	part, err := PartitionByPrefix(g, (blocks/2)*m)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, part, nil
-}
-
-// HierarchicalDumbbell returns a dumbbell of dumbbells: two symmetric
-// dumbbells on n/2 and n-n/2 nodes (each with innerCut internal cut
-// edges) joined by outerCut edges between their facing cliques — a graph
-// with two nested bottleneck scales. The returned partition is the outer
-// (sparsest) cut, separating the two halves; the inner cuts stay inside
-// the sides, so each side is itself a sparse-cut graph.
-//
-// It returns an error unless n >= 8 (each of the four cliques needs at
-// least two nodes), innerCut fits both inner dumbbells, and outerCut is
-// in [1, min facing clique size].
-func HierarchicalDumbbell(n, innerCut, outerCut int) (*Graph, *Partition, error) {
-	if n < 8 {
-		return nil, nil, fmt.Errorf("graph: hierarchical dumbbell needs n >= 8, got %d", n)
-	}
-	half1, half2 := n/2, n-n/2
-	// Clique boundaries: A = [0,q1), B = [q1,half1), C = [half1,half1+q3),
-	// D = [half1+q3,n).
-	q1, q3 := half1/2, half2/2
-	sizeA, sizeB := q1, half1-q1
-	sizeC, sizeD := q3, half2-q3
-	if innerCut < 1 || innerCut > min(sizeA, sizeB) || innerCut > min(sizeC, sizeD) {
-		return nil, nil, fmt.Errorf("graph: hierarchical dumbbell innerCut %d outside [1, %d]",
-			innerCut, min(sizeA, sizeB, sizeC, sizeD))
-	}
-	if outerCut < 1 || outerCut > min(sizeB, sizeC) {
-		return nil, nil, fmt.Errorf("graph: hierarchical dumbbell outerCut %d outside [1, %d]",
-			outerCut, min(sizeB, sizeC))
-	}
-	b := NewBuilder(n).SetName(fmt.Sprintf("hierdumbbell(n=%d,inner=%d,outer=%d)", n, innerCut, outerCut))
-	clique := func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			for v := u + 1; v < hi; v++ {
-				b.AddEdge(NodeID(u), NodeID(v))
-			}
-		}
-	}
-	clique(0, q1)
-	clique(q1, half1)
-	clique(half1, half1+q3)
-	clique(half1+q3, n)
-	// Inner cuts, spread over distinct pairs like Dumbbell: between A|B and
-	// between C|D.
-	for k := 0; k < innerCut; k++ {
-		b.AddEdge(NodeID(q1-1-k), NodeID(q1+k))
-		b.AddEdge(NodeID(half1+q3-1-k), NodeID(half1+q3+k))
-	}
-	// Outer cut between the facing cliques B (ends at half1-1) and C
-	// (starts at half1).
-	for k := 0; k < outerCut; k++ {
-		b.AddEdge(NodeID(half1-1-k), NodeID(half1+k))
-	}
-	g, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	part, err := PartitionByPrefix(g, half1)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -54,58 +54,6 @@ func TestRingOfCliquesValidation(t *testing.T) {
 	}
 }
 
-func TestHierarchicalDumbbell(t *testing.T) {
-	g, part, err := HierarchicalDumbbell(16, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 16 {
-		t.Fatalf("nodes = %d, want 16", g.NumNodes())
-	}
-	// Four K_4 cliques (6 edges each) + 2 inner cuts + 1 outer cut.
-	if want := 4*6 + 2 + 1; g.NumEdges() != want {
-		t.Fatalf("edges = %d, want %d", g.NumEdges(), want)
-	}
-	if !IsConnected(g) {
-		t.Fatal("hierarchical dumbbell not connected")
-	}
-	// The planted partition is the outer cut.
-	if part.CutSize() != 1 {
-		t.Fatalf("outer cut size = %d, want 1", part.CutSize())
-	}
-	if part.Size1() != 8 || part.Size2() != 8 {
-		t.Fatalf("partition sizes %d/%d, want 8/8", part.Size1(), part.Size2())
-	}
-	if !SidesInternallyConnected(part) {
-		t.Fatal("hierarchical dumbbell sides not internally connected")
-	}
-}
-
-func TestHierarchicalDumbbellOddSizes(t *testing.T) {
-	g, part, err := HierarchicalDumbbell(19, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 19 {
-		t.Fatalf("nodes = %d, want 19", g.NumNodes())
-	}
-	if part.CutSize() != 3 {
-		t.Fatalf("outer cut = %d, want 3", part.CutSize())
-	}
-	if !SidesInternallyConnected(part) {
-		t.Fatal("sides not internally connected")
-	}
-}
-
-func TestHierarchicalDumbbellValidation(t *testing.T) {
-	cases := [][3]int{{7, 1, 1}, {16, 0, 1}, {16, 5, 1}, {16, 1, 0}, {16, 1, 9}}
-	for _, c := range cases {
-		if _, _, err := HierarchicalDumbbell(c[0], c[1], c[2]); err == nil {
-			t.Errorf("HierarchicalDumbbell(%d,%d,%d): expected error", c[0], c[1], c[2])
-		}
-	}
-}
-
 func TestTorusDumbbell(t *testing.T) {
 	g, part, err := TorusDumbbell(200, 4)
 	if err != nil {

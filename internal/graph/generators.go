@@ -75,35 +75,15 @@ func Grid(rows, cols int) *Graph {
 	return b.MustBuild()
 }
 
-// Torus returns the rows x cols lattice with wraparound (each node has
-// degree 4 when rows, cols >= 3). It panics unless rows, cols >= 3.
-func Torus(rows, cols int) *Graph {
-	if rows < 3 || cols < 3 {
-		panic(fmt.Sprintf("graph: torus needs dims >= 3, got %dx%d", rows, cols))
-	}
-	b := NewBuilder(rows * cols).SetName(fmt.Sprintf("torus(%dx%d)", rows, cols))
-	id := func(r, c int) NodeID { return NodeID(r*cols + c) }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			b.AddEdge(id(r, c), id(r, (c+1)%cols))
-			b.AddEdge(id(r, c), id((r+1)%rows, c))
-		}
-	}
-	return b.MustBuild()
-}
-
-// MaxHypercubeDim and MaxBinaryTreeLevels bound the two exponential-size
-// generators (a guard against absurd sizes).
-const (
-	MaxHypercubeDim     = 20
-	MaxBinaryTreeLevels = 24
-)
+// maxHypercubeDim bounds the exponential-size hypercube generator (a guard
+// against absurd sizes).
+const maxHypercubeDim = 20
 
 // Hypercube returns the d-dimensional hypercube Q_d on 2^d nodes. It panics
-// if d < 0 or d > MaxHypercubeDim.
+// if d < 0 or d > maxHypercubeDim.
 func Hypercube(d int) *Graph {
-	if d < 0 || d > MaxHypercubeDim {
-		panic(fmt.Sprintf("graph: hypercube dimension %d out of [0,%d]", d, MaxHypercubeDim))
+	if d < 0 || d > maxHypercubeDim {
+		panic(fmt.Sprintf("graph: hypercube dimension %d out of [0,%d]", d, maxHypercubeDim))
 	}
 	n := 1 << uint(d)
 	b := NewBuilder(n).SetName(fmt.Sprintf("hypercube(d=%d)", d))
@@ -129,21 +109,6 @@ func CompleteBipartite(a, bCount int) *Graph {
 		for v := a; v < a+bCount; v++ {
 			b.AddEdge(NodeID(u), NodeID(v))
 		}
-	}
-	return b.MustBuild()
-}
-
-// BinaryTree returns the complete binary tree with the given number of
-// levels (level 1 = a single root). It panics if levels < 1 or levels >
-// MaxBinaryTreeLevels.
-func BinaryTree(levels int) *Graph {
-	if levels < 1 || levels > MaxBinaryTreeLevels {
-		panic(fmt.Sprintf("graph: binary tree levels %d out of [1,%d]", levels, MaxBinaryTreeLevels))
-	}
-	n := 1<<uint(levels) - 1
-	b := NewBuilder(n).SetName(fmt.Sprintf("bintree(levels=%d)", levels))
-	for u := 1; u < n; u++ {
-		b.AddEdge(NodeID((u-1)/2), NodeID(u))
 	}
 	return b.MustBuild()
 }

@@ -98,18 +98,6 @@ func TestGrid(t *testing.T) {
 	}
 }
 
-func TestTorus(t *testing.T) {
-	g := Torus(4, 5)
-	if g.NumEdges() != 2*4*5 {
-		t.Errorf("%d edges, want 40", g.NumEdges())
-	}
-	for u := 0; u < g.NumNodes(); u++ {
-		if g.Degree(NodeID(u)) != 4 {
-			t.Errorf("torus node %d degree %d", u, g.Degree(NodeID(u)))
-		}
-	}
-}
-
 func TestHypercube(t *testing.T) {
 	g := Hypercube(4)
 	if g.NumNodes() != 16 || g.NumEdges() != 32 {
@@ -135,19 +123,6 @@ func TestCompleteBipartite(t *testing.T) {
 	}
 	if g.Degree(0) != 4 || g.Degree(5) != 3 {
 		t.Error("wrong bipartite degrees")
-	}
-}
-
-func TestBinaryTree(t *testing.T) {
-	g := BinaryTree(4)
-	if g.NumNodes() != 15 || g.NumEdges() != 14 {
-		t.Errorf("%d nodes %d edges", g.NumNodes(), g.NumEdges())
-	}
-	if !IsConnected(g) {
-		t.Error("tree disconnected")
-	}
-	if d := Diameter(g); d != 6 {
-		t.Errorf("diameter %d, want 6", d)
 	}
 }
 
@@ -229,33 +204,6 @@ func TestRandomRegularErrors(t *testing.T) {
 	}
 	if _, err := RandomRegular(r, -1, 2, 10); err == nil {
 		t.Error("negative n not rejected")
-	}
-}
-
-func TestRGG(t *testing.T) {
-	r := rng.New(6)
-	g := RGG(r, 40, 0.5)
-	if !g.HasPositions() {
-		t.Fatal("RGG missing positions")
-	}
-	// Check the geometric predicate on a few pairs.
-	for id, e := range g.Edges() {
-		pu, pv := g.Position(e.U), g.Position(e.V)
-		dx, dy := pu.X-pv.X, pu.Y-pv.Y
-		if dx*dx+dy*dy >= 0.25 {
-			t.Fatalf("edge %d joins nodes at distance >= radius", id)
-		}
-	}
-}
-
-func TestRGGConnected(t *testing.T) {
-	r := rng.New(7)
-	g, err := RGGConnected(r, 50, 0.5, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsConnected(g) {
-		t.Error("RGGConnected returned disconnected graph")
 	}
 }
 

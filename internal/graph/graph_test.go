@@ -141,9 +141,9 @@ func TestRequireConnected(t *testing.T) {
 func TestDegreeSumInvariant(t *testing.T) {
 	r := rng.New(99)
 	graphs := []*Graph{
-		Complete(7), Path(9), Cycle(6), Star(8), Grid(3, 5), Torus(3, 4),
-		Hypercube(4), CompleteBipartite(3, 4), BinaryTree(4), Lollipop(5, 3),
-		GnP(r, 20, 0.3), RGG(r, 25, 0.4),
+		Complete(7), Path(9), Cycle(6), Star(8), Grid(3, 5),
+		Hypercube(4), CompleteBipartite(3, 4), Lollipop(5, 3),
+		GnP(r, 20, 0.3),
 	}
 	for _, g := range graphs {
 		if got, want := DegreeSum(g), 2*g.NumEdges(); got != want {
@@ -341,15 +341,14 @@ func oracleGraphs(t *testing.T) []*Graph {
 		return g
 	}
 	gs := []*Graph{
-		Complete(7), Path(9), Cycle(6), Star(8), Grid(3, 5), Torus(3, 4), Torus(5, 7),
-		Hypercube(4), CompleteBipartite(3, 4), BinaryTree(4), Lollipop(5, 3),
+		Complete(7), Path(9), Cycle(6), Star(8), Grid(3, 5),
+		Hypercube(4), CompleteBipartite(3, 4), Lollipop(5, 3),
 		GnP(r, 20, 0.3), mustG(GnPConnected(r, 24, 0.25, 50)),
-		mustG(RandomRegular(r, 16, 3, 50)), RGG(r, 25, 0.4),
-		mustG(RGGConnected(r, 30, ConnectivityRadius(30), 50)),
+		mustG(RandomRegular(r, 16, 3, 50)),
 		must(WalledRGG(r, 40, 0.35, 2, 50)),
 		must(Dumbbell(9, 7, 3)), must(SymmetricDumbbell(12, 1)),
 		must(TorusDumbbell(40, 3)), must(TorusDumbbell(30, 2)),
-		must(RingOfCliques(4, 5, 2)), must(HierarchicalDumbbell(16, 1, 1)),
+		must(RingOfCliques(4, 5, 2)),
 		must(PlantedPartition(r, 10, 12, 0.6, 0.1, 50)),
 		must(Join(Cycle(5), Complete(4), [][2]NodeID{{0, 0}, {2, 3}, {4, 1}})),
 	}
@@ -438,7 +437,7 @@ func TestGeneratorDigestPinned(t *testing.T) {
 			}
 		}
 	}
-	const want uint64 = 0xd329d10262b02e16
+	const want uint64 = 0x14a39ea8e0344dfe
 	if got := h.Sum64(); got != want {
 		t.Fatalf("generator digest %#x, want %#x", got, want)
 	}

@@ -113,20 +113,6 @@ func RandomRegular(r *rng.RNG, n, d, maxTries int) (*Graph, error) {
 	return nil, fmt.Errorf("graph: RandomRegular(n=%d, d=%d): no simple pairing in %d tries", n, d, maxTries)
 }
 
-// RGG returns a random geometric graph: n nodes uniform on the unit square,
-// an edge whenever the Euclidean distance is below radius. Positions are
-// attached to the graph. It panics if n < 0 or radius < 0.
-func RGG(r *rng.RNG, n int, radius float64) *Graph {
-	if radius < 0 {
-		panic(fmt.Sprintf("graph: RGG radius %v negative", radius))
-	}
-	pos := make([]Point, n)
-	for i := range pos {
-		pos[i] = Point{X: r.Float64(), Y: r.Float64()}
-	}
-	return rggFromPositions(pos, radius, fmt.Sprintf("rgg(n=%d,r=%.3g)", n, radius))
-}
-
 // ConnectivityRadius returns the standard RGG connectivity threshold
 // sqrt(2 ln n / n), a convenient default radius.
 func ConnectivityRadius(n int) float64 {
@@ -134,33 +120,6 @@ func ConnectivityRadius(n int) float64 {
 		return 1
 	}
 	return math.Sqrt(2 * math.Log(float64(n)) / float64(n))
-}
-
-// RGGConnected retries RGG until connected, up to maxTries attempts.
-func RGGConnected(r *rng.RNG, n int, radius float64, maxTries int) (*Graph, error) {
-	for try := 0; try < maxTries; try++ {
-		g := RGG(r, n, radius)
-		if IsConnected(g) {
-			return g, nil
-		}
-	}
-	return nil, fmt.Errorf("graph: no connected RGG(%d, %v) sample in %d tries", n, radius, maxTries)
-}
-
-func rggFromPositions(pos []Point, radius float64, name string) *Graph {
-	n := len(pos)
-	b := NewBuilder(n).SetName(name).SetPositions(pos)
-	r2 := radius * radius
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			dx := pos[u].X - pos[v].X
-			dy := pos[u].Y - pos[v].Y
-			if dx*dx+dy*dy < r2 {
-				b.AddEdge(NodeID(u), NodeID(v))
-			}
-		}
-	}
-	return b.MustBuild()
 }
 
 // WalledRGG returns a random geometric graph on the unit square bisected by

@@ -16,17 +16,14 @@ func TestGraphFlagsFillSpec(t *testing.T) {
 	}
 	err := fs.Parse([]string{
 		"-graph", "planted", "-n", "1e6", "-cut", "2", "-n1", "3", "-n2", "4",
-		"-innercut", "5", "-rows", "6", "-cols", "7", "-dim", "8", "-levels", "9",
-		"-tail", "10", "-blocks", "11", "-degree", "12", "-p", "0.25",
-		"-pin", "0.5", "-pout", "0.125", "-radius", "1.5",
+		"-blocks", "11", "-pin", "0.5", "-pout", "0.125", "-radius", "1.5",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := GraphSpec{
-		Family: "planted", N: 1000000, Cut: 2, N1: 3, N2: 4, InnerCut: 5,
-		Rows: 6, Cols: 7, Dim: 8, Levels: 9, Tail: 10, Blocks: 11, Degree: 12,
-		P: 0.25, PIn: 0.5, POut: 0.125, Radius: 1.5,
+		Family: "planted", N: 1000000, Cut: 2, N1: 3, N2: 4, Blocks: 11,
+		PIn: 0.5, POut: 0.125, Radius: 1.5,
 	}
 	if *gs != want {
 		t.Errorf("parsed %+v\nwant   %+v", *gs, want)

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -195,6 +194,9 @@ func init() {
 			if err := inRange("n", gs.N, 0, math.MaxInt); err != nil {
 				return nil, nil, err
 			}
+			if !(gs.Radius >= 0) {
+				return nil, nil, fmt.Errorf("radius = %v, want >= 0", gs.Radius)
+			}
 			return graph.WalledRGG(r, gs.N, gs.Radius*graph.ConnectivityRadius(gs.N), gs.Cut, 500)
 		},
 	})
@@ -229,22 +231,6 @@ func init() {
 		},
 	})
 	register(Family{
-		Name: "hierdumbbell", Aliases: []string{"hierarchical-dumbbell", "doubledumbbell"},
-		Brief:  "dumbbell of dumbbells: nested inner and outer sparse cuts",
-		Params: "n, cut (outer), inner_cut", Partitioned: true,
-		Defaults: func(gs *GraphSpec) {
-			if gs.Cut == 0 {
-				gs.Cut = 1
-			}
-			if gs.InnerCut == 0 {
-				gs.InnerCut = 1
-			}
-		},
-		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
-			return graph.HierarchicalDumbbell(gs.N, gs.InnerCut, gs.Cut)
-		},
-	})
-	register(Family{
 		Name: "complete", Aliases: []string{"clique"}, Brief: "complete graph K_n", Params: "n",
 		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
 			if err := inRange("n", gs.N, 1, math.MaxInt); err != nil {
@@ -269,171 +255,6 @@ func init() {
 				return nil, nil, err
 			}
 			return graph.Cycle(gs.N), nil, nil
-		},
-	})
-	register(Family{
-		Name: "star", Brief: "star K_{1,n-1}", Params: "n",
-		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
-			if err := inRange("n", gs.N, 2, math.MaxInt); err != nil {
-				return nil, nil, err
-			}
-			return graph.Star(gs.N), nil, nil
-		},
-	})
-	register(Family{
-		Name: "grid", Aliases: []string{"lattice"}, Brief: "2-D lattice", Params: "rows, cols (or n)",
-		Defaults: func(gs *GraphSpec) {
-			if gs.Rows == 0 {
-				gs.Rows = derivedSquare(gs.N)
-			}
-			if gs.Cols == 0 {
-				gs.Cols = gs.Rows
-			}
-			gs.N = gs.Rows * gs.Cols
-		},
-		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
-			if err := errors.Join(inRange("rows", gs.Rows, 1, math.MaxInt),
-				inRange("cols", gs.Cols, 1, math.MaxInt)); err != nil {
-				return nil, nil, err
-			}
-			return graph.Grid(gs.Rows, gs.Cols), nil, nil
-		},
-	})
-	register(Family{
-		Name: "torus", Brief: "2-D lattice with wraparound", Params: "rows, cols (or n)",
-		Defaults: func(gs *GraphSpec) {
-			if gs.Rows == 0 {
-				gs.Rows = derivedSquare(gs.N)
-			}
-			if gs.Cols == 0 {
-				gs.Cols = gs.Rows
-			}
-			gs.N = gs.Rows * gs.Cols
-		},
-		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
-			if err := errors.Join(inRange("rows", gs.Rows, 3, math.MaxInt),
-				inRange("cols", gs.Cols, 3, math.MaxInt)); err != nil {
-				return nil, nil, err
-			}
-			return graph.Torus(gs.Rows, gs.Cols), nil, nil
-		},
-	})
-	register(Family{
-		Name: "hypercube", Brief: "d-dimensional hypercube Q_d", Params: "dim (or n)",
-		Defaults: func(gs *GraphSpec) {
-			if gs.Dim == 0 {
-				gs.Dim = derivedLog2(gs.N)
-			}
-			gs.N = 1 << uint(gs.Dim)
-		},
-		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
-			if err := inRange("dim", gs.Dim, 0, graph.MaxHypercubeDim); err != nil {
-				return nil, nil, err
-			}
-			return graph.Hypercube(gs.Dim), nil, nil
-		},
-	})
-	register(Family{
-		Name: "bipartite", Aliases: []string{"complete-bipartite"},
-		Brief: "complete bipartite K_{n1,n2}", Params: "n1, n2 (or n)",
-		Defaults: func(gs *GraphSpec) { sideSplit(gs) },
-		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
-			if err := errors.Join(inRange("n1", gs.N1, 1, math.MaxInt),
-				inRange("n2", gs.N2, 1, math.MaxInt)); err != nil {
-				return nil, nil, err
-			}
-			return graph.CompleteBipartite(gs.N1, gs.N2), nil, nil
-		},
-	})
-	register(Family{
-		Name: "bintree", Aliases: []string{"binary-tree", "tree"},
-		Brief: "complete binary tree", Params: "levels (or n)",
-		Defaults: func(gs *GraphSpec) {
-			if gs.Levels == 0 {
-				gs.Levels = derivedLog2(gs.N + 1)
-			}
-			gs.N = 1<<uint(gs.Levels) - 1
-		},
-		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
-			if err := inRange("levels", gs.Levels, 1, graph.MaxBinaryTreeLevels); err != nil {
-				return nil, nil, err
-			}
-			return graph.BinaryTree(gs.Levels), nil, nil
-		},
-	})
-	register(Family{
-		Name: "lollipop", Brief: "clique with a path tail (slow mixing)", Params: "n (or n1, tail)",
-		Defaults: func(gs *GraphSpec) {
-			if gs.N1 == 0 {
-				gs.N1 = gs.N / 2
-			}
-			if gs.Tail == 0 {
-				gs.Tail = gs.N - gs.N1
-			}
-			gs.N = gs.N1 + gs.Tail
-		},
-		Build: func(gs GraphSpec, _ *rng.RNG) (*graph.Graph, *graph.Partition, error) {
-			if err := errors.Join(inRange("n1", gs.N1, 1, math.MaxInt),
-				inRange("tail", gs.Tail, 0, math.MaxInt)); err != nil {
-				return nil, nil, err
-			}
-			return graph.Lollipop(gs.N1, gs.Tail), nil, nil
-		},
-	})
-	register(Family{
-		Name: "gnp", Aliases: []string{"erdos-renyi", "er"},
-		Brief: "Erdős–Rényi G(n,p), resampled until connected", Params: "n, p", Random: true,
-		Defaults: func(gs *GraphSpec) {
-			if gs.P == 0 {
-				// 3x the connectivity threshold ln(n)/n, a probability
-				// only from n = 5 on.
-				gs.P = min(1, 3*connectivityP(gs.N))
-			}
-		},
-		Build: func(gs GraphSpec, r *rng.RNG) (*graph.Graph, *graph.Partition, error) {
-			if err := inRange("n", gs.N, 0, math.MaxInt); err != nil {
-				return nil, nil, err
-			}
-			if !(gs.P >= 0 && gs.P <= 1) {
-				return nil, nil, fmt.Errorf("p = %v, want it in [0,1]", gs.P)
-			}
-			g, err := graph.GnPConnected(r, gs.N, gs.P, 500)
-			return g, nil, err
-		},
-	})
-	register(Family{
-		Name: "regular", Aliases: []string{"random-regular"},
-		Brief: "random d-regular graph", Params: "n, degree", Random: true,
-		Defaults: func(gs *GraphSpec) {
-			if gs.Degree == 0 {
-				gs.Degree = 4
-			}
-			if gs.N*gs.Degree%2 != 0 {
-				gs.N++ // the configuration model needs n*d even
-			}
-		},
-		Build: func(gs GraphSpec, r *rng.RNG) (*graph.Graph, *graph.Partition, error) {
-			g, err := graph.RandomRegular(r, gs.N, gs.Degree, 500)
-			return g, nil, err
-		},
-	})
-	register(Family{
-		Name: "rgg", Aliases: []string{"geometric"},
-		Brief: "random geometric graph, resampled until connected", Params: "n, radius", Random: true,
-		Defaults: func(gs *GraphSpec) {
-			if gs.Radius == 0 {
-				gs.Radius = 2
-			}
-		},
-		Build: func(gs GraphSpec, r *rng.RNG) (*graph.Graph, *graph.Partition, error) {
-			if err := inRange("n", gs.N, 0, math.MaxInt); err != nil {
-				return nil, nil, err
-			}
-			if !(gs.Radius >= 0) {
-				return nil, nil, fmt.Errorf("radius = %v, want >= 0", gs.Radius)
-			}
-			g, err := graph.RGGConnected(r, gs.N, gs.Radius*graph.ConnectivityRadius(gs.N), 500)
-			return g, nil, err
 		},
 	})
 }

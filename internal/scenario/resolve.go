@@ -328,10 +328,9 @@ func (r *Resolved) Monotone() bool {
 // trial streams seeded from the scenario root.
 func (r *Resolved) AvgtimeConfig() avgtime.Config {
 	cfg := avgtime.Config{
-		Trials:     r.Spec.Stop.Trials,
-		MaxTime:    r.Spec.Stop.MaxTime,
-		Seed:       r.trialSeed,
-		BatchWidth: r.Spec.Stop.BatchWidth,
+		Trials:  r.Spec.Stop.Trials,
+		MaxTime: r.Spec.Stop.MaxTime,
+		Seed:    r.trialSeed,
 	}
 	if cfg.MaxTime == 0 {
 		cfg.MaxTime = 60 * float64(r.NumNodes())

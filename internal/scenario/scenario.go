@@ -2,8 +2,10 @@
 // setup — graph family and parameters, algorithm and options, initial
 // vector, clock-rate model, stop condition — into the concrete objects the
 // engines consume (graph.Graph, gossip.Algorithm factories, avgtime
-// configs). A registry names every generator the repository provides, so
-// the CLIs and the sweep engine reach the whole zoo through one schema.
+// configs). A registry names the graph families the workloads run: five
+// sparse-cut families and the three small graphs the model checker
+// explores. The CLIs and the sweep engine reach each of them through one
+// schema.
 //
 // Specs are plain structs with JSON tags: they parse from a JSON file or,
 // for the graph, from the flags GraphFlags registers, and round-trip
@@ -21,7 +23,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 )
 
 // GraphSpec selects and parameterises a graph family. Only the fields a
@@ -31,39 +32,23 @@ import (
 type GraphSpec struct {
 	// Family names a registry entry (see Families for the catalogue).
 	Family string `json:"family"`
-	// N is the total node count. Families with structured sizes (grid,
-	// hypercube, binary tree, ring of cliques) derive their shape from N
-	// unless the shape fields below are set explicitly.
+	// N is the total node count. The ring of cliques derives its clique
+	// size from N and Blocks.
 	N int `json:"n,omitempty"`
 	// N1, N2 override the side split of two-sided families (dumbbell,
-	// planted, bipartite). Default: N/2 and N-N/2.
+	// planted). Default: N/2 and N-N/2.
 	N1 int `json:"n1,omitempty"`
 	N2 int `json:"n2,omitempty"`
-	// Cut is the number of cut edges: dumbbell cut edges, sensor doors,
-	// ring-of-cliques bridges per joint, hierarchical dumbbell outer cut.
+	// Cut is the number of cut edges: dumbbell and torus-dumbbell cut
+	// edges, sensor doors, ring-of-cliques bridges per joint.
 	Cut int `json:"cut,omitempty"`
-	// InnerCut is the hierarchical dumbbell's within-side cut width.
-	InnerCut int `json:"inner_cut,omitempty"`
-	// Rows, Cols shape lattice families (grid, torus).
-	Rows int `json:"rows,omitempty"`
-	Cols int `json:"cols,omitempty"`
-	// Dim is the hypercube dimension.
-	Dim int `json:"dim,omitempty"`
-	// Levels is the binary-tree depth.
-	Levels int `json:"levels,omitempty"`
-	// Tail is the lollipop path length.
-	Tail int `json:"tail,omitempty"`
 	// Blocks is the ring-of-cliques clique count.
 	Blocks int `json:"blocks,omitempty"`
-	// Degree is the random-regular degree.
-	Degree int `json:"degree,omitempty"`
-	// P is the G(n,p) edge probability.
-	P float64 `json:"p,omitempty"`
 	// PIn, POut are the planted-partition densities.
 	PIn  float64 `json:"p_in,omitempty"`
 	POut float64 `json:"p_out,omitempty"`
-	// Radius scales the RGG/sensor connection radius as a multiple of the
-	// standard connectivity radius sqrt(2 ln n / n). Default 2.
+	// Radius scales the sensor field's connection radius as a multiple of
+	// the standard connectivity radius sqrt(2 ln n / n). Default 2.
 	Radius float64 `json:"radius,omitempty"`
 }
 
@@ -96,10 +81,6 @@ type StopSpec struct {
 	// horizon — generous for Algorithm A, tight enough to censor convex
 	// runs that Theorem 1 says cannot finish).
 	MaxTime float64 `json:"max_time,omitempty"`
-	// BatchWidth caps the trials resident per replica batch when the
-	// algorithm runs on the batched engine (0 = all trials in one batch).
-	// Memory only: the estimate is byte-identical for any width.
-	BatchWidth int `json:"batch_width,omitempty"`
 	// Shards > 0 routes the run onto the sharded PDES engine over the
 	// family's implicit representation (dumbbell and ringofcliques,
 	// vanilla + uniform rates only):
@@ -168,8 +149,7 @@ func (s Spec) withDefaults() Spec {
 	if s.Graph.Family == "" {
 		s.Graph.Family = "dumbbell"
 	}
-	if s.Graph.N == 0 && s.Graph.N1 == 0 && s.Graph.Rows == 0 && s.Graph.Dim == 0 &&
-		s.Graph.Levels == 0 && s.Graph.Blocks == 0 {
+	if s.Graph.N == 0 && s.Graph.N1 == 0 && s.Graph.Blocks == 0 {
 		s.Graph.N = 64
 	}
 	if s.Algo.Name == "" {
@@ -205,29 +185,4 @@ func ParseSpec(r io.Reader) (Spec, error) {
 		return Spec{}, fmt.Errorf("scenario: parsing spec: %w", err)
 	}
 	return s, nil
-}
-
-// derivedSquare returns the nearest rows=cols lattice shape for n nodes.
-func derivedSquare(n int) int {
-	s := int(math.Round(math.Sqrt(float64(n))))
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
-// derivedLog2 returns round(log2 n), clamped to >= 1.
-func derivedLog2(n int) int {
-	if n < 2 {
-		return 1
-	}
-	return int(math.Round(math.Log2(float64(n))))
-}
-
-// connectivityP returns the G(n,p) connectivity threshold ln(n)/n.
-func connectivityP(n int) float64 {
-	if n < 2 {
-		return 1
-	}
-	return math.Log(float64(n)) / float64(n)
 }

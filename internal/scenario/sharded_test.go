@@ -43,7 +43,7 @@ func TestResolveSharded(t *testing.T) {
 
 	// Families without an implicit builder are rejected, and the error
 	// names exactly the families that have one.
-	for _, fam := range []string{"hierdumbbell", "grid", "torus", "complete"} {
+	for _, fam := range []string{"torusdumbbell", "planted", "sensor", "complete", "path", "cycle"} {
 		spec := Spec{Graph: GraphSpec{Family: fam, N: 48}, Stop: StopSpec{Shards: 4, Trials: 2}}
 		_, err := spec.Resolve()
 		if err == nil {

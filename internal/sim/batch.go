@@ -41,8 +41,8 @@ const chunkSize = batchSize
 // alias table are loaded once and stay hot while the engine round-robins
 // fixed-size chunks across the replicas. Each replica consumes only its
 // own RNG stream, so its trajectory is byte-identical for any batch width
-// and any interleaving (avgtime's TestEstimateBatchedWidthDeterminism
-// checks 64 trials at widths 1 and 64).
+// and any interleaving (TestBatchEngineWidthDeterminism and
+// TestBatchRunTrackedWidthDeterminism check it).
 //
 // Time is Poisson-bridged: the superposed edge process is Poisson at the
 // total rate, so the elapsed time of a k-event chunk is Gamma(k) scaled by
@@ -250,6 +250,3 @@ func (be *BatchEngine) RunTracked(cfg Tracked) []TrackedResult {
 		}
 	}
 }
-
-// Chunks returns the number of chunk-bridge draws consumed so far.
-func (be *BatchEngine) Chunks() int64 { return be.chunks }

@@ -320,9 +320,9 @@ func TestBatchObserverInert(t *testing.T) {
 		}
 	}
 	last := got[len(got)-1]
-	if last.Events != obsEng.Events() || last.Chunks != obsEng.Chunks() {
+	if last.Events != obsEng.Events() || last.Chunks != obsEng.chunks {
 		t.Errorf("final observation %+v != engine accounting (events %d, chunks %d)",
-			last, obsEng.Events(), obsEng.Chunks())
+			last, obsEng.Events(), obsEng.chunks)
 	}
 	for _, st := range got {
 		if st.Active < 1 || st.Active > len(seeds) {

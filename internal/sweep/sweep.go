@@ -106,10 +106,7 @@ func Expand(g Grid, root uint64) ([]Unit, error) {
 									}
 									if len(g.Ns) > 0 {
 										s.Graph.N = g.Ns[ni]
-										s.Graph.N1, s.Graph.N2 = 0, 0
-										s.Graph.Rows, s.Graph.Cols = 0, 0
-										s.Graph.Dim, s.Graph.Levels = 0, 0
-										s.Graph.Tail, s.Graph.Blocks = 0, 0
+										s.Graph.N1, s.Graph.N2, s.Graph.Blocks = 0, 0, 0
 									}
 									if len(g.Cuts) > 0 {
 										s.Graph.Cut = g.Cuts[ci]

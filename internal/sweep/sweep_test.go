@@ -48,54 +48,6 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossBatchWidths: the replica-batched cells must be
-// byte-identical for any Stop.BatchWidth — the width only groups trials
-// into ensembles, every trial's streams derive from the unit seed in
-// trial order. The reports are compared after normalising the one field
-// that legitimately differs (the requested width echoed in the spec).
-func TestDeterministicAcrossBatchWidths(t *testing.T) {
-	base := Grid{
-		Base: scenario.Spec{
-			Stop: scenario.StopSpec{Trials: 5, MaxTime: 200},
-		},
-		Families: []string{"dumbbell", "ringofcliques"},
-		Ns:       []int{12, 16},
-		Algos:    []string{"vanilla", "pushsum"},
-	}
-	var reports []*Report
-	for _, width := range []int{0, 1, 2} {
-		grid := base
-		grid.Base.Stop.BatchWidth = width
-		rep, err := Run(grid, Config{Workers: 2, Seed: 17})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range rep.Cells {
-			rep.Cells[i].Spec.Stop.BatchWidth = 0
-		}
-		rep.Grid.Base.Stop.BatchWidth = 0
-		reports = append(reports, rep)
-	}
-	var want bytes.Buffer
-	if err := reports[0].WriteJSON(&want); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(reports); i++ {
-		var got bytes.Buffer
-		if err := reports[i].WriteJSON(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Fatalf("batch widths produced different reports:\n--- width[0] ---\n%s\n--- width[%d] ---\n%s", want.String(), i, got.String())
-		}
-	}
-	for _, c := range reports[0].Cells {
-		if c.Error != "" {
-			t.Errorf("cell %s failed: %s", c.Label, c.Error)
-		}
-	}
-}
-
 // TestExpandOrderAndSeeds pins the expansion order (families outermost,
 // algos inner) and the seed-per-unit scheme.
 func TestExpandOrderAndSeeds(t *testing.T) {
@@ -235,16 +187,16 @@ func TestReportRoundTrip(t *testing.T) {
 func TestCellErrorIsolated(t *testing.T) {
 	grid := Grid{
 		Base: scenario.Spec{Stop: scenario.StopSpec{Trials: 1, MaxTime: 50}},
-		// hierdumbbell needs n >= 8: the n=6 cell fails, n=16 succeeds.
-		Families: []string{"hierdumbbell"},
-		Ns:       []int{6, 16},
+		// cycle needs n >= 3: the n=2 cell fails, n=16 succeeds.
+		Families: []string{"cycle"},
+		Ns:       []int{2, 16},
 	}
 	rep, err := Run(grid, Config{Workers: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Cells[0].Error == "" {
-		t.Error("n=6 cell should have failed")
+		t.Error("n=2 cell should have failed")
 	}
 	if rep.Cells[1].Error != "" {
 		t.Errorf("n=16 cell failed: %s", rep.Cells[1].Error)
@@ -345,10 +297,10 @@ func TestMetricsCountsErroredCells(t *testing.T) {
 		Base: scenario.Spec{
 			Stop: scenario.StopSpec{Trials: 1, MaxTime: 50},
 		},
-		// hierdumbbell needs n >= 8: the n=6 cell fails, n=16 succeeds
-		// (same fixture as TestCellErrorIsolated).
-		Families: []string{"hierdumbbell"},
-		Ns:       []int{6, 16},
+		// cycle needs n >= 3: the n=2 cell fails, n=16 succeeds (same
+		// fixture as TestCellErrorIsolated).
+		Families: []string{"cycle"},
+		Ns:       []int{2, 16},
 	}
 	reg := metrics.NewRegistry()
 	rep, err := Run(grid, Config{Workers: 2, Seed: 7, Metrics: reg})

@@ -97,17 +97,34 @@ func NewDumbbell(n1, n2, cutEdges int) (*Graph, *Partition, error) {
 
 // NewPlantedPartition returns a random two-community graph: within-side
 // edge probability pIn, cross probability pOut, retried until both sides
-// are internally connected with a non-empty cut.
+// are internally connected with a non-empty cut. It is the scenario
+// registry's planted family, so a seed gives the graph that
+// `gossipsim -graph planted -n1 n1 -n2 n2 -pin pIn -pout pOut -seed seed`
+// builds. As in every spec, a zero argument takes the family default and
+// seed 0 means seed 1.
 func NewPlantedPartition(seed uint64, n1, n2 int, pIn, pOut float64) (*Graph, *Partition, error) {
-	return graph.PlantedPartition(rng.New(seed), n1, n2, pIn, pOut, 500)
+	return resolveGraph(scenario.GraphSpec{Family: "planted", N1: n1, N2: n2, PIn: pIn, POut: pOut}, seed)
 }
 
 // NewSensorField returns a random geometric graph on the unit square whose
 // halves are separated by a wall with the given number of door edges — the
 // sensor-network scenario motivated by the paper's reference [6]. The
-// radius is 2x the standard connectivity radius.
+// radius is 2x the standard connectivity radius. It is the scenario
+// registry's sensor family, so a seed gives the graph that
+// `gossipsim -graph sensor -n n -cut doors -seed seed` builds. As in every
+// spec, a zero argument takes the family default and seed 0 means seed 1.
 func NewSensorField(seed uint64, n, doors int) (*Graph, *Partition, error) {
-	return graph.WalledRGG(rng.New(seed), n, 2*graph.ConnectivityRadius(n), doors, 500)
+	return resolveGraph(scenario.GraphSpec{Family: "sensor", N: n, Cut: doors}, seed)
+}
+
+// resolveGraph builds one registry family's graph and planted partition
+// from the spec's graph stream.
+func resolveGraph(gs scenario.GraphSpec, seed uint64) (*Graph, *Partition, error) {
+	r, err := scenario.Spec{Graph: gs, Seed: seed}.Resolve()
+	if err != nil {
+		return nil, nil, err
+	}
+	return r.Graph, r.Partition, nil
 }
 
 // WriteGraph serialises a graph in the package's edge-list format.
@@ -192,7 +209,7 @@ func Simulate(g *Graph, alg Algorithm, until float64, seed uint64) SimResult {
 // Averaging-time estimation, re-exported from internal/avgtime.
 type (
 	// TavConfig configures MeasureAveragingTime: trials, margin, horizon,
-	// seed, batch width and observer (zero value = 9 trials). The
+	// seed and observer (zero value = 9 trials). The
 	// threshold e^-2 and the confidence 1-1/e are Definition 1's, constants
 	// of the estimator that no caller can change.
 	TavConfig = avgtime.Config
@@ -211,14 +228,12 @@ type Factory func(trial int, seed uint64) (Algorithm, error)
 // algorithm produced by factory on g, by Monte-Carlo over independent
 // trials.
 func MeasureAveragingTime(g *Graph, factory Factory, cfg TavConfig) (TavResult, error) {
-	trial := 0 // the batches cover the trials in order
 	return avgtime.EstimateBatched(g, nil, func(replicas int, streams []*rng.RNG) (sim.BatchKernel, error) {
+		// One batch holds every trial, so replica rep is trial rep.
 		return gossip.NewEnsemble(replicas, func(rep int) (Algorithm, error) {
-			t := trial
-			trial++
-			alg, err := factory(t, streams[rep].Uint64())
+			alg, err := factory(rep, streams[rep].Uint64())
 			if err != nil {
-				return nil, fmt.Errorf("trial %d: %w", t, err)
+				return nil, fmt.Errorf("trial %d: %w", rep, err)
 			}
 			return alg, nil
 		})

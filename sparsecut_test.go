@@ -14,6 +14,7 @@ import (
 	"sparsecut/internal/core"
 	"sparsecut/internal/graph"
 	"sparsecut/internal/rng"
+	"sparsecut/internal/scenario"
 	"sparsecut/internal/sim"
 )
 
@@ -131,6 +132,42 @@ func TestNewSensorField(t *testing.T) {
 	}
 }
 
+// The facade's random graphs are the scenario registry's: at the same
+// seed NewPlantedPartition and NewSensorField build, edge for edge and
+// side for side, what Spec.Resolve (and so every CLI's -graph) builds.
+func TestFacadeGraphsMatchScenario(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, c := range []struct {
+			spec   scenario.GraphSpec
+			facade func() (*Graph, *Partition, error)
+		}{
+			{scenario.GraphSpec{Family: "planted", N: 60}, func() (*Graph, *Partition, error) {
+				return NewPlantedPartition(seed, 30, 30, 0.5, 3.0/(30*30))
+			}},
+			{scenario.GraphSpec{Family: "sensor", N: 64, Cut: 2}, func() (*Graph, *Partition, error) {
+				return NewSensorField(seed, 64, 2)
+			}},
+		} {
+			g, part, err := c.facade()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := scenario.Spec{Graph: c.spec, Seed: seed}.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(g.Edges(), r.Graph.Edges()) {
+				t.Errorf("%s seed %d: facade %s, spec %s", c.spec.Family, seed, g, r.Graph)
+			}
+			for u := range g.NumNodes() {
+				if part.SideOf(NodeID(u)) != r.Partition.SideOf(NodeID(u)) {
+					t.Fatalf("%s seed %d: node %d on different sides", c.spec.Family, seed, u)
+				}
+			}
+		}
+	}
+}
+
 func TestMeasureAveragingTime(t *testing.T) {
 	g, part, err := NewDumbbell(12, 12, 1)
 	if err != nil {
@@ -151,11 +188,11 @@ func TestMeasureAveragingTime(t *testing.T) {
 	}
 }
 
-// MeasureAveragingTime runs the user's trials as replica batches. Each
+// MeasureAveragingTime runs the user's trials as one replica batch. Each
 // factory call still gets its trial index and the seed of its own
 // algorithm stream, split from the root before the trial's simulation
-// stream, for any batch width; and Algorithm A's estimate is the one
-// core.NewEnsemble's runs give.
+// stream; and Algorithm A's estimate is the one core.NewEnsemble's runs
+// give.
 func TestMeasureAveragingTimeFactoryContract(t *testing.T) {
 	g, part, err := NewDumbbell(6, 6, 1)
 	if err != nil {
@@ -168,21 +205,19 @@ func TestMeasureAveragingTimeFactoryContract(t *testing.T) {
 		want = append(want, root.Split().Uint64())
 		root.Split()
 	}
-	for _, width := range []int{0, 2} {
-		var got []uint64
-		_, err := MeasureAveragingTime(g, func(trial int, seed uint64) (Algorithm, error) {
-			if trial != len(got) {
-				t.Errorf("width %d: trial %d built as call %d", width, trial, len(got))
-			}
-			got = append(got, seed)
-			return NewVanillaGossip(g, x0)
-		}, TavConfig{Trials: 5, Seed: 5, MarginFactor: 1, BatchWidth: width})
-		if err != nil {
-			t.Fatal(err)
+	var got []uint64
+	_, err = MeasureAveragingTime(g, func(trial int, seed uint64) (Algorithm, error) {
+		if trial != len(got) {
+			t.Errorf("trial %d built as call %d", trial, len(got))
 		}
-		if !slices.Equal(got, want) {
-			t.Errorf("width %d: seeds %v, want %v", width, got, want)
-		}
+		got = append(got, seed)
+		return NewVanillaGossip(g, x0)
+	}, TavConfig{Trials: 5, Seed: 5, MarginFactor: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("seeds %v, want %v", got, want)
 	}
 
 	cfg := TavConfig{Trials: 4, Seed: 2, MaxTime: 200}
