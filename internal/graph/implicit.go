@@ -126,7 +126,7 @@ type Tiling struct {
 }
 
 // Bounds returns the tile node ranges as [lo, hi) pairs — the shape the
-// sharded run state (gossip.FlatState) keys its per-tile moments on.
+// sharded run state (gossip.FlatState) sums its moments over.
 func (t *Tiling) Bounds() [][2]int32 {
 	out := make([][2]int32, len(t.Tiles))
 	for i, tl := range t.Tiles {

@@ -17,7 +17,7 @@ package sim
 //
 // Determinism: the tiling is a function of the graph alone, each tile
 // owns a private RNG stream split from the root in tile order, tiles
-// touch disjoint kernel state, and the global variance reduction combines
+// touch disjoint kernel state, and the global variance reduction sums
 // per-tile moments in fixed tile order. Worker count only changes which
 // goroutine advances which tile, so output is byte-identical for any
 // Workers/GOMAXPROCS — the same contract the sweep worker pool gives
@@ -45,30 +45,18 @@ import (
 // ticks that may run concurrently for distinct tiles, single-threaded
 // boundary exchanges, and a variance reduction that must be
 // deterministic for any worker count. gossip.FlatState implements it for
-// vanilla averaging.
-//
-// A chunk has two forms, named as gossip.Algorithm's are: TickTile, which
-// RunUntil drives, may defer the moments until the next Variance, and
-// TickTileTracked, which RunTracked drives, keeps them current. Both must
-// leave the same values.
+// vanilla averaging. Only Variance reads moments, so the ticks may write
+// values only.
 type ShardKernel interface {
 	// TickTile applies a chunk of internal exchanges to tile t. Calls for
 	// distinct tiles may be concurrent; calls for one tile are ordered.
 	TickTile(tile int, us, vs []int32)
-	// TickTileTracked is TickTile with the tile's moments kept current,
-	// under the same concurrency rules.
-	TickTileTracked(tile int, us, vs []int32)
 	// Exchange applies one boundary exchange. Never concurrent with
-	// either tick form.
+	// TickTile.
 	Exchange(u, v int32)
 	// Variance returns the current global variance (barrier phase only).
 	Variance() float64
 }
-
-// tileTick is one of ShardKernel's chunk forms as a method expression,
-// ShardKernel.TickTile or ShardKernel.TickTileTracked: a static function
-// value, so passing it down a run allocates nothing.
-type tileTick func(k ShardKernel, tile int, us, vs []int32)
 
 // ShardConfig tunes a ShardEngine.
 type ShardConfig struct {
@@ -141,7 +129,7 @@ type tilePool struct {
 	w    int
 }
 
-func newTilePool(e *ShardEngine, w int, tick tileTick) *tilePool {
+func newTilePool(e *ShardEngine, w int) *tilePool {
 	p := &tilePool{eng: e, feed: make(chan float64), w: w}
 	n := len(e.til.Tiles)
 	for g := 0; g < w; g++ {
@@ -152,7 +140,7 @@ func newTilePool(e *ShardEngine, w int, tick tileTick) *tilePool {
 					if i >= n {
 						break
 					}
-					e.advanceTile(i, dt, tick)
+					e.advanceTile(i, dt)
 				}
 				p.wg.Done()
 			}
@@ -221,9 +209,9 @@ func (e *ShardEngine) Now() float64 { return e.now }
 func (e *ShardEngine) Events() int64 { return e.events }
 
 // advanceTile draws tile i's Poisson event count for a dt-long segment
-// and applies it in fixed-size chunks through tick. Zero-allocation: the
-// endpoint buffers are preallocated per tile.
-func (e *ShardEngine) advanceTile(i int, dt float64, tick tileTick) {
+// and applies it in fixed-size chunks through the kernel's TickTile.
+// Zero-allocation: the endpoint buffers are preallocated per tile.
+func (e *ShardEngine) advanceTile(i int, dt float64) {
 	t := &e.til.Tiles[i]
 	if t.Edges == 0 || dt <= 0 {
 		return
@@ -238,16 +226,15 @@ func (e *ShardEngine) advanceTile(i int, dt float64, tick tileTick) {
 			c = shardChunk
 		}
 		t.Fill(r, us[:c], vs[:c])
-		tick(e.kern, i, us[:c], vs[:c])
+		e.kern.TickTile(i, us[:c], vs[:c])
 		k -= c
 	}
 }
 
-// advanceTiles advances every tile across [now, now+dt) through tick, in
-// parallel when a pool (built with the same tick) is active. Per-tile
-// streams and disjoint kernel state make the schedule invisible to the
-// result.
-func (e *ShardEngine) advanceTiles(dt float64, tick tileTick) {
+// advanceTiles advances every tile across [now, now+dt), in parallel when
+// a pool is active. Per-tile streams and disjoint kernel state make the
+// schedule invisible to the result.
+func (e *ShardEngine) advanceTiles(dt float64) {
 	if dt <= 0 {
 		return
 	}
@@ -256,17 +243,16 @@ func (e *ShardEngine) advanceTiles(dt float64, tick tileTick) {
 		return
 	}
 	for i := range e.til.Tiles {
-		e.advanceTile(i, dt, tick)
+		e.advanceTile(i, dt)
 	}
 }
 
-// run advances simulated time to maxT, ticking tiles through tick and
-// invoking barrier after every serialisation point (window barriers and
-// boundary events). barrier receives the barrier time and must report
-// whether to keep running.
-func (e *ShardEngine) run(maxT float64, tick tileTick, barrier func(t float64) bool) {
+// run advances simulated time to maxT, invoking barrier after every
+// serialisation point (window barriers and boundary events). barrier
+// receives the barrier time and must report whether to keep running.
+func (e *ShardEngine) run(maxT float64, barrier func(t float64) bool) {
 	if w := min(e.workers, len(e.til.Tiles)); w > 1 {
-		e.pool = newTilePool(e, w, tick)
+		e.pool = newTilePool(e, w)
 		defer func() {
 			e.pool.close()
 			e.pool = nil
@@ -282,7 +268,7 @@ func (e *ShardEngine) run(maxT float64, tick tileTick, barrier func(t float64) b
 		// applies, and tracking observes.
 		for e.nextBoundary <= wEnd {
 			bt := e.nextBoundary
-			e.advanceTiles(bt-e.now, tick)
+			e.advanceTiles(bt - e.now)
 			e.now = bt
 			be := e.til.Boundary[e.bRNG.Intn(len(e.til.Boundary))]
 			e.kern.Exchange(int32(be.U), int32(be.V))
@@ -295,7 +281,7 @@ func (e *ShardEngine) run(maxT float64, tick tileTick, barrier func(t float64) b
 				return
 			}
 		}
-		e.advanceTiles(wEnd-e.now, tick)
+		e.advanceTiles(wEnd - e.now)
 		e.now = wEnd
 		e.mSegments.Inc(0)
 		e.finishWindow()
@@ -325,19 +311,18 @@ func (e *ShardEngine) finishWindow() {
 	}
 }
 
-// RunUntil advances simulated time to maxT, ticking tiles values-only
-// (ShardKernel.TickTile): nothing reads the moments between barriers.
+// RunUntil advances simulated time to maxT; it reads no moments.
 func (e *ShardEngine) RunUntil(maxT float64) {
-	e.run(maxT, ShardKernel.TickTile, func(float64) bool { return true })
+	e.run(maxT, func(float64) bool { return true })
 }
 
 // RunTracked advances until the Tracked stop rule fires, resolving the
 // last-exceedance time of the averaging-time estimator at barrier
-// granularity. Tiles tick through ShardKernel.TickTileTracked, whose
-// moments every barrier reads. Variance under the monotone kernels this engine serves is
-// non-increasing, so the ExceedLevel crossing is bracketed by two
-// consecutive barrier observations and interpolated linearly — an error
-// of at most one window.
+// granularity: every barrier reads the kernel's exact Variance. Variance
+// under the monotone kernels this engine serves is non-increasing, so the
+// ExceedLevel crossing is bracketed by two consecutive barrier
+// observations and interpolated linearly — an error of at most one
+// window.
 func (e *ShardEngine) RunTracked(cfg Tracked) TrackedResult {
 	var res TrackedResult
 	prevT := e.now
@@ -345,7 +330,7 @@ func (e *ShardEngine) RunTracked(cfg Tracked) TrackedResult {
 	if prevV > cfg.ExceedLevel {
 		res.LastExceed = prevT
 	}
-	e.run(cfg.MaxTime, ShardKernel.TickTileTracked, func(t float64) bool {
+	e.run(cfg.MaxTime, func(t float64) bool {
 		v := e.kern.Variance()
 		if v > cfg.ExceedLevel {
 			res.LastExceed = t

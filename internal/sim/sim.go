@@ -17,10 +17,10 @@
 // Key types: Engine (one per-event loop, RunUntil, in fused batches with
 // lazy moments), BatchEngine (replica-batched, Poisson time-bridging, one
 // tracked loop; every averaging-time estimate off the sharded path runs
-// on it), ShardEngine (sharded PDES: RunUntil ticks tiles values-only with
-// lazy moments, RunTracked through the eager tracked tile form). Only the
-// tracked loops keep moments eagerly. The timing model is DESIGN.md §2;
-// the engines are §6, §8 and §13.
+// on it), ShardEngine (sharded PDES: tiles tick values only, and
+// RunTracked reads exact moments at its barriers). Only BatchEngine keeps
+// moments eagerly. The timing model is DESIGN.md §2; the engines are §6,
+// §8 and §13.
 package sim
 
 import (
