@@ -185,15 +185,18 @@ func shardedTrials(t *testing.T, g *graph.Implicit, x0 []float64, cfg Config, op
 }
 
 // TestEstimateShardedTrackedGoldenDigest pins the sharded engine's tracked
-// loop (RunTracked and the eager per-tile moments it reads at every
-// barrier) through EstimateSharded, on a 24+24 implicit dumbbell, a ring
-// of four 24-cliques and the dumbbell again with a MaxTime that censors
-// two of its five trials, at 1 and 2 workers. The trials run 60k–80k
-// events per tile, around the 2^16-update moment resync. The FNV-64a digest covers each trial's LastExceed bits, events,
-// censoring and final Variance() bits; the replayed trials must also add
-// up to the estimator's own Result. TestShardEngineGoldenDigest pins only
-// RunUntil's values, so this is the check that the tracked moments'
-// rounding, resync cadence and barrier reads do not move.
+// loop (RunTracked and the exact variance it reads at every barrier)
+// through EstimateSharded, on a 24+24 implicit dumbbell, a ring of four
+// 24-cliques, the dumbbell again with a MaxTime that censors two of its
+// five trials, and a ring of eight 12-cliques, at 1 and 2 workers. The
+// eight-tile ring is the case whose bits move when the tiles are summed
+// in another order (the others' reads happen not to). The FNV-64a digest
+// covers each trial's LastExceed bits, events, censoring and final
+// Variance() bits; the replayed trials must also add up to the
+// estimator's own Result.
+// TestShardEngineGoldenDigest pins only RunUntil's values, so this is the
+// check that the barrier reads, their per-tile summation order and the
+// crossing interpolation do not move.
 func TestEstimateShardedTrackedGoldenDigest(t *testing.T) {
 	dumbbell, err := graph.ImplicitDumbbell(24, 24, 1)
 	if err != nil {
@@ -203,15 +206,20 @@ func TestEstimateShardedTrackedGoldenDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ring8, err := graph.ImplicitRingOfCliques(8, 12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		g    *graph.Implicit
 		cfg  Config
 		want uint64
 	}{
-		{"dumbbell", dumbbell, Config{Trials: 5, Seed: 17}, 0x621195fbff37c058},
-		{"ringofcliques", ring, Config{Trials: 5, Seed: 18}, 0x2ecd6e77fa730dcc},
-		{"dumbbell-censored", dumbbell, Config{Trials: 5, Seed: 19, MaxTime: 250}, 0x54293750e31ac73f},
+		{"dumbbell", dumbbell, Config{Trials: 5, Seed: 17}, 0x65bcbd072e77864c},
+		{"ringofcliques", ring, Config{Trials: 5, Seed: 18}, 0x4b0341c40538d304},
+		{"dumbbell-censored", dumbbell, Config{Trials: 5, Seed: 19, MaxTime: 250}, 0x4397ce53468aa249},
+		{"ringofcliques-8", ring8, Config{Trials: 5, Seed: 20}, 0xf568d9e9ecb0c242},
 	}
 	for _, c := range cases {
 		x0 := gossip.CutIndicatorPrefix(c.g.NumNodes(), c.g.SplitPoint())

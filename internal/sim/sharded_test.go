@@ -154,9 +154,9 @@ func TestShardEngineHotPathAllocs(t *testing.T) {
 // clique tiles larger than 2^16 nodes: the FNV-64a digest of the final
 // values (and the event count) of a seeded run must equal the constants
 // below, which were recorded before the clique sampler's draws were
-// inlined and FlatState's resync period was tied to the tile size. The
-// draws and the pair arithmetic define the trajectory; the moment
-// bookkeeping must never feed back into it.
+// inlined and before FlatState dropped its per-tile moment caches. The
+// draws and the pair arithmetic define the trajectory; the barrier's
+// moment reads must never feed back into it.
 func TestShardEngineGoldenDigest(t *testing.T) {
 	const (
 		side       = 1<<17 + 3
