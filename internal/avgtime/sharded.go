@@ -5,7 +5,8 @@ package avgtime
 // a materialised edge list, so a single 10^6-node replica fits in RAM.
 // It serves the vanilla (monotone) kernel only — FlatState is the only
 // ShardKernel — which is exactly the regime where the windowed
-// last-exceedance interpolation is sound.
+// last-exceedance interpolation is sound. Each barrier reads the exact
+// variance of the values (FlatState keeps no moments between barriers).
 
 import (
 	"fmt"

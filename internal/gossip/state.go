@@ -23,9 +23,7 @@ import (
 )
 
 // resyncInterval bounds floating-point drift of the incremental moments:
-// after this many point updates the sums are recomputed exactly. FlatState
-// tiles longer than resyncInterval nodes resync once per tile size
-// instead, so a resync never costs more than one read per update.
+// after this many point updates the sums are recomputed exactly.
 const resyncInterval = 1 << 16
 
 // State holds the node values of an averaging process plus incrementally
