@@ -123,7 +123,8 @@ func decodeRecord(buf *[recordSize]byte) Record {
 }
 
 // ReadDump parses a dump from r, auto-detecting the encoding by its first
-// bytes (binary magic vs JSON).
+// bytes (binary magic vs JSON). A JSON dump must be the only value in r,
+// up to whitespace.
 func ReadDump(r io.Reader) (*Dump, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(4)
@@ -134,8 +135,12 @@ func ReadDump(r io.Reader) (*Dump, error) {
 		return readBinary(br)
 	}
 	d := new(Dump)
-	if err := json.NewDecoder(br).Decode(d); err != nil {
+	dec := json.NewDecoder(br)
+	if err := dec.Decode(d); err != nil {
 		return nil, fmt.Errorf("flight: parsing JSON dump: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("flight: parsing JSON dump: trailing data after the dump")
 	}
 	return d, d.validate()
 }

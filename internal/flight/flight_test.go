@@ -211,6 +211,24 @@ func TestReadDumpRejectsBadVersion(t *testing.T) {
 	}
 }
 
+// TestReadDumpRejectsTrailingJSON: a JSON dump must be the only value in
+// its input, up to whitespace.
+func TestReadDumpRejectsTrailingJSON(t *testing.T) {
+	var buf bytes.Buffer
+	if err := fullDump().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadDump(bytes.NewReader(append(buf.Bytes(), " \n"...))); err != nil {
+		t.Fatalf("dump with trailing whitespace: %v", err)
+	}
+	for _, tail := range []string{"]]]", " garbage", buf.String()} {
+		in := append(bytes.Clone(buf.Bytes()), tail...)
+		if _, err := ReadDump(bytes.NewReader(in)); err == nil {
+			t.Errorf("dump followed by %.20q: expected error", tail)
+		}
+	}
+}
+
 func TestReadDumpRejectsCorruptCount(t *testing.T) {
 	var buf bytes.Buffer
 	d := &Dump{Version: DumpVersion}

@@ -112,11 +112,16 @@ func (d *Document) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// ReadDocument parses a document written by WriteJSON.
+// ReadDocument parses a document written by WriteJSON; anything but
+// whitespace after it is an error.
 func ReadDocument(r io.Reader) (*Document, error) {
 	var d Document
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&d); err != nil {
 		return nil, fmt.Errorf("report: decoding document: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("report: decoding document: trailing data after the document")
 	}
 	return &d, nil
 }

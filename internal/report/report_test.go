@@ -175,6 +175,19 @@ func TestDocumentDeterministic(t *testing.T) {
 	}
 }
 
+// TestReadDocumentRejectsTrailingData: ReadDocument decodes one value and
+// fails on anything after it but whitespace.
+func TestReadDocumentRejectsTrailingData(t *testing.T) {
+	if _, err := ReadDocument(strings.NewReader("{\"paper\":\"x\"}\n")); err != nil {
+		t.Fatalf("document with a trailing newline: %v", err)
+	}
+	for _, in := range []string{`{"paper":"x"}]]]`, `{"paper":"x"} {"paper":"y"}`, `{"paper":"x"} garbage`} {
+		if _, err := ReadDocument(strings.NewReader(in)); err == nil {
+			t.Errorf("ReadDocument(%s): expected error", in)
+		}
+	}
+}
+
 // TestGenerateDefaultWorkersCompletes guards the default pool: Workers 0
 // (cmd/repro's default) must resolve to GOMAXPROCS, not to an unbuffered
 // semaphore that blocks the first entry forever.

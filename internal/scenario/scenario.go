@@ -176,13 +176,17 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// ParseSpec reads one Spec from JSON.
+// ParseSpec reads one Spec from JSON; anything but whitespace after it
+// is an error.
 func ParseSpec(r io.Reader) (Spec, error) {
 	var s Spec
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("scenario: parsing spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, fmt.Errorf("scenario: parsing spec: trailing data after the spec")
 	}
 	return s, nil
 }

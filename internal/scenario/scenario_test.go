@@ -217,7 +217,8 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 
 // TestParseSpecRejectsUnknownFields guards the schema against typos.
 // Unknown fields fail, among them the fields of removed families and the
-// removed batch width, so an old spec file cannot silently lose one.
+// removed batch width, so an old spec file cannot silently lose one. So
+// does a second value after the spec, which would otherwise be dropped.
 func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	for _, spec := range []string{
 		`{"graph": {"family": "dumbbell", "nodes": 64}}`,
@@ -230,10 +231,14 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 		`{"graph": {"family": "dumbbell", "degree": 4}}`,
 		`{"graph": {"family": "dumbbell", "p": 0.5}}`,
 		`{"stop": {"batch_width": 2}}`,
+		`{"graph":{"family":"dumbbell","n":16}} {"graph":{"family":"cycle"}}`,
 	} {
 		if _, err := ParseSpec(strings.NewReader(spec)); err == nil {
-			t.Errorf("%s: expected error for unknown field", spec)
+			t.Errorf("%s: expected error", spec)
 		}
+	}
+	if _, err := ParseSpec(strings.NewReader("{\"graph\":{\"family\":\"dumbbell\",\"n\":16}}\n\t ")); err != nil {
+		t.Errorf("trailing whitespace: %v", err)
 	}
 }
 

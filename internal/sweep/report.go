@@ -78,7 +78,7 @@ func (r *Report) WriteJSON(w io.Writer) error {
 }
 
 // ParseGrid reads a Grid from JSON, rejecting unknown fields so schema
-// typos fail loudly.
+// typos fail loudly, and anything but whitespace after the grid.
 func ParseGrid(r io.Reader) (Grid, error) {
 	var g Grid
 	dec := json.NewDecoder(r)
@@ -86,14 +86,22 @@ func ParseGrid(r io.Reader) (Grid, error) {
 	if err := dec.Decode(&g); err != nil {
 		return Grid{}, fmt.Errorf("sweep: parsing grid: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Grid{}, fmt.Errorf("sweep: parsing grid: trailing data after the grid")
+	}
 	return g, nil
 }
 
-// ReadReport parses a report written by WriteJSON.
+// ReadReport parses a report written by WriteJSON; anything but
+// whitespace after it is an error.
 func ReadReport(rd io.Reader) (*Report, error) {
 	var r Report
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
+	dec := json.NewDecoder(rd)
+	if err := dec.Decode(&r); err != nil {
 		return nil, fmt.Errorf("sweep: decoding report: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("sweep: decoding report: trailing data after the report")
 	}
 	return &r, nil
 }

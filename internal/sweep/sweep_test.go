@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"sparsecut/internal/metrics"
@@ -180,6 +181,27 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	if tbl := rep.Table("t"); tbl.NumRows() != len(rep.Cells) {
 		t.Errorf("table has %d rows for %d cells", tbl.NumRows(), len(rep.Cells))
+	}
+}
+
+// TestDecodersRejectTrailingData: ParseGrid and ReadReport decode one
+// value and fail on anything after it but whitespace.
+func TestDecodersRejectTrailingData(t *testing.T) {
+	if _, err := ParseGrid(strings.NewReader("{\"ns\":[16]}\n")); err != nil {
+		t.Fatalf("grid with a trailing newline: %v", err)
+	}
+	for _, in := range []string{`{"ns":[16]} garbage`, `{"ns":[16]} {"ns":[32]}`, `{"ns":[16]}]`} {
+		if _, err := ParseGrid(strings.NewReader(in)); err == nil {
+			t.Errorf("ParseGrid(%s): expected error", in)
+		}
+	}
+	if _, err := ReadReport(strings.NewReader("{\"seed\":3}\n")); err != nil {
+		t.Fatalf("report with a trailing newline: %v", err)
+	}
+	for _, in := range []string{`{"seed":3} garbage`, `{"seed":3} {"seed":4}`, `{"seed":3}]]]`} {
+		if _, err := ReadReport(strings.NewReader(in)); err == nil {
+			t.Errorf("ReadReport(%s): expected error", in)
+		}
 	}
 }
 
