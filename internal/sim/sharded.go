@@ -318,7 +318,7 @@ func (e *ShardEngine) RunUntil(maxT float64) {
 
 // RunTracked advances until the Tracked stop rule fires, resolving the
 // last-exceedance time of the averaging-time estimator at barrier
-// granularity: every barrier reads the kernel's exact Variance. Variance
+// granularity: every barrier reads the kernel's Variance once. Variance
 // under the monotone kernels this engine serves is non-increasing, so the
 // ExceedLevel crossing is bracketed by two consecutive barrier
 // observations and interpolated linearly — an error of at most one
@@ -342,8 +342,7 @@ func (e *ShardEngine) RunTracked(cfg Tracked) TrackedResult {
 		prevT, prevV = t, v
 		return v >= cfg.StopLevel || t < res.LastExceed+cfg.Quiet
 	})
-	if v := e.kern.Variance(); e.now >= cfg.MaxTime && v >= cfg.StopLevel {
-		res.Censored = true
-	}
+	// Nothing ticks after the last barrier, so prevV is the final variance.
+	res.Censored = e.now >= cfg.MaxTime && prevV >= cfg.StopLevel
 	return res
 }
