@@ -44,12 +44,13 @@
 //
 // -flight attaches the causal flight recorder: every protocol transition,
 // message hop, drop and timer fire lands in a bounded per-node ring
-// buffer, dumped to the named file when the run ends (.json = JSON,
-// anything else = compact binary) and served live at /debug/flightz while
-// -http is on. Render dumps with cmd/tracez:
+// buffer, dumped as JSON to the named file when the run ends and served
+// live at /debug/flightz while -http is on. -flight-cap sets the ring
+// capacity per node (0 = the default; negative is an error). Render dumps
+// with cmd/tracez:
 //
-//	distrun -graph dumbbell -n 16 -rule A -until 10 -flight run.scfr
-//	tracez -view timeline run.scfr
+//	distrun -graph dumbbell -n 16 -rule A -until 10 -flight run.flight.json
+//	tracez -view timeline run.flight.json
 package main
 
 import (
@@ -83,10 +84,13 @@ func main() {
 		compare   = flag.Bool("compare", false, "also run the sequential simulator on the same workload")
 		httpAddr  = flag.String("http", "", "serve live expvar telemetry + pprof on this address (e.g. :6060) during the run")
 		metrics   = flag.String("metrics", "", "write the final telemetry snapshot JSON to this file")
-		flightOut = flag.String("flight", "", "record per-exchange flight events and write the dump to this file (.json = JSON, else binary; render with tracez)")
+		flightOut = flag.String("flight", "", "record per-exchange flight events and write the JSON dump to this file (render with tracez)")
 		flightCap = flag.Int("flight-cap", 0, "flight-recorder ring capacity per node (0 = default)")
 	)
 	flag.Parse()
+	if *flightCap < 0 {
+		fatal(fmt.Errorf("-flight-cap %d is negative", *flightCap))
+	}
 
 	res, rule, err := build(scenario.Spec{
 		Graph: *gs,

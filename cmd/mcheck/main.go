@@ -13,7 +13,7 @@
 //	mcheck -graph dumbbell -n 6 -rule A -depth 10 -drop         # Algorithm A's rule
 //	mcheck -mutation lax-watermark-dedup -trace cex.json        # catch a seeded bug
 //	mcheck -replay cex.json                                     # replay a counterexample
-//	mcheck -replay cex.json -flight cex.scfr                    # + flight dump & span timeline
+//	mcheck -replay cex.json -flight cex.flight.json             # + JSON flight dump & span timeline
 //
 // The graph flags are scenario.GraphFlags, as in gossipsim and distrun;
 // the default, -graph complete -n 3, is the triangle.

@@ -4,18 +4,15 @@
 //
 // Usage:
 //
-//	tracez run.scfr                     # one line per exchange span
-//	tracez -view timeline run.scfr      # full event tree per span
-//	tracez -view phases run.scfr        # per-phase latency table (p50/p95/p99)
-//	tracez -view aborts run.scfr        # abort census by reason and pair
-//	tracez -view critical run.scfr      # slowest committed exchange, segment by segment
-//	tracez -outcome aborted -node 3 run.scfr
-//	curl -s localhost:6060/debug/flightz?format=binary | tracez -view spans -
+//	tracez run.flight.json                     # one line per exchange span
+//	tracez -view timeline run.flight.json      # full event tree per span
+//	tracez -view phases run.flight.json        # per-phase latency table (p50/p95/p99)
+//	tracez -view aborts run.flight.json        # abort census by reason and pair
+//	tracez -view critical run.flight.json      # slowest committed exchange, segment by segment
+//	tracez -outcome aborted -node 3 run.flight.json
+//	curl -s localhost:6060/debug/flightz | tracez -view spans -
 //
-// The input encoding (JSON or binary) is auto-detected. -o re-encodes the
-// dump to a file instead of rendering: because both encodings are
-// byte-deterministic functions of the content, re-encoding a dump twice
-// yields identical bytes — CI uses this as the determinism check.
+// Dumps are JSON (flight.WriteFile). An unknown -view or -outcome exits 1.
 package main
 
 import (
@@ -33,7 +30,6 @@ func main() {
 		init_   = flag.Int("init", flight.NoNode, "keep only spans initiated by this node")
 		seq     = flag.Uint64("seq", 0, "keep only the span with this initiator sequence number")
 		outcome = flag.String("outcome", "", "keep only spans with this outcome: committed | aborted | unresolved")
-		out     = flag.String("o", "", "re-encode the dump to this file instead of rendering (.json = JSON, else binary)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: tracez [flags] <dump-file | ->\n\n")
@@ -50,35 +46,9 @@ func main() {
 		fatal(err)
 	}
 
-	if *out != "" {
-		if err := d.WriteFile(*out); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d events to %s\n", len(d.Events), *out)
-		return
-	}
-
-	f := flight.NewFilter()
-	f.Node = *node
-	f.Init = *init_
-	f.Seq = *seq
-	f.Outcome = *outcome
-
-	set := flight.Stitch(d)
-	w := os.Stdout
-	switch *view {
-	case "spans":
-		flight.RenderSpans(w, set, f)
-	case "timeline":
-		flight.RenderTimeline(w, set, f)
-	case "phases":
-		flight.RenderPhases(w, set, f)
-	case "aborts":
-		flight.RenderAborts(w, set, f)
-	case "critical":
-		flight.RenderCritical(w, set, f)
-	default:
-		fatal(fmt.Errorf("unknown view %q (want spans|timeline|phases|aborts|critical)", *view))
+	f := flight.Filter{Node: *node, Init: *init_, Seq: *seq, Outcome: *outcome}
+	if err := flight.Render(os.Stdout, flight.Stitch(d), *view, f); err != nil {
+		fatal(err)
 	}
 }
 

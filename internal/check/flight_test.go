@@ -49,43 +49,43 @@ func TestReplayFlightMatchesReplay(t *testing.T) {
 
 // TestReplayFlightDeterministic pins the byte-determinism acceptance
 // criterion: two flight-instrumented replays of the same trace encode to
-// byte-identical dumps in both encodings (virtual ticks, single-threaded
-// world — nothing scheduling-dependent leaks in). The binary dump's
-// FNV-64a digest is pinned too, so a change to the step-to-record mapping
-// shows even when it is deterministic.
+// byte-identical JSON dumps (virtual ticks, single-threaded world —
+// nothing scheduling-dependent leaks in), and the dump decodes and
+// re-encodes to the same bytes. The dump's FNV-64a digest is pinned too,
+// so a change to the step-to-record mapping shows even when it is
+// deterministic.
 func TestReplayFlightDeterministic(t *testing.T) {
 	tr := mutationTrace(t)
-	encode := func() ([]byte, []byte) {
+	encode := func(d *flight.Dump) []byte {
+		var b bytes.Buffer
+		if err := d.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	replay := func() []byte {
 		rec := flight.New(tr.Graph.Nodes, 0)
 		if _, err := ReplayFlight(tr, rec); err != nil {
 			t.Fatal(err)
 		}
-		d := rec.Snapshot()
-		var j, b bytes.Buffer
-		if err := d.WriteJSON(&j); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.WriteBinary(&b); err != nil {
-			t.Fatal(err)
-		}
-		return j.Bytes(), b.Bytes()
+		return encode(rec.Snapshot())
 	}
-	j1, b1 := encode()
-	j2, b2 := encode()
+	j1, j2 := replay(), replay()
 	if !bytes.Equal(j1, j2) {
-		t.Error("two replay JSON dumps differ")
+		t.Error("two replay dumps differ")
 	}
-	if !bytes.Equal(b1, b2) {
-		t.Error("two replay binary dumps differ")
+	d, err := flight.ReadDump(bytes.NewReader(j1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(b1) == 0 || len(j1) == 0 {
-		t.Error("empty dump")
+	if !bytes.Equal(encode(d), j1) {
+		t.Error("decoding and re-encoding the replay dump changed its bytes")
 	}
-	const wantDigest = uint64(0x41966e0c9b0937c4)
+	const wantDigest = uint64(0x91de81046488aa18)
 	h := fnv.New64a()
-	h.Write(b1)
+	h.Write(j1)
 	if got := h.Sum64(); got != wantDigest {
-		t.Errorf("binary dump digest %#016x, want %#016x", got, wantDigest)
+		t.Errorf("dump digest %#016x (%d bytes), want %#016x", got, len(j1), wantDigest)
 	}
 }
 

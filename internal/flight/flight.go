@@ -29,8 +29,8 @@ import (
 	"sync/atomic"
 )
 
-// EventKind discriminates flight records. The values are part of the dump
-// format (binary and JSON) and must not be renumbered.
+// EventKind discriminates flight records. The values are part of the JSON
+// dump format and must not be renumbered.
 type EventKind uint8
 
 const (
@@ -178,12 +178,12 @@ func ReasonName(f uint8) string {
 // NoNode marks Init/Peer/Edge fields that do not apply to a record.
 const NoNode = -1
 
-// Record is one fixed-size flight event. Every field is plain data so the
-// binary dump is a flat array of 48-byte records; the JSON rendering uses
-// the short field names below. Init is the causal key: the id of the node
-// that initiated the exchange this event belongs to ((Init, Seq) names one
-// exchange attempt), or NoNode for events outside any exchange (crash,
-// recover). Emitters derive Init from the message's Kind/Re lineage — see
+// Record is one fixed-size (56-byte) flight event. Every field is plain
+// data, so recording is a struct copy; the JSON dump uses the short field
+// names below. Init is the causal key: the id of the node that initiated
+// the exchange this event belongs to ((Init, Seq) names one exchange
+// attempt), or NoNode for events outside any exchange (crash, recover).
+// Emitters derive Init from the message's Kind/Re lineage — see
 // dist.Message.Initiator.
 type Record struct {
 	// TimeNs is the event time: wall nanoseconds in the live runtime,
@@ -251,7 +251,7 @@ func (r *ring) snapshot(dst []Record) ([]Record, uint64) {
 }
 
 // DefaultRingCap is the per-node ring capacity used when New is asked for
-// zero or less: 4096 records (192 KiB per node) keeps minutes of protocol
+// zero or less: 4096 records (224 KiB per node) keeps minutes of protocol
 // history at typical exchange rates.
 const DefaultRingCap = 4096
 

@@ -2,8 +2,11 @@ package flight
 
 import (
 	"bytes"
-	"encoding/binary"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -132,45 +135,45 @@ func fullDump() *Dump {
 	return rc.Snapshot()
 }
 
-func TestDumpRoundTripBothEncodings(t *testing.T) {
+// TestDumpRoundTrip: decode∘encode is the identity, both through
+// WriteJSON/ReadDump and through WriteFile/ReadFile, and re-encoding the
+// decoded dump reproduces the exact bytes.
+func TestDumpRoundTrip(t *testing.T) {
 	d := fullDump()
-	for _, enc := range []struct {
-		name  string
-		write func(*Dump, *bytes.Buffer) error
-	}{
-		{"json", func(d *Dump, b *bytes.Buffer) error { return d.WriteJSON(b) }},
-		{"binary", func(d *Dump, b *bytes.Buffer) error { return d.WriteBinary(b) }},
-	} {
-		var buf bytes.Buffer
-		if err := enc.write(d, &buf); err != nil {
-			t.Fatalf("%s encode: %v", enc.name, err)
+	var buf bytes.Buffer
+	if err := d.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/d.flight.json"
+	if err := d.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err := os.ReadFile(path); err != nil || !bytes.Equal(raw, buf.Bytes()) {
+		t.Errorf("WriteFile wrote different bytes from WriteJSON (read error %v)", err)
+	}
+	got, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Version != d.Version || got.Nodes != d.Nodes || got.RingCap != d.RingCap || got.Overwritten != d.Overwritten {
+		t.Errorf("header round-trip mismatch: got %+v", got)
+	}
+	if len(got.Events) != len(d.Events) {
+		t.Fatalf("round-trip: %d events, want %d", len(got.Events), len(d.Events))
+	}
+	for i := range d.Events {
+		want := d.Events[i]
+		want.gseq = 0 // gseq is not serialized
+		if got.Events[i] != want {
+			t.Errorf("round-trip event %d:\n got %+v\nwant %+v", i, got.Events[i], want)
 		}
-		got, err := ReadDump(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%s decode: %v", enc.name, err)
-		}
-		if got.Version != d.Version || got.Nodes != d.Nodes || got.RingCap != d.RingCap || got.Overwritten != d.Overwritten {
-			t.Errorf("%s header round-trip mismatch: got %+v", enc.name, got)
-		}
-		if len(got.Events) != len(d.Events) {
-			t.Fatalf("%s round-trip: %d events, want %d", enc.name, len(got.Events), len(d.Events))
-		}
-		for i := range d.Events {
-			want := d.Events[i]
-			want.gseq = 0 // gseq is not serialized
-			if got.Events[i] != want {
-				t.Errorf("%s round-trip event %d:\n got %+v\nwant %+v", enc.name, i, got.Events[i], want)
-			}
-		}
-		// Re-encoding the decoded dump must reproduce the exact bytes: the
-		// encodings are deterministic functions of the content.
-		var buf2 bytes.Buffer
-		if err := enc.write(got, &buf2); err != nil {
-			t.Fatalf("%s re-encode: %v", enc.name, err)
-		}
-		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-			t.Errorf("%s encoding is not byte-deterministic across decode∘encode", enc.name)
-		}
+	}
+	var buf2 bytes.Buffer
+	if err := got.WriteJSON(&buf2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+		t.Error("JSON encoding is not byte-deterministic across decode∘encode")
 	}
 }
 
@@ -186,24 +189,13 @@ func TestDumpEncodeTwiceIdentical(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("two JSON encodings of the same dump differ")
 	}
-	a.Reset()
-	b.Reset()
-	if err := d.WriteBinary(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.WriteBinary(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("two binary encodings of the same dump differ")
-	}
 }
 
 func TestReadDumpRejectsBadVersion(t *testing.T) {
 	d := fullDump()
 	d.Version = DumpVersion + 1
 	var buf bytes.Buffer
-	if err := d.WriteBinary(&buf); err != nil {
+	if err := d.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadDump(bytes.NewReader(buf.Bytes())); err == nil {
@@ -229,44 +221,29 @@ func TestReadDumpRejectsTrailingJSON(t *testing.T) {
 	}
 }
 
-func TestReadDumpRejectsCorruptCount(t *testing.T) {
-	var buf bytes.Buffer
-	d := &Dump{Version: DumpVersion}
-	if err := d.WriteBinary(&buf); err != nil {
+// TestReadDumpRejectsBinarySeed: the fuzz corpus keeps a dump in the
+// retired 48-byte binary framing ("SCFR" magic); the JSON-only decoder
+// must reject it with an error.
+func TestReadDumpRejectsBinarySeed(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzReadDump/binary-dump")
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	// Overwrite the record count with an absurd value.
-	for i := 0; i < 8; i++ {
-		raw[4+20+i] = 0xff
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "[]byte(")
+	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil || !strings.HasPrefix(data, "SCFR") {
+		t.Fatalf("binary seed is not a quoted SCFR dump (unquote: %v)", err)
 	}
-	if _, err := ReadDump(bytes.NewReader(raw)); err == nil {
-		t.Error("corrupt record count not rejected")
-	}
-}
-
-// TestReadDumpHugeCountFailsCleanly feeds a bare 32-byte header that
-// claims the largest accepted record count and carries no records: the
-// decoder must report the missing first record, not reserve memory for
-// all of them.
-func TestReadDumpHugeCountFailsCleanly(t *testing.T) {
-	var buf bytes.Buffer
-	if err := (&Dump{Version: DumpVersion}).WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	binary.LittleEndian.PutUint64(raw[4+20:], 1<<28)
-	_, err := ReadDump(bytes.NewReader(raw))
-	if err == nil || !strings.Contains(err.Error(), "reading record 0 of 268435456") {
-		t.Errorf("ReadDump on a %d-byte header claiming 2^28 records: %v", len(raw), err)
+	if _, err := ReadDump(strings.NewReader(data)); err == nil {
+		t.Error("binary dump decoded without error")
 	}
 }
 
 // FuzzReadDump feeds arbitrary bytes to the dump decoder and to everything
 // downstream of it (cmd/tracez's path): an input either fails to decode
 // with an error, or decodes, stitches and renders in every view. A decoded
-// binary dump re-encodes to the input bytes, except for each record's
-// padding and anything after the last record, which the decoder ignores.
+// dump's encoding is a fixed point: encode∘decode∘encode = encode, byte
+// for byte.
 func FuzzReadDump(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := ReadDump(bytes.NewReader(data))
@@ -274,46 +251,70 @@ func FuzzReadDump(f *testing.F) {
 			return
 		}
 		set := Stitch(d)
-		for _, render := range []func(io.Writer, *SpanSet, Filter){
-			RenderSpans, RenderTimeline, RenderPhases, RenderAborts, RenderCritical,
-		} {
-			render(io.Discard, set, NewFilter())
-		}
-		if !bytes.HasPrefix(data, binaryMagic[:]) {
-			return
+		for _, view := range views {
+			if err := Render(io.Discard, set, view, NewFilter()); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var enc bytes.Buffer
-		if err := d.WriteBinary(&enc); err != nil {
+		if err := d.WriteJSON(&enc); err != nil {
 			t.Fatal(err)
 		}
-		want := bytes.Clone(data[:enc.Len()])
-		for off := 4 + 28; off < len(want); off += recordSize {
-			clear(want[off+44 : off+recordSize])
+		d2, err := ReadDump(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatalf("re-decoding an encoded dump: %v", err)
 		}
-		if !bytes.Equal(enc.Bytes(), want) {
-			t.Fatalf("binary decode∘encode changed the dump:\n got %x\nwant %x", enc.Bytes(), want)
+		var enc2 bytes.Buffer
+		if err := d2.WriteJSON(&enc2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc.Bytes(), enc2.Bytes()) {
+			t.Fatalf("encode∘decode∘encode changed the dump:\n got %s\nwant %s", enc2.Bytes(), enc.Bytes())
 		}
 	})
 }
 
-func TestWriteFilePicksEncodingBySuffix(t *testing.T) {
-	d := fullDump()
-	dir := t.TempDir()
-	jsonPath := dir + "/d.json"
-	binPath := dir + "/d.scfr"
-	if err := d.WriteFile(jsonPath); err != nil {
+// views lists every view Render accepts.
+var views = []string{"spans", "timeline", "phases", "aborts", "critical"}
+
+// TestHandler drives /debug/flightz: the default body is the recorder's
+// JSON dump, every view renders, and a filter that does not parse or
+// names an unknown outcome is a 400 rather than a widened or empty view.
+func TestHandler(t *testing.T) {
+	rc := New(2, 8)
+	for _, e := range fullDump().Events {
+		rc.Record(e)
+	}
+	get := func(query string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		Handler(rc).ServeHTTP(w, httptest.NewRequest("GET", "/debug/flightz"+query, nil))
+		return w
+	}
+	w := get("")
+	var want bytes.Buffer
+	if err := rc.Snapshot().WriteJSON(&want); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.WriteFile(binPath); err != nil {
-		t.Fatal(err)
+	if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want.Bytes()) {
+		t.Errorf("default body (status %d) is not Snapshot().WriteJSON:\n%s", w.Code, w.Body)
 	}
-	for _, p := range []string{jsonPath, binPath} {
-		got, err := ReadFile(p)
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
+	if _, err := ReadDump(w.Body); err != nil {
+		t.Errorf("default body does not decode: %v", err)
+	}
+	for _, view := range views {
+		if w := get("?view=" + view); w.Code != http.StatusOK || w.Body.Len() == 0 {
+			t.Errorf("view %s: status %d, %d bytes", view, w.Code, w.Body.Len())
 		}
-		if len(got.Events) != len(d.Events) {
-			t.Errorf("%s: %d events, want %d", p, len(got.Events), len(d.Events))
+	}
+	for _, query := range []string{
+		"?view=spans&outcome=commited",
+		"?view=spans&node=abc",
+		"?view=spans&init=x",
+		"?view=spans&seq=-1",
+		"?view=nope",
+	} {
+		if w := get(query); w.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400:\n%s", query, w.Code, w.Body)
 		}
 	}
 }

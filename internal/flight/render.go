@@ -11,6 +11,36 @@ import (
 // given span set and filter (no map iteration, stable sorts), so piping
 // tracez output through a byte-diff is a valid regression check.
 
+// Render writes the named view of set — spans, timeline, phases, aborts or
+// critical — restricted to f. It fails before writing anything when the
+// view or f's outcome is unknown, so a typo is an error rather than an
+// empty rendering. cmd/tracez and the /debug/flightz handler both render
+// through it.
+func Render(w io.Writer, set *SpanSet, view string, f Filter) error {
+	switch f.Outcome {
+	case "", OutcomeCommitted, OutcomeAborted, OutcomeUnresolved:
+	default:
+		return fmt.Errorf("unknown outcome %q (want committed|aborted|unresolved)", f.Outcome)
+	}
+	var render func(io.Writer, *SpanSet, Filter)
+	switch view {
+	case "spans":
+		render = RenderSpans
+	case "timeline":
+		render = RenderTimeline
+	case "phases":
+		render = RenderPhases
+	case "aborts":
+		render = RenderAborts
+	case "critical":
+		render = RenderCritical
+	default:
+		return fmt.Errorf("unknown view %q (want spans|timeline|phases|aborts|critical)", view)
+	}
+	render(w, set, f)
+	return nil
+}
+
 func fmtDur(ns int64) string {
 	if ns < 0 {
 		return "?"

@@ -183,8 +183,8 @@ func Stitch(d *Dump) *SpanSet {
 	return set
 }
 
-// Filter selects spans for the rendering views. The zero value matches
-// everything.
+// Filter selects spans for the rendering views. NewFilter returns the
+// filter that matches everything.
 type Filter struct {
 	// Node restricts to spans whose initiator or responder is this node
 	// (NoNode/negative = any). Use the Init field to match initiators only.

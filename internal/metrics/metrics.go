@@ -9,8 +9,8 @@
 // *Gauge or *Histogram are no-ops — and a nil *Registry hands out nil
 // instruments, so "disabled" call sites compile to a method call whose
 // body is one predictable branch. Enabled counters are sharded across
-// padded cache lines so concurrent writers (one goroutine per dist node,
-// one per sweep worker) do not serialise on a single cache line.
+// padded cache lines so concurrent writers (the dist runtime's shard
+// loops, the sweep workers) do not serialise on a single cache line.
 //
 // Snapshots are deterministic: Snapshot() renders sorted names and exact
 // integer state, so two runs that performed the same recorded work produce
@@ -43,9 +43,9 @@ type cell struct {
 	_ [56]byte
 }
 
-// Counter is a monotone sharded counter. Writers pick a shard — typically
-// their node ID or worker index — so independent actors land on distinct
-// cache lines; readers sum all shards. The zero value is ready to use; all
+// Counter is a monotone sharded counter. Writers pick a shard — their dist
+// shard-loop index or sweep-worker index — so independent writers land on
+// distinct cache lines; readers sum all shards. The zero value is ready to use; all
 // methods are safe for concurrent use and no-ops on a nil receiver.
 type Counter struct {
 	cells [NumShards]cell

@@ -302,10 +302,9 @@ func NewFlightRecorder(nodes, perNodeCap int) *FlightRecorder {
 }
 
 // FlightHandler serves rec's live capture over HTTP: the JSON dump by
-// default, ?format=binary for the binary framing, and
-// ?view=spans|timeline|phases|aborts|critical for the tracez text views
-// (filterable by ?node=, ?init=, ?seq=, ?outcome=). cmd/distrun mounts it
-// at /debug/flightz.
+// default, and ?view=spans|timeline|phases|aborts|critical for the tracez
+// text views (filterable by ?node=, ?init=, ?seq=, ?outcome=; a value that
+// does not parse is a 400). cmd/distrun mounts it at /debug/flightz.
 func FlightHandler(rec *FlightRecorder) http.Handler { return flight.Handler(rec) }
 
 // NewShardRuntime builds the decentralized runtime for rule on g with
