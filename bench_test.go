@@ -13,6 +13,7 @@ package sparsecut
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,19 +33,19 @@ func benchExperiment(b *testing.B, id string, metrics ...string) {
 	if !ok {
 		b.Fatalf("experiment %s not registered", id)
 	}
-	var last map[string]float64
+	var last []report.Metric
 	for i := 0; i < b.N; i++ {
 		sec, err := e.RunEntry(report.Params{Quick: true, Seed: uint64(i + 1)})
 		if err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
-		last = sec.MetricMap()
+		last = sec.Metrics
 	}
-	for _, m := range metrics {
-		if v, ok := last[m]; ok {
+	for _, m := range last {
+		if slices.Contains(metrics, m.Name) {
 			// testing.B forbids whitespace in metric units.
-			unit := strings.NewReplacer(" ", "_", "(", "", ")", "", ".", "").Replace(m)
-			b.ReportMetric(v, unit)
+			unit := strings.NewReplacer(" ", "_", "(", "", ")", "", ".", "").Replace(m.Name)
+			b.ReportMetric(m.Value, unit)
 		}
 	}
 }

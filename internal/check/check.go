@@ -39,8 +39,8 @@
 //
 // A violated invariant yields a JSON-serializable counterexample Trace
 // which Replay re-executes deterministically to the same violation; traces
-// also re-encode as schedule byte-strings (EncodeSchedule) to seed the
-// package's fuzz harness (FuzzSchedule).
+// also re-encode as schedule byte-strings to seed the package's fuzz
+// harness (FuzzSchedule).
 package check
 
 import (

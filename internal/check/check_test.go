@@ -139,11 +139,11 @@ func TestMutationsCaught(t *testing.T) {
 			}
 
 			// ...and re-encoded as a schedule byte-string (the fuzz format).
-			sched, err := EncodeSchedule(spec, opt, tr.Actions)
+			sched, err := encodeSchedule(spec, opt, tr.Actions)
 			if err != nil {
 				t.Fatalf("encoding schedule: %v", err)
 			}
-			_, v, err = RunSchedule(spec, opt, sched)
+			_, v, err = runSchedule(spec, opt, sched)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,7 +220,7 @@ func TestSpecValidation(t *testing.T) {
 // TestEncodeScheduleRejectsForeignAction: an action that is not enabled at
 // its step must not silently encode.
 func TestEncodeScheduleRejectsForeignAction(t *testing.T) {
-	_, err := EncodeSchedule(triangleSpec(), faultOptions(4), []Action{{Op: OpTimeout, Node: 0}})
+	_, err := encodeSchedule(triangleSpec(), faultOptions(4), []Action{{Op: OpTimeout, Node: 0}})
 	if err == nil || !strings.Contains(err.Error(), "not enabled") {
 		t.Fatalf("error %v, want 'not enabled'", err)
 	}

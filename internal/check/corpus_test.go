@@ -39,7 +39,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 		if res.Counterexample == nil {
 			t.Fatalf("mutation %s produced no counterexample", mu)
 		}
-		sched, err := EncodeSchedule(fspec, fopt, res.Counterexample.Actions)
+		sched, err := encodeSchedule(fspec, fopt, res.Counterexample.Actions)
 		if err != nil {
 			t.Fatalf("%s: %v", mu, err)
 		}

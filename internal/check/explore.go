@@ -127,69 +127,3 @@ func RandomWalk(spec Spec, opt Options, seed uint64, walks int) (*Result, error)
 	}
 	return res, nil
 }
-
-// RunSchedule drives one world by a schedule byte-string: byte i selects
-// among the actions enabled at step i (index modulo their count). The
-// schedule ends at its last byte or when no action is enabled. This is the
-// decoder the fuzz harness uses; counterexample traces re-encode into the
-// same format via EncodeSchedule to seed its corpus. Returns the actions
-// taken and the violation, if any.
-func RunSchedule(spec Spec, opt Options, schedule []byte) ([]Action, *Violation, error) {
-	opt = opt.withDefaults()
-	w, err := newWorld(spec, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	var path []Action
-	for _, b := range schedule {
-		acts := w.enabled()
-		if len(acts) == 0 {
-			break
-		}
-		a := acts[int(b)%len(acts)]
-		path = append(path, a)
-		if err := w.apply(a); err != nil {
-			if v, ok := err.(*Violation); ok {
-				return path, v, nil
-			}
-			return path, nil, err
-		}
-	}
-	return path, nil, nil
-}
-
-// EncodeSchedule re-expresses an action sequence as a schedule byte-string
-// (the inverse of RunSchedule's decoding): byte i is the index of action i
-// in the enabled-action list at that step. It fails if an action is not
-// enabled at its step under opt's budgets.
-func EncodeSchedule(spec Spec, opt Options, actions []Action) ([]byte, error) {
-	opt = opt.withDefaults()
-	w, err := newWorld(spec, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, len(actions))
-	for i, a := range actions {
-		idx := -1
-		for j, b := range w.enabled() {
-			if a.same(b) {
-				idx = j
-				break
-			}
-		}
-		if idx < 0 {
-			return nil, fmt.Errorf("check: action %d (%s) is not enabled at its step", i, a.Op)
-		}
-		if idx > 255 {
-			return nil, fmt.Errorf("check: enabled-action index %d does not fit a schedule byte", idx)
-		}
-		out = append(out, byte(idx))
-		if err := w.apply(a); err != nil {
-			if _, ok := err.(*Violation); ok && i == len(actions)-1 {
-				break // the recorded violation, at the recorded last step
-			}
-			return nil, err
-		}
-	}
-	return out, nil
-}

@@ -2,6 +2,7 @@ package check
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"sparsecut/internal/dist"
@@ -33,7 +34,7 @@ func fuzzSystem() (Spec, Options) {
 // the two seed bugs MutNackRoleConfusion and MutLaxWatermarkDedup were
 // fixed). The committed corpus under testdata/fuzz/FuzzSchedule is the
 // mutation counterexamples of TestMutationsCaught re-encoded by
-// EncodeSchedule — counterexample traces double as fuzz seeds.
+// encodeSchedule — counterexample traces double as fuzz seeds.
 func FuzzSchedule(f *testing.F) {
 	spec, opt := fuzzSystem()
 	// A plain committed exchange and a NACK/timeout path, as inline seeds.
@@ -43,7 +44,7 @@ func FuzzSchedule(f *testing.F) {
 		if len(schedule) > 96 {
 			schedule = schedule[:96]
 		}
-		actions, v, err := RunSchedule(spec, opt, schedule)
+		actions, v, err := runSchedule(spec, opt, schedule)
 		if err != nil {
 			t.Fatalf("schedule did not run: %v", err)
 		}
@@ -101,12 +102,78 @@ func TestFuzzSeedsFromCounterexamples(t *testing.T) {
 		}
 		// Re-encode the counterexample's schedule under the fuzz target's
 		// options (the seed-corpus encoding).
-		sched, err := EncodeSchedule(fspec, fopt, res.Counterexample.Actions)
+		sched, err := encodeSchedule(fspec, fopt, res.Counterexample.Actions)
 		if err != nil {
 			t.Fatalf("%s: counterexample does not encode under fuzz options: %v", mu, err)
 		}
-		if _, v, err := RunSchedule(fspec, fopt, sched); err != nil || v != nil {
+		if _, v, err := runSchedule(fspec, fopt, sched); err != nil || v != nil {
 			t.Fatalf("%s: seed schedule must be clean on the correct protocol, got v=%v err=%v", mu, v, err)
 		}
 	}
+}
+
+// runSchedule drives one world by a schedule byte-string: byte i selects
+// among the actions enabled at step i (index modulo their count). The
+// schedule ends at its last byte or when no action is enabled. This is the
+// decoder the fuzz harness uses; counterexample traces re-encode into the
+// same format via encodeSchedule to seed its corpus. Returns the actions
+// taken and the violation, if any.
+func runSchedule(spec Spec, opt Options, schedule []byte) ([]Action, *Violation, error) {
+	opt = opt.withDefaults()
+	w, err := newWorld(spec, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	var path []Action
+	for _, b := range schedule {
+		acts := w.enabled()
+		if len(acts) == 0 {
+			break
+		}
+		a := acts[int(b)%len(acts)]
+		path = append(path, a)
+		if err := w.apply(a); err != nil {
+			if v, ok := err.(*Violation); ok {
+				return path, v, nil
+			}
+			return path, nil, err
+		}
+	}
+	return path, nil, nil
+}
+
+// encodeSchedule re-expresses an action sequence as a schedule byte-string
+// (the inverse of runSchedule's decoding): byte i is the index of action i
+// in the enabled-action list at that step. It fails if an action is not
+// enabled at its step under opt's budgets.
+func encodeSchedule(spec Spec, opt Options, actions []Action) ([]byte, error) {
+	opt = opt.withDefaults()
+	w, err := newWorld(spec, opt)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, len(actions))
+	for i, a := range actions {
+		idx := -1
+		for j, b := range w.enabled() {
+			if a.same(b) {
+				idx = j
+				break
+			}
+		}
+		if idx < 0 {
+			return nil, fmt.Errorf("check: action %d (%s) is not enabled at its step", i, a.Op)
+		}
+		if idx > 255 {
+			return nil, fmt.Errorf("check: enabled-action index %d does not fit a schedule byte", idx)
+		}
+		out = append(out, byte(idx))
+		if err := w.apply(a); err != nil {
+			if _, ok := err.(*Violation); ok && i == len(actions)-1 {
+				break // the recorded violation, at the recorded last step
+			}
+			return nil, err
+		}
+	}
+	return out, nil
 }

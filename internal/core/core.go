@@ -81,8 +81,6 @@ type SparseCutAveraging struct {
 	ecTicks  int64
 	swaps    int64
 	listener func(SwapEvent)
-
-	tvan1, tvan2 float64 // the Tvan estimates used to size the epoch (0 if user-supplied K)
 }
 
 var _ gossip.Algorithm = (*SparseCutAveraging)(nil)
@@ -234,7 +232,6 @@ func New(g *graph.Graph, x0 []float64, opts ...Option) (*SparseCutAveraging, err
 		if cfg.epochC <= 0 {
 			return nil, fmt.Errorf("core: epoch constant %v must be positive", cfg.epochC)
 		}
-		a.tvan1, a.tvan2 = tvan1, tvan2
 		target := cfg.epochC * (tvan1 + tvan2) * math.Log(float64(g.NumNodes()))
 		if cfg.allCutEdges {
 			// In all-cut-edges mode the counter ticks |E12| times faster,
@@ -390,12 +387,6 @@ func (a *SparseCutAveraging) EpochTicks() int64 { return a.epochK }
 
 // Swaps returns the number of non-convex swaps performed so far.
 func (a *SparseCutAveraging) Swaps() int64 { return a.swaps }
-
-// TvanEstimates returns the per-side Tvan values that sized the epoch
-// (zeros when the caller fixed K directly).
-func (a *SparseCutAveraging) TvanEstimates() (tvan1, tvan2 float64) {
-	return a.tvan1, a.tvan2
-}
 
 // EpochDuration returns the expected simulated time between swaps: K ticks
 // of a rate-1 edge clock take K time units in expectation (or K/|E12| in

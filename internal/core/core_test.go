@@ -89,10 +89,6 @@ func TestNewDefaults(t *testing.T) {
 	if a.CutEdge() != p.CutEdges()[0] {
 		t.Error("default ec is not the designated cut edge")
 	}
-	tv1, tv2 := a.TvanEstimates()
-	if tv1 <= 0 || tv2 <= 0 {
-		t.Errorf("Tvan estimates (%v, %v) should be positive", tv1, tv2)
-	}
 	if a.Name() == "" {
 		t.Error("empty name")
 	}
@@ -343,7 +339,10 @@ func TestEpochFormulaMatchesPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tv1, tv2 := a.TvanEstimates()
+	tv1, tv2, err := SideTvanBounds(p, spectral.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := int64(math.Ceil(c * (tv1 + tv2) * math.Log(16)))
 	if want < 1 {
 		want = 1

@@ -15,7 +15,6 @@ import (
 	"sparsecut/internal/flight"
 	"sparsecut/internal/gossip"
 	"sparsecut/internal/graph"
-	"sparsecut/internal/leakcheck"
 	"sparsecut/internal/metrics"
 	"sparsecut/internal/rng"
 )
@@ -494,7 +493,7 @@ func TestShardRuntimeShutdownNoLeak(t *testing.T) { testNoLeak(t, 3) }
 func TestNoGoroutineLeakAfterRun(t *testing.T) { testNoLeak(t, perNode) }
 
 func testNoLeak(t *testing.T, shards int) {
-	base := leakcheck.Snapshot()
+	base := leakSnapshot()
 	g, _, x0 := dumbbellCase(t)
 	for _, delay := range []time.Duration{0, time.Millisecond} {
 		rt := newTestRuntime(t, g, x0, NewVanillaRule(), shards, ClusterConfig{
@@ -510,7 +509,7 @@ func testNoLeak(t *testing.T, shards int) {
 			}
 		}
 	}
-	base.Check(t)
+	base.check(t)
 }
 
 // TestShardRuntimeContextCancel cancels mid-run: Run must drain to
@@ -523,7 +522,7 @@ func TestShardRuntimeContextCancel(t *testing.T) { testCancel(t, 3) }
 func TestCleanShutdownOnContextCancel(t *testing.T) { testCancel(t, perNode) }
 
 func testCancel(t *testing.T, shards int) {
-	base := leakcheck.Snapshot()
+	base := leakSnapshot()
 	g, part, x0 := dumbbellCase(t)
 	rule, err := NewSparseCutRule(part, part.CutEdges()[0], 2, 3)
 	if err != nil {
@@ -546,11 +545,11 @@ func testCancel(t *testing.T, shards int) {
 	if drift := math.Abs(sum(rt.Values()) - sum(x0)); drift > 1e-9 {
 		t.Errorf("sum drifted by %g across a cancelled run", drift)
 	}
-	base.Check(t)
+	base.check(t)
 	if err := rt.Run(context.Background(), 1); err != nil {
 		t.Errorf("Run after cancelled run: %v", err)
 	}
-	base.Check(t)
+	base.check(t)
 }
 
 // TestShardRuntimeValidation pins the constructor's input checking.

@@ -24,7 +24,7 @@ func TestRingOfCliques(t *testing.T) {
 	if part.CutSize() != 4 {
 		t.Fatalf("cut size = %d, want 4", part.CutSize())
 	}
-	if !SidesInternallyConnected(part) {
+	if !sidesInternallyConnected(part) {
 		t.Fatal("ring-of-cliques sides not internally connected")
 	}
 }
@@ -75,7 +75,7 @@ func TestTorusDumbbell(t *testing.T) {
 	if part.CutSize() != 4 {
 		t.Fatalf("cut size = %d, want 4", part.CutSize())
 	}
-	if !SidesInternallyConnected(part) {
+	if !sidesInternallyConnected(part) {
 		t.Fatal("torus-dumbbell sides not internally connected")
 	}
 	// Degree is bounded: 4 inside the tori, at most 5 on the rims (one cut

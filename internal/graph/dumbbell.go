@@ -138,7 +138,7 @@ func PlantedPartition(r *rng.RNG, n1, n2 int, pIn, pOut float64, maxTries int) (
 		if err != nil {
 			return nil, nil, err
 		}
-		if part.CutSize() >= 1 && sidesInternallyConnected(g, part) {
+		if part.CutSize() >= 1 && sidesInternallyConnected(part) {
 			return g, part, nil
 		}
 	}

@@ -75,62 +75,6 @@ func Grid(rows, cols int) *Graph {
 	return b.MustBuild()
 }
 
-// maxHypercubeDim bounds the exponential-size hypercube generator (a guard
-// against absurd sizes).
-const maxHypercubeDim = 20
-
-// Hypercube returns the d-dimensional hypercube Q_d on 2^d nodes. It panics
-// if d < 0 or d > maxHypercubeDim.
-func Hypercube(d int) *Graph {
-	if d < 0 || d > maxHypercubeDim {
-		panic(fmt.Sprintf("graph: hypercube dimension %d out of [0,%d]", d, maxHypercubeDim))
-	}
-	n := 1 << uint(d)
-	b := NewBuilder(n).SetName(fmt.Sprintf("hypercube(d=%d)", d))
-	for u := 0; u < n; u++ {
-		for bit := 0; bit < d; bit++ {
-			v := u ^ (1 << uint(bit))
-			if u < v {
-				b.AddEdge(NodeID(u), NodeID(v))
-			}
-		}
-	}
-	return b.MustBuild()
-}
-
-// CompleteBipartite returns K_{a,b}: nodes 0..a-1 on the left, a..a+b-1 on
-// the right. It panics unless a, b >= 1.
-func CompleteBipartite(a, bCount int) *Graph {
-	if a < 1 || bCount < 1 {
-		panic(fmt.Sprintf("graph: complete bipartite needs positive sides, got %d,%d", a, bCount))
-	}
-	b := NewBuilder(a + bCount).SetName(fmt.Sprintf("bipartite(%d,%d)", a, bCount))
-	for u := 0; u < a; u++ {
-		for v := a; v < a+bCount; v++ {
-			b.AddEdge(NodeID(u), NodeID(v))
-		}
-	}
-	return b.MustBuild()
-}
-
-// Lollipop returns a clique of size m attached to a path of length tail
-// (the classic slow-mixing example). It panics unless m >= 1, tail >= 0.
-func Lollipop(m, tail int) *Graph {
-	if m < 1 || tail < 0 {
-		panic(fmt.Sprintf("graph: lollipop needs m >= 1, tail >= 0, got %d, %d", m, tail))
-	}
-	b := NewBuilder(m + tail).SetName(fmt.Sprintf("lollipop(m=%d,tail=%d)", m, tail))
-	for u := 0; u < m; u++ {
-		for v := u + 1; v < m; v++ {
-			b.AddEdge(NodeID(u), NodeID(v))
-		}
-	}
-	for u := m - 1; u < m+tail-1; u++ {
-		b.AddEdge(NodeID(u), NodeID(u+1))
-	}
-	return b.MustBuild()
-}
-
 // gridPositions lays rows x cols nodes on the unit square, used by DOT
 // export of lattice graphs for nicer rendering.
 func gridPositions(rows, cols int) []Point {

@@ -1,10 +1,20 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 
 	"sparsecut/internal/rng"
 )
+
+// diameter is the largest BFS distance in a connected graph.
+func diameter(g *Graph) int {
+	d := 0
+	for u := range g.NumNodes() {
+		d = max(d, slices.Max(BFSDistances(g, NodeID(u))))
+	}
+	return d
+}
 
 func TestComplete(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 10} {
@@ -28,7 +38,7 @@ func TestPath(t *testing.T) {
 	if g.NumEdges() != 5 {
 		t.Errorf("P_6 has %d edges", g.NumEdges())
 	}
-	if d := Diameter(g); d != 5 {
+	if d := diameter(g); d != 5 {
 		t.Errorf("P_6 diameter %d", d)
 	}
 	if g.Degree(0) != 1 || g.Degree(3) != 2 {
@@ -49,7 +59,7 @@ func TestCycle(t *testing.T) {
 			t.Errorf("C_7 node %d degree %d", u, g.Degree(NodeID(u)))
 		}
 	}
-	if d := Diameter(g); d != 3 {
+	if d := diameter(g); d != 3 {
 		t.Errorf("C_7 diameter %d, want 3", d)
 	}
 }
@@ -73,7 +83,7 @@ func TestStar(t *testing.T) {
 			t.Errorf("leaf %d degree %d", u, g.Degree(NodeID(u)))
 		}
 	}
-	if d := Diameter(g); d != 2 {
+	if d := diameter(g); d != 2 {
 		t.Errorf("star diameter %d", d)
 	}
 }
@@ -93,117 +103,8 @@ func TestGrid(t *testing.T) {
 	if !g.HasPositions() {
 		t.Error("grid should carry positions")
 	}
-	if d := Diameter(g); d != 5 {
+	if d := diameter(g); d != 5 {
 		t.Errorf("3x4 grid diameter %d, want 5", d)
-	}
-}
-
-func TestHypercube(t *testing.T) {
-	g := Hypercube(4)
-	if g.NumNodes() != 16 || g.NumEdges() != 32 {
-		t.Errorf("Q_4: %d nodes %d edges", g.NumNodes(), g.NumEdges())
-	}
-	for u := 0; u < 16; u++ {
-		if g.Degree(NodeID(u)) != 4 {
-			t.Error("Q_4 not 4-regular")
-		}
-	}
-	if d := Diameter(g); d != 4 {
-		t.Errorf("Q_4 diameter %d", d)
-	}
-	if g0 := Hypercube(0); g0.NumNodes() != 1 || g0.NumEdges() != 0 {
-		t.Error("Q_0 should be a single node")
-	}
-}
-
-func TestCompleteBipartite(t *testing.T) {
-	g := CompleteBipartite(3, 4)
-	if g.NumEdges() != 12 {
-		t.Errorf("%d edges", g.NumEdges())
-	}
-	if g.Degree(0) != 4 || g.Degree(5) != 3 {
-		t.Error("wrong bipartite degrees")
-	}
-}
-
-func TestLollipop(t *testing.T) {
-	g := Lollipop(5, 3)
-	if g.NumNodes() != 8 {
-		t.Errorf("%d nodes", g.NumNodes())
-	}
-	if want := 5*4/2 + 3; g.NumEdges() != want {
-		t.Errorf("%d edges, want %d", g.NumEdges(), want)
-	}
-	if !IsConnected(g) {
-		t.Error("lollipop disconnected")
-	}
-	if g.Degree(7) != 1 {
-		t.Error("tail end should have degree 1")
-	}
-}
-
-func TestGnPExtremes(t *testing.T) {
-	r := rng.New(1)
-	if g := GnP(r, 10, 0); g.NumEdges() != 0 {
-		t.Error("G(10,0) has edges")
-	}
-	if g := GnP(r, 10, 1); g.NumEdges() != 45 {
-		t.Errorf("G(10,1) has %d edges, want 45", g.NumEdges())
-	}
-}
-
-func TestGnPEdgeCount(t *testing.T) {
-	r := rng.New(2)
-	n, p := 60, 0.25
-	total := 0
-	const reps = 30
-	for i := 0; i < reps; i++ {
-		total += GnP(r, n, p).NumEdges()
-	}
-	mean := float64(total) / reps
-	want := p * float64(n*(n-1)/2)
-	if mean < want*0.9 || mean > want*1.1 {
-		t.Errorf("G(n,p) mean edge count %v, want ~%v", mean, want)
-	}
-}
-
-func TestGnPConnected(t *testing.T) {
-	r := rng.New(3)
-	g, err := GnPConnected(r, 30, 0.3, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsConnected(g) {
-		t.Error("GnPConnected returned disconnected graph")
-	}
-	if _, err := GnPConnected(r, 30, 0.0, 3); err == nil {
-		t.Error("expected failure for p=0")
-	}
-}
-
-func TestRandomRegular(t *testing.T) {
-	r := rng.New(4)
-	g, err := RandomRegular(r, 20, 4, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < 20; u++ {
-		if g.Degree(NodeID(u)) != 4 {
-			t.Fatalf("node %d degree %d, want 4", u, g.Degree(NodeID(u)))
-		}
-	}
-}
-
-func TestRandomRegularErrors(t *testing.T) {
-	r := rng.New(5)
-	if _, err := RandomRegular(r, 5, 3, 10); err == nil {
-		t.Error("odd n*d not rejected")
-	}
-	if _, err := RandomRegular(r, 4, 4, 10); err == nil {
-		t.Error("d >= n not rejected")
-	}
-	if _, err := RandomRegular(r, -1, 2, 10); err == nil {
-		t.Error("negative n not rejected")
 	}
 }
 
@@ -229,7 +130,7 @@ func TestWalledRGG(t *testing.T) {
 	if part.CutSize() != 2 {
 		t.Errorf("cut size %d, want 2 (doors)", part.CutSize())
 	}
-	if !SidesInternallyConnected(part) {
+	if !sidesInternallyConnected(part) {
 		t.Error("walled RGG sides not internally connected")
 	}
 	if !IsConnected(g) {

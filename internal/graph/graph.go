@@ -1,9 +1,9 @@
 // Package graph provides the immutable undirected-graph substrate used by
 // every simulator and experiment in this repository: a compact adjacency
 // representation, a validating builder, a library of generators (complete
-// graphs, dumbbells, random graphs, geometric graphs, ...), vertex
+// graphs, dumbbells, planted partitions, geometric graphs, ...), vertex
 // partitions with cut/conductance accounting, traversal utilities, and
-// plain-text I/O.
+// Graphviz DOT export.
 //
 // Graphs are simple (no self-loops, no parallel edges) and undirected.
 // Nodes are identified by dense integer IDs in [0, NumNodes), edges by dense

@@ -139,14 +139,8 @@ func TestRequireConnected(t *testing.T) {
 // Property: for every generator output, sum of degrees equals 2|E| and
 // every edge id round-trips through the adjacency structure.
 func TestDegreeSumInvariant(t *testing.T) {
-	r := rng.New(99)
-	graphs := []*Graph{
-		Complete(7), Path(9), Cycle(6), Star(8), Grid(3, 5),
-		Hypercube(4), CompleteBipartite(3, 4), Lollipop(5, 3),
-		GnP(r, 20, 0.3),
-	}
-	for _, g := range graphs {
-		if got, want := DegreeSum(g), 2*g.NumEdges(); got != want {
+	for _, g := range oracleGraphs(t) {
+		if got, want := degreeSum(g), 2*g.NumEdges(); got != want {
 			t.Errorf("%s: degree sum %d != 2|E| = %d", g, got, want)
 		}
 		for u := 0; u < g.NumNodes(); u++ {
@@ -157,6 +151,15 @@ func TestDegreeSumInvariant(t *testing.T) {
 			}
 		}
 	}
+}
+
+// degreeSum is the sum of all degrees, 2|E| on any valid graph.
+func degreeSum(g *Graph) int {
+	s := 0
+	for u := range g.NumNodes() {
+		s += g.Degree(NodeID(u))
+	}
+	return s
 }
 
 func TestBuilderEdgeIDsAreInsertionOrdered(t *testing.T) {
@@ -194,7 +197,7 @@ func TestBuilderQuickProperty(t *testing.T) {
 			}
 			seen[e] = true
 		}
-		return DegreeSum(g) == 2*g.NumEdges()
+		return degreeSum(g) == 2*g.NumEdges()
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -333,18 +336,8 @@ func oracleGraphs(t *testing.T) []*Graph {
 		}
 		return g
 	}
-	mustG := func(g *Graph, err error) *Graph {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
 	gs := []*Graph{
 		Complete(7), Path(9), Cycle(6), Star(8), Grid(3, 5),
-		Hypercube(4), CompleteBipartite(3, 4), Lollipop(5, 3),
-		GnP(r, 20, 0.3), mustG(GnPConnected(r, 24, 0.25, 50)),
-		mustG(RandomRegular(r, 16, 3, 50)),
 		must(WalledRGG(r, 40, 0.35, 2, 50)),
 		must(Dumbbell(9, 7, 3)), must(SymmetricDumbbell(12, 1)),
 		must(TorusDumbbell(40, 3)), must(TorusDumbbell(30, 2)),
@@ -437,7 +430,7 @@ func TestGeneratorDigestPinned(t *testing.T) {
 			}
 		}
 	}
-	const want uint64 = 0x14a39ea8e0344dfe
+	const want uint64 = 0x6d5c4aff5ebdd404
 	if got := h.Sum64(); got != want {
 		t.Fatalf("generator digest %#x, want %#x", got, want)
 	}

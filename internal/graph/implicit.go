@@ -135,15 +135,6 @@ func (t *Tiling) Bounds() [][2]int32 {
 	return out
 }
 
-// InternalEdges sums the per-tile internal edge counts.
-func (t *Tiling) InternalEdges() int64 {
-	var sum int64
-	for i := range t.Tiles {
-		sum += t.Tiles[i].Edges
-	}
-	return sum
-}
-
 // --- clique arithmetic ---------------------------------------------------
 
 // cliqueEdges returns C(s, 2) without intermediate overflow for any s

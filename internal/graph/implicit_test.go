@@ -141,9 +141,13 @@ func TestImplicitTilingInvariants(t *testing.T) {
 		if int(next) != til.N {
 			t.Fatalf("%s: tiles cover [0,%d), want [0,%d)", label, next, til.N)
 		}
-		if got := til.InternalEdges() + int64(len(til.Boundary)); got != ig.NumEdges() {
+		var internal int64
+		for _, tl := range til.Tiles {
+			internal += tl.Edges
+		}
+		if got := internal + int64(len(til.Boundary)); got != ig.NumEdges() {
 			t.Fatalf("%s: internal %d + boundary %d != NumEdges %d",
-				label, til.InternalEdges(), len(til.Boundary), ig.NumEdges())
+				label, internal, len(til.Boundary), ig.NumEdges())
 		}
 		tileOf := func(u NodeID) int {
 			for i, tl := range til.Tiles {

@@ -172,7 +172,7 @@ func (p *Partition) String() string {
 
 // sidesInternallyConnected reports whether each side's induced subgraph is
 // connected — the paper's standing assumption about G1 and G2.
-func sidesInternallyConnected(g *Graph, p *Partition) bool {
+func sidesInternallyConnected(p *Partition) bool {
 	for _, s := range []Side{Side1, Side2} {
 		sub, _ := p.Subgraph(s)
 		if !IsConnected(sub) {
@@ -180,10 +180,4 @@ func sidesInternallyConnected(g *Graph, p *Partition) bool {
 		}
 	}
 	return true
-}
-
-// SidesInternallyConnected reports whether both induced side subgraphs are
-// connected (the paper's assumption on G1, G2).
-func SidesInternallyConnected(p *Partition) bool {
-	return sidesInternallyConnected(p.g, p)
 }

@@ -89,7 +89,7 @@ func TestDumbbellStructure(t *testing.T) {
 	if e != NewEdge(3, 4) {
 		t.Errorf("cut edge %v, want 3-4", e)
 	}
-	if !SidesInternallyConnected(p) {
+	if !sidesInternallyConnected(p) {
 		t.Error("dumbbell sides should be connected")
 	}
 	if !IsConnected(g) {
@@ -231,7 +231,7 @@ func TestPlantedPartition(t *testing.T) {
 	if p.CutSize() < 1 {
 		t.Error("empty cut")
 	}
-	if !SidesInternallyConnected(p) {
+	if !sidesInternallyConnected(p) {
 		t.Error("sides not internally connected")
 	}
 	// Sparse cut: far fewer cross edges than internal ones.

@@ -10,109 +10,6 @@ import (
 	"sparsecut/internal/rng"
 )
 
-// GnP returns an Erdős–Rényi graph G(n, p): each of the C(n,2) candidate
-// edges is present independently with probability p. The result may be
-// disconnected; callers that need connectivity should check RequireConnected
-// or use GnPConnected. It panics if n < 0 or p outside [0, 1].
-func GnP(r *rng.RNG, n int, p float64) *Graph {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("graph: GnP probability %v outside [0,1]", p))
-	}
-	b := NewBuilder(n).SetName(fmt.Sprintf("gnp(n=%d,p=%.3g)", n, p))
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if r.Float64() < p {
-				b.AddEdge(NodeID(u), NodeID(v))
-			}
-		}
-	}
-	return b.MustBuild()
-}
-
-// GnPConnected retries GnP until the sample is connected, up to maxTries
-// attempts. It returns an error when every attempt fails (p too small).
-func GnPConnected(r *rng.RNG, n int, p float64, maxTries int) (*Graph, error) {
-	for try := 0; try < maxTries; try++ {
-		g := GnP(r, n, p)
-		if IsConnected(g) {
-			return g, nil
-		}
-	}
-	return nil, fmt.Errorf("graph: no connected G(%d, %v) sample in %d tries", n, p, maxTries)
-}
-
-// RandomRegular returns a d-regular graph on n nodes sampled with the
-// configuration (pairing) model, rejecting pairings that create self-loops
-// or multi-edges. It returns an error if n*d is odd, d >= n, or no simple
-// pairing is found within maxTries attempts.
-func RandomRegular(r *rng.RNG, n, d, maxTries int) (*Graph, error) {
-	if d < 0 || n < 0 {
-		return nil, fmt.Errorf("graph: RandomRegular(n=%d, d=%d): negative parameter", n, d)
-	}
-	if n*d%2 != 0 {
-		return nil, fmt.Errorf("graph: RandomRegular(n=%d, d=%d): n*d must be even", n, d)
-	}
-	if d >= n && !(d == 0 && n <= 1) {
-		return nil, fmt.Errorf("graph: RandomRegular(n=%d, d=%d): need d < n", n, d)
-	}
-	// Steger–Wormald style stub matching: repeatedly pair two random
-	// unmatched stubs, rejecting only the illegal pair (self-loop or
-	// duplicate) rather than the whole pairing. Restart when stuck.
-	for try := 0; try < maxTries; try++ {
-		stubs := make([]int, 0, n*d)
-		for u := 0; u < n; u++ {
-			for k := 0; k < d; k++ {
-				stubs = append(stubs, u)
-			}
-		}
-		b := NewBuilder(n).SetName(fmt.Sprintf("regular(n=%d,d=%d)", n, d))
-		seen := make(map[Edge]struct{}, n*d/2)
-		stuck := false
-		for len(stubs) > 0 && !stuck {
-			// Give each pairing a bounded number of local attempts before
-			// declaring the residual stub set unmatchable.
-			attempts := 0
-			for {
-				if attempts > 100+len(stubs)*len(stubs) {
-					stuck = true
-					break
-				}
-				attempts++
-				i := r.Intn(len(stubs))
-				j := r.Intn(len(stubs))
-				if i == j {
-					continue
-				}
-				u, v := NodeID(stubs[i]), NodeID(stubs[j])
-				e := NewEdge(u, v)
-				if _, dup := seen[e]; u == v || dup {
-					continue
-				}
-				seen[e] = struct{}{}
-				b.AddEdge(u, v)
-				// Remove both stubs (higher index first).
-				if i < j {
-					i, j = j, i
-				}
-				stubs[i] = stubs[len(stubs)-1]
-				stubs = stubs[:len(stubs)-1]
-				stubs[j] = stubs[len(stubs)-1]
-				stubs = stubs[:len(stubs)-1]
-				break
-			}
-		}
-		if stuck {
-			continue
-		}
-		g, err := b.Build()
-		if err != nil {
-			return nil, err
-		}
-		return g, nil
-	}
-	return nil, fmt.Errorf("graph: RandomRegular(n=%d, d=%d): no simple pairing in %d tries", n, d, maxTries)
-}
-
 // ConnectivityRadius returns the standard RGG connectivity threshold
 // sqrt(2 ln n / n), a convenient default radius.
 func ConnectivityRadius(n int) float64 {
@@ -198,7 +95,7 @@ func buildWalledRGG(pos []Point, radius float64, doors int) (*Graph, *Partition,
 	if err != nil {
 		return nil, nil, err
 	}
-	if !sidesInternallyConnected(g, part) {
+	if !sidesInternallyConnected(part) {
 		return nil, nil, fmt.Errorf("graph: walled RGG sides not internally connected")
 	}
 	return g, part, nil

@@ -150,26 +150,6 @@ func (s *Section) addMetric(name string, v float64) {
 	s.Metrics = append(s.Metrics, Metric{Name: name, Value: v})
 }
 
-// Metric looks a headline number up by name.
-func (s *Section) Metric(name string) (float64, bool) {
-	for _, m := range s.Metrics {
-		if m.Name == name {
-			return m.Value, true
-		}
-	}
-	return 0, false
-}
-
-// MetricMap returns the metrics as a map for programmatic consumers
-// (benchmarks, the facade).
-func (s *Section) MetricMap() map[string]float64 {
-	out := make(map[string]float64, len(s.Metrics))
-	for _, m := range s.Metrics {
-		out[m.Name] = m.Value
-	}
-	return out
-}
-
 func (s *Section) addCheck(name string, value float64, requirement string, pass bool) {
 	s.Checks = append(s.Checks, Check{Name: name, Value: value, Requirement: requirement, Pass: pass})
 }

@@ -411,19 +411,6 @@ func (r *RNG) ExpUnit() float64 {
 	return r.ExpUnitSlow(u)
 }
 
-// FillExp fills dst with independent exponential samples of the given rate
-// — the batched gap sampler for simulator hot loops (one bounds-checked
-// call per batch rather than per event). It panics if rate <= 0.
-func (r *RNG) FillExp(dst []float64, rate float64) {
-	if rate <= 0 {
-		panic("rng: FillExp called with rate <= 0")
-	}
-	inv := 1 / rate
-	for i := range dst {
-		dst[i] = r.ExpUnit() * inv
-	}
-}
-
 // GammaInt returns a Gamma(k, 1) sample for an integer shape k >= 1 — the
 // distribution of the sum of k independent unit exponentials. It is the
 // time-bridging primitive of the batched simulator: instead of drawing k
@@ -517,16 +504,5 @@ func (r *RNG) Poisson(mean float64) int {
 			return 0
 		}
 		return int(v)
-	}
-}
-
-// Shuffle performs a Fisher-Yates shuffle over n elements using swap.
-// It panics if n < 0.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	if n < 0 {
-		panic("rng: Shuffle called with n < 0")
-	}
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
 	}
 }

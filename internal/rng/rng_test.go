@@ -224,23 +224,6 @@ func TestPoissonNonNegative(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(47)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed element sum: %d != %d", got, sum)
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	var sink uint64
@@ -266,16 +249,6 @@ func BenchmarkExpUnit(b *testing.B) {
 		sink += r.ExpUnit()
 	}
 	_ = sink
-}
-
-// BenchmarkFillExpBatch reports the cost per draw of filling 1024-draw
-// batches, the batched engines' way of sampling gaps.
-func BenchmarkFillExpBatch(b *testing.B) {
-	r := New(1)
-	dst := make([]float64, 1024)
-	for i := 0; i < b.N; i += len(dst) {
-		r.FillExp(dst, 1)
-	}
 }
 
 // BenchmarkGammaInt256 is the Gamma bridge draw of one 256-event chunk,
@@ -385,29 +358,6 @@ func TestZigAcceptComposition(t *testing.T) {
 			t.Fatalf("draw %d: %v composed vs %v ExpUnit", i, got, want)
 		}
 	}
-}
-
-// FillExp must be exactly ExpUnit()/rate in sequence.
-func TestFillExpMatchesExpUnit(t *testing.T) {
-	a, b := New(31), New(31)
-	dst := make([]float64, 1000)
-	a.FillExp(dst, 4)
-	inv := 1 / 4.0
-	for i, v := range dst {
-		want := b.ExpUnit() * inv
-		if math.Float64bits(v) != math.Float64bits(want) {
-			t.Fatalf("gap %d: %v FillExp vs %v ExpUnit/rate", i, v, want)
-		}
-		if !(v > 0) {
-			t.Fatalf("gap %d not positive: %v", i, v)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("rate <= 0 not rejected")
-		}
-	}()
-	a.FillExp(dst, 0)
 }
 
 // The ziggurat tables must close: the recurrence ends at zero width with

@@ -7,8 +7,9 @@
 // explores. The CLIs and the sweep engine reach each of them through one
 // schema.
 //
-// Specs are plain structs with JSON tags: they parse from a JSON file or,
-// for the graph, from the flags GraphFlags registers, and round-trip
+// Specs are plain structs with JSON tags: they parse as the base of a
+// sweep grid file (cmd/sweep -spec) or, for the graph, from the flags
+// GraphFlags registers, and round-trip
 // losslessly, which is what makes sweep reports self-describing and
 // replayable. Every command that takes one graph (gossipsim, graphgen,
 // distrun, mcheck) registers GraphFlags and builds the graph with
@@ -19,11 +20,7 @@
 // Key types: Spec (GraphSpec/AlgoSpec/StopSpec), Family and the registry, Resolved. Schema and seed-splitting are DESIGN.md §7.
 package scenario
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // GraphSpec selects and parameterises a graph family. Only the fields a
 // family consumes are meaningful; Resolve fills family defaults for the
@@ -174,19 +171,4 @@ func (s Spec) withDefaults() Spec {
 		s.Seed = 1
 	}
 	return s
-}
-
-// ParseSpec reads one Spec from JSON; anything but whitespace after it
-// is an error.
-func ParseSpec(r io.Reader) (Spec, error) {
-	var s Spec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return Spec{}, fmt.Errorf("scenario: parsing spec: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return Spec{}, fmt.Errorf("scenario: parsing spec: trailing data after the spec")
-	}
-	return s, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -15,6 +16,7 @@ import (
 	"sparsecut/internal/gossip"
 	"sparsecut/internal/graph"
 	"sparsecut/internal/rng"
+	"sparsecut/internal/spectral"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -215,33 +217,6 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParseSpecRejectsUnknownFields guards the schema against typos.
-// Unknown fields fail, among them the fields of removed families and the
-// removed batch width, so an old spec file cannot silently lose one. So
-// does a second value after the spec, which would otherwise be dropped.
-func TestParseSpecRejectsUnknownFields(t *testing.T) {
-	for _, spec := range []string{
-		`{"graph": {"family": "dumbbell", "nodes": 64}}`,
-		`{"graph": {"family": "dumbbell", "inner_cut": 2}}`,
-		`{"graph": {"family": "dumbbell", "rows": 4}}`,
-		`{"graph": {"family": "dumbbell", "cols": 4}}`,
-		`{"graph": {"family": "dumbbell", "dim": 4}}`,
-		`{"graph": {"family": "dumbbell", "levels": 4}}`,
-		`{"graph": {"family": "dumbbell", "tail": 4}}`,
-		`{"graph": {"family": "dumbbell", "degree": 4}}`,
-		`{"graph": {"family": "dumbbell", "p": 0.5}}`,
-		`{"stop": {"batch_width": 2}}`,
-		`{"graph":{"family":"dumbbell","n":16}} {"graph":{"family":"cycle"}}`,
-	} {
-		if _, err := ParseSpec(strings.NewReader(spec)); err == nil {
-			t.Errorf("%s: expected error", spec)
-		}
-	}
-	if _, err := ParseSpec(strings.NewReader("{\"graph\":{\"family\":\"dumbbell\",\"n\":16}}\n\t ")); err != nil {
-		t.Errorf("trailing whitespace: %v", err)
-	}
-}
-
 func TestLabel(t *testing.T) {
 	s := Spec{Graph: GraphSpec{Family: "dumbbell", N: 64, Cut: 2}, Algo: AlgoSpec{Name: "A", EpochC: 2}}
 	if got := s.Label(); got != "dumbbell/n=64/cut=2/A/C=2" {
@@ -265,8 +240,8 @@ func TestAllCutEdgesSpec(t *testing.T) {
 	if !strings.Contains(string(data), `"all_cut_edges":true`) {
 		t.Errorf("JSON missing all_cut_edges: %s", data)
 	}
-	back, err := ParseSpec(strings.NewReader(string(data)))
-	if err != nil {
+	var back Spec
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	if !back.Algo.AllCutEdges {
@@ -303,8 +278,8 @@ func TestAllCutEdgesSpec(t *testing.T) {
 
 // TestSideTvanComputedOncePerResolved checks that Algorithm A's default
 // per-side Tvan bounds are derived once per Resolved and shared by every
-// trial, and that each trial matches a bare core.New on the same graph and
-// partition.
+// trial, and that each trial's swap period matches a bare core.New on the
+// same graph and partition.
 func TestSideTvanComputedOncePerResolved(t *testing.T) {
 	base := GraphSpec{Family: "ringofcliques", N: 24, Cut: 2}
 	for _, a := range []AlgoSpec{
@@ -328,9 +303,17 @@ func TestSideTvanComputedOncePerResolved(t *testing.T) {
 			t.Fatalf("%+v: bare core.New: %v", a, err)
 		}
 		wantK := bare.EpochTicks()
-		want1, want2 := bare.TvanEstimates()
-		if want1 <= 0 || want2 <= 0 {
-			t.Fatalf("%+v: degenerate side bounds (%v, %v)", a, want1, want2)
+		want1, want2, err := core.SideTvanBounds(r.Partition, spectral.Options{})
+		if err != nil || want1 <= 0 || want2 <= 0 {
+			t.Fatalf("%+v: degenerate side bounds (%v, %v): %v", a, want1, want2, err)
+		}
+		// The swap period a trial must get from bounds planted in the cache.
+		planted, err := core.New(r.Graph, r.X0, append(opts, core.WithTvan(2*want1, want2))...)
+		if err != nil {
+			t.Fatalf("%+v: core.New with planted bounds: %v", a, err)
+		}
+		if planted.EpochTicks() == wantK {
+			t.Fatalf("%+v: doubling Tvan1 leaves K=%d, so the cache check below cannot tell", a, wantK)
 		}
 		trial := func() *core.SparseCutAveraging {
 			t.Helper()
@@ -341,18 +324,15 @@ func TestSideTvanComputedOncePerResolved(t *testing.T) {
 			return alg.(*core.SparseCutAveraging)
 		}
 		for i := 0; i < 3; i++ {
-			alg := trial()
-			tv1, tv2 := alg.TvanEstimates()
-			if k := alg.EpochTicks(); k != wantK || tv1 != want1 || tv2 != want2 {
-				t.Errorf("%+v trial %d: K=%d Tvan=(%v, %v), want K=%d Tvan=(%v, %v)",
-					a, i, k, tv1, tv2, wantK, want1, want2)
+			if k := trial().EpochTicks(); k != wantK {
+				t.Errorf("%+v trial %d: K=%d, want %d", a, i, k, wantK)
 			}
 		}
 		// A later trial reads the cached bounds rather than recomputing
-		// them: a value planted in the cache comes back out.
+		// them: a value planted in the cache sizes its epoch.
 		r.side.tv1 = 2 * want1
-		if tv1, _ := trial().TvanEstimates(); tv1 != 2*want1 {
-			t.Errorf("%+v: trial recomputed Tvan1 = %v instead of reading the cached %v", a, tv1, 2*want1)
+		if k := trial().EpochTicks(); k != planted.EpochTicks() {
+			t.Errorf("%+v: trial K=%d, want %d from the cached Tvan1 = %v", a, k, planted.EpochTicks(), 2*want1)
 		}
 	}
 
@@ -493,37 +473,51 @@ func TestSwapParams(t *testing.T) {
 	}
 }
 
-// FuzzResolveSpec feeds arbitrary bytes through ParseSpec and Resolve, the
-// path every spec from outside the program takes (sweep -spec, and the
-// flags of every single-graph CLI fill the same GraphSpec): each input
-// fails with an error or resolves to a graph whose node count matches x0.
-// Shape fields are bounded here so valid graphs stay small; the program
-// itself caps none of them.
-func FuzzResolveSpec(f *testing.F) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "specs_golden.json"))
-	if err != nil {
-		f.Fatal(err)
+// FuzzGraphFlags feeds arbitrary argv (the fuzz bytes split on NUL)
+// through GraphFlags, fs.Parse and Resolve, the path of every
+// single-graph CLI's graph flags (gossipsim, graphgen, distrun, mcheck):
+// each input fails with an error or resolves to a graph whose node count
+// matches x0. Shape values are bounded here so valid graphs stay small;
+// the program itself caps none of them. The seeds are the graph flags of
+// every gossipsim, distrun and mcheck step in CI.
+func FuzzGraphFlags(f *testing.F) {
+	for _, argv := range []string{
+		"-graph dumbbell",
+		"-n 1e5",
+		"-n 3e5",
+		"-graph torusdumbbell -n 100000 -cut 8",
+		"-graph planted -n 60",
+		"-graph sensor -n 64 -cut 2",
+		"-graph dumbbell -n 12",
+		"-graph dumbbell -n 16",
+		"-graph torusdumbbell -n 18",
+		"-graph planted -n 16",
+		"-graph sensor -n 16",
+		"-graph ringofcliques -n 16",
+		"-graph complete -n 16",
+		"-graph path -n 16",
+		"-graph cycle -n 16",
+		"-graph complete -n 3",
+		"-graph path -n 4",
+		"-graph ring -n 5",
+		"-graph dumbbell -n 6",
+	} {
+		f.Add([]byte(strings.ReplaceAll(argv, " ", "\x00")))
 	}
-	var seeds []json.RawMessage
-	if err := json.Unmarshal(golden, &seeds); err != nil {
-		f.Fatal(err)
-	}
-	for _, s := range seeds {
-		f.Add([]byte(s))
-	}
-	f.Add([]byte(`{"graph":{"family":"torusdumbbell","n":18,"cut":2},"algo":{"name":"A"}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, err := ParseSpec(bytes.NewReader(data))
-		if err != nil {
+		fs := flag.NewFlagSet("fuzz", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		gs := GraphFlags(fs, "dumbbell", 64)
+		seed := fs.Uint64("seed", 1, "random seed")
+		if err := fs.Parse(strings.Split(string(data), "\x00")); err != nil {
 			return
 		}
-		gs := spec.Graph
 		for _, v := range []int{gs.N, gs.N1, gs.N2, gs.Cut, gs.Blocks} {
 			if v < -64 || v > 64 {
 				return
 			}
 		}
-		r, err := spec.Resolve()
+		r, err := Spec{Graph: *gs, Seed: *seed}.Resolve()
 		if err != nil {
 			return
 		}

@@ -80,11 +80,8 @@ func newHeapScheduler(rates []float64, r *rng.RNG) *heapScheduler {
 	for e, rate := range rates {
 		s.invRates[e] = 1 / rate
 	}
-	// Batched unit gaps, scaled per edge below.
-	gaps := make([]float64, len(rates))
-	r.FillExp(gaps, 1)
 	for e := range rates {
-		s.push(heapEntry{at: gaps[e] * s.invRates[e], edge: graph.EdgeID(e)})
+		s.push(heapEntry{at: r.ExpUnit() * s.invRates[e], edge: graph.EdgeID(e)})
 	}
 	return s
 }

@@ -2,6 +2,7 @@ package spectral
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -134,8 +135,8 @@ func TestLambda2KnownSpectra(t *testing.T) {
 		{"P_10", graph.Path(10), 4 * sq(math.Sin(math.Pi/20))},
 		{"C_12", graph.Cycle(12), 2 * (1 - math.Cos(2*math.Pi/12))},
 		{"star_9", graph.Star(9), 1},
-		{"Q_4", graph.Hypercube(4), 2},
-		{"K_3_3", graph.CompleteBipartite(3, 3), 3},
+		{"Q_4", hypercube(4), 2},
+		{"K_3_3", completeBipartite(3, 3), 3},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -294,11 +295,22 @@ func TestTvanBoundDisconnectedIsInf(t *testing.T) {
 }
 
 func TestLambda2RandomRegularHasGap(t *testing.T) {
+	// The union of three random Hamiltonian cycles on 64 nodes: a random
+	// 6-regular multigraph, simple once the builder merges repeated edges.
 	r := rng.New(5)
-	g, err := graph.RandomRegular(r, 64, 6, 200)
-	if err != nil {
-		t.Fatal(err)
+	const n = 64
+	b := graph.NewBuilder(n)
+	perm := make([]graph.NodeID, n)
+	for range 3 {
+		for i := range perm {
+			j := r.Intn(i + 1)
+			perm[i], perm[j] = perm[j], graph.NodeID(i)
+		}
+		for i := range perm {
+			b.AddEdge(perm[i], perm[(i+1)%n])
+		}
 	}
+	g := b.MustBuild()
 	lam2, _, err := Lambda2(g, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -314,9 +326,9 @@ func TestSpectralOrderingProperty(t *testing.T) {
 	r := rng.New(77)
 	graphs := []*graph.Graph{
 		graph.Complete(9), graph.Cycle(11), graph.Path(13), graph.Star(8),
-		graph.Grid(3, 4), graph.Hypercube(3), graph.Lollipop(5, 3),
+		graph.Grid(3, 4), hypercube(3), lollipop(5, 3),
 	}
-	if g, err := graph.GnPConnected(r, 24, 0.3, 50); err == nil {
+	if g, _, err := graph.PlantedPartition(r, 12, 12, 0.3, 0.3, 50); err == nil {
 		graphs = append(graphs, g)
 	}
 	for _, g := range graphs {
@@ -338,4 +350,43 @@ func TestSpectralOrderingProperty(t *testing.T) {
 			t.Errorf("%s: lambdaMax %v exceeds 2*maxdeg %d", g, lamMax, 2*g.MaxDegree())
 		}
 	}
+}
+
+// hypercube, completeBipartite and lollipop build the closed-form and
+// slow-mixing fixtures of these tests: Q_d on 2^d nodes; K_{a,b} with
+// nodes 0..a-1 on the left; a clique K_m with a path of tail more nodes
+// hanging off node m-1.
+func hypercube(d int) *graph.Graph {
+	b := graph.NewBuilder(1 << d).SetName(fmt.Sprintf("hypercube(d=%d)", d))
+	for u := range 1 << d {
+		for bit := range d {
+			if v := u ^ 1<<bit; u < v {
+				b.AddEdge(graph.NodeID(u), graph.NodeID(v))
+			}
+		}
+	}
+	return b.MustBuild()
+}
+
+func completeBipartite(a, c int) *graph.Graph {
+	b := graph.NewBuilder(a + c).SetName(fmt.Sprintf("bipartite(%d,%d)", a, c))
+	for u := range a {
+		for v := a; v < a+c; v++ {
+			b.AddEdge(graph.NodeID(u), graph.NodeID(v))
+		}
+	}
+	return b.MustBuild()
+}
+
+func lollipop(m, tail int) *graph.Graph {
+	b := graph.NewBuilder(m + tail).SetName(fmt.Sprintf("lollipop(m=%d,tail=%d)", m, tail))
+	for u := range m {
+		for v := u + 1; v < m; v++ {
+			b.AddEdge(graph.NodeID(u), graph.NodeID(v))
+		}
+	}
+	for u := m - 1; u < m+tail-1; u++ {
+		b.AddEdge(graph.NodeID(u), graph.NodeID(u+1))
+	}
+	return b.MustBuild()
 }

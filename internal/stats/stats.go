@@ -69,43 +69,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// Median returns the 0.5 quantile, or NaN for an empty sample.
-func Median(xs []float64) float64 {
-	m, err := Quantile(xs, 0.5)
-	if err != nil {
-		return math.NaN()
-	}
-	return m
-}
-
-// Min returns the smallest element, or NaN for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element, or NaN for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // MeanCI95 returns the sample mean together with the half-width of a 95%
 // normal-approximation confidence interval. For n < 2 the half-width is 0.
 func MeanCI95(xs []float64) (mean, halfWidth float64) {

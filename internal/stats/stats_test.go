@@ -112,22 +112,6 @@ func TestQuantileMonotone(t *testing.T) {
 	}
 }
 
-func TestMinMaxMedian(t *testing.T) {
-	xs := []float64{4, -2, 9, 0}
-	if got := Min(xs); got != -2 {
-		t.Errorf("Min = %v", got)
-	}
-	if got := Max(xs); got != 9 {
-		t.Errorf("Max = %v", got)
-	}
-	if got := Median([]float64{1, 2, 3}); got != 2 {
-		t.Errorf("Median = %v", got)
-	}
-	if !math.IsNaN(Min(nil)) || !math.IsNaN(Max(nil)) || !math.IsNaN(Median(nil)) {
-		t.Error("Min/Max/Median of empty should be NaN")
-	}
-}
-
 func TestMeanCI95(t *testing.T) {
 	r := rng.New(3)
 	xs := make([]float64, 10000)

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -20,10 +21,10 @@ func TestWelfordMatchesBatch(t *testing.T) {
 	if got, want := w.Variance(), Variance(xs); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Variance = %v, want %v", got, want)
 	}
-	if got, want := w.Min(), Min(xs); got != want {
+	if got, want := w.Min(), slices.Min(xs); got != want {
 		t.Errorf("Min = %v, want %v", got, want)
 	}
-	if got, want := w.Max(), Max(xs); got != want {
+	if got, want := w.Max(), slices.Max(xs); got != want {
 		t.Errorf("Max = %v, want %v", got, want)
 	}
 	_, ci := MeanCI95(xs)

@@ -92,20 +92,6 @@ func ParseGrid(r io.Reader) (Grid, error) {
 	return g, nil
 }
 
-// ReadReport parses a report written by WriteJSON; anything but
-// whitespace after it is an error.
-func ReadReport(rd io.Reader) (*Report, error) {
-	var r Report
-	dec := json.NewDecoder(rd)
-	if err := dec.Decode(&r); err != nil {
-		return nil, fmt.Errorf("sweep: decoding report: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("sweep: decoding report: trailing data after the report")
-	}
-	return &r, nil
-}
-
 // Table renders the report as the repository's text-table format.
 func (r *Report) Table(title string) *table.Table {
 	tbl := table.New(title,

@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -155,7 +157,8 @@ func TestE4HeadlineSeparation(t *testing.T) {
 	}
 }
 
-// TestReportRoundTrip: WriteJSON/ReadReport is lossless.
+// TestReportRoundTrip: WriteJSON is lossless, and the text table has one
+// row per cell.
 func TestReportRoundTrip(t *testing.T) {
 	grid := Grid{
 		Base:  scenario.Spec{Graph: scenario.GraphSpec{Family: "complete", N: 8}, Stop: scenario.StopSpec{Trials: 2}},
@@ -169,8 +172,8 @@ func TestReportRoundTrip(t *testing.T) {
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadReport(&buf)
-	if err != nil {
+	var back Report
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
 	if len(back.Cells) != len(rep.Cells) || back.Seed != rep.Seed {
@@ -179,28 +182,45 @@ func TestReportRoundTrip(t *testing.T) {
 	if back.Cells[0] != rep.Cells[0] {
 		t.Fatalf("cell changed in round trip:\n got %+v\nwant %+v", back.Cells[0], rep.Cells[0])
 	}
-	if tbl := rep.Table("t"); tbl.NumRows() != len(rep.Cells) {
-		t.Errorf("table has %d rows for %d cells", tbl.NumRows(), len(rep.Cells))
+	var out bytes.Buffer
+	if err := rep.Table("t").Render(&out); err != nil {
+		t.Fatal(err)
+	}
+	// Title, header and separator lines, then one line per cell.
+	if lines := strings.Count(out.String(), "\n"); lines != 3+len(rep.Cells) {
+		t.Errorf("table has %d lines for %d cells:\n%s", lines, len(rep.Cells), out.String())
 	}
 }
 
-// TestDecodersRejectTrailingData: ParseGrid and ReadReport decode one
-// value and fail on anything after it but whitespace.
+// TestDecodersRejectTrailingData: ParseGrid decodes one value and fails
+// on anything after it but whitespace, and on an unknown field anywhere in
+// the grid or its base spec. Among the unknown fields are those of removed
+// graph families and the removed batch width, so an old spec file cannot
+// silently lose one.
 func TestDecodersRejectTrailingData(t *testing.T) {
-	if _, err := ParseGrid(strings.NewReader("{\"ns\":[16]}\n")); err != nil {
-		t.Fatalf("grid with a trailing newline: %v", err)
-	}
-	for _, in := range []string{`{"ns":[16]} garbage`, `{"ns":[16]} {"ns":[32]}`, `{"ns":[16]}]`} {
-		if _, err := ParseGrid(strings.NewReader(in)); err == nil {
-			t.Errorf("ParseGrid(%s): expected error", in)
+	for _, in := range []string{"{\"ns\":[16]}\n", "{\"base\":{\"graph\":{\"family\":\"dumbbell\",\"n\":16}}}\n\t "} {
+		if _, err := ParseGrid(strings.NewReader(in)); err != nil {
+			t.Fatalf("grid with trailing whitespace %q: %v", in, err)
 		}
 	}
-	if _, err := ReadReport(strings.NewReader("{\"seed\":3}\n")); err != nil {
-		t.Fatalf("report with a trailing newline: %v", err)
-	}
-	for _, in := range []string{`{"seed":3} garbage`, `{"seed":3} {"seed":4}`, `{"seed":3}]]]`} {
-		if _, err := ReadReport(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadReport(%s): expected error", in)
+	for _, in := range []string{
+		`{"ns":[16]} garbage`,
+		`{"ns":[16]} {"ns":[32]}`,
+		`{"ns":[16]}]`,
+		`{"base":{"graph":{"family":"dumbbell","n":16}}} {"base":{"graph":{"family":"cycle"}}}`,
+		`{"base":{"graph":{"family":"dumbbell","nodes":64}}}`,
+		`{"base":{"graph":{"family":"dumbbell","inner_cut":2}}}`,
+		`{"base":{"graph":{"family":"dumbbell","rows":4}}}`,
+		`{"base":{"graph":{"family":"dumbbell","cols":4}}}`,
+		`{"base":{"graph":{"family":"dumbbell","dim":4}}}`,
+		`{"base":{"graph":{"family":"dumbbell","levels":4}}}`,
+		`{"base":{"graph":{"family":"dumbbell","tail":4}}}`,
+		`{"base":{"graph":{"family":"dumbbell","degree":4}}}`,
+		`{"base":{"graph":{"family":"dumbbell","p":0.5}}}`,
+		`{"base":{"stop":{"batch_width":2}}}`,
+	} {
+		if _, err := ParseGrid(strings.NewReader(in)); err == nil {
+			t.Errorf("ParseGrid(%s): expected error", in)
 		}
 	}
 }
@@ -483,12 +503,14 @@ func TestExpandRejectsHugeGrids(t *testing.T) {
 	}
 }
 
-// FuzzParseGrid feeds arbitrary bytes through ParseGrid and Expand, the
-// path a -spec file takes in cmd/sweep: every input fails with an error or
-// expands to at most MaxUnits units in index order, and none panics. The
-// seed corpus in testdata/fuzz/FuzzParseGrid holds the CI smoke grid, a
-// grid with every field set, and the 2.56·10^10-unit grid of four
-// 400-entry axes.
+// FuzzParseGrid feeds arbitrary bytes through ParseGrid, Expand and each
+// unit's Resolve, the path a -spec file takes in cmd/sweep: every input
+// fails with an error or expands to at most MaxUnits units in index order,
+// each of which fails to resolve or resolves to a graph whose node count
+// matches its x0, and none panics. Units with a shape field outside ±64
+// are not resolved, so valid graphs stay small. The seed corpus in
+// testdata/fuzz/FuzzParseGrid holds the CI smoke grid, a grid with every
+// field set, and the 2.56·10^10-unit grid of four 400-entry axes.
 func FuzzParseGrid(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ParseGrid(bytes.NewReader(data))
@@ -505,6 +527,17 @@ func FuzzParseGrid(f *testing.F) {
 		for i, u := range units {
 			if u.Index != i {
 				t.Fatalf("unit %d has index %d", i, u.Index)
+			}
+			gs := u.Spec.Graph
+			if slices.ContainsFunc([]int{gs.N, gs.N1, gs.N2, gs.Cut, gs.Blocks}, func(v int) bool { return v < -64 || v > 64 }) {
+				continue
+			}
+			r, err := u.Spec.Resolve()
+			if err != nil {
+				continue
+			}
+			if n := r.NumNodes(); n != len(r.X0) {
+				t.Fatalf("unit %d (%s): %d nodes, %d initial values", i, u.Spec.Label(), n, len(r.X0))
 			}
 		}
 	})

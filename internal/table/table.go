@@ -42,9 +42,6 @@ func (t *Table) AddRow(values ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 func (t *Table) widths() []int {
 	cols := len(t.headers)
 	for _, r := range t.rows {

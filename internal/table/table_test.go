@@ -27,8 +27,8 @@ func TestRenderPlain(t *testing.T) {
 	if !strings.Contains(out, "---") {
 		t.Error("separator missing")
 	}
-	if tbl.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tbl.NumRows())
+	if len(tbl.rows) != 2 {
+		t.Errorf("%d rows, want 2", len(tbl.rows))
 	}
 }
 

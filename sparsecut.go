@@ -21,12 +21,12 @@
 //
 // The package is a facade over the implementation packages under
 // internal/, trimmed to what the examples and commands use: graph
-// constructors and I/O, cut detection, the event-driven Poisson simulator,
-// averaging-time estimation, the scenario sweep, and the decentralized
+// constructors and DOT export, cut detection, the event-driven Poisson
+// simulator, averaging-time estimation, and the decentralized
 // message-passing runtime with its telemetry and flight recorder. The
-// batched and sharded engines, the model checker and the E1–E15
-// reproduction suite are driven through cmd/ (sweep, gossipsim, mcheck,
-// repro). Everything is stdlib-only.
+// scenario sweep, the batched and sharded engines, the model checker and
+// the E1–E15 reproduction suite are driven through cmd/ (sweep,
+// gossipsim, mcheck, repro). Everything is stdlib-only.
 package sparsecut
 
 import (
@@ -46,7 +46,6 @@ import (
 	"sparsecut/internal/scenario"
 	"sparsecut/internal/sim"
 	"sparsecut/internal/spectral"
-	"sparsecut/internal/sweep"
 )
 
 // Re-exported graph types. External users interact with them through this
@@ -62,23 +61,14 @@ type (
 	EdgeID = graph.EdgeID
 	// Algorithm is a gossip process driven by edge clock ticks.
 	Algorithm = gossip.Algorithm
-	// Side labels a block of a two-way partition.
-	Side = graph.Side
 )
 
 // Side1 labels the first block of a two-way partition.
 const Side1 = graph.Side1
 
-// Algorithm A configuration options, re-exported from the core package.
-var (
-	// WithPartition supplies a known sparse-cut partition to NewAlgorithmA
-	// (otherwise the cut is auto-detected by spectral bisection).
-	WithPartition = core.WithPartition
-	// WithWeight fixes the swap coefficient explicitly.
-	WithWeight = core.WithWeight
-	// WithEpochTicks fixes the swap period K in ticks of ec.
-	WithEpochTicks = core.WithEpochTicks
-)
+// WithPartition supplies a known sparse-cut partition to NewAlgorithmA
+// (otherwise the cut is auto-detected by spectral bisection).
+var WithPartition = core.WithPartition
 
 // AlgorithmAOption configures NewAlgorithmA.
 type AlgorithmAOption = core.Option
@@ -95,17 +85,6 @@ func NewDumbbell(n1, n2, cutEdges int) (*Graph, *Partition, error) {
 	return graph.Dumbbell(n1, n2, cutEdges)
 }
 
-// NewPlantedPartition returns a random two-community graph: within-side
-// edge probability pIn, cross probability pOut, retried until both sides
-// are internally connected with a non-empty cut. It is the scenario
-// registry's planted family, so a seed gives the graph that
-// `gossipsim -graph planted -n1 n1 -n2 n2 -pin pIn -pout pOut -seed seed`
-// builds. As in every spec, a zero argument takes the family default and
-// seed 0 means seed 1.
-func NewPlantedPartition(seed uint64, n1, n2 int, pIn, pOut float64) (*Graph, *Partition, error) {
-	return resolveGraph(scenario.GraphSpec{Family: "planted", N1: n1, N2: n2, PIn: pIn, POut: pOut}, seed)
-}
-
 // NewSensorField returns a random geometric graph on the unit square whose
 // halves are separated by a wall with the given number of door edges — the
 // sensor-network scenario motivated by the paper's reference [6]. The
@@ -114,21 +93,12 @@ func NewPlantedPartition(seed uint64, n1, n2 int, pIn, pOut float64) (*Graph, *P
 // `gossipsim -graph sensor -n n -cut doors -seed seed` builds. As in every
 // spec, a zero argument takes the family default and seed 0 means seed 1.
 func NewSensorField(seed uint64, n, doors int) (*Graph, *Partition, error) {
-	return resolveGraph(scenario.GraphSpec{Family: "sensor", N: n, Cut: doors}, seed)
-}
-
-// resolveGraph builds one registry family's graph and planted partition
-// from the spec's graph stream.
-func resolveGraph(gs scenario.GraphSpec, seed uint64) (*Graph, *Partition, error) {
-	r, err := scenario.Spec{Graph: gs, Seed: seed}.Resolve()
+	r, err := scenario.Spec{Graph: scenario.GraphSpec{Family: "sensor", N: n, Cut: doors}, Seed: seed}.Resolve()
 	if err != nil {
 		return nil, nil, err
 	}
 	return r.Graph, r.Partition, nil
 }
-
-// WriteGraph serialises a graph in the package's edge-list format.
-func WriteGraph(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) }
 
 // WriteDOT exports a graph (optionally with a highlighted partition) as
 // Graphviz DOT.
@@ -249,11 +219,6 @@ type (
 	// seed, message loss and delay, telemetry registry, flight recorder,
 	// crash schedule); it is embedded in ShardRuntimeConfig.
 	ClusterConfig = dist.ClusterConfig
-	// CrashEvent fail-stops one node for a window of simulated time;
-	// a slice of them forms ClusterConfig.Crashes, the fault-injection
-	// schedule. Values, seq counters and watermarks survive a crash
-	// (stable storage); in-flight messages to a downed node are lost.
-	CrashEvent = dist.CrashEvent
 	// ExchangeRule is the local update a committed pairwise exchange
 	// applies — the runtime counterpart of Algorithm.
 	ExchangeRule = dist.Rule
@@ -270,8 +235,8 @@ type (
 
 // Telemetry, re-exported from internal/metrics: the dependency-free
 // counters/gauges/histograms registry the runtime layers record into.
-// Construct one with NewMetricsRegistry, hand it to ClusterConfig.Metrics
-// or SweepConfig.Metrics, and export deterministic JSON via
+// Construct one with NewMetricsRegistry, hand it to ClusterConfig.Metrics,
+// and export deterministic JSON via
 // Snapshot().WriteJSON (cmd/distrun -http additionally serves it over
 // expvar). A nil registry disables telemetry at near-zero hot-path cost.
 type (
@@ -329,36 +294,4 @@ func NewAveragingExchange() ExchangeRule { return dist.NewVanillaRule() }
 // paper's literal choice is min(|V1|, |V2|).
 func NewSparseCutExchange(part *Partition, cutEdge EdgeID, epochTicks int64, weight float64) (ExchangeRule, error) {
 	return dist.NewSparseCutRule(part, cutEdge, epochTicks, weight)
-}
-
-// Declarative scenario specs and the deterministic parallel sweep engine,
-// re-exported from internal/scenario and internal/sweep. A Scenario names
-// one (graph family × parameters × algorithm × rate model) setup; a
-// SweepGrid multiplies axes over a base scenario and RunSweep evaluates
-// every cell's Definition-1 averaging time on a worker pool with results
-// that are bit-identical for any worker count.
-type (
-	// Scenario is a declarative simulation setup (JSON-serializable).
-	Scenario = scenario.Spec
-	// ScenarioGraph parameterises the graph family of a Scenario.
-	ScenarioGraph = scenario.GraphSpec
-	// ScenarioAlgo parameterises the algorithm of a Scenario.
-	ScenarioAlgo = scenario.AlgoSpec
-	// ScenarioStop sets a Scenario's Monte-Carlo budget.
-	ScenarioStop = scenario.StopSpec
-	// SweepGrid is a base Scenario plus axes to sweep.
-	SweepGrid = sweep.Grid
-	// SweepConfig controls a sweep run (workers, root seed, progress).
-	SweepConfig = sweep.Config
-	// SweepReport is the machine-readable sweep result.
-	SweepReport = sweep.Report
-	// SweepCell is one finished grid cell.
-	SweepCell = sweep.Cell
-)
-
-// RunSweep expands the grid and evaluates every cell on a worker pool.
-// Results are deterministic in the root seed and independent of the
-// worker count.
-func RunSweep(grid SweepGrid, cfg SweepConfig) (*SweepReport, error) {
-	return sweep.Run(grid, cfg)
 }

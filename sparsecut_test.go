@@ -12,7 +12,7 @@ import (
 
 	"sparsecut/internal/avgtime"
 	"sparsecut/internal/core"
-	"sparsecut/internal/graph"
+	"sparsecut/internal/dist"
 	"sparsecut/internal/rng"
 	"sparsecut/internal/scenario"
 	"sparsecut/internal/sim"
@@ -95,20 +95,9 @@ func TestAlgebraicConnectivity(t *testing.T) {
 }
 
 func TestGraphIO(t *testing.T) {
-	g, part, err := NewPlantedPartition(5, 10, 12, 0.8, 0.05)
+	g, part, err := NewDumbbell(5, 6, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteGraph(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := graph.ReadEdgeList(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumEdges() != g.NumEdges() {
-		t.Error("graph round trip changed edge count")
 	}
 	var dot bytes.Buffer
 	if err := WriteDOT(&dot, g, part); err != nil {
@@ -132,37 +121,25 @@ func TestNewSensorField(t *testing.T) {
 	}
 }
 
-// The facade's random graphs are the scenario registry's: at the same
-// seed NewPlantedPartition and NewSensorField build, edge for edge and
-// side for side, what Spec.Resolve (and so every CLI's -graph) builds.
+// The facade's random graph is the scenario registry's: at the same seed
+// NewSensorField builds, edge for edge and side for side, what
+// Spec.Resolve (and so every CLI's -graph sensor) builds.
 func TestFacadeGraphsMatchScenario(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		for _, c := range []struct {
-			spec   scenario.GraphSpec
-			facade func() (*Graph, *Partition, error)
-		}{
-			{scenario.GraphSpec{Family: "planted", N: 60}, func() (*Graph, *Partition, error) {
-				return NewPlantedPartition(seed, 30, 30, 0.5, 3.0/(30*30))
-			}},
-			{scenario.GraphSpec{Family: "sensor", N: 64, Cut: 2}, func() (*Graph, *Partition, error) {
-				return NewSensorField(seed, 64, 2)
-			}},
-		} {
-			g, part, err := c.facade()
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := scenario.Spec{Graph: c.spec, Seed: seed}.Resolve()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(g.Edges(), r.Graph.Edges()) {
-				t.Errorf("%s seed %d: facade %s, spec %s", c.spec.Family, seed, g, r.Graph)
-			}
-			for u := range g.NumNodes() {
-				if part.SideOf(NodeID(u)) != r.Partition.SideOf(NodeID(u)) {
-					t.Fatalf("%s seed %d: node %d on different sides", c.spec.Family, seed, u)
-				}
+		g, part, err := NewSensorField(seed, 64, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := scenario.Spec{Graph: scenario.GraphSpec{Family: "sensor", N: 64, Cut: 2}, Seed: seed}.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(g.Edges(), r.Graph.Edges()) {
+			t.Errorf("seed %d: facade %s, spec %s", seed, g, r.Graph)
+		}
+		for u := range g.NumNodes() {
+			if part.SideOf(NodeID(u)) != r.Partition.SideOf(NodeID(u)) {
+				t.Fatalf("seed %d: node %d on different sides", seed, u)
 			}
 		}
 	}
@@ -265,14 +242,6 @@ func TestWeightRuleReexports(t *testing.T) {
 	if w := ExactSwapWeight(part); a.Weight() != w || w != 4 {
 		t.Errorf("default weight = %v, ExactSwapWeight = %v, want n1·n2/(n1+n2) = 4", a.Weight(), w)
 	}
-	b, err := NewAlgorithmA(g, WorstCaseInit(part), WithPartition(part),
-		WithEpochTicks(3), WithWeight(2.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Weight() != 2.5 || b.EpochTicks() != 3 {
-		t.Errorf("custom config not applied: %v, %v", b.Weight(), b.EpochTicks())
-	}
 }
 
 func TestDecentralizedRuntimeFacade(t *testing.T) {
@@ -328,31 +297,6 @@ func TestDecentralizedRuntimeFacade(t *testing.T) {
 	}
 }
 
-func TestScenarioSweepFacade(t *testing.T) {
-	// A tiny sweep through the facade stays deterministic across workers.
-	grid := SweepGrid{
-		Base:  Scenario{Graph: ScenarioGraph{Family: "dumbbell", Cut: 1}, Stop: ScenarioStop{Trials: 2, MaxTime: 100}},
-		Ns:    []int{12},
-		Algos: []string{"vanilla", "A"},
-	}
-	rep1, err := RunSweep(grid, SweepConfig{Workers: 1, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := RunSweep(grid, SweepConfig{Workers: 2, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep1.Cells) != 2 || len(rep2.Cells) != 2 {
-		t.Fatalf("expected 2 cells, got %d and %d", len(rep1.Cells), len(rep2.Cells))
-	}
-	for i := range rep1.Cells {
-		if rep1.Cells[i] != rep2.Cells[i] {
-			t.Errorf("cell %d differs across worker counts", i)
-		}
-	}
-}
-
 func TestCrashScheduleFacade(t *testing.T) {
 	g, part, err := NewDumbbell(6, 6, 1)
 	if err != nil {
@@ -363,7 +307,7 @@ func TestCrashScheduleFacade(t *testing.T) {
 		ClusterConfig: ClusterConfig{
 			TimeScale: 4 * time.Millisecond,
 			Seed:      9,
-			Crashes: []CrashEvent{
+			Crashes: []dist.CrashEvent{
 				{Node: 0, At: 1, Recover: 3},
 				{Node: 7, At: 2}, // down until the drain force-recovers it
 			},
