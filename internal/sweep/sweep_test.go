@@ -193,10 +193,7 @@ func TestReportRoundTrip(t *testing.T) {
 }
 
 // TestDecodersRejectTrailingData: ParseGrid decodes one value and fails
-// on anything after it but whitespace, and on an unknown field anywhere in
-// the grid or its base spec. Among the unknown fields are those of removed
-// graph families and the removed batch width, so an old spec file cannot
-// silently lose one.
+// on anything after it but whitespace, with or without a base spec.
 func TestDecodersRejectTrailingData(t *testing.T) {
 	for _, in := range []string{"{\"ns\":[16]}\n", "{\"base\":{\"graph\":{\"family\":\"dumbbell\",\"n\":16}}}\n\t "} {
 		if _, err := ParseGrid(strings.NewReader(in)); err != nil {
@@ -208,6 +205,19 @@ func TestDecodersRejectTrailingData(t *testing.T) {
 		`{"ns":[16]} {"ns":[32]}`,
 		`{"ns":[16]}]`,
 		`{"base":{"graph":{"family":"dumbbell","n":16}}} {"base":{"graph":{"family":"cycle"}}}`,
+	} {
+		if _, err := ParseGrid(strings.NewReader(in)); err == nil {
+			t.Errorf("ParseGrid(%s): expected error", in)
+		}
+	}
+}
+
+// TestParseGridRejectsUnknownSpecFields: ParseGrid fails on an unknown
+// field in its base spec. Among them are the fields of removed graph
+// families and the removed batch width, so an old spec file cannot
+// silently lose one.
+func TestParseGridRejectsUnknownSpecFields(t *testing.T) {
+	for _, in := range []string{
 		`{"base":{"graph":{"family":"dumbbell","nodes":64}}}`,
 		`{"base":{"graph":{"family":"dumbbell","inner_cut":2}}}`,
 		`{"base":{"graph":{"family":"dumbbell","rows":4}}}`,
