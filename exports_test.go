@@ -22,7 +22,6 @@ var testOnlyAllowed = map[string]string{
 	"internal/stats.KSDistance":             "shared test support: the avgtime, scenario and rng tests compare samples with it",
 	"internal/graph.Star":                   "shared test support: a fixture graph of the sim and spectral tests",
 	"internal/graph.Grid":                   "shared test support: a fixture graph of the sim, syncsim and spectral tests",
-	"internal/graph.Graph.FindEdge":         "shared test support: the check and core tests look an edge id up by its endpoints",
 	"internal/gossip.PushSum.TotalMass":     "the push-sum mass invariant that ROADMAP item 6 reads",
 	"internal/gossip.PushSum.TotalWeight":   "the push-sum weight invariant that ROADMAP item 6 reads",
 }

@@ -30,9 +30,10 @@
 //   - no stale commit: an initiator only applies a delta computed from its
 //     current value (ghost provenance), and a responder only commits a
 //     proposal its initiator actually applied;
-//   - lock-state sanity: a node never holds both roles at once, crashed
-//     nodes hold no volatile initiation, and watermarks never pass the
-//     peer's sequence counter;
+//   - lock-state sanity: crashed nodes hold no volatile initiation, and
+//     watermarks never pass the peer's sequence counter (that a node never
+//     holds both roles at once is enforced by the type: dist.NodeState
+//     has one lock slot);
 //   - quiescence: from any reachable state, deterministically draining the
 //     network (deliver everything, retransmit, time out) reaches a fully
 //     unlocked state whose plain sum equals the initial sum.

@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 
@@ -43,7 +44,7 @@ type world struct {
 	opt Options
 	mc  dist.Machine
 
-	nodes   []*dist.NodeState
+	nodes   []dist.NodeState
 	crashed []bool
 	net     []dist.Message
 
@@ -91,7 +92,7 @@ func newWorld(spec Spec, opt Options) (*world, error) {
 	w := &world{
 		g:       spec.Graph,
 		opt:     opt,
-		nodes:   make([]*dist.NodeState, n),
+		nodes:   make([]dist.NodeState, n),
 		crashed: make([]bool, n),
 		xInit:   make(map[exKey]float64),
 		sum0:    sum0,
@@ -102,7 +103,7 @@ func newWorld(spec Spec, opt Options) (*world, error) {
 		Mutate: opt.Mutation,
 	}
 	for i := range w.nodes {
-		w.nodes[i] = dist.NewNodeState(i, spec.X0[i])
+		w.nodes[i] = dist.NodeState{ID: i, X: spec.X0[i]}
 	}
 	return w, nil
 }
@@ -115,16 +116,13 @@ func (w *world) clone() *world {
 	if r, ok := w.mc.Rule.(*dist.SparseCutRule); ok {
 		cp.mc.Rule = r.Clone()
 	}
-	cp.nodes = make([]*dist.NodeState, len(w.nodes))
-	for i, st := range w.nodes {
-		cp.nodes[i] = st.Clone()
+	cp.nodes = make([]dist.NodeState, len(w.nodes))
+	for i := range w.nodes {
+		cp.nodes[i] = w.nodes[i].Clone()
 	}
 	cp.crashed = append([]bool(nil), w.crashed...)
 	cp.net = append([]dist.Message(nil), w.net...)
-	cp.xInit = make(map[exKey]float64, len(w.xInit))
-	for k, v := range w.xInit {
-		cp.xInit[k] = v
-	}
+	cp.xInit = maps.Clone(w.xInit)
 	cp.rec = nil
 	return &cp
 }
@@ -165,10 +163,10 @@ func (w *world) enabled() []Action {
 				acts = append(acts, Action{Op: OpInitiate, Node: n, Edge: e})
 			}
 		}
-		if st.Await != nil {
+		if st.Lock.Role == dist.RoleInitiator {
 			acts = append(acts, Action{Op: OpTimeout, Node: n})
 		}
-		if st.Pend != nil && w.resends < w.opt.MaxResends {
+		if st.Lock.Role == dist.RoleResponder && w.resends < w.opt.MaxResends {
 			acts = append(acts, Action{Op: OpResend, Node: n})
 		}
 		if w.opt.Crashes && w.crashes < w.opt.MaxCrashes {
@@ -232,7 +230,7 @@ func (w *world) apply(a Action) error {
 		if err != nil {
 			return err
 		}
-		if st.Await == nil {
+		if st.Lock.Role != dist.RoleInitiator {
 			return fmt.Errorf("%w: timeout on node %d with no outstanding initiation", errInvalid, a.Node)
 		}
 		w.step(a.Node, dist.StepIn{Kind: dist.StepTimeout})
@@ -241,7 +239,7 @@ func (w *world) apply(a Action) error {
 		if err != nil {
 			return err
 		}
-		if st.Pend == nil {
+		if st.Lock.Role != dist.RoleResponder {
 			return fmt.Errorf("%w: resend on node %d with no held proposal", errInvalid, a.Node)
 		}
 		w.step(a.Node, dist.StepIn{Kind: dist.StepResend})
@@ -283,7 +281,7 @@ func (w *world) aliveNode(i int) (*dist.NodeState, error) {
 	if w.crashed[i] {
 		return nil, fmt.Errorf("%w: node %d is crashed", errInvalid, i)
 	}
-	return w.nodes[i], nil
+	return &w.nodes[i], nil
 }
 
 func (w *world) takeMsg(i int) (dist.Message, error) {
@@ -300,13 +298,13 @@ func (w *world) takeMsg(i int) (dist.Message, error) {
 // flight.
 func (w *world) step(node int, in dist.StepIn) dist.StepOut {
 	in.NowNs = w.nowNs
-	out := w.mc.Step(w.nodes[node], in, w.rec)
-	if w.rec != nil {
-		for _, m := range out.Send {
+	out := w.mc.Step(&w.nodes[node], in, w.rec)
+	if m := out.Send[0]; m.Kind != 0 {
+		if w.rec != nil {
 			dist.FlightEmitter{Rec: w.rec}.Send(node, m, w.nowNs)
 		}
+		w.net = append(w.net, m)
 	}
-	w.net = append(w.net, out.Send...)
 	return out
 }
 
@@ -320,13 +318,8 @@ func (w *world) deliver(m dist.Message, draining bool) error {
 		}
 		return nil
 	}
-	st := w.nodes[m.To]
-	xBefore := st.X
-	var pendSeq uint64
-	pendInit := -1
-	if st.Pend != nil {
-		pendSeq, pendInit = st.Pend.Msg.Seq, st.Pend.Msg.To
-	}
+	st := &w.nodes[m.To]
+	xBefore, pre := st.X, st.Lock
 	out := w.step(m.To, dist.StepIn{Kind: dist.StepDeliver, Msg: m, Draining: draining})
 	if out.Applied {
 		// Provenance: the delta the initiator just applied was computed by
@@ -339,14 +332,14 @@ func (w *world) deliver(m dist.Message, draining bool) error {
 				st.ID, m.Seq, m.From, rec, xBefore)}
 		}
 	}
-	if out.Committed && pendInit >= 0 {
+	if out.Committed && pre.Role == dist.RoleResponder {
 		// A responder must only commit a proposal whose initiator actually
-		// applied the matching half (watermark equals the pend's seq; see
+		// applied the matching half (watermark equals the held seq; see
 		// sumInvariant for why equality is the applied test).
-		if got := w.nodes[pendInit].LastApplied[st.ID]; got != pendSeq {
+		if got := w.nodes[pre.Peer].LastApplied[st.ID]; got != pre.Seq {
 			return &Violation{Invariant: invStaleCommit, Detail: fmt.Sprintf(
 				"node %d committed held proposal seq %d whose initiator %d has applied-watermark %d",
-				st.ID, pendSeq, pendInit, got)}
+				st.ID, pre.Seq, pre.Peer, got)}
 		}
 	}
 	return nil
@@ -364,13 +357,12 @@ func (w *world) invariants() error {
 	return w.clone().drain()
 }
 
+// lockSanity checks what the lock slot's type does not already enforce (a
+// node holds one role at most): crashed nodes hold no volatile initiation,
+// and watermarks never pass the initiator's own seq counter.
 func (w *world) lockSanity() error {
 	for i, st := range w.nodes {
-		if st.Await != nil && st.Pend != nil {
-			return &Violation{Invariant: invLockState, Detail: fmt.Sprintf(
-				"node %d holds both an outstanding initiation and a held proposal", i)}
-		}
-		if w.crashed[i] && st.Await != nil {
+		if w.crashed[i] && st.Lock.Role == dist.RoleInitiator {
 			return &Violation{Invariant: invLockState, Detail: fmt.Sprintf(
 				"crashed node %d still holds its (volatile) outstanding initiation", i)}
 		}
@@ -396,16 +388,16 @@ func (w *world) sumInvariant() error {
 		s += st.X
 	}
 	for _, st := range w.nodes {
-		if st.Pend == nil {
+		if st.Lock.Role != dist.RoleResponder {
 			continue
 		}
 		// The initiator applied this held proposal iff its watermark equals
-		// the pend's seq exactly: proposals to one initiator are serial, and
+		// the held seq exactly: proposals to one initiator are serial, and
 		// a held proposal below the watermark is a resurrected aborted
 		// initiation the initiator never applied (and must refuse — that
 		// refusal being exact is precisely what MutLaxWatermarkDedup breaks).
-		if w.nodes[st.Pend.Msg.To].LastApplied[st.ID] == st.Pend.Msg.Seq {
-			s -= st.Pend.Msg.X
+		if w.nodes[st.Lock.Peer].LastApplied[st.ID] == st.Lock.Seq {
+			s -= st.Lock.D
 		}
 	}
 	if d := s - w.sum0; math.Abs(d) > w.opt.Epsilon {
@@ -449,7 +441,7 @@ func (w *world) drain() error {
 		}
 		acted := false
 		for i, st := range w.nodes {
-			if st.Pend != nil {
+			if st.Lock.Role == dist.RoleResponder {
 				w.step(i, dist.StepIn{Kind: dist.StepResend})
 				acted = true
 				break
@@ -457,7 +449,7 @@ func (w *world) drain() error {
 		}
 		if !acted {
 			for i, st := range w.nodes {
-				if st.Await != nil {
+				if st.Lock.Role == dist.RoleInitiator {
 					w.step(i, dist.StepIn{Kind: dist.StepTimeout})
 					acted = true
 					break
@@ -501,19 +493,23 @@ func (w *world) hash() uint64 {
 	for i, st := range w.nodes {
 		mix(math.Float64bits(st.X))
 		mix(st.Seq)
-		if st.Await != nil {
+		// The lock slot mixes as two tagged fields, initiator (1, peer,
+		// seq) then responder (2, held proposal's key), each a lone 0 when
+		// the node does not hold that role.
+		switch st.Lock.Role {
+		case dist.RoleInitiator:
 			mix(1)
-			mix(uint64(st.Await.Peer))
-			mix(st.Await.Seq)
-		} else {
+			mix(uint64(st.Lock.Peer))
+			mix(st.Lock.Seq)
 			mix(0)
-		}
-		if st.Pend != nil {
-			k := msgKey(st.Pend.Msg)
+		case dist.RoleResponder:
+			k := msgKey(w.mc.HeldProposal(&st))
+			mix(0)
 			mix(2)
 			mix(k[0])
 			mix(k[1])
-		} else {
+		default:
+			mix(0)
 			mix(0)
 		}
 		for _, he := range w.g.Neighbors(graph.NodeID(i)) {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"sparsecut/internal/flight"
+	"sparsecut/internal/graph"
 )
 
 // This file is the runtime's side of the causal flight recorder. The
@@ -72,45 +73,19 @@ func recordNetDrop(rec *flight.Recorder, m Message, node int, reason uint8) {
 	FlightEmitter{Rec: rec}.NetDrop(m, node, reason, time.Now().UnixNano())
 }
 
-// flightPre snapshots the protocol state a step may consume, captured
-// before the machine runs: a StepOut alone does not identify which
-// exchange an abort or a rollback resolved (the Await/Pend it cleared is
-// already gone).
-type flightPre struct {
-	hadAwait  bool
-	awaitSeq  uint64
-	awaitPeer int
-	hadPend   bool
-	pendMsg   Message
-}
-
-func flightPreOf(st *NodeState) flightPre {
-	var p flightPre
-	if st.Await != nil {
-		p.hadAwait, p.awaitSeq, p.awaitPeer = true, st.Await.Seq, st.Await.Peer
-	}
-	if st.Pend != nil {
-		p.hadPend, p.pendMsg = true, st.Pend.Msg
-	}
-	return p
-}
-
 // recordStep records one protocol step of node: the receive and the state
 // changes it caused, in that order. The step's sends are recorded after
-// it, by the driver, so a capture reads recv → state change → send.
-func recordStep(rec *flight.Recorder, node int, in StepIn, out StepOut, pre flightPre) {
+// it, by the driver, so a capture reads recv → state change → send. pre is
+// the node's lock slot before the step: a StepOut alone does not identify
+// which exchange an abort or a rollback resolved (the slot it cleared is
+// already gone).
+func recordStep(rec *flight.Recorder, g *graph.Graph, node int, in StepIn, out StepOut, pre LockSlot) {
 	id, now, m := int32(node), in.NowNs, in.Msg
 	switch in.Kind {
 	case StepDeliver:
 		rec.Record(msgRecord(flight.EvRecv, m, node, now))
 		if out.PendCreated {
-			d := 0.0
-			for _, sm := range out.Send {
-				if sm.Kind == MsgPropose {
-					d = sm.X
-				}
-			}
-			rec.Record(flight.Record{TimeNs: now, Seq: m.Seq, X: d,
+			rec.Record(flight.Record{TimeNs: now, Seq: m.Seq, X: out.Send[0].X,
 				Init: int32(m.From), Node: id, Peer: int32(m.From), Edge: int32(m.Edge), Kind: flight.EvPendHold})
 		}
 		if out.Applied {
@@ -118,45 +93,45 @@ func recordStep(rec *flight.Recorder, node int, in StepIn, out StepOut, pre flig
 				Init: id, Node: id, Peer: int32(m.From), Edge: msgEdge(m), Kind: flight.EvApply})
 		}
 		if out.Committed {
-			rec.Record(flight.Record{TimeNs: now, Seq: pre.pendMsg.Seq, X: pre.pendMsg.X,
-				Init: int32(pre.pendMsg.To), Node: id, Peer: int32(pre.pendMsg.To), Edge: int32(pre.pendMsg.Edge), Kind: flight.EvCommit})
+			rec.Record(flight.Record{TimeNs: now, Seq: pre.Seq, X: pre.D,
+				Init: pre.Peer, Node: id, Peer: pre.Peer, Edge: int32(edgeOf(g, node, pre)), Kind: flight.EvCommit})
 		}
 		if out.Aborted {
 			rec.Record(flight.Record{TimeNs: now, Seq: m.Seq,
 				Init: id, Node: id, Peer: int32(m.From), Edge: flight.NoNode, Kind: flight.EvAbort, Flags: flight.ReasonNack})
 		}
 		if out.PendDropped {
-			rec.Record(flight.Record{TimeNs: now, Seq: pre.pendMsg.Seq,
-				Init: int32(pre.pendMsg.To), Node: id, Peer: int32(pre.pendMsg.To), Edge: int32(pre.pendMsg.Edge), Kind: flight.EvPendDrop})
+			rec.Record(flight.Record{TimeNs: now, Seq: pre.Seq,
+				Init: pre.Peer, Node: id, Peer: pre.Peer, Edge: int32(edgeOf(g, node, pre)), Kind: flight.EvPendDrop})
 		}
 	case StepInitiate:
-		if !out.Proposed || len(out.Send) == 0 {
+		if !out.Proposed {
 			return
 		}
 		lk := out.Send[0]
 		rec.Record(flight.Record{TimeNs: now, Seq: lk.Seq, X: lk.X,
 			Init: id, Node: id, Peer: int32(lk.To), Edge: int32(lk.Edge), Kind: flight.EvInitiate})
 	case StepTimeout:
-		if pre.hadAwait {
-			rec.Record(flight.Record{TimeNs: now, Seq: pre.awaitSeq,
-				Init: id, Node: id, Peer: int32(pre.awaitPeer), Edge: flight.NoNode, Kind: flight.EvTimeout})
+		if pre.Role == RoleInitiator {
+			rec.Record(flight.Record{TimeNs: now, Seq: pre.Seq,
+				Init: id, Node: id, Peer: pre.Peer, Edge: flight.NoNode, Kind: flight.EvTimeout})
 		}
 		if out.Aborted {
-			rec.Record(flight.Record{TimeNs: now, Seq: pre.awaitSeq,
-				Init: id, Node: id, Peer: int32(pre.awaitPeer), Edge: flight.NoNode, Kind: flight.EvAbort, Flags: flight.ReasonTimeout})
+			rec.Record(flight.Record{TimeNs: now, Seq: pre.Seq,
+				Init: id, Node: id, Peer: pre.Peer, Edge: flight.NoNode, Kind: flight.EvAbort, Flags: flight.ReasonTimeout})
 		}
 	case StepResend:
 		// The proposal's re-send is a separate Send record.
-		if pre.hadPend {
-			rec.Record(flight.Record{TimeNs: now, Seq: pre.pendMsg.Seq,
-				Init: int32(pre.pendMsg.To), Node: id, Peer: int32(pre.pendMsg.To), Edge: int32(pre.pendMsg.Edge), Kind: flight.EvResend})
+		if pre.Role == RoleResponder {
+			rec.Record(flight.Record{TimeNs: now, Seq: pre.Seq,
+				Init: pre.Peer, Node: id, Peer: pre.Peer, Edge: int32(edgeOf(g, node, pre)), Kind: flight.EvResend})
 		}
 	case StepCrash:
 		rec.Record(flight.Record{TimeNs: now,
 			Init: flight.NoNode, Node: id, Peer: flight.NoNode, Edge: flight.NoNode, Kind: flight.EvCrash})
 		if out.Aborted {
-			rec.Record(flight.Record{TimeNs: now, Seq: pre.awaitSeq,
-				Init: id, Node: id, Peer: int32(pre.awaitPeer), Edge: flight.NoNode, Kind: flight.EvAbort, Flags: flight.ReasonCrash})
+			rec.Record(flight.Record{TimeNs: now, Seq: pre.Seq,
+				Init: id, Node: id, Peer: pre.Peer, Edge: flight.NoNode, Kind: flight.EvAbort, Flags: flight.ReasonCrash})
 		}
 	case StepRecover:
 		rec.Record(flight.Record{TimeNs: now,

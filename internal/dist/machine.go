@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"maps"
+
 	"sparsecut/internal/flight"
 	"sparsecut/internal/graph"
 )
@@ -59,7 +61,8 @@ import (
 //
 // Crash paths: a crash is fail-stop with stable storage for the node's
 // value, seq counter, applied-watermarks and held proposal — only the
-// outstanding initiation (Await) is volatile and aborts at crash time.
+// outstanding initiation (an initiator lock) is volatile and aborts at
+// crash time.
 // Messages delivered to a crashed node are lost. A recovered responder
 // resumes retransmitting its held proposal, so the exchange still resolves
 // the way the initiator decided (COMMIT if the initiator's watermark shows
@@ -72,8 +75,8 @@ type Machine struct {
 	// Epoch stamps outgoing messages and drops stale incoming ones (see
 	// Message.Epoch).
 	Epoch uint64
-	// LockTimeoutNs and ResendEveryNs set the deadlines the machine writes
-	// into Await/Pend state, in the driver's time base (wall nanoseconds
+	// LockTimeoutNs and ResendEveryNs set the deadline the machine writes
+	// into a node's lock slot, in the driver's time base (wall nanoseconds
 	// for the live runtime, virtual ticks for the checker). The machine
 	// never compares them against now itself — firing TimeoutAwait and
 	// Resend is the driver's decision.
@@ -167,12 +170,10 @@ type NodeState struct {
 	// Seq numbers this node's initiations; (ID, Seq) identifies one
 	// exchange attempt.
 	Seq uint64
-	// Await is the outstanding initiation, if any; Pend the held
-	// (uncommitted) proposal awaiting its commit or abort, if any. The
-	// node is locked while either is non-nil (it NACKs incoming LOCKs and
-	// its clock fires are skipped).
-	Await *AwaitState
-	Pend  *PendState
+	// Lock is the node's one exchange in progress, in either role: one
+	// slot, so a node cannot hold both. While it is set the node NACKs
+	// incoming LOCKs and its clock fires are skipped.
+	Lock LockSlot
 	// LastApplied[r] is the highest seq whose proposal from responder r
 	// has been applied, so retransmitted duplicates are answered with a
 	// fresh COMMIT without reapplying. A per-responder watermark suffices:
@@ -184,26 +185,37 @@ type NodeState struct {
 	LastApplied map[int]uint64
 }
 
-// AwaitState is an outstanding initiation.
-type AwaitState struct {
-	Seq uint64
-	// Peer is the responder this initiation locked toward. Replies are
-	// matched on (peer, seq), not seq alone: seq counters are per-node
-	// namespaces, so a late duplicate NACK from an old exchange (carrying
-	// the *other* node's seq) could otherwise collide with this node's
-	// own counter and abort an unrelated healthy exchange.
-	Peer       int
-	DeadlineNs int64
-	// StartedNs is when the initiation's LOCK went out; StepOut.LatencyNs
-	// measures LOCK-sent → PROPOSE-applied from it.
-	StartedNs int64
-}
+// Role is the side of an exchange a locked node holds.
+type Role uint8
 
-// PendState is a held (uncommitted) proposal. Msg is the PROPOSE to
-// retransmit; Msg.X is the held delta.
-type PendState struct {
-	Msg      Message
-	ResendNs int64
+const (
+	RoleNone      Role = iota // unlocked
+	RoleInitiator             // sent a LOCK, awaits its PROPOSE
+	RoleResponder             // sent a PROPOSE, holds its delta until COMMIT or NACK
+)
+
+// LockSlot is a node's exchange in progress, held by value. It stores
+// only what no other field determines, which keeps NodeState at 64 bytes:
+// the exchange's edge is the one between the node and Peer (graphs are
+// simple; see edgeOf), and an initiator's LOCK went out at DueNs -
+// Machine.LockTimeoutNs.
+type LockSlot struct {
+	// D is the held delta (responder): the X of the PROPOSE it
+	// retransmits, and what it applies negated on COMMIT.
+	D float64
+	// Seq is the initiator's sequence number of the exchange.
+	Seq uint64
+	// DueNs is the slot's one deadline: the lock timeout for an
+	// initiator, the resend lease for a responder.
+	DueNs int64
+	// Peer is the other endpoint. Replies are matched on (peer, seq), not
+	// seq alone: seq counters are per-node namespaces, so a late
+	// duplicate NACK from an old exchange (carrying the *other* node's
+	// seq) could otherwise collide with this node's own counter and abort
+	// an unrelated healthy exchange.
+	Peer int32
+	// Role is the side held; RoleNone means the slot is empty.
+	Role Role
 }
 
 // NewNodeState returns the initial protocol state of node id with value
@@ -225,37 +237,48 @@ func (st *NodeState) noteApplied(responder int, seq uint64) {
 
 // Locked reports whether the node is in the middle of an exchange (either
 // role) and therefore refuses new LOCKs and skips its own clock fires.
-func (st *NodeState) Locked() bool { return st.Await != nil || st.Pend != nil }
+func (st *NodeState) Locked() bool { return st.Lock.Role != RoleNone }
 
-// Clone returns a deep copy (the checker forks world states per explored
-// action).
-func (st *NodeState) Clone() *NodeState {
-	cp := *st
-	if st.Await != nil {
-		a := *st.Await
-		cp.Await = &a
-	}
-	if st.Pend != nil {
-		p := *st.Pend
-		cp.Pend = &p
-	}
-	if st.LastApplied != nil {
-		cp.LastApplied = make(map[int]uint64, len(st.LastApplied))
-		for k, v := range st.LastApplied {
-			cp.LastApplied[k] = v
-		}
-	}
-	return &cp
+// holds reports whether the node is locked in role r toward peer for the
+// exchange seq.
+func (st *NodeState) holds(r Role, peer int, seq uint64) bool {
+	return st.Lock.Role == r && st.Lock.Seq == seq && int(st.Lock.Peer) == peer
 }
 
-// StepOut is the effect of one protocol step: the messages to transmit
-// plus flags the driver folds into its accounting. The machine mutates
-// only the NodeState it was handed; everything else is reported here.
+// Clone returns a deep copy: LastApplied is the state's one pointer (the
+// checker forks world states per explored action).
+func (st *NodeState) Clone() NodeState {
+	cp := *st
+	cp.LastApplied = maps.Clone(st.LastApplied)
+	return cp
+}
+
+// HeldProposal rebuilds the PROPOSE a responder holds from its lock slot.
+// It is the message Deliver sent when the slot was set: no slot outlives
+// the run (the epoch) it was set in, so mc.Epoch is the epoch it carried.
+func (mc *Machine) HeldProposal(st *NodeState) Message {
+	l := &st.Lock
+	return Message{Kind: MsgPropose, Re: MsgLock, From: st.ID, To: int(l.Peer), Seq: l.Seq, Edge: edgeOf(mc.G, st.ID, *l), X: l.D, Epoch: mc.Epoch}
+}
+
+// edgeOf returns the edge node's exchange in slot l ticks. The graph is
+// simple (Build drops repeated edges), so the two endpoints name it; the
+// LOCK that set the slot carried this edge.
+func edgeOf(g *graph.Graph, node int, l LockSlot) graph.EdgeID {
+	e, _ := g.FindEdge(graph.NodeID(node), graph.NodeID(l.Peer))
+	return e
+}
+
+// StepOut is the effect of one protocol step: the message to transmit, if
+// any, plus flags the driver folds into its accounting. The machine
+// mutates only the NodeState it was handed; everything else is reported
+// here.
 type StepOut struct {
-	// Send is the messages to hand to the network, already
-	// epoch-stamped, in order.
-	Send []Message
-	// Proposed: a new initiation went out (LOCK sent, Await created).
+	// Send[0] is the message to hand to the network, already
+	// epoch-stamped; a zero Kind means the step sent nothing. No step
+	// sends more than one message, so it is held inline.
+	Send [1]Message
+	// Proposed: a new initiation went out (LOCK sent, initiator locked).
 	Proposed bool
 	// PendCreated: the responder locked itself and holds a new proposal.
 	PendCreated bool
@@ -274,8 +297,6 @@ type StepOut struct {
 	// -1 otherwise.
 	LatencyNs int64
 }
-
-func (out *StepOut) send(m Message) { out.Send = append(out.Send, m) }
 
 // StepKind names the protocol event a driver feeds the machine: one per
 // per-kind entry point below.
@@ -308,11 +329,11 @@ type StepIn struct {
 // state changes) in rec. The driver records the step's sends itself, after
 // Step returns, as it hands them to its network.
 func (mc *Machine) Step(st *NodeState, in StepIn, rec *flight.Recorder) StepOut {
-	var pre flightPre
+	var pre LockSlot
 	if rec != nil {
-		// Snapshot the Await/Pend identity the step may clear; the record
-		// needs it to name the exchange an abort or rollback resolved.
-		pre = flightPreOf(st)
+		// Snapshot the lock slot the step may clear; the record needs it
+		// to name the exchange an abort or rollback resolved.
+		pre = st.Lock
 	}
 	var out StepOut
 	switch in.Kind {
@@ -330,7 +351,7 @@ func (mc *Machine) Step(st *NodeState, in StepIn, rec *flight.Recorder) StepOut 
 		out = mc.Recover(st, in.NowNs)
 	}
 	if rec != nil {
-		recordStep(rec, st.ID, in, out, pre)
+		recordStep(rec, mc.G, st.ID, in, out, pre)
 	}
 	return out
 }
@@ -350,7 +371,7 @@ func (mc *Machine) Deliver(st *NodeState, m Message, nowNs int64, draining bool)
 	switch m.Kind {
 	case MsgLock:
 		if st.Locked() || draining {
-			out.send(Message{Kind: MsgNack, Re: MsgLock, From: st.ID, To: m.From, Seq: m.Seq, Epoch: mc.Epoch})
+			out.Send[0] = Message{Kind: MsgNack, Re: MsgLock, From: st.ID, To: m.From, Seq: m.Seq, Epoch: mc.Epoch}
 			return out
 		}
 		// Propose: compute the initiator's delta and hold it, locked,
@@ -360,21 +381,20 @@ func (mc *Machine) Deliver(st *NodeState, m Message, nowNs int64, draining bool)
 		// here; a subsequently NACKed proposal has still consumed a tick,
 		// like a simulator tick whose update is the identity.
 		d := mc.Rule.Delta(m.Edge, graph.NodeID(m.From), m.X, st.X)
-		prop := Message{Kind: MsgPropose, Re: MsgLock, From: st.ID, To: m.From, Seq: m.Seq, Edge: m.Edge, X: d, Epoch: mc.Epoch}
-		st.Pend = &PendState{Msg: prop, ResendNs: nowNs + mc.ResendEveryNs}
+		st.Lock = LockSlot{Role: RoleResponder, Peer: int32(m.From), Seq: m.Seq, D: d, DueNs: nowNs + mc.ResendEveryNs}
 		out.PendCreated = true
-		out.send(prop)
+		out.Send[0] = Message{Kind: MsgPropose, Re: MsgLock, From: st.ID, To: m.From, Seq: m.Seq, Edge: m.Edge, X: d, Epoch: mc.Epoch}
 
 	case MsgPropose:
 		switch {
-		case st.Await != nil && st.Await.Seq == m.Seq && st.Await.Peer == m.From:
+		case st.holds(RoleInitiator, m.From, m.Seq):
 			// Our current exchange: apply our half and commit.
 			st.noteApplied(m.From, m.Seq)
 			st.X += m.X
 			out.Applied = true
-			out.LatencyNs = nowNs - st.Await.StartedNs
-			st.Await = nil
-			out.send(Message{Kind: MsgCommit, Re: MsgPropose, From: st.ID, To: m.From, Seq: m.Seq, Epoch: mc.Epoch})
+			out.LatencyNs = nowNs - (st.Lock.DueNs - mc.LockTimeoutNs) // since the LOCK went out
+			st.Lock = LockSlot{}
+			out.Send[0] = Message{Kind: MsgCommit, Re: MsgPropose, From: st.ID, To: m.From, Seq: m.Seq, Epoch: mc.Epoch}
 		case m.Seq == st.LastApplied[m.From] || (mc.Mutate == MutLaxWatermarkDedup && m.Seq <= st.LastApplied[m.From]):
 			// Retransmission of the proposal we already applied (our COMMIT
 			// was lost): re-commit without reapplying. The match must be
@@ -387,7 +407,7 @@ func (mc *Machine) Deliver(st *NodeState, m Message, nowNs int64, draining bool)
 			// falls through to the refusal below. (The original `<=` test
 			// here re-committed those and broke sum conservation; see
 			// MutLaxWatermarkDedup.)
-			out.send(Message{Kind: MsgCommit, Re: MsgPropose, From: st.ID, To: m.From, Seq: m.Seq, Epoch: mc.Epoch})
+			out.Send[0] = Message{Kind: MsgCommit, Re: MsgPropose, From: st.ID, To: m.From, Seq: m.Seq, Epoch: mc.Epoch}
 		default:
 			// A proposal for an exchange we already gave up on: refuse,
 			// so the responder rolls back. This is what guarantees a
@@ -396,20 +416,20 @@ func (mc *Machine) Deliver(st *NodeState, m Message, nowNs int64, draining bool)
 				st.noteApplied(m.From, m.Seq)
 				st.X += m.X
 				out.Applied = true
-				out.send(Message{Kind: MsgCommit, Re: MsgPropose, From: st.ID, To: m.From, Seq: m.Seq, Epoch: mc.Epoch})
+				out.Send[0] = Message{Kind: MsgCommit, Re: MsgPropose, From: st.ID, To: m.From, Seq: m.Seq, Epoch: mc.Epoch}
 				return out
 			}
-			out.send(Message{Kind: MsgNack, Re: MsgPropose, From: st.ID, To: m.From, Seq: m.Seq, Epoch: mc.Epoch})
+			out.Send[0] = Message{Kind: MsgNack, Re: MsgPropose, From: st.ID, To: m.From, Seq: m.Seq, Epoch: mc.Epoch}
 		}
 
 	case MsgCommit:
-		match := st.Pend != nil && st.Pend.Msg.Seq == m.Seq && st.Pend.Msg.To == m.From
+		match := st.holds(RoleResponder, m.From, m.Seq)
 		if mc.Mutate == MutCommitIgnoresSeq {
-			match = st.Pend != nil && st.Pend.Msg.To == m.From
+			match = st.Lock.Role == RoleResponder && int(st.Lock.Peer) == m.From
 		}
 		if match {
-			st.X -= st.Pend.Msg.X
-			st.Pend = nil
+			st.X -= st.Lock.D
+			st.Lock = LockSlot{}
 			out.Committed = true
 		}
 
@@ -424,17 +444,17 @@ func (mc *Machine) Deliver(st *NodeState, m Message, nowNs int64, draining bool)
 		// MutNackRoleConfusion, the seed bug internal/check caught).
 		answersLock := m.Re == MsgLock || mc.Mutate == MutNackRoleConfusion
 		answersProp := m.Re == MsgPropose || mc.Mutate == MutNackRoleConfusion
-		if answersLock && st.Await != nil && st.Await.Seq == m.Seq && st.Await.Peer == m.From {
-			st.Await = nil
+		switch {
+		case answersLock && st.holds(RoleInitiator, m.From, m.Seq):
+			st.Lock = LockSlot{}
 			out.Aborted = true
-		}
-		if answersProp && st.Pend != nil && st.Pend.Msg.Seq == m.Seq && st.Pend.Msg.To == m.From {
+		case answersProp && st.holds(RoleResponder, m.From, m.Seq):
 			// Our held proposal was refused: roll back (nothing was
 			// applied) and unlock.
 			if mc.Mutate == MutNackRollbackApplies {
-				st.X -= st.Pend.Msg.X
+				st.X -= st.Lock.D
 			}
-			st.Pend = nil
+			st.Lock = LockSlot{}
 			out.PendDropped = true
 		}
 	}
@@ -450,9 +470,9 @@ func (mc *Machine) Initiate(st *NodeState, he graph.HalfEdge, nowNs int64) StepO
 		return out
 	}
 	st.Seq++
-	st.Await = &AwaitState{Seq: st.Seq, Peer: int(he.Peer), DeadlineNs: nowNs + mc.LockTimeoutNs, StartedNs: nowNs}
+	st.Lock = LockSlot{Role: RoleInitiator, Peer: int32(he.Peer), Seq: st.Seq, DueNs: nowNs + mc.LockTimeoutNs}
 	out.Proposed = true
-	out.send(Message{Kind: MsgLock, From: st.ID, To: int(he.Peer), Seq: st.Seq, Edge: he.Edge, X: st.X, Epoch: mc.Epoch})
+	out.Send[0] = Message{Kind: MsgLock, From: st.ID, To: int(he.Peer), Seq: st.Seq, Edge: he.Edge, X: st.X, Epoch: mc.Epoch}
 	return out
 }
 
@@ -463,8 +483,8 @@ func (mc *Machine) Initiate(st *NodeState, he graph.HalfEdge, nowNs int64) StepO
 // fires it at arbitrary points to model arbitrary timing.
 func (mc *Machine) TimeoutAwait(st *NodeState) StepOut {
 	out := StepOut{LatencyNs: -1}
-	if st.Await != nil {
-		st.Await = nil
+	if st.Lock.Role == RoleInitiator {
+		st.Lock = LockSlot{}
 		out.Aborted = true
 	}
 	return out
@@ -473,9 +493,9 @@ func (mc *Machine) TimeoutAwait(st *NodeState) StepOut {
 // Resend retransmits the held proposal and renews its lease.
 func (mc *Machine) Resend(st *NodeState, nowNs int64) StepOut {
 	out := StepOut{LatencyNs: -1}
-	if st.Pend != nil {
-		out.send(st.Pend.Msg)
-		st.Pend.ResendNs = nowNs + mc.ResendEveryNs
+	if st.Lock.Role == RoleResponder {
+		out.Send[0] = mc.HeldProposal(st)
+		st.Lock.DueNs = nowNs + mc.ResendEveryNs
 	}
 	return out
 }
@@ -486,8 +506,8 @@ func (mc *Machine) Resend(st *NodeState, nowNs int64) StepOut {
 // the node is down.
 func (mc *Machine) Crash(st *NodeState) StepOut {
 	out := StepOut{LatencyNs: -1}
-	if st.Await != nil {
-		st.Await = nil
+	if st.Lock.Role == RoleInitiator {
+		st.Lock = LockSlot{}
 		out.Aborted = true
 	}
 	return out
@@ -497,8 +517,8 @@ func (mc *Machine) Crash(st *NodeState) StepOut {
 // due for immediate retransmission so the stalled exchange resolves.
 func (mc *Machine) Recover(st *NodeState, nowNs int64) StepOut {
 	out := StepOut{LatencyNs: -1}
-	if st.Pend != nil {
-		st.Pend.ResendNs = nowNs
+	if st.Lock.Role == RoleResponder {
+		st.Lock.DueNs = nowNs
 	}
 	return out
 }

@@ -101,36 +101,36 @@ func TestMachineCommitFlow(t *testing.T) {
 	a, b := sts[0], sts[1]
 
 	out := mc.Initiate(a, halfEdgeTo(t, mc, 0, 1), 10)
-	if !out.Proposed || len(out.Send) != 1 || out.Send[0].Kind != MsgLock {
+	if !out.Proposed || out.Send[0].Kind != MsgLock {
 		t.Fatalf("initiate: %+v", out)
 	}
 	lock := out.Send[0]
-	if lock.Epoch != 1 || lock.X != 1 || a.Await == nil || a.Await.DeadlineNs != 110 {
-		t.Fatalf("lock %+v await %+v", lock, a.Await)
+	if lock.Epoch != 1 || lock.X != 1 || a.Lock.Role != RoleInitiator || a.Lock.DueNs != 110 {
+		t.Fatalf("lock %+v slot %+v", lock, a.Lock)
 	}
 
 	out = mc.Deliver(b, lock, 20, false)
-	if !out.PendCreated || len(out.Send) != 1 || out.Send[0].Kind != MsgPropose {
+	if !out.PendCreated || out.Send[0].Kind != MsgPropose {
 		t.Fatalf("lock delivery: %+v", out)
 	}
 	prop := out.Send[0]
 	if prop.X != 2 { // vanilla delta (5-1)/2
 		t.Errorf("proposed delta %g, want 2", prop.X)
 	}
-	if b.Pend == nil || b.Pend.ResendNs != 60 {
-		t.Fatalf("pend %+v", b.Pend)
+	if b.Lock.Role != RoleResponder || b.Lock.DueNs != 60 || mc.HeldProposal(b) != prop {
+		t.Fatalf("slot %+v", b.Lock)
 	}
 
 	out = mc.Deliver(a, prop, 30, false)
-	if !out.Applied || out.LatencyNs != 20 || len(out.Send) != 1 || out.Send[0].Kind != MsgCommit {
+	if !out.Applied || out.LatencyNs != 20 || out.Send[0].Kind != MsgCommit {
 		t.Fatalf("propose delivery: %+v", out)
 	}
-	if a.X != 3 || a.Await != nil || a.LastApplied[1] != 1 {
+	if a.X != 3 || a.Locked() || a.LastApplied[1] != 1 {
 		t.Fatalf("initiator state after apply: %+v", a)
 	}
 
 	out = mc.Deliver(b, out.Send[0], 40, false)
-	if !out.Committed || b.X != 3 || b.Pend != nil {
+	if !out.Committed || out.Send[0].Kind != 0 || b.X != 3 || b.Locked() {
 		t.Fatalf("commit delivery: %+v, responder %+v", out, b)
 	}
 	if s := a.X + b.X + sts[2].X; s != 6 {
@@ -146,21 +146,21 @@ func TestMachineAbortAndDuplicatePaths(t *testing.T) {
 	lock := mc.Initiate(a, halfEdgeTo(t, mc, 0, 1), 0).Send[0]
 	mc.Deliver(b, lock, 0, false)
 	lock2 := mc.Initiate(sts[2], halfEdgeTo(t, mc, 2, 1), 0).Send[0]
-	if out := mc.Deliver(b, lock2, 0, false); len(out.Send) != 1 || out.Send[0].Kind != MsgNack {
+	if out := mc.Deliver(b, lock2, 0, false); out.Send[0].Kind != MsgNack {
 		t.Fatalf("busy responder: %+v", out)
 	}
 
 	// Timeout aborts the initiation; the late proposal is then refused and
 	// the responder rolls back with no value change anywhere.
-	if out := mc.TimeoutAwait(a); !out.Aborted || a.Await != nil {
+	if out := mc.TimeoutAwait(a); !out.Aborted || out.Send[0].Kind != 0 || a.Locked() {
 		t.Fatalf("timeout: %+v", out)
 	}
-	prop := b.Pend.Msg
+	prop := mc.HeldProposal(b)
 	out := mc.Deliver(a, prop, 0, false)
-	if out.Applied || len(out.Send) != 1 || out.Send[0].Kind != MsgNack {
+	if out.Applied || out.Send[0].Kind != MsgNack {
 		t.Fatalf("stale proposal: %+v", out)
 	}
-	if out := mc.Deliver(b, out.Send[0], 0, false); !out.PendDropped || b.Pend != nil || b.X != 5 {
+	if out := mc.Deliver(b, out.Send[0], 0, false); !out.PendDropped || out.Send[0].Kind != 0 || b.Locked() || b.X != 5 {
 		t.Fatalf("rollback: %+v responder %+v", out, b)
 	}
 
@@ -171,14 +171,14 @@ func TestMachineAbortAndDuplicatePaths(t *testing.T) {
 	mc.Deliver(a, prop, 0, false)
 	xa := a.X
 	out = mc.Deliver(a, prop, 0, false) // retransmitted duplicate
-	if a.X != xa || len(out.Send) != 1 || out.Send[0].Kind != MsgCommit || out.Applied {
+	if a.X != xa || out.Send[0].Kind != MsgCommit || out.Applied {
 		t.Fatalf("duplicate proposal: %+v", out)
 	}
 
 	// Stale-epoch messages are dropped outright.
 	stale := lock
 	stale.Epoch = 99
-	if out := mc.Deliver(b, stale, 0, false); len(out.Send) != 0 || out.PendCreated {
+	if out := mc.Deliver(b, stale, 0, false); out.Send[0].Kind != 0 || out.PendCreated {
 		t.Fatalf("stale epoch: %+v", out)
 	}
 }
@@ -189,21 +189,22 @@ func TestMachineCrashRecoverSemantics(t *testing.T) {
 
 	// Crash aborts a volatile initiation.
 	mc.Initiate(a, halfEdgeTo(t, mc, 0, 1), 0)
-	if out := mc.Crash(a); !out.Aborted || a.Await != nil {
+	if out := mc.Crash(a); !out.Aborted || out.Send[0].Kind != 0 || a.Locked() {
 		t.Fatalf("crash with await: %+v", out)
 	}
 
 	// A held proposal survives a crash and retransmits on recovery.
 	lock := mc.Initiate(a, halfEdgeTo(t, mc, 0, 1), 0).Send[0]
-	mc.Deliver(b, lock, 0, false)
-	if out := mc.Crash(b); out.Aborted || b.Pend == nil {
+	prop := mc.Deliver(b, lock, 0, false).Send[0]
+	if out := mc.Crash(b); out.Aborted || b.Lock.Role != RoleResponder {
 		t.Fatalf("crash with pend: %+v state %+v", out, b)
 	}
-	mc.Recover(b, 500)
-	if b.Pend.ResendNs != 500 {
-		t.Fatalf("recovery did not make the held proposal due: %+v", b.Pend)
+	if out := mc.Recover(b, 500); out.Send[0].Kind != 0 || b.Lock.DueNs != 500 {
+		t.Fatalf("recovery did not make the held proposal due: %+v", b.Lock)
 	}
-	if out := mc.Resend(b, 500); len(out.Send) != 1 || out.Send[0].Kind != MsgPropose {
-		t.Fatalf("post-recovery resend: %+v", out)
+	// The retransmission, rebuilt from the lock slot, is the PROPOSE the
+	// LOCK's delivery sent, field for field; the lease renews.
+	if out := mc.Resend(b, 500); out.Send[0] != prop || b.Lock.DueNs != 540 {
+		t.Fatalf("post-recovery resend: %+v, want %+v; slot %+v", out, prop, b.Lock)
 	}
 }

@@ -258,7 +258,7 @@ type shard struct {
 
 	states []NodeState
 	clocks []wheelTimer // one per node, kind tkClock
-	protos []wheelTimer // one per node, kind tkProto: Await XOR Pend deadline
+	protos []wheelTimer // one per node, kind tkProto: the lock slot's deadline
 	crash  map[int]*shardCrash
 	r      *rng.RNG
 	w      *wheel
@@ -620,39 +620,41 @@ func (rt *ShardRuntime) Run(ctx context.Context, duration float64) error {
 	close(stopC)
 	rt.wg.Wait()
 
-	// Settle pass, the last line of fault recovery. The drain above ends
-	// only at quiescence, so this loop normally finds nothing; should a
-	// proposal ever be left held, it is resolved the way its initiator
-	// already decided. All shard loops have exited, so cross-shard state
-	// reads are safe: if the initiator applied (+delta committed but the
-	// COMMIT message was lost), land the responder's half; otherwise
-	// nothing was applied anywhere and the proposal is discarded. Either
-	// way the sum stays exact.
-	for _, s := range rt.shards {
-		for li := range s.states {
-			st := &s.states[li]
-			if st.Pend != nil {
-				init := rt.stateOf(st.Pend.Msg.To)
-				if init.LastApplied[st.ID] >= st.Pend.Msg.Seq {
-					st.X -= st.Pend.Msg.X
-					rt.exchanges.Add(1)
-					s.committed.Add(1)
-					rt.met.publish(st.ID, st.X)
-				}
-				st.Pend = nil
-			}
-			st.Await = nil
-		}
-	}
-	rt.awaiting.Store(0)
-	rt.pending.Store(0)
-
+	rt.settle()
 	for _, s := range rt.shards {
 		for li := range s.states {
 			rt.values[s.lo+li] = s.states[li].X
 		}
 	}
 	return ctx.Err() // non-nil if the caller cut the run short; state is still consistent
+}
+
+// settle is the last line of fault recovery, run after the drain with
+// every shard loop stopped. The drain ends only at quiescence, so it
+// normally finds nothing; should a proposal ever be left held, it is
+// resolved the way its initiator already decided. No loop runs, so
+// cross-shard state reads are safe: if the initiator applied it (+delta
+// landed but the COMMIT was lost; the watermark equals its seq exactly,
+// as in Deliver), land the responder's half; otherwise nothing was
+// applied anywhere and the proposal is discarded. A held proposal below
+// the watermark is an aborted initiation that came back and was never
+// applied (see MutLaxWatermarkDedup). Either way the sum stays exact, and
+// every lock slot ends clear.
+func (rt *ShardRuntime) settle() {
+	for _, s := range rt.shards {
+		for li := range s.states {
+			st := &s.states[li]
+			if l := st.Lock; l.Role == RoleResponder && rt.stateOf(int(l.Peer)).LastApplied[st.ID] == l.Seq {
+				st.X -= l.D
+				rt.exchanges.Add(1)
+				s.committed.Add(1)
+				rt.met.publish(st.ID, st.X)
+			}
+			st.Lock = LockSlot{}
+		}
+	}
+	rt.awaiting.Store(0)
+	rt.pending.Store(0)
 }
 
 // resetForRun reinstalls the run's initial values, rebuilds the wheel,
@@ -667,7 +669,7 @@ func (s *shard) resetForRun(start time.Time) {
 	for li := range s.states {
 		st := &s.states[li]
 		st.X = rt.values[s.lo+li]
-		st.Await, st.Pend = nil, nil
+		st.Lock = LockSlot{}
 		s.clocks[li] = wheelTimer{node: int32(s.lo + li), kind: tkClock}
 		s.protos[li] = wheelTimer{node: int32(s.lo + li), kind: tkProto}
 		s.scheduleClock(li, start)
@@ -811,19 +813,20 @@ func (s *shard) fireClock(abs int, now time.Time) {
 	}
 }
 
-// fireProto services a node's protocol deadline. Await and Pend are
-// mutually exclusive (an initiator is never simultaneously a responder
-// holding a proposal — Machine refuses LOCKs while locked), so one timer
-// per node covers both; armProto keeps it pointed at whichever is live.
+// fireProto services a node's protocol deadline: the lock slot's DueNs,
+// a lock timeout for an initiator and a resend lease for a responder. A
+// node holds one slot, so one timer per node covers both roles; armProto
+// keeps it pointed at the slot's deadline.
 func (s *shard) fireProto(abs int, now time.Time) {
 	li := abs - s.lo
-	st := &s.states[li]
-	nowNs := now.UnixNano()
-	if st.Await != nil && nowNs >= st.Await.DeadlineNs {
-		s.step(abs, StepIn{Kind: StepTimeout}, now)
-	}
-	if st.Pend != nil && nowNs >= st.Pend.ResendNs {
-		s.step(abs, StepIn{Kind: StepResend}, now)
+	l := &s.states[li].Lock
+	if now.UnixNano() >= l.DueNs {
+		switch l.Role {
+		case RoleInitiator:
+			s.step(abs, StepIn{Kind: StepTimeout}, now)
+		case RoleResponder:
+			s.step(abs, StepIn{Kind: StepResend}, now)
+		}
 	}
 	// Quantisation can fire a slot before the deadline's sub-tick offset;
 	// re-arm for the next tick in that case (armProto is idempotent).
@@ -918,22 +921,16 @@ func (s *shard) step(abs int, in StepIn, now time.Time) {
 	s.armProto(li)
 }
 
-// armProto points the node's protocol timer at its live deadline (Await
-// timeout or Pend resend), or cancels it when the node is unlocked.
+// armProto points the node's protocol timer at its lock slot's deadline,
+// or cancels it when the node is unlocked.
 func (s *shard) armProto(li int) {
 	st := &s.states[li]
 	t := &s.protos[li]
-	var when int64
-	switch {
-	case st.Await != nil:
-		when = st.Await.DeadlineNs
-	case st.Pend != nil:
-		when = st.Pend.ResendNs
-	default:
+	if !st.Locked() {
 		s.w.cancel(t)
 		return
 	}
-	if !t.scheduledIn() || t.when != when {
+	if when := st.Lock.DueNs; !t.scheduledIn() || t.when != when {
 		s.w.schedule(t, when)
 	}
 }
@@ -974,7 +971,7 @@ func (s *shard) applyOut(st *NodeState, out StepOut, nowNs int64) {
 			h.Observe(out.LatencyNs)
 		}
 	}
-	for _, m := range out.Send {
+	if m := out.Send[0]; m.Kind != 0 {
 		s.send(m, nowNs)
 	}
 }

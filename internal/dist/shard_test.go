@@ -102,7 +102,7 @@ func testLockstep(t *testing.T, shards int) {
 			}
 			for k, ev := range events {
 				st, in := states[ev.node], ev.in
-				pre := flightPreOf(st)
+				pre := st.Lock
 				var out StepOut
 				switch in.Kind {
 				case StepDeliver:
@@ -123,16 +123,18 @@ func testLockstep(t *testing.T, shards int) {
 						k, ev.node, in.Kind, out, ev.out)
 				}
 				if out.Committed {
-					// Ghost provenance: the pend this commit resolved names
-					// the initiator and seq; that initiator must already
-					// have applied it.
-					if pre.pendMsg.To < 0 || states[pre.pendMsg.To].LastApplied[ev.node] < pre.pendMsg.Seq {
+					// Ghost provenance: the held proposal this commit
+					// resolved names the initiator and seq; that initiator's
+					// watermark must be exactly that seq (below it, the
+					// proposal was never applied; proposals to one
+					// initiator are serial, so it cannot be above).
+					if pre.Role != RoleResponder || states[pre.Peer].LastApplied[ev.node] != pre.Seq {
 						t.Fatalf("event %d: node %d committed seq %d before initiator %d applied it (stale commit)",
-							k, ev.node, pre.pendMsg.Seq, pre.pendMsg.To)
+							k, ev.node, pre.Seq, pre.Peer)
 					}
 				}
-				recordStep(rec2, ev.node, in, out, pre)
-				for _, m := range out.Send {
+				recordStep(rec2, g, ev.node, in, out, pre)
+				if m := out.Send[0]; m.Kind != 0 {
 					FlightEmitter{Rec: rec2}.Send(ev.node, m, in.NowNs)
 				}
 			}
@@ -681,4 +683,45 @@ func TestShardSameTickExchangesCommit(t *testing.T) {
 	}
 	assertLedger(t, rt)
 	t.Logf("%d committed, %d aborted", rt.Exchanges(), rt.Aborted())
+}
+
+// TestSettleResolvesHeldProposalsByExactWatermark leaves lock slots set
+// as a drain could in principle strand them and checks that the settle
+// pass resolves each the way its initiator decided. Node 0 initiated
+// toward 1 (seq 1, aborted), then toward 2 (seq 2, applied +d2), then
+// toward 1 again (seq 3, applied). Node 1 still holds the aborted seq-1
+// proposal: below node 0's watermark for it, never applied, so settling
+// must discard it. Node 2 holds seq 2, which node 0 applied, so settling
+// must land -d2. Node 3 holds an initiation, which just clears.
+func TestSettleResolvesHeldProposalsByExactWatermark(t *testing.T) {
+	g, _, x0 := dumbbellCase(t)
+	rt := newTestRuntime(t, g, x0, NewVanillaRule(), 3, ClusterConfig{})
+	const d1, d2 = 0.25, 0.5
+	initiator := rt.stateOf(0)
+	initiator.Seq = 3
+	initiator.LastApplied = map[int]uint64{1: 3, 2: 2}
+	initiator.X += d2
+	rt.stateOf(1).Lock = LockSlot{Role: RoleResponder, Peer: 0, Seq: 1, D: d1}
+	rt.stateOf(2).Lock = LockSlot{Role: RoleResponder, Peer: 0, Seq: 2, D: d2}
+	rt.stateOf(3).Lock = LockSlot{Role: RoleInitiator, Peer: 4, Seq: 1}
+
+	rt.settle()
+
+	total := 0.0
+	for i := range x0 {
+		st := rt.stateOf(i)
+		if st.Locked() {
+			t.Errorf("node %d still locked after settling: %+v", i, st.Lock)
+		}
+		total += st.X
+	}
+	if drift := total - sum(x0); drift != 0 {
+		t.Errorf("sum drifted by %g across the settle pass", drift)
+	}
+	if got := rt.stateOf(1).X; got != x0[1] {
+		t.Errorf("node 1 = %v, want %v: the aborted seq-1 proposal was applied", got, x0[1])
+	}
+	if got := rt.Exchanges(); got != 1 {
+		t.Errorf("settling committed %d exchanges, want 1", got)
+	}
 }

@@ -19,9 +19,11 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // NodeID identifies a vertex. IDs are dense: 0 <= id < NumNodes().
@@ -136,21 +138,18 @@ func (g *Graph) Position(u NodeID) Point {
 	return g.pos[u]
 }
 
-// FindEdge returns the edge id connecting u and v, if any.
+// FindEdge returns the edge id connecting u and v, if any, by binary
+// search of u's adjacency list (sorted by peer).
 func (g *Graph) FindEdge(u, v NodeID) (EdgeID, bool) {
 	if int(u) >= g.NumNodes() || int(v) >= g.NumNodes() || u < 0 || v < 0 {
 		return 0, false
 	}
-	// Scan the shorter adjacency list.
-	if g.Degree(u) > g.Degree(v) {
-		u, v = v, u
+	adj := g.Neighbors(u)
+	i, ok := slices.BinarySearchFunc(adj, v, func(he HalfEdge, v NodeID) int { return cmp.Compare(he.Peer, v) })
+	if !ok {
+		return 0, false
 	}
-	for _, he := range g.Neighbors(u) {
-		if he.Peer == v {
-			return he.Edge, true
-		}
-	}
-	return 0, false
+	return adj[i].Edge, true
 }
 
 // String renders a short description like "dumbbell(n=64): 64 nodes, 993 edges".
