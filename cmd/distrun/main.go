@@ -30,24 +30,16 @@
 // -scale sets the wall-clock length of one simulated time unit: smaller
 // runs faster but leaves less headroom over message latency.
 //
-// -http serves the runtime's live telemetry while it runs:
-// exchange/abort/message counters, the exchange-latency histogram and the
-// convergence-progress gauges under expvar at /debug/vars (key
-// "sparsecut"), plus the standard net/http/pprof profiling endpoints —
-//
-//	distrun -graph dumbbell -n 64 -rule A -drop 0.1 -until 2000 -http :6060
-//	curl -s localhost:6060/debug/vars | jq .sparsecut
-//
-// -metrics writes the same snapshot as JSON to a file when the run ends
-// (either flag enables instrumentation; both default off, leaving the
-// runtime uninstrumented).
+// A run is observed through the files it writes when it ends. -metrics
+// writes the runtime's telemetry snapshot as JSON: exchange/abort/message
+// counters, the exchange-latency histogram and the per-shard counters and
+// mailbox depths. It defaults off, leaving the runtime uninstrumented.
 //
 // -flight attaches the causal flight recorder: every protocol transition,
 // message hop, drop and timer fire lands in a bounded per-node ring
-// buffer, dumped as JSON to the named file when the run ends and served
-// live at /debug/flightz while -http is on. -flight-cap sets the ring
-// capacity per node (0 = the default; negative is an error). Render dumps
-// with cmd/tracez:
+// buffer, dumped as JSON to the named file when the run ends. -flight-cap
+// sets the ring capacity per node (0 = the default; negative is an error).
+// Render dumps with cmd/tracez:
 //
 //	distrun -graph dumbbell -n 16 -rule A -until 10 -flight run.flight.json
 //	tracez -view timeline run.flight.json
@@ -55,13 +47,9 @@ package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"math"
-	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"time"
 
@@ -82,7 +70,6 @@ func main() {
 		assert    = flag.Bool("assert", false, "verify sum conservation and the exchange ledger after the run; exit non-zero on violation")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		compare   = flag.Bool("compare", false, "also run the sequential simulator on the same workload")
-		httpAddr  = flag.String("http", "", "serve live expvar telemetry + pprof on this address (e.g. :6060) during the run")
 		metrics   = flag.String("metrics", "", "write the final telemetry snapshot JSON to this file")
 		flightOut = flag.String("flight", "", "record per-exchange flight events and write the JSON dump to this file (render with tracez)")
 		flightCap = flag.Int("flight-cap", 0, "flight-recorder ring capacity per node (0 = default)")
@@ -108,12 +95,12 @@ func main() {
 		Delay:     *delay,
 	}
 	var reg *sparsecut.MetricsRegistry
-	if *httpAddr != "" || *metrics != "" {
+	if *metrics != "" {
 		reg = sparsecut.NewMetricsRegistry()
 		cfg.Metrics = reg
 	}
 	var rec *sparsecut.FlightRecorder
-	if *flightOut != "" || *httpAddr != "" {
+	if *flightOut != "" {
 		rec = sparsecut.NewFlightRecorder(g.NumNodes(), *flightCap)
 		cfg.Flight = rec
 	}
@@ -131,21 +118,6 @@ func main() {
 	}
 	var0 := cl.Variance()
 	sum0 := sumOf(x0)
-
-	if *httpAddr != "" {
-		expvar.Publish("sparsecut", expvar.Func(func() any { return reg.Snapshot() }))
-		http.Handle("/debug/flightz", sparsecut.FlightHandler(rec))
-		ln, err := newHTTPListener(*httpAddr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("telemetry:  http://%s/debug/vars (expvar) + /debug/flightz + /debug/pprof/\n", ln.Addr())
-		go func() {
-			if err := http.Serve(ln, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "distrun: telemetry server:", err)
-			}
-		}()
-	}
 
 	res.Describe(os.Stdout)
 	fmt.Printf("rule:       %s\n", rule.Name())
@@ -194,19 +166,17 @@ func main() {
 			fmt.Printf("            p50 ~%v  p95 ~%v  p99 ~%v (log2-bucket estimates)\n",
 				quantileDur(lat, 0.50), quantileDur(lat, 0.95), quantileDur(lat, 0.99))
 		}
-		if *metrics != "" {
-			f, err := os.Create(*metrics)
-			if err != nil {
-				fatal(err)
-			}
-			if err := snap.WriteJSON(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("metrics:    wrote snapshot to %s\n", *metrics)
+		f, err := os.Create(*metrics)
+		if err != nil {
+			fatal(err)
 		}
+		if err := snap.WriteJSON(f); err != nil {
+			fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("metrics:    wrote snapshot to %s\n", *metrics)
 	}
 
 	if *flightOut != "" {
@@ -266,16 +236,6 @@ func quantileDur(h sparsecut.MetricsHistogram, q float64) time.Duration {
 		return 0
 	}
 	return time.Duration(v).Round(time.Microsecond)
-}
-
-// newHTTPListener binds the telemetry address up front so the printed URL
-// carries a concrete port even when the user asks for ":0".
-func newHTTPListener(addr string) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry listener on %q: %w", addr, err)
-	}
-	return ln, nil
 }
 
 func sumOf(xs []float64) float64 {

@@ -1,6 +1,6 @@
 // Command tracez renders flight-recorder dumps — the causal per-exchange
-// captures written by distrun -flight, mcheck -flight, or fetched from a
-// live /debug/flightz endpoint — as span trees and latency summaries.
+// captures written by distrun -flight and mcheck -flight — as span trees
+// and latency summaries.
 //
 // Usage:
 //
@@ -10,7 +10,7 @@
 //	tracez -view aborts run.flight.json        # abort census by reason and pair
 //	tracez -view critical run.flight.json      # slowest committed exchange, segment by segment
 //	tracez -outcome aborted -node 3 run.flight.json
-//	curl -s localhost:6060/debug/flightz | tracez -view spans -
+//	tracez -view spans - < run.flight.json
 //
 // Dumps are JSON (flight.WriteFile). An unknown -view or -outcome exits 1.
 package main

@@ -17,13 +17,12 @@ import (
 // references, each with the reason it stays. Keys are the package
 // directory, a dot, and the name (Type.Method for methods).
 var testOnlyAllowed = map[string]string{
-	"internal/flight.dumpHandler.ServeHTTP": "net/http calls it through the http.Handler interface",
-	"internal/flight.MsgNone":               "wire constant: the Msg value of a record that carries no message",
-	"internal/stats.KSDistance":             "shared test support: the avgtime, scenario and rng tests compare samples with it",
-	"internal/graph.Star":                   "shared test support: a fixture graph of the sim and spectral tests",
-	"internal/graph.Grid":                   "shared test support: a fixture graph of the sim, syncsim and spectral tests",
-	"internal/gossip.PushSum.TotalMass":     "the push-sum mass invariant that ROADMAP item 6 reads",
-	"internal/gossip.PushSum.TotalWeight":   "the push-sum weight invariant that ROADMAP item 6 reads",
+	"internal/flight.MsgNone":             "wire constant: the Msg value of a record that carries no message",
+	"internal/stats.KSDistance":           "shared test support: the avgtime, scenario and rng tests compare samples with it",
+	"internal/graph.Star":                 "shared test support: a fixture graph of the sim and spectral tests",
+	"internal/graph.Grid":                 "shared test support: a fixture graph of the sim, syncsim and spectral tests",
+	"internal/gossip.PushSum.TotalMass":   "the push-sum mass invariant that ROADMAP item 6 reads",
+	"internal/gossip.PushSum.TotalWeight": "the push-sum weight invariant that ROADMAP item 6 reads",
 }
 
 // TestNoTestOnlyExports keeps the count of exported names that only tests

@@ -35,9 +35,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/pprof"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,11 +76,11 @@ type ClusterConfig struct {
 	LockTimeout time.Duration
 	// Metrics, when non-nil, receives the runtime's telemetry: exchange
 	// counters (proposed/committed/aborted), per-kind message counters, a
-	// committed-exchange latency histogram, live convergence-progress
-	// gauges, per-shard throughput and mailbox depth, the rule's tick/swap
-	// counters and the loss/latency/congestion counters (see metrics.go
-	// for the full name list). nil disables telemetry at near-zero
-	// hot-path cost. Use one registry per runtime.
+	// committed-exchange latency histogram, per-shard throughput and
+	// mailbox depth, the rule's tick/swap counters and the
+	// loss/latency/congestion counters (see metrics.go for the full name
+	// list). nil disables telemetry at near-zero hot-path cost. Use one
+	// registry per runtime.
 	Metrics *metrics.Registry
 	// Crashes schedules fail-stop crash/recovery fault injection; the
 	// schedule is interpreted relative to the start of each Run. See
@@ -597,13 +595,7 @@ func (rt *ShardRuntime) Run(ctx context.Context, duration float64) error {
 	for _, s := range rt.shards {
 		rt.wg.Add(1)
 		drainWG.Add(1)
-		// The pprof label makes -http profiles attribute work by shard, the
-		// same way sweep workers carry sweep_family/sweep_algo.
-		go func(s *shard) {
-			pprof.Do(context.Background(), pprof.Labels("dist_shard", strconv.Itoa(s.id)), func(context.Context) {
-				s.loop(drainC, stopC, &drainWG)
-			})
-		}(s)
+		go s.loop(drainC, stopC, &drainWG)
 	}
 
 	<-runCtx.Done()
@@ -648,7 +640,6 @@ func (rt *ShardRuntime) settle() {
 				st.X -= l.D
 				rt.exchanges.Add(1)
 				s.committed.Add(1)
-				rt.met.publish(st.ID, st.X)
 			}
 			st.Lock = LockSlot{}
 		}
@@ -962,9 +953,6 @@ func (s *shard) applyOut(st *NodeState, out StepOut, nowNs int64) {
 	if out.Committed {
 		rt.exchanges.Add(1)
 		s.committed.Add(1)
-	}
-	if out.Applied || out.Committed {
-		rt.met.publish(st.ID, st.X)
 	}
 	if out.Applied && out.LatencyNs >= 0 {
 		if h := rt.met.latency; h != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 )
 
 // DumpVersion is the current dump schema version.
@@ -27,12 +26,6 @@ type Dump struct {
 	Overwritten int64 `json:"overwritten,omitempty"`
 	// Events is the merged record stream, in recorder arrival order.
 	Events []Record `json:"events"`
-}
-
-// sortRecords restores recorder-global arrival order after a multi-ring
-// merge. Records decoded from a dump (gseq zero) keep their stream order.
-func sortRecords(recs []Record) {
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].gseq < recs[j].gseq })
 }
 
 // WriteJSON writes the dump as compact one-record-per-line JSON: stable

@@ -13,9 +13,10 @@
 // so a production incident and a model-checker counterexample render
 // through the same span-tree tooling (cmd/tracez).
 //
-// Memory is bounded by construction: each node owns a fixed-capacity ring
-// of fixed-size records, and when the ring wraps the oldest records are
-// overwritten (counted, never reallocated). A nil *Recorder is the
+// Memory is bounded by construction: each node owns a ring of fixed-size
+// records that grows as records arrive, never past its fixed capacity, and
+// when the full ring wraps the oldest records are overwritten (counted,
+// never reallocated). A nil *Recorder is the
 // disabled recorder: Record is a no-op and Snapshot returns an empty
 // dump, the same contract as internal/metrics' nil registry, so call
 // sites need no enable flag of their own.
@@ -25,6 +26,8 @@
 package flight
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -217,20 +220,35 @@ type Record struct {
 	gseq uint64
 }
 
-// ring is one node's bounded event buffer: fixed-capacity, overwrite-
-// oldest. A mutex (not atomics) keeps concurrent writers race-clean; in
-// the live runtime each ring has a single writer (its node's shard loop,
-// which also records the node's sends lost to loss or congestion), so the
-// lock is uncontended.
+// ring is one node's bounded event buffer: it grows on demand up to the
+// recorder's capacity, then overwrites the oldest record. A mutex (not
+// atomics) keeps concurrent writers race-clean; in the live runtime each
+// ring has a single writer (its node's shard loop, which also records the
+// node's sends lost to loss or congestion), so the lock is uncontended.
 type ring struct {
 	mu  sync.Mutex
-	buf []Record
-	n   uint64 // total records ever written (n - len(buf) were overwritten)
+	buf []Record // len(buf) == min(n, capacity)
+	n   uint64   // total records ever written (n - len(buf) were overwritten)
 }
 
-func (r *ring) put(rec Record) {
+// minRingAlloc is the first allocation of a ring that receives a record.
+const minRingAlloc = 16
+
+// put appends rec, growing buf by doubling (clamped to limit) until it
+// holds limit records; from then on it overwrites the oldest, at slot
+// n mod limit.
+func (r *ring) put(rec Record, limit int) {
 	r.mu.Lock()
-	r.buf[r.n%uint64(len(r.buf))] = rec
+	if l := len(r.buf); l < limit {
+		if l == cap(r.buf) {
+			grown := make([]Record, l, min(max(2*l, minRingAlloc), limit))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
+		r.buf = append(r.buf, rec)
+	} else {
+		r.buf[r.n%uint64(limit)] = rec
+	}
 	r.n++
 	r.mu.Unlock()
 }
@@ -251,19 +269,22 @@ func (r *ring) snapshot(dst []Record) ([]Record, uint64) {
 }
 
 // DefaultRingCap is the per-node ring capacity used when New is asked for
-// zero or less: 4096 records (224 KiB per node) keeps minutes of protocol
-// history at typical exchange rates.
+// zero or less: 4096 records (at most 224 KiB per node, allocated as
+// records arrive) keeps minutes of protocol history at typical exchange
+// rates.
 const DefaultRingCap = 4096
 
 // Recorder is the per-node flight recorder. Construct with New; a nil
 // *Recorder is the disabled recorder (Record no-ops, Snapshot is empty).
 type Recorder struct {
-	rings []ring
-	gseq  atomic.Uint64
+	rings   []ring
+	ringCap int
+	gseq    atomic.Uint64
 }
 
-// New returns a recorder with one ring of perNodeCap records for each of
-// nodes nodes (perNodeCap <= 0 selects DefaultRingCap).
+// New returns a recorder with one ring of up to perNodeCap records for
+// each of nodes nodes (perNodeCap <= 0 selects DefaultRingCap). No ring
+// is allocated until its node records.
 func New(nodes, perNodeCap int) *Recorder {
 	if nodes < 1 {
 		nodes = 1
@@ -271,11 +292,7 @@ func New(nodes, perNodeCap int) *Recorder {
 	if perNodeCap <= 0 {
 		perNodeCap = DefaultRingCap
 	}
-	rc := &Recorder{rings: make([]ring, nodes)}
-	for i := range rc.rings {
-		rc.rings[i].buf = make([]Record, perNodeCap)
-	}
-	return rc
+	return &Recorder{rings: make([]ring, nodes), ringCap: perNodeCap}
 }
 
 // Record appends rec to node rec.Node's ring (clamped into range), stamping
@@ -290,7 +307,7 @@ func (rc *Recorder) Record(rec Record) {
 	if n < 0 || n >= len(rc.rings) {
 		n = 0
 	}
-	rc.rings[n].put(rec)
+	rc.rings[n].put(rec, rc.ringCap)
 }
 
 // Nodes returns the number of per-node rings (0 on a nil recorder).
@@ -312,12 +329,13 @@ func (rc *Recorder) Snapshot() *Dump {
 		return d
 	}
 	d.Nodes = len(rc.rings)
-	d.RingCap = len(rc.rings[0].buf)
+	d.RingCap = rc.ringCap
 	for i := range rc.rings {
 		var lost uint64
 		d.Events, lost = rc.rings[i].snapshot(d.Events)
 		d.Overwritten += int64(lost)
 	}
-	sortRecords(d.Events)
+	// Every gseq is unique, so this order is total and stability moot.
+	slices.SortFunc(d.Events, func(a, b Record) int { return cmp.Compare(a.gseq, b.gseq) })
 	return d
 }

@@ -3,9 +3,8 @@ package flight
 import (
 	"bytes"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -50,6 +49,50 @@ func TestRingWrapCountsOverwritten(t *testing.T) {
 		if want := int64(writes - ringCap + i); e.TimeNs != want {
 			t.Errorf("event %d has t=%d, want %d", i, e.TimeNs, want)
 		}
+	}
+}
+
+// TestRingGrowsOnDemand checks that a ring grows as records arrive, never
+// past its capacity, and that every snapshot on the way (through the
+// growth steps, the clamped last one and the wrap) holds the newest
+// min(writes, capacity) records with the rest counted as overwritten.
+func TestRingGrowsOnDemand(t *testing.T) {
+	const ringCap = 100 // not a power of two, so the last growth is clamped
+	rc := New(1, ringCap)
+	r := &rc.rings[0]
+	for i := 0; i < 3*ringCap+7; i++ {
+		rc.Record(rec(0, int64(i), EvSend))
+		if c := cap(r.buf); c > ringCap {
+			t.Fatalf("after %d writes the ring holds room for %d records, past its capacity %d", i+1, c, ringCap)
+		}
+		d := rc.Snapshot()
+		kept := min(i+1, ringCap)
+		if len(d.Events) != kept || d.Overwritten != int64(i+1-kept) || d.RingCap != ringCap {
+			t.Fatalf("after %d writes: %d events, %d overwritten, ring_cap %d; want %d, %d, %d",
+				i+1, len(d.Events), d.Overwritten, d.RingCap, kept, i+1-kept, ringCap)
+		}
+		for j, e := range d.Events {
+			if want := int64(i + 1 - kept + j); e.TimeNs != want {
+				t.Fatalf("after %d writes event %d has t=%d, want %d", i+1, j, e.TimeNs, want)
+			}
+		}
+	}
+}
+
+// TestNewAllocatesOnDemand pins the on-demand rings: a recorder for 100
+// nodes at the default capacity that has seen a few records allocates
+// kilobytes, not the 22.9 MB its rings would take allocated whole.
+func TestNewAllocatesOnDemand(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rc := New(100, DefaultRingCap)
+	for n := 0; n < 4; n++ {
+		rc.Record(rec(n, int64(n), EvSend))
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(rc)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("New(100, DefaultRingCap) plus 4 records allocated %d bytes, want under 1 MiB", got)
 	}
 }
 
@@ -277,44 +320,35 @@ func FuzzReadDump(f *testing.F) {
 // views lists every view Render accepts.
 var views = []string{"spans", "timeline", "phases", "aborts", "critical"}
 
-// TestHandler drives /debug/flightz: the default body is the recorder's
-// JSON dump, every view renders, and a filter that does not parse or
-// names an unknown outcome is a 400 rather than a widened or empty view.
-func TestHandler(t *testing.T) {
-	rc := New(2, 8)
-	for _, e := range fullDump().Events {
-		rc.Record(e)
-	}
-	get := func(query string) *httptest.ResponseRecorder {
-		w := httptest.NewRecorder()
-		Handler(rc).ServeHTTP(w, httptest.NewRequest("GET", "/debug/flightz"+query, nil))
-		return w
-	}
-	w := get("")
-	var want bytes.Buffer
-	if err := rc.Snapshot().WriteJSON(&want); err != nil {
-		t.Fatal(err)
-	}
-	if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want.Bytes()) {
-		t.Errorf("default body (status %d) is not Snapshot().WriteJSON:\n%s", w.Code, w.Body)
-	}
-	if _, err := ReadDump(w.Body); err != nil {
-		t.Errorf("default body does not decode: %v", err)
-	}
+// TestRenderRejectsUnknownViewOrOutcome checks that Render fails on an
+// unknown view or outcome before writing a byte, so a typo is an error
+// rather than an empty or widened rendering, and that every known view
+// renders.
+func TestRenderRejectsUnknownViewOrOutcome(t *testing.T) {
+	set := Stitch(fullDump())
 	for _, view := range views {
-		if w := get("?view=" + view); w.Code != http.StatusOK || w.Body.Len() == 0 {
-			t.Errorf("view %s: status %d, %d bytes", view, w.Code, w.Body.Len())
+		var buf bytes.Buffer
+		if err := Render(&buf, set, view, NewFilter()); err != nil || buf.Len() == 0 {
+			t.Errorf("view %s: err %v, %d bytes", view, err, buf.Len())
 		}
 	}
-	for _, query := range []string{
-		"?view=spans&outcome=commited",
-		"?view=spans&node=abc",
-		"?view=spans&init=x",
-		"?view=spans&seq=-1",
-		"?view=nope",
+	commited := NewFilter()
+	commited.Outcome = "commited"
+	for _, c := range []struct {
+		view string
+		f    Filter
+		want string
+	}{
+		{"spans", commited, `unknown outcome "commited"`},
+		{"nope", NewFilter(), `unknown view "nope"`},
 	} {
-		if w := get(query); w.Code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400:\n%s", query, w.Code, w.Body)
+		var buf bytes.Buffer
+		err := Render(&buf, set, c.view, c.f)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("view %q outcome %q: err %v, want %q", c.view, c.f.Outcome, err, c.want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("view %q outcome %q: wrote %d bytes before failing:\n%s", c.view, c.f.Outcome, buf.Len(), buf.Bytes())
 		}
 	}
 }

@@ -14,8 +14,7 @@ import (
 // Render writes the named view of set — spans, timeline, phases, aborts or
 // critical — restricted to f. It fails before writing anything when the
 // view or f's outcome is unknown, so a typo is an error rather than an
-// empty rendering. cmd/tracez and the /debug/flightz handler both render
-// through it.
+// empty rendering. cmd/tracez renders through it.
 func Render(w io.Writer, set *SpanSet, view string, f Filter) error {
 	switch f.Outcome {
 	case "", OutcomeCommitted, OutcomeAborted, OutcomeUnresolved:

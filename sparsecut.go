@@ -32,7 +32,6 @@ package sparsecut
 import (
 	"fmt"
 	"io"
-	"net/http"
 
 	"sparsecut/internal/avgtime"
 	"sparsecut/internal/core"
@@ -236,9 +235,9 @@ type (
 // Telemetry, re-exported from internal/metrics: the dependency-free
 // counters/gauges/histograms registry the runtime layers record into.
 // Construct one with NewMetricsRegistry, hand it to ClusterConfig.Metrics,
-// and export deterministic JSON via
-// Snapshot().WriteJSON (cmd/distrun -http additionally serves it over
-// expvar). A nil registry disables telemetry at near-zero hot-path cost.
+// and export deterministic JSON via Snapshot().WriteJSON (cmd/distrun
+// -metrics writes it to a file when the run ends). A nil registry disables
+// telemetry at near-zero hot-path cost.
 type (
 	// MetricsRegistry names a set of instruments and renders deterministic
 	// snapshots; see internal/metrics and DESIGN.md §10.
@@ -265,12 +264,6 @@ type FlightRecorder = flight.Recorder
 func NewFlightRecorder(nodes, perNodeCap int) *FlightRecorder {
 	return flight.New(nodes, perNodeCap)
 }
-
-// FlightHandler serves rec's live capture over HTTP: the JSON dump by
-// default, and ?view=spans|timeline|phases|aborts|critical for the tracez
-// text views (filterable by ?node=, ?init=, ?seq=, ?outcome=; a value that
-// does not parse is a 400). cmd/distrun mounts it at /debug/flightz.
-func FlightHandler(rec *FlightRecorder) http.Handler { return flight.Handler(rec) }
 
 // NewShardRuntime builds the decentralized runtime for rule on g with
 // initial values x0: N nodes multiplexed over cfg.Shards event loops that
