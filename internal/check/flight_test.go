@@ -132,6 +132,89 @@ func TestReplayFlightSpans(t *testing.T) {
 	}
 }
 
+// TestReplayFlightCrashRecords pins the crash path of Machine.Step's flight
+// mapping on a handwritten schedule: node 0 locks node 1, node 1 answers
+// with a PROPOSE, node 0 crashes, the PROPOSE reaches the down node, and
+// node 0 recovers. The dump must hold the crash, the initiation's abort
+// for the crash, the dead-node drop and the recovery; the crash and
+// recover records fall outside every span, and the span's reason is the
+// crash.
+func TestReplayFlightCrashRecords(t *testing.T) {
+	spec := triangleSpec()
+	toOne := -1
+	for i, he := range spec.Graph.Neighbors(0) {
+		if he.Peer == 1 {
+			toOne = i
+		}
+	}
+	tr := &Trace{
+		Version: 1,
+		Graph:   graphSpecOf(spec.Graph),
+		X0:      spec.X0,
+		Rule:    spec.Rule,
+		Options: Options{Crashes: true},
+		Actions: []Action{
+			{Op: OpInitiate, Node: 0, Edge: toOne},
+			{Op: OpDeliver, Msg: 0}, // the LOCK; node 1 sends its PROPOSE
+			{Op: OpCrash, Node: 0},
+			{Op: OpDeliver, Msg: 0}, // the PROPOSE, to the down node
+			{Op: OpRecover, Node: 0},
+		},
+	}
+	rec := flight.New(tr.Graph.Nodes, 0)
+	v, err := ReplayFlight(tr, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != nil {
+		t.Fatalf("correct protocol violated an invariant: %+v", v)
+	}
+	d := rec.Snapshot()
+	var crash, abort, dead, recov int
+	for _, e := range d.Events {
+		switch {
+		case e.Kind == flight.EvCrash && e.Node == 0:
+			crash++
+		case e.Kind == flight.EvAbort && e.Flags == flight.ReasonCrash && e.Init == 0 && e.Seq == 1:
+			abort++
+		case e.Kind == flight.EvNetDrop && e.Flags == flight.ReasonDead && e.Init == 0 && e.Seq == 1:
+			dead++
+		case e.Kind == flight.EvRecover && e.Node == 0:
+			recov++
+		}
+	}
+	if crash != 1 || abort != 1 || dead != 1 || recov != 1 {
+		t.Errorf("dump holds %d crash, %d crash-abort, %d dead-node drop and %d recover records, want one each:\n%+v",
+			crash, abort, dead, recov, d.Events)
+	}
+
+	set := flight.Stitch(d)
+	var sp *flight.Span
+	for i := range set.Spans {
+		if set.Spans[i].Init == 0 && set.Spans[i].Seq == 1 {
+			sp = &set.Spans[i]
+		}
+	}
+	if sp == nil {
+		t.Fatalf("no span for (0, seq 1) in %+v", set.Spans)
+	}
+	if sp.Reason != "crash" {
+		t.Errorf("span (0, seq 1) reason %q, want %q", sp.Reason, "crash")
+	}
+	var looseCrash, looseRecover int
+	for _, r := range set.Loose {
+		switch r.Kind {
+		case flight.EvCrash:
+			looseCrash++
+		case flight.EvRecover:
+			looseRecover++
+		}
+	}
+	if looseCrash != 1 || looseRecover != 1 {
+		t.Errorf("Loose holds %d crash and %d recover records, want one each", looseCrash, looseRecover)
+	}
+}
+
 // TestExplorationUnpolluted guards the DFS hot path: a world explored
 // without a recorder must never allocate flight state, and clones made
 // for invariant quiescence drains must not inherit the recorder (their

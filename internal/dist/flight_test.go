@@ -140,11 +140,12 @@ func TestFlightInstrumentedRun(t *testing.T) {
 	}
 }
 
-// TestFlightLossyCrashRun drives the recorder through every fault path —
-// message loss, congestion-free delays, crashes, recoveries, timeouts,
-// resends — and asserts the capture names them: net-drop records with the
-// loss reason, crash/recover records outside any span, and a ledger that
-// still matches the runtime's counters.
+// TestFlightLossyCrashRun drives the recorder through the live runtime's
+// fault paths — message loss, congestion-free delays, timeouts, resends —
+// and asserts the capture names them: net-drop records with the loss
+// reason, and a ledger that still matches the runtime's counters. The
+// crash and recover records are pinned on a deterministic replay
+// (internal/check's TestReplayFlightCrashRecords).
 func TestFlightLossyCrashRun(t *testing.T) {
 	g, _, x0 := dumbbellCase(t)
 	rec := flight.New(g.NumNodes(), 1<<15)
@@ -153,10 +154,6 @@ func TestFlightLossyCrashRun(t *testing.T) {
 		Drop: 0.2, Delay: 2 * time.Millisecond,
 		LockTimeout: 20 * time.Millisecond,
 		Flight:      rec,
-		Crashes: []CrashEvent{
-			{Node: 2, At: 1, Recover: 3},
-			{Node: 9, At: 2, Recover: 4},
-		},
 	})
 	// Loss and scheduling decide what a single leg exercises; keep adding
 	// bounded legs until an exchange commits and a drop was captured.
@@ -173,27 +170,14 @@ func TestFlightLossyCrashRun(t *testing.T) {
 	}
 
 	d := rec.Snapshot()
-	var drops, crashes, recovers int64
+	var drops int64
 	for _, e := range d.Events {
-		switch e.Kind {
-		case flight.EvNetDrop:
-			if e.Flags == flight.ReasonLoss {
-				drops++
-			}
-		case flight.EvCrash:
-			crashes++
-		case flight.EvRecover:
-			recovers++
+		if e.Kind == flight.EvNetDrop && e.Flags == flight.ReasonLoss {
+			drops++
 		}
 	}
 	if d.Overwritten == 0 && drops != cl.Dropped() {
 		t.Errorf("captured %d loss drops, runtime counted %d", drops, cl.Dropped())
-	}
-	if d.Overwritten == 0 && crashes != cl.Crashes() {
-		t.Errorf("captured %d crash records, runtime counted %d", crashes, cl.Crashes())
-	}
-	if recovers == 0 {
-		t.Error("no recover records captured despite scheduled recoveries")
 	}
 
 	set := flight.Stitch(d)

@@ -163,7 +163,8 @@ func ParseMutation(s string) (Mutation, bool) {
 
 // NodeState is the pure protocol state of one node — everything the
 // exchange protocol reads or writes, and nothing the driver owns (clocks,
-// RNGs, mailboxes, crash schedules live with the driver).
+// RNGs, mailboxes and, in the model checker, which nodes are down live
+// with the driver).
 type NodeState struct {
 	ID int
 	X  float64

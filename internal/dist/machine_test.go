@@ -1,75 +1,10 @@
 package dist
 
 import (
-	"context"
-	"math"
 	"testing"
-	"time"
 
 	"sparsecut/internal/graph"
 )
-
-// TestCrashRecoverySumConserved injects a hostile crash schedule on top of
-// a lossy transport and asserts the protocol's core promise: the value sum
-// survives exactly (stable storage keeps held proposals across crashes;
-// the drain phase force-recovers nodes still down).
-func TestCrashRecoverySumConserved(t *testing.T) {
-	g, _, x0 := dumbbellCase(t)
-	crashes := []CrashEvent{
-		{Node: 0, At: 1, Recover: 4},
-		{Node: 3, At: 2, Recover: 6},
-		{Node: 6, At: 0.5, Recover: 3},
-		{Node: 9, At: 3}, // down until drain
-		{Node: 0, At: 7, Recover: 9},
-	}
-	cl := newTestRuntime(t, g, x0, NewVanillaRule(), 3, ClusterConfig{
-		TimeScale: 4 * time.Millisecond, Seed: 3, Crashes: crashes,
-	})
-	if err := cl.Run(context.Background(), 12); err != nil {
-		t.Fatal(err)
-	}
-	if cl.Exchanges() == 0 {
-		t.Fatal("no exchanges committed under the crash schedule")
-	}
-	if got, want := cl.Crashes(), int64(len(crashes)); got != want {
-		t.Errorf("Crashes() = %d, want %d (every scheduled window fires)", got, want)
-	}
-	if drift := math.Abs(sum(cl.Values()) - sum(x0)); drift > 1e-9 {
-		t.Errorf("sum drifted by %g across %d crashes", drift, cl.Crashes())
-	}
-	// The schedule is per-Run: a second run re-fires it and stays exact.
-	if err := cl.Run(context.Background(), 12); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := cl.Crashes(), int64(2*len(crashes)); got != want {
-		t.Errorf("Crashes() after second run = %d, want %d", got, want)
-	}
-	if drift := math.Abs(sum(cl.Values()) - sum(x0)); drift > 1e-9 {
-		t.Errorf("sum drifted by %g after the second crashy run", drift)
-	}
-}
-
-func TestCrashScheduleValidation(t *testing.T) {
-	g, _, x0 := dumbbellCase(t)
-	cases := []struct {
-		name string
-		ev   []CrashEvent
-	}{
-		{"node out of range", []CrashEvent{{Node: 99, At: 1}}},
-		{"negative node", []CrashEvent{{Node: -1, At: 1}}},
-		{"negative time", []CrashEvent{{Node: 0, At: -1}}},
-		{"NaN time", []CrashEvent{{Node: 0, At: math.NaN()}}},
-		{"recover before crash", []CrashEvent{{Node: 0, At: 2, Recover: 1}}},
-		{"overlapping windows", []CrashEvent{{Node: 0, At: 1, Recover: 5}, {Node: 0, At: 3, Recover: 7}}},
-		{"second window after down-until-drain", []CrashEvent{{Node: 0, At: 1}, {Node: 0, At: 3, Recover: 4}}},
-	}
-	for _, c := range cases {
-		cfg := ShardRuntimeConfig{ClusterConfig: ClusterConfig{Crashes: c.ev}, Shards: 3}
-		if _, err := NewShardRuntime(g, x0, NewVanillaRule(), cfg); err == nil {
-			t.Errorf("%s: no error", c.name)
-		}
-	}
-}
 
 // The remaining tests drive the machine directly — single-threaded, no
 // transport, virtual time — exactly the way the model checker does.

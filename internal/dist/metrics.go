@@ -38,8 +38,6 @@ func (rt *ShardRuntime) instrument(reg *metrics.Registry) {
 	reg.CounterFunc("dist.exchange.proposed", rt.Proposed)
 	reg.CounterFunc("dist.exchange.committed", rt.Exchanges)
 	reg.CounterFunc("dist.exchange.aborted", rt.Aborted)
-	reg.CounterFunc("dist.node.crashes", rt.Crashes)
-	reg.CounterFunc("dist.node.crash_lost", rt.CrashLost)
 	for _, k := range []MsgKind{MsgLock, MsgPropose, MsgNack, MsgCommit} {
 		rt.met.sent[k] = reg.Counter("dist.msg.sent." + strings.ToLower(k.String()))
 	}
@@ -48,8 +46,8 @@ func (rt *ShardRuntime) instrument(reg *metrics.Registry) {
 	for _, s := range rt.shards {
 		s := s
 		prefix := fmt.Sprintf("dist.shard.%02d.", s.id)
-		reg.CounterFunc(prefix+"committed", s.committed.Load)
-		reg.CounterFunc(prefix+"aborted", s.abortedL.Load)
+		reg.CounterFunc(prefix+"committed", s.led.committed.Load)
+		reg.CounterFunc(prefix+"aborted", s.led.aborted.Load)
 		reg.GaugeFunc(prefix+"mailbox_depth", func() float64 { return float64(s.inbox.depth()) })
 	}
 

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,40 +81,13 @@ type ClusterConfig struct {
 	// list). nil disables telemetry at near-zero hot-path cost. Use one
 	// registry per runtime.
 	Metrics *metrics.Registry
-	// Crashes schedules fail-stop crash/recovery fault injection; the
-	// schedule is interpreted relative to the start of each Run. See
-	// CrashEvent and the crash-path notes on Machine.
-	Crashes []CrashEvent
 	// Flight, when non-nil, receives the runtime's causal flight records:
-	// every protocol step, message send/receive, network drop, timer
-	// fire and crash, ready for flight.Stitch to reconstruct per-exchange
-	// span trees (see internal/flight and cmd/tracez). nil disables the
-	// recorder at one pointer test per step. Like Metrics, use one
+	// every protocol step, message send/receive, network drop and timer
+	// fire, ready for flight.Stitch to reconstruct per-exchange span trees
+	// (see internal/flight and cmd/tracez). nil disables the recorder at
+	// one pointer test per step. Like Metrics, use one
 	// recorder per runtime, sized with at least NumNodes rings.
 	Flight *flight.Recorder
-}
-
-// CrashEvent fail-stops one node at a simulated time. While down the node
-// loses every message addressed to it and neither initiates nor answers;
-// its value, seq counter, applied-watermarks and held proposal survive the
-// crash (stable storage), only its outstanding initiation aborts. A node
-// whose Recover time is 0 stays down until the run's drain phase, which
-// force-recovers it so every exchange still resolves and the value sum is
-// preserved exactly across any crash schedule.
-type CrashEvent struct {
-	// Node is the node to crash.
-	Node int
-	// At is the crash time in simulated time units from the run's start.
-	At float64
-	// Recover is the recovery time in simulated time units from the run's
-	// start (must exceed At), or 0 to stay down until the drain phase.
-	Recover float64
-}
-
-// crashWindow is one CrashEvent rendered in wall-clock time at Run start.
-type crashWindow struct {
-	at    time.Time
-	until time.Time // zero = until drain
 }
 
 // nodeEvent is one recorded protocol step (lockstep test plumbing; see
@@ -137,8 +109,10 @@ type nodeEvent struct {
 //
 //   - one goroutine per SHARD;
 //   - one hierarchical timer wheel per shard (wheel.go) for every node's
-//     clock, protocol deadline and crash window;
-//   - one batched mailbox per shard, drained a batch per loop iteration.
+//     clock and protocol deadline;
+//   - one batched mailbox per shard, drained a batch per loop iteration;
+//   - one exchange ledger per shard, written only by its loop; the
+//     runtime's totals are sums over the shards.
 //
 // Each shard owns the contiguous node range [lo, hi): their NodeStates,
 // their clock/protocol timers, and one RNG stream. Within a shard, steps
@@ -173,15 +147,9 @@ type nodeEvent struct {
 // tick: a same-shard exchange resolves at once instead of colliding with
 // the other initiations due in that tick.
 //
-// # Crash schedule
-//
-// ClusterConfig.Crashes assigns each node fail-stop windows relative to
-// the run's start. While down the node discards what is delivered to it
-// (a message to a dead node is lost) and fires no timers; recovery
-// re-arms the clock and retransmits any held proposal (see
-// Machine.Crash/Recover for what state survives). A node still down when
-// the drain phase begins is force-recovered so every exchange resolves
-// before Run returns.
+// The runtime injects only the faults ClusterConfig asks for: loss, delay
+// and mailbox congestion. Crash and recovery are steps of the Machine,
+// which the model checker explores (mcheck -crash, FuzzSchedule).
 type ShardRuntime struct {
 	g      *graph.Graph
 	rule   Rule
@@ -202,25 +170,6 @@ type ShardRuntime struct {
 	// tap, when non-nil, observes every protocol event of every node (the
 	// lockstep equivalence test sets it). Must be safe for concurrent use.
 	tap func(nodeEvent)
-
-	exchanges atomic.Int64
-	aborted   atomic.Int64
-	// proposed and applied are the other two legs of the exchange ledger:
-	// at quiescence proposed == applied + aborted (every initiation
-	// resolved exactly one way) and applied == exchanges (every applied
-	// initiator half has a committed responder half, the no-half-exchange
-	// guarantee the settle pass enforces). cmd/distrun -assert checks
-	// both.
-	proposed  atomic.Int64
-	applied   atomic.Int64
-	crashes   atomic.Int64
-	crashLost atomic.Int64
-	congested atomic.Int64 // mailbox overflows
-	// awaiting and pending count outstanding initiations and held
-	// proposals; the drain phase of Run waits for both to hit zero, which
-	// guarantees every exchange has fully committed or fully aborted.
-	awaiting atomic.Int64
-	pending  atomic.Int64
 
 	running atomic.Bool
 	wg      sync.WaitGroup
@@ -246,9 +195,9 @@ type ShardRuntimeConfig struct {
 }
 
 // shard is one event loop: the states, timers and mailbox of nodes
-// [lo, hi), and the messages they sent that are still in flight under
-// ClusterConfig.Delay. All fields except the mailbox and the single-writer
-// counters are owned by the loop goroutine.
+// [lo, hi), the messages they sent that are still in flight under
+// ClusterConfig.Delay, and their share of the exchange ledger. All fields
+// except the mailbox and the ledger are owned by the loop goroutine.
 type shard struct {
 	rt     *ShardRuntime
 	id     int
@@ -257,7 +206,6 @@ type shard struct {
 	states []NodeState
 	clocks []wheelTimer // one per node, kind tkClock
 	protos []wheelTimer // one per node, kind tkProto: the lock slot's deadline
-	crash  map[int]*shardCrash
 	r      *rng.RNG
 	w      *wheel
 	// fault draws loss and latency for this shard's sends; nil when Drop
@@ -271,23 +219,28 @@ type shard struct {
 
 	draining bool
 
-	// committed/abortedL/dropped/delayed are single-writer (this loop),
-	// atomically read by the accessors and metrics snapshots.
-	committed atomic.Int64
-	abortedL  atomic.Int64
-	dropped   atomic.Int64
-	delayed   atomic.Int64
+	led ledger
 }
 
-// shardCrash is the crash-schedule state of one node that has one; nodes
-// without crash events (the overwhelming majority) pay no per-node cost.
-type shardCrash struct {
-	spec      []CrashEvent
-	wins      []crashWindow
-	idx       int
-	crashed   bool
-	recoverAt time.Time
-	timer     wheelTimer // kind tkCrash
+// ledger is one shard's share of the exchange ledger. Its one writer is
+// the shard loop; Run's drain poll, the accessors and the metrics
+// snapshots read it atomically, summing over the shards. At quiescence
+// proposed == applied + aborted (every initiation resolved exactly one
+// way) and applied == committed (every applied initiator half has a
+// committed responder half, the no-half-exchange guarantee the settle
+// pass enforces), summed over the shards; cmd/distrun -assert checks both.
+type ledger struct {
+	// proposed, applied and aborted count the shard's initiations and how
+	// they resolved; committed counts its responders' commits.
+	proposed, applied, aborted, committed atomic.Int64
+	// awaiting and pending count the shard's outstanding initiations and
+	// held proposals. An initiation and a proposal resolve at the node
+	// that made them, so neither count goes below zero.
+	awaiting, pending atomic.Int64
+	// dropped and delayed count the shard's sends lost to
+	// ClusterConfig.Drop or held for ClusterConfig.Delay; congested counts
+	// its sends refused by a full mailbox.
+	dropped, delayed, congested atomic.Int64
 }
 
 // mailbox is a shard's batched MPSC queue: producers append under
@@ -478,7 +431,6 @@ func NewShardRuntime(g *graph.Graph, x0 []float64, rule Rule, cfg ShardRuntimeCo
 			states: make([]NodeState, hi-lo),
 			clocks: make([]wheelTimer, hi-lo),
 			protos: make([]wheelTimer, hi-lo),
-			crash:  map[int]*shardCrash{},
 			r:      root.Split(),
 			wakeC:  make(chan struct{}, 1),
 		}
@@ -495,9 +447,6 @@ func NewShardRuntime(g *graph.Graph, x0 []float64, rule Rule, cfg ShardRuntimeCo
 			s.fault = root.Split()
 		}
 	}
-	if err := rt.assignCrashes(cfg.Crashes); err != nil {
-		return nil, err
-	}
 	if cfg.Metrics != nil {
 		rt.instrument(cfg.Metrics)
 	}
@@ -512,43 +461,6 @@ func (rt *ShardRuntime) shardOf(abs int) int { return abs / rt.shardSize }
 func (rt *ShardRuntime) stateOf(abs int) *NodeState {
 	s := rt.shards[rt.shardOf(abs)]
 	return &s.states[abs-s.lo]
-}
-
-// assignCrashes validates the crash schedule and distributes each node's
-// events to its owning shard, sorted by crash time with non-overlapping
-// windows.
-func (rt *ShardRuntime) assignCrashes(events []CrashEvent) error {
-	n := rt.g.NumNodes()
-	for _, ev := range events {
-		if ev.Node < 0 || ev.Node >= n {
-			return fmt.Errorf("dist: crash schedule names node %d outside [0,%d)", ev.Node, n)
-		}
-		if !(ev.At >= 0) || math.IsInf(ev.At, 0) {
-			return fmt.Errorf("dist: crash time %v for node %d must be non-negative and finite", ev.At, ev.Node)
-		}
-		if ev.Recover != 0 && (!(ev.Recover > ev.At) || math.IsInf(ev.Recover, 0)) {
-			return fmt.Errorf("dist: recovery time %v for node %d must exceed crash time %v (or be 0 for down-until-drain)", ev.Recover, ev.Node, ev.At)
-		}
-		s := rt.shards[rt.shardOf(ev.Node)]
-		cs := s.crash[ev.Node]
-		if cs == nil {
-			cs = &shardCrash{}
-			s.crash[ev.Node] = cs
-		}
-		cs.spec = append(cs.spec, ev)
-	}
-	for _, s := range rt.shards {
-		for abs, cs := range s.crash {
-			sort.Slice(cs.spec, func(i, j int) bool { return cs.spec[i].At < cs.spec[j].At })
-			for i := 1; i < len(cs.spec); i++ {
-				prev := cs.spec[i-1]
-				if prev.Recover == 0 || cs.spec[i].At < prev.Recover {
-					return fmt.Errorf("dist: overlapping crash windows for node %d", abs)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // Run executes the protocol for the given duration in simulated time units
@@ -601,12 +513,13 @@ func (rt *ShardRuntime) Run(ctx context.Context, duration float64) error {
 	<-runCtx.Done()
 
 	// Drain. Once every shard has acknowledged the drain signal (drainWG),
-	// no node will initiate or propose again, so awaiting and pending are
-	// monotone non-increasing and their joint zero is a stable global
-	// quiescence point: every exchange has fully resolved.
+	// no node will initiate or propose again, so each shard's awaiting and
+	// pending counts can only fall. A poll that reads them all zero has
+	// found a stable global quiescence point: every exchange has fully
+	// resolved.
 	close(drainC)
 	drainWG.Wait()
-	for rt.awaiting.Load() != 0 || rt.pending.Load() != 0 {
+	for rt.outstanding() != 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
 	close(stopC)
@@ -638,20 +551,18 @@ func (rt *ShardRuntime) settle() {
 			st := &s.states[li]
 			if l := st.Lock; l.Role == RoleResponder && rt.stateOf(int(l.Peer)).LastApplied[st.ID] == l.Seq {
 				st.X -= l.D
-				rt.exchanges.Add(1)
-				s.committed.Add(1)
+				s.led.committed.Add(1)
 			}
 			st.Lock = LockSlot{}
 		}
+		s.led.awaiting.Store(0)
+		s.led.pending.Store(0)
 	}
-	rt.awaiting.Store(0)
-	rt.pending.Store(0)
 }
 
 // resetForRun reinstalls the run's initial values, rebuilds the wheel,
-// re-arms every clock and crash timer, and discards the delayed messages
-// an earlier run left in flight. Called by Run, before the loop
-// goroutines start.
+// re-arms every clock, and discards the delayed messages an earlier run
+// left in flight. Called by Run, before the loop goroutines start.
 func (s *shard) resetForRun(start time.Time) {
 	rt := s.rt
 	s.draining = false
@@ -664,23 +575,6 @@ func (s *shard) resetForRun(start time.Time) {
 		s.clocks[li] = wheelTimer{node: int32(s.lo + li), kind: tkClock}
 		s.protos[li] = wheelTimer{node: int32(s.lo + li), kind: tkProto}
 		s.scheduleClock(li, start)
-	}
-	for abs, cs := range s.crash {
-		cs.idx = 0
-		cs.crashed = false
-		cs.recoverAt = time.Time{}
-		cs.wins = cs.wins[:0]
-		for _, ev := range cs.spec {
-			w := crashWindow{at: start.Add(time.Duration(ev.At * float64(rt.cfg.TimeScale)))}
-			if ev.Recover > 0 {
-				w.until = start.Add(time.Duration(ev.Recover * float64(rt.cfg.TimeScale)))
-			}
-			cs.wins = append(cs.wins, w)
-		}
-		cs.timer = wheelTimer{node: int32(abs), kind: tkCrash}
-		if len(cs.wins) > 0 {
-			s.w.schedule(&cs.timer, cs.wins[0].at.UnixNano())
-		}
 	}
 }
 
@@ -713,7 +607,7 @@ func (s *shard) loop(drainC, stopC <-chan struct{}, drainWG *sync.WaitGroup) {
 		case <-stopC:
 			return
 		case <-drainC:
-			s.enterDrain(time.Now())
+			s.enterDrain()
 			drainC = nil
 			drainWG.Done()
 			continue
@@ -734,7 +628,7 @@ func (s *shard) loop(drainC, stopC <-chan struct{}, drainWG *sync.WaitGroup) {
 		case <-stopC:
 			return
 		case <-drainC:
-			s.enterDrain(time.Now())
+			s.enterDrain()
 			drainC = nil
 			drainWG.Done()
 		case <-s.wakeC:
@@ -755,20 +649,9 @@ func (s *shard) drainMessages() int {
 	}
 	s.batch = s.inbox.drainSwap(s.batch)
 	for _, m := range s.batch {
-		s.deliver(m, now)
+		s.step(m.To, StepIn{Kind: StepDeliver, Msg: m}, now)
 	}
 	return len(s.batch)
-}
-
-// deliver routes one incoming message to its node.
-func (s *shard) deliver(m Message, now time.Time) {
-	abs := m.To
-	if cs := s.crash[abs]; cs != nil && cs.crashed {
-		s.rt.crashLost.Add(1)
-		recordNetDrop(s.rt.rec, m, abs, flight.ReasonDead)
-		return
-	}
-	s.step(abs, StepIn{Kind: StepDeliver, Msg: m}, now)
 }
 
 // fire dispatches one expired wheel timer.
@@ -780,8 +663,6 @@ func (s *shard) fire(t *wheelTimer) {
 		s.fireClock(abs, now)
 	case tkProto:
 		s.fireProto(abs, now)
-	case tkCrash:
-		s.fireCrash(abs, now)
 	}
 }
 
@@ -824,81 +705,18 @@ func (s *shard) fireProto(abs int, now time.Time) {
 	s.armProto(li)
 }
 
-func (s *shard) fireCrash(abs int, now time.Time) {
-	cs := s.crash[abs]
-	if cs == nil || s.draining {
-		return
-	}
-	if cs.crashed {
-		if cs.recoverAt.IsZero() {
-			return // down until drain
-		}
-		if now.Before(cs.recoverAt) {
-			s.w.schedule(&cs.timer, cs.recoverAt.UnixNano())
-			return
-		}
-		s.recoverNode(abs, cs, now)
-		return
-	}
-	if cs.idx >= len(cs.wins) {
-		return
-	}
-	if now.Before(cs.wins[cs.idx].at) {
-		s.w.schedule(&cs.timer, cs.wins[cs.idx].at.UnixNano())
-		return
-	}
-	s.crashNode(abs, cs, now)
-}
-
-func (s *shard) crashNode(abs int, cs *shardCrash, now time.Time) {
-	li := abs - s.lo
-	cs.crashed = true
-	cs.recoverAt = cs.wins[cs.idx].until
-	cs.idx++
-	s.rt.crashes.Add(1)
-	s.step(abs, StepIn{Kind: StepCrash}, now)
-	// A dead node fires no timers; its one deadline is recovery.
-	s.w.cancel(&s.clocks[li])
-	s.w.cancel(&s.protos[li])
-	if !cs.recoverAt.IsZero() {
-		s.w.schedule(&cs.timer, cs.recoverAt.UnixNano())
-	}
-}
-
-func (s *shard) recoverNode(abs int, cs *shardCrash, now time.Time) {
-	li := abs - s.lo
-	cs.crashed = false
-	cs.recoverAt = time.Time{}
-	s.step(abs, StepIn{Kind: StepRecover}, now)
-	if !s.draining {
-		s.scheduleClock(li, now)
-		if cs.idx < len(cs.wins) {
-			s.w.schedule(&cs.timer, cs.wins[cs.idx].at.UnixNano())
-		}
-	}
-}
-
-// enterDrain is the shard's drain transition: stop initiating, cancel the
-// remaining crash windows, and force-recover down nodes so every held
-// proposal can resolve (the drain phase needs all nodes answering).
-func (s *shard) enterDrain(now time.Time) {
+// enterDrain is the shard's drain transition: its nodes stop initiating.
+func (s *shard) enterDrain() {
 	s.draining = true
 	for li := range s.clocks {
 		s.w.cancel(&s.clocks[li])
-	}
-	for abs, cs := range s.crash {
-		cs.idx = len(cs.wins)
-		s.w.cancel(&cs.timer)
-		if cs.crashed {
-			s.recoverNode(abs, cs, now)
-		}
 	}
 }
 
 // step feeds one protocol event, stamped with the shard's clock and drain
 // phase, to the machine (which records it in the flight recorder), then
-// routes its effects into the lockstep tap, the runtime's accounting and
-// the mailboxes.
+// routes its effects into the lockstep tap, the shard's ledger and the
+// mailboxes.
 func (s *shard) step(abs int, in StepIn, now time.Time) {
 	rt := s.rt
 	li := abs - s.lo
@@ -926,36 +744,34 @@ func (s *shard) armProto(li int) {
 	}
 }
 
-// applyOut folds a StepOut into the runtime's counters (with per-shard
-// breakdowns) and telemetry, and sends its messages.
+// applyOut folds a StepOut into the shard's ledger and the telemetry, and
+// sends its messages.
 func (s *shard) applyOut(st *NodeState, out StepOut, nowNs int64) {
-	rt := s.rt
+	led := &s.led
 	if out.Proposed {
-		rt.awaiting.Add(1)
-		rt.proposed.Add(1)
+		led.awaiting.Add(1)
+		led.proposed.Add(1)
 	}
 	if out.PendCreated {
-		rt.pending.Add(1)
+		led.pending.Add(1)
 	}
 	if out.Applied {
-		rt.applied.Add(1)
+		led.applied.Add(1)
 	}
 	if out.Applied || out.Aborted {
-		rt.awaiting.Add(-1)
+		led.awaiting.Add(-1)
 	}
 	if out.Aborted {
-		rt.aborted.Add(1)
-		s.abortedL.Add(1)
+		led.aborted.Add(1)
 	}
 	if out.Committed || out.PendDropped {
-		rt.pending.Add(-1)
+		led.pending.Add(-1)
 	}
 	if out.Committed {
-		rt.exchanges.Add(1)
-		s.committed.Add(1)
+		led.committed.Add(1)
 	}
 	if out.Applied && out.LatencyNs >= 0 {
-		if h := rt.met.latency; h != nil {
+		if h := s.rt.met.latency; h != nil {
 			h.Observe(out.LatencyNs)
 		}
 	}
@@ -975,12 +791,12 @@ func (s *shard) send(m Message, nowNs int64) {
 	}
 	if s.fault != nil {
 		if rt.cfg.Drop > 0 && s.fault.Float64() < rt.cfg.Drop {
-			s.dropped.Add(1)
+			s.led.dropped.Add(1)
 			recordNetDrop(rt.rec, m, m.From, flight.ReasonLoss)
 			return
 		}
 		if rt.cfg.Delay > 0 {
-			s.delayed.Add(1)
+			s.led.delayed.Add(1)
 			s.held.push(heldMsg{dueNs: nowNs + int64(s.fault.Float64()*float64(rt.cfg.Delay)), m: m})
 			return
 		}
@@ -1007,7 +823,7 @@ func (s *shard) post(m Message) {
 	rt := s.rt
 	d := rt.shards[rt.shardOf(m.To)]
 	if !d.inbox.put(m) {
-		rt.congested.Add(1)
+		s.led.congested.Add(1)
 		recordNetDrop(rt.rec, m, m.From, flight.ReasonCongestion)
 		return
 	}
@@ -1059,51 +875,62 @@ func (rt *ShardRuntime) Variance() float64 {
 	return s / n
 }
 
+// total sums one ledger field over the shards.
+func (rt *ShardRuntime) total(field func(*ledger) *atomic.Int64) int64 {
+	n := int64(0)
+	for _, s := range rt.shards {
+		n += field(&s.led).Load()
+	}
+	return n
+}
+
+// outstanding returns the initiations and held proposals not yet resolved.
+func (rt *ShardRuntime) outstanding() int64 {
+	return rt.total(func(l *ledger) *atomic.Int64 { return &l.awaiting }) +
+		rt.total(func(l *ledger) *atomic.Int64 { return &l.pending })
+}
+
 // Exchanges returns the number of committed exchanges (counted at the
 // responder's commit point).
-func (rt *ShardRuntime) Exchanges() int64 { return rt.exchanges.Load() }
+func (rt *ShardRuntime) Exchanges() int64 {
+	return rt.total(func(l *ledger) *atomic.Int64 { return &l.committed })
+}
 
 // Aborted returns the number of aborted initiation attempts: NACKed by a
-// busy or draining peer, timed out waiting for a proposal (lost LOCK, or
-// a proposal so late that the initiator gave up and refused it — such an
-// exchange commits nowhere), or dropped by the initiator's own crash.
-func (rt *ShardRuntime) Aborted() int64 { return rt.aborted.Load() }
+// busy or draining peer, or timed out waiting for a proposal (lost LOCK,
+// or a proposal so late that the initiator gave up and refused it — such
+// an exchange commits nowhere).
+func (rt *ShardRuntime) Aborted() int64 {
+	return rt.total(func(l *ledger) *atomic.Int64 { return &l.aborted })
+}
 
 // Proposed returns the number of initiation attempts (LOCKs sent with a
 // fresh seq). After every Run, Proposed() == Applied() + Aborted() — the
 // exchange ledger cmd/distrun -assert checks.
-func (rt *ShardRuntime) Proposed() int64 { return rt.proposed.Load() }
+func (rt *ShardRuntime) Proposed() int64 {
+	return rt.total(func(l *ledger) *atomic.Int64 { return &l.proposed })
+}
 
 // Applied returns the number of exchanges whose initiator applied its half.
 // After the settle pass this equals Exchanges(): no exchange ends
 // half-applied.
-func (rt *ShardRuntime) Applied() int64 { return rt.applied.Load() }
-
-// Crashes returns the number of crash events fired so far.
-func (rt *ShardRuntime) Crashes() int64 { return rt.crashes.Load() }
-
-// CrashLost returns the number of messages lost to dead destinations.
-func (rt *ShardRuntime) CrashLost() int64 { return rt.crashLost.Load() }
+func (rt *ShardRuntime) Applied() int64 {
+	return rt.total(func(l *ledger) *atomic.Int64 { return &l.applied })
+}
 
 // Congested returns the number of messages dropped because the destination
 // shard's mailbox was full.
-func (rt *ShardRuntime) Congested() int64 { return rt.congested.Load() }
+func (rt *ShardRuntime) Congested() int64 {
+	return rt.total(func(l *ledger) *atomic.Int64 { return &l.congested })
+}
 
 // Dropped returns the number of messages lost to ClusterConfig.Drop.
 func (rt *ShardRuntime) Dropped() int64 {
-	n := int64(0)
-	for _, s := range rt.shards {
-		n += s.dropped.Load()
-	}
-	return n
+	return rt.total(func(l *ledger) *atomic.Int64 { return &l.dropped })
 }
 
 // Delayed returns the number of messages held for a ClusterConfig.Delay
 // latency (counted when held, whether or not their mailbox later had room).
 func (rt *ShardRuntime) Delayed() int64 {
-	n := int64(0)
-	for _, s := range rt.shards {
-		n += s.delayed.Load()
-	}
-	return n
+	return rt.total(func(l *ledger) *atomic.Int64 { return &l.delayed })
 }

@@ -52,104 +52,91 @@ func TestLockstepMachineEquivalence(t *testing.T) { testLockstep(t, perNode) }
 const perNode = 1 << 10
 
 func testLockstep(t *testing.T, shards int) {
-	for _, tc := range []struct {
-		name    string
-		crashes []CrashEvent
-	}{
-		{"healthy", nil},
-		{"with crash schedule", []CrashEvent{{Node: 0, At: 2, Recover: 5}, {Node: 7, At: 1}}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			g, _, x0 := dumbbellCase(t)
-			rec := flight.New(g.NumNodes(), 1<<14)
-			rt, err := NewShardRuntime(g, x0, NewVanillaRule(), ShardRuntimeConfig{
-				ClusterConfig: ClusterConfig{
-					TimeScale: 4 * time.Millisecond, Seed: 11,
-					Crashes: tc.crashes, Flight: rec,
-				},
-				Shards: shards,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var mu sync.Mutex
-			var events []nodeEvent
-			rt.tap = func(ev nodeEvent) {
-				mu.Lock()
-				events = append(events, ev)
-				mu.Unlock()
-			}
-			if err := rt.Run(context.Background(), 10); err != nil {
-				t.Fatal(err)
-			}
-			if rt.Exchanges() == 0 {
-				t.Fatal("no exchanges committed; lockstep test needs traffic")
-			}
-
-			// Replay: fresh states, same machine parameters, recorded
-			// inputs; re-record each step through Step's flight mapping.
-			mc := Machine{
-				G:             g,
-				Rule:          NewVanillaRule(),
-				Epoch:         rt.epoch,
-				LockTimeoutNs: rt.lockTimeout.Nanoseconds(),
-				ResendEveryNs: rt.resendEvery.Nanoseconds(),
-			}
-			rec2 := flight.New(g.NumNodes(), 1<<14)
-			states := make([]*NodeState, g.NumNodes())
-			for i := range states {
-				states[i] = NewNodeState(i, x0[i])
-			}
-			for k, ev := range events {
-				st, in := states[ev.node], ev.in
-				pre := st.Lock
-				var out StepOut
-				switch in.Kind {
-				case StepDeliver:
-					out = mc.Deliver(st, in.Msg, in.NowNs, in.Draining)
-				case StepInitiate:
-					out = mc.Initiate(st, in.He, in.NowNs)
-				case StepTimeout:
-					out = mc.TimeoutAwait(st)
-				case StepResend:
-					out = mc.Resend(st, in.NowNs)
-				case StepCrash:
-					out = mc.Crash(st)
-				case StepRecover:
-					out = mc.Recover(st, in.NowNs)
-				}
-				if !reflect.DeepEqual(out, ev.out) {
-					t.Fatalf("event %d (node %d, kind %d): replayed StepOut %+v diverged from live %+v",
-						k, ev.node, in.Kind, out, ev.out)
-				}
-				if out.Committed {
-					// Ghost provenance: the held proposal this commit
-					// resolved names the initiator and seq; that initiator's
-					// watermark must be exactly that seq (below it, the
-					// proposal was never applied; proposals to one
-					// initiator are serial, so it cannot be above).
-					if pre.Role != RoleResponder || states[pre.Peer].LastApplied[ev.node] != pre.Seq {
-						t.Fatalf("event %d: node %d committed seq %d before initiator %d applied it (stale commit)",
-							k, ev.node, pre.Seq, pre.Peer)
-					}
-				}
-				recordStep(rec2, g, ev.node, in, out, pre)
-				if m := out.Send[0]; m.Kind != 0 {
-					FlightEmitter{Rec: rec2}.Send(ev.node, m, in.NowNs)
-				}
-			}
-			got := rt.Values()
-			for i, st := range states {
-				if st.X != got[i] {
-					t.Errorf("node %d: replayed value %v != runtime value %v", i, st.X, got[i])
-				}
-			}
-
-			compareSpanSets(t, flight.Stitch(rec.Snapshot()), flight.Stitch(rec2.Snapshot()))
-			t.Logf("replayed %d events across %d nodes on %d shards, %d exchanges",
-				len(events), g.NumNodes(), rt.Shards(), rt.Exchanges())
+	t.Run("healthy", func(t *testing.T) {
+		g, _, x0 := dumbbellCase(t)
+		rec := flight.New(g.NumNodes(), 1<<14)
+		rt, err := NewShardRuntime(g, x0, NewVanillaRule(), ShardRuntimeConfig{
+			ClusterConfig: ClusterConfig{
+				TimeScale: 4 * time.Millisecond, Seed: 11, Flight: rec,
+			},
+			Shards: shards,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var events []nodeEvent
+		rt.tap = func(ev nodeEvent) {
+			mu.Lock()
+			events = append(events, ev)
+			mu.Unlock()
+		}
+		if err := rt.Run(context.Background(), 10); err != nil {
+			t.Fatal(err)
+		}
+		if rt.Exchanges() == 0 {
+			t.Fatal("no exchanges committed; lockstep test needs traffic")
+		}
+
+		// Replay: fresh states, same machine parameters, recorded
+		// inputs; re-record each step through Step's flight mapping.
+		mc := Machine{
+			G:             g,
+			Rule:          NewVanillaRule(),
+			Epoch:         rt.epoch,
+			LockTimeoutNs: rt.lockTimeout.Nanoseconds(),
+			ResendEveryNs: rt.resendEvery.Nanoseconds(),
+		}
+		rec2 := flight.New(g.NumNodes(), 1<<14)
+		states := make([]*NodeState, g.NumNodes())
+		for i := range states {
+			states[i] = NewNodeState(i, x0[i])
+		}
+		for k, ev := range events {
+			st, in := states[ev.node], ev.in
+			pre := st.Lock
+			var out StepOut
+			switch in.Kind {
+			case StepDeliver:
+				out = mc.Deliver(st, in.Msg, in.NowNs, in.Draining)
+			case StepInitiate:
+				out = mc.Initiate(st, in.He, in.NowNs)
+			case StepTimeout:
+				out = mc.TimeoutAwait(st)
+			case StepResend:
+				out = mc.Resend(st, in.NowNs)
+			}
+			if !reflect.DeepEqual(out, ev.out) {
+				t.Fatalf("event %d (node %d, kind %d): replayed StepOut %+v diverged from live %+v",
+					k, ev.node, in.Kind, out, ev.out)
+			}
+			if out.Committed {
+				// Ghost provenance: the held proposal this commit
+				// resolved names the initiator and seq; that initiator's
+				// watermark must be exactly that seq (below it, the
+				// proposal was never applied; proposals to one
+				// initiator are serial, so it cannot be above).
+				if pre.Role != RoleResponder || states[pre.Peer].LastApplied[ev.node] != pre.Seq {
+					t.Fatalf("event %d: node %d committed seq %d before initiator %d applied it (stale commit)",
+						k, ev.node, pre.Seq, pre.Peer)
+				}
+			}
+			recordStep(rec2, g, ev.node, in, out, pre)
+			if m := out.Send[0]; m.Kind != 0 {
+				FlightEmitter{Rec: rec2}.Send(ev.node, m, in.NowNs)
+			}
+		}
+		got := rt.Values()
+		for i, st := range states {
+			if st.X != got[i] {
+				t.Errorf("node %d: replayed value %v != runtime value %v", i, st.X, got[i])
+			}
+		}
+
+		compareSpanSets(t, flight.Stitch(rec.Snapshot()), flight.Stitch(rec2.Snapshot()))
+		t.Logf("replayed %d events across %d nodes on %d shards, %d exchanges",
+			len(events), g.NumNodes(), rt.Shards(), rt.Exchanges())
+	})
 }
 
 // compareSpanSets asserts that live and replayed flight captures stitch
@@ -206,20 +193,16 @@ func compareSpanSets(t *testing.T, live, replayed *flight.SpanSet) {
 }
 
 // TestShardSumConservedHostileTransport drives the sharded runtime over a
-// hostile network — 25% Bernoulli loss, 2ms random delays — plus a crash
-// schedule, and asserts the protocol's core promise end to end: exact sum
-// conservation and a balanced exchange ledger at quiescence.
+// hostile network — 25% Bernoulli loss, 2ms random delays — and asserts
+// the protocol's core promise end to end: exact sum conservation and a
+// balanced exchange ledger at quiescence.
 func TestShardSumConservedHostileTransport(t *testing.T) {
 	g, _, x0 := dumbbellCase(t)
-	crashes := []CrashEvent{
-		{Node: 1, At: 2, Recover: 5},
-		{Node: 8, At: 3}, // down until drain
-	}
 	rt, err := NewShardRuntime(g, x0, NewVanillaRule(), ShardRuntimeConfig{
 		ClusterConfig: ClusterConfig{
 			TimeScale: 4 * time.Millisecond, Seed: 1,
 			Drop: 0.25, Delay: 2 * time.Millisecond,
-			LockTimeout: 10 * time.Millisecond, Crashes: crashes,
+			LockTimeout: 10 * time.Millisecond,
 		},
 		Shards: 4,
 	})
@@ -235,11 +218,8 @@ func TestShardSumConservedHostileTransport(t *testing.T) {
 	if rt.Aborted() == 0 {
 		t.Error("25% drop with 2ms delays produced no aborts")
 	}
-	if got, want := rt.Crashes(), int64(len(crashes)); got != want {
-		t.Errorf("Crashes() = %d, want %d", got, want)
-	}
 	if drift := math.Abs(sum(rt.Values()) - sum(x0)); drift > 1e-9 {
-		t.Errorf("sum drifted by %g under loss, delay and crashes", drift)
+		t.Errorf("sum drifted by %g under loss and delay", drift)
 	}
 	assertLedger(t, rt)
 }
@@ -604,21 +584,6 @@ func TestShardRuntimeValidation(t *testing.T) {
 		{"negative delay", g, x0, VanillaRule{}, func() ShardRuntimeConfig {
 			c := valid()
 			c.Delay = -time.Millisecond
-			return c
-		}()},
-		{"crash node out of range", g, x0, VanillaRule{}, func() ShardRuntimeConfig {
-			c := valid()
-			c.Crashes = []CrashEvent{{Node: 99, At: 1}}
-			return c
-		}()},
-		{"recover before crash", g, x0, VanillaRule{}, func() ShardRuntimeConfig {
-			c := valid()
-			c.Crashes = []CrashEvent{{Node: 1, At: 2, Recover: 1}}
-			return c
-		}()},
-		{"overlapping windows", g, x0, VanillaRule{}, func() ShardRuntimeConfig {
-			c := valid()
-			c.Crashes = []CrashEvent{{Node: 1, At: 1, Recover: 5}, {Node: 1, At: 3, Recover: 7}}
 			return c
 		}()},
 	}

@@ -4,9 +4,9 @@ package dist
 //
 // One time.Timer per node would put 10^6 timers on the Go runtime's timer
 // heaps at 10^6 nodes. A shard instead owns ONE wheel and schedules all of
-// its nodes' deadlines (gossip clocks, lock-slot protocol deadlines, crash
-// windows) as intrusive list entries in O(1), paying one coarse time.Timer
-// per shard loop to pace wheel advancement.
+// its nodes' deadlines (gossip clocks and lock-slot protocol deadlines) as
+// intrusive list entries in O(1), paying one coarse time.Timer per shard
+// loop to pace wheel advancement.
 //
 // Design (classic hashed hierarchical wheel, Varghese & Lauck):
 //
@@ -44,7 +44,6 @@ type timerKind uint8
 const (
 	tkClock timerKind = iota // node's Poisson gossip clock
 	tkProto                  // node's lock-slot deadline (initiator timeout or responder resend)
-	tkCrash                  // node's next crash or recovery instant
 )
 
 // wheelTimer is an intrusive doubly-linked timer. The shard embeds two per

@@ -253,6 +253,13 @@ func (r *ring) put(rec Record, limit int) {
 	r.mu.Unlock()
 }
 
+// live returns how many records the ring holds.
+func (r *ring) live() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.buf)
+}
+
 // snapshot appends the ring's live records, oldest first, to dst.
 func (r *ring) snapshot(dst []Record) ([]Record, uint64) {
 	r.mu.Lock()
@@ -330,6 +337,13 @@ func (rc *Recorder) Snapshot() *Dump {
 	}
 	d.Nodes = len(rc.rings)
 	d.RingCap = rc.ringCap
+	// Size the merged copy once. The count is only a capacity hint: a
+	// writer that records meanwhile just makes append grow it.
+	live := 0
+	for i := range rc.rings {
+		live += rc.rings[i].live()
+	}
+	d.Events = make([]Record, 0, live)
 	for i := range rc.rings {
 		var lost uint64
 		d.Events, lost = rc.rings[i].snapshot(d.Events)

@@ -96,6 +96,28 @@ func TestNewAllocatesOnDemand(t *testing.T) {
 	}
 }
 
+// TestSnapshotAllocatesOnce pins Snapshot's merge to one allocation of
+// the event slice: 1,000 rings of three records each must not grow the
+// merged copy by repeated appends.
+func TestSnapshotAllocatesOnce(t *testing.T) {
+	const nodes, perRing = 1000, 3
+	rc := New(nodes, 0)
+	for n := 0; n < nodes; n++ {
+		for i := 0; i < perRing; i++ {
+			rc.Record(rec(n, int64(i), EvSend))
+		}
+	}
+	var d *Dump
+	allocs := testing.AllocsPerRun(10, func() { d = rc.Snapshot() })
+	if len(d.Events) != nodes*perRing {
+		t.Fatalf("snapshot holds %d events, want %d", len(d.Events), nodes*perRing)
+	}
+	// The Dump and its event slice.
+	if allocs > 2 {
+		t.Errorf("Snapshot made %v allocations, want at most 2", allocs)
+	}
+}
+
 func TestRecordClampsNodeOutOfRange(t *testing.T) {
 	rc := New(2, 4)
 	rc.Record(rec(99, 1, EvSend))

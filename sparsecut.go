@@ -215,8 +215,8 @@ func MeasureAveragingTime(g *Graph, factory Factory, cfg TavConfig) (TavResult, 
 // over a lossy or slow network (ClusterConfig.Drop and Delay).
 type (
 	// ClusterConfig holds the runtime's protocol settings (time scale,
-	// seed, message loss and delay, telemetry registry, flight recorder,
-	// crash schedule); it is embedded in ShardRuntimeConfig.
+	// seed, message loss and delay, telemetry registry, flight recorder);
+	// it is embedded in ShardRuntimeConfig.
 	ClusterConfig = dist.ClusterConfig
 	// ExchangeRule is the local update a committed pairwise exchange
 	// applies — the runtime counterpart of Algorithm.
@@ -252,8 +252,8 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
 // FlightRecorder is the flight recorder, re-exported from internal/flight
 // (DESIGN.md §12): a per-node bounded ring buffer of fixed-size protocol
-// event records (machine transitions, message send/recv/drop, timer fires,
-// crashes). Hand one to ClusterConfig.Flight to capture a run, then
+// event records (machine transitions, message send/recv/drop, timer
+// fires). Hand one to ClusterConfig.Flight to capture a run, then
 // Snapshot() it into a dump for serialization or span stitching;
 // cmd/tracez renders the dumps. A nil recorder disables capture at
 // near-zero hot-path cost, exactly like a nil MetricsRegistry.

@@ -12,7 +12,6 @@ import (
 
 	"sparsecut/internal/avgtime"
 	"sparsecut/internal/core"
-	"sparsecut/internal/dist"
 	"sparsecut/internal/rng"
 	"sparsecut/internal/scenario"
 	"sparsecut/internal/sim"
@@ -294,39 +293,5 @@ func TestDecentralizedRuntimeFacade(t *testing.T) {
 	}
 	if vcl.Exchanges() == 0 {
 		t.Fatal("no exchanges committed with the averaging rule")
-	}
-}
-
-func TestCrashScheduleFacade(t *testing.T) {
-	g, part, err := NewDumbbell(6, 6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x0 := WorstCaseInit(part)
-	cl, err := NewShardRuntime(g, x0, NewAveragingExchange(), ShardRuntimeConfig{
-		ClusterConfig: ClusterConfig{
-			TimeScale: 4 * time.Millisecond,
-			Seed:      9,
-			Crashes: []dist.CrashEvent{
-				{Node: 0, At: 1, Recover: 3},
-				{Node: 7, At: 2}, // down until the drain force-recovers it
-			},
-		},
-		Shards: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Run(context.Background(), 8); err != nil {
-		t.Fatal(err)
-	}
-	if cl.Crashes() != 2 {
-		t.Fatalf("crash schedule fired %d times, want 2", cl.Crashes())
-	}
-	if cl.Exchanges() == 0 {
-		t.Fatal("no exchanges committed around the crashes")
-	}
-	if math.Abs(cl.Mean()) > 1e-9 {
-		t.Errorf("mean drifted to %v across a crash-faulted run", cl.Mean())
 	}
 }
