@@ -104,12 +104,6 @@ func main() {
 		rec = sparsecut.NewFlightRecorder(g.NumNodes(), *flightCap)
 		cfg.Flight = rec
 	}
-	if *delay > 0 {
-		// The lock timeout must exceed the worst-case message round trip
-		// (three one-way hops) or the initiator refuses every proposal as
-		// stale and nothing commits.
-		cfg.LockTimeout = 4 * *delay
-	}
 	cl, err := sparsecut.NewShardRuntime(g, x0, rule, sparsecut.ShardRuntimeConfig{
 		ClusterConfig: cfg, Shards: *shards,
 	})

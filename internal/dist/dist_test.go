@@ -147,8 +147,7 @@ func TestRepeatedRunsContinue(t *testing.T) {
 			x0 := gossip.UniformRandom(rng.New(9), g.NumNodes())
 			cl := newTestRuntime(t, g, x0, NewVanillaRule(), 3, ClusterConfig{
 				TimeScale: 4 * time.Millisecond, Seed: 5,
-				Delay: delay, LockTimeout: 4 * delay, // 0 keeps the default
-
+				Delay: delay,
 			})
 			var0 := cl.Variance()
 			if err := cl.Run(context.Background(), 8); err != nil {

@@ -3,48 +3,32 @@ package dist
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"sparsecut/internal/metrics"
 )
 
-// clusterMetrics is the runtime's telemetry plane, populated only when
-// ClusterConfig.Metrics is set. Disabled (the zero value) every field is
-// nil, so the hot-path hooks in shard.go reduce to nil-receiver no-ops —
-// the runtime's behaviour and random streams are identical with telemetry
-// on or off; only wall-clock observation is added.
-//
-// The per-shard/per-runtime split the instrumentation follows: counters
-// are sharded by shard loop (each loop writes its own cache line) and
-// aggregated at snapshot time; already-counted state (the exchange
-// ledger's proposed, commit and abort totals, rule tick counters, loss and
-// congestion counters) is exported through snapshot-time reader funcs at
-// zero hot-path cost.
-type clusterMetrics struct {
-	// sent counts protocol messages sent, per kind, sharded by shard loop. Indexed by MsgKind (1..4; slot 0 unused).
-	sent [5]*metrics.Counter
-	// latency is the committed-exchange round trip observed at the
-	// initiator: LOCK sent → PROPOSE applied, in nanoseconds.
-	latency *metrics.Histogram
-}
-
-// instrument registers the runtime's instruments on reg: the
-// runtime-level exchange, message and latency series, plus the
-// per-shard plane — throughput and abort rate per shard loop (reading the
-// shards' single-writer counters at snapshot time) and mailbox depth per
-// shard. One registry per runtime: re-instrumenting a second runtime on
-// the same registry accumulates counters and rebinds the reader funcs to
-// the newest runtime.
+// instrument registers the runtime's telemetry on reg. Every count is one
+// the runtime already keeps — the shards' exchange ledgers (initiations,
+// commits, aborts, messages sent per kind, loss, delay and congestion),
+// the rule's tick and swap counters and the mailbox depths — exported
+// through snapshot-time readers that sum over the shards, so the hot path
+// records nothing twice. The one instrument recorded into is the
+// committed-exchange latency histogram. One registry per runtime:
+// instrumenting a second runtime on the same registry rebinds the readers
+// to the newest runtime and accumulates into the histogram.
 func (rt *ShardRuntime) instrument(reg *metrics.Registry) {
 	reg.CounterFunc("dist.exchange.proposed", rt.Proposed)
 	reg.CounterFunc("dist.exchange.committed", rt.Exchanges)
 	reg.CounterFunc("dist.exchange.aborted", rt.Aborted)
 	for _, k := range []MsgKind{MsgLock, MsgPropose, MsgNack, MsgCommit} {
-		rt.met.sent[k] = reg.Counter("dist.msg.sent." + strings.ToLower(k.String()))
+		reg.CounterFunc("dist.msg.sent."+strings.ToLower(k.String()), func() int64 {
+			return rt.total(func(l *ledger) *atomic.Int64 { return &l.sent[k] })
+		})
 	}
-	rt.met.latency = reg.Histogram("dist.exchange.latency_ns")
+	rt.latency = reg.Histogram("dist.exchange.latency_ns")
 
 	for _, s := range rt.shards {
-		s := s
 		prefix := fmt.Sprintf("dist.shard.%02d.", s.id)
 		reg.CounterFunc(prefix+"committed", s.led.committed.Load)
 		reg.CounterFunc(prefix+"aborted", s.led.aborted.Load)

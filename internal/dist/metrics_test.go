@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,10 +15,10 @@ import (
 
 // TestInstrumentedLossyRun is the telemetry acceptance check: a runtime on
 // a lossy, delayed network with ClusterConfig.Metrics set must export
-// nonzero exchange, abort, message, loss and delay counters, a
-// populated latency histogram, and convergence gauges consistent with the
-// runtime's own accessors — while preserving the sum invariant exactly as
-// the uninstrumented runtime does. Run under -race this also proves the
+// nonzero exchange, abort, message, loss and delay counters and a
+// populated latency histogram, consistent with the runtime's own
+// accessors — while preserving the sum invariant exactly as the
+// uninstrumented runtime does. Run under -race this also proves the
 // shard loops and the snapshot reader do not race on the telemetry plane.
 func TestInstrumentedLossyRun(t *testing.T) {
 	g, part, x0 := dumbbellCase(t)
@@ -136,8 +139,8 @@ func TestInstrumentedLossyRun(t *testing.T) {
 }
 
 // TestDisabledMetricsIsNilSafe runs the uninstrumented path (the default)
-// and asserts nothing is recorded and nothing panics — the hot-path hooks
-// must degrade to no-ops.
+// and asserts no histogram is recorded into and nothing panics, while the
+// ledger the registry would read keeps counting.
 func TestDisabledMetricsIsNilSafe(t *testing.T) {
 	g, _, x0 := dumbbellCase(t)
 	cl := newTestRuntime(t, g, x0, NewVanillaRule(), 3, ClusterConfig{
@@ -149,7 +152,59 @@ func TestDisabledMetricsIsNilSafe(t *testing.T) {
 	if cl.Exchanges() == 0 {
 		t.Error("no exchanges committed")
 	}
-	if cl.met.sent[MsgLock] != nil || cl.met.latency != nil {
-		t.Error("telemetry plane populated without a registry")
+	if cl.latency != nil {
+		t.Error("latency histogram created without a registry")
+	}
+	if cl.total(func(l *ledger) *atomic.Int64 { return &l.sent[MsgLock] }) < cl.Proposed() {
+		t.Error("the ledger counted fewer LOCKs sent than initiations")
+	}
+}
+
+// TestExportedMetricNames pins every name a two-shard Algorithm A runtime
+// exports, by kind. perfbench and cmd/distrun read these names as
+// strings, so a rename would feed them zeros without a compile error.
+func TestExportedMetricNames(t *testing.T) {
+	g, part, x0 := dumbbellCase(t)
+	rule, err := NewSparseCutRule(part, part.CutEdges()[0], 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	newTestRuntime(t, g, x0, rule, 2, ClusterConfig{Metrics: reg})
+	snap := reg.Snapshot()
+	var got []string
+	for name := range snap.Counters {
+		got = append(got, "counter "+name)
+	}
+	for name := range snap.Gauges {
+		got = append(got, "gauge "+name)
+	}
+	for name := range snap.Histograms {
+		got = append(got, "histogram "+name)
+	}
+	slices.Sort(got)
+	want := []string{
+		"counter dist.exchange.aborted",
+		"counter dist.exchange.committed",
+		"counter dist.exchange.proposed",
+		"counter dist.msg.sent.commit",
+		"counter dist.msg.sent.lock",
+		"counter dist.msg.sent.nack",
+		"counter dist.msg.sent.propose",
+		"counter dist.rule.swaps",
+		"counter dist.rule.ticks",
+		"counter dist.shard.00.aborted",
+		"counter dist.shard.00.committed",
+		"counter dist.shard.01.aborted",
+		"counter dist.shard.01.committed",
+		"counter dist.transport.congested",
+		"counter dist.transport.delayed",
+		"counter dist.transport.dropped",
+		"gauge dist.shard.00.mailbox_depth",
+		"gauge dist.shard.01.mailbox_depth",
+		"histogram dist.exchange.latency_ns",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("exported names:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -66,20 +66,22 @@ type ClusterConfig struct {
 	// (0 = none). A release can run up to one timer-wheel tick late.
 	Delay time.Duration
 	// LockTimeout bounds how long an initiator waits for a proposal
-	// before aborting (default TimeScale/4, at least 1ms and four wheel
-	// ticks). It must comfortably exceed the worst-case message round
-	// trip — a proposal arriving after the timeout is refused as stale,
-	// so with LockTimeout below the typical latency (e.g. 3·Delay)
-	// essentially no exchange commits.
-	// The proposal retransmission lease is half the lock timeout.
+	// before aborting. It must comfortably exceed the worst-case message
+	// round trip — a proposal arriving after the timeout is refused as
+	// stale, so with LockTimeout below the typical latency (e.g. 3·Delay)
+	// essentially no exchange commits. The default is 4·Delay when Delay
+	// is set and TimeScale/4 otherwise, at least 1ms and four wheel ticks
+	// either way. The proposal retransmission lease is half the lock
+	// timeout.
 	LockTimeout time.Duration
-	// Metrics, when non-nil, receives the runtime's telemetry: exchange
-	// counters (proposed/committed/aborted), per-kind message counters, a
-	// committed-exchange latency histogram, per-shard throughput and
-	// mailbox depth, the rule's tick/swap counters and the
-	// loss/latency/congestion counters (see metrics.go for the full name
-	// list). nil disables telemetry at near-zero hot-path cost. Use one
-	// registry per runtime.
+	// Metrics, when non-nil, exports the runtime's telemetry: snapshot-time
+	// readers over the counts the runtime keeps anyway (the exchange
+	// ledger's proposed/committed/aborted totals, messages sent per kind,
+	// per-shard throughput and mailbox depth, the rule's tick/swap
+	// counters and the loss/latency/congestion counters; see metrics.go
+	// for the full name list) and a committed-exchange latency histogram,
+	// the one instrument recorded on the hot path. nil disables the
+	// histogram and the export. Use one registry per runtime.
 	Metrics *metrics.Registry
 	// Flight, when non-nil, receives the runtime's causal flight records:
 	// every protocol step, message send/receive, network drop and timer
@@ -174,9 +176,10 @@ type ShardRuntime struct {
 	running atomic.Bool
 	wg      sync.WaitGroup
 
-	// met is the telemetry plane; all fields nil (every hook a no-op)
-	// unless ClusterConfig.Metrics was set.
-	met clusterMetrics
+	// latency is the committed-exchange round trip observed at the
+	// initiator, LOCK sent → PROPOSE applied, in nanoseconds; nil unless
+	// ClusterConfig.Metrics was set.
+	latency *metrics.Histogram
 	// rec is the flight recorder (nil = disabled); see flight.go.
 	rec *flight.Recorder
 }
@@ -237,6 +240,8 @@ type ledger struct {
 	// held proposals. An initiation and a proposal resolve at the node
 	// that made them, so neither count goes below zero.
 	awaiting, pending atomic.Int64
+	// sent counts the shard's sends per MsgKind (slot 0 unused).
+	sent [MsgCommit + 1]atomic.Int64
 	// dropped and delayed count the shard's sends lost to
 	// ClusterConfig.Drop or held for ClusterConfig.Delay; congested counts
 	// its sends refused by a full mailbox.
@@ -382,15 +387,16 @@ func NewShardRuntime(g *graph.Graph, x0 []float64, rule Rule, cfg ShardRuntimeCo
 	rt.timerTick = min(max(cfg.TimeScale/16, 50*time.Microsecond), time.Millisecond)
 	rt.lockTimeout = cfg.LockTimeout
 	if rt.lockTimeout == 0 {
+		// A proposal round trip is three one-way hops, each held for up
+		// to Delay, so under Delay the deadline follows it; without,
+		// it follows the clock. A deadline under a few ticks would time
+		// out exchanges that are merely waiting for the next wheel
+		// advance.
 		rt.lockTimeout = cfg.TimeScale / 4
-		if rt.lockTimeout < time.Millisecond {
-			rt.lockTimeout = time.Millisecond
+		if cfg.Delay > 0 {
+			rt.lockTimeout = 4 * cfg.Delay
 		}
-		// A deadline under a few ticks would time out exchanges that are
-		// merely waiting for the next wheel advance.
-		if rt.lockTimeout < 4*rt.timerTick {
-			rt.lockTimeout = 4 * rt.timerTick
-		}
+		rt.lockTimeout = max(rt.lockTimeout, time.Millisecond, 4*rt.timerTick)
 	}
 	rt.resendEvery = rt.lockTimeout / 2
 	if rt.resendEvery <= 0 {
@@ -771,9 +777,7 @@ func (s *shard) applyOut(st *NodeState, out StepOut, nowNs int64) {
 		led.committed.Add(1)
 	}
 	if out.Applied && out.LatencyNs >= 0 {
-		if h := s.rt.met.latency; h != nil {
-			h.Observe(out.LatencyNs)
-		}
+		s.rt.latency.Observe(out.LatencyNs)
 	}
 	if m := out.Send[0]; m.Kind != 0 {
 		s.send(m, nowNs)
@@ -785,7 +789,7 @@ func (s *shard) applyOut(st *NodeState, out StepOut, nowNs int64) {
 // to the destination shard's mailbox at once.
 func (s *shard) send(m Message, nowNs int64) {
 	rt := s.rt
-	rt.met.sent[m.Kind].Inc(s.id)
+	s.led.sent[m.Kind].Add(1)
 	if rec := rt.rec; rec != nil {
 		rec.Record(msgRecord(flight.EvSend, m, m.From, nowNs))
 	}

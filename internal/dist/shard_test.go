@@ -480,7 +480,7 @@ func testNoLeak(t *testing.T, shards int) {
 	for _, delay := range []time.Duration{0, time.Millisecond} {
 		rt := newTestRuntime(t, g, x0, NewVanillaRule(), shards, ClusterConfig{
 			TimeScale: 2 * time.Millisecond, Seed: 3,
-			Delay: delay, LockTimeout: 4 * delay, // 0 keeps the default
+			Delay: delay,
 		})
 		for run := 0; run < 3; run++ {
 			if err := rt.Run(context.Background(), 4); err != nil {
@@ -606,6 +606,38 @@ func TestShardRuntimeValidation(t *testing.T) {
 	}
 	if err := rt.Run(context.Background(), 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDefaultLockTimeout pins the lock timeout a config without one gets:
+// 4·Delay when Delay is set, TimeScale/4 otherwise, and never under 1ms or
+// four wheel ticks. An explicit LockTimeout is kept as given.
+func TestDefaultLockTimeout(t *testing.T) {
+	g := graph.Cycle(8)
+	x0 := make([]float64, 8)
+	ms, us := time.Millisecond, time.Microsecond
+	cases := []struct {
+		scale, delay, explicit, want time.Duration
+	}{
+		{4 * ms, 2 * ms, 0, 8 * ms},           // round trips of up to 6ms must commit
+		{4 * ms, 0, 0, ms},                    // TimeScale/4
+		{4 * time.Second, 0, 0, time.Second},  // TimeScale/4
+		{4 * time.Second, 50 * us, 0, 4 * ms}, // four 1ms ticks
+		{2 * ms, 50 * us, 0, ms},              // the 1ms floor
+		{4 * ms, 2 * ms, 10 * ms, 10 * ms},    // explicit
+		{4 * ms, 2 * ms, 200 * us, 200 * us},  // explicit, under every floor
+	}
+	for _, tc := range cases {
+		rt, err := NewShardRuntime(g, x0, VanillaRule{}, ShardRuntimeConfig{ClusterConfig: ClusterConfig{
+			TimeScale: tc.scale, Delay: tc.delay, LockTimeout: tc.explicit,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt.lockTimeout != tc.want {
+			t.Errorf("TimeScale %v, Delay %v, LockTimeout %v: lock timeout %v, want %v",
+				tc.scale, tc.delay, tc.explicit, rt.lockTimeout, tc.want)
+		}
 	}
 }
 

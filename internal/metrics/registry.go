@@ -1,3 +1,26 @@
+// Package metrics is the repository's dependency-free telemetry core: the
+// Registry that names the counts the runtime layers (internal/dist,
+// internal/sim, internal/sweep) keep and exports them as deterministic
+// JSON snapshots, plus the one instrument a layer records into, the log2
+// Histogram.
+//
+// Instrumentation must merge into the hot paths without moving the
+// bench-regression gates, so a layer keeps its own counts — single-writer
+// atomics it owns, like the dist runtime's per-shard exchange ledger — and
+// registers snapshot-time readers over them (CounterFunc, GaugeFunc).
+// Nothing is recorded twice, and a count costs the same with telemetry on
+// or off. A nil *Registry is the disabled registry: it hands out nil
+// histograms, whose methods are no-ops, ignores reader registrations and
+// snapshots empty, so call sites need no enable flag of their own.
+//
+// Snapshots are deterministic: Snapshot() renders sorted names and exact
+// integer state, so two runs that performed the same recorded work produce
+// byte-identical metrics JSON (the package tests prove it). Wall-clock
+// histograms are of course only as deterministic as the clock — the
+// determinism contract is about the encoding, not the timings.
+//
+// Key types: Registry, Histogram, Snapshot. Telemetry semantics and the
+// overhead budget are DESIGN.md §10.
 package metrics
 
 import (
@@ -8,21 +31,16 @@ import (
 )
 
 // Registry names a set of instruments and renders them into deterministic
-// snapshots. Registration is idempotent per name and kind — asking twice
-// for the same counter returns the same counter, so layers can instrument
-// themselves without coordinating — but reusing a name across kinds is a
-// programming error and panics. A nil *Registry is the disabled registry:
-// it hands out nil instruments (whose methods are no-ops) and snapshots
-// empty, so call sites never need their own enable flag.
+// snapshots. Histogram registration is idempotent per name — asking twice
+// returns the same histogram — but reusing a name across kinds is a
+// programming error and panics.
 //
-// Func instruments (CounterFunc, GaugeFunc) are read-on-snapshot callbacks
-// for state some other layer already counts (transport drop totals, rule
-// tick counters): they add zero cost to the hot path because nothing is
-// recorded twice.
+// CounterFunc and GaugeFunc register read-on-snapshot callbacks over
+// counts a layer already keeps (exchange ledgers, transport drop totals,
+// rule tick counters, engine window counts): they add no cost to the hot
+// path because nothing is recorded twice.
 type Registry struct {
 	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
 	counterFns map[string]func() int64
 	gaugeFns   map[string]func() float64
@@ -31,8 +49,6 @@ type Registry struct {
 // NewRegistry returns an empty enabled registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		hists:      make(map[string]*Histogram),
 		counterFns: make(map[string]func() int64),
 		gaugeFns:   make(map[string]func() float64),
@@ -43,12 +59,6 @@ func NewRegistry() *Registry {
 // (r.mu must be held).
 func (r *Registry) checkName(name, kind string) {
 	conflict := ""
-	if _, ok := r.counters[name]; ok && kind != "counter" {
-		conflict = "counter"
-	}
-	if _, ok := r.gauges[name]; ok && kind != "gauge" {
-		conflict = "gauge"
-	}
 	if _, ok := r.hists[name]; ok && kind != "histogram" {
 		conflict = "histogram"
 	}
@@ -61,40 +71,6 @@ func (r *Registry) checkName(name, kind string) {
 	if conflict != "" {
 		panic(fmt.Sprintf("metrics: %q already registered as a %s, requested as a %s", name, conflict, kind))
 	}
-}
-
-// Counter returns the named counter, creating it on first use. Returns nil
-// on a nil registry.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkName(name, "counter")
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use. Returns nil on
-// a nil registry.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkName(name, "gauge")
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use. Returns
@@ -178,20 +154,14 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.counters)+len(r.counterFns) > 0 {
-		s.Counters = make(map[string]int64, len(r.counters)+len(r.counterFns))
-		for name, c := range r.counters {
-			s.Counters[name] = c.Value()
-		}
+	if len(r.counterFns) > 0 {
+		s.Counters = make(map[string]int64, len(r.counterFns))
 		for name, fn := range r.counterFns {
 			s.Counters[name] = fn()
 		}
 	}
-	if len(r.gauges)+len(r.gaugeFns) > 0 {
-		s.Gauges = make(map[string]float64, len(r.gauges)+len(r.gaugeFns))
-		for name, g := range r.gauges {
-			s.Gauges[name] = g.Value()
-		}
+	if len(r.gaugeFns) > 0 {
+		s.Gauges = make(map[string]float64, len(r.gaugeFns))
 		for name, fn := range r.gaugeFns {
 			s.Gauges[name] = fn()
 		}

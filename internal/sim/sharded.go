@@ -97,23 +97,18 @@ type ShardEngine struct {
 	nextBoundary float64
 
 	now        float64
-	events     int64
-	tileEvents []int64
+	tileEvents []int64 // cumulative per tile, written by the tile's worker
+	// events counts the exchanges applied up to the last barrier; boundary,
+	// windows and segments count the boundary events, window barriers and
+	// timing segments. The goroutine driving the engine writes them; the
+	// metrics registry may read them while it runs.
+	events, boundary, windows, segments atomic.Int64
 
 	workers int
 	window  float64
 	observe func(t float64, events int64)
 
 	pool *tilePool
-
-	// Telemetry (all nil-safe).
-	mTileEvents     *metrics.Counter
-	mBoundaryEvents *metrics.Counter
-	mWindows        *metrics.Counter
-	mSegments       *metrics.Counter
-	mStallTiles     *metrics.Gauge
-
-	lastWindowEvents []int64 // per-tile counts at the previous barrier
 }
 
 // tilePool is a run-scoped worker pool: goroutines are spawned once per
@@ -185,7 +180,6 @@ func NewShardEngine(til *graph.Tiling, kern ShardKernel, r *rng.RNG, cfg ShardCo
 		e.vs[i] = make([]int32, shardChunk)
 	}
 	e.tileEvents = make([]int64, len(til.Tiles))
-	e.lastWindowEvents = make([]int64, len(til.Tiles))
 	e.bRate = float64(len(til.Boundary))
 	if len(til.Boundary) > 0 {
 		e.nextBoundary = e.bRNG.ExpUnit() / e.bRate
@@ -193,11 +187,15 @@ func NewShardEngine(til *graph.Tiling, kern ShardKernel, r *rng.RNG, cfg ShardCo
 		e.nextBoundary = math.Inf(1)
 	}
 	if m := cfg.Metrics; m != nil {
-		e.mTileEvents = m.Counter("sim.shard.events")
-		e.mBoundaryEvents = m.Counter("sim.shard.boundary.events")
-		e.mWindows = m.Counter("sim.shard.windows")
-		e.mSegments = m.Counter("sim.shard.segments")
-		e.mStallTiles = m.Gauge("sim.shard.stall.tiles")
+		m.CounterFunc("sim.shard.events", func() int64 {
+			// run counts a boundary event into events first, so reading
+			// boundary first keeps a concurrent difference from dipping.
+			b := e.boundary.Load()
+			return e.events.Load() - b
+		})
+		m.CounterFunc("sim.shard.boundary.events", e.boundary.Load)
+		m.CounterFunc("sim.shard.windows", e.windows.Load)
+		m.CounterFunc("sim.shard.segments", e.segments.Load)
 	}
 	return e
 }
@@ -206,7 +204,7 @@ func NewShardEngine(til *graph.Tiling, kern ShardKernel, r *rng.RNG, cfg ShardCo
 func (e *ShardEngine) Now() float64 { return e.now }
 
 // Events returns the total exchanges applied so far.
-func (e *ShardEngine) Events() int64 { return e.events }
+func (e *ShardEngine) Events() int64 { return e.events.Load() }
 
 // advanceTile draws tile i's Poisson event count for a dt-long segment
 // and applies it in fixed-size chunks through the kernel's TickTile.
@@ -272,9 +270,9 @@ func (e *ShardEngine) run(maxT float64, barrier func(t float64) bool) {
 			e.now = bt
 			be := e.til.Boundary[e.bRNG.Intn(len(e.til.Boundary))]
 			e.kern.Exchange(int32(be.U), int32(be.V))
-			e.events++
-			e.mBoundaryEvents.Inc(0)
-			e.mSegments.Inc(0)
+			e.events.Add(1)
+			e.boundary.Add(1)
+			e.segments.Add(1)
 			e.nextBoundary = bt + e.bRNG.ExpUnit()/e.bRate
 			if !barrier(bt) {
 				e.finishWindow()
@@ -283,7 +281,7 @@ func (e *ShardEngine) run(maxT float64, barrier func(t float64) bool) {
 		}
 		e.advanceTiles(wEnd - e.now)
 		e.now = wEnd
-		e.mSegments.Inc(0)
+		e.segments.Add(1)
 		e.finishWindow()
 		if !barrier(wEnd) {
 			return
@@ -291,23 +289,17 @@ func (e *ShardEngine) run(maxT float64, barrier func(t float64) bool) {
 	}
 }
 
-// finishWindow folds per-tile event counts into the total and emits
-// window telemetry.
+// finishWindow folds the tiles' event counts into the total and counts
+// the window.
 func (e *ShardEngine) finishWindow() {
-	stalled := int64(0)
-	for i, c := range e.tileEvents {
-		delta := c - e.lastWindowEvents[i]
-		if delta == 0 && e.til.Tiles[i].Edges > 0 {
-			stalled++
-		}
-		e.mTileEvents.Add(i&(metrics.NumShards-1), delta)
-		e.events += delta
-		e.lastWindowEvents[i] = c
+	events := e.boundary.Load()
+	for _, c := range e.tileEvents {
+		events += c
 	}
-	e.mWindows.Inc(0)
-	e.mStallTiles.Set(float64(stalled))
+	e.events.Store(events)
+	e.windows.Add(1)
 	if e.observe != nil {
-		e.observe(e.now, e.events)
+		e.observe(e.now, events)
 	}
 }
 

@@ -62,31 +62,63 @@ func TestShardEngineWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardEngineWindowInvariantsAndMetrics checks event accounting:
-// telemetry internal + boundary counts must equal Events(), and the
-// event volume must be near rate·|E|·T.
+// TestShardEngineWindowInvariantsAndMetrics checks event accounting
+// through the registry's snapshot: tile plus boundary events equal
+// Events(), every barrier is a window, every segment ends at a window
+// barrier or a boundary event, and the event volume is near rate·|E|·T.
+// Telemetry is observation only: the same run without a registry ends
+// with bit-identical values.
 func TestShardEngineWindowInvariantsAndMetrics(t *testing.T) {
 	ig, err := graph.ImplicitDumbbell(20, 20, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	til, fs := shardFixture(t, ig, 4)
-	reg := metrics.NewRegistry()
-	var barriers int
-	e := NewShardEngine(til, fs, rng.New(9), ShardConfig{
-		Window:   0.5,
-		Metrics:  reg,
-		Observer: func(float64, int64) { barriers++ },
-	})
 	const horizon = 8.0
-	e.RunUntil(horizon)
-	internal := reg.Counter("sim.shard.events").Value()
-	boundary := reg.Counter("sim.shard.boundary.events").Value()
-	if internal+boundary != e.Events() {
-		t.Fatalf("telemetry %d+%d != Events %d", internal, boundary, e.Events())
+	run := func(reg *metrics.Registry) (*ShardEngine, *gossip.FlatState, int) {
+		til, fs := shardFixture(t, ig, 4)
+		var barriers int
+		e := NewShardEngine(til, fs, rng.New(9), ShardConfig{
+			Window:   0.5,
+			Metrics:  reg,
+			Observer: func(float64, int64) { barriers++ },
+		})
+		e.RunUntil(horizon)
+		return e, fs, barriers
 	}
-	if w := reg.Counter("sim.shard.windows").Value(); int(w) != barriers || barriers != int(horizon/0.5) {
-		t.Fatalf("windows counter %d, observer barriers %d, want %d", w, barriers, int(horizon/0.5))
+	reg := metrics.NewRegistry()
+	// Snapshot while the engine runs: the registry reads the engine's
+	// counts from another goroutine.
+	done, read := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				_ = reg.Snapshot()
+			}
+		}
+	}()
+	e, fs, barriers := run(reg)
+	close(done)
+	<-read
+	snap := reg.Snapshot()
+	tile := snap.Counters["sim.shard.events"]
+	boundary := snap.Counters["sim.shard.boundary.events"]
+	windows := snap.Counters["sim.shard.windows"]
+	segments := snap.Counters["sim.shard.segments"]
+	if tile+boundary != e.Events() {
+		t.Fatalf("telemetry %d+%d != Events %d", tile, boundary, e.Events())
+	}
+	if boundary == 0 {
+		t.Fatal("no boundary event over the horizon: the segment check below is vacuous")
+	}
+	if int(windows) != barriers || barriers != int(horizon/0.5) {
+		t.Fatalf("windows counter %d, observer barriers %d, want %d", windows, barriers, int(horizon/0.5))
+	}
+	if segments != windows+boundary {
+		t.Fatalf("segments %d != windows %d + boundary events %d", segments, windows, boundary)
 	}
 	// Poisson volume: mean |E|·T, sd sqrt of that.
 	mean := float64(ig.NumEdges()) * horizon
@@ -95,6 +127,16 @@ func TestShardEngineWindowInvariantsAndMetrics(t *testing.T) {
 	}
 	if e.Now() != horizon {
 		t.Fatalf("Now() = %v, want %v", e.Now(), horizon)
+	}
+
+	bare, bareFS, _ := run(nil)
+	if bare.Events() != e.Events() {
+		t.Fatalf("%d events without a registry, %d with one", bare.Events(), e.Events())
+	}
+	for i := 0; i < ig.NumNodes(); i++ {
+		if math.Float64bits(bareFS.Value(i)) != math.Float64bits(fs.Value(i)) {
+			t.Fatalf("node %d: %v without a registry, %v with one", i, bareFS.Value(i), fs.Value(i))
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sparsecut/internal/avgtime"
@@ -177,11 +178,11 @@ type Config struct {
 	// order (which is scheduling-dependent — use it for progress display
 	// only, never for results).
 	OnCell func(Cell)
-	// Metrics, when set, receives the sweep's telemetry: cells
-	// started/completed/errored/shared counters (sharded by worker index;
-	// shared counts cells whose estimate came from Cache) and a per-cell
-	// wall-time histogram (sweep.cell.wall_ns). Like OnCell it is
-	// observation only — the report is byte-identical with or without it.
+	// Metrics, when set, receives the sweep's telemetry: the run's
+	// started, completed and errored cell counts and a per-cell wall-time
+	// histogram (sweep.cell.wall_ns). Like OnCell it is observation only —
+	// the report is byte-identical with or without it. Use one registry
+	// per Run: a second Run rebinds the cell counts to its own.
 	Metrics *metrics.Registry
 	// Cache, when set, shares estimates with every other Run given the
 	// same Cache: a unit whose resolved spec, unit seed included, equals
@@ -207,11 +208,11 @@ type cacheEntry struct {
 	err  error
 }
 
-// estimate returns r's estimate and whether another unit computed it.
-func (c *Cache) estimate(r *scenario.Resolved) (res avgtime.Result, shared bool, err error) {
+// estimate returns r's estimate, computed by this unit or by another one
+// asking for an equal spec.
+func (c *Cache) estimate(r *scenario.Resolved) (avgtime.Result, error) {
 	if c == nil {
-		res, err = r.Estimate()
-		return res, false, err
+		return r.Estimate()
 	}
 	key := r.EstimateKey()
 	c.mu.Lock()
@@ -224,12 +225,8 @@ func (c *Cache) estimate(r *scenario.Resolved) (res avgtime.Result, shared bool,
 		c.m[key] = e
 	}
 	c.mu.Unlock()
-	shared = true
-	e.once.Do(func() {
-		e.res, e.err = r.Estimate()
-		shared = false
-	})
-	return e.res, shared, e.err
+	e.once.Do(func() { e.res, e.err = r.Estimate() })
+	return e.res, e.err
 }
 
 // Run expands the grid and executes every unit on the worker pool.
@@ -255,39 +252,35 @@ func Run(grid Grid, cfg Config) (*Report, error) {
 		workers = len(units)
 	}
 
-	// Nil-registry instruments are nil and every method on them no-ops, so
-	// the disabled path needs no branches here.
-	started := cfg.Metrics.Counter("sweep.cells.started")
-	completed := cfg.Metrics.Counter("sweep.cells.completed")
-	errored := cfg.Metrics.Counter("sweep.cells.errored")
-	sharedCells := cfg.Metrics.Counter("sweep.cells.shared")
+	// A nil registry ignores the readers and hands out a nil histogram
+	// whose Observe no-ops, so the disabled path needs no branches here.
+	var started, completed, errored atomic.Int64
+	cfg.Metrics.CounterFunc("sweep.cells.started", started.Load)
+	cfg.Metrics.CounterFunc("sweep.cells.completed", completed.Load)
+	cfg.Metrics.CounterFunc("sweep.cells.errored", errored.Load)
 	wall := cfg.Metrics.Histogram("sweep.cell.wall_ns")
 
 	cells := make([]Cell, len(units))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	work := make(chan int)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := range work {
 				u := units[i]
-				started.Inc(w)
+				started.Add(1)
 				begin := time.Now()
-				var shared bool
 				// Label the unit's CPU samples by scenario so a -cpuprofile
 				// of a mixed sweep attributes time per family and algorithm.
 				pprof.Do(context.Background(), unitLabels(u), func(context.Context) {
-					cells[i], shared = runUnit(u, cfg.Cache)
+					cells[i] = runUnit(u, cfg.Cache)
 				})
 				wall.Observe(time.Since(begin).Nanoseconds())
-				completed.Inc(w)
+				completed.Add(1)
 				if cells[i].Error != "" {
-					errored.Inc(w)
-				}
-				if shared {
-					sharedCells.Inc(w)
+					errored.Add(1)
 				}
 				if cfg.OnCell != nil {
 					mu.Lock()
@@ -295,7 +288,7 @@ func Run(grid Grid, cfg Config) (*Report, error) {
 					mu.Unlock()
 				}
 			}
-		}(w)
+		}()
 	}
 	for i := range units {
 		work <- i
@@ -320,15 +313,14 @@ func unitLabels(u Unit) pprof.LabelSet {
 	return pprof.Labels("sweep_family", fam, "sweep_algo", algo)
 }
 
-// runUnit resolves and estimates one cell, through cache when it is set;
-// shared reports that the estimate came from another unit. All errors are
-// folded into the cell so the sweep's shape is stable.
-func runUnit(u Unit, cache *Cache) (cell Cell, shared bool) {
-	cell = Cell{Index: u.Index, Label: u.Spec.Label(), Spec: u.Spec, Seed: u.Spec.Seed}
+// runUnit resolves and estimates one cell, through cache when it is set.
+// All errors are folded into the cell so the sweep's shape is stable.
+func runUnit(u Unit, cache *Cache) Cell {
+	cell := Cell{Index: u.Index, Label: u.Spec.Label(), Spec: u.Spec, Seed: u.Spec.Seed}
 	r, err := u.Spec.Resolve()
 	if err != nil {
 		cell.Error = err.Error()
-		return cell, false
+		return cell
 	}
 	cell.Spec = r.Spec // normalized: every default made explicit
 	cell.Label = r.Spec.Label()
@@ -345,10 +337,10 @@ func runUnit(u Unit, cache *Cache) (cell Cell, shared bool) {
 			cell.CutSize = r.Partition.CutSize()
 		}
 	}
-	res, shared, err := cache.estimate(r)
+	res, err := cache.estimate(r)
 	if err != nil {
 		cell.Error = err.Error()
-		return cell, shared
+		return cell
 	}
 	var w stats.Welford
 	for _, l := range res.PerTrial {
@@ -372,5 +364,5 @@ func runUnit(u Unit, cache *Cache) (cell Cell, shared bool) {
 	if q, err := stats.Quantile(res.PerTrial, 0.75); err == nil {
 		cell.Q75 = q
 	}
-	return cell, shared
+	return cell
 }

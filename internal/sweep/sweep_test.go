@@ -374,6 +374,38 @@ func TestMetricsCountsErroredCells(t *testing.T) {
 	}
 }
 
+// TestExportedMetricNames pins every name a sweep exports, by kind.
+// perfbench reads these names as strings, so a rename would feed it zeros
+// without a compile error.
+func TestExportedMetricNames(t *testing.T) {
+	grid := Grid{Base: scenario.Spec{Stop: scenario.StopSpec{Trials: 1, MaxTime: 50}}, Ns: []int{12}}
+	reg := metrics.NewRegistry()
+	if _, err := Run(grid, Config{Workers: 1, Seed: 1, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	var got []string
+	for name := range snap.Counters {
+		got = append(got, "counter "+name)
+	}
+	for name := range snap.Gauges {
+		got = append(got, "gauge "+name)
+	}
+	for name := range snap.Histograms {
+		got = append(got, "histogram "+name)
+	}
+	slices.Sort(got)
+	want := []string{
+		"counter sweep.cells.completed",
+		"counter sweep.cells.errored",
+		"counter sweep.cells.started",
+		"histogram sweep.cell.wall_ns",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("exported names:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 // reportJSON renders a report for byte comparison.
 func reportJSON(t *testing.T, rep *Report) string {
 	t.Helper()
@@ -385,28 +417,30 @@ func reportJSON(t *testing.T, rep *Report) string {
 }
 
 // sharedRuns runs every grid concurrently with one Cache and returns how
-// many cells took their estimate from it. Each report must be
+// many cells took their estimate from another cell: the cells run minus
+// the distinct specs the cache estimated. Each report must be
 // byte-identical to the same run without the cache.
 func sharedRuns(t *testing.T, seeds []uint64, grids ...Grid) int64 {
 	t.Helper()
 	cache := &Cache{}
-	reg := metrics.NewRegistry()
 	got := make([]*Report, len(grids))
 	errs := make([]error, len(grids))
 	done := make(chan struct{})
 	for i, g := range grids {
 		go func() {
 			defer func() { done <- struct{}{} }()
-			got[i], errs[i] = Run(g, Config{Workers: 2, Seed: seeds[i], Cache: cache, Metrics: reg})
+			got[i], errs[i] = Run(g, Config{Workers: 2, Seed: seeds[i], Cache: cache})
 		}()
 	}
 	for range grids {
 		<-done
 	}
+	cells := 0
 	for i, g := range grids {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
+		cells += len(got[i].Cells)
 		want, err := Run(g, Config{Workers: 1, Seed: seeds[i]})
 		if err != nil {
 			t.Fatal(err)
@@ -420,7 +454,7 @@ func sharedRuns(t *testing.T, seeds []uint64, grids ...Grid) int64 {
 			}
 		}
 	}
-	return reg.Snapshot().Counters["sweep.cells.shared"]
+	return int64(cells - len(cache.m))
 }
 
 // TestCacheSharesEqualCells: two sweeps over overlapping grids estimate

@@ -233,7 +233,8 @@ type (
 )
 
 // Telemetry, re-exported from internal/metrics: the dependency-free
-// counters/gauges/histograms registry the runtime layers record into.
+// registry that exports the counts the runtime keeps and its latency
+// histogram.
 // Construct one with NewMetricsRegistry, hand it to ClusterConfig.Metrics,
 // and export deterministic JSON via Snapshot().WriteJSON (cmd/distrun
 // -metrics writes it to a file when the run ends). A nil registry disables
